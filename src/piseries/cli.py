@@ -12,9 +12,6 @@ quadform           binary-quadratic-form representation helpers
 
 Exit codes: 0 when everything passed or is supported, 1 when a proven
 claim failed, 2 on usage or registry-parse errors.
-
-The environment variable ``PISERIES_CACHE`` names a directory used to
-cache exact sequence tables between runs.
 """
 
 from __future__ import annotations

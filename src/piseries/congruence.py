@@ -171,7 +171,7 @@ def _fast_ok(spec: TermSpec, p: int) -> bool:
 
 def _truncated_sum_mod_fast(spec: TermSpec, upper: int, p: int, s: int) -> int:
     ps = p ** s
-    tables = [(seqkit.table(kind, upper), e) for kind, e in spec.seq]
+    tables = [(seqkit.rows(kind, upper), e) for kind, e in spec.seq]
     minv = spec.m.denominator * pow(spec.m.numerator, -1, ps) % ps
     total = 0
     mk = pow(minv, spec.k0, ps)
@@ -191,16 +191,9 @@ def _truncated_sum_mod_fast(spec: TermSpec, upper: int, p: int, s: int) -> int:
 # right-hand sides
 # --------------------------------------------------------------------------
 
-_EULER_CACHE: Dict[int, int] = {}
-
-
 def euler_number(n: int) -> int:
     """Euler number E_n (E_0 = 1, E_2 = -1, ...)."""
-    if n not in _EULER_CACHE:
-        tab = seqkit.table(seqkit.EULER, n)
-        for i, v in enumerate(tab.values):
-            _EULER_CACHE[i] = int(v)
-    return _EULER_CACHE[n]
+    return seqkit.rows(seqkit.EULER, n)[n]
 
 
 @dataclass(frozen=True)
@@ -431,7 +424,7 @@ class IntegralityClaim:
             raise ValueError(f"unknown odd-set rule {self.odd_set}")
 
     def value(self, n: int) -> Fraction:
-        tables = [(seqkit.table(kind, n - 1), e) for kind, e in self.seq]
+        tables = [(seqkit.rows(kind, n - 1), e) for kind, e in self.seq]
         total = 0
         for k in range(n):
             t = sum(c * k ** i for i, c in enumerate(self.weight))
@@ -488,7 +481,7 @@ def check_duality_term(kind, d: Optional[int], D: int,
     for p in primes_upto(p_max):
         if p < 5 or (d is not None and d % p == 0) or D % p == 0:
             continue
-        tab = seqkit.table(kind, p - 1)
+        tab = seqkit.rows(kind, p - 1)
         s = 1 if d is None else legendre(d, p)
         report.tested.append(p)
         for k in range(p):

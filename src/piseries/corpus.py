@@ -74,7 +74,6 @@ __all__ = [
 ]
 
 DATA_DIR = Path(__file__).parent / "data"
-CACHE_ENV = "PISERIES_CACHE"
 
 KINDS = ("SERIES", "CONGRUENCE", "FINITE_IDENTITY", "INTEGRALITY", "SKIP")
 STATUSES = ("proven", "conjectural")

@@ -329,7 +329,7 @@ def check_franel_transform(n_max: int) -> CheckReport:
 # --------------------------------------------------------------------------
 
 def _sn_bc(b: int, c: int, n: int) -> int:
-    tb = seqkit.gct_table(b, c, n)
+    tb = seqkit.rows(seqkit.GCT(b, c), n)
     return sum(comb(n, k) ** 2 * tb[k] * tb[n - k] for k in range(n + 1))
 
 

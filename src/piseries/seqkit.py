@@ -1,32 +1,57 @@
 """Exact generators for the integer/rational sequences used across the workbench.
 
 Every sequence family comes in two independent flavours: a fast generator
-(closed sum or recurrence) and an oracle (the defining sum evaluated term by
-term).  All arithmetic is exact -- Python integers and ``fractions.Fraction``
--- so the tables can feed congruence checks directly.
+(recurrence, or a convolution over Pascal's row) and an oracle (the defining
+sum evaluated term by term).  All arithmetic is exact -- Python integers and
+``fractions.Fraction`` -- so the rows can feed congruence checks directly.
+
+The sequence store
+------------------
+:class:`SequenceStore` holds the rows 0, 1, 2, ... of each
+:class:`SequenceKind` once.  A kind grows from its last row: each kind has a
+generator that keeps the state its step needs (the last one or two values of
+a recurrence, or Pascal's row of a convolution), so asking for more rows
+continues where the last request stopped and nothing is ever rebuilt.
+
+- Second-order recurrences ``lead(n) a_{n+1} = A(n) a_n + B(n) a_{n-1}``
+  give GCT, FRANEL, BETA, WZAG, DOMB, ZAGIER, CLF and GSEQ; the binomial
+  kinds (CB2, CB3, CB4, CB63) follow from the ratio of consecutive rows.
+  Every division in these steps is checked to be exact and raises
+  ``ArithmeticError`` otherwise.
+- SBC, GPOLY and FRANEL4 are convolutions ``sum_k C(n,k)^e ...``; Pascal's
+  row is carried from one row to the next.
+- EULER continues the secant recurrence row by row.
+- GCT2/GCT3 read every second/third row of their GCT kind, SBC reads the
+  rows of its T_k(b,c), and CB2SHIFT, CATALAN and GPOLY read CB2, all from
+  the same store.
+
+A lock guards growth, so threads may share one store; reading a row that
+already exists takes no lock and copies nothing.  :func:`rows` reads the
+process-wide store :data:`STORE`.  :func:`table` builds a table from row 0
+in a private store and shares nothing, which makes it the tests' reference
+for the shared store's step-by-step growth.
 """
 
 from __future__ import annotations
 
-import os
-
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
-from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from itertools import count
+from math import comb
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 Number = Union[int, Fraction]
 
 __all__ = [
     "SequenceKind",
     "SequenceTable",
+    "SequenceStore",
     "GCT", "GCT2", "GCT3", "CB2", "CB3", "CB4", "CB63", "CB2SHIFT",
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
     "ZAGIER", "CLF", "BETA", "WZAG", "TSMALL", "EULER",
-    "gct_direct", "gct_table", "apery_like_table", "table",
+    "STORE", "rows", "memo_table", "table", "gct_direct", "gct_table",
     "snk", "tsmall_direct", "legendre_eval",
-    "save_table", "load_table", "cached_table",
 ]
 
 
@@ -104,7 +129,7 @@ class SequenceTable:
 
 
 # --------------------------------------------------------------------------
-# Generalized central trinomial coefficients T_n(b, c)
+# Direct-sum definitions (the oracles)
 # --------------------------------------------------------------------------
 
 def gct_direct(b: int, c: int, n: int) -> int:
@@ -116,30 +141,6 @@ def gct_direct(b: int, c: int, n: int) -> int:
         total += comb(n, 2 * k) * comb(2 * k, k) * b ** (n - 2 * k) * c ** k
     return total
 
-
-def gct_table(b: int, c: int, n_max: int) -> SequenceTable:
-    """T_0..T_{n_max}(b,c) by the three-term recurrence.
-
-    (n+1) T_{n+1} = (2n+1) b T_n - n (b^2 - 4c) T_{n-1}; the division by
-    n+1 is asserted exact.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    vals: List[int] = [1]
-    if n_max >= 1:
-        vals.append(b)
-    disc = b * b - 4 * c
-    for n in range(1, n_max):
-        num = (2 * n + 1) * b * vals[n] - n * disc * vals[n - 1]
-        q, r = divmod(num, n + 1)
-        assert r == 0, f"inexact division in T recurrence at n={n}"
-        vals.append(q)
-    return SequenceTable(GCT(b, c), tuple(vals))
-
-
-# --------------------------------------------------------------------------
-# Direct-sum definitions for the Apery-like families
-# --------------------------------------------------------------------------
 
 def _sbc_value(b: int, c: int, tb: Sequence[int], n: int) -> int:
     return sum(comb(n, k) ** 2 * tb[k] * tb[n - k] for k in range(n + 1))
@@ -181,105 +182,6 @@ def _beta_value(n: int) -> int:
 def _wzag_value(n: int) -> int:
     return sum((-1) ** k * 3 ** (n - 3 * k) * comb(n, 3 * k) * comb(3 * k, k)
                * comb(2 * k, k) for k in range(n // 3 + 1))
-
-
-def _pascal_rows(n_max: int):
-    """Yield rows 0..n_max of Pascal's triangle (incremental, no comb calls)."""
-    row = [1]
-    for _ in range(n_max + 1):
-        yield row
-        row = [a + b for a, b in zip([0] + row, row + [0])]
-
-
-def _cb2_list(n_max: int) -> List[int]:
-    vals = [1]
-    for n in range(n_max):
-        vals.append(vals[-1] * (2 * (2 * n + 1)) // (n + 1))
-    return vals
-
-
-def _convolution_table(n_max: int, factor) -> List:
-    """Tables of sum_k C(n,k)^e * factor(row, cb, n, k) via shared rows."""
-    cb = _cb2_list(n_max)
-    out = []
-    for n, row in enumerate(_pascal_rows(n_max)):
-        out.append(factor(row, cb, n))
-    return out
-
-
-def _sbc_table(b: int, c: int, n_max: int) -> List[int]:
-    tb = gct_table(b, c, n_max).values
-    return _convolution_table(n_max, lambda row, cb, n: sum(
-        row[k] ** 2 * tb[k] * tb[n - k] for k in range(n + 1)))
-
-
-def _domb_table(n_max: int) -> List[int]:
-    return _convolution_table(n_max, lambda row, cb, n: sum(
-        row[k] ** 2 * cb[k] * cb[n - k] for k in range(n + 1)))
-
-
-def _franel4_table(n_max: int) -> List[int]:
-    return _convolution_table(n_max, lambda row, cb, n: sum(
-        v ** 4 for v in row))
-
-
-def _gseq_table(n_max: int) -> List[int]:
-    return _convolution_table(n_max, lambda row, cb, n: sum(
-        row[k] ** 2 * cb[k] for k in range(n + 1)))
-
-
-def _gpoly_table(x: Number, n_max: int) -> List[Number]:
-    return _convolution_table(n_max, lambda row, cb, n: sum(
-        row[k] ** 2 * cb[k] * x ** k for k in range(n + 1)))
-
-
-def _zagier_table(n_max: int) -> List[int]:
-    return _convolution_table(n_max, lambda row, cb, n: sum(
-        row[k] * cb[k] * cb[n - k] for k in range(n + 1)))
-
-
-def _beta_table(n_max: int) -> List[int]:
-    rows = [list(r) for r in _pascal_rows(2 * n_max)]
-    return [sum(rows[n][k] ** 2 * rows[n + k][k] for k in range(n + 1))
-            for n in range(n_max + 1)]
-
-
-def _franel_table(n_max: int) -> List[int]:
-    """Franel numbers by the printed second-order recurrence."""
-    vals = [1]
-    if n_max >= 1:
-        vals.append(2)
-    for n in range(n_max - 1):
-        # (n+2)^2 f_{n+2} = (7n^2+21n+16) f_{n+1} + 8(n+1)^2 f_n
-        num = (7 * n * n + 21 * n + 16) * vals[n + 1] + 8 * (n + 1) ** 2 * vals[n]
-        q, r = divmod(num, (n + 2) ** 2)
-        assert r == 0, f"inexact division in Franel recurrence at n={n}"
-        vals.append(q)
-    return vals
-
-
-def _wzag_table(n_max: int) -> List[int]:
-    """w_n by the recurrence (n+1)^2 w_{n+1} = (9n(n+1)+3) w_n - 27 n^2 w_{n-1}."""
-    vals = [1]
-    if n_max >= 1:
-        vals.append(3)
-    for n in range(1, n_max):
-        num = (9 * n * (n + 1) + 3) * vals[n] - 27 * n * n * vals[n - 1]
-        q, r = divmod(num, (n + 1) ** 2)
-        assert r == 0, f"inexact division in w recurrence at n={n}"
-        vals.append(q)
-    return vals
-
-
-def _euler_table(n_max: int) -> List[int]:
-    """Euler numbers E_0..E_{n_max}; odd indices are 0 (secant recurrence)."""
-    vals = [0] * (n_max + 1)
-    vals[0] = 1
-    for m in range(1, n_max // 2 + 1):
-        # sum_{j=0}^{m} C(2m, 2j) E_{2j} = 0
-        acc = sum(comb(2 * m, 2 * j) * vals[2 * j] for j in range(m))
-        vals[2 * m] = -acc
-    return vals
 
 
 # --------------------------------------------------------------------------
@@ -324,189 +226,204 @@ def legendre_eval(n: int, x):
 
 
 # --------------------------------------------------------------------------
-# Table construction / dispatch
+# Row generators
 # --------------------------------------------------------------------------
 
-_CROSSCHECK_N = 60
+def _exact(num: int, den: int, kind: SequenceKind, n: int) -> int:
+    """num / den, which the recurrence of ``kind`` guarantees is exact."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(
+            f"inexact division in the {kind} recurrence at n={n}")
+    return q
 
 
-def apery_like_table(kind: SequenceKind, n_max: int) -> SequenceTable:
-    """Exact table for any non-GCT kind (GCT kinds go via gct_table)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+#: a_0 = 1 and lead(n) a_{n+1} = A(n) a_n + B(n) a_{n-1}, with B(0) = 0:
+#: (lead, A, B) per tag.
+_RECURRENCES = {
+    "FRANEL": (lambda n: (n + 1) ** 2, lambda n: 7 * n * n + 7 * n + 2,
+               lambda n: 8 * n * n),
+    # Apery's numbers for zeta(2)
+    "BETA": (lambda n: (n + 1) ** 2, lambda n: 11 * n * n + 11 * n + 3,
+             lambda n: n * n),
+    "WZAG": (lambda n: (n + 1) ** 2, lambda n: 9 * n * n + 9 * n + 3,
+             lambda n: -27 * n * n),
+    "GSEQ": (lambda n: (n + 1) ** 2, lambda n: 10 * n * n + 10 * n + 3,
+             lambda n: -9 * n * n),
+    "ZAGIER": (lambda n: (n + 1) ** 2, lambda n: 4 * (3 * n * n + 3 * n + 1),
+               lambda n: -32 * n * n),
+    # 2^n times ZAGIER
+    "CLF": (lambda n: (n + 1) ** 2, lambda n: 8 * (3 * n * n + 3 * n + 1),
+            lambda n: -128 * n * n),
+    "DOMB": (lambda n: (n + 1) ** 3,
+             lambda n: 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2),
+             lambda n: -64 * n ** 3),
+}
+
+#: a_0 = 1 and a_{n+1} = a_n num(n) / den(n): (num, den) per tag.
+_RATIOS = {
+    "CB2": (lambda n: 2 * (2 * n + 1), lambda n: n + 1),
+    "CB3": (lambda n: 3 * (3 * n + 1) * (3 * n + 2),
+            lambda n: 2 * (n + 1) * (2 * n + 1)),
+    "CB4": (lambda n: 2 * (4 * n + 1) * (4 * n + 3),
+            lambda n: (n + 1) * (2 * n + 1)),
+    "CB63": (lambda n: 8 * (6 * n + 1) * (6 * n + 3) * (6 * n + 5),
+             lambda n: (3 * n + 1) * (3 * n + 2) * (3 * n + 3)),
+}
+
+
+def _three_term(kind: SequenceKind, lead, a, b) -> Iterator[int]:
+    prev, cur = 0, 1
+    for n in count():
+        yield cur
+        prev, cur = cur, _exact(a(n) * cur + b(n) * prev, lead(n), kind, n)
+
+
+def _ratio(kind: SequenceKind, num, den) -> Iterator[int]:
+    cur = 1
+    for n in count():
+        yield cur
+        cur = _exact(cur * num(n), den(n), kind, n)
+
+
+def _pascal_rows() -> Iterator[List[int]]:
+    """Rows 0, 1, 2, ... of Pascal's triangle, each from the one before."""
+    row = [1]
+    while True:
+        yield row
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+
+
+def _sbc(store: "SequenceStore", base: SequenceKind) -> Iterator[int]:
+    """S_n(b,c) = sum_k C(n,k)^2 T_k T_{n-k}; the terms k and n-k agree."""
+    for n, row in enumerate(_pascal_rows()):
+        tb = store.rows(base, n)
+        half = sum(row[k] ** 2 * tb[k] * tb[n - k] for k in range((n + 1) // 2))
+        mid = (row[n // 2] * tb[n // 2]) ** 2 if n % 2 == 0 else 0
+        yield 2 * half + mid
+
+
+def _gpoly(store: "SequenceStore", x: Number) -> Iterator[Number]:
+    """g_n(x) = sum_k C(n,k)^2 C(2k,k) x^k, summed over integers with
+    x = p/q as q^(-n) sum_k C(n,k)^2 C(2k,k) p^k q^(n-k)."""
+    p, q = Fraction(x).numerator, Fraction(x).denominator
+    pp, qp = [1], [1]
+    for n, row in enumerate(_pascal_rows()):
+        cb = store.rows(CB2, n)
+        total = sum(row[k] ** 2 * cb[k] * pp[k] * qp[n - k]
+                    for k in range(n + 1))
+        yield total if q == 1 else Fraction(total, qp[n])
+        pp.append(pp[-1] * p)
+        qp.append(qp[-1] * q)
+
+
+def _euler() -> Iterator[int]:
+    """E_0, E_1, ...: odd rows are 0 and sum_{j<=m} C(2m,2j) E_{2j} = 0."""
+    even = [1]
+    yield 1
+    for m in count(1):
+        yield 0
+        even.append(-sum(comb(2 * m, 2 * j) * even[j] for j in range(m)))
+        yield even[m]
+
+
+def _generator(kind: SequenceKind, store: "SequenceStore") -> Iterator[Number]:
+    """The row generator of ``kind``; kinds it reads come from ``store``."""
     tag = kind.tag
+    if tag in _RECURRENCES:
+        return _three_term(kind, *_RECURRENCES[tag])
+    if tag in _RATIOS:
+        return _ratio(kind, *_RATIOS[tag])
+    if tag == "GCT":
+        b, c = (int(v) for v in kind.params)
+        return _three_term(kind, lambda n: n + 1, lambda n: (2 * n + 1) * b,
+                           lambda n: -n * (b * b - 4 * c))
+    if tag in ("GCT2", "GCT3"):
+        stride = 2 if tag == "GCT2" else 3
+        base = GCT(*kind.params)
+        return (store.rows(base, stride * n)[stride * n] for n in count())
     if tag == "SBC":
-        b, c = kind.params
-        vals = _sbc_table(int(b), int(c), n_max)
-        tb = gct_table(int(b), int(c), n_max).values
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _sbc_value(int(b), int(c), tb, n)
-    elif tag == "DOMB":
-        vals = _domb_table(n_max)
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _domb_value(n)
-    elif tag == "FRANEL":
-        vals = _franel_table(n_max)
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _franel_value(n), f"Franel mismatch at n={n}"
-    elif tag == "FRANEL4":
-        vals = _franel4_table(n_max)
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _franel4_value(n)
-    elif tag == "GSEQ":
-        vals = _gseq_table(n_max)
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _gseq_value(n)
-    elif tag == "GPOLY":
-        (x,) = kind.params
-        vals = _gpoly_table(x, n_max)
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _gpoly_value(n, x)
-    elif tag == "ZAGIER":
-        vals = _zagier_table(n_max)
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _zagier_value(n)
-    elif tag == "CLF":
-        vals = [2 ** n * z for n, z in enumerate(_zagier_table(n_max))]
-    elif tag == "BETA":
-        vals = _beta_table(n_max)
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _beta_value(n)
-    elif tag == "WZAG":
-        vals = _wzag_table(n_max)
-        for n in range(min(n_max, _CROSSCHECK_N) + 1):
-            assert vals[n] == _wzag_value(n), f"w mismatch at n={n}"
-    elif tag == "TSMALL":
-        vals = [tsmall_direct(n) for n in range(n_max + 1)]
-    elif tag == "EULER":
-        vals = _euler_table(n_max)
-    elif tag == "CB2":
-        vals = [comb(2 * n, n) for n in range(n_max + 1)]
-    elif tag == "CB3":
-        vals = [comb(3 * n, n) for n in range(n_max + 1)]
-    elif tag == "CB4":
-        vals = [comb(4 * n, 2 * n) for n in range(n_max + 1)]
-    elif tag == "CB63":
-        vals = [comb(6 * n, 3 * n) for n in range(n_max + 1)]
-    elif tag == "CB2SHIFT":
-        vals = [comb(2 * n, n + 1) for n in range(n_max + 1)]
-    elif tag == "CATALAN":
-        vals = [comb(2 * n, n) // (n + 1) for n in range(n_max + 1)]
-    else:
-        raise ValueError(f"unknown sequence kind {kind}")
-    return SequenceTable(kind, tuple(vals))
-
-
-def table(kind: SequenceKind, n_max: int) -> SequenceTable:
-    """Build a table for any kind, honoring the PISERIES_CACHE directory."""
-    cache_dir = os.environ.get("PISERIES_CACHE")
-    if cache_dir:
-        return cached_table(kind, n_max, cache_dir)
-    return _build_table(kind, n_max)
-
-
-def _build_table(kind: SequenceKind, n_max: int) -> SequenceTable:
-    """Build a table for any kind, including GCT and its stride views."""
-    if kind.tag == "GCT":
-        b, c = kind.params
-        return gct_table(int(b), int(c), n_max)
-    if kind.tag in ("GCT2", "GCT3"):
-        stride = 2 if kind.tag == "GCT2" else 3
-        b, c = kind.params
-        base = gct_table(int(b), int(c), stride * n_max)
-        return SequenceTable(kind, tuple(base.values[stride * n]
-                                         for n in range(n_max + 1)))
-    return apery_like_table(kind, n_max)
+        return _sbc(store, GCT(*kind.params))
+    if tag == "GPOLY":
+        return _gpoly(store, kind.params[0])
+    if tag == "FRANEL4":
+        return (sum(v ** 4 for v in row) for row in _pascal_rows())
+    if tag == "CB2SHIFT":   # C(2n, n+1) = C(2n, n) n / (n+1)
+        return (_exact(store.rows(CB2, n)[n] * n, n + 1, kind, n)
+                for n in count())
+    if tag == "CATALAN":
+        return (_exact(store.rows(CB2, n)[n], n + 1, kind, n)
+                for n in count())
+    if tag == "EULER":
+        return _euler()
+    if tag == "TSMALL":
+        return (tsmall_direct(n) for n in count())
+    raise ValueError(f"unknown sequence kind {kind}")
 
 
 # --------------------------------------------------------------------------
-# Cache files
+# The store
 # --------------------------------------------------------------------------
 
-def _fmt(v: Number) -> str:
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
+class SequenceStore:
+    """Rows of each sequence kind, computed once and extended in place."""
+
+    def __init__(self) -> None:
+        self._rows: Dict[SequenceKind, List[Number]] = {}
+        self._gens: Dict[SequenceKind, Iterator[Number]] = {}
+        # re-entrant: growing SBC or GCT2 grows its GCT kind inside the lock
+        self._lock = threading.RLock()
+
+    def rows(self, kind: SequenceKind, n: int) -> Sequence[Number]:
+        """Rows 0..n' of ``kind`` for some n' >= n.
+
+        The result is the store's own list.  It only ever grows by
+        appending, so a caller may keep it and index it; it must not
+        modify it.
+        """
+        got = self._rows.get(kind)
+        if got is not None and len(got) > n:
+            return got
+        with self._lock:
+            got = self._rows.get(kind)
+            if got is None:
+                gen = _generator(kind, self)
+                got = self._rows[kind] = []
+                self._gens[kind] = gen
+            gen = self._gens[kind]
+            try:
+                while len(got) <= n:
+                    got.append(next(gen))
+            except BaseException:
+                # the generator is spent (or a value was lost between it and
+                # the list): start the kind afresh on the next request
+                del self._rows[kind], self._gens[kind]
+                raise
+            return got
 
 
-def _parse_value(s: str) -> Number:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return int(s)
+#: The process-wide store behind :func:`rows` and :func:`memo_table`.
+STORE = SequenceStore()
 
 
-def save_table(tab: SequenceTable, path: Union[str, Path]) -> None:
-    """Write `tag params n_max` header plus one value per line."""
-    path = Path(path)
-    params = ",".join(str(p) for p in tab.kind.params) or "-"
-    lines = [f"{tab.kind.tag} {params} {tab.n_max}"]
-    lines.extend(_fmt(v) for v in tab.values)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_table(path: Union[str, Path]) -> SequenceTable:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    tag, params_s, n_max_s = lines[0].split()
-    params: Tuple[Number, ...] = ()
-    if params_s != "-":
-        params = tuple(_parse_value(p) for p in params_s.split(","))
-    n_max = int(n_max_s)
-    vals = tuple(_parse_value(s) for s in lines[1:n_max + 2])
-    if len(vals) != n_max + 1:
-        raise ValueError(f"cache {path} truncated")
-    return SequenceTable(SequenceKind(tag, params), vals)
-
-
-def _cache_name(kind: SequenceKind, n_max: int) -> str:
-    params = ",".join(str(p) for p in kind.params) or "-"
-    safe = params.replace("/", "_")
-    return f"{kind.tag}_{safe}_{n_max}.txt"
-
-
-def cached_table(kind: SequenceKind, n_max: int,
-                 cache_dir: Union[str, Path, None] = None) -> SequenceTable:
-    """Table lookup with an optional on-disk cache directory.
-
-    A cached table with a larger n_max satisfies smaller requests; a smaller
-    one is extended by recomputation and rewritten.
-    """
-    if cache_dir is None:
-        return _build_table(kind, n_max)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    # look for any cached table of this kind that is big enough
-    params = ",".join(str(p) for p in kind.params) or "-"
-    safe = params.replace("/", "_")
-    best = None
-    for p in cache_dir.glob(f"{kind.tag}_{safe}_*.txt"):
-        try:
-            cached_n = int(p.stem.rsplit("_", 1)[1])
-        except ValueError:
-            continue
-        if cached_n >= n_max and (best is None or cached_n < best[0]):
-            best = (cached_n, p)
-    if best is not None:
-        tab = load_table(best[1])
-        if tab.kind == kind and tab.n_max >= n_max:
-            return SequenceTable(kind, tab.values[:n_max + 1])
-    tab = _build_table(kind, n_max)
-    save_table(tab, cache_dir / _cache_name(kind, n_max))
-    return tab
-
-
-# In-process memo for hot loops (tables are immutable, safe to share).
-_MEMO: Dict[Tuple[SequenceKind, int], SequenceTable] = {}
+def rows(kind: SequenceKind, n: int) -> Sequence[Number]:
+    """Rows 0..n' (n' >= n) of ``kind`` from the process-wide store."""
+    return STORE.rows(kind, n)
 
 
 def memo_table(kind: SequenceKind, n_max: int) -> SequenceTable:
-    """Process-wide memoized table; returns a table with n_max' >= n_max."""
-    for (k, n), tab in list(_MEMO.items()):
-        if k == kind and n >= n_max:
-            return tab
-    tab = table(kind, n_max)
-    _MEMO[(kind, n_max)] = tab
-    return tab
+    """Snapshot of the process-wide store: a table with n_max' >= n_max."""
+    return SequenceTable(kind, tuple(STORE.rows(kind, n_max)))
+
+
+def table(kind: SequenceKind, n_max: int) -> SequenceTable:
+    """Rows 0..n_max of ``kind``, built from row 0 in a private store."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    vals = SequenceStore().rows(kind, n_max)
+    return SequenceTable(kind, tuple(vals[:n_max + 1]))
+
+
+def gct_table(b: int, c: int, n_max: int) -> SequenceTable:
+    """T_0..T_{n_max}(b,c) by the three-term recurrence."""
+    return table(GCT(b, c), n_max)

@@ -39,7 +39,8 @@ class Ball:
     rad: Fraction = Fraction(0)
 
     def __post_init__(self):
-        assert self.rad >= 0
+        if self.rad < 0:
+            raise ValueError(f"negative ball radius {self.rad}")
 
     @staticmethod
     def exact(x) -> "Ball":
@@ -282,7 +283,9 @@ def constant(name: str, digits: int = 50) -> Ball:
         val = sqrt_ball(Fraction(name[5:-1]), digits + 3)
     else:
         raise ValueError(f"unknown constant {name}")
-    assert val.rad < Fraction(1, 10 ** digits)
+    if val.rad >= Fraction(1, 10 ** digits):
+        raise ArithmeticError(
+            f"constant {name} radius {float(val.rad):.3e} misses 1e-{digits}")
     _CONST_CACHE[key] = val
     return val
 
@@ -333,39 +336,21 @@ def _den_binom(tag: str, k: int) -> int:
     return comb(4 * k, 2 * k)
 
 
-class _SeqCache:
-    """Grow-on-demand view over memoized sequence tables."""
-
-    def __init__(self):
-        self.tables: Dict[SequenceKind, seqkit.SequenceTable] = {}
-
-    def value(self, kind: SequenceKind, k: int):
-        tab = self.tables.get(kind)
-        if tab is None or tab.n_max < k:
-            want = max(2 * k + 16, 64)
-            tab = seqkit.memo_table(kind, want)
-            self.tables[kind] = tab
-        return tab[k]
-
-
-_SHARED_SEQ = _SeqCache()
-
-
 def term_value(spec: TermSpec, k: int) -> Fraction:
     """Exact value of the k-th summand."""
     if k < spec.k0:
         raise ValueError(f"term starts at k0={spec.k0}")
-    num = Fraction(spec.weight_at(k))
+    num = spec.weight_at(k)
     for kind, e in spec.seq:
-        num *= Fraction(_SHARED_SEQ.value(kind, k)) ** e
-    den = Fraction(1)
+        num *= seqkit.rows(kind, k)[k] ** e
+    den = 1
     for tag, e in spec.den:
         if tag in _AFFINE:
             a, b = _AFFINE[tag]
-            den *= Fraction(a * k + b) ** e
+            den *= (a * k + b) ** e
         else:
-            den *= Fraction(_den_binom(tag, k)) ** e
-    return num / (den * spec.m ** k)
+            den *= _den_binom(tag, k) ** e
+    return Fraction(num) / (den * spec.m ** k)
 
 
 # ---- growth bounds -------------------------------------------------------
@@ -503,28 +488,34 @@ def tail_bound(spec: TermSpec, N: int) -> Fraction:
     return total
 
 
-def eval_series(spec: TermSpec, digits: int = 40) -> Ball:
+def eval_series(spec: TermSpec, digits: int = 40,
+                stats: Optional[dict] = None) -> Ball:
     """Certified enclosure of sum_{k>=k0} term(k).
 
     Uses direct summation with a geometric tail bound when the term
     envelope ratio is below 1, and otherwise falls back to a rigorously
     bounded Euler (binomial) transform built from exact moment
-    representations of the term factors.
+    representations of the term factors.  When ``stats`` is given, its
+    ``terms`` key is set to the number of terms summed.
     """
     target = Fraction(1, 10 ** (digits + 2))
     poly, theta = _spec_envelope(spec)
     if theta >= 1:
-        return _euler_eval(spec, digits)
-    N = max(spec.k0, 4)
-    while True:
-        bound = tail_bound(spec, N)
-        if bound < target:
-            break
-        N += max(8, N // 2)
-    partial = Fraction(0)
-    for k in range(spec.k0, N + 1):
-        partial += term_value(spec, k)
-    return Ball(partial, bound)
+        ball, terms = _euler_eval(spec, digits)
+    else:
+        N = max(spec.k0, 4)
+        while True:
+            bound = tail_bound(spec, N)
+            if bound < target:
+                break
+            N += max(8, N // 2)
+        partial = Fraction(0)
+        for k in range(spec.k0, N + 1):
+            partial += term_value(spec, k)
+        ball, terms = Ball(partial, bound), N - spec.k0 + 1
+    if stats is not None:
+        stats["terms"] = terms
+    return ball
 
 
 # --------------------------------------------------------------------------
@@ -756,8 +747,10 @@ def _euler_tail(cert: _Cert, N: int) -> Optional[Fraction]:
     return cert.mass / 2 * total
 
 
-def _euler_eval(spec: TermSpec, digits: int) -> Ball:
-    """Certified Euler-transform evaluation for boundary-ratio series."""
+def _euler_eval(spec: TermSpec, digits: int) -> Tuple[Ball, int]:
+    """Certified Euler-transform evaluation for boundary-ratio series, and
+    the number of terms summed: those before ``k_start`` (summed directly)
+    plus the N + 1 fed to the transform."""
     cert = _certificate(spec)
     if cert is None:
         raise DivergentError(
@@ -783,7 +776,7 @@ def _euler_eval(spec: TermSpec, digits: int) -> Ball:
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     partial = sum((a * t for a, t in zip(A, tp)), Fraction(0))
     partial /= Fraction(1 << (N + 1))
-    return Ball(head + partial, tail)
+    return Ball(head + partial, tail), cert.k_start - spec.k0 + N + 1
 
 
 # --------------------------------------------------------------------------
@@ -842,7 +835,7 @@ class SeriesReport:
     ident: str
     passed: bool
     gap_upper: Fraction
-    terms_used: int
+    terms_used: int       # terms summed for the series enclosure
     status: str
 
 
@@ -860,7 +853,8 @@ def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesRep
         mag /= 10
         extra += 1
     work = digits + extra + 5
-    lhs = eval_series(entry.spec, work)
+    stats: dict = {}
+    lhs = eval_series(entry.spec, work, stats)
     rhs = eval_rhs(entry.rhs, work)
     gap = lhs - rhs
     upper = gap.abs_upper()
@@ -870,4 +864,4 @@ def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesRep
     scale = 10 ** (work + 10)
     upper = Fraction(-((-upper.numerator * scale) // upper.denominator), scale)
     status = ("PASS" if entry.proven else "CONSISTENT") if ok else "FAIL"
-    return SeriesReport(entry.ident, ok, upper, 0, status)
+    return SeriesReport(entry.ident, ok, upper, stats["terms"], status)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
@@ -70,55 +72,55 @@ class TestGct:
 
 class TestAperyLike:
     def test_sbc_11_values(self):
-        tab = sk.apery_like_table(sk.SBC(1, 1), 10)
+        tab = sk.table(sk.SBC(1, 1), 10)
         assert tab.values == (1, 2, 10, 68, 586, 5252, 49204, 475400,
                               4723786, 47937812, 494786260)
 
     def test_sbc_21_is_domb(self):
-        s = sk.apery_like_table(sk.SBC(2, 1), 100)
-        d = sk.apery_like_table(sk.DOMB, 100)
+        s = sk.table(sk.SBC(2, 1), 100)
+        d = sk.table(sk.DOMB, 100)
         assert s.values == d.values
 
     def test_franel_recurrence_vs_sum(self):
-        tab = sk.apery_like_table(sk.FRANEL, 150)
+        tab = sk.table(sk.FRANEL, 150)
         for n in range(151):
             assert tab[n] == sum(comb(n, k) ** 3 for k in range(n + 1))
 
     def test_g_is_binomial_transform_of_franel(self):
-        g = sk.apery_like_table(sk.GSEQ, 100)
-        f = sk.apery_like_table(sk.FRANEL, 100)
+        g = sk.table(sk.GSEQ, 100)
+        f = sk.table(sk.FRANEL, 100)
         for n in range(101):
             assert g[n] == sum(comb(n, k) * f[k] for k in range(n + 1))
 
     def test_clf_is_2n_zagier(self):
-        z = sk.apery_like_table(sk.ZAGIER, 100)
-        p = sk.apery_like_table(sk.CLF, 100)
+        z = sk.table(sk.ZAGIER, 100)
+        p = sk.table(sk.CLF, 100)
         for n in range(101):
             assert p[n] == 2 ** n * z[n]
 
     def test_small_values(self):
-        assert sk.apery_like_table(sk.WZAG, 1).values == (1, 3)
-        assert sk.apery_like_table(sk.ZAGIER, 1)[1] == 4
-        assert sk.apery_like_table(sk.BETA, 1)[1] == 3
+        assert sk.table(sk.WZAG, 1).values == (1, 3)
+        assert sk.table(sk.ZAGIER, 1)[1] == 4
+        assert sk.table(sk.BETA, 1)[1] == 3
 
     def test_gpoly_rational(self):
-        tab = sk.apery_like_table(sk.GPOLY(Fraction(1, 2)), 5)
+        tab = sk.table(sk.GPOLY(Fraction(1, 2)), 5)
         for n in range(6):
             expect = sum(Fraction(comb(n, k) ** 2 * comb(2 * k, k), 2 ** k)
                          for k in range(n + 1))
             assert tab[n] == expect
 
     def test_gpoly_at_one_is_gseq(self):
-        g1 = sk.apery_like_table(sk.GPOLY(1), 30)
-        g = sk.apery_like_table(sk.GSEQ, 30)
+        g1 = sk.table(sk.GPOLY(1), 30)
+        g = sk.table(sk.GSEQ, 30)
         assert g1.values == g.values
 
     def test_euler_numbers(self):
-        tab = sk.apery_like_table(sk.EULER, 10)
+        tab = sk.table(sk.EULER, 10)
         assert tab.values[:9] == (1, 0, -1, 0, 5, 0, -61, 0, 1385)
 
     def test_catalan(self):
-        tab = sk.apery_like_table(sk.CATALAN, 8)
+        tab = sk.table(sk.CATALAN, 8)
         assert tab.values == (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
 
@@ -131,7 +133,7 @@ class TestSnk:
         assert sk.snk(2, 1) == 2
 
     def test_snk_sum_gives_franel(self):
-        f = sk.apery_like_table(sk.FRANEL, 12)
+        f = sk.table(sk.FRANEL, 12)
         for n in range(13):
             total = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * sk.snk(n + k, k)
                         for k in range(n + 1))
@@ -205,29 +207,168 @@ class TestDuality:
                     assert lhs == rhs, (kind.tag, p, k)
 
 
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        tab = sk.gct_table(3, -5, 40)
-        path = tmp_path / "t.txt"
-        sk.save_table(tab, path)
-        again = sk.load_table(path)
-        assert again.kind == tab.kind
-        assert again.values == tab.values
-        # rewrite must be byte-identical
-        first = path.read_bytes()
-        sk.save_table(again, path)
-        assert path.read_bytes() == first
+# --------------------------------------------------------------------------
+# The sequence store
+# --------------------------------------------------------------------------
 
-    def test_rational_round_trip(self, tmp_path):
-        tab = sk.apery_like_table(sk.GPOLY(Fraction(-1, 4)), 12)
-        path = tmp_path / "g.txt"
-        sk.save_table(tab, path)
-        assert sk.load_table(path).values == tab.values
+STORE_N = 200
 
-    def test_cached_table_reuse(self, tmp_path):
-        tab = sk.cached_table(sk.FRANEL, 30, tmp_path)
-        files = list(tmp_path.glob("*.txt"))
-        assert len(files) == 1
-        sub = sk.cached_table(sk.FRANEL, 10, tmp_path)
-        assert sub.values == tab.values[:11]
-        assert len(list(tmp_path.glob("*.txt"))) == 1
+
+def _registry_kinds():
+    """Every sequence kind the bundled registry uses."""
+    from piseries import corpus
+
+    found = set()
+
+    def walk(obj):
+        if isinstance(obj, sk.SequenceKind):
+            found.add(obj)
+        elif isinstance(obj, (tuple, list)):
+            for x in obj:
+                walk(x)
+        elif hasattr(obj, "__dataclass_fields__"):
+            for name in obj.__dataclass_fields__:
+                walk(getattr(obj, name))
+
+    for entry in corpus.load_default():
+        walk(entry)
+    return sorted(found, key=str)
+
+
+def _zigzag(n_max):
+    """Euler zigzag numbers by the boustrophedon (Seidel) triangle."""
+    row, out = [1], [1]
+    for _ in range(n_max):
+        new = [0]
+        for v in reversed(row):
+            new.append(new[-1] + v)
+        row = new
+        out.append(row[-1])
+    return out
+
+
+class _Oracle:
+    """Direct-sum values, independent of the store's recurrences."""
+
+    def __init__(self):
+        self.gct = {}
+
+    def gct_rows(self, b, c, n_max):
+        """T_n(b,c) by the defining sum (as gct_direct), powers tabulated."""
+        have = self.gct.get((b, c), [])
+        if len(have) <= n_max:
+            bp = [b ** i for i in range(n_max + 1)]
+            cp = [c ** k for k in range(n_max // 2 + 1)]
+            have = self.gct[(b, c)] = [
+                sum(comb(n, 2 * k) * comb(2 * k, k) * bp[n - 2 * k] * cp[k]
+                    for k in range(n // 2 + 1)) for n in range(n_max + 1)]
+        return have
+
+    def values(self, kind, n_max):
+        tag, params = kind.tag, kind.params
+        ns = range(n_max + 1)
+        if tag in ("GCT", "GCT2", "GCT3"):
+            stride = {"GCT": 1, "GCT2": 2, "GCT3": 3}[tag]
+            tb = self.gct_rows(*params, stride * n_max)
+            return [tb[stride * n] for n in ns]
+        if tag == "SBC":
+            tb = self.gct_rows(*params, n_max)
+            return [sk._sbc_value(*params, tb, n) for n in ns]
+        if tag == "GPOLY":
+            return [sk._gpoly_value(n, params[0]) for n in ns]
+        if tag == "CLF":
+            return [2 ** n * sk._zagier_value(n) for n in ns]
+        if tag == "EULER":
+            z = _zigzag(n_max)
+            return [0 if n % 2 else (-1) ** (n // 2) * z[n] for n in ns]
+        closed = {
+            "DOMB": sk._domb_value, "FRANEL": sk._franel_value,
+            "FRANEL4": sk._franel4_value, "GSEQ": sk._gseq_value,
+            "ZAGIER": sk._zagier_value, "BETA": sk._beta_value,
+            "WZAG": sk._wzag_value,
+            "CB2": lambda n: comb(2 * n, n), "CB3": lambda n: comb(3 * n, n),
+            "CB4": lambda n: comb(4 * n, 2 * n),
+            "CB63": lambda n: comb(6 * n, 3 * n),
+            "CB2SHIFT": lambda n: comb(2 * n, n + 1),
+            "CATALAN": lambda n: comb(2 * n, n) // (n + 1),
+        }
+        return [closed[tag](n) for n in ns]
+
+
+@pytest.fixture(scope="module")
+def store_kinds():
+    return _registry_kinds() + [sk.EULER, sk.CLF, sk.GCT3(1, 1),
+                                sk.GPOLY(Fraction(-1, 4))]
+
+
+class TestStore:
+    def test_registry_kinds_match_direct_sums(self, store_kinds):
+        oracle = _Oracle()
+        assert len(store_kinds) > 100
+        for kind in store_kinds:
+            got = sk.rows(kind, STORE_N)
+            assert list(got[:STORE_N + 1]) == oracle.values(kind, STORE_N), \
+                str(kind)
+
+    def test_growth_out_of_order_matches_table(self, store_kinds):
+        store = sk.SequenceStore()
+        for n in (10, STORE_N, 50):
+            for kind in store_kinds:
+                store.rows(kind, n)
+        for kind in store_kinds:
+            want = sk.table(kind, STORE_N).values
+            assert tuple(store.rows(kind, 0)[:STORE_N + 1]) == want, str(kind)
+
+    def test_reads_share_rows_without_copying(self):
+        store = sk.SequenceStore()
+        first = store.rows(sk.FRANEL, 20)
+        assert store.rows(sk.FRANEL, 5) is first
+        assert store.rows(sk.FRANEL, 40) is first and len(first) >= 41
+        assert sk.memo_table(sk.FRANEL, 20).n_max >= 20
+
+    def test_threads_growing_shared_kinds(self):
+        store = sk.SequenceStore()
+        kinds = (sk.SBC(1, 7), sk.GCT2(1, 1))
+        errors = []
+
+        def grow(offset):
+            try:
+                for n in range(offset, 160, 4):
+                    for kind in kinds[offset % 2:] + kinds[:offset % 2]:
+                        assert store.rows(kind, n)[n] is not None
+            except BaseException as exc:   # reported by the main thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for kind in kinds:
+            want = sk.table(kind, 159).values
+            assert tuple(store.rows(kind, 159)[:160]) == want
+
+    def test_inexact_step_raises_and_kind_restarts(self, monkeypatch):
+        store = sk.SequenceStore()
+        lead, a, b = sk._RECURRENCES["FRANEL"]
+        monkeypatch.setitem(sk._RECURRENCES, "FRANEL",
+                            (lambda n: lead(n) + 1, a, b))
+        with pytest.raises(ArithmeticError):
+            store.rows(sk.FRANEL, 10)
+        monkeypatch.undo()
+        assert tuple(store.rows(sk.FRANEL, 10)[:11]) \
+            == sk.table(sk.FRANEL, 10).values
+
+    def test_unknown_kind_and_negative_size(self):
+        with pytest.raises(ValueError):
+            sk.SequenceStore().rows(sk.SequenceKind("NOPE"), 3)
+        with pytest.raises(ValueError):
+            sk.table(sk.FRANEL, -1)
