@@ -136,12 +136,10 @@ def padic_valuation(x: Fraction, p: int) -> Optional[int]:
 
 def truncated_sum_exact(spec: TermSpec, upper: int) -> Fraction:
     """Exact value of sum over k0 <= k <= upper of the spec's terms."""
-    num, den = 0, 1
+    total = Fraction(0)
     for k in range(spec.k0, upper + 1):
-        t = term_value(spec, k)
-        num = num * t.denominator + t.numerator * den
-        den *= t.denominator
-    return Fraction(num, den)
+        total += term_value(spec, k)
+    return total
 
 
 def truncated_sum_mod(spec: TermSpec, upper: int, p: int, s: int):

@@ -2,18 +2,24 @@
 
 A :class:`Ball` is a midpoint/radius pair of ``Fraction`` values; the true
 value is guaranteed to lie in [mid-rad, mid+rad] and every operation widens
-the radius conservatively.  Series are summed as exact partial sums plus a
-rigorous geometric tail bound derived from per-sequence growth inequalities
-(never from sampled ratios), so a reported enclosure is a proof-grade
-statement about the sum.
+the radius conservatively.  A series is summed in fixed point, as integers
+scaled by 2^s: each term is an exact integer pair (num, den), and
+``(num << s) // den`` is below its true value by less than one unit in the
+last place, so ``terms * 2^-s`` added to the radius covers every rounding
+(the midpoint-radius scheme of Arb, Johansson 2017).  A rigorous geometric
+tail bound derived from per-sequence growth inequalities (never from sampled
+ratios) covers the rest, so a reported enclosure is a proof-grade statement
+about the sum.  :func:`term_value` remains the exact value of one term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from math import comb, isqrt, lcm
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from . import seqkit
 from .seqkit import SequenceKind
@@ -153,7 +159,8 @@ def sqrt_ball(d, digits: int = 50) -> Ball:
     return Ball((lo + hi) / 2, (hi - lo) / 2)
 
 
-def _bernoulli_even(count: int) -> List[Fraction]:
+@lru_cache(maxsize=None)
+def _bernoulli_even(count: int) -> Tuple[Fraction, ...]:
     """B_0, B_2, ..., B_{2(count-1)} via the Akiyama-Tanigawa scheme."""
     n = 2 * (count - 1)
     A = [Fraction(0)] * (n + 1)
@@ -163,7 +170,7 @@ def _bernoulli_even(count: int) -> List[Fraction]:
         for j in range(m, 0, -1):
             A[j - 1] = j * (A[j - 1] - A[j])
         out.append(A[0])
-    return out[0::2]
+    return tuple(out[0::2])
 
 
 def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
@@ -174,11 +181,11 @@ def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
     """
     target = Fraction(1, 10 ** (digits + 3))
     N = max(40, digits)
+    bern = _bernoulli_even(80)
     while True:
         head = sum(Fraction(1, 1) / (k + a) ** 2 for k in range(N))
         x = N + a
         total = head + 1 / x + Fraction(1, 2) / x ** 2
-        bern = _bernoulli_even(80)
         bound = None
         acc = Fraction(0)
         prev_mag = None
@@ -316,41 +323,69 @@ class TermSpec:
     k0: int = 0
 
     def __post_init__(self):
-        assert self.m != 0
-        assert 1 <= len(self.weight) <= 4
+        if self.m == 0:
+            raise ValueError("m must be nonzero")
+        if not 1 <= len(self.weight) <= 4:
+            raise ValueError(f"weight needs 1 to 4 coefficients, "
+                             f"got {len(self.weight)}")
         for tag, e in self.den:
-            assert tag in _AFFINE or tag in _DEN_BINOMIAL, tag
-            assert e >= 1
+            if tag not in _AFFINE and tag not in _DEN_BINOMIAL:
+                raise ValueError(f"unknown denominator factor {tag!r}")
+            if e < 1:
+                raise ValueError(f"exponent {e} of {tag!r} is below 1")
         for kind, e in self.seq:
-            assert e >= 1
+            if e < 1:
+                raise ValueError(f"exponent {e} of {kind} is below 1")
 
     def weight_at(self, k: int) -> int:
         return sum(c * k ** i for i, c in enumerate(self.weight))
 
 
-def _den_binom(tag: str, k: int) -> int:
-    if tag == "CB2":
-        return comb(2 * k, k)
-    if tag == "CB3":
-        return comb(3 * k, k)
-    return comb(4 * k, 2 * k)
+def _terms(spec: TermSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
+    """Terms lo..hi of ``spec`` as unreduced integer pairs (num, den),
+    den > 0, with term(k) = num / den.
+
+    The weight's coefficients share one denominator, the denominator
+    binomials C(2k,k), C(3k,k), C(4k,2k) are the store's CB2, CB3, CB4 rows,
+    and for m = a/b the powers b^k and a^k are carried one step at a time.
+    """
+    if lo < spec.k0:
+        raise ValueError(f"term starts at k0={spec.k0}")
+    wden = lcm(*(Fraction(c).denominator for c in spec.weight))
+    weight = [int(c * wden) for c in reversed(spec.weight)]   # high -> low
+    seq = [(seqkit.rows(kind, hi), e) for kind, e in spec.seq]
+    binom = [(seqkit.rows(SequenceKind(tag), hi), e)
+             for tag, e in spec.den if tag in _DEN_BINOMIAL]
+    affine = [(*_AFFINE[tag], e) for tag, e in spec.den if tag in _AFFINE]
+    m = Fraction(spec.m)
+    a, b = m.numerator, m.denominator
+    ak, bk = a ** lo, b ** lo
+    for k in range(lo, hi + 1):
+        num = 0
+        for c in weight:
+            num = num * k + c
+        num *= bk
+        den = wden * ak
+        for tab, e in seq:
+            v = tab[k]
+            if isinstance(v, Fraction):
+                num *= v.numerator ** e
+                den *= v.denominator ** e
+            else:
+                num *= v ** e
+        for tab, e in binom:
+            den *= tab[k] ** e
+        for c1, c0, e in affine:
+            den *= (c1 * k + c0) ** e
+        yield (-num, -den) if den < 0 else (num, den)
+        ak *= a
+        bk *= b
 
 
 def term_value(spec: TermSpec, k: int) -> Fraction:
     """Exact value of the k-th summand."""
-    if k < spec.k0:
-        raise ValueError(f"term starts at k0={spec.k0}")
-    num = spec.weight_at(k)
-    for kind, e in spec.seq:
-        num *= seqkit.rows(kind, k)[k] ** e
-    den = 1
-    for tag, e in spec.den:
-        if tag in _AFFINE:
-            a, b = _AFFINE[tag]
-            den *= (a * k + b) ** e
-        else:
-            den *= _den_binom(tag, k) ** e
-    return Fraction(num) / (den * spec.m ** k)
+    (num, den), = _terms(spec, k, k)
+    return Fraction(num, den)
 
 
 # ---- growth bounds -------------------------------------------------------
@@ -488,14 +523,26 @@ def tail_bound(spec: TermSpec, N: int) -> Fraction:
     return total
 
 
+def _fixed_point(rounded: int, digits: int) -> Tuple[int, Fraction]:
+    """Scale bits s for a sum of ``rounded`` values each floored to a
+    multiple of 2^-s, and the radius rounded * 2^-s that covers the
+    floors; s makes that radius at most 10^-(digits+2) / 32."""
+    s = (32 * rounded * 10 ** (digits + 2) - 1).bit_length()
+    return s, Fraction(rounded, 1 << s)
+
+
 def eval_series(spec: TermSpec, digits: int = 40,
                 stats: Optional[dict] = None) -> Ball:
-    """Certified enclosure of sum_{k>=k0} term(k).
+    """Certified enclosure of sum_{k>=k0} term(k), with radius below
+    10^-(digits+2).
 
     Uses direct summation with a geometric tail bound when the term
     envelope ratio is below 1, and otherwise falls back to a rigorously
     bounded Euler (binomial) transform built from exact moment
-    representations of the term factors.  When ``stats`` is given, its
+    representations of the term factors.  Either way the terms are summed
+    in fixed point (see the module docstring): the midpoint is a multiple
+    of 2^-s near the partial sum, and the radius is the tail bound plus
+    one unit 2^-s per rounded term.  When ``stats`` is given, its
     ``terms`` key is set to the number of terms summed.
     """
     target = Fraction(1, 10 ** (digits + 2))
@@ -505,14 +552,15 @@ def eval_series(spec: TermSpec, digits: int = 40,
     else:
         N = max(spec.k0, 4)
         while True:
+            terms = N - spec.k0 + 1
+            s, err = _fixed_point(terms, digits)
             bound = tail_bound(spec, N)
-            if bound < target:
+            if bound < target - err:
                 break
             N += max(8, N // 2)
-        partial = Fraction(0)
-        for k in range(spec.k0, N + 1):
-            partial += term_value(spec, k)
-        ball, terms = Ball(partial, bound), N - spec.k0 + 1
+        total = sum((num << s) // den
+                    for num, den in _terms(spec, spec.k0, N))
+        ball = Ball(Fraction(total, 1 << s), bound + err)
     if stats is not None:
         stats["terms"] = terms
     return ball
@@ -756,16 +804,17 @@ def _euler_eval(spec: TermSpec, digits: int) -> Tuple[Ball, int]:
         raise DivergentError(
             "no moment certificate available; cannot evaluate this series")
     target = Fraction(1, 10 ** (digits + 2))
+    # the head terms k0 <= k < k_start are summed exactly and rounded once
+    head_floors = 1 if cert.k_start > spec.k0 else 0
     N = 16 + 8 * len(cert.wfall)
     while True:
+        s, err = _fixed_point(N + 1 + head_floors, digits)
         tail = _euler_tail(cert, N)
-        if tail is not None and tail < target:
+        if tail is not None and tail < target - err:
             break
         N += max(16, N // 4)
-    head = Fraction(0)
-    for k in range(spec.k0, cert.k_start):
-        head += term_value(spec, k)
-    tp = [term_value(spec, cert.k_start + i) for i in range(N + 1)]
+    head = sum((term_value(spec, k) for k in range(spec.k0, cert.k_start)),
+               Fraction(0))
     # sum_{j<=N} c_j = sum_i A_i t'_i / 2^(N+1), A_i = sum_j C(j,i) 2^(N-j)
     A = [0] * (N + 1)
     row = [1]
@@ -774,9 +823,12 @@ def _euler_eval(spec: TermSpec, digits: int) -> Tuple[Ball, int]:
         for i, cji in enumerate(row):
             A[i] += cji * w
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    partial = sum((a * t for a, t in zip(A, tp)), Fraction(0))
-    partial /= Fraction(1 << (N + 1))
-    return Ball(head + partial, tail), cert.k_start - spec.k0 + N + 1
+    total = (head.numerator << s) // head.denominator
+    tp = _terms(spec, cert.k_start, cert.k_start + N)
+    for a, (num, den) in zip(A, tp):
+        total += ((a * num) << s) // (den << (N + 1))
+    return (Ball(Fraction(total, 1 << s), tail + err),
+            cert.k_start - spec.k0 + N + 1)
 
 
 # --------------------------------------------------------------------------
@@ -794,9 +846,12 @@ class RHSForm:
 
     def __post_init__(self):
         for q, d, basis in self.addends:
-            assert basis in _BASES, basis
-            assert d >= 1
-            assert q != 0
+            if basis not in _BASES:
+                raise ValueError(f"unknown basis {basis!r}")
+            if d < 1:
+                raise ValueError(f"radicand {d} is below 1")
+            if q == 0:
+                raise ValueError("addend coefficient must be nonzero")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 
 from piseries import congruence as cg
 from piseries import seqkit as sk
+from piseries import sereval as se
 from piseries.sereval import TermSpec
 
 
@@ -67,6 +68,14 @@ class TestTruncatedSum:
                 exact = cg.fraction_mod(cg.truncated_sum_exact(BAUER, p - 1),
                                         p, s)
                 assert fast == exact, (p, s)
+
+    def test_exact_equals_sum_of_terms(self):
+        # aux-5: rational weight (15k-4)/(-27) and denominator factors
+        # k^3 C(2k,k)^2 C(3k,k)
+        s = spec((Fraction(4, 27), Fraction(-5, 9)), (), Fraction(-1, 27),
+                 den=(("k", 3), ("CB2", 2), ("CB3", 1)), k0=1)
+        total = cg.truncated_sum_exact(s, 80)
+        assert total == sum(se.term_value(s, k) for k in range(1, 81))
 
     def test_nonintegral_detected(self):
         # sum_{k<=1} C(2k,k)/5^k has a 5 in the denominator

@@ -16,6 +16,35 @@ from piseries import sereval as se
 from piseries.sereval import Ball, DivergentError, RHSForm, SeriesIdentity, TermSpec
 
 
+def term_oracle(spec: TermSpec, hi: int) -> list:
+    """Terms k0..hi of ``spec`` from their definition, in plain Fraction
+    arithmetic: the reference for the integer pairs behind term_value."""
+    tables = [(sk.table(kind, hi), e) for kind, e in spec.seq]
+    binom = {"CB2": (2, 1), "CB3": (3, 1), "CB4": (4, 2)}
+    out = []
+    for k in range(spec.k0, hi + 1):
+        num = sum(Fraction(c) * k ** i for i, c in enumerate(spec.weight))
+        for tab, e in tables:
+            num *= Fraction(tab[k]) ** e
+        den = Fraction(1)
+        for tag, e in spec.den:
+            if tag in binom:
+                a, b = binom[tag]
+                den *= comb(a * k, b * k) ** e
+            else:
+                a, b = se._AFFINE[tag]
+                den *= (a * k + b) ** e
+        out.append(num / (den * spec.m ** k))
+    return out
+
+
+def euler_partial(t: list) -> Fraction:
+    """sum_{j<len(t)} 2^-(j+1) sum_{i<=j} C(j,i) t_i, the Euler transform
+    of the terms t summed exactly."""
+    return sum(Fraction(sum(comb(j, i) * t[i] for i in range(j + 1)),
+                        2 ** (j + 1)) for j in range(len(t)))
+
+
 def mp_ref(expr: str, dps: int = 80) -> Fraction:
     """Independent high-precision reference value as a Fraction."""
     with mpmath.workdps(dps):
@@ -235,13 +264,14 @@ class TestTermsUsed:
         def spy(s, d, stats=None):
             ball = real(s, d, stats)
             if s == spec:
-                seen.append((ball, dict(stats)))
+                seen.append((ball, d, dict(stats)))
             return ball
 
         monkeypatch.setattr(se, "eval_series", spy)
         rep = se.verify_series_identity(SeriesIdentity("t", spec, rhs), digits)
-        (ball, stats), = seen
+        (ball, work, stats), = seen
         assert rep.passed and rep.terms_used == stats["terms"]
+        assert ball.rad < Fraction(1, 10 ** (work + 2))
         return ball, stats["terms"]
 
     def test_direct_path(self, monkeypatch):
@@ -250,7 +280,7 @@ class TestTermsUsed:
                         m=Fraction(8), k0=0)
         rhs = RHSForm(addends=((Fraction(1), 2, "ONE"),))
         ball, terms = self._report_and_stats(monkeypatch, spec, rhs, 30)
-        assert ball.mid == sum(se.term_value(spec, k) for k in range(terms))
+        assert ball.contains(sum(se.term_value(spec, k) for k in range(terms)))
 
     def test_euler_path(self, monkeypatch):
         # Bauer's series has theta = 1 and goes through the Euler transform
@@ -259,22 +289,95 @@ class TestTermsUsed:
         rhs = RHSForm(addends=((Fraction(2), 1, "INV_PI"),))
         ball, terms = self._report_and_stats(monkeypatch, spec, rhs, 20)
         t = [se.term_value(spec, k) for k in range(terms)]
-        euler = sum(Fraction(sum(comb(j, i) * t[i] for i in range(j + 1)),
-                             2 ** (j + 1)) for j in range(terms))
-        assert ball.mid == euler
+        assert ball.contains(euler_partial(t))
+
+
+# pi = 426880 sqrt(10005) / sum (the series behind constant("PI"))
+CHUDNOVSKY = TermSpec(weight=(13591409, 545140134), den=(),
+                      seq=((sk.CB2, 1), (sk.CB3, 1), (sk.CB63, 1)),
+                      m=Fraction(-640320) ** 3, k0=0)
+# aux-5: sum_{k>=1} (15k-4)(-27)^(k-1) / (k^3 C(2k,k)^2 C(3k,k)) = K
+AUX5 = TermSpec(weight=(Fraction(4, 27), Fraction(-5, 9)),
+                den=(("k", 3), ("CB2", 2), ("CB3", 1)), seq=(),
+                m=Fraction(-1, 27), k0=1)
+# 1.2: sum (4k-1) C(2k,k)^3 / ((2k-1)^3 (-64)^k) = 2/pi; 2k-1 is -1 at
+# k = 0, and theta = 1 sends it through the Euler transform with the head
+# term k = 0 summed before k_start = 1
+S12 = TermSpec(weight=(-1, 4), den=(("2k-1", 3),), seq=((sk.CB2, 3),),
+               m=Fraction(-64), k0=0)
+
+
+class TestFixedPoint:
+    """Terms are integer pairs and the sums are floored to multiples of
+    2^-s; the definition in plain Fractions is the oracle."""
+
+    @pytest.mark.parametrize("spec", [
+        CHUDNOVSKY, AUX5, S12,
+        TermSpec(weight=(1,), den=(("2k-1", 1), ("CB4", 1)),
+                 seq=((sk.GPOLY(Fraction(1, 4)), 2),), m=Fraction(-3, 7)),
+    ], ids=["chudnovsky", "aux-5", "1.2", "rational-rows"])
+    def test_terms_match_definition(self, spec):
+        hi = spec.k0 + 40
+        assert all(den > 0 for _, den in se._terms(spec, spec.k0, hi))
+        assert [se.term_value(spec, k) for k in range(spec.k0, hi + 1)] \
+            == term_oracle(spec, hi)
+
+    @pytest.mark.parametrize("spec,expected", [
+        (CHUDNOVSKY,
+         lambda d: 426880 * se.sqrt_ball(10005, d) / se.constant("PI", d)),
+        (AUX5, lambda d: se.constant("K3", d)),
+    ], ids=["chudnovsky", "aux-5"])
+    def test_direct_ball_holds_partial_sum(self, spec, expected):
+        digits = 30
+        stats: dict = {}
+        ball = se.eval_series(spec, digits, stats)
+        assert ball.rad < Fraction(1, 10 ** (digits + 2))
+        partial = sum(term_oracle(spec, spec.k0 + stats["terms"] - 1))
+        # every term is floored, so the midpoint sits below the partial sum
+        # by less than the rounding part of the radius
+        _, err = se._fixed_point(stats["terms"], digits)
+        assert err <= Fraction(1, 32 * 10 ** (digits + 2))
+        assert 0 <= partial - ball.mid < err
+        N = spec.k0 + stats["terms"] - 1
+        assert ball.rad == se.tail_bound(spec, N) + err
+        assert (ball - expected(digits + 5)).contains_zero()
+
+    def test_euler_head(self):
+        digits = 20
+        cert = se._certificate(S12)
+        assert cert.k_start == 1
+        stats: dict = {}
+        ball = se.eval_series(S12, digits, stats)
+        assert ball.rad < Fraction(1, 10 ** (digits + 2))
+        t = term_oracle(S12, stats["terms"] - 1)
+        # one floor for the head, one per transformed term
+        _, err = se._fixed_point(stats["terms"], digits)
+        assert 0 <= t[0] + euler_partial(t[1:]) - ball.mid < err
+        assert ball.rad == se._euler_tail(cert, len(t) - 2) + err
+        assert (ball - 2 / se.constant("PI", digits + 5)).contains_zero()
 
 
 def test_soundness_checks_survive_python_O():
     """Under -O asserts vanish; the explicit checks must still fire."""
     code = textwrap.dedent("""
+        from fractions import Fraction
         from piseries import corpus
-        from piseries.sereval import Ball
-        try:
-            Ball(1, -1)
-        except ValueError:
-            pass
-        else:
-            raise SystemExit("Ball(1, -1) was accepted")
+        from piseries.sereval import Ball, RHSForm, TermSpec
+        bad = {
+            "Ball(1, -1)": lambda: Ball(1, -1),
+            "bogus tag": lambda: TermSpec(weight=(1,), den=(("bogus", 1),),
+                                          seq=(), m=Fraction(2)),
+            "m = 0": lambda: TermSpec(weight=(1,), den=(), seq=(),
+                                      m=Fraction(0)),
+            "bogus basis": lambda: RHSForm(((Fraction(1), 1, "E"),)),
+        }
+        for what, make in bad.items():
+            try:
+                make()
+            except ValueError:
+                pass
+            else:
+                raise SystemExit(f"{what} was accepted")
         by_id = {e.ident: e for e in corpus.load_default()}
         rep = corpus.run([by_id[i] for i in ("1.2", "vh-a", "8-1-n")],
                          digits=20, p_max=50, n_max=32)
