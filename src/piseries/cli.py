@@ -5,8 +5,7 @@ Subcommands
 verify series      certify series identities (PASS/CONSISTENT/FAIL/DIVERGENT)
 verify congruence  check truncated-sum congruences prime by prime
 verify exact       run exact finite-identity families
-run                verify a filtered slice of the whole registry
-report             like ``run`` but writes a text/TSV report to a file
+run, report        verify a filtered slice of the whole registry
 discover           integer-relation search for a closed form of a series
 quadform           binary-quadratic-form representation helpers
 
@@ -128,10 +127,9 @@ def _cmd_verify_series(args) -> int:
             rep = sereval.verify_series_identity(entry.series, args.digits)
             status, gap, terms = rep.status, rep.gap_upper, rep.terms_used
         except sereval.DivergentError as exc:
-            status, gap, terms = "DIVERGENT", None, 0
             if entry.status == "proven":
                 worst = 1
-            print(f"{entry.ident}\t{status}\t{exc}\t-\t-")
+            print(f"{entry.ident}\tDIVERGENT\t{exc}\t-\t-")
             continue
         secs = time.monotonic() - start
         gap_s = corpus._sci(gap) if gap is not None else "-"
@@ -144,42 +142,26 @@ def _cmd_verify_series(args) -> int:
 
 def _cmd_verify_congruence(args) -> int:
     entries = _load(args.registry)
-    kinds = ("INTEGRALITY",) if args.integrality else ("CONGRUENCE",)
-    picked = [e for e in _select(entries, args.id)
-              if e.kind in kinds]
+    kind = "INTEGRALITY" if args.integrality else "CONGRUENCE"
+    picked = [e for e in _select(entries, args.id) if e.kind == kind]
     if args.pn:
         picked = [e for e in picked if e.check == "refinement"]
     if not picked:
-        raise CliError(f"no matching {'/'.join(kinds).lower()} entry"
-                       f" for {args.id!r}")
+        raise CliError(f"no matching {kind.lower()} entry for {args.id!r}")
     worst = 0
     for entry in picked:
-        claim = getattr(entry, "claim", None)
-        plain = (entry.kind == "CONGRUENCE" and claim is not None
-                 and entry.quadform is None and entry.duality is None
-                 and entry.dual_term is None and entry.check != "refinement")
-        if plain and not args.pn:
-            upper_of = cg._UPPERS[claim.upper]
+        claim = entry.claim   # set only on truncated-sum congruences
+        if claim is not None and entry.check != "refinement":
             for p in cg.primes_upto(args.pmax):
                 if not claim.admissible(p):
                     continue
-                if claim.lhs_ppow:
-                    total = cg.truncated_sum_exact(claim.spec, upper_of(p, 1))
-                    total *= Fraction(p) ** claim.lhs_ppow
-                    res = cg.fraction_mod(total, p, claim.s)
-                    lhs = cg.NONINTEGRAL if res is None else res
-                else:
-                    lhs = cg.truncated_sum_mod(claim.spec, upper_of(p, 1),
-                                               p, claim.s)
-                rhs = cg.rhs_residue(claim.rhs, p, claim.s)
-                ok = lhs != cg.NONINTEGRAL and rhs is not None and lhs == rhs
-                status = "ok" if ok else "FAIL"
-                if not ok and entry.status == "proven":
+                lhs, rhs = cg.claim_residues(claim, p)
+                if lhs != rhs and entry.status == "proven":
                     worst = 1
+                status = "ok" if lhs == rhs else "FAIL"
                 print(f"{entry.ident}\t{p}\t{status}\t{lhs}\t{rhs}")
         else:
-            n_max = args.nmax if args.nmax else 128
-            row = corpus._run_entry(entry, 40, args.pmax, n_max)
+            row = corpus._run_entry(entry, 40, args.pmax, args.nmax or 128)
             print(f"{entry.ident}\t-\t{row.outcome}\t{row.detail}\t-")
             if row.outcome == "FAIL" and entry.status == "proven":
                 worst = 1
@@ -189,19 +171,15 @@ def _cmd_verify_congruence(args) -> int:
 def _cmd_verify_exact(args) -> int:
     if args.family:
         name = args.family.upper()
-        n_max = args.nmax
         if name in corpus._FINITE_RUNNERS:
-            rep = corpus._FINITE_RUNNERS[name]((-10, 10), n_max)
+            fam_args = (-10, 10)
         elif name in exactid.FAMILIES:
-            rep = exactid.check_family(name, args.m, n_max)
+            fam_args = (args.m,)
         else:
             raise CliError(f"unknown family {args.family!r}")
-        if rep.ok:
-            print(f"{name}\tPASS\tchecked {rep.checked}")
-            return 0
-        print(f"{name}\tFAIL\tfirst failure {rep.first_failure}:"
-              f" {rep.detail}")
-        return 1
+        outcome, detail = corpus._run_finite(name, fam_args, args.nmax)
+        print(f"{name}\t{outcome}\t{detail}")
+        return int(outcome == "FAIL")
     report = corpus.run(_load(args.registry), id_glob=args.id,
                         kind="FINITE_IDENTITY", n_max=args.nmax)
     _emit(report.render("text"), None)
@@ -318,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_registry(ve)
     ve.set_defaults(func=_cmd_verify_exact)
 
-    run_p = sub.add_parser("run", help="verify a slice of the registry")
+    run_p = sub.add_parser("run", aliases=["report"],
+                           help="verify a slice of the registry")
     run_p.add_argument("--filter", default=None, metavar="GLOB")
     run_p.add_argument("--digits", type=int, default=40)
     run_p.add_argument("--pmax", type=int, default=300)
@@ -327,22 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--status", default=None)
     run_p.add_argument("--workers", type=int, default=0)
     run_p.add_argument("--format", choices=("text", "tsv"), default="text")
-    run_p.add_argument("--out", default=None)
+    run_p.add_argument("--out", default=None, metavar="PATH")
     add_registry(run_p)
     run_p.set_defaults(func=_cmd_run)
-
-    rep_p = sub.add_parser("report", help="write a verification report")
-    rep_p.add_argument("--filter", default=None, metavar="GLOB")
-    rep_p.add_argument("--digits", type=int, default=40)
-    rep_p.add_argument("--pmax", type=int, default=300)
-    rep_p.add_argument("--nmax", type=int, default=128)
-    rep_p.add_argument("--kind", default=None)
-    rep_p.add_argument("--status", default=None)
-    rep_p.add_argument("--workers", type=int, default=0)
-    rep_p.add_argument("--format", choices=("text", "tsv"), default="text")
-    rep_p.add_argument("--out", default=None, metavar="PATH")
-    add_registry(rep_p)
-    rep_p.set_defaults(func=_cmd_run)
 
     disc = sub.add_parser("discover",
                           help="integer-relation search for a closed form")

@@ -31,6 +31,7 @@ __all__ = [
     "rhs_residue",
     "CongruenceClaim",
     "ClaimReport",
+    "claim_residues",
     "verify_claim",
     "check_pn_refinement",
     "IntegralityClaim",
@@ -288,23 +289,30 @@ class ClaimReport:
         return bool(self.tested) and not self.failures
 
 
+def claim_residues(claim: CongruenceClaim,
+                   p: int) -> Tuple[object, Optional[int]]:
+    """(lhs, rhs) of the claim at an admissible prime p: the truncated sum
+    (times p^lhs_ppow) modulo p^s or NONINTEGRAL, and the right-hand side
+    modulo p^s or None.  The claim holds at p exactly when lhs == rhs."""
+    upper = _UPPERS[claim.upper](p, 1)
+    if claim.lhs_ppow:
+        total = truncated_sum_exact(claim.spec, upper) * p ** claim.lhs_ppow
+        res = fraction_mod(total, p, claim.s)
+        lhs = NONINTEGRAL if res is None else res
+    else:
+        lhs = truncated_sum_mod(claim.spec, upper, p, claim.s)
+    return lhs, rhs_residue(claim.rhs, p, claim.s)
+
+
 def verify_claim(claim: CongruenceClaim, p_max: int) -> ClaimReport:
     """Check the claim for every admissible prime <= p_max."""
-    upper_of = _UPPERS[claim.upper]
     report = ClaimReport(claim.ident, [], [])
     for p in primes_upto(p_max):
         if not claim.admissible(p):
             continue
-        if claim.lhs_ppow:
-            total = truncated_sum_exact(claim.spec, upper_of(p, 1))
-            total *= Fraction(p) ** claim.lhs_ppow
-            res = fraction_mod(total, p, claim.s)
-            lhs = NONINTEGRAL if res is None else res
-        else:
-            lhs = truncated_sum_mod(claim.spec, upper_of(p, 1), p, claim.s)
-        rhs = rhs_residue(claim.rhs, p, claim.s)
+        lhs, rhs = claim_residues(claim, p)
         report.tested.append(p)
-        if lhs == NONINTEGRAL or rhs is None or lhs != rhs:
+        if lhs != rhs:
             report.failures.append((p, lhs, rhs))
     return report
 
@@ -398,8 +406,8 @@ ODD_SETS = {
 @dataclass(frozen=True)
 class IntegralityClaim:
     """Claim: (mul / (div * n * div_base^e(n))) * sum_{k<n} w(k) (+-1)^k
-    M^(n-1-k) a_k is a positive integer, odd exactly when n is a power of
-    two.  The exponent rule e is selected by ``div_exp``."""
+    M^(n-1-k) a_k is a positive integer, odd exactly when n lies in
+    ``ODD_SETS[odd_set]``.  The exponent rule e is selected by ``div_exp``."""
 
     ident: str
     weight: Tuple[int, ...]
@@ -407,12 +415,11 @@ class IntegralityClaim:
     base: int                    # M
     div: int = 1
     alt: bool = False            # include a (-1)^k factor in the summand
-    odd_iff_pow2: bool = True
     positive: bool = True
     mul: int = 1
     div_base: int = 1
     div_exp: str = "none"
-    odd_set: Optional[str] = None   # overrides odd_iff_pow2 when set
+    odd_set: Optional[str] = "pow2"   # key of ODD_SETS; None: no parity test
     n_min: int = 1                  # smallest n the claim covers
 
     def __post_init__(self):
@@ -456,12 +463,9 @@ def check_integrality(claim: IntegralityClaim, n_max: int = 128) -> IntegralityR
         iv = int(v)
         if claim.positive and iv <= 0:
             report.failures.append((n, "not positive"))
-        if claim.odd_set is not None:
-            if (iv % 2 == 1) != ODD_SETS[claim.odd_set](n):
-                report.failures.append((n, "parity mismatch"))
-        elif claim.odd_iff_pow2:
-            if (iv % 2 == 1) != _is_pow2(n):
-                report.failures.append((n, "parity mismatch"))
+        if claim.odd_set is not None \
+                and (iv % 2 == 1) != ODD_SETS[claim.odd_set](n):
+            report.failures.append((n, "parity mismatch"))
     return report
 
 

@@ -13,7 +13,15 @@ Registry files are plain-text blocks::
     end
 
 Numbers are exact: rationals like ``-25/16`` and powers like ``-640320^3``
-are expanded during parsing; no floats appear in a registry.
+are expanded during parsing; no floats appear in a registry.  Numbers,
+weights (in ``k``) and quadform templates (in span(x^2, xy, p)) share one
+grammar, read off Python's syntax tree (``^`` is ``**``, ``-2^10`` is -1024)::
+
+    expr := int | name | (expr) | +expr | -expr | expr + expr | expr - expr
+          | expr * expr | expr / nonzero-constant | expr ^ int-literal>=0
+
+Any other node (a float, a bool, a call, an unknown name) is a
+``CorpusError`` with its line: nothing in a registry is evaluated as Python.
 
 Kind-specific keys:
 
@@ -39,6 +47,7 @@ Kind-specific keys:
 
 from __future__ import annotations
 
+import ast
 import fnmatch
 import os
 import re
@@ -48,8 +57,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import sympy
 
 from . import congruence as cg
 from . import exactid
@@ -91,32 +98,72 @@ class CorpusError(ValueError):
 # exact scalar / polynomial parsing
 # --------------------------------------------------------------------------
 
-_K = sympy.Symbol("k")
+_Poly = Dict[Tuple[int, ...], Fraction]
+
+
+def _poly(text: str, names: Tuple[str, ...], line: int) -> _Poly:
+    """Exact polynomial in ``names`` read from ``text``, as a map from
+    exponent tuples to non-zero coefficients, by walking its syntax tree
+    over the number grammar above; nothing is evaluated as Python."""
+    one = (0,) * len(names)
+
+    def add(a: _Poly, b: _Poly, sign: int = 1) -> _Poly:
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + sign * c
+        return {m: c for m, c in out.items() if c}
+
+    def mul(a: _Poly, b: _Poly) -> _Poly:
+        out: _Poly = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(i + j for i, j in zip(ma, mb))
+                out[m] = out.get(m, 0) + ca * cb
+        return add({}, out)
+
+    def walk(node: ast.AST) -> _Poly:
+        op, right = getattr(node, "op", None), getattr(node, "right", None)
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return add({}, {one: Fraction(node.value)})
+        if isinstance(node, ast.Name) and node.id in names:
+            return {tuple(int(n == node.id) for n in names): Fraction(1)}
+        if isinstance(op, (ast.UAdd, ast.USub)):
+            sign = -1 if isinstance(op, ast.USub) else 1
+            return add({}, walk(node.operand), sign)
+        if isinstance(op, ast.Pow) and isinstance(right, ast.Constant) \
+                and type(right.value) is int and right.value >= 0:
+            out, base = {one: Fraction(1)}, walk(node.left)
+            for _ in range(right.value):
+                out = mul(out, base)
+            return out
+        if isinstance(op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+            a, b = walk(node.left), walk(node.right)
+            if isinstance(op, (ast.Add, ast.Sub)):
+                return add(a, b, -1 if isinstance(op, ast.Sub) else 1)
+            if isinstance(op, ast.Mult):
+                return mul(a, b)
+            if b.keys() == {one}:   # a non-zero constant divisor
+                return {m: c / b[one] for m, c in a.items()}
+        raise ValueError(f"{ast.unparse(node)!r} is outside the grammar")
+
+    try:   # ValueError also covers a null byte, MemoryError deep nesting
+        return walk(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        why = str(exc) or "nested too deeply"
+        raise CorpusError(f"bad expression {text!r}: {why}", line) from None
 
 
 def _rational(text: str, line: int) -> Fraction:
     """Exact rational from an expression like ``-3*160^3`` or ``-25/16``."""
-    try:
-        v = sympy.Rational(sympy.sympify(text.replace("^", "**"),
-                                         rational=True))
-    except (sympy.SympifyError, TypeError, ValueError) as exc:
-        raise CorpusError(f"bad number {text!r}: {exc}", line)
-    return Fraction(int(v.p), int(v.q))
+    return _poly(text, (), line).get((), Fraction(0))
 
 
 def _weight(text: str, line: int) -> Tuple[Fraction, ...]:
     """Low-to-high coefficients of a polynomial in k."""
-    try:
-        expr = sympy.sympify(text.replace("^", "**"), locals={"k": _K},
-                             rational=True)
-        poly = sympy.Poly(expr, _K)
-    except (sympy.SympifyError, sympy.PolynomialError, TypeError) as exc:
-        raise CorpusError(f"bad weight polynomial {text!r}: {exc}", line)
-    coeffs = [Fraction(int(c.p), int(c.q))
-              for c in (sympy.Rational(c) for c in poly.all_coeffs())]
-    coeffs.reverse()
-    out = tuple(int(c) if c.denominator == 1 else c for c in coeffs)
-    return out if out else (0,)
+    poly = _poly(text, ("k",), line)
+    degree = max((m[0] for m in poly), default=0)
+    coeffs = (poly.get((j,), Fraction(0)) for j in range(degree + 1))
+    return tuple(int(c) if c.denominator == 1 else c for c in coeffs)
 
 
 _DEN_FACTOR = re.compile(
@@ -273,14 +320,16 @@ def _crhs(text: str, line: int) -> Tuple[cg.RHSTerm, ...]:
 _SYMBOL = re.compile(r"^(?P<kind>L|Lp)\((?P<d>-?\d+)\)$")
 
 
-def _symbols(text: str, line: int) -> Tuple[Tuple[str, int], ...]:
-    """List of ('L', d) / ('Lp', d) factors, e.g. for pn-delta."""
+def _symbols(text: str, line: int) -> Tuple[int, ...]:
+    """The d of each factor L(d) / Lp(d), as its Legendre symbol (d|p),
+    e.g. for pn-delta."""
     out = []
     for part in _split_factors(text):
         m = _SYMBOL.match(part)
         if not m:
             raise CorpusError(f"bad symbol factor {part!r}", line)
-        out.append((m.group("kind"), int(m.group("d"))))
+        out.append(_legendre_equivalent(m.group("kind"), int(m.group("d")),
+                                        line))
     return tuple(out)
 
 
@@ -316,26 +365,16 @@ def _guard(text: str, line: int) -> qf.Guard:
 
 
 _REP = re.compile(r"^(?P<mu>[124])?p=(?:(?P<a>\d+)\*)?x\^2\+(?:(?P<d>\d+)\*)?y\^2$")
+_TEMPLATE_MONOMIALS = ((2, 0, 0), (1, 1, 0), (0, 0, 1))   # x^2, xy, p
 
 
 def _template(text: str, line: int) -> Tuple[Fraction, Fraction, Fraction]:
     """Coefficients (x2, xy, p) of a template like ``4*x^2-2*p`` or ``4*x*y``."""
-    x, y, p = sympy.symbols("x y p")
-    try:
-        expr = sympy.expand(sympy.sympify(
-            text.replace("^", "**"), locals={"x": x, "y": y, "p": p},
-            rational=True))
-    except (sympy.SympifyError, TypeError) as exc:
-        raise CorpusError(f"bad template {text!r}: {exc}", line)
-    cx2 = expr.coeff(x, 2).subs({y: 0, p: 0})
-    cxy = expr.coeff(x, 1).coeff(y, 1)
-    cp = expr.coeff(p, 1).subs({x: 0, y: 0})
-    rebuilt = cx2 * x ** 2 + cxy * x * y + cp * p
-    if sympy.expand(rebuilt - expr) != 0:
+    poly = _poly(text, ("x", "y", "p"), line)
+    if poly.keys() - set(_TEMPLATE_MONOMIALS):
         raise CorpusError(f"template {text!r} is not in span(x^2, xy, p)",
                           line)
-    return tuple(Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
-                 for c in (cx2, cxy, cp))
+    return tuple(poly.get(m, Fraction(0)) for m in _TEMPLATE_MONOMIALS)
 
 
 def _case(text: str, line: int) -> qf.QuadFormCase:
@@ -530,8 +569,7 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
         weight = tuple(int(c) for c in spec.weight)
         entry.integrality = cg.IntegralityClaim(
             ident=ident, weight=weight, seq=spec.seq, base=int(spec.m),
-            div=opts["div"], alt=alt,
-            odd_iff_pow2=False, odd_set=None if odd == "none" else odd,
+            div=opts["div"], alt=alt, odd_set=None if odd == "none" else odd,
             positive=positive, mul=opts["mul"], div_base=opts["div_base"],
             div_exp=div_exp, n_min=opts["nmin"])
         return entry
@@ -556,21 +594,13 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
         require.append((d, int(mm.group(3))))
     pn_delta: Optional[Tuple[int, ...]] = None
     if get("pn-delta") is not None:
-        if get("pn-delta") == "1":
-            pn_delta = ()
-        else:
-            pn_delta = tuple(
-                _legendre_equivalent(kd, d, line_of("pn-delta"))
-                for kd, d in _symbols(get("pn-delta"), line_of("pn-delta")))
+        pn_delta = () if get("pn-delta") == "1" else \
+            _symbols(get("pn-delta"), line_of("pn-delta"))
     entry.check = get("check", "sum")
 
     if cases:
-        sym_factor: Tuple[int, ...] = ()
-        if get("sym-factor"):
-            sym_factor = tuple(
-                _legendre_equivalent(kd, d, line_of("sym-factor"))
-                for kd, d in _symbols(get("sym-factor"),
-                                      line_of("sym-factor")))
+        sym_factor = _symbols(get("sym-factor"), line_of("sym-factor")) \
+            if get("sym-factor") else ()
         table = qf.QuadFormTable(
             ident, tuple(_case(v, ln) for ln, v in cases),
             min_p=min_p, exclude=exclude, sym_factor=sym_factor)
@@ -837,13 +867,11 @@ _FINITE_RUNNERS = {
 }
 
 
-def _run_finite(entry: RegistryEntry, n_max: int) -> Tuple[str, str]:
-    name, args = entry.family
+def _run_finite(name: str, args: tuple, n_max: int) -> Tuple[str, str]:
     if name in _FINITE_RUNNERS:
         rep = _FINITE_RUNNERS[name](args, n_max)
     elif name in exactid.FAMILIES:
-        m = args[0] if args else None
-        rep = exactid.check_family(name, m, n_max)
+        rep = exactid.check_family(name, args[0] if args else None, n_max)
     else:
         return "FAIL", f"unknown family {name!r}"
     return ("PASS" if rep.ok else "FAIL",
@@ -864,7 +892,7 @@ def _run_entry(entry: RegistryEntry, digits: int, p_max: int,
         elif entry.kind == "INTEGRALITY":
             outcome, detail = _run_integrality(entry, n_max)
         else:
-            outcome, detail = _run_finite(entry, n_max)
+            outcome, detail = _run_finite(*entry.family, n_max)
     except Exception as exc:  # surface, do not crash the batch
         outcome, detail = "FAIL", f"error: {exc!r}"
     return ReportRow(entry.ident, entry.kind, entry.status, outcome,

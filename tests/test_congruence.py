@@ -162,7 +162,7 @@ class TestIntegrality:
     def test_domb_normalized_sums(self):
         # (1/n) sum_{k<n} (5k+1) 64^(n-1-k) D_k is a positive integer
         claim = cg.IntegralityClaim("domb-n", (1, 5), ((sk.DOMB, 1),), 64,
-                                    odd_iff_pow2=False)
+                                    odd_set=None)
         rep = cg.check_integrality(claim, 48)
         assert rep.ok
 
