@@ -177,7 +177,10 @@ def _cmd_verify_exact(args) -> int:
             fam_args = (args.m,)
         else:
             raise CliError(f"unknown family {args.family!r}")
-        outcome, detail = corpus._run_finite(name, fam_args, args.nmax)
+        try:
+            outcome, detail = corpus._run_finite(name, fam_args, args.nmax)
+        except ValueError as exc:   # e.g. a family that needs a nonzero m
+            raise CliError(str(exc)) from exc
         print(f"{name}\t{outcome}\t{detail}")
         return int(outcome == "FAIL")
     report = corpus.run(_load(args.registry), id_glob=args.id,
@@ -215,9 +218,12 @@ def _cmd_discover(args) -> int:
         [[(d, name) for name in scan_names] for d in _SQUAREFREE_D]
     candidate = None
     for basis in attempts:
-        candidate = relation.rediscover(spec, basis, digits=args.digits,
-                                        max_norm=args.max_norm,
-                                        degree=args.degree)
+        try:
+            candidate = relation.rediscover(spec, basis, digits=args.digits,
+                                            max_norm=args.max_norm,
+                                            degree=args.degree)
+        except sereval.DivergentError as exc:
+            raise CliError(f"cannot evaluate the series: {exc}") from exc
         if candidate is not None and candidate.confirmed:
             break
         candidate = None

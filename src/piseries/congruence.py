@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from . import seqkit
-from .sereval import TermSpec, term_value
+from .sereval import TermSpec, _terms, term_value
 
 __all__ = [
     "primes_upto",
@@ -115,8 +116,9 @@ def fraction_mod(x: Fraction, p: int, s: int) -> Optional[int]:
     return x.numerator * pow(x.denominator, -1, ps) % ps
 
 
-def padic_valuation(x: Fraction, p: int) -> Optional[int]:
-    """v_p(x) for a nonzero rational; None for x = 0 (infinite valuation)."""
+def padic_valuation(x: Union[int, Fraction], p: int) -> Optional[int]:
+    """v_p(x) for a nonzero integer or rational; None for x = 0 (infinite
+    valuation)."""
     if x == 0:
         return None
     v = 0
@@ -333,44 +335,78 @@ class RefinementReport:
         return bool(self.checked) and not self.failures
 
 
+def _prefix_sums(spec: TermSpec,
+                 counts: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
+    """(c, P, Q) for each c in ``counts``, in increasing order, where
+    S(c) = P/Q, Q > 0, is the sum of the terms k0 <= k < c; one pass over
+    the terms.  The pair is not reduced: a term num/den whose den is a
+    multiple of Q (every term of a den-free spec with integral m) extends
+    it with no gcd, and any other term is added as a Fraction."""
+    pending = sorted(set(counts), reverse=True)
+    P, Q = 0, 1
+    if pending and pending[0] > spec.k0:
+        terms = _terms(spec, spec.k0, pending[0] - 1)
+        for k, (num, den) in enumerate(terms, spec.k0):
+            while pending[-1] <= k:
+                yield pending.pop(), P, Q
+            q, r = divmod(den, Q)
+            if r:
+                total = Fraction(P, Q) + Fraction(num, den)
+                P, Q = total.numerator, total.denominator
+            else:
+                P, Q = P * q + num, den
+    while pending:
+        yield pending.pop(), P, Q
+
+
 def check_pn_refinement(claim: CongruenceClaim, p_max: int = 50,
                         n_max: int = 6) -> RefinementReport:
     """Check v_p(S(pn) - p*delta*S(n)) >= 2 + 2 v_p(n) for admissible p.
 
     ``delta`` is the product of the symbols (d|p) listed in claim.pn_delta
-    (the common value required of the right-hand-side symbols).
+    (the common value required of the right-hand-side symbols).  S(c) is
+    the sum of the terms k < c; it does not depend on p, so one pass over
+    the terms (``_prefix_sums``) serves every prime and every n: S(n) is
+    kept for n <= n_max, and each pair (p, n) is checked when the pass
+    reaches p*n.  With S(pn) = P1/Q1 and S(n) = P2/Q2 unreduced, the
+    valuation is v_p(P1 Q2 - p delta P2 Q1) - v_p(Q1) - v_p(Q2), with no
+    gcd taken; a zero difference has no valuation and is skipped.
     """
     if claim.pn_delta is None:
         raise ValueError(f"claim {claim.ident} carries no refinement data")
     report = RefinementReport(claim.ident, [], None, [])
+    checks: List[Tuple[int, int]] = []   # (p, delta)
     for p in primes_upto(p_max):
         if not claim.admissible(p):
             continue
         delta = 1
         for d in claim.pn_delta:
             delta *= legendre(d, p)
-        if delta == 0:
-            continue
-        partials: Dict[int, Fraction] = {}
-
-        def s_upto(count: int) -> Fraction:
-            if count not in partials:
-                partials[count] = truncated_sum_exact(claim.spec, count - 1)
-            return partials[count]
-
-        for n in range(1, n_max + 1):
-            diff = s_upto(p * n) - p * delta * s_upto(n)
-            vpn = 0
-            nn = n
-            while nn % p == 0:
-                nn //= p
-                vpn += 1
-            need = 2 + 2 * vpn
-            v = padic_valuation(diff, p)
+        if delta != 0:
+            checks.append((p, delta))
+    ns = range(1, n_max + 1)
+    due: Dict[int, List[Tuple[int, int, int]]] = {}   # p*n -> (p, delta, n)
+    for p, delta in checks:
+        for n in ns:
+            due.setdefault(p * n, []).append((p, delta, n))
+    small: Dict[int, Tuple[int, int]] = {}       # S(n), n <= n_max
+    margins: Dict[Tuple[int, int], Optional[int]] = {}
+    for c, P1, Q1 in _prefix_sums(claim.spec, due.keys() | set(ns)):
+        if c <= n_max:
+            small[c] = P1, Q1
+        for p, delta, n in due.get(c, ()):
+            P2, Q2 = small[n]
+            v = padic_valuation(P1 * Q2 - p * delta * P2 * Q1, p)
+            if v is not None:
+                v -= (padic_valuation(Q1, p) + padic_valuation(Q2, p)
+                      + 2 + 2 * padic_valuation(n, p))
+            margins[p, n] = v
+    for p, _ in checks:
+        for n in ns:
             report.checked.append((p, n))
-            if v is None:
+            margin = margins[p, n]
+            if margin is None:
                 continue
-            margin = v - need
             if report.min_margin is None or margin < report.min_margin:
                 report.min_margin = margin
             if margin < 0:

@@ -70,6 +70,13 @@ class TestVerifyExact:
         code, _, err = _run(capsys, ["verify", "exact", "--family", "nosuch"])
         assert code == 2 and "unknown family" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--m", "0"]])
+    def test_family_needs_m(self, capsys, extra):
+        code, out, err = _run(capsys, ["verify", "exact", "--family",
+                                       "l21_1"] + extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "needs a nonzero m" in err
+
 
 class TestDiscover:
     @pytest.mark.parametrize("m", ["__import__('os').getpid()", "1.5", "k",
@@ -78,3 +85,9 @@ class TestDiscover:
         code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m", m])
         assert code == 2 and out == ""
         assert "bad --seq/--m" in err
+
+    def test_divergent_series(self, capsys):
+        code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m",
+                                       "3/2", "--digits", "30"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "cannot evaluate" in err

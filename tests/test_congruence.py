@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from math import comb
+from typing import Dict
 
 import pytest
 
 from piseries import congruence as cg
+from piseries import corpus
 from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import TermSpec
@@ -17,6 +20,11 @@ def spec(weight, seq, m, den=(), k0=0):
 
 
 BAUER = spec((1, 4), ((sk.CB2, 3),), -64)
+
+# aux-5: rational weight (15k-4)/(-27), rational m and denominator factors
+# k^3 C(2k,k)^2 C(3k,k)
+AUX5 = spec((Fraction(4, 27), Fraction(-5, 9)), (), Fraction(-1, 27),
+            den=(("k", 3), ("CB2", 2), ("CB3", 1)), k0=1)
 
 
 class TestElementary:
@@ -70,12 +78,8 @@ class TestTruncatedSum:
                 assert fast == exact, (p, s)
 
     def test_exact_equals_sum_of_terms(self):
-        # aux-5: rational weight (15k-4)/(-27) and denominator factors
-        # k^3 C(2k,k)^2 C(3k,k)
-        s = spec((Fraction(4, 27), Fraction(-5, 9)), (), Fraction(-1, 27),
-                 den=(("k", 3), ("CB2", 2), ("CB3", 1)), k0=1)
-        total = cg.truncated_sum_exact(s, 80)
-        assert total == sum(se.term_value(s, k) for k in range(1, 81))
+        total = cg.truncated_sum_exact(AUX5, 80)
+        assert total == sum(se.term_value(AUX5, k) for k in range(1, 81))
 
     def test_nonintegral_detected(self):
         # sum_{k<=1} C(2k,k)/5^k has a 5 in the denominator
@@ -215,3 +219,102 @@ class TestWangSunLint:
     def test_mismatch(self):
         rhs = (cg.RHSTerm(Fraction(2), 1, sym=(-1,)),)
         assert cg.wang_sun_lint(Fraction(3), rhs)
+
+
+# --------------------------------------------------------------------------
+# (pn)^2 refinement against the per-prime, per-n exact recomputation
+# --------------------------------------------------------------------------
+
+def _refinement_oracle(claim, p_max, n_max):
+    """check_pn_refinement as it was before the prefix sums were shared:
+    S(c) recomputed from k0 by truncated_sum_exact for every prime."""
+    report = cg.RefinementReport(claim.ident, [], None, [])
+    for p in cg.primes_upto(p_max):
+        if not claim.admissible(p):
+            continue
+        delta = 1
+        for d in claim.pn_delta:
+            delta *= cg.legendre(d, p)
+        if delta == 0:
+            continue
+        partials: Dict[int, Fraction] = {}
+
+        def s_upto(count: int) -> Fraction:
+            if count not in partials:
+                partials[count] = cg.truncated_sum_exact(claim.spec, count - 1)
+            return partials[count]
+
+        for n in range(1, n_max + 1):
+            diff = s_upto(p * n) - p * delta * s_upto(n)
+            vpn = 0
+            nn = n
+            while nn % p == 0:
+                nn //= p
+                vpn += 1
+            need = 2 + 2 * vpn
+            v = cg.padic_valuation(diff, p)
+            report.checked.append((p, n))
+            if v is None:
+                continue
+            margin = v - need
+            if report.min_margin is None or margin < report.min_margin:
+                report.min_margin = margin
+            if margin < 0:
+                report.failures.append((p, n, margin))
+    return report
+
+
+def _same_report(claim, p_max, n_max):
+    got = cg.check_pn_refinement(claim, p_max=p_max, n_max=n_max)
+    want = _refinement_oracle(claim, p_max, n_max)
+    assert (got.ident, got.checked, got.min_margin, got.failures) == \
+        (want.ident, want.checked, want.min_margin, want.failures)
+    return got
+
+
+REFINEMENTS = [e.claim for e in corpus.load_default()
+               if e.check == "refinement"]
+
+
+class TestRefinementOracle:
+    def test_registry_has_46_refinements(self):
+        assert len(REFINEMENTS) == 46
+
+    @pytest.mark.parametrize("claim", REFINEMENTS, ids=lambda c: c.ident)
+    def test_registry_entry(self, claim):
+        assert _same_report(claim, 50, 3).ok
+
+    def test_flipped_delta_fails(self):
+        # (-1|p) flips delta at every p = 3 (mod 4)
+        claim = next(c for c in REFINEMENTS if c.ident == "VI1-pn")
+        flipped = dataclasses.replace(claim,
+                                      pn_delta=claim.pn_delta + (-1,))
+        rep = _same_report(flipped, 50, 3)
+        assert rep.failures
+        assert {p % 4 for p, _, _ in rep.failures} == {3}
+
+    def test_rational_m_and_denominators(self):
+        claim = cg.CongruenceClaim("aux-5", AUX5, 2,
+                                   (cg.RHSTerm(Fraction(1), 1),),
+                                   pn_delta=())
+        rep = _same_report(claim, 30, 4)
+        assert rep.checked and rep.failures
+
+    def test_zero_difference_is_skipped(self):
+        # every term is 0, so every difference is 0 and has no valuation
+        claim = cg.CongruenceClaim("zero", spec((0,), ((sk.CB2, 1),), 4), 2,
+                                   (cg.RHSTerm(Fraction(1), 1),),
+                                   pn_delta=())
+        rep = _same_report(claim, 30, 3)
+        assert rep.checked and rep.min_margin is None and not rep.failures
+
+    @pytest.mark.parametrize("s", [BAUER, AUX5,
+                                   spec((1, 5), ((sk.DOMB, 1),), 64, k0=2)],
+                             ids=["integral-m", "aux-5", "k0=2"])
+    def test_prefix_sums(self, s):
+        counts = [0, 1, 2, 3, 5, 8, 13, 40, 41, 97]
+        sums = list(cg._prefix_sums(s, reversed(counts)))
+        assert [c for c, _, _ in sums] == counts
+        for c, P, Q in sums:
+            assert Q > 0
+            assert Fraction(P, Q) == cg.truncated_sum_exact(s, c - 1), c
