@@ -152,10 +152,7 @@ def _cmd_verify_congruence(args) -> int:
     for entry in picked:
         claim = entry.claim   # set only on truncated-sum congruences
         if claim is not None and entry.check != "refinement":
-            for p in cg.primes_upto(args.pmax):
-                if not claim.admissible(p):
-                    continue
-                lhs, rhs = cg.claim_residues(claim, p)
+            for p, lhs, rhs in cg.claim_rows(claim, args.pmax):
                 if lhs != rhs and entry.status == "proven":
                     worst = 1
                 status = "ok" if lhs == rhs else "FAIL"

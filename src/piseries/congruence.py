@@ -6,9 +6,11 @@ right-hand side built from Legendre/Jacobi symbols and Euler numbers.  It
 also checks (pn)^2-refinements, integrality-with-parity claims, and dual
 sums (term-level modulo p and sum-level modulo p^2).
 
-All arithmetic is exact: sums are accumulated as rationals (or modulo
-p^s directly on a fast path whose validity is cross-checked in tests),
-so a reported residue is never subject to rounding.
+Every truncated sum comes from one place, ``_prefix_sums``: one pass over
+the terms yields the exact partial sums S(c) at each requested count c as
+unreduced integer pairs P/Q, and ``_residue`` reads a residue modulo p^s
+off such a pair.  A check sums each series once for all its primes (or all
+its n), so a reported residue is exact and never subject to rounding.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from . import seqkit
+# term_value is not called here: perfbench/tracer.py wraps this binding
 from .sereval import TermSpec, _terms, term_value
 
 __all__ = [
@@ -27,12 +30,14 @@ __all__ = [
     "legendre",
     "jacobi",
     "fraction_mod",
+    "truncated_sum_exact",
     "truncated_sum_mod",
+    "truncated_residues",
     "RHSTerm",
     "rhs_residue",
     "CongruenceClaim",
     "ClaimReport",
-    "claim_residues",
+    "claim_rows",
     "verify_claim",
     "check_pn_refinement",
     "IntegralityClaim",
@@ -137,55 +142,71 @@ def padic_valuation(x: Union[int, Fraction], p: int) -> Optional[int]:
 # truncated sums
 # --------------------------------------------------------------------------
 
+def _prefix_sums(spec: TermSpec,
+                 counts: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
+    """(c, P, Q) for each c in ``counts``, in increasing order, where
+    S(c) = P/Q, Q > 0, is the sum of the terms k0 <= k < c; one pass over
+    the terms.  The pair is not reduced: a term num/den whose den is a
+    multiple of Q (every term of a den-free spec with integral m) extends
+    it with no gcd, and any other term is added as a Fraction."""
+    pending = sorted(set(counts), reverse=True)
+    P, Q = 0, 1
+    if pending and pending[0] > spec.k0:
+        terms = _terms(spec, spec.k0, pending[0] - 1)
+        for k, (num, den) in enumerate(terms, spec.k0):
+            while pending[-1] <= k:
+                yield pending.pop(), P, Q
+            q, r = divmod(den, Q)
+            if r:
+                total = Fraction(P, Q) + Fraction(num, den)
+                P, Q = total.numerator, total.denominator
+            else:
+                P, Q = P * q + num, den
+    while pending:
+        yield pending.pop(), P, Q
+
+
+def _residue(P: int, Q: int, p: int, s: int, shift: int = 0):
+    """Residue of p^shift * P/Q modulo p^s, or NONINTEGRAL when that is not
+    a p-adic integer.  The pair (Q > 0) need not be reduced: v_p is
+    stripped from P and from Q before Q is inverted."""
+    if P == 0:
+        return 0
+    v = shift
+    while P % p == 0:
+        P //= p
+        v += 1
+    while Q % p == 0:
+        Q //= p
+        v -= 1
+    if v < 0:
+        return NONINTEGRAL
+    ps = p ** s
+    return P * pow(p, v, ps) * pow(Q, -1, ps) % ps
+
+
 def truncated_sum_exact(spec: TermSpec, upper: int) -> Fraction:
-    """Exact value of sum over k0 <= k <= upper of the spec's terms."""
-    total = Fraction(0)
-    for k in range(spec.k0, upper + 1):
-        total += term_value(spec, k)
-    return total
+    """Exact value of sum over k0 <= k <= upper of the spec's terms, read
+    off one ``_prefix_sums`` pass."""
+    (_, P, Q), = _prefix_sums(spec, [upper + 1])
+    return Fraction(P, Q)
 
 
 def truncated_sum_mod(spec: TermSpec, upper: int, p: int, s: int):
-    """Residue modulo p^s of the truncated sum, or NONINTEGRAL.
-
-    Uses a direct modular route when every term denominator is invertible
-    modulo p (no affine/binomial denominator factors and integral sequence
-    values) and falls back to the exact rational route otherwise.
-    """
-    if _fast_ok(spec, p):
-        return _truncated_sum_mod_fast(spec, upper, p, s)
-    total = truncated_sum_exact(spec, upper)
-    res = fraction_mod(total, p, s)
-    return NONINTEGRAL if res is None else res
+    """Residue modulo p^s of the sum over k0 <= k <= upper, or NONINTEGRAL:
+    ``truncated_residues`` for one prime."""
+    return truncated_residues(spec, {p: upper}, s)[p]
 
 
-def _fast_ok(spec: TermSpec, p: int) -> bool:
-    if spec.den:
-        return False
-    if spec.m.numerator % p == 0 or spec.m.denominator % p == 0:
-        return False
-    for kind, _ in spec.seq:
-        if getattr(kind, "tag", "") == "GPOLY":
-            return False
-    return True
-
-
-def _truncated_sum_mod_fast(spec: TermSpec, upper: int, p: int, s: int) -> int:
-    ps = p ** s
-    tables = [(seqkit.rows(kind, upper), e) for kind, e in spec.seq]
-    minv = spec.m.denominator * pow(spec.m.numerator, -1, ps) % ps
-    total = 0
-    mk = pow(minv, spec.k0, ps)
-    for k in range(spec.k0, upper + 1):
-        term = spec.weight_at(k)
-        if term.denominator != 1:
-            raise ValueError("fast path requires integer weights")
-        t = int(term) % ps
-        for tab, e in tables:
-            t = t * pow(int(tab[k]) % ps, e, ps) % ps
-        total = (total + t * mk) % ps
-        mk = mk * minv % ps
-    return total
+def truncated_residues(spec: TermSpec, uppers: Dict[int, int], s: int,
+                       shift: int = 0) -> Dict[int, object]:
+    """{p: residue modulo p^s of p^shift times the sum of the terms
+    k0 <= k <= uppers[p], or NONINTEGRAL}, from one pass over the terms."""
+    at: Dict[int, List[int]] = {}
+    for p, upper in uppers.items():
+        at.setdefault(upper + 1, []).append(p)
+    return {p: _residue(P, Q, p, s, shift)
+            for c, P, Q in _prefix_sums(spec, at) for p in at[c]}
 
 
 # --------------------------------------------------------------------------
@@ -233,12 +254,12 @@ def rhs_residue(terms: Sequence[RHSTerm], p: int, s: int) -> Optional[int]:
 # congruence claims
 # --------------------------------------------------------------------------
 
-_UPPERS = {
-    "p-1": lambda p, n: p - 1,
-    "p-2": lambda p, n: p - 2,
-    "pn-1": lambda p, n: p * n - 1,
-    "(p+1)/2": lambda p, n: (p + 1) // 2,
-    "(p-1)/2": lambda p, n: (p - 1) // 2,
+#: Upper summation limits of a congruence claim, as functions of p.
+UPPERS = {
+    "p-1": lambda p: p - 1,
+    "p-2": lambda p: p - 2,
+    "(p+1)/2": lambda p: (p + 1) // 2,
+    "(p-1)/2": lambda p: (p - 1) // 2,
 }
 
 
@@ -291,28 +312,24 @@ class ClaimReport:
         return bool(self.tested) and not self.failures
 
 
-def claim_residues(claim: CongruenceClaim,
-                   p: int) -> Tuple[object, Optional[int]]:
-    """(lhs, rhs) of the claim at an admissible prime p: the truncated sum
-    (times p^lhs_ppow) modulo p^s or NONINTEGRAL, and the right-hand side
-    modulo p^s or None.  The claim holds at p exactly when lhs == rhs."""
-    upper = _UPPERS[claim.upper](p, 1)
-    if claim.lhs_ppow:
-        total = truncated_sum_exact(claim.spec, upper) * p ** claim.lhs_ppow
-        res = fraction_mod(total, p, claim.s)
-        lhs = NONINTEGRAL if res is None else res
-    else:
-        lhs = truncated_sum_mod(claim.spec, upper, p, claim.s)
-    return lhs, rhs_residue(claim.rhs, p, claim.s)
+def claim_rows(claim: CongruenceClaim,
+               p_max: int) -> Iterator[Tuple[int, object, Optional[int]]]:
+    """(p, lhs, rhs) for each admissible prime p <= p_max, in increasing
+    order: the truncated sum times p^lhs_ppow modulo p^s or NONINTEGRAL, and
+    the right-hand side modulo p^s or None.  One pass over the terms serves
+    every prime.  The claim holds at p exactly when lhs == rhs."""
+    primes = [p for p in primes_upto(p_max) if claim.admissible(p)]
+    upper = UPPERS[claim.upper]
+    lhs = truncated_residues(claim.spec, {p: upper(p) for p in primes},
+                             claim.s, claim.lhs_ppow)
+    for p in primes:
+        yield p, lhs[p], rhs_residue(claim.rhs, p, claim.s)
 
 
 def verify_claim(claim: CongruenceClaim, p_max: int) -> ClaimReport:
-    """Check the claim for every admissible prime <= p_max."""
+    """Check the claim for every admissible prime <= p_max (``claim_rows``)."""
     report = ClaimReport(claim.ident, [], [])
-    for p in primes_upto(p_max):
-        if not claim.admissible(p):
-            continue
-        lhs, rhs = claim_residues(claim, p)
+    for p, lhs, rhs in claim_rows(claim, p_max):
         report.tested.append(p)
         if lhs != rhs:
             report.failures.append((p, lhs, rhs))
@@ -333,30 +350,6 @@ class RefinementReport:
     @property
     def ok(self) -> bool:
         return bool(self.checked) and not self.failures
-
-
-def _prefix_sums(spec: TermSpec,
-                 counts: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
-    """(c, P, Q) for each c in ``counts``, in increasing order, where
-    S(c) = P/Q, Q > 0, is the sum of the terms k0 <= k < c; one pass over
-    the terms.  The pair is not reduced: a term num/den whose den is a
-    multiple of Q (every term of a den-free spec with integral m) extends
-    it with no gcd, and any other term is added as a Fraction."""
-    pending = sorted(set(counts), reverse=True)
-    P, Q = 0, 1
-    if pending and pending[0] > spec.k0:
-        terms = _terms(spec, spec.k0, pending[0] - 1)
-        for k, (num, den) in enumerate(terms, spec.k0):
-            while pending[-1] <= k:
-                yield pending.pop(), P, Q
-            q, r = divmod(den, Q)
-            if r:
-                total = Fraction(P, Q) + Fraction(num, den)
-                P, Q = total.numerator, total.denominator
-            else:
-                P, Q = P * q + num, den
-    while pending:
-        yield pending.pop(), P, Q
 
 
 def check_pn_refinement(claim: CongruenceClaim, p_max: int = 50,
@@ -464,19 +457,6 @@ class IntegralityClaim:
         if self.odd_set is not None and self.odd_set not in ODD_SETS:
             raise ValueError(f"unknown odd-set rule {self.odd_set}")
 
-    def value(self, n: int) -> Fraction:
-        tables = [(seqkit.rows(kind, n - 1), e) for kind, e in self.seq]
-        total = 0
-        for k in range(n):
-            t = sum(c * k ** i for i, c in enumerate(self.weight))
-            for tab, e in tables:
-                t *= int(tab[k]) ** e
-            if self.alt and k % 2 == 1:
-                t = -t
-            total += t * self.base ** (n - 1 - k)
-        e = DIV_EXPS[self.div_exp](n)
-        return Fraction(total * self.mul, self.div * n * self.div_base ** e)
-
 
 @dataclass
 class IntegralityReport:
@@ -490,13 +470,20 @@ class IntegralityReport:
 
 
 def check_integrality(claim: IntegralityClaim, n_max: int = 128) -> IntegralityReport:
+    """Check the claim for n_min <= n <= n_max.  The value at n is
+    mul M^(n-1) S(n) / (div n div_base^e(n)), where S(n) is the sum over
+    k < n of w(k) a_k / (+-M)^k; one ``_prefix_sums`` pass gives every S(n)."""
     report = IntegralityReport(claim.ident, n_max, [])
-    for n in range(max(1, claim.n_min), n_max + 1):
-        v = claim.value(n)
-        if v.denominator != 1:
+    M = claim.base
+    spec = TermSpec(claim.weight, (), claim.seq,
+                    Fraction(-M if claim.alt else M))
+    for n, P, Q in _prefix_sums(spec, range(max(1, claim.n_min), n_max + 1)):
+        num = claim.mul * M ** (n - 1) * P
+        den = Q * claim.div * n * claim.div_base ** DIV_EXPS[claim.div_exp](n)
+        if num % den:
             report.failures.append((n, "not an integer"))
             continue
-        iv = int(v)
+        iv = num // den
         if claim.positive and iv <= 0:
             report.failures.append((n, "not positive"))
         if claim.odd_set is not None \
@@ -553,17 +540,17 @@ def check_duality_sum(claim: DualityClaim, p_max: int = 200) -> ClaimReport:
                       m=Fraction(claim.m), k0=0)
     spec_dual = TermSpec(weight=(1,), den=(), seq=claim.seq,
                          m=Fraction(claim.D, claim.m), k0=0)
-    for p in primes_upto(p_max):
-        if p < 5 or claim.d % p == 0 or claim.D % p == 0 or claim.m % p == 0:
-            continue
-        lhs = truncated_sum_mod(spec_m, p - 1, p, 2)
-        rhs0 = truncated_sum_mod(spec_dual, p - 1, p, 2)
+    uppers = {p: p - 1 for p in primes_upto(p_max) if p >= 5
+              and claim.d % p and claim.D % p and claim.m % p}
+    lhs_at = truncated_residues(spec_m, uppers, 2)
+    rhs_at = truncated_residues(spec_dual, uppers, 2)
+    for p in uppers:
+        lhs, rhs0 = lhs_at[p], rhs_at[p]
+        report.tested.append(p)
         if lhs == NONINTEGRAL or rhs0 == NONINTEGRAL:
             report.failures.append((p, lhs, rhs0))
-            report.tested.append(p)
             continue
         rhs = legendre(claim.d, p) * rhs0 % p ** 2
-        report.tested.append(p)
         if lhs != rhs:
             report.failures.append((p, lhs, rhs))
     return report

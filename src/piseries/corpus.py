@@ -37,10 +37,13 @@ Kind-specific keys:
   - ``case`` lines: a binary-quadratic-form dispatch table;
   - ``dual``: sum-level duality data ``d=<int> ; D=<int>``;
   - ``dual-term``: term-level duality ``d=<int|-> ; D=<int>``.
-  Optional: ``upper``, ``minp``, ``exclude``, ``require``, ``pn-delta``,
-  ``sym-factor``, ``check: refinement`` (refinement-only entries).
-* INTEGRALITY: ``idiv`` options ``div= ; mul= ; div-base= ; div-exp= ;
-  alt ; odd=pow2|pow2-pos|pow2-not2|none ; any-sign ; nmin=<int>``.
+  Optional: ``upper`` (``p-1``, ``p-2``, ``(p+1)/2`` or ``(p-1)/2``),
+  ``minp``, ``exclude``, ``require``, ``pn-delta``, ``sym-factor``,
+  ``check: refinement`` (refinement-only entries).
+* INTEGRALITY: a weight with integer coefficients, and ``idiv`` options
+  ``div=<int> ; mul=<int> ; div-base=<int> ;
+  div-exp=none|n-1|half|half-up ; alt ; odd=pow2|pow2-pos|pow2-not2|none ;
+  any-sign ; nmin=<int>``.
 * FINITE_IDENTITY: ``family: <name> [; m=<int>] [; args=a,b,...]``.
 * SKIP: ``reason`` only; records a label consciously left unverified.
 """
@@ -174,7 +177,7 @@ _SEQ_SINGLETONS = {
     "CB63": seqkit.CB63, "CB2S": seqkit.CB2SHIFT, "CAT": seqkit.CATALAN,
     "D": seqkit.DOMB, "F": seqkit.FRANEL, "F4": seqkit.FRANEL4,
     "G": seqkit.GSEQ, "Z": seqkit.ZAGIER, "CLF": seqkit.CLF,
-    "B": seqkit.BETA, "W": seqkit.WZAG, "TS": seqkit.TSMALL,
+    "B": seqkit.BETA, "W": seqkit.WZAG,
 }
 _SEQ_PARAM = re.compile(
     r"^(?P<head>T2|T3|T|S|P)\((?P<args>[^()]*)\)(?:\^(?P<exp>\d+))?$")
@@ -542,33 +545,33 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
             raise CorpusError(
                 f"entry {ident}: integrality term needs integer base, no"
                 " denominator factors", line_of("term"))
+        if any(Fraction(c).denominator != 1 for c in spec.weight):
+            raise CorpusError(f"entry {ident}: integrality weight needs"
+                              " integer coefficients", line_of("term"))
         opts = {"div": 1, "mul": 1, "div_base": 1, "nmin": 1}
         div_exp, alt, odd, positive = "none", False, "pow2", True
         for part in [p.strip() for p in get("idiv", "-").split(";")]:
             if part in ("-", ""):
                 continue
+            k, _, v = (x.strip() for x in part.partition("="))
             if part == "alt":
                 alt = True
             elif part == "any-sign":
                 positive = False
-            elif "=" in part:
-                k, _, v = part.partition("=")
-                k = k.strip()
-                v = v.strip()
-                if k in ("div", "mul", "div-base", "nmin"):
-                    opts[k.replace("-", "_")] = int(v)
-                elif k == "div-exp":
-                    div_exp = v
-                elif k == "odd":
-                    odd = v
-                else:
-                    raise CorpusError(f"bad idiv option {part!r}",
-                                      line_of("idiv"))
+            elif k in ("div", "mul", "div-base", "nmin") \
+                    and re.fullmatch(r"-?\d+", v):
+                opts[k.replace("-", "_")] = int(v)
+            elif k == "div-exp" and v in cg.DIV_EXPS:
+                div_exp = v
+            elif k == "odd" and (v in cg.ODD_SETS or v == "none"):
+                odd = v
             else:
                 raise CorpusError(f"bad idiv option {part!r}", line_of("idiv"))
-        weight = tuple(int(c) for c in spec.weight)
+        if not opts["div"] or not opts["div_base"]:
+            raise CorpusError("bad idiv option: a divisor is 0",
+                              line_of("idiv"))
         entry.integrality = cg.IntegralityClaim(
-            ident=ident, weight=weight, seq=spec.seq, base=int(spec.m),
+            ident=ident, weight=spec.weight, seq=spec.seq, base=int(spec.m),
             div=opts["div"], alt=alt, odd_set=None if odd == "none" else odd,
             positive=positive, mul=opts["mul"], div_base=opts["div_base"],
             div_exp=div_exp, n_min=opts["nmin"])
@@ -636,8 +639,12 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
         raise CorpusError(
             f"entry {ident}: congruence needs crhs, case lines, dual data,"
             " or check: refinement", None)
+    upper = get("upper", "p-1")
+    if upper not in cg.UPPERS:
+        raise CorpusError(f"entry {ident}: bad upper {upper!r}",
+                          line_of("upper"))
     entry.claim = cg.CongruenceClaim(
-        ident=ident, spec=spec, s=s, rhs=crhs, upper=get("upper", "p-1"),
+        ident=ident, spec=spec, s=s, rhs=crhs, upper=upper,
         min_p=min_p, exclude=exclude, require=tuple(require),
         pn_delta=pn_delta, proven=(status == "proven"), lhs_ppow=lhs_ppow)
     return entry

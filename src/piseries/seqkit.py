@@ -49,8 +49,8 @@ __all__ = [
     "SequenceStore",
     "GCT", "GCT2", "GCT3", "CB2", "CB3", "CB4", "CB63", "CB2SHIFT",
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
-    "ZAGIER", "CLF", "BETA", "WZAG", "TSMALL", "EULER",
-    "STORE", "rows", "memo_table", "table", "gct_direct", "gct_table",
+    "ZAGIER", "CLF", "BETA", "WZAG", "EULER",
+    "STORE", "rows", "memo_table", "table", "gct_direct",
     "snk", "tsmall_direct", "legendre_eval",
 ]
 
@@ -99,7 +99,6 @@ ZAGIER = SequenceKind("ZAGIER")
 CLF = SequenceKind("CLF")
 BETA = SequenceKind("BETA")
 WZAG = SequenceKind("WZAG")
-TSMALL = SequenceKind("TSMALL")
 EULER = SequenceKind("EULER")
 
 
@@ -356,8 +355,6 @@ def _generator(kind: SequenceKind, store: "SequenceStore") -> Iterator[Number]:
                 for n in count())
     if tag == "EULER":
         return _euler()
-    if tag == "TSMALL":
-        return (tsmall_direct(n) for n in count())
     raise ValueError(f"unknown sequence kind {kind}")
 
 
@@ -423,7 +420,3 @@ def table(kind: SequenceKind, n_max: int) -> SequenceTable:
     vals = SequenceStore().rows(kind, n_max)
     return SequenceTable(kind, tuple(vals[:n_max + 1]))
 
-
-def gct_table(b: int, c: int, n_max: int) -> SequenceTable:
-    """T_0..T_{n_max}(b,c) by the three-term recurrence."""
-    return table(GCT(b, c), n_max)

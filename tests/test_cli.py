@@ -59,6 +59,16 @@ class TestVerifyCongruence:
         assert code == 0
         assert out == "".join(f"{ident}\t{r}\n" for r in rows)
 
+    def test_bad_registry_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("entry bad\nkind: CONGRUENCE\nstatus: conjectural\n"
+                        "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\ncrhs: 1\n"
+                        "upper: p+1\nanchor: \"x\"\nend\n")
+        code, out, err = _run(capsys, ["run", "--registry", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("registry error: line 6:")
+        assert "bad upper 'p+1'" in err
+
 
 class TestVerifyExact:
     def test_family(self, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from piseries import congruence as cg
 from piseries import corpus
+from piseries import quadform as qf
 from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import TermSpec
@@ -25,6 +26,92 @@ BAUER = spec((1, 4), ((sk.CB2, 3),), -64)
 # k^3 C(2k,k)^2 C(3k,k)
 AUX5 = spec((Fraction(4, 27), Fraction(-5, 9)), (), Fraction(-1, 27),
             den=(("k", 3), ("CB2", 2), ("CB3", 1)), k0=1)
+
+
+# --------------------------------------------------------------------------
+# oracles: the summation loops that congruence._prefix_sums replaced
+# --------------------------------------------------------------------------
+
+def _sum_oracle(s, upper):
+    """Exact sum over k0 <= k <= upper by Fraction +=, one term at a time."""
+    total = Fraction(0)
+    for k in range(s.k0, upper + 1):
+        total += se.term_value(s, k)
+    return total
+
+
+def _exact_residue_oracle(s, upper, p, e, shift=0):
+    res = cg.fraction_mod(_sum_oracle(s, upper) * p ** shift, p, e)
+    return cg.NONINTEGRAL if res is None else res
+
+
+def _mod_oracle(s, upper, p, e):
+    """The modular loop: every term reduced mod p^e as it is added.  Valid
+    with no denominator factors, p prime to m, an integer weight and integer
+    rows; otherwise the exact residue is returned."""
+    if s.den or s.m.numerator % p == 0 or s.m.denominator % p == 0 \
+            or any(Fraction(c).denominator != 1 for c in s.weight) \
+            or any(kind.tag == "GPOLY" for kind, _ in s.seq):
+        return _exact_residue_oracle(s, upper, p, e)
+    ps = p ** e
+    tables = [(sk.rows(kind, upper), x) for kind, x in s.seq]
+    minv = s.m.denominator * pow(s.m.numerator, -1, ps) % ps
+    total = 0
+    mk = pow(minv, s.k0, ps)
+    for k in range(s.k0, upper + 1):
+        t = s.weight_at(k) % ps
+        for tab, x in tables:
+            assert Fraction(tab[k]).denominator == 1, "integer rows only"
+            t = t * pow(int(tab[k]) % ps, x, ps) % ps
+        total = (total + t * mk) % ps
+        mk = mk * minv % ps
+    return total
+
+
+def _claim_row_oracle(claim, p):
+    """(lhs, rhs) of a claim at p, the truncated sum summed for p alone."""
+    upper = cg.UPPERS[claim.upper](p)
+    if claim.lhs_ppow:
+        lhs = _exact_residue_oracle(claim.spec, upper, p, claim.s,
+                                    claim.lhs_ppow)
+    else:
+        lhs = _mod_oracle(claim.spec, upper, p, claim.s)
+    return lhs, cg.rhs_residue(claim.rhs, p, claim.s)
+
+
+def _integrality_value_oracle(claim, n):
+    """The claim's value at n, by its defining sum."""
+    tables = [(sk.rows(kind, n - 1), e) for kind, e in claim.seq]
+    total = 0
+    for k in range(n):
+        t = sum(c * k ** i for i, c in enumerate(claim.weight))
+        for tab, e in tables:
+            t *= tab[k] ** e
+        if claim.alt and k % 2 == 1:
+            t = -t
+        total += t * claim.base ** (n - 1 - k)
+    e = cg.DIV_EXPS[claim.div_exp](n)
+    return Fraction(total * claim.mul, claim.div * n * claim.div_base ** e)
+
+
+def _integrality_oracle(claim, n_max):
+    failures = []
+    for n in range(max(1, claim.n_min), n_max + 1):
+        v = _integrality_value_oracle(claim, n)
+        if v.denominator != 1:
+            failures.append((n, "not an integer"))
+            continue
+        if claim.positive and v <= 0:
+            failures.append((n, "not positive"))
+        if claim.odd_set is not None \
+                and (v % 2 == 1) != cg.ODD_SETS[claim.odd_set](n):
+            failures.append((n, "parity mismatch"))
+    return failures
+
+
+def _residues_oracle(s, uppers, e, shift=0):
+    assert shift == 0
+    return {p: _mod_oracle(s, upper, p, e) for p, upper in uppers.items()}
 
 
 class TestElementary:
@@ -72,10 +159,9 @@ class TestTruncatedSum:
             if p < 5:
                 continue
             for s in (1, 2, 3):
-                fast = cg._truncated_sum_mod_fast(BAUER, p - 1, p, s)
-                exact = cg.fraction_mod(cg.truncated_sum_exact(BAUER, p - 1),
-                                        p, s)
-                assert fast == exact, (p, s)
+                got = cg.truncated_sum_mod(BAUER, p - 1, p, s)
+                assert got == _mod_oracle(BAUER, p - 1, p, s), (p, s)
+                assert got == _exact_residue_oracle(BAUER, p - 1, p, s)
 
     def test_exact_equals_sum_of_terms(self):
         total = cg.truncated_sum_exact(AUX5, 80)
@@ -85,6 +171,43 @@ class TestTruncatedSum:
         # sum_{k<=1} C(2k,k)/5^k has a 5 in the denominator
         s = spec((1,), ((sk.CB2, 1),), 5)
         assert cg.truncated_sum_mod(s, 1, 5, 1) == cg.NONINTEGRAL
+
+    def test_residue_of_unreduced_pair(self):
+        # 15/10 = 3/2: the 5 in Q cancels against P, so there is a residue
+        assert cg._residue(15, 10, 5, 2) == cg.fraction_mod(Fraction(3, 2),
+                                                            5, 2) == 14
+        assert cg._residue(-50, 125, 5, 2) == cg.NONINTEGRAL
+        assert cg._residue(-50, 25, 5, 2) == 23
+        assert cg._residue(0, 7 ** 3, 7, 2) == 0
+        assert cg._residue(7 ** 5, 1, 7, 3) == 0
+
+    def test_shift_makes_sum_integral(self):
+        assert cg._residue(3, 25, 5, 2) == cg.NONINTEGRAL
+        assert cg._residue(3, 25, 5, 2, shift=1) == cg.NONINTEGRAL
+        assert cg._residue(3, 50, 5, 2, shift=2) == cg.fraction_mod(
+            Fraction(3, 2), 5, 2)
+        assert cg._residue(3, 25, 5, 2, shift=3) == 15
+        # sum_{k<=1} C(2k,k)/5^k = 7/5 is not 5-integral, 5 * 7/5 is
+        s = spec((1,), ((sk.CB2, 1),), 5)
+        assert cg.truncated_residues(s, {5: 1}, 2, shift=1) == {5: 7}
+
+    @pytest.mark.parametrize("s", [
+        BAUER, AUX5, spec((1, 2), ((sk.GPOLY(-20), 1),), 81),
+        spec((1,), ((sk.GPOLY(Fraction(1, 3)), 2),), -8, k0=1),
+        spec((Fraction(1, 2), 3), ((sk.FRANEL, 1),), Fraction(7, 3)),
+    ], ids=["bauer", "aux-5", "gpoly", "gpoly-rational", "rational-m"])
+    def test_residues_equal_oracles(self, s):
+        primes = [p for p in cg.primes_upto(100) if p >= 5]
+        for e, shift in ((1, 0), (2, 0), (3, 0), (2, 1), (3, 2)):
+            for upper in (lambda p: p - 1, lambda p: (p - 1) // 2):
+                got = cg.truncated_residues(
+                    s, {p: upper(p) for p in primes}, e, shift)
+                for p in primes:
+                    want = _exact_residue_oracle(s, upper(p), p, e, shift)
+                    assert got[p] == want, (p, e, shift)
+                    if not shift:
+                        assert cg.truncated_sum_mod(s, upper(p), p, e) == \
+                            want == _mod_oracle(s, upper(p), p, e)
 
 
 class TestProvenCongruences:
@@ -227,7 +350,7 @@ class TestWangSunLint:
 
 def _refinement_oracle(claim, p_max, n_max):
     """check_pn_refinement as it was before the prefix sums were shared:
-    S(c) recomputed from k0 by truncated_sum_exact for every prime."""
+    S(c) recomputed from k0 by the Fraction += loop for every prime."""
     report = cg.RefinementReport(claim.ident, [], None, [])
     for p in cg.primes_upto(p_max):
         if not claim.admissible(p):
@@ -241,7 +364,7 @@ def _refinement_oracle(claim, p_max, n_max):
 
         def s_upto(count: int) -> Fraction:
             if count not in partials:
-                partials[count] = cg.truncated_sum_exact(claim.spec, count - 1)
+                partials[count] = _sum_oracle(claim.spec, count - 1)
             return partials[count]
 
         for n in range(1, n_max + 1):
@@ -317,4 +440,64 @@ class TestRefinementOracle:
         assert [c for c, _, _ in sums] == counts
         for c, P, Q in sums:
             assert Q > 0
-            assert Fraction(P, Q) == cg.truncated_sum_exact(s, c - 1), c
+            assert Fraction(P, Q) == _sum_oracle(s, c - 1), c
+            assert cg.truncated_sum_exact(s, c - 1) == Fraction(P, Q)
+
+
+# --------------------------------------------------------------------------
+# every registry check against the loops _prefix_sums replaced
+# --------------------------------------------------------------------------
+
+ENTRIES = corpus.load_default()
+SUM_CLAIMS = [e.claim for e in ENTRIES
+              if e.claim is not None and e.check != "refinement"]
+QUADFORMS = [e.quadform for e in ENTRIES if e.quadform is not None]
+DUALS = [e.duality for e in ENTRIES if e.duality is not None]
+INTEGRALITIES = [e.integrality for e in ENTRIES if e.integrality is not None]
+
+
+class TestRegistryOracles:
+    def test_registry_counts(self):
+        assert (len(SUM_CLAIMS), len(QUADFORMS), len(DUALS),
+                len(INTEGRALITIES)) == (56, 47, 11, 42)
+        uppers = {c.upper for c in SUM_CLAIMS}
+        assert {"p-1", "p-2", "(p+1)/2"} <= uppers
+        assert any(c.lhs_ppow for c in SUM_CLAIMS)
+        assert any(c.spec.den for c in SUM_CLAIMS)
+
+    @pytest.mark.parametrize("claim", SUM_CLAIMS, ids=lambda c: c.ident)
+    def test_claim_rows(self, claim):
+        want = [(p, *_claim_row_oracle(claim, p))
+                for p in cg.primes_upto(100) if claim.admissible(p)]
+        assert list(cg.claim_rows(claim, 100)) == want
+        rep = cg.verify_claim(claim, 100)
+        assert rep.tested == [p for p, _, _ in want]
+        assert rep.failures == [r for r in want if r[1] != r[2]]
+
+    @pytest.mark.parametrize("claim", QUADFORMS, ids=lambda c: c.ident)
+    def test_quadform(self, claim, monkeypatch):
+        got = qf.verify_quadform_claim(claim, 100)
+        monkeypatch.setattr(cg, "truncated_residues", _residues_oracle)
+        want = qf.verify_quadform_claim(claim, 100)
+        assert (got.tested, got.failures) == (want.tested, want.failures)
+        assert got.tested
+        # the registry's verdicts: two conjectural tables fail below 100
+        assert got.ok == (claim.ident not in {"8-1-q", "g-2-q"})
+
+    @pytest.mark.parametrize("claim", DUALS, ids=lambda c: c.ident)
+    def test_duality_sum(self, claim, monkeypatch):
+        got = cg.check_duality_sum(claim, 100)
+        monkeypatch.setattr(cg, "truncated_residues", _residues_oracle)
+        want = cg.check_duality_sum(claim, 100)
+        assert (got.tested, got.failures) == (want.tested, want.failures)
+        assert got.ok
+
+    @pytest.mark.parametrize("claim", INTEGRALITIES, ids=lambda c: c.ident)
+    def test_integrality(self, claim):
+        assert cg.check_integrality(claim, 64).failures == \
+            _integrality_oracle(claim, 64)
+        # a flipped sign and a doubled divisor make every claim fail
+        flipped = dataclasses.replace(claim, alt=not claim.alt,
+                                      div=2 * claim.div)
+        assert cg.check_integrality(flipped, 64).failures == \
+            _integrality_oracle(flipped, 64)

@@ -71,6 +71,28 @@ anchor: "x"
 end
 """
 
+_CONGRUENCE = """\
+entry bad
+kind: CONGRUENCE
+status: conjectural
+term: 4*k+1 ; - ; CB2^3 ; m=-64 ; k0=0
+mod: p^3
+crhs: 1*p*L(-1)
+upper: {upper}
+anchor: "x"
+end
+"""
+
+_INTEGRALITY = """\
+entry bad
+kind: INTEGRALITY
+status: conjectural
+term: {weight} ; - ; D ; m=64 ; k0=0
+idiv: {idiv}
+anchor: "x"
+end
+"""
+
 
 class TestNumbers:
     @pytest.mark.parametrize("text, value", [
@@ -119,6 +141,44 @@ class TestMalformed:
         with pytest.raises(corpus.CorpusError) as exc:
             corpus.parse_registry(_QUADFORM.format(template=template))
         assert exc.value.line == 6
+
+    @pytest.mark.parametrize("upper", ["p-1", "p-2", "(p+1)/2", "(p-1)/2"])
+    def test_upper_accepted(self, upper):
+        (entry,) = corpus.parse_registry(_CONGRUENCE.format(upper=upper))
+        assert entry.claim.upper == upper
+
+    @pytest.mark.parametrize("upper", ["p+1", "pn-1", "p", ""])
+    def test_upper_rejected(self, upper):
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(_CONGRUENCE.format(upper=upper))
+        assert exc.value.line == 7 and "upper" in str(exc.value)
+
+    def test_integrality_accepted(self):
+        (entry,) = corpus.parse_registry(_INTEGRALITY.format(
+            weight="5*k+1", idiv="div=2 ; mul=-3 ; div-base=4 ; div-exp=half"
+                                " ; alt ; odd=none ; any-sign ; nmin=2"))
+        claim = entry.integrality
+        assert (claim.weight, claim.div, claim.mul, claim.div_base,
+                claim.div_exp, claim.alt, claim.odd_set, claim.positive,
+                claim.n_min) == ((1, 5), 2, -3, 4, "half", True, None, False,
+                                 2)
+
+    @pytest.mark.parametrize("idiv", [
+        "div-exp=bogus", "odd=bogus", "odd=", "div=x", "mul=1/2", "nmin=",
+        "div", "alt=1", "bogus=3", "div=2 ; odd=pow3", "div=0",
+        "div-base=0 ; div-exp=n-1",
+    ])
+    def test_integrality_bad_idiv(self, idiv):
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(_INTEGRALITY.format(weight="1", idiv=idiv))
+        assert exc.value.line == 5 and "idiv" in str(exc.value)
+
+    @pytest.mark.parametrize("weight", ["(k+1)/2", "k/3", "1/2"])
+    def test_integrality_rational_weight(self, weight):
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(_INTEGRALITY.format(weight=weight,
+                                                      idiv="-"))
+        assert exc.value.line == 4 and "integer" in str(exc.value)
 
 
 def test_parse_without_sympy():

@@ -26,7 +26,7 @@ def poly_trinomial(b: int, c: int, n: int) -> int:
 class TestGct:
     def test_first_two_values(self):
         for b, c in [(1, 1), (3, -5), (8, -2), (62, 95 ** 2)]:
-            assert sk.gct_table(b, c, 1).values == (1, b)
+            assert sk.table(sk.GCT(b, c), 1).values == (1, b)
 
     def test_direct_matches_polynomial_expansion(self):
         for b, c in [(1, 1), (2, 1), (3, 2), (1, 16), (8, -2)]:
@@ -37,24 +37,24 @@ class TestGct:
         assert sk.gct_direct(1, 1, 4) == 19
         assert sk.gct_direct(8, -2, 0) == 1
         assert sk.gct_direct(1, 16, 2) == 33
-        assert sk.gct_table(1, 1, 2).values[2] == 3
-        assert sk.gct_table(2, 1, 3).values[3] == 20
+        assert sk.table(sk.GCT(1, 1), 2).values[2] == 3
+        assert sk.table(sk.GCT(2, 1), 3).values[3] == 20
 
     @pytest.mark.parametrize("b,c", [(1, 1), (2, 1), (8, -2), (1, 16), (62, 95 ** 2)])
     def test_recurrence_matches_direct(self, b, c):
-        tab = sk.gct_table(b, c, 200)
+        tab = sk.table(sk.GCT(b, c), 200)
         for n in range(201):
             assert tab[n] == sk.gct_direct(b, c, n)
 
     def test_central_binomial_special_case(self):
-        tab = sk.gct_table(2, 1, 500)
+        tab = sk.table(sk.GCT(2, 1), 500)
         for n in range(501):
             assert tab[n] == comb(2 * n, n)
 
     def test_stride_views(self):
         t2 = sk.table(sk.GCT2(1, 1), 10)
         t3 = sk.table(sk.GCT3(1, 1), 10)
-        base = sk.gct_table(1, 1, 30)
+        base = sk.table(sk.GCT(1, 1), 30)
         for n in range(11):
             assert t2[n] == base[2 * n]
             assert t3[n] == base[3 * n]
@@ -63,7 +63,7 @@ class TestGct:
         # |T_n(b,c)|^(1/n) -> sqrt(b^2-4c) for c < 0
         for b, c in [(1, -1), (4, -4)]:
             n = 2000
-            tn = abs(sk.gct_table(b, c, n)[n])
+            tn = abs(sk.table(sk.GCT(b, c), n)[n])
             import math
             growth = math.exp(math.log2(tn) * math.log(2) / n)
             target = (b * b - 4 * c) ** 0.5
@@ -153,7 +153,7 @@ class TestLegendre:
 
     def test_gct_link(self):
         # b^2 - 4c = 1 for (b,c) = (3,2): T_n(3,2) = P_n(3)
-        tab = sk.gct_table(3, 2, 12)
+        tab = sk.table(sk.GCT(3, 2), 12)
         for n in range(13):
             assert tab[n] == sk.legendre_eval(n, Fraction(3))
         assert tab[3] == 63
@@ -179,7 +179,7 @@ class TestDuality:
             for p in self.PRIMES:
                 if d % p == 0:
                     continue
-                tab = sk.gct_table(b, c, p - 1)
+                tab = sk.table(sk.GCT(b, c), p - 1)
                 s = self.leg(d, p)
                 for k in range(p):
                     lhs = tab[k] % p
