@@ -53,13 +53,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
-def _select(entries, id_glob, kind=None):
-    import fnmatch
-    picked = [e for e in entries
-              if (id_glob is None or fnmatch.fnmatch(e.ident, id_glob))
-              and (kind is None or e.kind == kind)]
+def _select(entries, id_glob, kind):
+    picked = corpus.select(entries, id_glob, kind)
     if not picked:
-        raise CliError(f"no registry entry matches {id_glob!r}")
+        raise CliError(f"no {kind.lower()} entry matches {id_glob!r}")
     return picked
 
 
@@ -89,16 +86,6 @@ def _fmt_rhs(rhs: sereval.RHSForm) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _seq_text(spec: sereval.TermSpec) -> str:
-    parts = []
-    for kind, e in spec.seq:
-        name = kind.tag
-        if kind.params:
-            name += "(" + ",".join(str(p) for p in kind.params) + ")"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "-"
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -107,8 +94,7 @@ def _cmd_run(args) -> int:
     entries = _load(args.registry)
     report = corpus.run(entries, id_glob=args.filter, kind=args.kind,
                         status=args.status, digits=args.digits,
-                        p_max=args.pmax, n_max=args.nmax,
-                        workers=args.workers)
+                        p_max=args.pmax, n_max=args.nmax)
     _emit(report.render(args.format), args.out)
     return report.exit_code
 
@@ -141,13 +127,12 @@ def _cmd_verify_series(args) -> int:
 
 
 def _cmd_verify_congruence(args) -> int:
-    entries = _load(args.registry)
     kind = "INTEGRALITY" if args.integrality else "CONGRUENCE"
-    picked = [e for e in _select(entries, args.id) if e.kind == kind]
+    picked = _select(_load(args.registry), args.id, kind)
     if args.pn:
         picked = [e for e in picked if e.check == "refinement"]
     if not picked:
-        raise CliError(f"no matching {kind.lower()} entry for {args.id!r}")
+        raise CliError(f"no refinement entry matches {args.id!r}")
     worst = 0
     for entry in picked:
         claim = entry.claim   # set only on truncated-sum congruences
@@ -175,11 +160,11 @@ def _cmd_verify_exact(args) -> int:
         else:
             raise CliError(f"unknown family {args.family!r}")
         try:
-            outcome, detail = corpus._run_finite(name, fam_args, args.nmax)
+            ok, detail = corpus._run_finite(name, fam_args, args.nmax)
         except ValueError as exc:   # e.g. a family that needs a nonzero m
             raise CliError(str(exc)) from exc
-        print(f"{name}\t{outcome}\t{detail}")
-        return int(outcome == "FAIL")
+        print(f"{name}\t{'PASS' if ok else 'FAIL'}\t{detail}")
+        return int(not ok)
     report = corpus.run(_load(args.registry), id_glob=args.id,
                         kind="FINITE_IDENTITY", n_max=args.nmax)
     _emit(report.render("text"), None)
@@ -234,7 +219,8 @@ def _cmd_discover(args) -> int:
         "status: conjectural",
         "covers: discovered",
         f"term: {_fmt_weight(ident.spec.weight)} ; - ;"
-        f" {_seq_text(ident.spec)} ; m={ident.spec.m} ; k0={ident.spec.k0}",
+        f" {corpus._render_seq(ident.spec.seq)} ; m={ident.spec.m} ;"
+        f" k0={ident.spec.k0}",
         f"rhs: {_fmt_rhs(ident.rhs)}",
         f'anchor: "found by integer-relation search at {args.digits} digits,'
         f' re-verified at {args.digits + args.digits // 2} digits"',
@@ -307,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--nmax", type=int, default=128)
     run_p.add_argument("--kind", default=None)
     run_p.add_argument("--status", default=None)
-    run_p.add_argument("--workers", type=int, default=0)
     run_p.add_argument("--format", choices=("text", "tsv"), default="text")
     run_p.add_argument("--out", default=None, metavar="PATH")
     add_registry(run_p)

@@ -52,10 +52,8 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -75,6 +73,7 @@ __all__ = [
     "render_entry",
     "load_default",
     "default_paths",
+    "select",
     "run",
     "lint_registry",
     "coverage",
@@ -172,16 +171,19 @@ def _weight(text: str, line: int) -> Tuple[Fraction, ...]:
 _DEN_FACTOR = re.compile(
     r"^\(?(?P<tag>[1-9]?k[+-]1|k|CB2|CB3|CB4)\)?(?:\^(?P<exp>\d+))?$")
 
-_SEQ_SINGLETONS = {
-    "CB2": seqkit.CB2, "CB3": seqkit.CB3, "CB4": seqkit.CB4,
-    "CB63": seqkit.CB63, "CB2S": seqkit.CB2SHIFT, "CAT": seqkit.CATALAN,
-    "D": seqkit.DOMB, "F": seqkit.FRANEL, "F4": seqkit.FRANEL4,
-    "G": seqkit.GSEQ, "Z": seqkit.ZAGIER, "CLF": seqkit.CLF,
-    "B": seqkit.BETA, "W": seqkit.WZAG,
+#: sequence kind tag of each registry name: the one table that reading
+#: (``_seq``) and writing (``_render_seq``) a ``term:`` line both use
+_SEQ_NAMES = {
+    "CB2": "CB2", "CB3": "CB3", "CB4": "CB4", "CB63": "CB63",
+    "CB2S": "CB2SHIFT", "CAT": "CATALAN", "D": "DOMB", "F": "FRANEL",
+    "F4": "FRANEL4", "G": "GSEQ", "Z": "ZAGIER", "CLF": "CLF", "B": "BETA",
+    "W": "WZAG", "T": "GCT", "T2": "GCT2", "T3": "GCT3", "S": "SBC",
+    "P": "GPOLY",
 }
-_SEQ_PARAM = re.compile(
-    r"^(?P<head>T2|T3|T|S|P)\((?P<args>[^()]*)\)(?:\^(?P<exp>\d+))?$")
-_SEQ_PLAIN = re.compile(r"^(?P<head>[A-Z0-9]+)(?:\^(?P<exp>\d+))?$")
+_SEQ_TAGS = {tag: name for name, tag in _SEQ_NAMES.items()}
+_TWO_INTEGER_TAGS = ("GCT", "GCT2", "GCT3", "SBC")
+_SEQ_FACTOR = re.compile(
+    r"^(?P<head>[A-Z0-9]+)(?:\((?P<args>[^()]*)\))?(?:\^(?P<exp>\d+))?$")
 
 
 def _split_factors(text: str) -> List[str]:
@@ -219,29 +221,38 @@ def _seq(text: str, line: int) -> Tuple[Tuple[seqkit.SequenceKind, int], ...]:
         return ()
     out = []
     for part in _split_factors(text):
-        m = _SEQ_PARAM.match(part)
-        if m:
-            args = [_rational(a, line) for a in m.group("args").split(",")]
-            head = m.group("head")
-            if head == "P":
-                if len(args) != 1:
-                    raise CorpusError(f"P takes one argument: {part!r}", line)
-                kind = seqkit.GPOLY(args[0] if args[0].denominator != 1
-                                    else int(args[0]))
-            else:
-                if len(args) != 2 or any(a.denominator != 1 for a in args):
-                    raise CorpusError(
-                        f"{head} takes two integers: {part!r}", line)
-                ctor = {"T": seqkit.GCT, "T2": seqkit.GCT2,
-                        "T3": seqkit.GCT3, "S": seqkit.SBC}[head]
-                kind = ctor(int(args[0]), int(args[1]))
+        m = _SEQ_FACTOR.match(part)
+        tag = _SEQ_NAMES.get(m.group("head")) if m else None
+        if tag is None:
+            raise CorpusError(f"unknown sequence factor {part!r}", line)
+        head, args = m.group("head"), m.group("args")
+        args = [] if args is None else \
+            [_rational(a, line) for a in args.split(",")]
+        if tag == "GPOLY":
+            if len(args) != 1:
+                raise CorpusError(f"P takes one argument: {part!r}", line)
+            kind = seqkit.GPOLY(args[0])
+        elif tag in _TWO_INTEGER_TAGS:
+            if len(args) != 2 or any(a.denominator != 1 for a in args):
+                raise CorpusError(f"{head} takes two integers: {part!r}", line)
+            kind = seqkit.SequenceKind(tag, tuple(int(a) for a in args))
+        elif args:
+            raise CorpusError(f"{head} takes no arguments: {part!r}", line)
         else:
-            m = _SEQ_PLAIN.match(part)
-            if not m or m.group("head") not in _SEQ_SINGLETONS:
-                raise CorpusError(f"unknown sequence factor {part!r}", line)
-            kind = _SEQ_SINGLETONS[m.group("head")]
+            kind = seqkit.SequenceKind(tag)
         out.append((kind, int(m.group("exp") or 1)))
     return tuple(out)
+
+
+def _render_seq(seq: Tuple[Tuple[seqkit.SequenceKind, int], ...]) -> str:
+    """The ``term:`` sequence field that ``_seq`` reads back as ``seq``."""
+    parts = []
+    for kind, e in seq:
+        name = _SEQ_TAGS[kind.tag]
+        if kind.params:
+            name += "(" + ",".join(str(p) for p in kind.params) + ")"
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts) or "-"
 
 
 def _term_spec(text: str, line: int) -> TermSpec:
@@ -424,14 +435,13 @@ class RegistryEntry:
     integrality: Optional[cg.IntegralityClaim] = None
     family: Optional[Tuple[str, tuple]] = None
     reason: str = ""
-    pmax: Optional[int] = None
 
 
 _KNOWN_KEYS = {
     "kind", "status", "covers", "anchor", "term", "rhs", "variant",
     "counterpart", "mod", "crhs", "upper", "minp", "exclude", "require",
     "pn-delta", "sym-factor", "case", "dual", "dual-term", "check", "idiv",
-    "family", "reason", "pmax", "lhs-mul",
+    "family", "reason", "lhs-mul",
 }
 
 
@@ -482,8 +492,6 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
                           raw={k: v for k, (_, v) in raw.items()})
     if cases:
         entry.raw["case"] = [v for _, v in cases]
-    if get("pmax"):
-        entry.pmax = int(get("pmax"))
 
     if kind == "SKIP":
         reason = get("reason", "")
@@ -692,7 +700,7 @@ def render_entry(entry: RegistryEntry) -> str:
              "counterpart", "mod", "lhs-mul", "crhs", "upper", "minp",
              "exclude",
              "require", "pn-delta", "sym-factor", "case", "dual", "dual-term",
-             "check", "idiv", "family", "pmax", "reason", "anchor"]
+             "check", "idiv", "family", "reason", "anchor"]
     raw = dict(entry.raw)
     raw.pop("_spec", None)
     raw["kind"] = entry.kind
@@ -791,18 +799,19 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_series(entry: RegistryEntry, digits: int) -> Tuple[str, str]:
-    if entry.check == "evaluate":
-        spec = entry.raw["_spec"]
-        ball = sereval.eval_series(spec, digits)
-        import mpmath
-        with mpmath.workdps(digits):
-            mid = mpmath.mpf(ball.mid.numerator) / ball.mid.denominator
-            return "EVALUATED", f"value ~ {mpmath.nstr(mid, digits)}"
+def _evaluate(spec: TermSpec, digits: int) -> str:
+    ball = sereval.eval_series(spec, digits)
+    import mpmath
+    with mpmath.workdps(digits):
+        mid = mpmath.mpf(ball.mid.numerator) / ball.mid.denominator
+        return f"value ~ {mpmath.nstr(mid, digits)}"
+
+
+def _run_series(entry: RegistryEntry, digits: int) -> Tuple[bool, str]:
     report = sereval.verify_series_identity(entry.series, digits)
     detail = f"gap<{_sci(report.gap_upper)}" if report.passed \
         else report.status
-    return report.status, detail
+    return report.passed, detail
 
 
 def _sci(x: Fraction) -> str:
@@ -814,54 +823,39 @@ def _sci(x: Fraction) -> str:
 
 
 def _run_congruence(entry: RegistryEntry, p_max: int,
-                    n_max: int) -> Tuple[str, str]:
+                    n_max: int) -> Tuple[bool, str]:
     if entry.quadform is not None:
-        limit = min(p_max, entry.pmax) if entry.pmax else p_max
-        rep = qf.verify_quadform_claim(entry.quadform, limit)
-        part = qf.check_partition(entry.quadform.table,
-                                  max(1000, limit))
-        ok = rep.ok and part.ok
-        detail = f"p<=..{limit}: {len(rep.tested)} primes"
+        rep = qf.verify_quadform_claim(entry.quadform, p_max)
+        part = qf.check_partition(entry.quadform.table, max(1000, p_max))
         if not rep.ok:
-            detail = f"failures {rep.failures[:3]}"
-        elif not part.ok:
-            detail = f"partition gaps {part.failures[:3]}"
-        return ("PASS" if entry.status == "proven" else "SUPPORTED") \
-            if ok else "FAIL", detail
+            return False, f"failures {rep.failures[:3]}"
+        if not part.ok:
+            return False, f"partition gaps {part.failures[:3]}"
+        return True, f"p<=..{p_max}: {len(rep.tested)} primes"
     if entry.duality is not None:
         issues = entry.duality.lint()
         rep = cg.check_duality_sum(entry.duality, p_max=min(p_max, 200))
         ok = rep.ok and not issues
-        detail = f"{len(rep.tested)} primes" if ok else \
+        return ok, f"{len(rep.tested)} primes" if ok else \
             f"{issues or rep.failures[:3]}"
-        return ("PASS" if entry.status == "proven" else "SUPPORTED") \
-            if ok else "FAIL", detail
     if entry.dual_term is not None:
         kind, d, D = entry.dual_term
         rep = cg.check_duality_term(kind, d, D, p_max=min(p_max, 97))
-        return ("PASS" if rep.ok else "FAIL",
-                f"{len(rep.tested)} primes" if rep.ok
-                else f"{rep.failures[:3]}")
-    if entry.check == "refinement":
+        passed = f"{len(rep.tested)} primes"
+    elif entry.check == "refinement":
         rep = cg.check_pn_refinement(entry.claim, p_max=min(p_max, 50),
                                      n_max=n_max)
-        ok = rep.ok
-        detail = (f"{len(rep.checked)} (p,n) pairs, min margin"
-                  f" {rep.min_margin}") if ok else f"{rep.failures[:3]}"
-        return ("SUPPORTED" if ok else "FAIL"), detail
-    limit = min(p_max, entry.pmax) if entry.pmax else p_max
-    rep = cg.verify_claim(entry.claim, limit)
-    ok = rep.ok
-    detail = f"{len(rep.tested)} primes" if ok else f"{rep.failures[:3]}"
-    return ("PASS" if entry.status == "proven" else "SUPPORTED") \
-        if ok else "FAIL", detail
+        passed = f"{len(rep.checked)} (p,n) pairs, min margin" \
+            f" {rep.min_margin}"
+    else:
+        rep = cg.verify_claim(entry.claim, p_max)
+        passed = f"{len(rep.tested)} primes"
+    return rep.ok, passed if rep.ok else f"{rep.failures[:3]}"
 
 
-def _run_integrality(entry: RegistryEntry, n_max: int) -> Tuple[str, str]:
+def _run_integrality(entry: RegistryEntry, n_max: int) -> Tuple[bool, str]:
     rep = cg.check_integrality(entry.integrality, n_max=n_max)
-    outcome = ("PASS" if entry.status == "proven" else "SUPPORTED") \
-        if rep.ok else "FAIL"
-    return outcome, f"n<= {n_max}" if rep.ok else f"{rep.failures[:3]}"
+    return rep.ok, f"n<= {n_max}" if rep.ok else f"{rep.failures[:3]}"
 
 
 _FINITE_RUNNERS = {
@@ -874,36 +868,61 @@ _FINITE_RUNNERS = {
 }
 
 
-def _run_finite(name: str, args: tuple, n_max: int) -> Tuple[str, str]:
+def _run_finite(name: str, args: tuple, n_max: int) -> Tuple[bool, str]:
     if name in _FINITE_RUNNERS:
         rep = _FINITE_RUNNERS[name](args, n_max)
     elif name in exactid.FAMILIES:
         rep = exactid.check_family(name, args[0] if args else None, n_max)
     else:
-        return "FAIL", f"unknown family {name!r}"
-    return ("PASS" if rep.ok else "FAIL",
-            f"checked {rep.checked}" if rep.ok
-            else f"first failure {rep.first_failure}: {rep.detail}")
+        return False, f"unknown family {name!r}"
+    return rep.ok, f"checked {rep.checked}" if rep.ok \
+        else f"first failure {rep.first_failure}: {rep.detail}"
 
 
 def _run_entry(entry: RegistryEntry, digits: int, p_max: int,
                n_max: int) -> ReportRow:
+    """Check one entry and map its verdict to an outcome: FAIL when the
+    check fails, PASS when it holds for a proven entry, and otherwise
+    CONSISTENT for a series and SUPPORTED for any other claim."""
     start = time.monotonic()
     try:
         if entry.kind == "SKIP":
             outcome, detail = "SKIPPED", entry.reason
-        elif entry.kind == "SERIES":
-            outcome, detail = _run_series(entry, digits)
-        elif entry.kind == "CONGRUENCE":
-            outcome, detail = _run_congruence(entry, p_max, n_max)
-        elif entry.kind == "INTEGRALITY":
-            outcome, detail = _run_integrality(entry, n_max)
+        elif entry.kind == "SERIES" and entry.check == "evaluate":
+            outcome, detail = "EVALUATED", _evaluate(entry.raw["_spec"],
+                                                     digits)
         else:
-            outcome, detail = _run_finite(*entry.family, n_max)
+            if entry.kind == "SERIES":
+                ok, detail = _run_series(entry, digits)
+            elif entry.kind == "CONGRUENCE":
+                ok, detail = _run_congruence(entry, p_max, n_max)
+            elif entry.kind == "INTEGRALITY":
+                ok, detail = _run_integrality(entry, n_max)
+            else:
+                ok, detail = _run_finite(*entry.family, n_max)
+            if not ok:
+                outcome = "FAIL"
+            elif entry.status == "proven":
+                outcome = "PASS"
+            else:
+                outcome = "CONSISTENT" if entry.kind == "SERIES" \
+                    else "SUPPORTED"
     except Exception as exc:  # surface, do not crash the batch
         outcome, detail = "FAIL", f"error: {exc!r}"
     return ReportRow(entry.ident, entry.kind, entry.status, outcome,
                      time.monotonic() - start, detail)
+
+
+def select(entries: Sequence[RegistryEntry],
+           id_glob: Optional[str] = None,
+           kind: Optional[str] = None,
+           status: Optional[str] = None) -> List[RegistryEntry]:
+    """The entries whose id matches ``id_glob`` and whose kind and status
+    match, in registry order; ``None`` matches everything."""
+    return [e for e in entries
+            if (id_glob is None or fnmatch.fnmatch(e.ident, id_glob))
+            and (kind is None or e.kind == kind)
+            and (status is None or e.status == status)]
 
 
 def run(entries: Sequence[RegistryEntry],
@@ -912,21 +931,11 @@ def run(entries: Sequence[RegistryEntry],
         status: Optional[str] = None,
         digits: int = 40,
         p_max: int = 300,
-        n_max: int = 128,
-        workers: int = 0) -> VerificationReport:
-    """Verify matching entries and merge a deterministic report."""
-    selected = [e for e in entries
-                if (id_glob is None or fnmatch.fnmatch(e.ident, id_glob))
-                and (kind is None or e.kind == kind)
-                and (status is None or e.status == status)]
-    if workers <= 0:
-        workers = min(8, os.cpu_count() or 1)
-    if workers == 1 or len(selected) <= 1:
-        rows = [_run_entry(e, digits, p_max, n_max) for e in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda e: _run_entry(e, digits, p_max, n_max), selected))
+        n_max: int = 128) -> VerificationReport:
+    """Verify the matching entries one after another in the calling
+    thread, and report the rows sorted by id."""
+    rows = [_run_entry(e, digits, p_max, n_max)
+            for e in select(entries, id_glob, kind, status)]
     rows.sort(key=lambda r: r.ident)
     return VerificationReport(rows, digits, p_max, n_max)
 

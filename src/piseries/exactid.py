@@ -305,7 +305,7 @@ def check_franel_transform(n_max: int) -> CheckReport:
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    f = seqkit.memo_table(seqkit.FRANEL, n_max + 1)
+    f = seqkit.rows(seqkit.FRANEL, n_max + 1)
     t = [seqkit.tsmall_direct(n) for n in range(n_max + 2)]
     for n in range(n_max + 1):
         sf = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * seqkit.snk(n + k, k)
@@ -329,8 +329,7 @@ def check_franel_transform(n_max: int) -> CheckReport:
 # --------------------------------------------------------------------------
 
 def _sn_bc(b: int, c: int, n: int) -> int:
-    tb = seqkit.rows(seqkit.GCT(b, c), n)
-    return sum(comb(n, k) ** 2 * tb[k] * tb[n - k] for k in range(n + 1))
+    return seqkit.rows(seqkit.SBC(b, c), n)[n]
 
 
 def check_sn_expansion(c_lo: int, c_hi: int, n_max: int) -> CheckReport:

@@ -91,10 +91,6 @@ class Ball:
     def abs_upper(self) -> Fraction:
         return abs(self.mid) + self.rad
 
-    def abs_lower(self) -> Fraction:
-        lo = abs(self.mid) - self.rad
-        return lo if lo > 0 else Fraction(0)
-
     def contains_zero(self) -> bool:
         return abs(self.mid) <= self.rad
 
@@ -222,32 +218,16 @@ def _pi_ball(digits: int) -> Ball:
 
 def _catalan_g_ball(digits: int) -> Ball:
     """Catalan's constant via
-    G = (3/8) sum 1/(C(2n,n)(2n+1)^2) + (pi/8) log(2+sqrt 3),
+    G = (3/8) sum 1/(C(2k,k)(2k+1)^2) + (pi/8) log(2+sqrt 3),
     log(2+sqrt3) = (sqrt3/2) sum (3/4)^k/(2k+1)."""
     d = digits + 10
-    target = Fraction(1, 10 ** d)
-    # central-binomial sum, terms ratio <= 1/2 for all n
-    s1 = Fraction(0)
-    n = 0
-    while True:
-        t = Fraction(1, comb(2 * n, n) * (2 * n + 1) ** 2)
-        s1 += t
-        if t < target:  # tail <= t * sum (1/2)^j = t
-            break
-        n += 1
-    b1 = Ball(s1, Fraction(2) * Fraction(1, comb(2 * n, n) * (2 * n + 1) ** 2))
-    # atanh-type sum for log(2+sqrt3); ratio exactly 3/4
-    s2 = Fraction(0)
-    k = 0
-    while True:
-        t = Fraction(3 ** k, 4 ** k * (2 * k + 1))
-        s2 += t
-        if t * 3 < target:  # tail <= t*(3/4)/(1-3/4) = 3t
-            break
-        k += 1
-    log_2p_sqrt3 = sqrt_ball(3, d) / 2 * Ball(s2, 3 * Fraction(3 ** k, 4 ** k * (2 * k + 1)))
+    s1 = eval_series(TermSpec(weight=(1,), den=(("CB2", 1), ("2k+1", 2)),
+                              seq=(), m=Fraction(1)), d)
+    s2 = eval_series(TermSpec(weight=(1,), den=(("2k+1", 1),), seq=(),
+                              m=Fraction(4, 3)), d)
+    log_2p_sqrt3 = sqrt_ball(3, d) / 2 * s2
     pi = constant("PI", d)
-    return (Fraction(3, 8) * b1 + pi / 8 * log_2p_sqrt3).shrink(digits + 5)
+    return (Fraction(3, 8) * s1 + pi / 8 * log_2p_sqrt3).shrink(digits + 5)
 
 
 def _k3_ball(digits: int) -> Ball:
@@ -258,17 +238,9 @@ def _k3_ball(digits: int) -> Ball:
 
 
 def _log3_ball(digits: int) -> Ball:
-    """log 3 = 2 atanh(1/2) = sum_k 2 / ((2k+1) 4^k 2)."""
-    target = Fraction(1, 10 ** (digits + 5))
-    s = Fraction(0)
-    k = 0
-    while True:
-        t = Fraction(1, (2 * k + 1) * 2 ** (2 * k))
-        s += t
-        if t < target * 3:  # tail <= t*(1/4)/(1 - 1/4) = t/3
-            break
-        k += 1
-    return Ball(s, t / 3).shrink(digits + 3)
+    """log 3 = 2 atanh(1/2) = sum_k 1 / ((2k+1) 4^k)."""
+    spec = TermSpec(weight=(1,), den=(("2k+1", 1),), seq=(), m=Fraction(4))
+    return eval_series(spec, digits + 3).shrink(digits + 3)
 
 
 def constant(name: str, digits: int = 50) -> Ball:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from piseries import corpus
 from piseries.cli import main
 
 
@@ -18,6 +19,12 @@ def _untimed(text: str) -> str:
 
 
 class TestRunReport:
+    def test_workers_is_gone(self, capsys):
+        code, out, err = _run(capsys, ["run", "--filter", "1.5", "--digits",
+                                       "20", "--workers", "2"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --workers" in err
+
     def test_report_is_run(self, capsys):
         argv = ["--filter", "1.5", "--digits", "20"]
         code_run, out_run, _ = _run(capsys, ["run"] + argv)
@@ -89,6 +96,15 @@ class TestVerifyExact:
 
 
 class TestDiscover:
+    def test_found_block_parses(self, capsys):
+        # the abstract's sum (3k+1) S_k(1,25) / (-100)^k = 25 / (8 pi)
+        code, out, err = _run(capsys, ["discover", "--seq", "S(1,25)", "--m",
+                                       "-100", "--digits", "40"])
+        assert (code, err) == (0, "")
+        assert "term: 24*k+8 ; - ; S(1,25) ; m=-100 ; k0=0\n" in out
+        (entry,) = corpus.parse_registry(out)
+        assert entry.series.rhs.addends == ((25, 1, "INV_PI"),)
+
     @pytest.mark.parametrize("m", ["__import__('os').getpid()", "1.5", "k",
                                    "1/0"])
     def test_bad_m(self, capsys, m):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from piseries import corpus
 #: (see ``_payload``).  It pins the parser: a change to how any number,
 #: weight, template or field is read changes it.
 PAYLOAD_DIGEST = \
-    "ca0bae0ca6c4c4f940f9e4d0d47300d6245c2f55b109dcdab3b14ba72ac138c6"
+    "524caf0073e49b51bc91c10dd5fd5b0362a41179de2bd8687247f2a09663c8f2"
 
 
 def _payload(e: corpus.RegistryEntry) -> tuple:
@@ -27,7 +29,7 @@ def _payload(e: corpus.RegistryEntry) -> tuple:
                  integ.div_exp, integ.n_min)
     return (e.ident, e.kind, e.status, e.anchor, e.covers, e.series,
             e.counterpart, e.variant, e.claim, e.quadform, e.duality,
-            e.dual_term, e.check, e.family, e.reason, e.pmax,
+            e.dual_term, e.check, e.family, e.reason,
             e.raw.get("_spec"), integ)
 
 
@@ -92,6 +94,67 @@ idiv: {idiv}
 anchor: "x"
 end
 """
+
+
+class TestSequenceNames:
+    # one sample factor per registry name, written as _render_seq writes it
+    @pytest.mark.parametrize("text", [
+        name + {"T": "(3,-2)", "T2": "(1,4)", "T3": "(-1,0)", "S": "(1,25)",
+                "P": "(-1/4)"}.get(name, "") + "^2"
+        for name in sorted(corpus._SEQ_NAMES)])
+    def test_round_trip(self, text):
+        seq = corpus._seq(text, 1)
+        assert corpus._render_seq(seq) == text
+
+    def test_every_registry_seq(self, entries):
+        for e in entries:
+            if "term" in e.raw:
+                field = e.raw["term"].split(";")[2].strip()
+                seq = corpus._seq(field, 1)
+                assert corpus._seq(corpus._render_seq(seq), 1) == seq, e.ident
+
+    @pytest.mark.parametrize("text", ["SBC(1,25)", "GCT(1,2)", "DOMB",
+                                      "T(1)", "S(1/2,3)", "CB2(1)", "P",
+                                      "X"])
+    def test_rejected(self, text):
+        with pytest.raises(corpus.CorpusError):
+            corpus._seq(text, 1)
+
+
+class TestRunner:
+    @pytest.mark.parametrize("status", corpus.STATUSES)
+    @pytest.mark.parametrize("ident", ["1.5", "log-a-p", "I5-q", "ds-z1",
+                                       "dt-t", "VI1-pn", "8-1-n", "l21-1-a"])
+    def test_outcome_rule(self, entries, ident, status):
+        # every check path reads PASS only for a proven entry
+        (e,) = [e for e in entries if e.ident == ident]
+        text = re.sub(r"^status: .*$", f"status: {status}",
+                      corpus.render_entry(e), flags=re.M)
+        (entry,) = corpus.parse_registry(text)
+        (row,) = corpus.run([entry], digits=12, p_max=40, n_max=2).rows
+        expected = "PASS" if status == "proven" else \
+            "CONSISTENT" if e.kind == "SERIES" else "SUPPORTED"
+        assert (row.outcome, row.status) == (expected, status), row.detail
+
+    def test_runs_in_calling_thread(self, entries, monkeypatch):
+        seen = []
+        real = corpus._run_entry
+
+        def spy(entry, *args):
+            seen.append(threading.get_ident())
+            return real(entry, *args)
+
+        monkeypatch.setattr(corpus, "_run_entry", spy)
+        rep = corpus.run(entries, id_glob="l21-1-*", n_max=10)
+        assert [r.ident for r in rep.rows] == ["l21-1-a", "l21-1-b"]
+        assert seen == [threading.get_ident()] * 2
+
+    def test_select(self, entries):
+        picked = corpus.select(entries, "8-1-*", "INTEGRALITY", "conjectural")
+        assert picked and all(e.ident.startswith("8-1-")
+                              and e.kind == "INTEGRALITY" for e in picked)
+        assert corpus.select(entries) == entries
+        assert corpus.select(entries, "8-1-*", "SERIES") == []
 
 
 class TestNumbers:

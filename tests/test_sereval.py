@@ -96,17 +96,24 @@ class TestSqrt:
             se.sqrt_ball(-1)
 
 
+_CONSTANT_REFERENCES = [
+    ("PI", "mp.pi"),
+    ("CATALAN_G", "mp.catalan"),
+    ("LOG3", "mp.log(3)"),
+    ("K3", "(mp.zeta(2, mp.mpf(1)/3) - mp.zeta(2, mp.mpf(2)/3)) / 9"),
+]
+
+
 class TestConstants:
-    @pytest.mark.parametrize("name,expr", [
-        ("PI", "mp.pi"),
-        ("CATALAN_G", "mp.catalan"),
-        ("LOG3", "mp.log(3)"),
-        ("K3", "(mp.zeta(2, mp.mpf(1)/3) - mp.zeta(2, mp.mpf(2)/3)) / 9"),
-    ])
-    def test_against_reference(self, name, expr):
-        ball = se.constant(name, 40)
-        assert ball.rad < Fraction(1, 10 ** 40)
-        assert ball.contains(mp_ref(expr))
+    # an id without a digits suffix is the 40-digit case
+    @pytest.mark.parametrize("name,expr,digits", [
+        pytest.param(name, expr, digits, id=f"{name}-{expr}" + (
+            "" if digits == 40 else f"-{digits}"))
+        for digits in (40, 20, 60) for name, expr in _CONSTANT_REFERENCES])
+    def test_against_reference(self, name, expr, digits):
+        ball = se.constant(name, digits)
+        assert ball.rad < Fraction(1, 10 ** digits)
+        assert ball.contains(mp_ref(expr, digits + 40))
 
     def test_k3_is_character_sum(self):
         # sum_{k>=1} (k|3)/k^2 with (k|3) of period 3: +1, -1, 0
