@@ -39,7 +39,8 @@ Kind-specific keys:
   - ``dual-term``: term-level duality ``d=<int|-> ; D=<int>``.
   Optional: ``upper`` (``p-1``, ``p-2``, ``(p+1)/2`` or ``(p-1)/2``),
   ``minp``, ``exclude``, ``require``, ``pn-delta``, ``sym-factor``,
-  ``check: refinement`` (refinement-only entries).
+  ``check: refinement`` (refinement-only entries; ``sum``, the default,
+  is the only other value).
 * INTEGRALITY: a weight with integer coefficients, and ``idiv`` options
   ``div=<int> ; mul=<int> ; div-base=<int> ;
   div-exp=none|n-1|half|half-up ; alt ; odd=pow2|pow2-pos|pow2-not2|none ;
@@ -86,6 +87,8 @@ DATA_DIR = Path(__file__).parent / "data"
 
 KINDS = ("SERIES", "CONGRUENCE", "FINITE_IDENTITY", "INTEGRALITY", "SKIP")
 STATUSES = ("proven", "conjectural")
+#: ``check:`` values a registry entry may give; ``sum`` is the default.
+CHECKS = ("sum", "refinement")
 
 
 class CorpusError(ValueError):
@@ -479,6 +482,9 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
     if status not in STATUSES:
         raise CorpusError(f"entry {ident}: bad status {status!r}",
                           line_of("status"))
+    if get("check", "sum") not in CHECKS:
+        raise CorpusError(f"entry {ident}: bad check {get('check')!r}",
+                          line_of("check"))
     anchor = get("anchor", "")
     if anchor.startswith('"') and anchor.endswith('"'):
         anchor = anchor[1:-1]

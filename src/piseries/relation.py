@@ -118,17 +118,16 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
     """Rediscover a closed form for a family of weighted sums.
 
     ``spec`` fixes the unweighted term (its weight field is ignored);
-    the search runs over the moment sums with weights k^degree, ..., k, 1
+    the search runs over the moment sums with weights k^degree, ..., k, 1,
+    all summed from one pass over the terms (:func:`sereval.eval_weighted`),
     together with the basis values sqrt(d) * <named constant>.  A FOUND
     relation is turned into a weighted identity and re-verified from
     scratch at 1.5x the search precision.
     """
-    moments: List[Ball] = []
-    for j in range(degree, -1, -1):
-        w = tuple(1 if i == j else 0 for i in range(degree + 1))
-        mspec = TermSpec(weight=w, den=spec.den, seq=spec.seq,
-                         m=spec.m, k0=spec.k0)
-        moments.append(sereval.eval_series(mspec, digits))
+    weights = [tuple(1 if i == j else 0 for i in range(degree + 1))
+               for j in range(degree, -1, -1)]
+    moments: List[Ball] = [
+        ball for ball, _ in sereval.eval_weighted(spec, weights, digits)]
     for d, name in basis:
         moments.append(sereval.eval_rhs(
             RHSForm(addends=((Fraction(1), d, name),)), digits))

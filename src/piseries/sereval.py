@@ -10,14 +10,24 @@ last place, so ``terms * 2^-s`` added to the radius covers every rounding
 tail bound derived from per-sequence growth inequalities (never from sampled
 ratios) covers the rest, so a reported enclosure is a proof-grade statement
 about the sum.  :func:`term_value` remains the exact value of one term.
+
+The number of terms N is chosen once per evaluation.  The envelope
+|term(k)| <= P(k) theta^k and its crossover K0 (past which the envelope
+falls geometrically with ratio rho = (1+theta)/2) are computed once; N is
+estimated in floating-point logs from the closed form
+P(N+1) theta^(N+1) / (1-rho), and then checked in exact rationals against
+the target minus the rounding radius.  If the check fails N steps up until
+it passes, so no float ever decides a verdict.  One pass over the terms
+then gives the sum, and the exact terms N+1..K0 as well when N < K0; the
+moment sums of :func:`eval_weighted` share that pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import ceil, comb, inf, isqrt, lcm, log
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -26,8 +36,8 @@ from .seqkit import SequenceKind
 
 __all__ = [
     "Ball", "DivergentError", "TermSpec", "RHSForm", "SeriesIdentity",
-    "constant", "sqrt_ball", "eval_series", "eval_rhs", "tail_bound",
-    "verify_series_identity", "term_value",
+    "constant", "sqrt_ball", "eval_series", "eval_weighted", "eval_rhs",
+    "tail_bound", "verify_series_identity", "term_value",
 ]
 
 
@@ -470,29 +480,42 @@ def _poly_at(p: Sequence[Fraction], k: int) -> Fraction:
     return sum(c * k ** i for i, c in enumerate(p))
 
 
+def _crossover(poly: Sequence[Fraction], theta: Fraction, lo: int) -> int:
+    """Smallest K >= lo with ((K+2)/(K+1))^deg * theta <= rho = (1+theta)/2,
+    deg = len(poly) - 1: from K on, the envelope ratio
+    P(k+1)/P(k) * theta stays at most rho < 1."""
+    deg = len(poly) - 1
+    a, b = theta.numerator, theta.denominator
+    K = lo
+    while 2 * a * (K + 2) ** deg > (a + b) * (K + 1) ** deg:
+        K += 1
+    return K
+
+
+def _closed_tail(poly: Sequence[Fraction], theta: Fraction,
+                 K: int) -> Fraction:
+    """P(K+1) theta^(K+1) / (1 - rho): the geometric bound on the envelope
+    past a K at or beyond the crossover."""
+    return 2 * _poly_at(poly, K + 1) * theta ** (K + 1) / (1 - theta)
+
+
 def tail_bound(spec: TermSpec, N: int) -> Fraction:
     """Rigorous upper bound on |sum_{k>N} term(k)|.
 
     Uses |term(k)| <= P(k) theta^k with P of nonnegative coefficients; past
-    the crossover index the bound ratio P(k+1)/P(k)*theta stays below a
+    the crossover index K0 the bound ratio P(k+1)/P(k)*theta stays below a
     fixed rho < 1, giving a geometric tail.  Before the crossover the terms
-    are bounded exactly one by one.
+    are bounded exactly one by one.  :func:`eval_series` uses this very
+    bound; it only picks N differently.
     """
     poly, theta = _spec_envelope(spec)
     if theta >= 1:
         raise DivergentError(f"term envelope ratio {theta} >= 1")
-    deg = len(poly) - 1
-    # crossover: smallest K with ((K+2)/(K+1))^deg * theta <= (1+theta)/2
-    rho = (1 + theta) / 2
-    K = max(N, spec.k0, 1)
-    while Fraction(K + 2, K + 1) ** deg * theta > rho:
-        K += 1
-    total = Fraction(0)
-    for k in range(N + 1, K + 1):
-        total += abs(term_value(spec, k))
-    first = _poly_at(poly, K + 1) * theta ** (K + 1)
-    total += first / (1 - rho)
-    return total
+    K0 = _crossover(poly, theta, max(spec.k0, 1))
+    if N >= K0:
+        return _closed_tail(poly, theta, N)
+    exact = (Fraction(abs(num), den) for num, den in _terms(spec, N + 1, K0))
+    return sum(exact, _closed_tail(poly, theta, K0))
 
 
 def _fixed_point(rounded: int, digits: int) -> Tuple[int, Fraction]:
@@ -503,38 +526,182 @@ def _fixed_point(rounded: int, digits: int) -> Tuple[int, Fraction]:
     return s, Fraction(rounded, 1 << s)
 
 
+def _log(x: Fraction) -> float:
+    """Natural log of a positive rational of any size."""
+    return log(x.numerator) - log(x.denominator)
+
+
+def _estimate_N(poly: Sequence[Fraction], theta: Fraction, k0: int, K0: int,
+                digits: int) -> int:
+    """First guess at the smallest N >= k0 whose closed-form tail
+    P(N+1) theta^(N+1) / (1-rho) is below 10^-(digits+2) minus the
+    rounding radius of N - k0 + 1 terms, in floating-point logs.
+
+    From max(k0, K0) the guess moves up by the log gap over -log(theta).
+    Each step lowers the gap by -log(theta) less the growth of log P, so
+    by at most -log(theta), and no move passes the smallest such N.  Only
+    a guess: below K0 the closed form is no bound, and rounding may move
+    the answer by one; the caller checks the N it settles on exactly.
+    """
+    coeffs = [float(c) for c in poly]
+    log_theta = _log(theta)
+    log_scale = _log(2 / (1 - theta))
+    target = Fraction(1, 10 ** (digits + 2))
+
+    def gap(N: int) -> float:
+        """log(closed-form tail) - log(budget) at N; negative passes."""
+        p = sum(c * (N + 1) ** i for i, c in enumerate(coeffs))
+        if p <= 0:
+            return -inf
+        budget = target - _fixed_point(N - k0 + 1, digits)[1]
+        return log(p) + (N + 1) * log_theta + log_scale - _log(budget)
+
+    N = max(k0, K0)
+    if gap(N) < 0:
+        # below the crossover the closed form need not fall monotonically
+        return next(n for n in range(k0, N + 1) if gap(n) < 0)
+    while (g := gap(N)) >= 0:
+        N += max(1, ceil(g / -log_theta))
+    return N
+
+
+class _DirectSum:
+    """The fixed-point sum of one weighted series, fed from a term stream
+    shared with other weights of the same unweighted term.
+
+    The envelope and the crossover K0 are computed once.  N starts at the
+    closed-form estimate of :func:`_estimate_N`.  At or past K0 the exact
+    bound is the closed form, so N is settled before any term is summed:
+    it steps up (galloping, then bisecting) until ``bound < target - err``
+    holds in exact rationals.  Below K0 the bound needs the exact terms
+    N+1..K0, which the stream supplies together with the sum; if the check
+    then fails, N moves to K0 and on, and the stream is walked again.
+    """
+
+    def __init__(self, spec: TermSpec, poly: List[Fraction], theta: Fraction,
+                 digits: int):
+        self.k0, self.digits = spec.k0, digits
+        self.poly, self.theta = poly, theta
+        self.target = Fraction(1, 10 ** (digits + 2))
+        self.K0 = _crossover(poly, theta, max(spec.k0, 1))
+        self.wden = lcm(*(Fraction(c).denominator for c in spec.weight))
+        self.weight = [int(c * self.wden) for c in reversed(spec.weight)]
+        self._start(_estimate_N(poly, theta, spec.k0, self.K0, digits), None)
+
+    def _closed_bound(self, N: int) -> Optional[Fraction]:
+        """The exact bound at N >= K0 if it passes, else None."""
+        bound = _closed_tail(self.poly, self.theta, N)
+        _, err = _fixed_point(N - self.k0 + 1, self.digits)
+        return bound if bound < self.target - err else None
+
+    def _start(self, N: int, bound: Optional[Fraction]) -> None:
+        if bound is None and N >= self.K0:
+            failed, step = None, 1
+            while (bound := self._closed_bound(N)) is None:
+                failed, N, step = N, N + step, 2 * step
+            while failed is not None and N - failed > 1:
+                mid = (failed + N) // 2
+                if (at_mid := self._closed_bound(mid)) is None:
+                    failed = mid
+                else:
+                    N, bound = mid, at_mid
+        self.N, self.bound = N, bound
+        self.s, self.err = _fixed_point(N - self.k0 + 1, self.digits)
+        self.total = 0
+        self.pending: List[Fraction] = []   # |term(k)|, N < k <= K0
+
+    @property
+    def reach(self) -> int:
+        """The last term this sum still needs from the stream."""
+        return self.N if self.bound is not None else self.K0
+
+    def add(self, k: int, num: int, den: int) -> None:
+        """Take the unweighted term k = num / den of the stream."""
+        w = 0
+        for c in self.weight:
+            w = w * k + c
+        if k <= self.N:
+            self.total += ((w * num) << self.s) // (self.wden * den)
+        elif self.bound is None:
+            self.pending.append(Fraction(abs(w * num), self.wden * den))
+
+    def settle(self) -> bool:
+        """After the stream: True when N passed the exact check; else N
+        moves to K0, steps up by the closed form, and the sum starts over."""
+        if self.bound is not None:
+            return True
+        tail = sum(self.pending, _closed_tail(self.poly, self.theta, self.K0))
+        if tail < self.target - self.err:
+            self.bound = tail
+            return True
+        self._start(self.K0, None)
+        return False
+
+    def ball(self) -> Ball:
+        return Ball(Fraction(self.total, 1 << self.s), self.bound + self.err)
+
+
+def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
+                  digits: int = 40) -> List[Tuple[Ball, dict]]:
+    """Certified enclosures of sum_{k>=k0} w(k) * term(k) for each weight
+    w, where ``spec``'s own weight is replaced by w; each comes with the
+    ``stats`` dict of :func:`eval_series`.
+
+    On the direct path all weights read one stream of the unweighted
+    terms, so the sequence rows and the big products behind each term are
+    made once; each ball equals :func:`eval_series` of the spec with that
+    weight.  The Euler path evaluates each weight on its own.
+    """
+    specs = [replace(spec, weight=tuple(w)) for w in weights]
+    envelopes = [_spec_envelope(s) for s in specs]
+    theta = envelopes[0][1]
+    if theta >= 1:
+        out = []
+        for s in specs:
+            ball, terms, tail = _euler_eval(s, digits)
+            out.append((ball, {"path": "euler", "terms": terms,
+                               "theta": theta, "tail": tail}))
+        return out
+    sums = [_DirectSum(s, poly, theta, digits)
+            for s, (poly, _) in zip(specs, envelopes)]
+    base = replace(spec, weight=(1,))
+    todo = sums
+    while todo:
+        hi = max(d.reach for d in todo)
+        for k, (num, den) in enumerate(_terms(base, spec.k0, hi), spec.k0):
+            for d in todo:
+                d.add(k, num, den)
+        todo = [d for d in todo if not d.settle()]
+    return [(d.ball(), {"path": "direct", "terms": d.N - spec.k0 + 1,
+                        "theta": theta, "tail": d.bound}) for d in sums]
+
+
 def eval_series(spec: TermSpec, digits: int = 40,
                 stats: Optional[dict] = None) -> Ball:
     """Certified enclosure of sum_{k>=k0} term(k), with radius below
     10^-(digits+2).
 
     Uses direct summation with a geometric tail bound when the term
-    envelope ratio is below 1, and otherwise falls back to a rigorously
-    bounded Euler (binomial) transform built from exact moment
+    envelope ratio theta is below 1, and otherwise falls back to a
+    rigorously bounded Euler (binomial) transform built from exact moment
     representations of the term factors.  Either way the terms are summed
     in fixed point (see the module docstring): the midpoint is a multiple
     of 2^-s near the partial sum, and the radius is the tail bound plus
-    one unit 2^-s per rounded term.  When ``stats`` is given, its
-    ``terms`` key is set to the number of terms summed.
+    one unit 2^-s per rounded term.
+
+    On the direct path N is the closed-form estimate of the smallest N
+    with P(N+1) theta^(N+1) / (1-rho) below the budget, stepped up until
+    the exact check ``tail_bound(spec, N) < target - err`` passes; no
+    float decides.  The radius is ``tail_bound(spec, N)`` plus the
+    rounding part.  This is the one-weight case of :func:`eval_weighted`.
+
+    When ``stats`` is given it receives ``terms`` (the number of terms
+    summed), ``path`` (``direct`` or ``euler``), ``theta`` (the envelope
+    ratio) and ``tail`` (the tail-bound part of the radius).
     """
-    target = Fraction(1, 10 ** (digits + 2))
-    poly, theta = _spec_envelope(spec)
-    if theta >= 1:
-        ball, terms = _euler_eval(spec, digits)
-    else:
-        N = max(spec.k0, 4)
-        while True:
-            terms = N - spec.k0 + 1
-            s, err = _fixed_point(terms, digits)
-            bound = tail_bound(spec, N)
-            if bound < target - err:
-                break
-            N += max(8, N // 2)
-        total = sum((num << s) // den
-                    for num, den in _terms(spec, spec.k0, N))
-        ball = Ball(Fraction(total, 1 << s), bound + err)
+    (ball, info), = eval_weighted(spec, [spec.weight], digits)
     if stats is not None:
-        stats["terms"] = terms
+        stats.update(info)
     return ball
 
 
@@ -767,10 +934,11 @@ def _euler_tail(cert: _Cert, N: int) -> Optional[Fraction]:
     return cert.mass / 2 * total
 
 
-def _euler_eval(spec: TermSpec, digits: int) -> Tuple[Ball, int]:
-    """Certified Euler-transform evaluation for boundary-ratio series, and
-    the number of terms summed: those before ``k_start`` (summed directly)
-    plus the N + 1 fed to the transform."""
+def _euler_eval(spec: TermSpec, digits: int) -> Tuple[Ball, int, Fraction]:
+    """Certified Euler-transform evaluation for boundary-ratio series, the
+    number of terms summed (those before ``k_start``, summed directly, plus
+    the N + 1 fed to the transform) and the tail-bound part of the
+    radius."""
     cert = _certificate(spec)
     if cert is None:
         raise DivergentError(
@@ -800,7 +968,7 @@ def _euler_eval(spec: TermSpec, digits: int) -> Tuple[Ball, int]:
     for a, (num, den) in zip(A, tp):
         total += ((a * num) << s) // (den << (N + 1))
     return (Ball(Fraction(total, 1 << s), tail + err),
-            cert.k_start - spec.k0 + N + 1)
+            cert.k_start - spec.k0 + N + 1, tail)
 
 
 # --------------------------------------------------------------------------

@@ -216,6 +216,21 @@ class TestMalformed:
             corpus.parse_registry(_CONGRUENCE.format(upper=upper))
         assert exc.value.line == 7 and "upper" in str(exc.value)
 
+    @pytest.mark.parametrize("check", ["sum", "refinement"])
+    def test_check_accepted(self, check):
+        text = _CONGRUENCE.format(upper="p-1").replace(
+            "anchor:", f"check: {check}\nanchor:")
+        (entry,) = corpus.parse_registry(text)
+        assert entry.check == check
+
+    @pytest.mark.parametrize("check", ["refinment", "evaluate", "Sum", ""])
+    def test_check_rejected(self, check):
+        text = _CONGRUENCE.format(upper="p-1").replace(
+            "anchor:", f"check: {check}\nanchor:")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 8 and "check" in str(exc.value)
+
     def test_integrality_accepted(self):
         (entry,) = corpus.parse_registry(_INTEGRALITY.format(
             weight="5*k+1", idiv="div=2 ; mul=-3 ; div-base=4 ; div-exp=half"

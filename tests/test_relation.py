@@ -75,6 +75,26 @@ class TestRediscover:
         ok, res = rl.certify(values, cand.coeffs, 120)
         assert ok
 
+    def test_moments_share_one_pass(self, monkeypatch):
+        # the k and 1 moments come from one walk over the unweighted terms
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
+                        m=Fraction(24), k0=0)
+        walks = []
+        real = se._terms
+
+        def spy(s, lo, hi):
+            if s.seq == spec.seq:
+                walks.append(s.weight)
+            return real(s, lo, hi)
+
+        monkeypatch.setattr(se, "_terms", spy)
+        # stop after the search, before the candidate's re-verification
+        monkeypatch.setattr(rl, "pslq",
+                            lambda values, *a: rl.PSLQResult(rl.NONE))
+        assert rl.rediscover(spec, [(2, "INV_PI")], digits=80,
+                             max_norm=10 ** 3) is None
+        assert walks == [(1,)]
+
     def test_no_relation_returns_none(self):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.FRANEL, 1),),
                         m=Fraction(-400), k0=0)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -362,6 +363,196 @@ class TestFixedPoint:
         assert 0 <= t[0] + euler_partial(t[1:]) - ball.mid < err
         assert ball.rad == se._euler_tail(cert, len(t) - 2) + err
         assert (ball - 2 / se.constant("PI", digits + 5)).contains_zero()
+
+
+def old_schedule(spec: TermSpec, digits: int):
+    """The N search eval_series used before N came from the closed form:
+    N = max(k0, 4), 12, 20, 30, 45, ..., calling tail_bound at every try.
+    Returns its ball and term count."""
+    target = Fraction(1, 10 ** (digits + 2))
+    N = max(spec.k0, 4)
+    while True:
+        terms = N - spec.k0 + 1
+        s, err = se._fixed_point(terms, digits)
+        bound = se.tail_bound(spec, N)
+        if bound < target - err:
+            break
+        N += max(8, N // 2)
+    total = sum((num << s) // den for num, den in se._terms(spec, spec.k0, N))
+    return Ball(Fraction(total, 1 << s), bound + err), terms
+
+
+def old_tail_bound(spec: TermSpec, N: int) -> Fraction:
+    """tail_bound as it was before the crossover and the closed form were
+    split out: the crossover found from max(N, k0, 1) on in Fractions, and
+    the exact terms summed through term_value."""
+    poly, theta = se._spec_envelope(spec)
+    deg = len(poly) - 1
+    rho = (1 + theta) / 2
+    K = max(N, spec.k0, 1)
+    while Fraction(K + 2, K + 1) ** deg * theta > rho:
+        K += 1
+    total = sum((abs(se.term_value(spec, k)) for k in range(N + 1, K + 1)),
+                Fraction(0))
+    first = se._poly_at(poly, K + 1) * theta ** (K + 1)
+    return total + first / (1 - rho)
+
+
+WZAG16 = TermSpec(weight=(1, 5), den=(), seq=((sk.WZAG, 1),),
+                  m=Fraction(-16))
+
+
+def _direct_series():
+    """Every registry SERIES on the direct path (theta < 1), but for those
+    whose cold evaluation takes seconds (the benchmark's
+    OVER_BUDGET_SERIES)."""
+    from piseries import corpus
+    slow = {"II4p", "8.1", "5.20", "5.23", "S2", "IV15p", "5.24", "II11p",
+            "III9p", "7.3", "w2"}
+    out = []
+    for e in corpus.load_default():
+        if e.kind == "SERIES" and e.series is not None \
+                and e.ident not in slow \
+                and se._spec_envelope(e.series.spec)[1] < 1:
+            out.append(pytest.param(e.series.spec, id=e.ident))
+    return out
+
+
+def _checked_N(spec: TermSpec, digits: int, ball: Ball, terms: int) -> int:
+    """Assert that the N behind ``ball`` passes the exact check and that
+    the radius is exactly its tail bound plus the rounding part."""
+    N = spec.k0 + terms - 1
+    _, err = se._fixed_point(terms, digits)
+    bound = se.tail_bound(spec, N)
+    assert bound < Fraction(1, 10 ** (digits + 2)) - err
+    assert ball.rad == bound + err
+    return N
+
+
+class TestOneShotN:
+    """N comes from the closed-form envelope and is checked exactly once;
+    the old N schedule is the oracle."""
+
+    @pytest.mark.parametrize("spec", _direct_series())
+    def test_against_old_schedule(self, spec):
+        for digits in (20, 40):
+            stats: dict = {}
+            ball = se.eval_series(spec, digits, stats)
+            want, want_terms = old_schedule(spec, digits)
+            assert abs(ball.mid - want.mid) <= ball.rad + want.rad
+            _checked_N(spec, digits, ball, stats["terms"])
+            assert stats["terms"] <= want_terms
+
+    @pytest.mark.parametrize("spec", [CHUDNOVSKY, AUX5, WZAG16],
+                             ids=["chudnovsky", "aux-5", "wzag"])
+    def test_tail_bound_matches_old(self, spec):
+        poly, theta = se._spec_envelope(spec)
+        K0 = se._crossover(poly, theta, max(spec.k0, 1))
+        for N in [*range(spec.k0, K0 + 3), 2 * K0 + 5, 60]:
+            assert se.tail_bound(spec, N) == old_tail_bound(spec, N)
+
+    # a fast series (crossover 1), aux-5 (k0 = 1, denominators) and a WZAG
+    # series (degree-10 envelope, crossover 13)
+    @pytest.mark.parametrize("spec", [
+        TermSpec(weight=(1,), den=(), seq=((sk.CB2, 1),), m=Fraction(8)),
+        AUX5, WZAG16,
+    ], ids=["cb2-8", "aux-5", "wzag"])
+    @pytest.mark.parametrize("guess", ["k0", "half"])
+    def test_undershooting_estimate(self, monkeypatch, spec, guess):
+        digits = 20
+        stats: dict = {}
+        ball = se.eval_series(spec, digits, stats)
+        N = _checked_N(spec, digits, ball, stats["terms"])
+        real = se._estimate_N
+
+        def under(poly, theta, k0, K0, d):
+            est = real(poly, theta, k0, K0, d)
+            assert est == N
+            return k0 if guess == "k0" else (k0 + est) // 2
+
+        monkeypatch.setattr(se, "_estimate_N", under)
+        again: dict = {}
+        got = se.eval_series(spec, digits, again)
+        # the exact check moves N up to the smallest N that passes
+        assert _checked_N(spec, digits, got, again["terms"]) == N
+        assert got == ball
+
+    def test_below_crossover(self):
+        # 1/((k+1) 10^(20k)): theta = 10^-20, crossover K0 = 1, and at 10
+        # digits the exact term k = 1 already bounds the tail past N = 0
+        spec = TermSpec(weight=(1,), den=(("k+1", 1),), seq=(),
+                        m=Fraction(10 ** 20))
+        poly, theta = se._spec_envelope(spec)
+        assert se._crossover(poly, theta, 1) == 1
+        stats: dict = {}
+        ball = se.eval_series(spec, 10, stats)
+        assert stats["terms"] == 1
+        assert _checked_N(spec, 10, ball, 1) == 0
+
+    def test_one_exact_check(self, monkeypatch):
+        calls = []
+        real = se._closed_tail
+        monkeypatch.setattr(se, "_closed_tail",
+                            lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(se, "tail_bound", None)
+        se.eval_series(CHUDNOVSKY, 60)
+        assert len(calls) == 1
+
+
+class TestStats:
+    def test_direct(self):
+        stats: dict = {}
+        ball = se.eval_series(AUX5, 30, stats)
+        assert stats["path"] == "direct"
+        assert stats["theta"] == se._spec_envelope(AUX5)[1] < 1
+        N = AUX5.k0 + stats["terms"] - 1
+        assert stats["tail"] == se.tail_bound(AUX5, N)
+        assert ball.rad == stats["tail"] + se._fixed_point(stats["terms"],
+                                                           30)[1]
+
+    def test_euler(self):
+        stats: dict = {}
+        ball = se.eval_series(S12, 20, stats)
+        assert stats["path"] == "euler"
+        assert stats["theta"] == se._spec_envelope(S12)[1] >= 1
+        # one head term before k_start = 1, then N + 1 transformed terms
+        N = stats["terms"] - 2
+        assert stats["tail"] == se._euler_tail(se._certificate(S12), N)
+        assert ball.rad == stats["tail"] + se._fixed_point(stats["terms"],
+                                                           20)[1]
+
+
+class TestWeighted:
+    """eval_weighted sums several weights from one pass over the terms."""
+
+    @pytest.mark.parametrize("spec,weights", [
+        (TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
+                  m=Fraction(24)), [(0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+        (AUX5, [(0, 1), (1, 0), (Fraction(4, 27), Fraction(-5, 9))]),
+        (S12, [(0, 1), (1, 0)]),
+    ], ids=["sbc-moments", "aux-5", "euler"])
+    def test_each_ball_is_eval_series(self, spec, weights):
+        got = se.eval_weighted(spec, weights, 40)
+        assert len(got) == len(weights)
+        for w, (ball, info) in zip(weights, got):
+            stats: dict = {}
+            assert ball == se.eval_series(replace(spec, weight=w), 40, stats)
+            assert info == stats
+
+    def test_one_pass(self, monkeypatch):
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
+                        m=Fraction(24))
+        walks = []
+        real = se._terms
+
+        def spy(s, lo, hi):
+            walks.append((s.weight, lo, hi))
+            return real(s, lo, hi)
+
+        monkeypatch.setattr(se, "_terms", spy)
+        got = se.eval_weighted(spec, [(0, 1), (1, 0)], 60)
+        terms = [info["terms"] for _, info in got]
+        assert walks == [((1,), 0, max(terms) - 1)]
 
 
 def test_soundness_checks_survive_python_O():
