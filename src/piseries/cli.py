@@ -35,6 +35,19 @@ class CliError(Exception):
 # helpers
 # --------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type of every --digits, --pmax and --nmax."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer,"
+                                         f" got {value}")
+    return value
+
+
 def _load(paths: Optional[Sequence[str]]) -> List[corpus.RegistryEntry]:
     if not paths:
         return corpus.load_default()
@@ -143,7 +156,8 @@ def _cmd_verify_congruence(args) -> int:
                 status = "ok" if lhs == rhs else "FAIL"
                 print(f"{entry.ident}\t{p}\t{status}\t{lhs}\t{rhs}")
         else:
-            row = corpus._run_entry(entry, 40, args.pmax, args.nmax or 128)
+            n_max = 128 if args.nmax is None else args.nmax
+            row = corpus._run_entry(entry, 40, args.pmax, n_max)
             print(f"{entry.ident}\t-\t{row.outcome}\t{row.detail}\t-")
             if row.outcome == "FAIL" and entry.status == "proven":
                 worst = 1
@@ -206,6 +220,8 @@ def _cmd_discover(args) -> int:
                                             degree=args.degree)
         except sereval.DivergentError as exc:
             raise CliError(f"cannot evaluate the series: {exc}") from exc
+        except ValueError as exc:   # e.g. too few digits for a search
+            raise CliError(str(exc)) from exc
         if candidate is not None and candidate.confirmed:
             break
         candidate = None
@@ -262,25 +278,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     vs = vsub.add_parser("series", help="certify series identities")
     vs.add_argument("--id", default="*", help="registry id glob")
-    vs.add_argument("--digits", type=int, default=40)
+    vs.add_argument("--digits", type=_positive_int, default=40)
     add_registry(vs)
     vs.set_defaults(func=_cmd_verify_series)
 
     vc = vsub.add_parser("congruence", help="check congruences per prime")
     vc.add_argument("--id", default="*", help="registry id glob")
-    vc.add_argument("--pmax", type=int, default=300)
+    vc.add_argument("--pmax", type=_positive_int, default=300)
     vc.add_argument("--pn", action="store_true",
                     help="restrict to prime-power refinement checks")
     vc.add_argument("--integrality", action="store_true",
                     help="run integrality/parity checks instead")
-    vc.add_argument("--nmax", type=int, default=None)
+    vc.add_argument("--nmax", type=_positive_int, default=None)
     add_registry(vc)
     vc.set_defaults(func=_cmd_verify_congruence)
 
     ve = vsub.add_parser("exact", help="run exact finite-identity families")
     ve.add_argument("--family", help="family name, e.g. L21_1 or GLAISHER")
     ve.add_argument("--m", type=int, default=None)
-    ve.add_argument("--nmax", type=int, default=300)
+    ve.add_argument("--nmax", type=_positive_int, default=300)
     ve.add_argument("--id", default="*", help="registry id glob")
     add_registry(ve)
     ve.set_defaults(func=_cmd_verify_exact)
@@ -288,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", aliases=["report"],
                            help="verify a slice of the registry")
     run_p.add_argument("--filter", default=None, metavar="GLOB")
-    run_p.add_argument("--digits", type=int, default=40)
-    run_p.add_argument("--pmax", type=int, default=300)
-    run_p.add_argument("--nmax", type=int, default=128)
+    run_p.add_argument("--digits", type=_positive_int, default=40)
+    run_p.add_argument("--pmax", type=_positive_int, default=300)
+    run_p.add_argument("--nmax", type=_positive_int, default=128)
     run_p.add_argument("--kind", default=None)
     run_p.add_argument("--status", default=None)
     run_p.add_argument("--format", choices=("text", "tsv"), default="text")
@@ -307,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--basis", default="inv_pi",
                       help="comma list of constants; bare names scan"
                            " square-free sqrt multipliers, d*name pins one")
-    disc.add_argument("--digits", type=int, default=80)
+    disc.add_argument("--digits", type=_positive_int, default=80)
     disc.add_argument("--max-norm", type=int, default=10 ** 6)
     disc.add_argument("--degree", type=int, default=1)
     disc.set_defaults(func=_cmd_discover)

@@ -23,6 +23,15 @@ grammar, read off Python's syntax tree (``^`` is ``**``, ``-2^10`` is -1024)::
 Any other node (a float, a bool, a call, an unknown name) is a
 ``CorpusError`` with its line: nothing in a registry is evaluated as Python.
 
+Reading the registry is set-up that every command pays before its first
+check, so the walk is kept cheap.  It works in ``int`` coefficients; a
+``Fraction`` appears only where a division by a constant is inexact, and
+the readers convert at their return, so the parsed values are the same as
+in ``Fraction`` arithmetic.  The bundled registry repeats most of its
+expressions (about 1900 read, about 640 distinct), so each distinct
+expression is walked once and its coefficients kept in a bounded memo;
+errors are not kept, so each one names the line that gave it.
+
 Kind-specific keys:
 
 * SERIES: ``rhs`` (sum of ``q[*sqrt(d)][*BASIS]`` addends, or ``none`` for
@@ -57,8 +66,9 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import congruence as cg
 from . import exactid
@@ -103,13 +113,25 @@ class CorpusError(ValueError):
 # exact scalar / polynomial parsing
 # --------------------------------------------------------------------------
 
-_Poly = Dict[Tuple[int, ...], Fraction]
+#: exponent tuple -> non-zero coefficient; an ``int`` unless a division
+#: by a constant was inexact
+_Poly = Dict[Tuple[int, ...], Union[int, Fraction]]
 
 
-def _poly(text: str, names: Tuple[str, ...], line: int) -> _Poly:
-    """Exact polynomial in ``names`` read from ``text``, as a map from
-    exponent tuples to non-zero coefficients, by walking its syntax tree
-    over the number grammar above; nothing is evaluated as Python."""
+def _quotient(c: Union[int, Fraction], d: Union[int, Fraction]):
+    """c / d, an ``int`` when both are ints and d divides c."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        if not r:
+            return q
+    return Fraction(c) / d
+
+
+@lru_cache(maxsize=4096)
+def _walk(text: str, names: Tuple[str, ...]) -> Tuple[tuple, ...]:
+    """The (exponents, coefficient) pairs of ``text``'s polynomial in
+    ``names``, walked over the number grammar above; nothing is evaluated
+    as Python.  Raises the exception that :func:`_poly` reports."""
     one = (0,) * len(names)
 
     def add(a: _Poly, b: _Poly, sign: int = 1) -> _Poly:
@@ -129,15 +151,15 @@ def _poly(text: str, names: Tuple[str, ...], line: int) -> _Poly:
     def walk(node: ast.AST) -> _Poly:
         op, right = getattr(node, "op", None), getattr(node, "right", None)
         if isinstance(node, ast.Constant) and type(node.value) is int:
-            return add({}, {one: Fraction(node.value)})
+            return {one: node.value} if node.value else {}
         if isinstance(node, ast.Name) and node.id in names:
-            return {tuple(int(n == node.id) for n in names): Fraction(1)}
+            return {tuple(int(n == node.id) for n in names): 1}
         if isinstance(op, (ast.UAdd, ast.USub)):
             sign = -1 if isinstance(op, ast.USub) else 1
             return add({}, walk(node.operand), sign)
         if isinstance(op, ast.Pow) and isinstance(right, ast.Constant) \
                 and type(right.value) is int and right.value >= 0:
-            out, base = {one: Fraction(1)}, walk(node.left)
+            out, base = {one: 1}, walk(node.left)
             for _ in range(right.value):
                 out = mul(out, base)
             return out
@@ -148,11 +170,19 @@ def _poly(text: str, names: Tuple[str, ...], line: int) -> _Poly:
             if isinstance(op, ast.Mult):
                 return mul(a, b)
             if b.keys() == {one}:   # a non-zero constant divisor
-                return {m: c / b[one] for m, c in a.items()}
+                return {m: _quotient(c, b[one]) for m, c in a.items()}
         raise ValueError(f"{ast.unparse(node)!r} is outside the grammar")
 
+    return tuple(walk(ast.parse(text.replace("^", "**"), mode="eval")
+                      .body).items())
+
+
+def _poly(text: str, names: Tuple[str, ...], line: int) -> _Poly:
+    """Exact polynomial in ``names`` read from ``text``, as a map from
+    exponent tuples to non-zero coefficients.  The map is the caller's
+    own; an error is a ``CorpusError`` carrying the caller's ``line``."""
     try:   # ValueError also covers a null byte, MemoryError deep nesting
-        return walk(ast.parse(text.replace("^", "**"), mode="eval").body)
+        return dict(_walk(text, names))
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         why = str(exc) or "nested too deeply"
         raise CorpusError(f"bad expression {text!r}: {why}", line) from None
@@ -160,14 +190,15 @@ def _poly(text: str, names: Tuple[str, ...], line: int) -> _Poly:
 
 def _rational(text: str, line: int) -> Fraction:
     """Exact rational from an expression like ``-3*160^3`` or ``-25/16``."""
-    return _poly(text, (), line).get((), Fraction(0))
+    return Fraction(_poly(text, (), line).get((), 0))
 
 
-def _weight(text: str, line: int) -> Tuple[Fraction, ...]:
-    """Low-to-high coefficients of a polynomial in k."""
+def _weight(text: str, line: int) -> Tuple[Union[int, Fraction], ...]:
+    """Low-to-high coefficients of a polynomial in k: an ``int`` where the
+    coefficient is integral, a ``Fraction`` otherwise."""
     poly = _poly(text, ("k",), line)
     degree = max((m[0] for m in poly), default=0)
-    coeffs = (poly.get((j,), Fraction(0)) for j in range(degree + 1))
+    coeffs = (Fraction(poly.get((j,), 0)) for j in range(degree + 1))
     return tuple(int(c) if c.denominator == 1 else c for c in coeffs)
 
 
@@ -391,7 +422,7 @@ def _template(text: str, line: int) -> Tuple[Fraction, Fraction, Fraction]:
     if poly.keys() - set(_TEMPLATE_MONOMIALS):
         raise CorpusError(f"template {text!r} is not in span(x^2, xy, p)",
                           line)
-    return tuple(poly.get(m, Fraction(0)) for m in _TEMPLATE_MONOMIALS)
+    return tuple(Fraction(poly.get(m, 0)) for m in _TEMPLATE_MONOMIALS)
 
 
 def _case(text: str, line: int) -> qf.QuadFormCase:

@@ -7,6 +7,9 @@ arithmetic and shown to be below the detection threshold
 10^-(digits-15).  A NONE answer carries the norm bound that was
 excluded; if the input balls are too wide to support the threshold the
 search is refused with PRECISION_EXHAUSTED.
+
+mpmath is imported on the first :func:`pslq` call, not with this module,
+so a process that never searches for a relation never loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import mpmath
 
 from . import sereval
 from .sereval import Ball, RHSForm, SeriesIdentity, TermSpec
@@ -52,12 +53,23 @@ def _residual(values: Sequence[Ball], coeffs: Sequence[int]) -> Ball:
     return total
 
 
+#: Fewest digits a search runs at: its threshold 10^-(digits-15) must be
+#: below 1.
+MIN_DIGITS = 16
+
+
+def _threshold(digits: int) -> Fraction:
+    """The detection threshold 10^-(digits-15)."""
+    if digits < MIN_DIGITS:
+        raise ValueError(f"digits must be >= {MIN_DIGITS}, got {digits}")
+    return Fraction(1, 10 ** (digits - 15))
+
+
 def certify(values: Sequence[Ball], coeffs: Sequence[int],
             digits: int) -> Tuple[bool, Ball]:
     """Ball-arithmetic check that the relation holds to the threshold."""
     res = _residual(values, coeffs)
-    threshold = Fraction(1, 10 ** (digits - 15))
-    return res.abs_upper() < threshold, res
+    return res.abs_upper() < _threshold(digits), res
 
 
 def pslq(values: Sequence[Ball], max_norm: int,
@@ -70,12 +82,13 @@ def pslq(values: Sequence[Ball], max_norm: int,
     n = len(values)
     if n < 2:
         raise ValueError("need at least two values")
-    threshold = Fraction(1, 10 ** (digits - 15))
+    threshold = _threshold(digits)
     # the balls must be tight enough that a true relation's residual can
     # actually get below the threshold
     budget = threshold / (n * max_norm)
     if any(v.rad > budget for v in values):
         return PSLQResult(PRECISION_EXHAUSTED)
+    import mpmath
     with mpmath.workdps(digits + 10):
         mids = [mpmath.mpf(v.mid.numerator) / v.mid.denominator
                 for v in values]
@@ -122,8 +135,10 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
     all summed from one pass over the terms (:func:`sereval.eval_weighted`),
     together with the basis values sqrt(d) * <named constant>.  A FOUND
     relation is turned into a weighted identity and re-verified from
-    scratch at 1.5x the search precision.
+    scratch at 1.5x the search precision.  Raises ``ValueError`` below
+    ``MIN_DIGITS`` digits, before any series is summed.
     """
+    _threshold(digits)
     weights = [tuple(1 if i == j else 0 for i in range(degree + 1))
                for j in range(degree, -1, -1)]
     moments: List[Ball] = [

@@ -21,6 +21,10 @@ continues where the last request stopped and nothing is ever rebuilt.
 - SBC, GPOLY and FRANEL4 are convolutions ``sum_k C(n,k)^e ...``; Pascal's
   row is carried from one row to the next.
 - EULER continues the secant recurrence row by row.
+- BERNOULLI holds the even Bernoulli numbers: row j is B_{2j}, a
+  ``Fraction``.  Its generator carries the Akiyama-Tanigawa row, so the
+  numbers are computed only as far as they are read (the K3 constant's
+  Euler-Maclaurin sum reads about 30 at 60 digits).
 - GCT2/GCT3 read every second/third row of their GCT kind, SBC reads the
   rows of its T_k(b,c), and CB2SHIFT, CATALAN and GPOLY read CB2, all from
   the same store.
@@ -49,7 +53,7 @@ __all__ = [
     "SequenceStore",
     "GCT", "GCT2", "GCT3", "CB2", "CB3", "CB4", "CB63", "CB2SHIFT",
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
-    "ZAGIER", "CLF", "BETA", "WZAG", "EULER",
+    "ZAGIER", "CLF", "BETA", "WZAG", "EULER", "BERNOULLI",
     "STORE", "rows", "memo_table", "table", "gct_direct",
     "snk", "tsmall_direct", "legendre_eval",
 ]
@@ -100,6 +104,7 @@ CLF = SequenceKind("CLF")
 BETA = SequenceKind("BETA")
 WZAG = SequenceKind("WZAG")
 EULER = SequenceKind("EULER")
+BERNOULLI = SequenceKind("BERNOULLI")
 
 
 def SBC(b: int, c: int) -> SequenceKind:
@@ -326,6 +331,19 @@ def _euler() -> Iterator[int]:
         yield even[m]
 
 
+def _bernoulli_even() -> Iterator[Fraction]:
+    """B_0, B_2, B_4, ... by the Akiyama-Tanigawa scheme: step m sets
+    A[m] = 1/(m+1), then A[j-1] = j (A[j-1] - A[j]) for j = m..1, and
+    leaves B_m in A[0]; each row takes the odd step and the even one."""
+    A: List[Fraction] = []
+    for m in count():
+        A.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            A[j - 1] = j * (A[j - 1] - A[j])
+        if m % 2 == 0:
+            yield A[0]
+
+
 def _generator(kind: SequenceKind, store: "SequenceStore") -> Iterator[Number]:
     """The row generator of ``kind``; kinds it reads come from ``store``."""
     tag = kind.tag
@@ -355,6 +373,8 @@ def _generator(kind: SequenceKind, store: "SequenceStore") -> Iterator[Number]:
                 for n in count())
     if tag == "EULER":
         return _euler()
+    if tag == "BERNOULLI":
+        return _bernoulli_even()
     raise ValueError(f"unknown sequence kind {kind}")
 
 

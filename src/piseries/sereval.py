@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, comb, inf, isqrt, lcm, log
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
@@ -165,20 +164,6 @@ def sqrt_ball(d, digits: int = 50) -> Ball:
     return Ball((lo + hi) / 2, (hi - lo) / 2)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_even(count: int) -> Tuple[Fraction, ...]:
-    """B_0, B_2, ..., B_{2(count-1)} via the Akiyama-Tanigawa scheme."""
-    n = 2 * (count - 1)
-    A = [Fraction(0)] * (n + 1)
-    out: List[Fraction] = []
-    for m in range(n + 1):
-        A[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            A[j - 1] = j * (A[j - 1] - A[j])
-        out.append(A[0])
-    return tuple(out[0::2])
-
-
 def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
     """zeta(2, a) for rational 0 < a <= 1 by Euler-Maclaurin.
 
@@ -187,7 +172,6 @@ def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
     """
     target = Fraction(1, 10 ** (digits + 3))
     N = max(40, digits)
-    bern = _bernoulli_even(80)
     while True:
         head = sum(Fraction(1, 1) / (k + a) ** 2 for k in range(N))
         x = N + a
@@ -195,8 +179,8 @@ def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
         bound = None
         acc = Fraction(0)
         prev_mag = None
-        for j in range(1, len(bern)):
-            term = bern[j] / x ** (2 * j + 1)
+        for j in range(1, 80):   # B_2 .. B_158, grown only as read
+            term = seqkit.rows(seqkit.BERNOULLI, j)[j] / x ** (2 * j + 1)
             mag = abs(term)
             if prev_mag is not None and mag > prev_mag:
                 # correction terms started growing; omit this one and bound

@@ -117,3 +117,30 @@ class TestDiscover:
                                        "3/2", "--digits", "30"])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "cannot evaluate" in err
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "congruence", "--integrality", "--id", "w1-n", "--nmax",
+         "0"],
+        ["verify", "congruence", "--integrality", "--id", "w1-n", "--nmax",
+         "-3"],
+        ["verify", "congruence", "--id", "log-a-p", "--pmax", "0"],
+        ["verify", "exact", "--family", "glaisher", "--nmax", "-1"],
+        ["verify", "series", "--id", "1.5", "--digits", "0"],
+        ["run", "--filter", "1.5", "--digits", "0"],
+        ["run", "--filter", "1.5", "--pmax", "-5"],
+        ["run", "--filter", "1.5", "--nmax", "0"],
+        ["discover", "--seq", "S(1,25)", "--m", "-100", "--digits", "0"],
+    ])
+    def test_out_of_range_is_a_usage_error(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"argument {argv[-2]}:" in err
+
+    @pytest.mark.parametrize("digits", ["12", "15"])
+    def test_discover_below_search_precision(self, capsys, digits):
+        code, out, err = _run(capsys, ["discover", "--seq", "S(1,25)", "--m",
+                                       "-100", "--digits", digits])
+        assert (code, out) == (2, "")
+        assert err == f"error: digits must be >= 16, got {digits}\n"

@@ -259,6 +259,163 @@ class TestMalformed:
         assert exc.value.line == 4 and "integer" in str(exc.value)
 
 
+def old_poly(text: str, names: tuple) -> dict:
+    """The registry grammar walked in Fraction arithmetic throughout, as
+    corpus read it before its walk moved to ints: the oracle."""
+    import ast
+    one = (0,) * len(names)
+
+    def add(a, b, sign=1):
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + sign * c
+        return {m: c for m, c in out.items() if c}
+
+    def mul(a, b):
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(i + j for i, j in zip(ma, mb))
+                out[m] = out.get(m, 0) + ca * cb
+        return add({}, out)
+
+    def walk(node):
+        op, right = getattr(node, "op", None), getattr(node, "right", None)
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return add({}, {one: Fraction(node.value)})
+        if isinstance(node, ast.Name) and node.id in names:
+            return {tuple(int(n == node.id) for n in names): Fraction(1)}
+        if isinstance(op, (ast.UAdd, ast.USub)):
+            return add({}, walk(node.operand),
+                       -1 if isinstance(op, ast.USub) else 1)
+        if isinstance(op, ast.Pow):
+            out, base = {one: Fraction(1)}, walk(node.left)
+            for _ in range(right.value):
+                out = mul(out, base)
+            return out
+        a, b = walk(node.left), walk(node.right)
+        if isinstance(op, (ast.Add, ast.Sub)):
+            return add(a, b, -1 if isinstance(op, ast.Sub) else 1)
+        if isinstance(op, ast.Mult):
+            return mul(a, b)
+        return {m: c / b[one] for m, c in a.items()}
+
+    return walk(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
+def old_rational(text):
+    return old_poly(text, ()).get((), Fraction(0))
+
+
+def old_weight(text):
+    poly = old_poly(text, ("k",))
+    degree = max((m[0] for m in poly), default=0)
+    coeffs = (poly.get((j,), Fraction(0)) for j in range(degree + 1))
+    return tuple(int(c) if c.denominator == 1 else c for c in coeffs)
+
+
+def old_template(text):
+    poly = old_poly(text, ("x", "y", "p"))
+    return tuple(poly.get(m, Fraction(0)) for m in corpus._TEMPLATE_MONOMIALS)
+
+
+def _typed(value):
+    """``value`` with the type of every number in it, for comparing both."""
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    return (type(value), value)
+
+
+class TestIntegerWalk:
+    @pytest.fixture(scope="class")
+    def reads(self):
+        """Every (reader, text) that loading the bundled registry asks
+        for, recorded by wrapping the three readers."""
+        seen = set()
+        patch = pytest.MonkeyPatch()
+        for name in ("_rational", "_weight", "_template"):
+            real = getattr(corpus, name)
+
+            def spy(text, line, real=real, name=name):
+                seen.add((name, text))
+                return real(text, line)
+
+            patch.setattr(corpus, name, spy)
+        try:
+            assert len(corpus.load_default()) == 479
+        finally:
+            patch.undo()
+        return seen
+
+    def test_registry_reads_match_fraction_walk(self, reads):
+        oracles = {"_rational": old_rational, "_weight": old_weight,
+                   "_template": old_template}
+        assert {name for name, _ in reads} == set(oracles)
+        for name, text in sorted(reads):
+            got = getattr(corpus, name)(text, 1)
+            assert _typed(got) == _typed(oracles[name](text)), (name, text)
+
+    @pytest.mark.parametrize("text", [
+        "7/2*2", "6/3", "(2*k+1)/3*3", "-7/-2", "1/(1/2)", "k^3/2-k",
+        "(k/2)*(k/2)*4", "0/5", "4*x^2-2*p", "x*x/2 + y*x",
+    ])
+    def test_divisions_match_fraction_walk(self, text):
+        names = ("k", "x", "y", "p")
+        assert corpus._poly(text, names, 1) == old_poly(text, names)
+
+    def test_exact_division_stays_int(self):
+        assert _typed(corpus._poly("-12/-3*k", ("k",), 1)[(1,)]) == (int, 4)
+        assert _typed(corpus._poly("7/2", (), 1)[()]) \
+            == (Fraction, Fraction(7, 2))
+
+    def test_each_distinct_expression_walked_once(self):
+        corpus._walk.cache_clear()
+        keys = set()
+        real = corpus._poly
+
+        def spy(text, names, line):
+            keys.add((text, names))
+            return real(text, names, line)
+
+        patch = pytest.MonkeyPatch()
+        patch.setattr(corpus, "_poly", spy)
+        try:
+            corpus.load_default()
+        finally:
+            patch.undo()
+        info = corpus._walk.cache_info()
+        assert info.misses == len(keys) < info.misses + info.hits
+
+    def test_returned_values_do_not_change_the_memo(self):
+        first = corpus._poly("4*k+1", ("k",), 1)
+        first[(1,)] = 99
+        first.clear()
+        assert corpus._poly("4*k+1", ("k",), 2) == {(0,): 1, (1,): 4}
+        assert isinstance(corpus._walk("4*k+1", ("k",)), tuple)
+        (entry,) = corpus.parse_registry(_SERIES.format(weight="4*k+1",
+                                                        m="-64"))
+        assert entry.raw["_spec"].weight == (1, 4)
+
+    @staticmethod
+    def _error_line(*ms: str) -> int:
+        """Line of the error in a registry of one SERIES entry per m."""
+        text = "".join(_SERIES.format(weight="4*k+1", m=m).replace(
+            "entry bad", f"entry bad{i}") for i, m in enumerate(ms))
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert repr(ms[-1]) in str(exc.value)
+        return exc.value.line
+
+    def test_repeated_expression_reports_its_own_line(self):
+        # "4*k+1" is a valid weight at line 4, and outside the grammar of
+        # a number at line 11
+        assert self._error_line("-64", "4*k+1") == 11
+        # an error is not memoised: the same bad number is reported at
+        # line 4 in one registry and at line 11 in the next
+        assert self._error_line("2^k") == 4
+        assert self._error_line("-64", "2^k") == 11
+
+
 def test_parse_without_sympy():
     code = textwrap.dedent("""
         import sys
@@ -272,3 +429,22 @@ def test_parse_without_sympy():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def test_mpmath_loaded_only_by_a_search():
+    code = textwrap.dedent("""
+        import sys
+        import piseries.cli, piseries.relation
+        from piseries import corpus
+        from piseries.sereval import Ball
+        assert len(corpus.load_default()) == 479
+        print("mpmath" in sys.modules)
+        res = piseries.relation.pslq([Ball.exact(1), Ball.exact(2)], 10, 20)
+        print(res.status, "mpmath" in sys.modules)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "FOUND", "True"]

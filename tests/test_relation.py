@@ -40,8 +40,26 @@ class TestPslq:
         assert not ok
         assert res.abs_upper() >= Fraction(1, 10 ** 25)
 
+    @pytest.mark.parametrize("digits", [15, 12, 0, -3])
+    def test_too_few_digits(self, digits):
+        values = [Ball.exact(1), Ball.exact(2)]
+        with pytest.raises(ValueError, match="digits must be >= 16"):
+            rl.pslq(values, 10, digits)
+        with pytest.raises(ValueError, match="digits must be >= 16"):
+            rl.certify(values, [2, -1], digits)
+
 
 class TestRediscover:
+    def test_too_few_digits_sums_nothing(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("summed a series")
+
+        monkeypatch.setattr(se, "eval_weighted", unexpected)
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-64), k0=0)
+        with pytest.raises(ValueError, match="digits must be >= 16"):
+            rl.rediscover(spec, [(1, "INV_PI")], digits=12)
+
     def test_apery_like_series(self):
         # moments of S_k(1,-6)/24^k against sqrt(2)/pi
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -122,6 +123,27 @@ class TestConstants:
         partial = sum(Fraction(1, (3 * j + 1) ** 2) - Fraction(1, (3 * j + 2) ** 2)
                       for j in range(4000))
         assert abs(ball.mid - partial) < Fraction(1, 10 ** 6)
+
+    #: sha256 of repr((mid, rad)) of constant("K3", d), recorded when
+    #: the Bernoulli numbers were one table of B_0..B_158 built up front
+    K3_DIGESTS = {
+        12: "f5875e1df7511d69dd7860c70e5a99bc9f8062704f3fa1cb01862696ec6f1bfe",
+        20: "39738ca055aaffeae63eb2f392c2a058e5833ddd0e6fde452447bad134269c0b",
+        40: "6ca9227f6e3a7d9d03d84fa4e216e8780f7db5b8fb22e96a2790ad1cfb7ece2a",
+        60: "f01353152e77a11f4fd59856f1f5fbc4e86daefc527a6008789770a21bcbf993",
+    }
+
+    @pytest.mark.parametrize("digits, rows_read", [
+        (12, 7), (20, 10), (40, 19), (60, 27)])
+    def test_k3_unchanged_and_reads_few_bernoulli(self, monkeypatch, digits,
+                                                  rows_read):
+        store = sk.SequenceStore()
+        monkeypatch.setattr(sk, "STORE", store)
+        monkeypatch.setattr(se, "_CONST_CACHE", {})
+        ball = se.constant("K3", digits)
+        got = hashlib.sha256(repr((ball.mid, ball.rad)).encode()).hexdigest()
+        assert got == self.K3_DIGESTS[digits]
+        assert len(store.rows(sk.BERNOULLI, 0)) == rows_read
 
     def test_cache_hit(self):
         a = se.constant("PI", 40)
