@@ -35,17 +35,26 @@ class CliError(Exception):
 # helpers
 # --------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    """argparse type of every --digits, --pmax and --nmax."""
+def _int_from(text: str, least: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer,"
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be a {what} integer,"
                                          f" got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every --digits, --pmax, --nmax and --max-norm."""
+    return _int_from(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of --degree."""
+    return _int_from(text, 0, "non-negative")
 
 
 def _load(paths: Optional[Sequence[str]]) -> List[corpus.RegistryEntry]:
@@ -324,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma list of constants; bare names scan"
                            " square-free sqrt multipliers, d*name pins one")
     disc.add_argument("--digits", type=_positive_int, default=80)
-    disc.add_argument("--max-norm", type=int, default=10 ** 6)
-    disc.add_argument("--degree", type=int, default=1)
+    disc.add_argument("--max-norm", type=_positive_int, default=10 ** 6)
+    disc.add_argument("--degree", type=_nonnegative_int, default=1)
     disc.set_defaults(func=_cmd_discover)
 
     qf = sub.add_parser("quadform", help="quadratic form helpers")

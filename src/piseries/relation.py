@@ -82,6 +82,8 @@ def pslq(values: Sequence[Ball], max_norm: int,
     n = len(values)
     if n < 2:
         raise ValueError("need at least two values")
+    if max_norm < 1:
+        raise ValueError(f"max_norm must be >= 1, got {max_norm}")
     threshold = _threshold(digits)
     # the balls must be tight enough that a true relation's residual can
     # actually get below the threshold
@@ -136,9 +138,14 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
     together with the basis values sqrt(d) * <named constant>.  A FOUND
     relation is turned into a weighted identity and re-verified from
     scratch at 1.5x the search precision.  Raises ``ValueError`` below
-    ``MIN_DIGITS`` digits, before any series is summed.
+    ``MIN_DIGITS`` digits, for ``max_norm < 1`` or for ``degree < 0``,
+    before any series is summed.
     """
     _threshold(digits)
+    if max_norm < 1:
+        raise ValueError(f"max_norm must be >= 1, got {max_norm}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     weights = [tuple(1 if i == j else 0 for i in range(degree + 1))
                for j in range(degree, -1, -1)]
     moments: List[Ball] = [

@@ -132,11 +132,26 @@ class TestNumericArguments:
         ["run", "--filter", "1.5", "--pmax", "-5"],
         ["run", "--filter", "1.5", "--nmax", "0"],
         ["discover", "--seq", "S(1,25)", "--m", "-100", "--digits", "0"],
+        ["discover", "--seq", "CB2^3", "--m", "-64", "--digits", "30",
+         "--max-norm", "0"],
+        ["discover", "--seq", "CB2^3", "--m", "-64", "--digits", "30",
+         "--max-norm", "-7"],
+        ["discover", "--seq", "CB2^3", "--m", "-64", "--digits", "30",
+         "--degree", "-1"],
     ])
     def test_out_of_range_is_a_usage_error(self, capsys, argv):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert f"argument {argv[-2]}:" in err
+
+    def test_degree_zero_is_accepted(self, capsys):
+        # a constant weight: sum a_k/(-64)^k is no rational multiple of
+        # 1/pi, so the search ends without a relation, not in a usage error
+        code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m",
+                                       "-64", "--digits", "30", "--degree",
+                                       "0", "--max-norm", "100"])
+        assert (code, err) == (0, "")
+        assert out.startswith("NOT FOUND")
 
     @pytest.mark.parametrize("digits", ["12", "15"])
     def test_discover_below_search_precision(self, capsys, digits):

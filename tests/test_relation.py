@@ -48,6 +48,12 @@ class TestPslq:
         with pytest.raises(ValueError, match="digits must be >= 16"):
             rl.certify(values, [2, -1], digits)
 
+    @pytest.mark.parametrize("max_norm", [0, -1])
+    def test_max_norm_below_one(self, max_norm):
+        values = [Ball.exact(1), Ball.exact(2)]
+        with pytest.raises(ValueError, match="max_norm must be >= 1"):
+            rl.pslq(values, max_norm, digits=40)
+
 
 class TestRediscover:
     def test_too_few_digits_sums_nothing(self, monkeypatch):
@@ -59,6 +65,22 @@ class TestRediscover:
                         m=Fraction(-64), k0=0)
         with pytest.raises(ValueError, match="digits must be >= 16"):
             rl.rediscover(spec, [(1, "INV_PI")], digits=12)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_norm": 0}, "max_norm must be >= 1"),
+        ({"max_norm": -5}, "max_norm must be >= 1"),
+        ({"degree": -1}, "degree must be >= 0"),
+    ])
+    def test_bad_search_bounds_sum_nothing(self, monkeypatch, kwargs,
+                                           message):
+        def unexpected(*args):
+            raise AssertionError("summed a series")
+
+        monkeypatch.setattr(se, "eval_weighted", unexpected)
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-64), k0=0)
+        with pytest.raises(ValueError, match=message):
+            rl.rediscover(spec, [(1, "INV_PI")], digits=30, **kwargs)
 
     def test_apery_like_series(self):
         # moments of S_k(1,-6)/24^k against sqrt(2)/pi

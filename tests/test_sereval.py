@@ -256,6 +256,200 @@ class TestEulerTransform:
             se._euler_eval(spec, 20)
 
 
+def old_eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
+    """eval_rhs as it was before the closed forms moved to fixed point:
+    products and quotients of Fraction balls, every constant and square
+    root at digits + 8.  The oracle of the fixed-point version."""
+    total = Ball.exact(0)
+    for q, d, basis in rhs.addends:
+        part = Ball.exact(q)
+        if d != 1:
+            part = part * se.sqrt_ball(d, digits + 8)
+        if basis == "PI":
+            part = part * se.constant("PI", digits + 8)
+        elif basis == "PI2":
+            pi = se.constant("PI", digits + 8)
+            part = part * pi * pi
+        elif basis == "INV_PI":
+            part = part / se.constant("PI", digits + 8)
+        elif basis == "CATALAN_G":
+            part = part * se.constant("CATALAN_G", digits + 8)
+        elif basis == "K3":
+            part = part * se.constant("K3", digits + 8)
+        elif basis == "LOG3":
+            part = part * se.constant("LOG3", digits + 8)
+        total = total + part
+    return total
+
+
+def _registry_series():
+    from piseries import corpus
+    return {e.ident: e.series for e in corpus.load_default()
+            if e.kind == "SERIES" and e.series is not None}
+
+
+def _radius_within(ball: Ball, digits: int) -> bool:
+    """rad < 10^-(digits+5) * max(1, |mid|), eval_rhs's radius contract
+    for addends that do not cancel."""
+    return ball.rad * 10 ** (digits + 5) < max(1, abs(ball.mid))
+
+
+_BASIS_REFERENCES = {
+    "ONE": "1", "PI": "mp.pi", "PI2": "mp.pi**2", "INV_PI": "1/mp.pi",
+    "CATALAN_G": "mp.catalan", "LOG3": "mp.log(3)",
+    "K3": "(mp.zeta(2, mp.mpf(1)/3) - mp.zeta(2, mp.mpf(2)/3)) / 9",
+}
+
+
+class TestFixedRHS:
+    """eval_rhs in integer fixed point against the Fraction-ball oracle
+    and against mpmath."""
+
+    @pytest.mark.parametrize("digits", [12, 40, 96])
+    def test_registry_against_oracle(self, digits):
+        series = _registry_series()
+        assert len(series) >= 238
+        for ident, s in series.items():
+            new, old = se.eval_rhs(s.rhs, digits), old_eval_rhs(s.rhs, digits)
+            assert abs(new.mid - old.mid) <= new.rad + old.rad, ident
+            assert _radius_within(new, digits), ident
+
+    @pytest.mark.parametrize("basis", sorted(_BASIS_REFERENCES))
+    def test_basis_against_mpmath(self, basis):
+        # a negative q swaps the ends; d = 7 is not a square
+        rhs = RHSForm(addends=((Fraction(-22, 7), 7, basis),))
+        digits = 40
+        ball = se.eval_rhs(rhs, digits)
+        ref = mp_ref(f"mp.mpf(-22)/7 * mp.sqrt(7) * ({_BASIS_REFERENCES[basis]})")
+        assert ball.contains(ref)
+        assert ball.mid < 0 and _radius_within(ball, digits)
+
+    def test_mixed_addends_against_mpmath(self):
+        rhs = RHSForm(addends=((Fraction(3, 2), 1, "ONE"),
+                               (Fraction(-5), 3, "PI2"),
+                               (Fraction(1, 9), 6, "INV_PI"),
+                               (Fraction(-7, 4), 2, "LOG3")))
+        ball = se.eval_rhs(rhs, 60)
+        ref = mp_ref("mp.mpf(3)/2 - 5*mp.sqrt(3)*mp.pi**2"
+                     " + mp.sqrt(6)/(9*mp.pi) - mp.mpf(7)/4*mp.sqrt(2)*mp.log(3)",
+                     120)
+        assert ball.contains(ref)
+        assert _radius_within(ball, 60)
+
+    def test_ball_is_dyadic(self):
+        ball = se.eval_rhs(RHSForm(addends=((Fraction(1, 3), 5, "PI"),)), 30)
+        for x in (ball.mid, ball.rad):
+            assert x.denominator & (x.denominator - 1) == 0
+        assert 0 < ball.rad
+
+    def test_radius_check_raises(self, monkeypatch):
+        # 40 bits short of the scale the contract needs
+        monkeypatch.setattr(se, "_RHS_GUARD", -40)
+        with pytest.raises(ArithmeticError, match="radius"):
+            se.eval_rhs(RHSForm(addends=((Fraction(1), 2, "INV_PI"),)), 30)
+
+
+class TestConstFixed:
+    """One integer enclosure per named constant, held at the finest scale
+    asked for so far."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of constant() by name, with an empty enclosure cache."""
+        monkeypatch.setattr(se, "_CONST_FIXED", {})
+        seen = []
+        real = se.constant
+
+        def counted(name, digits=50):
+            seen.append(name)
+            return real(name, digits)
+
+        monkeypatch.setattr(se, "constant", counted)
+        return seen
+
+    @pytest.mark.parametrize("name,expr", _CONSTANT_REFERENCES)
+    def test_large_small_larger_contain_reference(self, calls, name, expr):
+        ref = mp_ref(expr, 160)
+        for s in (200, 80, 330):
+            lo, hi = se._const_fixed(name, s)
+            assert Fraction(lo, 1 << s) <= ref <= Fraction(hi, 1 << s)
+            assert 0 < hi - lo <= 2
+        # the held scale is rounded up to the step, never doubled
+        assert se._CONST_FIXED[name][0] == 384
+        assert calls.count(name) == 2
+
+    @pytest.mark.parametrize("name", [n for n, _ in _CONSTANT_REFERENCES])
+    def test_fewer_bits_compute_nothing(self, calls, name):
+        se._const_fixed(name, 150)
+        assert calls.count(name) == 1
+        top, lo, hi = se._CONST_FIXED[name]
+        assert top == 192
+        del calls[:]
+        for s in (192, 150, 64, 1):
+            got = se._const_fixed(name, s)
+            # floor shift for lo, ceil shift for hi
+            assert got == (lo >> (top - s), -(-hi >> (top - s)))
+        assert calls == []
+
+    @pytest.mark.parametrize("name", [n for n, _ in _CONSTANT_REFERENCES])
+    def test_more_bits_call_constant_once(self, calls, name):
+        se._const_fixed(name, 100)
+        del calls[:]
+        se._const_fixed(name, 129)
+        assert calls.count(name) == 1
+        assert se._CONST_FIXED[name][0] == 192
+
+    def test_eval_rhs_reuses_the_enclosure(self, calls):
+        rhs = RHSForm(addends=((Fraction(1), 2, "INV_PI"),
+                               (Fraction(3), 1, "PI2")))
+        for digits in (40, 30, 20, 40, 15):
+            se.eval_rhs(rhs, digits)
+        assert calls == ["PI"]
+
+
+class TestWorkingDigits:
+    """verify_series_identity raises the working digits by the number of
+    decimal digits of the closed form's integer part, as it did when the
+    probe was a Fraction ball."""
+
+    @staticmethod
+    def old_work(rhs: RHSForm, digits: int) -> int:
+        mag, extra = abs(old_eval_rhs(rhs, 15).mid), 0
+        while mag >= 1:
+            mag /= 10
+            extra += 1
+        return digits + extra + 5
+
+    @pytest.mark.parametrize("ident, extra", [
+        ("1.72", 20),    # 18 * 557403^3 sqrt(10005) / (5 pi), near 2e19
+        ("1.71", 8),     # -1672209 sqrt(10005) / pi
+        ("1.2", 0),      # 2 / pi
+    ])
+    def test_same_work_as_before(self, monkeypatch, ident, extra):
+        series = _registry_series()[ident]
+        seen = []
+        real = se.eval_series
+
+        def spy(spec, digits, stats=None):
+            if spec == series.spec:
+                seen.append(digits)
+            return real(spec, digits, stats)
+
+        monkeypatch.setattr(se, "eval_series", spy)
+        rep = se.verify_series_identity(series, 20)
+        assert rep.passed
+        assert seen == [self.old_work(series.rhs, 20)] == [20 + extra + 5]
+
+    def test_gap_bound_is_exact_gap_rounded_up(self):
+        series = _registry_series()["1.71"]
+        rep = se.verify_series_identity(series, 30)
+        work = 30 + 8 + 5
+        gap = se.eval_series(series.spec, work) - se.eval_rhs(series.rhs, work)
+        scale = 10 ** (work + 10)
+        assert rep.gap_upper.denominator * scale % scale == 0
+        assert 0 <= rep.gap_upper - gap.abs_upper() < Fraction(1, scale)
+
+
 class TestRHS:
     def test_eval_rhs(self):
         rhs = RHSForm(addends=((Fraction(3), 2, "INV_PI"),))
