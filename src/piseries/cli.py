@@ -176,12 +176,12 @@ def _cmd_verify_congruence(args) -> int:
 def _cmd_verify_exact(args) -> int:
     if args.family:
         name = args.family.upper()
-        if name in corpus._FINITE_RUNNERS:
-            fam_args = (-10, 10)
-        elif name in exactid.FAMILIES:
-            fam_args = (args.m,)
-        else:
+        family = exactid.FAMILIES.get(name)
+        if family is None:
             raise CliError(f"unknown family {args.family!r}")
+        # --m for a family of one m; SN_EXPANSION's c range is -10..10
+        fam_args = {exactid.ONE_M: (args.m,),
+                    exactid.TWO_INTS: (-10, 10)}.get(family.params, ())
         try:
             ok, detail = corpus._run_finite(name, fam_args, args.nmax)
         except ValueError as exc:   # e.g. a family that needs a nonzero m

@@ -45,7 +45,6 @@ __all__ = [
     "DualityClaim",
     "check_duality_term",
     "check_duality_sum",
-    "wang_sun_lint",
     "NONINTEGRAL",
 ]
 
@@ -554,20 +553,3 @@ def check_duality_sum(claim: DualityClaim, p_max: int = 200) -> ClaimReport:
         if lhs != rhs:
             report.failures.append((p, lhs, rhs))
     return report
-
-
-# --------------------------------------------------------------------------
-# structural lint
-# --------------------------------------------------------------------------
-
-def wang_sun_lint(series_constant: Fraction, rhs: Sequence[RHSTerm],
-                  a0: Fraction = Fraction(1)) -> List[str]:
-    """For a weight b*k + c with a_0 = 1, the symbol coefficients of the
-    modulo-p^2 right-hand side must sum to c."""
-    total = Fraction(0)
-    for t in rhs:
-        if t.ppow == 1 and not t.euler:
-            total += t.coef
-    if a0 == 1 and total != series_constant:
-        return [f"symbol coefficients sum to {total}, expected {series_constant}"]
-    return []

@@ -54,7 +54,11 @@ Kind-specific keys:
   ``div=<int> ; mul=<int> ; div-base=<int> ;
   div-exp=none|n-1|half|half-up ; alt ; odd=pow2|pow2-pos|pow2-not2|none ;
   any-sign ; nmin=<int>``.
-* FINITE_IDENTITY: ``family: <name> [; m=<int>] [; args=a,b,...]``.
+* FINITE_IDENTITY: ``family: <name>`` with exactly the parameters that
+  ``exactid.FAMILIES`` gives the family: ``m=<non-zero integer>`` for
+  L21_1..L21_8 and L22_1..L22_6 (Lemmas 2.1 and 2.2),
+  ``args=<c_lo>,<c_hi>`` for SN_EXPANSION, and none for GLAISHER,
+  SUN_FINITE, FRANEL_TRANSFORM and SKL_BOUND.
 * SKIP: ``reason`` only; records a label consciously left unverified.
 """
 
@@ -86,9 +90,6 @@ __all__ = [
     "default_paths",
     "select",
     "run",
-    "lint_registry",
-    "coverage",
-    "required_labels",
     "VerificationReport",
     "ReportRow",
 ]
@@ -445,6 +446,65 @@ def _case(text: str, line: int) -> qf.QuadFormCase:
                            x2=x2, xy=xy, p_coef=p_coef)
 
 
+#: (arity, wording) of each kind of family parameters
+_FAMILY_PARAMS = {
+    exactid.NO_PARAMS: (0, "takes no parameters"),
+    exactid.ONE_M: (1, "needs m=<non-zero integer>"),
+    exactid.TWO_INTS: (2, "needs args=<integer>,<integer>"),
+}
+
+
+def _integer(text: str, line: int) -> int:
+    value = _rational(text.strip(), line)
+    if value.denominator != 1:
+        raise CorpusError(f"{text!r} is not an integer", line)
+    return int(value)
+
+
+def _options(parts: List[str], keys: Tuple[str, ...], line: int,
+             what: str) -> Dict[str, str]:
+    """{key: value} of ``key=value`` parts, each key one of ``keys`` and
+    given at most once."""
+    out: Dict[str, str] = {}
+    for part in parts:
+        key, sep, value = (x.strip() for x in part.partition("="))
+        if not sep or key not in keys or key in out:
+            raise CorpusError(f"bad {what} option {part.strip()!r}", line)
+        out[key] = value
+    return out
+
+
+def _family(text: str, line: int) -> Tuple[str, Tuple[int, ...]]:
+    """(name, args) of ``<name> [; m=<int>] [; args=<int>,<int>]``, with
+    exactly the parameters that ``exactid.FAMILIES`` says the family
+    takes."""
+    name, *options = text.split(";")
+    name = name.strip()
+    family = exactid.FAMILIES.get(name)
+    if family is None:
+        raise CorpusError(f"unknown family {name!r}", line)
+    given = _options(options, ("m", "args"), line, "family")
+    arity, need = _FAMILY_PARAMS[family.params]
+    values = given.pop(family.params, None)
+    args = () if values is None else \
+        tuple(_integer(v, line) for v in values.split(","))
+    if given or len(args) != arity \
+            or (family.params == exactid.ONE_M and not args[0]):
+        raise CorpusError(f"family {name} {need}, got {text!r}", line)
+    return name, args
+
+
+def _duality(text: str, line: int, blank_d: bool) -> Tuple[Optional[int], int]:
+    """(d, D) of ``d=<int> ; D=<int>``; with ``blank_d``, ``d=-`` gives
+    d = None."""
+    opts = _options(text.split(";"), ("d", "D"), line, "duality")
+    if len(opts) != 2:
+        raise CorpusError(f"duality needs 'd=<int> ; D=<int>', got {text!r}",
+                          line)
+    d = None if blank_d and opts["d"] == "-" else _integer(opts["d"], line)
+    return d, _integer(opts["D"], line)
+
+
 # --------------------------------------------------------------------------
 # registry entries
 # --------------------------------------------------------------------------
@@ -544,19 +604,7 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
         if fam is None:
             raise CorpusError(f"entry {ident}: FINITE_IDENTITY needs family",
                               None)
-        parts = [p.strip() for p in fam.split(";")]
-        name = parts[0]
-        args: List[object] = []
-        for extra in parts[1:]:
-            k, _, v = extra.partition("=")
-            if k.strip() == "m":
-                args.append(int(_rational(v.strip(), line_of("family"))))
-            elif k.strip() == "args":
-                args.extend(int(a) for a in v.split(","))
-            else:
-                raise CorpusError(f"bad family option {extra!r}",
-                                  line_of("family"))
-        entry.family = (name, tuple(args))
+        entry.family = _family(fam, line_of("family"))
         return entry
 
     term = get("term")
@@ -656,20 +704,18 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
         return entry
 
     if get("dual") is not None:
-        opts = dict(p.strip().split("=") for p in get("dual").split(";"))
-        entry.duality = cg.DualityClaim(
-            ident=ident, seq=spec.seq, m=int(spec.m),
-            d=int(opts["d"]), D=int(opts["D"]))
+        d, D = _duality(get("dual"), line_of("dual"), blank_d=False)
+        entry.duality = cg.DualityClaim(ident=ident, seq=spec.seq,
+                                        m=int(spec.m), d=d, D=D)
         return entry
 
     if get("dual-term") is not None:
-        opts = dict(p.strip().split("=") for p in get("dual-term").split(";"))
+        d, D = _duality(get("dual-term"), line_of("dual-term"), blank_d=True)
         if len(spec.seq) != 1 or spec.seq[0][1] != 1:
             raise CorpusError(
                 f"entry {ident}: dual-term needs a single sequence factor",
                 line_of("term"))
-        d = None if opts["d"] == "-" else int(opts["d"])
-        entry.dual_term = (spec.seq[0][0], d, int(opts["D"]))
+        entry.dual_term = (spec.seq[0][0], d, D)
         return entry
 
     lhs_ppow = 0
@@ -895,23 +941,8 @@ def _run_integrality(entry: RegistryEntry, n_max: int) -> Tuple[bool, str]:
     return rep.ok, f"n<= {n_max}" if rep.ok else f"{rep.failures[:3]}"
 
 
-_FINITE_RUNNERS = {
-    "FRANEL_TRANSFORM": lambda args, n: exactid.check_franel_transform(
-        min(n, 150)),
-    "SN_EXPANSION": lambda args, n: exactid.check_sn_expansion(
-        args[0], args[1], min(n, 60)),
-    "SKL_BOUND": lambda args, n: exactid.check_skl_bound(40, 40),
-    "SUN_FINITE": lambda args, n: exactid.check_sun_finite_step(n),
-}
-
-
 def _run_finite(name: str, args: tuple, n_max: int) -> Tuple[bool, str]:
-    if name in _FINITE_RUNNERS:
-        rep = _FINITE_RUNNERS[name](args, n_max)
-    elif name in exactid.FAMILIES:
-        rep = exactid.check_family(name, args[0] if args else None, n_max)
-    else:
-        return False, f"unknown family {name!r}"
+    rep = exactid.FAMILIES[name].check(args, n_max)
     return rep.ok, f"checked {rep.checked}" if rep.ok \
         else f"first failure {rep.first_failure}: {rep.detail}"
 
@@ -975,50 +1006,3 @@ def run(entries: Sequence[RegistryEntry],
             for e in select(entries, id_glob, kind, status)]
     rows.sort(key=lambda r: r.ident)
     return VerificationReport(rows, digits, p_max, n_max)
-
-
-# --------------------------------------------------------------------------
-# lint and coverage
-# --------------------------------------------------------------------------
-
-def lint_registry(entries: Sequence[RegistryEntry]) -> List[str]:
-    """Structural warnings: weight-constant vs symbol-coefficient sums,
-    duality divisibility, and erratum flags.  Never mutates."""
-    warnings: List[str] = []
-    for e in entries:
-        if e.variant == "verbatim":
-            warnings.append(f"{e.ident}: ERRATUM_CANDIDATE (verbatim variant"
-                            " kept alongside a corrected twin)")
-        if e.duality is not None:
-            for issue in e.duality.lint():
-                warnings.append(f"{e.ident}: DUALITY_DIVISIBILITY {issue}")
-        if e.claim is not None and e.claim.s == 2 and e.claim.rhs \
-                and e.claim.upper == "p-1" and e.claim.spec.k0 == 0 \
-                and not any(t.euler or t.fermat or t.ppow != 1
-                            for t in e.claim.rhs) \
-                and not e.claim.spec.den:
-            c = Fraction(e.claim.spec.weight[0])
-            issues = cg.wang_sun_lint(c, e.claim.rhs)
-            for issue in issues:
-                warnings.append(f"{e.ident}: WANG_SUN_MISMATCH {issue}")
-    return warnings
-
-
-def required_labels() -> List[str]:
-    """Every source label that must be covered by an entry or a SKIP."""
-    labels = [f"1.{i}" for i in range(1, 89)]
-    labels += [f"S{i}" for i in range(1, 11)]
-    labels += [f"2.{i}" for i in range(1, 17)]
-    labels += ["g-20"]
-    for sec, count in ((3, 12), (4, 16), (5, 5), (6, 6), (7, 5), (8, 7),
-                       (9, 4), (10, 3)):
-        labels += [f"conj{sec}.{i}" for i in range(1, count + 1)]
-    return labels
-
-
-def coverage(entries: Sequence[RegistryEntry]) -> List[str]:
-    """Labels with neither a registry entry nor a SKIP record."""
-    covered = set()
-    for e in entries:
-        covered.update(e.covers)
-    return [lab for lab in required_labels() if lab not in covered]

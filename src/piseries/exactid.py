@@ -1,29 +1,38 @@
-"""Exact big-rational verification of the finite telescoping identities.
+"""Exact verification of the paper's finite identities.
 
-Each family pairs a summand with a closed-form partial sum.  Everything is
-checked in ``fractions.Fraction`` arithmetic -- equality is literal, no
-tolerances.  The one exception is the a/b series transformation, which
-relates two infinite series and therefore goes through certified ball
-evaluation (see :mod:`piseries.sereval`).
+:data:`FAMILIES` is the one table of them: each entry states the parameters
+its family takes (none, one non-zero integer m, or two integers) and its
+check.  The registry reader, the batch runner and ``verify exact --family``
+all read it.  The fifteen telescoping families (Lemmas 2.1 and 2.2, and
+Glaisher's) are term specs on the shared engine: a summand and a closed
+form c, both :class:`~piseries.sereval.TermSpec`, with
+
+    sum_{k0 <= k <= n} summand(k) = scale * c(n) + const    for n >= k0.
+
+:func:`check_family` walks one ``congruence._prefix_sums`` pass over the
+summand beside ``sereval._terms`` over c and compares cross-multiplied
+integers: equality is literal.  The Franel transform, the S_n(4, c)
+expansion and the s_{k+l,k} bound are exact checks over ``seqkit`` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from . import seqkit
+from .congruence import _prefix_sums
+from .seqkit import CB2, CB3, CB4, CB63
+from .sereval import TermSpec, _terms, term_value
 
 __all__ = [
-    "FAMILIES",
-    "CheckReport",
-    "family_term",
-    "family_rhs",
-    "check_family",
-    "check_franel_transform",
-    "check_sn_expansion",
+    "FAMILIES", "NO_PARAMS", "ONE_M", "TWO_INTS", "Family", "Telescoping",
+    "CheckReport", "family_term", "family_rhs", "check_family",
+    "check_sun_finite_step", "check_franel_transform", "check_sn_expansion",
     "check_skl_bound",
 ]
 
@@ -42,253 +51,184 @@ class CheckReport:
 
 
 # --------------------------------------------------------------------------
-# Telescoping families: summand(k, m) and closed partial sum rhs(n, m)
+# The family table
 # --------------------------------------------------------------------------
 
-def _c2(k: int) -> int:
-    return comb(2 * k, k)
-
-
-def _c3(k: int) -> int:
-    return comb(3 * k, k)
-
-
-def _c4(k: int) -> int:
-    return comb(4 * k, 2 * k)
-
-
-def _c63(k: int) -> int:
-    return comb(6 * k, 3 * k)
-
-
-# Each entry: (k_start as function of nothing, summand, rhs).
-# Downward families sum k = k_start..n; rhs is the exact partial sum.
-
-def _t_a1(k, m):
-    return Fraction(((64 - m) * k**3 - 32 * k**2 - 16 * k + 8) * _c2(k)**3,
-                    (2 * k - 1)**2 * m**k)
-
-
-def _r_a1(n, m):
-    return Fraction(8 * (2 * n + 1) * _c2(n)**3, m**n)
-
-
-def _t_a2(k, m):
-    return Fraction(((64 - m) * k**3 - 96 * k**2 + 48 * k - 8) * _c2(k)**3,
-                    (2 * k - 1)**3 * m**k)
-
-
-def _r_a2(n, m):
-    return Fraction(8 * _c2(n)**3, m**n)
-
-
-def _t_a3(k, m):
-    return Fraction(((108 - m) * k**3 - 54 * k**2 - 12 * k + 6)
-                    * _c2(k)**2 * _c3(k),
-                    (2 * k - 1) * (3 * k - 1) * m**k)
-
-
-def _r_a3(n, m):
-    return Fraction(6 * (3 * n + 1) * _c2(n)**2 * _c3(n), m**n)
-
-
-def _t_a4(k, m):
-    return Fraction(((108 - m) * k**3 - (54 + m) * k**2 - 12 * k + 6)
-                    * _c2(k)**2 * _c3(k),
-                    (k + 1) * (2 * k - 1) * (3 * k - 1) * m**k)
-
-
-def _r_a4(n, m):
-    return Fraction(6 * (3 * n + 1) * _c2(n)**2 * _c3(n), (n + 1) * m**n)
-
-
-def _t_a5(k, m):
-    return Fraction(((256 - m) * k**3 - 128 * k**2 - 16 * k + 8)
-                    * _c2(k)**2 * _c4(k),
-                    (2 * k - 1) * (4 * k - 1) * m**k)
-
-
-def _r_a5(n, m):
-    return Fraction(8 * (4 * n + 1) * _c2(n)**2 * _c4(n), m**n)
-
-
-def _t_a6(k, m):
-    return Fraction(((256 - m) * k**3 - (128 + m) * k**2 - 16 * k + 8)
-                    * _c2(k)**2 * _c4(k),
-                    (k + 1) * (2 * k - 1) * (4 * k - 1) * m**k)
-
-
-def _r_a6(n, m):
-    return Fraction(8 * (4 * n + 1) * _c2(n)**2 * _c4(n), (n + 1) * m**n)
-
-
-def _t_a7(k, m):
-    return Fraction(((1728 - m) * k**3 - 864 * k**2 - 48 * k + 24)
-                    * _c2(k) * _c3(k) * _c63(k),
-                    (2 * k - 1) * (6 * k - 1) * m**k)
-
-
-def _r_a7(n, m):
-    return Fraction(24 * (6 * n + 1) * _c2(n) * _c3(n) * _c63(n), m**n)
-
-
-def _t_a8(k, m):
-    return Fraction(((1728 - m) * k**3 - (864 + m) * k**2 - 48 * k + 24)
-                    * _c2(k) * _c3(k) * _c63(k),
-                    (k + 1) * (2 * k - 1) * (6 * k - 1) * m**k)
-
-
-def _r_a8(n, m):
-    return Fraction(24 * (6 * n + 1) * _c2(n) * _c3(n) * _c63(n),
-                    (n + 1) * m**n)
-
-
-# Upward families (reciprocal central binomials); sums start at 1 or 2.
-
-def _t_b1(k, m):
-    return Fraction(m**k * ((m - 64) * k**3 - 32 * k**2 + 16 * k + 8),
-                    (2 * k + 1)**2 * k**3 * _c2(k)**3)
-
-
-def _r_b1(n, m):
-    return Fraction(m**(n + 1), (2 * n + 1)**2 * _c2(n)**3) - m
-
-
-def _t_b2(k, m):
-    return Fraction(m**k * ((m - 64) * k**3 - 96 * k**2 - 48 * k - 8),
-                    (2 * k + 1)**3 * k**3 * _c2(k)**3)
-
-
-def _r_b2(n, m):
-    return Fraction(m**(n + 1), (2 * n + 1)**3 * _c2(n)**3) - m
-
-
-def _t_b3(k, m):
-    return Fraction(m**k * ((m - 108) * k**3 - 54 * k**2 + 12 * k + 6),
-                    (2 * k + 1) * (3 * k + 1) * k**3 * _c2(k)**2 * _c3(k))
-
-
-def _r_b3(n, m):
-    return Fraction(m**(n + 1),
-                    (2 * n + 1) * (3 * n + 1) * _c2(n)**2 * _c3(n)) - m
-
-
-def _t_b4(k, m):
-    return Fraction(m**k * ((m - 108) * k**3 - (54 + m) * k**2 + 12 * k + 6),
-                    (k - 1) * (2 * k + 1) * (3 * k + 1) * k**3
-                    * _c2(k)**2 * _c3(k))
-
-
-def _r_b4(n, m):
-    return (Fraction(m**(n + 1),
-                     n * (2 * n + 1) * (3 * n + 1) * _c2(n)**2 * _c3(n))
-            - Fraction(m**2, 144))
-
-
-def _t_b5(k, m):
-    return Fraction(m**k * ((m - 256) * k**3 - 128 * k**2 + 16 * k + 8),
-                    (2 * k + 1) * (4 * k + 1) * k**3 * _c2(k)**2 * _c4(k))
-
-
-def _r_b5(n, m):
-    return Fraction(m**(n + 1),
-                    (2 * n + 1) * (4 * n + 1) * _c2(n)**2 * _c4(n)) - m
-
-
-def _t_b6(k, m):
-    return Fraction(m**k * ((m - 256) * k**3 - (128 + m) * k**2 + 16 * k + 8),
-                    (k - 1) * (2 * k + 1) * (4 * k + 1) * k**3
-                    * _c2(k)**2 * _c4(k))
-
-
-def _r_b6(n, m):
-    return (Fraction(m**(n + 1),
-                     n * (2 * n + 1) * (4 * n + 1) * _c2(n)**2 * _c4(n))
-            - Fraction(m**2, 360))
-
-
-def _t_glaisher(k, m):
-    return Fraction((4 * k - 1) * _c2(k)**4, (2 * k - 1)**4 * 256**k)
-
-
-def _r_glaisher(n, m):
-    return Fraction(-(8 * n**2 + 4 * n + 1) * _c2(n)**4, 256**n)
-
-
-# family id -> (k_start, n_start, parameterized?, summand, rhs)
-FAMILIES: Dict[str, Tuple[int, int, bool, Callable, Callable]] = {
-    "L21_1": (0, 0, True, _t_a1, _r_a1),
-    "L21_2": (0, 0, True, _t_a2, _r_a2),
-    "L21_3": (0, 0, True, _t_a3, _r_a3),
-    "L21_4": (0, 0, True, _t_a4, _r_a4),
-    "L21_5": (0, 0, True, _t_a5, _r_a5),
-    "L21_6": (0, 0, True, _t_a6, _r_a6),
-    "L21_7": (0, 0, True, _t_a7, _r_a7),
-    "L21_8": (0, 0, True, _t_a8, _r_a8),
-    "L22_1": (1, 1, True, _t_b1, _r_b1),
-    "L22_2": (1, 1, True, _t_b2, _r_b2),
-    "L22_3": (1, 1, True, _t_b3, _r_b3),
-    "L22_4": (2, 2, True, _t_b4, _r_b4),
-    "L22_5": (1, 1, True, _t_b5, _r_b5),
-    "L22_6": (2, 2, True, _t_b6, _r_b6),
-    "GLAISHER": (0, 0, False, _t_glaisher, _r_glaisher),
+#: The parameters a family takes, named by the registry key that gives them.
+NO_PARAMS, ONE_M, TWO_INTS = "", "m", "args"
+
+
+@dataclass(frozen=True)
+class Telescoping:
+    """sum_{k0 <= k <= n} summand(k) = scale * closed(n) + const for all
+    n >= k0, where k0 is the summand's."""
+
+    summand: TermSpec
+    closed: TermSpec
+    scale: Fraction = Fraction(1)
+    const: Fraction = Fraction(0)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One finite identity.  ``params`` is NO_PARAMS, ONE_M (one non-zero
+    integer m) or TWO_INTS; ``check(args, n_max)`` runs its check, and a
+    telescoping family has ``telescoping(m)``, its summand and closed form
+    at m (ignored by a family without parameters)."""
+
+    params: str
+    check: Callable[[tuple, int], CheckReport]
+    telescoping: Optional[Callable[[int], Telescoping]] = None
+
+
+def _down(m, weight, den, seq, closed, closed_den=()) -> Telescoping:
+    """Lemma 2.1 at base m: sum_{0 <= k <= n} weight(k) seq(k) / (den(k)
+    m^k) = closed(n) seq(n) / (closed_den(n) m^n)."""
+    return Telescoping(TermSpec(weight, den, seq, Fraction(m)),
+                       TermSpec(closed, closed_den, seq, Fraction(m)))
+
+
+def _up(m, weight, den, binom, k0=1, const=None) -> Telescoping:
+    """Lemma 2.2 at base 1/m, with e = 1 if k0 = 2 else 0: sum_{k0<=k<=n}
+    m^k weight(k) / ((k-1)^e den(k) k^3 binom(k)) = m^(n+1) / (n^e den(n)
+    binom(n)) + const, where const is -m unless given."""
+    extra, closed_extra = ((("k-1", 1),), (("k", 1),)) if k0 == 2 else ((), ())
+    return Telescoping(
+        TermSpec(weight, extra + den + (("k", 3),) + binom, (),
+                 Fraction(1, m), k0),
+        TermSpec((1,), closed_extra + den + binom, (), Fraction(1, m), k0 - 1),
+        scale=Fraction(m), const=Fraction(-m) if const is None else const)
+
+
+# factors that several families share: affine and binomial denominators
+# (_K*, _KP, _U*, _D*) and sequences (_B*)
+_K3 = (("2k-1", 1), ("3k-1", 1))
+_K4 = (("2k-1", 1), ("4k-1", 1))
+_K6 = (("2k-1", 1), ("6k-1", 1))
+_KP = (("k+1", 1),)
+_B3, _B4 = ((CB2, 2), (CB3, 1)), ((CB2, 2), (CB4, 1))
+_B6 = ((CB2, 1), (CB3, 1), (CB63, 1))
+_U3, _U4 = (("2k+1", 1), ("3k+1", 1)), (("2k+1", 1), ("4k+1", 1))
+_D3, _D4 = (("CB2", 2), ("CB3", 1)), (("CB2", 2), ("CB4", 1))
+
+#: the families of Lemmas 2.1 and 2.2, each at one non-zero integer m
+_TELESCOPING_M: Dict[str, Callable[[int], Telescoping]] = {
+    "L21_1": lambda m: _down(m, (8, -16, -32, 64 - m), (("2k-1", 2),),
+                             ((CB2, 3),), (8, 16)),
+    "L21_2": lambda m: _down(m, (-8, 48, -96, 64 - m), (("2k-1", 3),),
+                             ((CB2, 3),), (8,)),
+    "L21_3": lambda m: _down(m, (6, -12, -54, 108 - m), _K3, _B3, (6, 18)),
+    "L21_4": lambda m: _down(m, (6, -12, -54 - m, 108 - m), _KP + _K3, _B3,
+                             (6, 18), _KP),
+    "L21_5": lambda m: _down(m, (8, -16, -128, 256 - m), _K4, _B4, (8, 32)),
+    "L21_6": lambda m: _down(m, (8, -16, -128 - m, 256 - m), _KP + _K4, _B4,
+                             (8, 32), _KP),
+    "L21_7": lambda m: _down(m, (24, -48, -864, 1728 - m), _K6, _B6,
+                             (24, 144)),
+    "L21_8": lambda m: _down(m, (24, -48, -864 - m, 1728 - m), _KP + _K6,
+                             _B6, (24, 144), _KP),
+    "L22_1": lambda m: _up(m, (8, 16, -32, m - 64), (("2k+1", 2),),
+                           (("CB2", 3),)),
+    "L22_2": lambda m: _up(m, (-8, -48, -96, m - 64), (("2k+1", 3),),
+                           (("CB2", 3),)),
+    "L22_3": lambda m: _up(m, (6, 12, -54, m - 108), _U3, _D3),
+    "L22_4": lambda m: _up(m, (6, 12, -54 - m, m - 108), _U3, _D3, k0=2,
+                           const=Fraction(-m * m, 144)),
+    "L22_5": lambda m: _up(m, (8, 16, -128, m - 256), _U4, _D4),
+    "L22_6": lambda m: _up(m, (8, 16, -128 - m, m - 256), _U4, _D4, k0=2,
+                           const=Fraction(-m * m, 360)),
 }
 
 
+def _glaisher(m=None) -> Telescoping:
+    """sum_{0 <= k <= n} (4k-1) C(2k,k)^4 / ((2k-1)^4 256^k)
+    = -(8n^2+4n+1) C(2n,n)^4 / 256^n."""
+    return Telescoping(TermSpec((-1, 4), (("2k-1", 4),), ((CB2, 4),),
+                                Fraction(256)),
+                       TermSpec((-1, -4, -8), (), ((CB2, 4),), Fraction(256)))
+
+
+# Each check is looked up in this module when it runs, not when the table
+# is built, so that a wrapper put on the module attribute sees every call.
+FAMILIES: Dict[str, Family] = {
+    **{name: Family(ONE_M, lambda args, n, name=name:
+                    check_family(name, args[0], n), identity)
+       for name, identity in _TELESCOPING_M.items()},
+    "GLAISHER": Family(NO_PARAMS,
+                       lambda args, n: check_family("GLAISHER", None, n),
+                       _glaisher),
+    "SUN_FINITE": Family(NO_PARAMS,
+                         lambda args, n: check_sun_finite_step(n)),
+    "FRANEL_TRANSFORM": Family(
+        NO_PARAMS, lambda args, n: check_franel_transform(min(n, 150))),
+    "SN_EXPANSION": Family(
+        TWO_INTS, lambda args, n: check_sn_expansion(*args, min(n, 60))),
+    "SKL_BOUND": Family(NO_PARAMS, lambda args, n: check_skl_bound(40, 40)),
+}
+
+
+# --------------------------------------------------------------------------
+# Telescoping families
+# --------------------------------------------------------------------------
+
+def _identity(family: str, m: Optional[int]) -> Tuple[Telescoping, int]:
+    """The family's summand and closed form at m, and the m used (0 for a
+    family without parameters)."""
+    entry = FAMILIES.get(family)
+    if entry is None or entry.telescoping is None:
+        raise ValueError(f"unknown family {family}")
+    if entry.params != ONE_M:
+        m = 0
+    elif not m:
+        raise ValueError(f"{family} needs a nonzero m")
+    return entry.telescoping(m), m
+
+
 def family_term(family: str, k: int, m: Optional[int] = None) -> Fraction:
-    k0, _, has_m, term, _ = FAMILIES[family]
-    if k < k0:
-        raise ValueError(f"{family} starts at k={k0}")
-    return term(k, m if has_m else 0)
+    ident, _ = _identity(family, m)
+    if k < ident.summand.k0:
+        raise ValueError(f"{family} starts at k={ident.summand.k0}")
+    return term_value(ident.summand, k)
 
 
 def family_rhs(family: str, n: int, m: Optional[int] = None) -> Fraction:
-    _, n0, has_m, _, rhs = FAMILIES[family]
-    if n < n0:
-        raise ValueError(f"{family} closed form starts at n={n0}")
-    return rhs(n, m if has_m else 0)
+    ident, _ = _identity(family, m)
+    if n < ident.summand.k0:
+        raise ValueError(f"{family} closed form starts at n={ident.summand.k0}")
+    return ident.scale * term_value(ident.closed, n) + ident.const
 
 
-def check_family(family: str, m: Optional[int], n_max: int,
-                 telescope: bool = True) -> CheckReport:
-    """Compare exact partial sums against the closed form for all n <= n_max.
-
-    With ``telescope`` the induction step is also checked: consecutive
-    closed-form values must differ by exactly the new summand.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family}")
-    k0, n0, has_m, term, rhs = FAMILIES[family]
-    if has_m:
-        if m is None or m == 0:
-            raise ValueError(f"{family} needs a nonzero m")
-    else:
-        m = 0
-    partial = Fraction(0)
-    checked = 0
-    prev_rhs: Optional[Fraction] = None
-    for n in range(n0, n_max + 1):
-        while checked + k0 <= n:
-            partial += term(checked + k0, m)
-            checked += 1
-        closed = rhs(n, m)
-        if partial != closed:
-            return CheckReport(family, (m,), n - n0, first_failure=n,
-                               detail=f"partial={partial} closed={closed}")
-        if telescope and prev_rhs is not None:
-            if closed - prev_rhs != term(n, m):
-                return CheckReport(family, (m,), n - n0, first_failure=n,
-                                   detail="telescoping step mismatch")
-        prev_rhs = closed
-    return CheckReport(family, (m,), n_max - n0 + 1)
+def check_family(family: str, m: Optional[int], n_max: int) -> CheckReport:
+    """Compare the exact partial sums against the closed form for all
+    k0 <= n <= n_max."""
+    ident, m = _identity(family, m)
+    k0 = ident.summand.k0
+    (sn, sd), (cn, cd) = (ident.scale.as_integer_ratio(),
+                          ident.const.as_integer_ratio())
+    sums = _prefix_sums(ident.summand, range(k0 + 1, n_max + 2))
+    closed = _terms(ident.closed, k0, n_max)
+    for n, (_, P, Q), (num, den) in zip(count(k0), sums, closed):
+        # P/Q = (sn/sd)(num/den) + cn/cd, every denominator positive
+        if P * sd * den * cd != Q * (sn * num * cd + cn * sd * den):
+            closed_n = ident.scale * Fraction(num, den) + ident.const
+            return CheckReport(family, (m,), n - k0, first_failure=n,
+                               detail=f"partial={Fraction(P, Q)}"
+                                      f" closed={closed_n}")
+    return CheckReport(family, (m,), n_max - k0 + 1)
 
 
 def check_sun_finite_step(n_max: int) -> CheckReport:
     """Induction-step form of the finite identity behind Glaisher's series:
     the closed form's forward difference equals the summand, exactly."""
-    for n in range(1, n_max + 1):
-        if _r_glaisher(n, 0) - _r_glaisher(n - 1, 0) != _t_glaisher(n, 0):
+    ident = FAMILIES["GLAISHER"].telescoping(None)
+    sn, sd = ident.scale.as_integer_ratio()
+    closed = _terms(ident.closed, 0, n_max)
+    pnum, pden = next(closed)
+    for n, (num, den), (tnum, tden) in zip(
+            count(1), closed, _terms(ident.summand, 1, n_max)):
+        if sn * (num * pden - pnum * den) * tden != sd * tnum * den * pden:
             return CheckReport("SUN_FINITE", (), n, first_failure=n)
+        pnum, pden = num, den
     return CheckReport("SUN_FINITE", (), n_max)
 
 
@@ -337,13 +277,7 @@ def check_sn_expansion(c_lo: int, c_hi: int, n_max: int) -> CheckReport:
     and 4^n S_n(1,m) = S_n(4,16m), all exact."""
     if c_lo > c_hi:
         raise ValueError("empty c range")
-    snk_cache: Dict[Tuple[int, int], Fraction] = {}
-
-    def s(n: int, k: int) -> Fraction:
-        if (n, k) not in snk_cache:
-            snk_cache[(n, k)] = seqkit.snk(n, k)
-        return snk_cache[(n, k)]
-
+    s = lru_cache(maxsize=None)(seqkit.snk)   # each s_{n,k} serves every c
     for c in range(c_lo, c_hi + 1):
         for n in range(n_max + 1):
             lhs = _sn_bc(4, c, n)

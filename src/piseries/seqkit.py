@@ -1,9 +1,10 @@
 """Exact generators for the integer/rational sequences used across the workbench.
 
-Every sequence family comes in two independent flavours: a fast generator
-(recurrence, or a convolution over Pascal's row) and an oracle (the defining
-sum evaluated term by term).  All arithmetic is exact -- Python integers and
-``fractions.Fraction`` -- so the rows can feed congruence checks directly.
+Every sequence family has one generator: a recurrence, or a convolution
+over Pascal's row.  The defining sums, evaluated term by term, live in the
+tests as the generators' oracles.  All arithmetic is exact -- Python
+integers and ``fractions.Fraction`` -- so the rows can feed congruence
+checks directly.
 
 The sequence store
 ------------------
@@ -54,8 +55,7 @@ __all__ = [
     "GCT", "GCT2", "GCT3", "CB2", "CB3", "CB4", "CB63", "CB2SHIFT",
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
     "ZAGIER", "CLF", "BETA", "WZAG", "EULER", "BERNOULLI",
-    "STORE", "rows", "memo_table", "table", "gct_direct",
-    "snk", "tsmall_direct", "legendre_eval",
+    "STORE", "rows", "memo_table", "table", "snk", "tsmall_direct",
 ]
 
 
@@ -133,62 +133,6 @@ class SequenceTable:
 
 
 # --------------------------------------------------------------------------
-# Direct-sum definitions (the oracles)
-# --------------------------------------------------------------------------
-
-def gct_direct(b: int, c: int, n: int) -> int:
-    """T_n(b,c) straight from the defining sum (the oracle)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = 0
-    for k in range(n // 2 + 1):
-        total += comb(n, 2 * k) * comb(2 * k, k) * b ** (n - 2 * k) * c ** k
-    return total
-
-
-def _sbc_value(b: int, c: int, tb: Sequence[int], n: int) -> int:
-    return sum(comb(n, k) ** 2 * tb[k] * tb[n - k] for k in range(n + 1))
-
-
-def _domb_value(n: int) -> int:
-    return sum(comb(n, k) ** 2 * comb(2 * k, k) * comb(2 * (n - k), n - k)
-               for k in range(n + 1))
-
-
-def _franel_value(n: int) -> int:
-    return sum(comb(n, k) ** 3 for k in range(n + 1))
-
-
-def _franel4_value(n: int) -> int:
-    return sum(comb(n, k) ** 4 for k in range(n + 1))
-
-
-def _gseq_value(n: int) -> int:
-    return sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1))
-
-
-def _gpoly_value(n: int, x: Number) -> Number:
-    total: Number = 0
-    for k in range(n + 1):
-        total += comb(n, k) ** 2 * comb(2 * k, k) * x ** k
-    return total
-
-
-def _zagier_value(n: int) -> int:
-    return sum(comb(n, k) * comb(2 * k, k) * comb(2 * (n - k), n - k)
-               for k in range(n + 1))
-
-
-def _beta_value(n: int) -> int:
-    return sum(comb(n, k) ** 2 * comb(n + k, k) for k in range(n + 1))
-
-
-def _wzag_value(n: int) -> int:
-    return sum((-1) ** k * 3 ** (n - 3 * k) * comb(n, 3 * k) * comb(3 * k, k)
-               * comb(2 * k, k) for k in range(n // 3 + 1))
-
-
-# --------------------------------------------------------------------------
 # s_{n,k} and t_n
 # --------------------------------------------------------------------------
 
@@ -209,24 +153,6 @@ def tsmall_direct(n: int) -> Fraction:
     for k in range(1, n + 1):
         total += comb(n - 1, k - 1) * (-1) ** k * 4 ** (n - k) * snk(n + k, k)
     return total
-
-
-# --------------------------------------------------------------------------
-# Legendre polynomials
-# --------------------------------------------------------------------------
-
-def legendre_eval(n: int, x):
-    """P_n(x) by the three-term recurrence; exact when x is rational."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return x ** 0  # one, in the arithmetic type of x
-    prev = x ** 0
-    cur = x
-    for m in range(1, n):
-        nxt = ((2 * m + 1) * x * cur - m * prev) / (m + 1)
-        prev, cur = cur, nxt
-    return cur
 
 
 # --------------------------------------------------------------------------

@@ -94,6 +94,24 @@ class TestVerifyExact:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "needs a nonzero m" in err
 
+    def test_sn_expansion_range(self, capsys):
+        # c from -10 to 10, n from 0 to 7: 21 * 8 checks
+        code, out, _ = _run(capsys, ["verify", "exact", "--family",
+                                     "sn_expansion", "--nmax", "7"])
+        assert (code, out) == (0, "SN_EXPANSION\tPASS\tchecked 168\n")
+
+    @pytest.mark.parametrize("family", ["L21_1 ; m=-129/2", "L21_9 ; m=-64",
+                                        "SN_EXPANSION ; args=1,x",
+                                        "GLAISHER ; m=3"])
+    def test_bad_family_line_is_a_usage_error(self, capsys, tmp_path,
+                                              family):
+        path = tmp_path / "f.txt"
+        path.write_text("entry f\nkind: FINITE_IDENTITY\nstatus: proven\n"
+                        f"family: {family}\nanchor: \"x\"\nend\n")
+        code, out, err = _run(capsys, ["run", "--registry", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("registry error: line 4:")
+
 
 class TestDiscover:
     def test_found_block_parses(self, capsys):

@@ -333,17 +333,6 @@ class TestDuality:
         assert claim.lint()
 
 
-class TestWangSunLint:
-    def test_consistent(self):
-        rhs = (cg.RHSTerm(Fraction(5, 2), 1, sym=(-2,)),
-               cg.RHSTerm(Fraction(1, 2), 1, sym=(6,)))
-        assert cg.wang_sun_lint(Fraction(3), rhs) == []
-
-    def test_mismatch(self):
-        rhs = (cg.RHSTerm(Fraction(2), 1, sym=(-1,)),)
-        assert cg.wang_sun_lint(Fraction(3), rhs)
-
-
 # --------------------------------------------------------------------------
 # (pn)^2 refinement against the per-prime, per-n exact recomputation
 # --------------------------------------------------------------------------

@@ -51,6 +51,11 @@ class TestRegistryPayload:
             (back,) = corpus.parse_registry(corpus.render_entry(e))
             assert _payload(back) == _payload(e), e.ident
 
+    def test_every_paper_label_is_covered(self, entries):
+        assert len(set(PAPER_LABELS)) == 173
+        covered = {label for e in entries for label in e.covers}
+        assert [lab for lab in PAPER_LABELS if lab not in covered] == []
+
 
 _SERIES = """\
 entry bad
@@ -94,6 +99,33 @@ idiv: {idiv}
 anchor: "x"
 end
 """
+
+_FINITE = """\
+entry bad
+kind: FINITE_IDENTITY
+status: proven
+family: {family}
+anchor: "x"
+end
+"""
+
+_DUAL = """\
+entry bad
+kind: CONGRUENCE
+status: conjectural
+term: 1 ; - ; {seq} ; m=32 ; k0=0
+{key}: {value}
+anchor: "x"
+end
+"""
+
+#: every label of the paper that an entry or a SKIP record must cover
+PAPER_LABELS = (
+    [f"1.{i}" for i in range(1, 89)] + [f"S{i}" for i in range(1, 11)]
+    + [f"2.{i}" for i in range(1, 17)] + ["g-20"]
+    + [f"conj{sec}.{i}" for sec, count in ((3, 12), (4, 16), (5, 5), (6, 6),
+                                           (7, 5), (8, 7), (9, 4), (10, 3))
+       for i in range(1, count + 1)])
 
 
 class TestSequenceNames:
@@ -257,6 +289,66 @@ class TestMalformed:
             corpus.parse_registry(_INTEGRALITY.format(weight=weight,
                                                       idiv="-"))
         assert exc.value.line == 4 and "integer" in str(exc.value)
+
+    # the bundled registry holds every family in its own spelling
+    @pytest.mark.parametrize("family, parsed", [
+        ("L22_6 ;m = -144", ("L22_6", (-144,))),
+        ("SN_EXPANSION ; args=-2^3, 4", ("SN_EXPANSION", (-8, 4))),
+    ])
+    def test_family_accepted(self, family, parsed):
+        (entry,) = corpus.parse_registry(_FINITE.format(family=family))
+        assert entry.family == parsed
+
+    @pytest.mark.parametrize("family, why", [
+        ("L21_1 ; m=-129/2", "is not an integer"),
+        ("L21_9 ; m=-64", "unknown family"),
+        ("l21_1 ; m=-64", "unknown family"),
+        ("SN_EXPANSION ; args=1,x", "bad expression"),
+        ("SN_EXPANSION", "needs args="),
+        ("SN_EXPANSION ; args=3", "needs args="),
+        ("SN_EXPANSION ; args=1,2,3", "needs args="),
+        ("SN_EXPANSION ; m=3", "needs args="),
+        ("L21_1", "needs m="),
+        ("L21_1 ; m=0", "needs m="),
+        ("L21_1 ; m=", "bad expression"),
+        ("L21_1 ; m=-64 ; m=-64", "bad family option"),
+        ("L21_1 ; m=-64 ; args=1,2", "needs m="),
+        ("L21_1 ; n=-64", "bad family option"),
+        ("L21_1 ; -64", "bad family option"),
+        ("GLAISHER ; m=-64", "takes no parameters"),
+        ("SKL_BOUND ; args=40,40", "takes no parameters"),
+    ])
+    def test_family_rejected(self, family, why):
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(_FINITE.format(family=family))
+        assert exc.value.line == 4 and why in str(exc.value)
+
+    @pytest.mark.parametrize("key, value, parsed", [
+        ("dual", "D=-96;d=3", (3, -96)),
+        ("dual-term", "d=- ; D=-8", (None, -8)),
+    ])
+    def test_duality_accepted(self, key, value, parsed):
+        seq = "T(1,1)*Z" if key == "dual" else "F"
+        (entry,) = corpus.parse_registry(_DUAL.format(seq=seq, key=key,
+                                                      value=value))
+        if key == "dual":
+            assert (entry.duality.d, entry.duality.D) == parsed
+        else:
+            assert entry.dual_term[1:] == parsed
+
+    @pytest.mark.parametrize("key, value", [
+        ("dual", "d5"), ("dual", "d=5 ; D=x"), ("dual", "d=5"),
+        ("dual", "d=- ; D=5"), ("dual", "d=1/2 ; D=5"),
+        ("dual", "d=5 ; D=6 ; d=5"), ("dual", "d=5 ; E=6"),
+        ("dual-term", "D=5"), ("dual-term", "d=- ; D="),
+        ("dual-term", "d=- ; D=-"), ("dual-term", "d=3 ; D=5 ; x"),
+    ])
+    def test_duality_rejected(self, key, value):
+        seq = "T(1,1)*Z" if key == "dual" else "F"
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(_DUAL.format(seq=seq, key=key,
+                                               value=value))
+        assert exc.value.line == 5
 
 
 def old_poly(text: str, names: tuple) -> dict:

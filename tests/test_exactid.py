@@ -1,11 +1,267 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from piseries import corpus
 from piseries import exactid as ei
+
+
+# --------------------------------------------------------------------------
+# Oracle: each family's summand and closed partial sum written out by hand
+# in math.comb and Fraction arithmetic, independent of the term engine
+# --------------------------------------------------------------------------
+
+def _c2(k: int) -> int:
+    return comb(2 * k, k)
+
+
+def _c3(k: int) -> int:
+    return comb(3 * k, k)
+
+
+def _c4(k: int) -> int:
+    return comb(4 * k, 2 * k)
+
+
+def _c63(k: int) -> int:
+    return comb(6 * k, 3 * k)
+
+
+# Downward families sum k = 0..n; rhs is the exact partial sum.
+
+def _t_a1(k, m):
+    return Fraction(((64 - m) * k**3 - 32 * k**2 - 16 * k + 8) * _c2(k)**3,
+                    (2 * k - 1)**2 * m**k)
+
+
+def _r_a1(n, m):
+    return Fraction(8 * (2 * n + 1) * _c2(n)**3, m**n)
+
+
+def _t_a2(k, m):
+    return Fraction(((64 - m) * k**3 - 96 * k**2 + 48 * k - 8) * _c2(k)**3,
+                    (2 * k - 1)**3 * m**k)
+
+
+def _r_a2(n, m):
+    return Fraction(8 * _c2(n)**3, m**n)
+
+
+def _t_a3(k, m):
+    return Fraction(((108 - m) * k**3 - 54 * k**2 - 12 * k + 6)
+                    * _c2(k)**2 * _c3(k),
+                    (2 * k - 1) * (3 * k - 1) * m**k)
+
+
+def _r_a3(n, m):
+    return Fraction(6 * (3 * n + 1) * _c2(n)**2 * _c3(n), m**n)
+
+
+def _t_a4(k, m):
+    return Fraction(((108 - m) * k**3 - (54 + m) * k**2 - 12 * k + 6)
+                    * _c2(k)**2 * _c3(k),
+                    (k + 1) * (2 * k - 1) * (3 * k - 1) * m**k)
+
+
+def _r_a4(n, m):
+    return Fraction(6 * (3 * n + 1) * _c2(n)**2 * _c3(n), (n + 1) * m**n)
+
+
+def _t_a5(k, m):
+    return Fraction(((256 - m) * k**3 - 128 * k**2 - 16 * k + 8)
+                    * _c2(k)**2 * _c4(k),
+                    (2 * k - 1) * (4 * k - 1) * m**k)
+
+
+def _r_a5(n, m):
+    return Fraction(8 * (4 * n + 1) * _c2(n)**2 * _c4(n), m**n)
+
+
+def _t_a6(k, m):
+    return Fraction(((256 - m) * k**3 - (128 + m) * k**2 - 16 * k + 8)
+                    * _c2(k)**2 * _c4(k),
+                    (k + 1) * (2 * k - 1) * (4 * k - 1) * m**k)
+
+
+def _r_a6(n, m):
+    return Fraction(8 * (4 * n + 1) * _c2(n)**2 * _c4(n), (n + 1) * m**n)
+
+
+def _t_a7(k, m):
+    return Fraction(((1728 - m) * k**3 - 864 * k**2 - 48 * k + 24)
+                    * _c2(k) * _c3(k) * _c63(k),
+                    (2 * k - 1) * (6 * k - 1) * m**k)
+
+
+def _r_a7(n, m):
+    return Fraction(24 * (6 * n + 1) * _c2(n) * _c3(n) * _c63(n), m**n)
+
+
+def _t_a8(k, m):
+    return Fraction(((1728 - m) * k**3 - (864 + m) * k**2 - 48 * k + 24)
+                    * _c2(k) * _c3(k) * _c63(k),
+                    (k + 1) * (2 * k - 1) * (6 * k - 1) * m**k)
+
+
+def _r_a8(n, m):
+    return Fraction(24 * (6 * n + 1) * _c2(n) * _c3(n) * _c63(n),
+                    (n + 1) * m**n)
+
+
+# Upward families (reciprocal central binomials); sums start at 1 or 2.
+
+def _t_b1(k, m):
+    return Fraction(m**k * ((m - 64) * k**3 - 32 * k**2 + 16 * k + 8),
+                    (2 * k + 1)**2 * k**3 * _c2(k)**3)
+
+
+def _r_b1(n, m):
+    return Fraction(m**(n + 1), (2 * n + 1)**2 * _c2(n)**3) - m
+
+
+def _t_b2(k, m):
+    return Fraction(m**k * ((m - 64) * k**3 - 96 * k**2 - 48 * k - 8),
+                    (2 * k + 1)**3 * k**3 * _c2(k)**3)
+
+
+def _r_b2(n, m):
+    return Fraction(m**(n + 1), (2 * n + 1)**3 * _c2(n)**3) - m
+
+
+def _t_b3(k, m):
+    return Fraction(m**k * ((m - 108) * k**3 - 54 * k**2 + 12 * k + 6),
+                    (2 * k + 1) * (3 * k + 1) * k**3 * _c2(k)**2 * _c3(k))
+
+
+def _r_b3(n, m):
+    return Fraction(m**(n + 1),
+                    (2 * n + 1) * (3 * n + 1) * _c2(n)**2 * _c3(n)) - m
+
+
+def _t_b4(k, m):
+    return Fraction(m**k * ((m - 108) * k**3 - (54 + m) * k**2 + 12 * k + 6),
+                    (k - 1) * (2 * k + 1) * (3 * k + 1) * k**3
+                    * _c2(k)**2 * _c3(k))
+
+
+def _r_b4(n, m):
+    return (Fraction(m**(n + 1),
+                     n * (2 * n + 1) * (3 * n + 1) * _c2(n)**2 * _c3(n))
+            - Fraction(m**2, 144))
+
+
+def _t_b5(k, m):
+    return Fraction(m**k * ((m - 256) * k**3 - 128 * k**2 + 16 * k + 8),
+                    (2 * k + 1) * (4 * k + 1) * k**3 * _c2(k)**2 * _c4(k))
+
+
+def _r_b5(n, m):
+    return Fraction(m**(n + 1),
+                    (2 * n + 1) * (4 * n + 1) * _c2(n)**2 * _c4(n)) - m
+
+
+def _t_b6(k, m):
+    return Fraction(m**k * ((m - 256) * k**3 - (128 + m) * k**2 + 16 * k + 8),
+                    (k - 1) * (2 * k + 1) * (4 * k + 1) * k**3
+                    * _c2(k)**2 * _c4(k))
+
+
+def _r_b6(n, m):
+    return (Fraction(m**(n + 1),
+                     n * (2 * n + 1) * (4 * n + 1) * _c2(n)**2 * _c4(n))
+            - Fraction(m**2, 360))
+
+
+def _t_glaisher(k, m):
+    return Fraction((4 * k - 1) * _c2(k)**4, (2 * k - 1)**4 * 256**k)
+
+
+def _r_glaisher(n, m):
+    return Fraction(-(8 * n**2 + 4 * n + 1) * _c2(n)**4, 256**n)
+
+
+#: family -> (first k, summand, closed partial sum)
+ORACLE = {
+    "L21_1": (0, _t_a1, _r_a1), "L21_2": (0, _t_a2, _r_a2),
+    "L21_3": (0, _t_a3, _r_a3), "L21_4": (0, _t_a4, _r_a4),
+    "L21_5": (0, _t_a5, _r_a5), "L21_6": (0, _t_a6, _r_a6),
+    "L21_7": (0, _t_a7, _r_a7), "L21_8": (0, _t_a8, _r_a8),
+    "L22_1": (1, _t_b1, _r_b1), "L22_2": (1, _t_b2, _r_b2),
+    "L22_3": (1, _t_b3, _r_b3), "L22_4": (2, _t_b4, _r_b4),
+    "L22_5": (1, _t_b5, _r_b5), "L22_6": (2, _t_b6, _r_b6),
+    "GLAISHER": (0, _t_glaisher, _r_glaisher),
+}
+
+
+def _registry_ms():
+    """family -> the m of every bundled registry entry of that family."""
+    out = {}
+    for e in corpus.select(corpus.load_default(), kind="FINITE_IDENTITY"):
+        name, args = e.family
+        out.setdefault(name, []).extend(args)
+    return out
+
+
+class TestOracle:
+    @pytest.mark.parametrize("fam", sorted(ORACLE))
+    def test_table_matches_oracle(self, fam):
+        k0, term, rhs = ORACLE[fam]
+        ms = _registry_ms().get(fam, []) + [1, -1, -640320 ** 3]
+        for m in ms:
+            for k in range(k0, 61):
+                assert ei.family_term(fam, k, m) == term(k, m), (fam, m, k)
+                assert ei.family_rhs(fam, k, m) == rhs(k, m), (fam, m, k)
+
+    def test_every_telescoping_family_has_an_oracle(self):
+        assert {n for n, f in ei.FAMILIES.items()
+                if f.telescoping is not None} == set(ORACLE)
+        assert set(ORACLE) <= set(_registry_ms())
+
+    @pytest.mark.parametrize("fam,m,perturb", [
+        ("L21_1", -64, "const"),
+        ("L21_7", -640320 ** 3, "weight"),
+        ("L22_4", -27, "const"),
+        ("L22_6", -144, "weight"),
+        ("GLAISHER", None, "weight"),
+        ("GLAISHER", None, "const"),
+    ])
+    def test_off_by_one_is_caught(self, monkeypatch, fam, m, perturb):
+        entry = ei.FAMILIES[fam]
+        good = entry.telescoping
+
+        def broken(m):
+            ident = good(m)
+            if perturb == "const":
+                return replace(ident, const=ident.const + 1)
+            w = ident.summand.weight
+            summand = replace(ident.summand, weight=w[:-1] + (w[-1] + 1,))
+            return replace(ident, summand=summand)
+
+        assert ei.check_family(fam, m, 12).ok
+        monkeypatch.setitem(ei.FAMILIES, fam, replace(entry,
+                                                      telescoping=broken))
+        rep = ei.check_family(fam, m, 12)
+        k0 = ORACLE[fam][0]
+        # a wrong constant shows at once; a wrong top weight coefficient
+        # changes the summand from k = 1 on (from k0 when k0 > 0)
+        assert rep.first_failure == (k0 if perturb == "const"
+                                     else max(k0, 1))
+        assert rep.checked == rep.first_failure - k0
+        assert rep.detail.startswith("partial=")
+
+    def test_sun_finite_step_sees_a_wrong_summand(self, monkeypatch):
+        entry = ei.FAMILIES["GLAISHER"]
+        ident = entry.telescoping(None)
+        broken = replace(ident, summand=replace(ident.summand,
+                                                weight=(-1, 5)))
+        assert ei.check_sun_finite_step(12).ok
+        monkeypatch.setitem(ei.FAMILIES, "GLAISHER", replace(
+            entry, telescoping=lambda m: broken))
+        assert ei.check_sun_finite_step(12).first_failure == 1
 
 
 class TestTelescopingFamilies:
@@ -66,7 +322,7 @@ class TestTelescopingFamilies:
     def test_broken_identity_detected(self):
         # sanity: a wrong m-slot combination must fail quickly, proving the
         # checker can actually see failures
-        rep = ei.check_family("L21_1", -64, 5, telescope=False)
+        rep = ei.check_family("L21_1", -64, 5)
         assert rep.ok
         # perturb: compare family 1 sums against family 2 closed form
         partial = sum(ei.family_term("L21_1", k, -64) for k in range(3))

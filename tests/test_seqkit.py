@@ -4,6 +4,7 @@ import sys
 import threading
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 import pytest
 
@@ -23,6 +24,77 @@ def poly_trinomial(b: int, c: int, n: int) -> int:
     return poly[n]
 
 
+# --------------------------------------------------------------------------
+# Oracles: each sequence by its defining sum, evaluated term by term,
+# independent of the store's recurrences and convolutions
+# --------------------------------------------------------------------------
+
+def gct_direct(b: int, c: int, n: int) -> int:
+    """T_n(b,c) straight from the defining sum (the oracle)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    total = 0
+    for k in range(n // 2 + 1):
+        total += comb(n, 2 * k) * comb(2 * k, k) * b ** (n - 2 * k) * c ** k
+    return total
+
+
+def _sbc_value(b: int, c: int, tb: Sequence[int], n: int) -> int:
+    return sum(comb(n, k) ** 2 * tb[k] * tb[n - k] for k in range(n + 1))
+
+
+def _domb_value(n: int) -> int:
+    return sum(comb(n, k) ** 2 * comb(2 * k, k) * comb(2 * (n - k), n - k)
+               for k in range(n + 1))
+
+
+def _franel_value(n: int) -> int:
+    return sum(comb(n, k) ** 3 for k in range(n + 1))
+
+
+def _franel4_value(n: int) -> int:
+    return sum(comb(n, k) ** 4 for k in range(n + 1))
+
+
+def _gseq_value(n: int) -> int:
+    return sum(comb(n, k) ** 2 * comb(2 * k, k) for k in range(n + 1))
+
+
+def _gpoly_value(n: int, x):
+    total = 0
+    for k in range(n + 1):
+        total += comb(n, k) ** 2 * comb(2 * k, k) * x ** k
+    return total
+
+
+def _zagier_value(n: int) -> int:
+    return sum(comb(n, k) * comb(2 * k, k) * comb(2 * (n - k), n - k)
+               for k in range(n + 1))
+
+
+def _beta_value(n: int) -> int:
+    return sum(comb(n, k) ** 2 * comb(n + k, k) for k in range(n + 1))
+
+
+def _wzag_value(n: int) -> int:
+    return sum((-1) ** k * 3 ** (n - 3 * k) * comb(n, 3 * k) * comb(3 * k, k)
+               * comb(2 * k, k) for k in range(n // 3 + 1))
+
+
+def legendre_eval(n: int, x):
+    """P_n(x) by the three-term recurrence; exact when x is rational."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return x ** 0  # one, in the arithmetic type of x
+    prev = x ** 0
+    cur = x
+    for m in range(1, n):
+        nxt = ((2 * m + 1) * x * cur - m * prev) / (m + 1)
+        prev, cur = cur, nxt
+    return cur
+
+
 class TestGct:
     def test_first_two_values(self):
         for b, c in [(1, 1), (3, -5), (8, -2), (62, 95 ** 2)]:
@@ -31,12 +103,12 @@ class TestGct:
     def test_direct_matches_polynomial_expansion(self):
         for b, c in [(1, 1), (2, 1), (3, 2), (1, 16), (8, -2)]:
             for n in range(8):
-                assert sk.gct_direct(b, c, n) == poly_trinomial(b, c, n)
+                assert gct_direct(b, c, n) == poly_trinomial(b, c, n)
 
     def test_direct_examples(self):
-        assert sk.gct_direct(1, 1, 4) == 19
-        assert sk.gct_direct(8, -2, 0) == 1
-        assert sk.gct_direct(1, 16, 2) == 33
+        assert gct_direct(1, 1, 4) == 19
+        assert gct_direct(8, -2, 0) == 1
+        assert gct_direct(1, 16, 2) == 33
         assert sk.table(sk.GCT(1, 1), 2).values[2] == 3
         assert sk.table(sk.GCT(2, 1), 3).values[3] == 20
 
@@ -44,7 +116,7 @@ class TestGct:
     def test_recurrence_matches_direct(self, b, c):
         tab = sk.table(sk.GCT(b, c), 200)
         for n in range(201):
-            assert tab[n] == sk.gct_direct(b, c, n)
+            assert tab[n] == gct_direct(b, c, n)
 
     def test_central_binomial_special_case(self):
         tab = sk.table(sk.GCT(2, 1), 500)
@@ -179,16 +251,16 @@ class TestSnk:
 
 class TestLegendre:
     def test_degree_zero(self):
-        assert sk.legendre_eval(0, Fraction(7, 3)) == 1
+        assert legendre_eval(0, Fraction(7, 3)) == 1
 
     def test_p2(self):
-        assert sk.legendre_eval(2, Fraction(3)) == 13
+        assert legendre_eval(2, Fraction(3)) == 13
 
     def test_gct_link(self):
         # b^2 - 4c = 1 for (b,c) = (3,2): T_n(3,2) = P_n(3)
         tab = sk.table(sk.GCT(3, 2), 12)
         for n in range(13):
-            assert tab[n] == sk.legendre_eval(n, Fraction(3))
+            assert tab[n] == legendre_eval(n, Fraction(3))
         assert tab[3] == 63
 
 
@@ -306,19 +378,19 @@ class _Oracle:
             return [tb[stride * n] for n in ns]
         if tag == "SBC":
             tb = self.gct_rows(*params, n_max)
-            return [sk._sbc_value(*params, tb, n) for n in ns]
+            return [_sbc_value(*params, tb, n) for n in ns]
         if tag == "GPOLY":
-            return [sk._gpoly_value(n, params[0]) for n in ns]
+            return [_gpoly_value(n, params[0]) for n in ns]
         if tag == "CLF":
-            return [2 ** n * sk._zagier_value(n) for n in ns]
+            return [2 ** n * _zagier_value(n) for n in ns]
         if tag == "EULER":
             z = _zigzag(n_max)
             return [0 if n % 2 else (-1) ** (n // 2) * z[n] for n in ns]
         closed = {
-            "DOMB": sk._domb_value, "FRANEL": sk._franel_value,
-            "FRANEL4": sk._franel4_value, "GSEQ": sk._gseq_value,
-            "ZAGIER": sk._zagier_value, "BETA": sk._beta_value,
-            "WZAG": sk._wzag_value,
+            "DOMB": _domb_value, "FRANEL": _franel_value,
+            "FRANEL4": _franel4_value, "GSEQ": _gseq_value,
+            "ZAGIER": _zagier_value, "BETA": _beta_value,
+            "WZAG": _wzag_value,
             "CB2": lambda n: comb(2 * n, n), "CB3": lambda n: comb(3 * n, n),
             "CB4": lambda n: comb(4 * n, 2 * n),
             "CB63": lambda n: comb(6 * n, 3 * n),
