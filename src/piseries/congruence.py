@@ -11,12 +11,23 @@ the terms yields the exact partial sums S(c) at each requested count c as
 unreduced integer pairs P/Q, and ``_residue`` reads a residue modulo p^s
 off such a pair.  A check sums each series once for all its primes (or all
 its n), so a reported residue is exact and never subject to rounding.
+
+Elementary number theory: primes are read off one process-wide sieve that
+grows by doubling to the largest bound asked for so far.  ``is_prime`` grows
+it up to ``SIEVE_CAP`` = 2^20 and uses trial division above that.
+``legendre(a, p)`` and ``jacobi(a, n)`` are memoised on (a mod p, p) and
+(a mod n, n), each memo bounded to ``SYMBOL_MEMO`` = 2^14 entries (least
+recently used dropped first).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
+from math import isqrt
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -56,23 +67,49 @@ NONINTEGRAL = "NONINTEGRAL"
 # elementary number theory
 # --------------------------------------------------------------------------
 
+#: 0/1 flags: _SIEVE[n] == 1 exactly when n is prime, for n < len(_SIEVE).
+#: Seeded with 0 and 1 (not prime) and grown by ``_cover``; never rebuilt.
+_SIEVE = bytearray(2)
+_SIEVE_LOCK = threading.Lock()
+
+#: ``is_prime(n)`` grows the sieve only while n <= SIEVE_CAP, so the sieve
+#: it grows stays within about 1 MB; above the cap it uses trial division.
+SIEVE_CAP = 1 << 20
+
+#: Bound on the memo of each of ``legendre`` and ``jacobi``.
+SYMBOL_MEMO = 1 << 14
+
+
+def _cover(n: int) -> None:
+    """Extend the sieve to cover 0..n, at least doubling it (up to
+    SIEVE_CAP), by sieving only the new segment."""
+    with _SIEVE_LOCK:
+        size = len(_SIEVE)
+        if n < size:
+            return
+        new = max(n + 1, min(2 * size, SIEVE_CAP + 1))
+        seg = bytearray([1]) * (new - size)
+        for i in range(2, isqrt(new - 1) + 1):
+            if _SIEVE[i] if i < size else seg[i - size]:
+                start = max(i * i, -(-size // i) * i)
+                seg[start - size::i] = bytes(len(range(start, new, i)))
+        _SIEVE.extend(seg)
+
+
 def primes_upto(n: int) -> List[int]:
-    """All primes <= n by a sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(n ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
-    return [i for i in range(n + 1) if sieve[i]]
+    """All primes <= n, read off the process-wide sieve."""
+    _cover(n)
+    return list(compress(range(n + 1), _SIEVE))
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+    """Sieve lookup for n <= SIEVE_CAP (growing the sieve if needed); trial
+    division above it."""
+    if n < len(_SIEVE):
+        return n >= 0 and _SIEVE[n] == 1
+    if n <= SIEVE_CAP:
+        _cover(n)
+        return _SIEVE[n] == 1
     if n % 2 == 0:
         return False
     i = 3
@@ -84,10 +121,16 @@ def is_prime(n: int) -> bool:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p."""
-    if p <= 2 or not is_prime(p):
+    """Legendre symbol (a|p) for an odd prime p; ValueError otherwise."""
+    if p <= 2:
         raise ValueError(f"p = {p} is not an odd prime")
-    a %= p
+    return _legendre(a % p, p)
+
+
+@lru_cache(maxsize=SYMBOL_MEMO)
+def _legendre(a: int, p: int) -> int:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
     if a == 0:
         return 0
     r = pow(a, (p - 1) // 2, p)
@@ -95,10 +138,14 @@ def legendre(a: int, p: int) -> int:
 
 
 def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n > 0."""
+    """Jacobi symbol (a|n) for odd n > 0; ValueError otherwise."""
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"n = {n} must be positive and odd")
-    a %= n
+    return _jacobi(a % n, n)
+
+
+@lru_cache(maxsize=SYMBOL_MEMO)
+def _jacobi(a: int, n: int) -> int:
     result = 1
     while a != 0:
         while a % 2 == 0:

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -305,7 +306,7 @@ def _term_spec(text: str, line: int) -> TermSpec:
                     den=_den(parts[1], line),
                     seq=_seq(parts[2], line),
                     m=_rational(parts[3][2:], line),
-                    k0=int(parts[4][3:]))
+                    k0=_integer(parts[4][3:], line))
 
 
 _RHS_ADDEND = re.compile(
@@ -677,8 +678,9 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
         raise CorpusError(f"entry {ident}: bad modulus {mod!r}",
                           line_of("mod") if "mod" in raw else None)
     s = int(m.group(1))
-    min_p = int(get("minp", "5"))
-    exclude = tuple(int(x) for x in get("exclude", "").split(",") if x.strip())
+    min_p = _integer(get("minp"), line_of("minp")) if "minp" in raw else 5
+    exclude = tuple(_integer(x, line_of("exclude"))
+                    for x in get("exclude", "").split(",") if x.strip())
     require: List[Tuple[int, int]] = []
     for part in [p.strip() for p in get("require", "").split(",") if p.strip()]:
         mm = re.match(r"^(L|Lp)\((-?\d+)\)=(-?1)$", part)
@@ -705,6 +707,9 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
 
     if get("dual") is not None:
         d, D = _duality(get("dual"), line_of("dual"), blank_d=False)
+        if spec.m.denominator != 1:
+            raise CorpusError(f"entry {ident}: dual needs integer base",
+                              line_of("term"))
         entry.duality = cg.DualityClaim(ident=ident, seq=spec.seq,
                                         m=int(spec.m), d=d, D=D)
         return entry
@@ -884,10 +889,65 @@ class VerificationReport:
 
 def _evaluate(spec: TermSpec, digits: int) -> str:
     ball = sereval.eval_series(spec, digits)
-    import mpmath
-    with mpmath.workdps(digits):
-        mid = mpmath.mpf(ball.mid.numerator) / ball.mid.denominator
-        return f"value ~ {mpmath.nstr(mid, digits)}"
+    return f"value ~ {_nstr(ball.mid, digits)}"
+
+
+def _nearest_binary(a: int, b: int, prec: int) -> Tuple[int, int]:
+    """(m, e) with m * 2^e the number of prec bits nearest to a/b > 0,
+    ties to even."""
+    shift = prec + 2 - a.bit_length() + b.bit_length()   # q: prec+2.. bits
+    q, r = divmod(a << shift, b) if shift >= 0 else divmod(a, b << -shift)
+    extra = q.bit_length() - prec
+    m, low, half = q >> extra, q & ((1 << extra) - 1), 1 << (extra - 1)
+    if low > half or (low == half and (r or m & 1)):
+        m += 1
+    return m, extra - shift
+
+
+_LOG2_10 = math.log(10, 2)
+
+
+def _nstr(x: Fraction, digits: int) -> str:
+    """``mpmath.nstr(mpf(x.numerator) / x.denominator, digits)`` under
+    ``mpmath.workdps(digits)``, for digits >= 1 and |x| < 2^3500, from
+    integers alone.
+
+    As in mpmath: the numerator and then the quotient are rounded to the
+    working precision of round((digits + 1) log2 10) bits; the binary value
+    is truncated to at least digits + 3 decimal digits, which are rounded
+    half up to ``digits`` significant digits; trailing zeros are stripped;
+    and the text is fixed-point exactly when the decimal exponent lies
+    strictly between min(-(digits // 3), -5) and ``digits``."""
+    if not x:
+        return "0.0"
+    prec = round((digits + 1) * 3.3219280948873626)   # mpmath's dps_to_prec
+    m, e = _nearest_binary(abs(x.numerator), 1, prec)
+    m, e = _nearest_binary(m << max(e, 0), x.denominator << max(-e, 0), prec)
+    fixprec = max(int((digits + 3) * _LOG2_10) + 10 - e - m.bit_length(), 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    fixed = m << (e + fixprec) if e + fixprec >= 0 else m >> -(e + fixprec)
+    text = str(fixed * 10 ** fixdps >> fixprec)
+    exponent = len(text) - fixdps - 1
+    head = text[:digits]
+    if len(text) > digits and text[digits] in "56789":
+        head = str(int(head) + 1)
+        if len(head) > digits:     # 99..9 rounded up to 100..0
+            head = head[:digits]
+            exponent += 1
+    split = 1
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            head = "0" * -exponent + head
+        else:
+            split = exponent + 1
+        exponent = 0
+    body = (head[:split] + "." + head[split:]).rstrip("0")
+    if body.endswith("."):
+        body += "0"
+    sign = "-" if x < 0 else ""
+    if exponent == 0:
+        return sign + body
+    return f"{sign}{body}e{'+' if exponent > 0 else ''}{exponent}"
 
 
 def _run_series(entry: RegistryEntry, digits: int) -> Tuple[bool, str]:

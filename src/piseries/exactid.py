@@ -246,9 +246,10 @@ def check_franel_transform(n_max: int) -> CheckReport:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     f = seqkit.rows(seqkit.FRANEL, n_max + 1)
-    t = [seqkit.tsmall_direct(n) for n in range(n_max + 2)]
+    s = lru_cache(maxsize=None)(seqkit.snk)   # each s_{n+k,k} serves t and sf
+    t = [seqkit.tsmall_direct(n, s) for n in range(n_max + 2)]
     for n in range(n_max + 1):
-        sf = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * seqkit.snk(n + k, k)
+        sf = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * s(n + k, k)
                  for k in range(n + 1))
         if sf != f[n]:
             return CheckReport("FRANEL_SF", (), n, first_failure=n)

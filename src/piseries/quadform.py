@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import congruence as cg
 from .sereval import TermSpec
@@ -220,13 +220,30 @@ def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
 
 
 def check_partition(table: QuadFormTable, p_max: int = 1000) -> cg.ClaimReport:
-    """Exactly one guard must hold for every admissible prime <= p_max."""
+    """Exactly one guard must hold for every admissible prime <= p_max.
+
+    Each guard is narrowed to the primes where it holds, one condition at a
+    time in the order of ``Guard.holds``; a symbol (d|p) or (p|d) is
+    evaluated at most once per prime, however many guards test it."""
     report = cg.ClaimReport(table.ident, [], [])
-    for p in cg.primes_upto(p_max):
-        if p < table.min_p or p in table.exclude:
-            continue
-        n = sum(1 for c in table.cases if c.guard.holds(p))
+    primes = [p for p in cg.primes_upto(p_max)
+              if p >= table.min_p and p not in table.exclude]
+    hits = dict.fromkeys(primes, 0)
+    symbols: Dict[Tuple[str, int], Dict[int, int]] = {}  # (kind, d): {p: .}
+    for case in table.cases:
+        g, held = case.guard, primes
+        for kind, d, v in [("L", d, v) for d, v in g.syms] \
+                + [("Lp", d, v) for d, v in g.syms_p]:
+            seen = symbols.setdefault((kind, d), {})
+            for p in [p for p in held if p not in seen]:
+                seen[p] = cg.legendre(d, p) if kind == "L" else cg.jacobi(p, d)
+            held = [p for p in held if seen[p] == v]
+        for n, residues in g.mods:
+            held = [p for p in held if p % n in residues]
+        for p in held:
+            hits[p] += 1
+    for p in primes:
         report.tested.append(p)
-        if n != 1:
-            report.failures.append((p, n, 1))
+        if hits[p] != 1:
+            report.failures.append((p, hits[p], 1))
     return report

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 Number = Union[int, Fraction]
 
@@ -147,11 +147,13 @@ def snk(n: int, k: int) -> Fraction:
     return Fraction(total, comb(n, k))
 
 
-def tsmall_direct(n: int) -> Fraction:
-    """t_n = sum_{0<k<=n} C(n-1,k-1) (-1)^k 4^{n-k} s_{n+k,k}."""
+def tsmall_direct(n: int, s: Callable[[int, int], Fraction] = snk
+                  ) -> Fraction:
+    """t_n = sum_{0<k<=n} C(n-1,k-1) (-1)^k 4^{n-k} s_{n+k,k}, reading
+    s_{n,k} from ``s`` (a caller may pass a memoised ``snk``)."""
     total = Fraction(0)
     for k in range(1, n + 1):
-        total += comb(n - 1, k - 1) * (-1) ** k * 4 ** (n - k) * snk(n + k, k)
+        total += comb(n - 1, k - 1) * (-1) ** k * 4 ** (n - k) * s(n + k, k)
     return total
 
 

@@ -76,6 +76,21 @@ class TestVerifyCongruence:
         assert err.startswith("registry error: line 6:")
         assert "bad upper 'p+1'" in err
 
+    # a non-integral base under dual: (once read as m = 32), and a k0 that
+    # is not an integer (once a ValueError traceback)
+    @pytest.mark.parametrize("term, extra", [
+        ("1 ; - ; T(1,1)*Z ; m=65/2 ; k0=0", "dual: d=3 ; D=-96"),
+        ("1 ; - ; CB2^2 ; m=16 ; k0=x", "crhs: 1"),
+    ])
+    def test_bad_integer_is_a_usage_error(self, capsys, tmp_path, term,
+                                          extra):
+        path = tmp_path / "bad.txt"
+        path.write_text("entry bad\nkind: CONGRUENCE\nstatus: conjectural\n"
+                        f"term: {term}\n{extra}\nanchor: \"x\"\nend\n")
+        code, out, err = _run(capsys, ["run", "--registry", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("registry error: line 4:")
+
 
 class TestVerifyExact:
     def test_family(self, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 from typing import Dict
@@ -112,6 +114,143 @@ def _integrality_oracle(claim, n_max):
 def _residues_oracle(s, uppers, e, shift=0):
     assert shift == 0
     return {p: _mod_oracle(s, upper, p, e) for p, upper in uppers.items()}
+
+
+def _is_prime_oracle(n: int) -> bool:
+    """Trial division, as is_prime tested every n before the sieve."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    i = 3
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 2
+    return True
+
+
+def _prime_factors(n: int):
+    """The prime factors of n > 0, with multiplicity, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        while n % q == 0:
+            out.append(q)
+            n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """A sieve that knows only 0 and 1, as after import."""
+    monkeypatch.setattr(cg, "_SIEVE", bytearray(2))
+
+
+class TestSieve:
+    def test_matches_trial_division(self, fresh_sieve):
+        n = 10 ** 5
+        assert cg.primes_upto(n - 1) == \
+            [k for k in range(n) if _is_prime_oracle(k)]
+        assert [k for k in range(-5, n) if cg.is_prime(k)] == \
+            [k for k in range(-5, n) if _is_prime_oracle(k)]
+
+    @pytest.mark.parametrize("bounds", [
+        (0, 1, 2, 3, 4, 5), (10, 1000, 99_999), (5000, 3, 7919),
+        (31, 32, 33, 64, 65, 1025, 2048), (-1, 100, 99, 101, 4097),
+    ])
+    def test_growth(self, fresh_sieve, bounds):
+        for b in bounds:
+            size = len(cg._SIEVE)
+            assert cg.primes_upto(b) == \
+                [k for k in range(b + 1) if _is_prime_oracle(k)]
+            grown = len(cg._SIEVE)
+            assert grown >= size
+            if grown > size:   # grown to cover b, doubling at least
+                assert grown > b and grown >= 2 * size
+            # the last n inside the sieve and the first ones past it (the
+            # first of which grows it again)
+            for k in range(grown - 2, grown + 3):
+                assert cg.is_prime(k) == _is_prime_oracle(k), k
+
+    def test_is_prime_grows_small_then_large(self, fresh_sieve):
+        for n in (7, 8, 7919, 7920, 104_729, 104_730, 3, 1_000_003):
+            assert cg.is_prime(n) == _is_prime_oracle(n), n
+        assert 1_000_003 < len(cg._SIEVE) <= cg.SIEVE_CAP + 1
+
+    def test_above_the_cap_by_trial_division(self, fresh_sieve):
+        for n in (cg.SIEVE_CAP + 1, 1_048_583, 1_048_589, 2 ** 31 - 1,
+                  2 ** 31 + 1, 10 ** 12 + 39, 10 ** 12 + 41):
+            assert cg.is_prime(n) == _is_prime_oracle(n), n
+        assert len(cg._SIEVE) == 2
+
+    def test_concurrent_growth(self, monkeypatch):
+        # more threads than cores, switching often, each round from a fresh
+        # sieve: a lost or repeated segment would misplace later flags
+        bounds = [[(7919 * (t + 1) * (i + 3)) % 20_000 for i in range(12)]
+                  for t in range(6)]
+        oracle = [k for k in range(40_000) if _is_prime_oracle(k)]
+        errors = []
+
+        def work(bs):
+            try:
+                for b in bs:
+                    cg.primes_upto(b)
+                    cg.is_prime(b + 1)
+            except Exception as exc:   # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                monkeypatch.setattr(cg, "_SIEVE", bytearray(2))
+                threads = [threading.Thread(target=work, args=(bs,))
+                           for bs in bounds]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors
+                size = len(cg._SIEVE)
+                assert [k for k in range(size) if cg._SIEVE[k]] == \
+                    [k for k in oracle if k < size]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_legendre_is_euler_criterion(self):
+        for p in cg.primes_upto(400)[1:]:
+            for a in list(range(-2 * p, 2 * p)) + [10 ** 30 + p, -7 ** 40]:
+                r = pow(a, (p - 1) // 2, p)
+                assert cg.legendre(a, p) == (-1 if r == p - 1 else r), (a, p)
+
+    def test_jacobi_is_product_of_legendre(self):
+        for n in range(1, 2000, 2):
+            factors = _prime_factors(n)
+            for a in list(range(-12, 13)) + [n - 1, n + 1, 2 * n + 3,
+                                             10 ** 20 + 7, -10 ** 20]:
+                want = 1
+                for q in factors:
+                    want *= cg.legendre(a, q)
+                assert cg.jacobi(a, n) == want, (a, n)
+
+    @pytest.mark.parametrize("p", [-3, 1, 2, 9, 91, 0, -7])
+    def test_legendre_needs_an_odd_prime(self, p):
+        for a in (0, 1, 5, 5):   # twice: an error is not memoised
+            with pytest.raises(ValueError):
+                cg.legendre(a, p)
+
+    @pytest.mark.parametrize("n", [0, -3, 2, 10])
+    def test_jacobi_needs_a_positive_odd_n(self, n):
+        with pytest.raises(ValueError):
+            cg.jacobi(1, n)
+
+    def test_memo_is_bounded(self):
+        for f in (cg._legendre, cg._jacobi):
+            assert f.cache_info().maxsize == cg.SYMBOL_MEMO
 
 
 class TestElementary:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from piseries import corpus
+from piseries import corpus, sereval
 
 #: sha256 of the parsed payload of every bundled registry entry, in order
 #: (see ``_payload``).  It pins the parser: a change to how any number,
@@ -350,6 +351,33 @@ class TestMalformed:
                                                value=value))
         assert exc.value.line == 5
 
+    def test_dual_needs_integer_base(self):
+        text = _DUAL.format(seq="T(1,1)*Z", key="dual",
+                            value="d=3 ; D=-96").replace("m=32", "m=65/2")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 4 and "integer base" in str(exc.value)
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("k0=0", "k0=x", 4), ("k0=0", "k0=1/2", 4), ("k0=0", "k0=", 4),
+        ("upper: p-1", "minp: five", 7), ("upper: p-1", "minp: 7/2", 7),
+        ("upper: p-1", "exclude: 7,x", 7), ("upper: p-1", "exclude: 7,1/3", 7),
+    ])
+    def test_integer_fields(self, old, new, line):
+        text = _CONGRUENCE.format(upper="p-1").replace(old, new)
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == line
+
+    def test_integer_fields_accepted(self):
+        text = _CONGRUENCE.format(upper="p-1").replace(
+            "upper: p-1", "minp: 7\nexclude: 11, 13,2^4+1").replace(
+            "k0=0", "k0=2")
+        (entry,) = corpus.parse_registry(text)
+        claim = entry.claim
+        assert (claim.spec.k0, claim.min_p, claim.exclude) == \
+            (2, 7, (11, 13, 17))
+
 
 def old_poly(text: str, names: tuple) -> dict:
     """The registry grammar walked in Fraction arithmetic throughout, as
@@ -529,8 +557,12 @@ def test_mpmath_loaded_only_by_a_search():
         import piseries.cli, piseries.relation
         from piseries import corpus
         from piseries.sereval import Ball
-        assert len(corpus.load_default()) == 479
+        entries = corpus.load_default()
+        assert len(entries) == 479
         print("mpmath" in sys.modules)
+        (row,) = corpus.run([e for e in entries if e.ident == "open-a"],
+                            digits=40).rows
+        print(row.outcome, "mpmath" in sys.modules)
         res = piseries.relation.pslq([Ball.exact(1), Ball.exact(2)], 10, 20)
         print(res.status, "mpmath" in sys.modules)
     """)
@@ -539,4 +571,45 @@ def test_mpmath_loaded_only_by_a_search():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "FOUND", "True"]
+    assert done.stdout.split() == ["False", "EVALUATED", "False", "FOUND",
+                                   "True"]
+
+
+def _nstr_oracle(x: Fraction, digits: int) -> str:
+    """How an EVALUATED row printed its value before: mpmath's nstr."""
+    import mpmath
+    with mpmath.workdps(digits):
+        return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, digits)
+
+
+class TestDecimalText:
+    @pytest.mark.parametrize("digits", [1, 2, 3, 6, 12, 15, 20, 40, 80])
+    def test_matches_mpmath(self, digits):
+        rng = random.Random(digits)
+        values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
+                  Fraction(2, 3), Fraction(5, 10 ** (digits + 1)),
+                  1 - Fraction(1, 10 ** (digits + 1)),
+                  Fraction(10 ** digits - 1), Fraction(10 ** digits)]
+        for e in range(-12, 13):
+            scale = Fraction(10) ** e
+            values += [scale, -scale, scale * Fraction(999, 1000)]
+            # a digit string ending in 5 just past the last kept digit
+            values.append(scale * Fraction(rng.randrange(10 ** digits) * 10
+                                           + 5, 10 ** (digits + 1)))
+            values.append(scale * (1 - Fraction(1, 10 ** (digits + 2))))
+            for _ in range(20):
+                num = rng.randrange(1, 10 ** rng.randint(1, 50))
+                den = rng.randrange(1, 10 ** rng.randint(1, 50))
+                values.append(scale * Fraction(num, den)
+                              * rng.choice((1, -1)))
+        for x in values:
+            assert corpus._nstr(x, digits) == _nstr_oracle(x, digits), x
+
+    @pytest.mark.parametrize("ident", ["open-a", "open-b"])
+    @pytest.mark.parametrize("digits", [12, 20, 40, 80])
+    def test_evaluated_rows(self, entries, ident, digits):
+        (entry,) = [e for e in entries if e.ident == ident]
+        spec = entry.raw["_spec"]
+        mid = sereval.eval_series(spec, digits).mid
+        assert corpus._evaluate(spec, digits) == \
+            f"value ~ {_nstr_oracle(mid, digits)}"

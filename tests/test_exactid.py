@@ -334,6 +334,23 @@ class TestFranelTransform:
         rep = ei.check_franel_transform(30)
         assert rep.ok
 
+    def test_shared_snk_gives_the_same_t(self):
+        calls = []
+
+        def s(n, k):
+            calls.append((n, k))
+            return ei.seqkit.snk(n, k)
+
+        for n in range(12):
+            assert ei.seqkit.tsmall_direct(n, s) == \
+                ei.seqkit.tsmall_direct(n)
+        assert len(calls) == 66   # every s_{n+k,k}, 0 < k <= n < 12
+
+    def test_report_text(self):
+        rep = ei.check_franel_transform(30)
+        assert (rep.family, rep.checked, rep.first_failure) == \
+            ("FRANEL_SF_TF", 31, None)
+
     def test_u_first_values(self):
         f0 = ei.seqkit.snk(0, 0)
         assert 4 ** 0 * f0 == 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from piseries import congruence as cg
+from piseries import corpus
 from piseries import quadform as qf
 from piseries import seqkit as sk
 from piseries.sereval import TermSpec
@@ -119,3 +120,76 @@ class TestClaims:
             "gap", (qf.QuadFormCase(qf.Guard(mods=((4, (1,)),)), zero=True),))
         rep = qf.check_partition(table, 100)
         assert not rep.ok
+
+
+# --------------------------------------------------------------------------
+# check_partition against the per-prime loop it replaced
+# --------------------------------------------------------------------------
+
+def _partition_oracle(table, p_max):
+    """(tested, failures): every guard evaluated at every admissible prime."""
+    tested, failures = [], []
+    for p in cg.primes_upto(p_max):
+        if p < table.min_p or p in table.exclude:
+            continue
+        n = sum(1 for c in table.cases if c.guard.holds(p))
+        tested.append(p)
+        if n != 1:
+            failures.append((p, n, 1))
+    return tested, failures
+
+
+@pytest.fixture(scope="module")
+def registry_tables():
+    return [e.quadform.table for e in corpus.load_default()
+            if e.quadform is not None]
+
+
+def _variants(table):
+    """The table, one with its first case dropped (gaps) and one with its
+    last case repeated (overlaps)."""
+    yield table
+    yield qf.QuadFormTable(table.ident, table.cases[1:], table.min_p,
+                           table.exclude, table.sym_factor)
+    yield qf.QuadFormTable(table.ident, table.cases + table.cases[-1:],
+                           table.min_p, table.exclude, table.sym_factor)
+
+
+class TestPartitionOracle:
+    def test_every_registry_table(self, registry_tables):
+        assert len(registry_tables) == 47
+
+    @pytest.mark.parametrize("p_max", [100, 1000, 3000])
+    def test_matches_oracle(self, registry_tables, p_max):
+        failing = 0
+        for table in registry_tables:
+            for variant in _variants(table):
+                rep = qf.check_partition(variant, p_max)
+                assert (rep.tested, rep.failures) == \
+                    _partition_oracle(variant, p_max), table.ident
+                failing += bool(rep.failures)
+        # from p = 1000 on, every dropped or repeated case shows up
+        if p_max >= 1000:
+            assert failing == 2 * len(registry_tables)
+
+    def test_each_symbol_once_per_prime(self, registry_tables, monkeypatch):
+        calls = []
+        legendre, jacobi = cg.legendre, cg.jacobi
+
+        def count_legendre(a, p):
+            calls.append(("L", a, p))
+            return legendre(a, p)
+
+        def count_jacobi(a, n):
+            calls.append(("J", a, n))
+            return jacobi(a, n)
+
+        monkeypatch.setattr(cg, "legendre", count_legendre)
+        monkeypatch.setattr(cg, "jacobi", count_jacobi)
+        evaluated = 0
+        for table in registry_tables:
+            calls.clear()
+            qf.check_partition(table, 1000)
+            assert len(calls) == len(set(calls)), table.ident
+            evaluated += len(calls)
+        assert evaluated > 5000
