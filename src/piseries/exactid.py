@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from math import comb
 from typing import Callable, Dict, Optional, Tuple
@@ -246,10 +245,12 @@ def check_franel_transform(n_max: int) -> CheckReport:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     f = seqkit.rows(seqkit.FRANEL, n_max + 1)
-    s = lru_cache(maxsize=None)(seqkit.snk)   # each s_{n+k,k} serves t and sf
-    t = [seqkit.tsmall_direct(n, s) for n in range(n_max + 2)]
+    # s_{m,k} for k <= m/2: t and sf read s_{n+k,k} with k <= n
+    s = [seqkit.snk_row(m, m // 2) for m in range(2 * n_max + 3)]
+    t = [seqkit.tsmall_direct(n, lambda m, k: s[m][k])
+         for n in range(n_max + 2)]
     for n in range(n_max + 1):
-        sf = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * s(n + k, k)
+        sf = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * s[n + k][k]
                  for k in range(n + 1))
         if sf != f[n]:
             return CheckReport("FRANEL_SF", (), n, first_failure=n)
@@ -278,12 +279,12 @@ def check_sn_expansion(c_lo: int, c_hi: int, n_max: int) -> CheckReport:
     and 4^n S_n(1,m) = S_n(4,16m), all exact."""
     if c_lo > c_hi:
         raise ValueError("empty c range")
-    s = lru_cache(maxsize=None)(seqkit.snk)   # each s_{n,k} serves every c
+    s = [seqkit.snk_row(n, n // 2) for n in range(n_max + 1)]
     for c in range(c_lo, c_hi + 1):
         for n in range(n_max + 1):
             lhs = _sn_bc(4, c, n)
             rhs = sum(comb(n - k, k) * comb(2 * (n - k), n - k)
-                      * Fraction(c) ** k * 4 ** (n - 2 * k) * s(n, k)
+                      * Fraction(c) ** k * 4 ** (n - 2 * k) * s[n][k]
                       for k in range(n // 2 + 1))
             if lhs != rhs:
                 return CheckReport("SN4C", (c,), n, first_failure=n,

@@ -1,34 +1,55 @@
 """Exact generators for the integer/rational sequences used across the workbench.
 
-Every sequence family has one generator: a recurrence, or a convolution
-over Pascal's row.  The defining sums, evaluated term by term, live in the
-tests as the generators' oracles.  All arithmetic is exact -- Python
-integers and ``fractions.Fraction`` -- so the rows can feed congruence
-checks directly.
+Almost every sequence family is a recurrence, and :data:`OPERATORS`
+describes each one once: an :class:`Operator` holds its initial rows and
+its coefficient polynomials in n (and in the kind's parameters), whose
+count fixes its order, and one order-r stepper grows every kind from that
+table.
+The defining sums, evaluated term by term, live in the tests as the
+operators' oracles.  All arithmetic is exact -- Python integers and
+``fractions.Fraction`` -- so the rows can feed congruence checks directly.
+
+The operators
+-------------
+- Order 1: the binomial kinds CB2, CB3, CB4, CB63, CATALAN and CB2SHIFT,
+  from the ratio of consecutive rows.
+- Order 2: GCT(b,c), FRANEL, BETA, WZAG, DOMB, ZAGIER, CLF and GSEQ, the
+  classical three-term recurrences, and FRANEL4 by Franel's recurrence
+  for sum_k C(n,k)^4.
+- Order 3: GPOLY(x), g_n(x) = sum_k C(n,k)^2 C(2k,k) x^k; for x = P/Q the
+  operator runs on the integers Q^n g_n(x).
+- Order 4: SBC(b,c), S_n(b,c) = sum_k C(n,k)^2 T_k(b,c) T_{n-k}(b,c).  With
+  p + q = b and pq = c it is the sum of the proper hypergeometric term
+  C(n,m)^2 C(2m,m) C(2n-2m,n-m) p^m q^(n-m) (from T_k = sum_i C(k,i)^2
+  p^i q^(k-i), C(n,k) C(k,i) C(n-k,m-i) = C(n,m) C(m,i) C(n-m,k-i) and
+  Vandermonde), whose integer form is the Lucas sum of
+  :func:`_sbc_direct`.
+
+The SBC, GPOLY and FRANEL4 operators are proven, not guessed: each is
+Zeilberger's creative telescoping on its summand (Petkovsek, Wilf and
+Zeilberger, *A = B*, 1996).  Their certificates, and those of the FRANEL,
+DOMB, ZAGIER, CLF and GSEQ recurrences, live in ``tests/test_operators.py``:
+from the coefficients in :data:`OPERATORS` it solves Gosper's equation for
+the polynomial certificate, with the parameters symbolic, and checks it and
+the boundary terms exactly.
+
+Every division by a leading coefficient is checked to be exact and raises
+``ArithmeticError`` otherwise.  Where SBC's leading coefficient vanishes
+(at most four n for each (b, c), or every n for (0, 0)), that row comes
+from the Lucas sum instead.  The kinds that are not recurrences: GCT2/GCT3
+read every second/third row of their GCT kind from the same store; EULER
+continues the secant recurrence row by row; BERNOULLI holds the even
+Bernoulli numbers (row j is B_{2j}, a ``Fraction``) and carries the
+Akiyama-Tanigawa row, so the numbers are computed only as far as they are
+read (the K3 constant's Euler-Maclaurin sum reads about 30 at 60 digits).
 
 The sequence store
 ------------------
 :class:`SequenceStore` holds the rows 0, 1, 2, ... of each
-:class:`SequenceKind` once.  A kind grows from its last row: each kind has a
-generator that keeps the state its step needs (the last one or two values of
-a recurrence, or Pascal's row of a convolution), so asking for more rows
-continues where the last request stopped and nothing is ever rebuilt.
-
-- Second-order recurrences ``lead(n) a_{n+1} = A(n) a_n + B(n) a_{n-1}``
-  give GCT, FRANEL, BETA, WZAG, DOMB, ZAGIER, CLF and GSEQ; the binomial
-  kinds (CB2, CB3, CB4, CB63) follow from the ratio of consecutive rows.
-  Every division in these steps is checked to be exact and raises
-  ``ArithmeticError`` otherwise.
-- SBC, GPOLY and FRANEL4 are convolutions ``sum_k C(n,k)^e ...``; Pascal's
-  row is carried from one row to the next.
-- EULER continues the secant recurrence row by row.
-- BERNOULLI holds the even Bernoulli numbers: row j is B_{2j}, a
-  ``Fraction``.  Its generator carries the Akiyama-Tanigawa row, so the
-  numbers are computed only as far as they are read (the K3 constant's
-  Euler-Maclaurin sum reads about 30 at 60 digits).
-- GCT2/GCT3 read every second/third row of their GCT kind, SBC reads the
-  rows of its T_k(b,c), and CB2SHIFT, CATALAN and GPOLY read CB2, all from
-  the same store.
+:class:`SequenceKind` once.  A kind grows from its last rows: each kind's
+generator keeps the state its step needs (the last r rows of its
+recurrence), so asking for more rows continues where the last request
+stopped and nothing is ever rebuilt.
 
 A lock guards growth, so threads may share one store; reading a row that
 already exists takes no lock and copies nothing.  :func:`rows` reads the
@@ -44,7 +65,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
+from operator import mul
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 Number = Union[int, Fraction]
 
@@ -55,7 +78,9 @@ __all__ = [
     "GCT", "GCT2", "GCT3", "CB2", "CB3", "CB4", "CB63", "CB2SHIFT",
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
     "ZAGIER", "CLF", "BETA", "WZAG", "EULER", "BERNOULLI",
-    "STORE", "rows", "memo_table", "table", "snk", "tsmall_direct",
+    "Operator", "OPERATORS",
+    "STORE", "rows", "memo_table", "table", "snk", "snk_row",
+    "tsmall_direct",
 ]
 
 
@@ -147,10 +172,32 @@ def snk(n: int, k: int) -> Fraction:
     return Fraction(total, comb(n, k))
 
 
+def snk_row(n: int, k_max: int) -> List[Fraction]:
+    """s_{n,0}, ..., s_{n,k_max} from one row of binomials: with
+    u_i = C(n,2i) C(2i,i), C(n,k) s_{n,k} = sum_i u_i u_{k-i}."""
+    if not 0 <= k_max <= n:
+        raise ValueError("need 0 <= k_max <= n")
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    half = n // 2
+    cb = rows(CB2, half)
+    u = [row[2 * i] * cb[i] for i in range(half + 1)]
+    out = []
+    for k in range(k_max + 1):
+        # the terms i and k - i agree: sum over lo <= i < k/2 and double
+        lo, hi = max(0, k - half), (k + 1) // 2
+        total = 2 * sum(map(mul, u[lo:hi], reversed(u[k - hi + 1:k - lo + 1])))
+        if k % 2 == 0:
+            total += u[k // 2] ** 2
+        out.append(Fraction(total, row[k]))
+    return out
+
+
 def tsmall_direct(n: int, s: Callable[[int, int], Fraction] = snk
                   ) -> Fraction:
     """t_n = sum_{0<k<=n} C(n-1,k-1) (-1)^k 4^{n-k} s_{n+k,k}, reading
-    s_{n,k} from ``s`` (a caller may pass a memoised ``snk``)."""
+    s_{n,k} from ``s`` (a caller may pass one that reads :func:`snk_row`)."""
     total = Fraction(0)
     for k in range(1, n + 1):
         total += comb(n - 1, k - 1) * (-1) ** k * 4 ** (n - k) * s(n + k, k)
@@ -158,7 +205,7 @@ def tsmall_direct(n: int, s: Callable[[int, int], Fraction] = snk
 
 
 # --------------------------------------------------------------------------
-# Row generators
+# The operator table
 # --------------------------------------------------------------------------
 
 def _exact(num: int, den: int, kind: SequenceKind, n: int) -> int:
@@ -170,83 +217,187 @@ def _exact(num: int, den: int, kind: SequenceKind, n: int) -> int:
     return q
 
 
-#: a_0 = 1 and lead(n) a_{n+1} = A(n) a_n + B(n) a_{n-1}, with B(0) = 0:
-#: (lead, A, B) per tag.
-_RECURRENCES = {
-    "FRANEL": (lambda n: (n + 1) ** 2, lambda n: 7 * n * n + 7 * n + 2,
-               lambda n: 8 * n * n),
-    # Apery's numbers for zeta(2)
-    "BETA": (lambda n: (n + 1) ** 2, lambda n: 11 * n * n + 11 * n + 3,
-             lambda n: n * n),
-    "WZAG": (lambda n: (n + 1) ** 2, lambda n: 9 * n * n + 9 * n + 3,
-             lambda n: -27 * n * n),
-    "GSEQ": (lambda n: (n + 1) ** 2, lambda n: 10 * n * n + 10 * n + 3,
-             lambda n: -9 * n * n),
-    "ZAGIER": (lambda n: (n + 1) ** 2, lambda n: 4 * (3 * n * n + 3 * n + 1),
-               lambda n: -32 * n * n),
+def _poly(n, coeffs: Sequence[int]):
+    """sum_i coeffs[i] n^(d-i), d = len(coeffs) - 1, by Horner's rule."""
+    acc = 0
+    for a in coeffs:
+        acc = acc * n + a
+    return acc
+
+
+def _lin(*terms) -> tuple:
+    """sum_i w_i p_i over (w_i, p_i) pairs: each weight is a polynomial in
+    the kind's parameters, each p_i a coefficient tuple of one length."""
+    weights = [w for w, _ in terms]
+    return tuple(sum(w * c for w, c in zip(weights, column))
+                 for column in zip(*(p for _, p in terms)))
+
+
+@dataclass(frozen=True)
+class Operator:
+    """The recurrence sum_{j=0}^{r} c_j(n) a_{n+j} = 0, for every n >= 0.
+
+    ``coeffs(*params)`` binds the kind's parameters and returns the function
+    n -> (c_0(n), ..., c_r(n)) of integer polynomials in n.  Rows 0..s-1
+    (s >= r) are ``init(*params)``; each later row a_{n+r} is solved for,
+    with the division by c_r(n) checked to be exact.  Where c_r(n) vanishes,
+    ``direct(n + r, *params)`` gives the row by its defining sum instead.
+    The coefficients use only +, - and *, so the tests can evaluate them on
+    symbolic polynomials.
+    """
+
+    init: Callable[..., Tuple[int, ...]]
+    coeffs: Callable[..., Callable[[int], Tuple[int, ...]]]
+    direct: Optional[Callable[..., int]] = None
+
+
+def _sbc_direct(n: int, b: int, c: int) -> int:
+    """S_n(b,c) by the Lucas sum.
+
+    With p + q = b and pq = c, T_k(b,c) = sum_i C(k,i)^2 p^i q^(k-i) gives
+    S_n = sum_m h(n,m) p^m q^(n-m), h(n,m) = C(n,m)^2 C(2m,m) C(2n-2m,n-m).
+    Pairing m with n - m leaves integers:
+    S_n = sum_{m<n/2} h(n,m) c^m V_{n-2m} + [n even] C(n,n/2)^4 c^(n/2),
+    where V_0 = 2, V_1 = b, V_j = b V_{j-1} - c V_{j-2}.
+    """
+    v = [2, b]
+    for _ in range(n - 1):
+        v.append(b * v[-1] - c * v[-2])
+    total = sum(comb(n, m) ** 2 * comb(2 * m, m) * comb(2 * (n - m), n - m)
+                * c ** m * v[n - 2 * m] for m in range((n + 1) // 2))
+    if n % 2 == 0:
+        total += comb(n, n // 2) ** 4 * c ** (n // 2)
+    return total
+
+
+def _sbc_coeffs(b, c):
+    """SBC's order-4 operator, of degree 8 in n: with the quartic
+    w(n) = b^2 (64n^4 + ...) - c (400n^4 + ...),
+    c_0 = 256 c (b^2 - 4c) (n+1)^3 (n+2) w(n+1), c_4 = (n+3) (n+4)^3 w(n),
+    c_1 = (n+2) p_1(n), c_2 = p_2(n) and c_3 = (n+3) p_3(n)."""
+    w = _lin((b * b, (64, 448, 1156, 1305, 549)),
+             (-c, (400, 2800, 7180, 7980, 3264)))
+    p1 = _lin((-8 * b ** 5, (512, 7936, 51872, 185304, 390732, 486378,
+                              331047, 95094)),
+              (8 * b ** 3 * c, (4224, 65472, 427840, 1527632, 3218776,
+                                4002744, 2721048, 780432)),
+              (-8 * b * c * c, (6400, 99200, 649280, 2326496, 4930624,
+                                6183936, 4253040, 1238496)))
+    p2 = _lin((4 * b ** 4, (768, 14592, 119920, 556332, 1592200, 2876157,
+                            3199939, 2003775, 540792)),
+              (-4 * b * b * c, (5568, 105792, 868880, 4025244, 11492348,
+                                20682645, 22885727, 14220270, 3796944)),
+              (4 * c * c, (4800, 91200, 748960, 3469920, 9912748, 17868660,
+                           19837192, 12398400, 3342336)))
+    p3 = _lin((-6 * b ** 3, (128, 2240, 16456, 65654, 153373, 209578,
+                             155125, 48096)),
+              (6 * b * c, (800, 14000, 102760, 409052, 951352, 1289932,
+                           942720, 286592)))
+    k0 = 256 * c * (b * b - 4 * c)
+    return lambda n: (k0 * (n + 1) ** 3 * (n + 2) * _poly(n + 1, w),
+                      (n + 2) * _poly(n, p1), _poly(n, p2),
+                      (n + 3) * _poly(n, p3),
+                      (n + 3) * (n + 4) ** 3 * _poly(n, w))
+
+
+def _gpoly_coeffs(P, Q):
+    """GPOLY's order-3 operator on Q^n g_n(P/Q), of degree 3 in n."""
+    p1 = _lin((P * P, (64, 336, 576, 324)), (P * Q, (0, 0, 4, 6)),
+              (Q * Q, (12, 63, 106, 57)))
+    p2 = _lin((-P, (32, 200, 404, 258)), (-Q, (12, 75, 150, 93)))
+    k0 = -Q * (4 * P - Q) ** 2
+    return lambda n: (k0 * (n + 1) ** 2 * (4 * n + 9), _poly(n, p1),
+                      _poly(n, p2), (n + 3) ** 2 * (4 * n + 5))
+
+
+def _one():
+    return (1,)
+
+
+#: The recurrence of every kind that has one, by tag.  GCT and SBC take
+#: (b, c); GPOLY takes (P, Q) and describes Q^n g_n(P/Q).  The two-term
+#: recurrences are written as the ratio den(n) a_{n+1} = num(n) a_n, and
+#: the three-term ones as lead(n+1) a_{n+2} = A(n+1) a_{n+1} + B(n+1) a_n,
+#: i.e. (-B, -A, lead) at n + 1.  tests/test_operators.py derives the
+#: creative-telescoping certificate of SBC, GPOLY, FRANEL4, FRANEL, DOMB,
+#: ZAGIER, CLF and GSEQ from the coefficients here and checks it exactly.
+OPERATORS: Dict[str, Operator] = {
+    "CB2": Operator(_one, lambda: lambda n: (-2 * (2 * n + 1), n + 1)),
+    "CB3": Operator(_one, lambda: lambda n: (
+        -3 * (3 * n + 1) * (3 * n + 2), 2 * (n + 1) * (2 * n + 1))),
+    "CB4": Operator(_one, lambda: lambda n: (
+        -2 * (4 * n + 1) * (4 * n + 3), (n + 1) * (2 * n + 1))),
+    "CB63": Operator(_one, lambda: lambda n: (
+        -8 * (6 * n + 1) * (6 * n + 3) * (6 * n + 5),
+        (3 * n + 1) * (3 * n + 2) * (3 * n + 3))),
+    "CATALAN": Operator(_one, lambda: lambda n: (-2 * (2 * n + 1), n + 2)),
+    # C(2n, n+1), from a_1 = 1
+    "CB2SHIFT": Operator(lambda: (0, 1), lambda: lambda n: (
+        -2 * (n + 1) * (2 * n + 1), n * (n + 2))),
+    # (n+1)^2 a_{n+1} = (7n^2+7n+2) a_n + 8n^2 a_{n-1}
+    "FRANEL": Operator(lambda: (1, 2), lambda: lambda n: (
+        -8 * (n + 1) ** 2, -(7 * n * n + 21 * n + 16), (n + 2) ** 2)),
+    # Apery's numbers for zeta(2): (n+1)^2 a_{n+1} = (11n^2+11n+3) a_n
+    # + n^2 a_{n-1}
+    "BETA": Operator(lambda: (1, 3), lambda: lambda n: (
+        -(n + 1) ** 2, -(11 * n * n + 33 * n + 25), (n + 2) ** 2)),
+    # (n+1)^2 a_{n+1} = (9n^2+9n+3) a_n - 27n^2 a_{n-1}
+    "WZAG": Operator(lambda: (1, 3), lambda: lambda n: (
+        27 * (n + 1) ** 2, -(9 * n * n + 27 * n + 21), (n + 2) ** 2)),
+    # (n+1)^2 a_{n+1} = (10n^2+10n+3) a_n - 9n^2 a_{n-1}
+    "GSEQ": Operator(lambda: (1, 3), lambda: lambda n: (
+        9 * (n + 1) ** 2, -(10 * n * n + 30 * n + 23), (n + 2) ** 2)),
+    # (n+1)^2 a_{n+1} = 4(3n^2+3n+1) a_n - 32n^2 a_{n-1}
+    "ZAGIER": Operator(lambda: (1, 4), lambda: lambda n: (
+        32 * (n + 1) ** 2, -4 * (3 * n * n + 9 * n + 7), (n + 2) ** 2)),
     # 2^n times ZAGIER
-    "CLF": (lambda n: (n + 1) ** 2, lambda n: 8 * (3 * n * n + 3 * n + 1),
-            lambda n: -128 * n * n),
-    "DOMB": (lambda n: (n + 1) ** 3,
-             lambda n: 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2),
-             lambda n: -64 * n ** 3),
+    "CLF": Operator(lambda: (1, 8), lambda: lambda n: (
+        128 * (n + 1) ** 2, -8 * (3 * n * n + 9 * n + 7), (n + 2) ** 2)),
+    # (n+1)^3 a_{n+1} = 2(2n+1)(5n^2+5n+2) a_n - 64n^3 a_{n-1}
+    "DOMB": Operator(lambda: (1, 4), lambda: lambda n: (
+        64 * (n + 1) ** 3, -2 * (2 * n + 3) * (5 * n * n + 15 * n + 12),
+        (n + 2) ** 3)),
+    # Franel's recurrence for sum_k C(n,k)^4
+    "FRANEL4": Operator(lambda: (1, 2), lambda: lambda n: (
+        -4 * (n + 1) * (4 * n + 3) * (4 * n + 5),
+        -2 * (2 * n + 3) * (3 * n * n + 9 * n + 7), (n + 2) ** 3)),
+    # (n+1) T_{n+1} = (2n+1) b T_n - n (b^2 - 4c) T_{n-1}
+    "GCT": Operator(lambda b, c: (1, b), lambda b, c: lambda n: (
+        (n + 1) * (b * b - 4 * c), -(2 * n + 3) * b, n + 2)),
+    # sum_k C(n,k)^2 C(2k,k) P^k Q^(n-k)
+    "GPOLY": Operator(
+        lambda P, Q: (1, 2 * P + Q, 6 * P * P + 8 * P * Q + Q * Q),
+        _gpoly_coeffs),
+    # sum_m h(n,m) p^m q^(n-m) with p + q = b, pq = c (see _sbc_direct);
+    # c_4(n) vanishes for at most four n, or for every n when b = c = 0
+    "SBC": Operator(
+        lambda b, c: tuple(_sbc_direct(n, b, c) for n in range(4)),
+        _sbc_coeffs, direct=_sbc_direct),
 }
 
-#: a_0 = 1 and a_{n+1} = a_n num(n) / den(n): (num, den) per tag.
-_RATIOS = {
-    "CB2": (lambda n: 2 * (2 * n + 1), lambda n: n + 1),
-    "CB3": (lambda n: 3 * (3 * n + 1) * (3 * n + 2),
-            lambda n: 2 * (n + 1) * (2 * n + 1)),
-    "CB4": (lambda n: 2 * (4 * n + 1) * (4 * n + 3),
-            lambda n: (n + 1) * (2 * n + 1)),
-    "CB63": (lambda n: 8 * (6 * n + 1) * (6 * n + 3) * (6 * n + 5),
-             lambda n: (3 * n + 1) * (3 * n + 2) * (3 * n + 3)),
-}
 
-
-def _three_term(kind: SequenceKind, lead, a, b) -> Iterator[int]:
-    prev, cur = 0, 1
-    for n in count():
-        yield cur
-        prev, cur = cur, _exact(a(n) * cur + b(n) * prev, lead(n), kind, n)
-
-
-def _ratio(kind: SequenceKind, num, den) -> Iterator[int]:
-    cur = 1
-    for n in count():
-        yield cur
-        cur = _exact(cur * num(n), den(n), kind, n)
-
-
-def _pascal_rows() -> Iterator[List[int]]:
-    """Rows 0, 1, 2, ... of Pascal's triangle, each from the one before."""
-    row = [1]
-    while True:
-        yield row
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-
-
-def _sbc(store: "SequenceStore", base: SequenceKind) -> Iterator[int]:
-    """S_n(b,c) = sum_k C(n,k)^2 T_k T_{n-k}; the terms k and n-k agree."""
-    for n, row in enumerate(_pascal_rows()):
-        tb = store.rows(base, n)
-        half = sum(row[k] ** 2 * tb[k] * tb[n - k] for k in range((n + 1) // 2))
-        mid = (row[n // 2] * tb[n // 2]) ** 2 if n % 2 == 0 else 0
-        yield 2 * half + mid
-
-
-def _gpoly(store: "SequenceStore", x: Number) -> Iterator[Number]:
-    """g_n(x) = sum_k C(n,k)^2 C(2k,k) x^k, summed over integers with
-    x = p/q as q^(-n) sum_k C(n,k)^2 C(2k,k) p^k q^(n-k)."""
-    p, q = Fraction(x).numerator, Fraction(x).denominator
-    pp, qp = [1], [1]
-    for n, row in enumerate(_pascal_rows()):
-        cb = store.rows(CB2, n)
-        total = sum(row[k] ** 2 * cb[k] * pp[k] * qp[n - k]
-                    for k in range(n + 1))
-        yield total if q == 1 else Fraction(total, qp[n])
-        pp.append(pp[-1] * p)
-        qp.append(qp[-1] * q)
+def _operator_rows(kind: SequenceKind, op: Operator,
+                   params: Tuple[int, ...]) -> Iterator[int]:
+    """The rows of ``kind`` by the recurrence ``op`` at ``params``."""
+    coeffs = op.coeffs(*params)
+    first = op.init(*params)
+    yield from first
+    r = len(coeffs(0)) - 1
+    last = list(first[len(first) - r:])
+    for n in count(len(first) - r):
+        cs = coeffs(n)
+        lead = cs[r]
+        if lead:
+            # map stops after the r rows in last: c_0..c_{r-1}
+            nxt = _exact(sum(map(mul, cs, last)), -lead, kind, n)
+        elif op.direct is not None:
+            nxt = op.direct(n + r, *params)
+        else:
+            raise ArithmeticError(
+                f"zero leading coefficient in the {kind} recurrence at n={n}")
+        last.append(nxt)
+        del last[0]
+        yield nxt
 
 
 def _euler() -> Iterator[int]:
@@ -275,30 +426,20 @@ def _bernoulli_even() -> Iterator[Fraction]:
 def _generator(kind: SequenceKind, store: "SequenceStore") -> Iterator[Number]:
     """The row generator of ``kind``; kinds it reads come from ``store``."""
     tag = kind.tag
-    if tag in _RECURRENCES:
-        return _three_term(kind, *_RECURRENCES[tag])
-    if tag in _RATIOS:
-        return _ratio(kind, *_RATIOS[tag])
-    if tag == "GCT":
-        b, c = (int(v) for v in kind.params)
-        return _three_term(kind, lambda n: n + 1, lambda n: (2 * n + 1) * b,
-                           lambda n: -n * (b * b - 4 * c))
+    if tag == "GPOLY":
+        x = Fraction(kind.params[0])
+        q = x.denominator
+        gen = _operator_rows(kind, OPERATORS[tag], (x.numerator, q))
+        if q == 1:
+            return gen
+        return (Fraction(h, q ** n) for n, h in enumerate(gen))
+    if tag in OPERATORS:
+        return _operator_rows(kind, OPERATORS[tag],
+                              tuple(int(v) for v in kind.params))
     if tag in ("GCT2", "GCT3"):
         stride = 2 if tag == "GCT2" else 3
         base = GCT(*kind.params)
         return (store.rows(base, stride * n)[stride * n] for n in count())
-    if tag == "SBC":
-        return _sbc(store, GCT(*kind.params))
-    if tag == "GPOLY":
-        return _gpoly(store, kind.params[0])
-    if tag == "FRANEL4":
-        return (sum(v ** 4 for v in row) for row in _pascal_rows())
-    if tag == "CB2SHIFT":   # C(2n, n+1) = C(2n, n) n / (n+1)
-        return (_exact(store.rows(CB2, n)[n] * n, n + 1, kind, n)
-                for n in count())
-    if tag == "CATALAN":
-        return (_exact(store.rows(CB2, n)[n], n + 1, kind, n)
-                for n in count())
     if tag == "EULER":
         return _euler()
     if tag == "BERNOULLI":
@@ -316,7 +457,7 @@ class SequenceStore:
     def __init__(self) -> None:
         self._rows: Dict[SequenceKind, List[Number]] = {}
         self._gens: Dict[SequenceKind, Iterator[Number]] = {}
-        # re-entrant: growing SBC or GCT2 grows its GCT kind inside the lock
+        # re-entrant: growing GCT2 or GCT3 grows its GCT kind inside the lock
         self._lock = threading.RLock()
 
     def rows(self, kind: SequenceKind, n: int) -> Sequence[Number]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -26,7 +27,7 @@ def poly_trinomial(b: int, c: int, n: int) -> int:
 
 # --------------------------------------------------------------------------
 # Oracles: each sequence by its defining sum, evaluated term by term,
-# independent of the store's recurrences and convolutions
+# independent of the store's recurrences
 # --------------------------------------------------------------------------
 
 def gct_direct(b: int, c: int, n: int) -> int:
@@ -247,6 +248,13 @@ class TestSnk:
     def test_index_violation(self):
         with pytest.raises(ValueError):
             sk.snk(2, 3)
+        with pytest.raises(ValueError):
+            sk.snk_row(2, 3)
+
+    def test_row_matches_snk(self):
+        for n in range(41):
+            assert sk.snk_row(n, n) == [sk.snk(n, k) for k in range(n + 1)]
+        assert sk.snk_row(9, 4) == sk.snk_row(9, 9)[:5]
 
 
 class TestLegendre:
@@ -415,6 +423,29 @@ class TestStore:
             assert list(got[:STORE_N + 1]) == oracle.values(kind, STORE_N), \
                 str(kind)
 
+    def test_operator_kinds_match_direct_sums(self):
+        rng = random.Random(20191113)
+        pairs = [(4, c) for c in range(-10, 11)]
+        pairs += [(rng.randint(-30, 30), rng.randint(-900, 900))
+                  for _ in range(5)]
+        pairs += [(7, 0), (-3, 0), (6, 9), (-10, 25)]   # c = 0, b^2 = 4c
+        kinds = [sk.SBC(b, c) for b, c in pairs] + [
+            sk.FRANEL4, sk.GPOLY(-20), sk.GPOLY(Fraction(-1, 4)),
+            sk.GPOLY(Fraction(3, 7))]
+        oracle = _Oracle()
+        for kind in kinds:
+            got = sk.table(kind, STORE_N).values
+            assert list(got) == oracle.values(kind, STORE_N), str(kind)
+
+    @pytest.mark.parametrize("b,c", [(408, 27999), (1802, 528887), (0, 0)])
+    def test_rows_where_the_lead_vanishes_come_from_the_lucas_sum(self, b, c):
+        # SBC's leading coefficient vanishes at n = 0 and n = 1 for the
+        # first two pairs, and at every n for (0, 0)
+        coeffs = sk.OPERATORS["SBC"].coeffs(b, c)
+        assert 0 in (coeffs(0)[-1], coeffs(1)[-1])
+        assert list(sk.table(sk.SBC(b, c), 40).values) \
+            == _Oracle().values(sk.SBC(b, c), 40)
+
     def test_growth_out_of_order_matches_table(self, store_kinds):
         store = sk.SequenceStore()
         for n in (10, STORE_N, 50):
@@ -463,9 +494,15 @@ class TestStore:
 
     def test_inexact_step_raises_and_kind_restarts(self, monkeypatch):
         store = sk.SequenceStore()
-        lead, a, b = sk._RECURRENCES["FRANEL"]
-        monkeypatch.setitem(sk._RECURRENCES, "FRANEL",
-                            (lambda n: lead(n) + 1, a, b))
+        op = sk.OPERATORS["FRANEL"]
+        good = op.coeffs()
+
+        def lead_plus_one(n):
+            c0, c1, c2 = good(n)
+            return c0, c1, c2 + 1
+
+        monkeypatch.setitem(sk.OPERATORS, "FRANEL",
+                            sk.Operator(op.init, lambda: lead_plus_one))
         with pytest.raises(ArithmeticError):
             store.rows(sk.FRANEL, 10)
         monkeypatch.undo()

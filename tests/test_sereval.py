@@ -806,3 +806,50 @@ def test_soundness_checks_survive_python_O():
     # SUPPORTED is its verdict when every n checks out
     assert sorted(done.stdout.split()) == ["1.2=PASS", "8-1-n=SUPPORTED",
                                            "vh-a=PASS"]
+
+
+GROWTH_K = 1000
+
+
+def _series_kinds():
+    """Every sequence kind in a registry SERIES spec."""
+    return sorted({kind for spec in _registry_series().values()
+                   for kind, _ in spec.spec.seq}, key=str)
+
+
+class TestGrowthConstants:
+    """Each hand-entered _kind_growth constant g bounds its rows: |a_k| <= g^k."""
+
+    def test_registry_kinds_are_found(self):
+        assert len(_series_kinds()) > 100
+
+    @pytest.mark.parametrize("kind", _series_kinds(), ids=str)
+    def test_constant_bounds_the_rows(self, kind):
+        g = se._kind_growth(kind)
+        rows = sk.rows(kind, GROWTH_K)
+        num, den = 1, 1     # g^k = num / den, kept unreduced
+        for k in range(GROWTH_K + 1):
+            a = Fraction(rows[k])
+            x, y = abs(a.numerator), a.denominator
+            # x den < 2^(bits) <= num y when the bit lengths are far apart
+            if (x.bit_length() + den.bit_length()
+                    > num.bit_length() + y.bit_length() - 2):
+                assert x * den <= num * y, (str(kind), k)
+            num *= g.numerator
+            den *= g.denominator
+
+    def test_constants_are_not_counted_as_series(self, monkeypatch):
+        """PI, CATALAN_G and LOG3 sum their series through eval_weighted,
+        so eval_series counts only series evaluations."""
+        calls = []
+        real = se.eval_series
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(se, "eval_series", counted)
+        monkeypatch.setattr(se, "_CONST_CACHE", {})
+        for name in ("PI", "CATALAN_G", "LOG3"):
+            se.constant(name, 30)
+        assert calls == []
