@@ -10,12 +10,15 @@ discover           integer-relation search for a closed form of a series
 quadform           binary-quadratic-form representation helpers
 
 Exit codes: 0 when everything passed or is supported, 1 when a proven
-claim failed, 2 on usage or registry-parse errors.
+claim failed, 2 on usage or registry-parse errors, and 141 (128 + SIGPIPE)
+when stdout's reader closed before the output was written, as in
+``piseries verify series | head``; that case prints nothing more.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -25,6 +28,8 @@ from . import congruence as cg
 from . import corpus, exactid, quadform, relation, sereval
 
 _SQUAREFREE_D = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 30)
+#: the exit code when stdout's reader has gone, as a shell reports SIGPIPE
+_CLOSED_PIPE = 141
 
 
 class CliError(Exception):
@@ -188,8 +193,8 @@ def _cmd_verify_exact(args) -> int:
             raise CliError(str(exc)) from exc
         print(f"{name}\t{'PASS' if ok else 'FAIL'}\t{detail}")
         return int(not ok)
-    report = corpus.run(_load(args.registry), id_glob=args.id,
-                        kind="FINITE_IDENTITY", n_max=args.nmax)
+    picked = _select(_load(args.registry), args.id, "FINITE_IDENTITY")
+    report = corpus.run(picked, n_max=args.nmax)
     _emit(report.render("text"), None)
     return report.exit_code
 
@@ -358,7 +363,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed early (``| head``): stop quietly, and
+        # point stdout at devnull so the exit-time flush raises no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _CLOSED_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

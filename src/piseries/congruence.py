@@ -33,7 +33,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from . import seqkit
 # term_value is not called here: perfbench/tracer.py wraps this binding
-from .sereval import TermSpec, _terms, term_value
+from .sereval import TermSpec, _term_pairs, term_value
 
 __all__ = [
     "primes_upto",
@@ -198,7 +198,7 @@ def _prefix_sums(spec: TermSpec,
     pending = sorted(set(counts), reverse=True)
     P, Q = 0, 1
     if pending and pending[0] > spec.k0:
-        terms = _terms(spec, spec.k0, pending[0] - 1)
+        terms = _term_pairs(spec, spec.k0, pending[0] - 1)
         for k, (num, den) in enumerate(terms, spec.k0):
             while pending[-1] <= k:
                 yield pending.pop(), P, Q

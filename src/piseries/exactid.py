@@ -10,7 +10,7 @@ form c, both :class:`~piseries.sereval.TermSpec`, with
     sum_{k0 <= k <= n} summand(k) = scale * c(n) + const    for n >= k0.
 
 :func:`check_family` walks one ``congruence._prefix_sums`` pass over the
-summand beside ``sereval._terms`` over c and compares cross-multiplied
+summand beside ``sereval._term_pairs`` over c and compares cross-multiplied
 integers: equality is literal.  The Franel transform, the S_n(4, c)
 expansion and the s_{k+l,k} bound are exact checks over ``seqkit`` rows.
 """
@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 from . import seqkit
 from .congruence import _prefix_sums
 from .seqkit import CB2, CB3, CB4, CB63
-from .sereval import TermSpec, _terms, term_value
+from .sereval import TermSpec, _term_pairs, term_value
 
 __all__ = [
     "FAMILIES", "NO_PARAMS", "ONE_M", "TWO_INTS", "Family", "Telescoping",
@@ -205,7 +205,7 @@ def check_family(family: str, m: Optional[int], n_max: int) -> CheckReport:
     (sn, sd), (cn, cd) = (ident.scale.as_integer_ratio(),
                           ident.const.as_integer_ratio())
     sums = _prefix_sums(ident.summand, range(k0 + 1, n_max + 2))
-    closed = _terms(ident.closed, k0, n_max)
+    closed = _term_pairs(ident.closed, k0, n_max)
     for n, (_, P, Q), (num, den) in zip(count(k0), sums, closed):
         # P/Q = (sn/sd)(num/den) + cn/cd, every denominator positive
         if P * sd * den * cd != Q * (sn * num * cd + cn * sd * den):
@@ -221,10 +221,10 @@ def check_sun_finite_step(n_max: int) -> CheckReport:
     the closed form's forward difference equals the summand, exactly."""
     ident = FAMILIES["GLAISHER"].telescoping(None)
     sn, sd = ident.scale.as_integer_ratio()
-    closed = _terms(ident.closed, 0, n_max)
+    closed = _term_pairs(ident.closed, 0, n_max)
     pnum, pden = next(closed)
     for n, (num, den), (tnum, tden) in zip(
-            count(1), closed, _terms(ident.summand, 1, n_max)):
+            count(1), closed, _term_pairs(ident.summand, 1, n_max)):
         if sn * (num * pden - pnum * den) * tden != sd * tnum * den * pden:
             return CheckReport("SUN_FINITE", (), n, first_failure=n)
         pnum, pden = num, den

@@ -37,7 +37,10 @@ Every division by a leading coefficient is checked to be exact and raises
 ``ArithmeticError`` otherwise.  Where SBC's leading coefficient vanishes
 (at most four n for each (b, c), or every n for (0, 0)), that row comes
 from the Lucas sum instead.  The kinds that are not recurrences: GCT2/GCT3
-read every second/third row of their GCT kind from the same store; EULER
+are strided slices of their GCT kind's rows in the same store: to reach
+row n the store grows GCT to row 2n (3n) and appends
+``base[i*stride : stride*n + 1 : stride]`` from its own length i on, so
+the rows are the GCT kind's own integers and no step runs per row; EULER
 continues the secant recurrence row by row; BERNOULLI holds the even
 Bernoulli numbers (row j is B_{2j}, a ``Fraction``) and carries the
 Akiyama-Tanigawa row, so the numbers are computed only as far as they are
@@ -49,7 +52,8 @@ The sequence store
 :class:`SequenceKind` once.  A kind grows from its last rows: each kind's
 generator keeps the state its step needs (the last r rows of its
 recurrence), so asking for more rows continues where the last request
-stopped and nothing is ever rebuilt.
+stopped and nothing is ever rebuilt.  The rows a request lacks are pulled
+from the generator in one ``list.extend`` over ``islice``.
 
 A lock guards growth, so threads may share one store; reading a row that
 already exists takes no lock and copies nothing.  :func:`rows` reads the
@@ -63,7 +67,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import comb
 from operator import mul
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
@@ -207,15 +211,6 @@ def tsmall_direct(n: int, s: Callable[[int, int], Fraction] = snk
 # --------------------------------------------------------------------------
 # The operator table
 # --------------------------------------------------------------------------
-
-def _exact(num: int, den: int, kind: SequenceKind, n: int) -> int:
-    """num / den, which the recurrence of ``kind`` guarantees is exact."""
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(
-            f"inexact division in the {kind} recurrence at n={n}")
-    return q
-
 
 def _poly(n, coeffs: Sequence[int]):
     """sum_i coeffs[i] n^(d-i), d = len(coeffs) - 1, by Horner's rule."""
@@ -389,7 +384,10 @@ def _operator_rows(kind: SequenceKind, op: Operator,
         lead = cs[r]
         if lead:
             # map stops after the r rows in last: c_0..c_{r-1}
-            nxt = _exact(sum(map(mul, cs, last)), -lead, kind, n)
+            nxt, rem = divmod(sum(map(mul, cs, last)), -lead)
+            if rem:
+                raise ArithmeticError(
+                    f"inexact division in the {kind} recurrence at n={n}")
         elif op.direct is not None:
             nxt = op.direct(n + r, *params)
         else:
@@ -423,8 +421,8 @@ def _bernoulli_even() -> Iterator[Fraction]:
             yield A[0]
 
 
-def _generator(kind: SequenceKind, store: "SequenceStore") -> Iterator[Number]:
-    """The row generator of ``kind``; kinds it reads come from ``store``."""
+def _generator(kind: SequenceKind) -> Iterator[Number]:
+    """The row generator of ``kind``, for every kind but the strided ones."""
     tag = kind.tag
     if tag == "GPOLY":
         x = Fraction(kind.params[0])
@@ -436,10 +434,6 @@ def _generator(kind: SequenceKind, store: "SequenceStore") -> Iterator[Number]:
     if tag in OPERATORS:
         return _operator_rows(kind, OPERATORS[tag],
                               tuple(int(v) for v in kind.params))
-    if tag in ("GCT2", "GCT3"):
-        stride = 2 if tag == "GCT2" else 3
-        base = GCT(*kind.params)
-        return (store.rows(base, stride * n)[stride * n] for n in count())
     if tag == "EULER":
         return _euler()
     if tag == "BERNOULLI":
@@ -450,6 +444,10 @@ def _generator(kind: SequenceKind, store: "SequenceStore") -> Iterator[Number]:
 # --------------------------------------------------------------------------
 # The store
 # --------------------------------------------------------------------------
+
+#: kinds whose row n is row stride * n of GCT with the same parameters
+_STRIDES = {"GCT2": 2, "GCT3": 3}
+
 
 class SequenceStore:
     """Rows of each sequence kind, computed once and extended in place."""
@@ -472,18 +470,22 @@ class SequenceStore:
             return got
         with self._lock:
             got = self._rows.get(kind)
+            stride = _STRIDES.get(kind.tag)
             if got is None:
-                gen = _generator(kind, self)
+                if stride is None:
+                    self._gens[kind] = _generator(kind)
                 got = self._rows[kind] = []
-                self._gens[kind] = gen
-            gen = self._gens[kind]
             try:
-                while len(got) <= n:
-                    got.append(next(gen))
+                if stride is not None:
+                    base = self.rows(GCT(*kind.params), stride * n)
+                    got.extend(base[stride * len(got):stride * n + 1:stride])
+                elif len(got) <= n:
+                    got.extend(islice(self._gens[kind], n + 1 - len(got)))
             except BaseException:
                 # the generator is spent (or a value was lost between it and
                 # the list): start the kind afresh on the next request
-                del self._rows[kind], self._gens[kind]
+                del self._rows[kind]
+                self._gens.pop(kind, None)
                 raise
             return got
 

@@ -3,13 +3,20 @@
 A :class:`Ball` is a midpoint/radius pair of ``Fraction`` values; the true
 value is guaranteed to lie in [mid-rad, mid+rad] and every operation widens
 the radius conservatively.  A series is summed in fixed point, as integers
-scaled by 2^s: each term is an exact integer pair (num, den), and
-``(num << s) // den`` is below its true value by less than one unit in the
-last place, so ``terms * 2^-s`` added to the radius covers every rounding
-(the midpoint-radius scheme of Arb, Johansson 2017).  A rigorous geometric
-tail bound derived from per-sequence growth inequalities (never from sampled
-ratios) covers the rest, so a reported enclosure is a proof-grade statement
-about the sum.  :func:`term_value` remains the exact value of one term.
+scaled by 2^s.  One builder, :func:`_term_columns`, gives the terms
+k = lo..hi as two columns of unreduced integers, nums and dens > 0, in
+blocks of at most ``_BLOCK`` terms; each column is the entrywise product
+of slices of the sequence store's rows, ranges and ``accumulate`` powers,
+multiplied in chained ``map`` iterators.  A weight's sum is then
+``sum(map(floordiv, map(lshift, map(mul, w, nums), repeat(s)), dens))``:
+the floor of each term at 2^-s, as before, below its true value by less
+than one unit in the last place, so ``terms * 2^-s`` added to the radius
+covers every rounding (the midpoint-radius scheme of Arb, Johansson 2017).
+A rigorous geometric tail bound derived from per-sequence growth
+inequalities (never from sampled ratios) covers the rest, so a reported
+enclosure is a proof-grade statement about the sum.  :func:`term_value` is
+the exact value of one term, from the same builder, and so are the partial
+sums of :mod:`~piseries.congruence` and :mod:`~piseries.exactid`.
 
 The number of terms N is chosen once per evaluation.  The envelope
 |term(k)| <= P(k) theta^k and its crossover K0 (past which the envelope
@@ -19,7 +26,11 @@ P(N+1) theta^(N+1) / (1-rho), and then checked in exact rationals against
 the target minus the rounding radius.  If the check fails N steps up until
 it passes, so no float ever decides a verdict.  One pass over the terms
 then gives the sum, and the exact terms N+1..K0 as well when N < K0; the
-moment sums of :func:`eval_weighted` share that pass.
+moment sums of :func:`eval_weighted` share that pass.  A boundary-ratio
+series takes the Euler transform (:class:`_EulerSum`) from the same pass:
+its weights are suffix sums of one binomial row, and its N is the first
+candidate whose exact tail bound passes, with a float screen that only
+skips candidates far above the target.
 
 Closed forms are evaluated in fixed point as well.  :func:`eval_rhs` keeps
 each addend q sqrt(d) basis as an integer interval lo <= value * 2^s <= hi:
@@ -40,7 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, comb, inf, isqrt, lcm, log, log2, log10
+from itertools import accumulate, chain, islice, repeat
+from math import ceil, comb, exp, inf, isqrt, lcm, log, log2, log10
+from operator import add, attrgetter, floordiv, lshift, mul
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -360,50 +373,125 @@ class TermSpec:
         return sum(c * k ** i for i, c in enumerate(self.weight))
 
 
-def _terms(spec: TermSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
-    """Terms lo..hi of ``spec`` as unreduced integer pairs (num, den),
-    den > 0, with term(k) = num / den.
+#: terms per block of :func:`_term_columns`: a bound on the columns held
+#: at once, whatever the number of terms
+_BLOCK = 32
 
-    The weight's coefficients share one denominator, the denominator
-    binomials C(2k,k), C(3k,k), C(4k,2k) are the store's CB2, CB3, CB4 rows,
-    and for m = a/b the powers b^k and a^k are carried one step at a time.
+
+def _poly_column(coeffs: Sequence[int], ks: range) -> Optional[List[int]]:
+    """p(k) for k in ``ks``, coefficients high -> low, by Horner's rule on
+    whole columns; None for the constant 1, which multiplies nothing."""
+    if len(coeffs) == 1 and coeffs[0] == 1:
+        return None
+    out = [coeffs[0]] * len(ks)
+    for c in coeffs[1:]:
+        out = list(map(add, map(mul, out, ks), repeat(c)))
+    return out
+
+
+def _product(factors: List[Iterable[int]], n: int) -> List[int]:
+    """The entrywise product of columns of length n, with no column but the
+    result materialised; no factors give ones."""
+    if not factors:
+        return [1] * n
+    out = factors[0]
+    for col in factors[1:]:
+        out = map(mul, out, col)
+    return list(out)
+
+
+def _integer_weight(weight: Sequence) -> Tuple[List[int], int]:
+    """A weight's coefficients over their common denominator, high -> low,
+    and that denominator."""
+    wden = lcm(*(Fraction(c).denominator for c in weight))
+    return [int(c * wden) for c in reversed(weight)], wden
+
+
+def _weighted(coeffs: List[int], wden: int, k: int, nums: List[int],
+              dens: List[int]) -> Tuple[Iterator[int], Iterator[int]]:
+    """w(k + i) nums[i] and wden dens[i] along a block that starts at k,
+    for the weight w = coeffs / wden of :func:`_integer_weight`."""
+    ws = _poly_column(coeffs, range(k, k + len(nums)))
+    return (iter(nums) if ws is None else map(mul, ws, nums),
+            iter(dens) if wden == 1 else map(mul, dens, repeat(wden)))
+
+
+def _term_columns(spec: TermSpec, lo: int, hi: int
+                  ) -> Iterator[Tuple[int, List[int], List[int]]]:
+    """Terms lo..hi of ``spec`` as columns of unreduced integers: blocks
+    (k, nums, dens) of at most ``_BLOCK`` terms, the first at k = lo, with
+    term(k + i) = nums[i] / dens[i] and dens[i] > 0.
+
+    Each column is the entrywise product of factor columns: the weight
+    polynomial (its coefficients share one denominator), slices of the
+    store's rows for the sequences and for the denominator binomials
+    C(2k,k), C(3k,k), C(4k,2k) (CB2, CB3, CB4), a range for each affine
+    factor, and for m = a/b (a > 0, the sign of m moved to b) the powers
+    b^k and a^k, each one ``accumulate`` over the whole range.  The
+    factors are chained ``map`` iterators, so a block holds only its two
+    result columns.  A kind's rows are all integers or all Fractions.
     """
     if lo < spec.k0:
         raise ValueError(f"term starts at k0={spec.k0}")
-    wden = lcm(*(Fraction(c).denominator for c in spec.weight))
-    weight = [int(c * wden) for c in reversed(spec.weight)]   # high -> low
+    weight, wden = _integer_weight(spec.weight)
     seq = [(seqkit.rows(kind, hi), e) for kind, e in spec.seq]
     binom = [(seqkit.rows(SequenceKind(tag), hi), e)
              for tag, e in spec.den if tag in _DEN_BINOMIAL]
     affine = [(*_AFFINE[tag], e) for tag, e in spec.den if tag in _AFFINE]
+    # from this k on every affine factor is positive; before it den may not be
+    positive = max((-((c0 - 1) // c1) for c1, c0, _ in affine), default=0)
     m = Fraction(spec.m)
     a, b = m.numerator, m.denominator
-    ak, bk = a ** lo, b ** lo
-    for k in range(lo, hi + 1):
-        num = 0
-        for c in weight:
-            num = num * k + c
-        num *= bk
-        den = wden * ak
+    if a < 0:
+        a, b = -a, -b
+    apow = accumulate(repeat(a), mul, initial=a ** lo)
+    bpow = accumulate(repeat(b), mul, initial=b ** lo)
+    for k in range(lo, hi + 1, _BLOCK):
+        end = min(k + _BLOCK, hi + 1)
+        n = end - k
+        num_f: List[Iterable[int]] = []
+        den_f: List[Iterable[int]] = []
+        w = _poly_column(weight, range(k, end))
+        if w is not None:
+            num_f.append(w)
+        if wden != 1:
+            den_f.append(repeat(wden, n))
+        if b != 1:
+            num_f.append(islice(bpow, n))
+        if a != 1:
+            den_f.append(islice(apow, n))
         for tab, e in seq:
-            v = tab[k]
-            if isinstance(v, Fraction):
-                num *= v.numerator ** e
-                den *= v.denominator ** e
+            col = tab[k:end]
+            if isinstance(tab[0], Fraction):
+                num_f.append(map(pow, map(attrgetter("numerator"), col),
+                                 repeat(e)))
+                den_f.append(map(pow, map(attrgetter("denominator"), col),
+                                 repeat(e)))
             else:
-                num *= v ** e
+                num_f.append(col if e == 1 else map(pow, col, repeat(e)))
         for tab, e in binom:
-            den *= tab[k] ** e
+            col = tab[k:end]
+            den_f.append(col if e == 1 else map(pow, col, repeat(e)))
         for c1, c0, e in affine:
-            den *= (c1 * k + c0) ** e
-        yield (-num, -den) if den < 0 else (num, den)
-        ak *= a
-        bk *= b
+            col = range(c1 * k + c0, c1 * end + c0, c1)
+            den_f.append(col if e == 1 else map(pow, col, repeat(e)))
+        nums, dens = _product(num_f, n), _product(den_f, n)
+        for i in range(min(n, positive - k)):
+            if dens[i] < 0:
+                nums[i], dens[i] = -nums[i], -dens[i]
+        yield k, nums, dens
+
+
+def _term_pairs(spec: TermSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
+    """The (num, den) pairs of :func:`_term_columns` one after another, for
+    the exact partial sums that walk the terms in order."""
+    return chain.from_iterable(zip(nums, dens)
+                               for _, nums, dens in _term_columns(spec, lo, hi))
 
 
 def term_value(spec: TermSpec, k: int) -> Fraction:
     """Exact value of the k-th summand."""
-    (num, den), = _terms(spec, k, k)
+    (_, (num,), (den,)), = _term_columns(spec, k, k)
     return Fraction(num, den)
 
 
@@ -475,9 +563,11 @@ def _spec_envelope(spec: TermSpec) -> Tuple[List[Fraction], Fraction]:
             # the binomial-coefficient envelope above.
             s = _sqrt_frac_up(Fraction(27))
             theta *= s ** e
-            env = [Fraction(28, 45) / (s * 362880)]
+            binom = [1]          # (k+1)(k+2)...(k+9), in integers
             for i in range(1, 10):
-                env = _poly_mul(env, [Fraction(i), Fraction(1)])
+                binom = _poly_mul(binom, [i, 1])
+            c = Fraction(28, 45) / (s * 362880)
+            env = [c * x for x in binom]
             for _ in range(e):
                 poly_seq = _poly_mul(poly_seq, env)
         else:
@@ -506,7 +596,7 @@ def _spec_envelope(spec: TermSpec) -> Tuple[List[Fraction], Fraction]:
 
 
 def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -529,11 +619,14 @@ def _crossover(poly: Sequence[Fraction], theta: Fraction, lo: int) -> int:
     return K
 
 
-def _closed_tail(poly: Sequence[Fraction], theta: Fraction,
-                 K: int) -> Fraction:
+def _closed_tail(poly: Sequence[Fraction], theta: Fraction, K: int,
+                 power: Optional[Fraction] = None) -> Fraction:
     """P(K+1) theta^(K+1) / (1 - rho): the geometric bound on the envelope
-    past a K at or beyond the crossover."""
-    return 2 * _poly_at(poly, K + 1) * theta ** (K + 1) / (1 - theta)
+    past a K at or beyond the crossover; ``power`` is theta^(K+1) when the
+    caller holds it already."""
+    if power is None:
+        power = theta ** (K + 1)
+    return 2 * _poly_at(poly, K + 1) * power / (1 - theta)
 
 
 def tail_bound(spec: TermSpec, N: int) -> Fraction:
@@ -551,7 +644,8 @@ def tail_bound(spec: TermSpec, N: int) -> Fraction:
     K0 = _crossover(poly, theta, max(spec.k0, 1))
     if N >= K0:
         return _closed_tail(poly, theta, N)
-    exact = (Fraction(abs(num), den) for num, den in _terms(spec, N + 1, K0))
+    exact = (Fraction(abs(num), den)
+             for num, den in _term_pairs(spec, N + 1, K0))
     return sum(exact, _closed_tail(poly, theta, K0))
 
 
@@ -603,14 +697,14 @@ def _estimate_N(poly: Sequence[Fraction], theta: Fraction, k0: int, K0: int,
 
 
 class _DirectSum:
-    """The fixed-point sum of one weighted series, fed from a term stream
-    shared with other weights of the same unweighted term.
+    """The fixed-point sum of one weighted series, fed from a stream of
+    column blocks of the unweighted term shared with other weights.
 
     The envelope and the crossover K0 are computed once.  N starts at the
     closed-form estimate of :func:`_estimate_N`.  At or past K0 the exact
     bound is the closed form, so N is settled before any term is summed:
     it steps up (galloping, then bisecting) until ``bound < target - err``
-    holds in exact rationals.  Below K0 the bound needs the exact terms
+    holds, checked in integers.  Below K0 the bound needs the exact terms
     N+1..K0, which the stream supplies together with the sum; if the check
     then fails, N moves to K0 and on, and the stream is walked again.
     """
@@ -621,15 +715,30 @@ class _DirectSum:
         self.poly, self.theta = poly, theta
         self.target = Fraction(1, 10 ** (digits + 2))
         self.K0 = _crossover(poly, theta, max(spec.k0, 1))
-        self.wden = lcm(*(Fraction(c).denominator for c in spec.weight))
-        self.weight = [int(c * self.wden) for c in reversed(spec.weight)]
+        self.weight, self.wden = _integer_weight(spec.weight)
         self._start(_estimate_N(poly, theta, spec.k0, self.K0, digits), None)
 
     def _closed_bound(self, N: int) -> Optional[Fraction]:
-        """The exact bound at N >= K0 if it passes, else None."""
-        bound = _closed_tail(self.poly, self.theta, N)
+        """The exact bound at N >= K0 if it passes, else None.
+
+        With P(N+1) = u/v, theta = a/b, theta^(N+1) = A/B and target - err
+        = (ed - en T) / (T ed), T = 10^(digits+2), the bound
+        2 u A b / (v B (b - a)) passes when
+        2 u A b T ed < (ed - en T) v B (b - a): every denominator is
+        positive, so the check is one comparison of integers, and the
+        Fraction is built only for a bound that passes, from the same
+        power theta^(N+1).
+        """
         _, err = _fixed_point(N - self.k0 + 1, self.digits)
-        return bound if bound < self.target - err else None
+        power = self.theta ** (N + 1)
+        u, v = _poly_at(self.poly, N + 1).as_integer_ratio()
+        A, B = power.as_integer_ratio()
+        a, b = self.theta.as_integer_ratio()
+        en, ed = err.as_integer_ratio()
+        T = self.target.denominator
+        if 2 * u * A * b * T * ed >= (ed - en * T) * v * B * (b - a):
+            return None
+        return _closed_tail(self.poly, self.theta, N, power)
 
     def _start(self, N: int, bound: Optional[Fraction]) -> None:
         if bound is None and N >= self.K0:
@@ -648,19 +757,32 @@ class _DirectSum:
         self.pending: List[Fraction] = []   # |term(k)|, N < k <= K0
 
     @property
+    def start(self) -> int:
+        """The first term this sum reads from the stream."""
+        return self.k0
+
+    @property
     def reach(self) -> int:
         """The last term this sum still needs from the stream."""
         return self.N if self.bound is not None else self.K0
 
-    def add(self, k: int, num: int, den: int) -> None:
-        """Take the unweighted term k = num / den of the stream."""
-        w = 0
-        for c in self.weight:
-            w = w * k + c
-        if k <= self.N:
-            self.total += ((w * num) << self.s) // (self.wden * den)
-        elif self.bound is None:
-            self.pending.append(Fraction(abs(w * num), self.wden * den))
+    def add(self, k: int, nums: List[int], dens: List[int]) -> None:
+        """Take the block of unweighted terms k, k+1, ... of the stream:
+        floor(w(k) num 2^s / (wden den)) for each term up to N, and the
+        exact |term| for each pending one."""
+        n = min(len(nums), self.reach - k + 1)
+        if n <= 0:
+            return
+        nums, dens = _weighted(self.weight, self.wden, k, nums, dens)
+        # map stops when its first iterator does, so the terms up to N
+        # take exactly ``head`` entries of each column, and the pending
+        # ones the entries after them
+        head = max(0, min(n, self.N - k + 1))
+        self.total += sum(map(floordiv, map(lshift, islice(nums, head),
+                                            repeat(self.s)), dens))
+        if head < n:
+            self.pending.extend(map(Fraction, map(abs, islice(nums, n - head)),
+                                    dens))
 
     def settle(self) -> bool:
         """After the stream: True when N passed the exact check; else N
@@ -674,43 +796,44 @@ class _DirectSum:
         self._start(self.K0, None)
         return False
 
-    def ball(self) -> Ball:
-        return Ball(Fraction(self.total, 1 << self.s), self.bound + self.err)
+    def result(self) -> Tuple[Ball, dict]:
+        return (Ball(Fraction(self.total, 1 << self.s), self.bound + self.err),
+                {"path": "direct", "terms": self.N - self.k0 + 1,
+                 "theta": self.theta, "tail": self.bound})
 
 
 def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
                   digits: int = 40) -> List[Tuple[Ball, dict]]:
     """Certified enclosures of sum_{k>=k0} w(k) * term(k) for each weight
     w, where ``spec``'s own weight is replaced by w; each comes with the
-    ``stats`` dict of :func:`eval_series`.
+    ``stats`` dict of :func:`eval_series`.  No weights give no enclosures.
 
-    On the direct path all weights read one stream of the unweighted
-    terms, so the sequence rows and the big products behind each term are
-    made once; each ball equals :func:`eval_series` of the spec with that
-    weight.  The Euler path evaluates each weight on its own.
+    All weights read one stream of column blocks of the unweighted term
+    (:func:`_term_columns`), so the sequence rows and the big products
+    behind each term are made once, on the direct path
+    (:class:`_DirectSum`) and on the Euler path (:class:`_EulerSum`)
+    alike; each ball equals :func:`eval_series` of the spec with that
+    weight.
     """
+    if not weights:
+        return []
     specs = [replace(spec, weight=tuple(w)) for w in weights]
     envelopes = [_spec_envelope(s) for s in specs]
     theta = envelopes[0][1]
     if theta >= 1:
-        out = []
-        for s in specs:
-            ball, terms, tail = _euler_eval(s, digits)
-            out.append((ball, {"path": "euler", "terms": terms,
-                               "theta": theta, "tail": tail}))
-        return out
-    sums = [_DirectSum(s, poly, theta, digits)
-            for s, (poly, _) in zip(specs, envelopes)]
+        sums = [_EulerSum(s, theta, digits) for s in specs]
+    else:
+        sums = [_DirectSum(s, poly, theta, digits)
+                for s, (poly, _) in zip(specs, envelopes)]
     base = replace(spec, weight=(1,))
     todo = sums
     while todo:
-        hi = max(d.reach for d in todo)
-        for k, (num, den) in enumerate(_terms(base, spec.k0, hi), spec.k0):
+        lo, hi = min(d.start for d in todo), max(d.reach for d in todo)
+        for k, nums, dens in _term_columns(base, lo, hi):
             for d in todo:
-                d.add(k, num, den)
+                d.add(k, nums, dens)
         todo = [d for d in todo if not d.settle()]
-    return [(d.ball(), {"path": "direct", "terms": d.N - spec.k0 + 1,
-                        "theta": theta, "tail": d.bound}) for d in sums]
+    return [d.result() for d in sums]
 
 
 def eval_series(spec: TermSpec, digits: int = 40,
@@ -783,6 +906,9 @@ class _CBox:
 
 
 def _imul(al, ah, bl, bh) -> Tuple[Fraction, Fraction]:
+    if not (al or ah) or not (bl or bh):
+        # a zero interval, as every imaginary part of a real box is
+        return Fraction(0), Fraction(0)
     vals = (al * bl, al * bh, ah * bl, ah * bh)
     return min(vals), max(vals)
 
@@ -955,57 +1081,173 @@ def _falling(j: int, s: int) -> int:
     return out
 
 
-def _euler_tail(cert: _Cert, N: int) -> Optional[Fraction]:
-    """Upper bound on |sum_{j>N} c_j|, or None if N is too small."""
-    total = Fraction(0)
+def _euler_gaps(cert: _Cert, N: int
+                ) -> Optional[List[Tuple[int, Fraction, int]]]:
+    """(s, ws, gap) for each nonzero ws of ``cert``, where
+    rho_s = q (N+2) / (N+2-s) and 1 - rho_s = gap / (qd (N+2-s)) with
+    q = qn / qd; None when N is too small: N + 1 < s or rho_s >= 1 (gap
+    <= 0) for some addend."""
+    qn, qd = cert.q.as_integer_ratio()
+    out = []
     for s, ws in enumerate(cert.wfall):
         if ws == 0:
             continue
         if N + 1 < s or N + 2 - s <= 0:
             return None
-        rho = cert.q * Fraction(N + 2, N + 2 - s)
-        if rho >= 1:
+        gap = qd * (N + 2 - s) - qn * (N + 2)
+        if gap <= 0:
             return None
-        first = _falling(N + 1, s) * cert.q ** (N + 1 - s)
-        total += ws * (cert.R / 2) ** s * first / (1 - rho)
-    return cert.mass / 2 * total
+        out.append((s, ws, gap))
+    return out
 
 
-def _euler_eval(spec: TermSpec, digits: int) -> Tuple[Ball, int, Fraction]:
-    """Certified Euler-transform evaluation for boundary-ratio series, the
-    number of terms summed (those before ``k_start``, summed directly, plus
-    the N + 1 fed to the transform) and the tail-bound part of the
-    radius."""
-    cert = _certificate(spec)
-    if cert is None:
-        raise DivergentError(
-            "no moment certificate available; cannot evaluate this series")
+def _euler_tail(cert: _Cert, N: int) -> Optional[Fraction]:
+    """Upper bound on |sum_{j>N} c_j|, or None if N is too small: mass/2
+    times the sum over s of ws (R/2)^s falling(N+1, s) q^(N+1-s) /
+    (1 - rho_s).
+
+    With R/2 = hn / hd the addend s is num_s / (wd_s gap_s hd^top
+    qd^(N+1)), top = len(wfall) - 1, so the sum is taken in integers over
+    the small common factor prod_s wd_s gap_s, and reduced once."""
+    gaps = _euler_gaps(cert, N)
+    if gaps is None:
+        return None
+    qn, qd = cert.q.as_integer_ratio()
+    hn, hd = (cert.R / 2).as_integer_ratio()
+    top = len(cert.wfall) - 1
+    parts = []
+    for s, ws, gap in gaps:
+        wn, wd = ws.as_integer_ratio()
+        parts.append((wn * hn ** s * hd ** (top - s) * _falling(N + 1, s)
+                      * qn ** (N + 1 - s) * qd ** (s + 1) * (N + 2 - s),
+                      wd * gap))
+    common = 1
+    for _, e in parts:
+        common *= e
+    total = sum(num * (common // e) for num, e in parts)
+    mn, md = (cert.mass / 2).as_integer_ratio()
+    return Fraction(mn * total, md * common * hd ** top * qd ** (N + 1))
+
+
+def _euler_log_tail(cert: _Cert, N: int) -> float:
+    """The natural log of :func:`_euler_tail` in floating point, inf where
+    that is None: a screen that never decides (see :func:`_euler_N`)."""
+    gaps = _euler_gaps(cert, N)
+    if gaps is None:
+        return inf
+    _, qd = cert.q.as_integer_ratio()
+    log_q = _log(cert.q)
+    log_h = _log(cert.R / 2) if cert.R else -inf
+    logs = [_log(ws) + log(_falling(N + 1, s)) + (N + 1 - s) * log_q
+            + (s * log_h if s else 0) + log(qd * (N + 2 - s)) - log(gap)
+            for s, ws, gap in gaps if cert.R or not s]
+    if not logs:
+        return -inf
+    top = max(logs)
+    return (top + log(sum(exp(x - top) for x in logs))
+            + _log(cert.mass / 2))
+
+
+def _euler_N(cert: _Cert, digits: int, floors: int
+             ) -> Tuple[int, int, Fraction, Fraction]:
+    """(N, s, err, tail): the first N of 16 + 8 len(wfall), then
+    N += max(16, N // 4), whose exact :func:`_euler_tail` is below the
+    target less the radius ``err`` of N + 1 + ``floors`` floors at 2^-s.
+
+    A candidate is skipped without the exact bound only when the float
+    estimate exceeds e^2 times the target, far beyond any rounding of the
+    estimate: the exact check would fail there too, so N is the one the
+    exact loop alone gives.
+    """
     target = Fraction(1, 10 ** (digits + 2))
-    # the head terms k0 <= k < k_start are summed exactly and rounded once
-    head_floors = 1 if cert.k_start > spec.k0 else 0
+    screen = _log(target) + 2
     N = 16 + 8 * len(cert.wfall)
     while True:
-        s, err = _fixed_point(N + 1 + head_floors, digits)
-        tail = _euler_tail(cert, N)
-        if tail is not None and tail < target - err:
-            break
+        if _euler_log_tail(cert, N) <= screen:
+            s, err = _fixed_point(N + 1 + floors, digits)
+            tail = _euler_tail(cert, N)
+            if tail is not None and tail < target - err:
+                return N, s, err, tail
         N += max(16, N // 4)
-    head = sum((term_value(spec, k) for k in range(spec.k0, cert.k_start)),
-               Fraction(0))
-    # sum_{j<=N} c_j = sum_i A_i t'_i / 2^(N+1), A_i = sum_j C(j,i) 2^(N-j)
-    A = [0] * (N + 1)
-    row = [1]
-    for j in range(N + 1):
-        w = 1 << (N - j)
-        for i, cji in enumerate(row):
-            A[i] += cji * w
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    total = (head.numerator << s) // head.denominator
-    tp = _terms(spec, cert.k_start, cert.k_start + N)
-    for a, (num, den) in zip(A, tp):
-        total += ((a * num) << s) // (den << (N + 1))
-    return (Ball(Fraction(total, 1 << s), tail + err),
-            cert.k_start - spec.k0 + N + 1, tail)
+
+
+def _euler_weights(N: int) -> List[int]:
+    """A_i = sum_{i<=j<=N} C(j,i) 2^(N-j) for i = 0..N, in O(N).
+
+    sum_j (1+z)^j 2^(N-j) = ((1+z)^(N+1) - 2^(N+1)) / (z - 1), so A_i is
+    the suffix sum sum_{t>i} C(N+1, t) of one binomial row.
+    """
+    row = list(accumulate(range(N + 1),
+                          lambda c, t: c * (N + 1 - t) // (t + 1), initial=1))
+    A = list(accumulate(reversed(row[1:])))
+    A.reverse()
+    return A
+
+
+class _EulerSum:
+    """The certified Euler-transform sum of one weighted boundary-ratio
+    series, fed from the same stream of column blocks as
+    :class:`_DirectSum`.
+
+    The head terms k0 <= k < k_start are summed exactly by
+    :func:`term_value` and floored once; the stream starts at k_start.
+    The transform needs the N + 1 terms t'_i = term(k_start + i):
+    sum_{j<=N} c_j = sum_i A_i t'_i / 2^(N+1) with the weights A_i of
+    :func:`_euler_weights`, each product floored at 2^-s.  N, and with it
+    the rounding radius, is fixed before any term is read.
+    """
+
+    def __init__(self, spec: TermSpec, theta: Fraction, digits: int):
+        cert = _certificate(spec)
+        if cert is None:
+            raise DivergentError(
+                "no moment certificate available; cannot evaluate this series")
+        self.k0, self.k_start, self.theta = spec.k0, cert.k_start, theta
+        self.weight, self.wden = _integer_weight(spec.weight)
+        floors = 1 if cert.k_start > spec.k0 else 0
+        self.N, self.s, self.err, self.tail = _euler_N(cert, digits, floors)
+        self.A = _euler_weights(self.N)
+        head = sum((term_value(spec, k) for k in range(spec.k0, cert.k_start)),
+                   Fraction(0))
+        self.total = (head.numerator << self.s) // head.denominator
+
+    @property
+    def start(self) -> int:
+        """The first term this sum reads from the stream."""
+        return self.k_start
+
+    @property
+    def reach(self) -> int:
+        """The last term this sum reads from the stream."""
+        return self.k_start + self.N
+
+    def add(self, k: int, nums: List[int], dens: List[int]) -> None:
+        """Take the block of unweighted terms k, k+1, ... (k >= k_start) of
+        the stream: floor(A_i w(k) num 2^s / (wden den 2^(N+1))) for each,
+        i = k - k_start, with only one side shifted."""
+        n = min(len(nums), self.reach - k + 1)
+        if n <= 0:
+            return
+        nums, dens = _weighted(self.weight, self.wden, k, nums, dens)
+        i = k - self.k_start
+        # map stops at its first iterator: the n weights A_i
+        nums = map(mul, self.A[i:i + n], nums)
+        shift = self.s - self.N - 1
+        if shift >= 0:
+            nums = map(lshift, nums, repeat(shift))
+        else:
+            dens = map(lshift, dens, repeat(-shift))
+        self.total += sum(map(floordiv, nums, dens))
+
+    def settle(self) -> bool:
+        """N was fixed before the stream, so one walk always settles."""
+        return True
+
+    def result(self) -> Tuple[Ball, dict]:
+        return (Ball(Fraction(self.total, 1 << self.s),
+                     self.tail + self.err),
+                {"path": "euler", "terms": self.k_start - self.k0 + self.N + 1,
+                 "theta": self.theta, "tail": self.tail})
 
 
 # --------------------------------------------------------------------------

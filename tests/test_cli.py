@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,24 @@ class TestVerifyCongruence:
 
 
 class TestVerifyExact:
+    def test_no_match_is_a_usage_error(self, capsys):
+        code, out, err = _run(capsys, ["verify", "exact", "--id", "nomatch"])
+        assert (code, out) == (2, "")
+        assert err == "error: no finite_identity entry matches 'nomatch'\n"
+
+    def test_id_selects_entries(self, capsys):
+        code, out, _ = _run(capsys, ["verify", "exact", "--id", "l21-1-*",
+                                     "--nmax", "20"])
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[:2]] \
+            == ["l21-1-a", "l21-1-b"]
+        assert "-- 2 entries: PASS=2" in out
+
+    def test_run_filter_may_match_nothing(self, capsys):
+        code, out, err = _run(capsys, ["run", "--filter", "nomatch"])
+        assert (code, err) == (0, "")
+        assert out.startswith("-- 0 entries")
+
     def test_family(self, capsys):
         code, out, _ = _run(capsys, ["verify", "exact", "--family",
                                      "glaisher", "--nmax", "20"])
@@ -192,3 +214,24 @@ class TestNumericArguments:
                                        "-100", "--digits", digits])
         assert (code, out) == (2, "")
         assert err == f"error: digits must be >= 16, got {digits}\n"
+
+
+class TestClosedPipe:
+    def test_closed_stdout_exits_quietly(self):
+        # the reader closes its end before the first row is written, as
+        # ``piseries verify series | head`` does once head has its lines
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from piseries.cli import main;"
+             " sys.exit(main(sys.argv[1:]))",
+             "verify", "series", "--id", "1.7*", "--digits", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""

@@ -120,14 +120,14 @@ class TestRediscover:
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24), k0=0)
         walks = []
-        real = se._terms
+        real = se._term_columns
 
         def spy(s, lo, hi):
             if s.seq == spec.seq:
                 walks.append(s.weight)
             return real(s, lo, hi)
 
-        monkeypatch.setattr(se, "_terms", spy)
+        monkeypatch.setattr(se, "_term_columns", spy)
         # stop after the search, before the candidate's re-verification
         monkeypatch.setattr(rl, "pslq",
                             lambda values, *a: rl.PSLQResult(rl.NONE))

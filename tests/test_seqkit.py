@@ -492,6 +492,29 @@ class TestStore:
             want = sk.table(kind, 159).values
             assert tuple(store.rows(kind, 159)[:160]) == want
 
+    @pytest.mark.parametrize("b,c", [(1, 1), (7, -8), (-5, 3), (0, 4),
+                                     (10, 1), (62, 9025)])
+    @pytest.mark.parametrize("kind", [sk.GCT2, sk.GCT3])
+    def test_strided_rows_equal_the_old_generator(self, kind, b, c):
+        kind = kind(b, c)
+        stride = 2 if kind.tag == "GCT2" else 3
+        # the generator the strided slices replaced: one GCT row per step
+        old_store = sk.SequenceStore()
+        old = [old_store.rows(sk.GCT(b, c), stride * n)[stride * n]
+               for n in range(301)]
+        store = sk.SequenceStore()
+        for n in (0, 1, 5, 6, 41, 40, 300):
+            assert list(store.rows(kind, n)[:n + 1]) == old[:n + 1]
+        # the rows are the GCT kind's own integers, not copies
+        base = store.rows(sk.GCT(b, c), stride * 300)
+        got = store.rows(kind, 300)
+        assert all(got[n] is base[stride * n] for n in range(301))
+        # grown after its GCT kind went further, and in a private store
+        ahead = sk.SequenceStore()
+        ahead.rows(sk.GCT(b, c), 1000)
+        assert list(ahead.rows(kind, 300)[:301]) == old
+        assert list(sk.table(kind, 300).values) == old
+
     def test_inexact_step_raises_and_kind_restarts(self, monkeypatch):
         store = sk.SequenceStore()
         op = sk.OPERATORS["FRANEL"]

@@ -7,7 +7,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import mpmath
@@ -37,6 +37,58 @@ def term_oracle(spec: TermSpec, hi: int) -> list:
                 a, b = se._AFFINE[tag]
                 den *= (a * k + b) ** e
         out.append(num / (den * spec.m ** k))
+    return out
+
+
+def terms_oracle(spec: TermSpec, lo: int, hi: int):
+    """Terms lo..hi of ``spec`` as unreduced integer pairs (num, den),
+    den > 0, one term at a time: the per-term generator that
+    se._term_columns replaced, kept as its oracle.  The weight's
+    coefficients share one denominator, the denominator binomials are the
+    store's CB2, CB3, CB4 rows, and for m = a/b the powers b^k and a^k are
+    carried one step at a time."""
+    if lo < spec.k0:
+        raise ValueError(f"term starts at k0={spec.k0}")
+    wden = lcm(*(Fraction(c).denominator for c in spec.weight))
+    weight = [int(c * wden) for c in reversed(spec.weight)]   # high -> low
+    seq = [(sk.rows(kind, hi), e) for kind, e in spec.seq]
+    binom = [(sk.rows(sk.SequenceKind(tag), hi), e)
+             for tag, e in spec.den if tag in se._DEN_BINOMIAL]
+    affine = [(*se._AFFINE[tag], e) for tag, e in spec.den
+              if tag in se._AFFINE]
+    m = Fraction(spec.m)
+    a, b = m.numerator, m.denominator
+    ak, bk = a ** lo, b ** lo
+    for k in range(lo, hi + 1):
+        num = 0
+        for c in weight:
+            num = num * k + c
+        num *= bk
+        den = wden * ak
+        for tab, e in seq:
+            v = tab[k]
+            if isinstance(v, Fraction):
+                num *= v.numerator ** e
+                den *= v.denominator ** e
+            else:
+                num *= v ** e
+        for tab, e in binom:
+            den *= tab[k] ** e
+        for c1, c0, e in affine:
+            den *= (c1 * k + c0) ** e
+        yield (-num, -den) if den < 0 else (num, den)
+        ak *= a
+        bk *= b
+
+
+def column_pairs(spec: TermSpec, lo: int, hi: int) -> list:
+    """The (num, den) pairs of se._term_columns, checking the blocks."""
+    out = []
+    for k, nums, dens in se._term_columns(spec, lo, hi):
+        assert k == lo + len(out)
+        assert len(nums) == len(dens) <= se._BLOCK
+        out += zip(nums, dens)
+    assert len(out) == hi - lo + 1
     return out
 
 
@@ -253,7 +305,7 @@ class TestEulerTransform:
         spec = TermSpec(weight=(1,), den=(), seq=((sk.DOMB, 1),),
                         m=Fraction(16), k0=0)
         with pytest.raises(DivergentError):
-            se._euler_eval(spec, 20)
+            se.eval_series(spec, 20)
 
 
 def old_eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
@@ -542,7 +594,7 @@ class TestFixedPoint:
     ], ids=["chudnovsky", "aux-5", "1.2", "rational-rows"])
     def test_terms_match_definition(self, spec):
         hi = spec.k0 + 40
-        assert all(den > 0 for _, den in se._terms(spec, spec.k0, hi))
+        assert all(den > 0 for _, den in column_pairs(spec, spec.k0, hi))
         assert [se.term_value(spec, k) for k in range(spec.k0, hi + 1)] \
             == term_oracle(spec, hi)
 
@@ -594,7 +646,8 @@ def old_schedule(spec: TermSpec, digits: int):
         if bound < target - err:
             break
         N += max(8, N // 2)
-    total = sum((num << s) // den for num, den in se._terms(spec, spec.k0, N))
+    total = sum((num << s) // den
+                for num, den in terms_oracle(spec, spec.k0, N))
     return Ball(Fraction(total, 1 << s), bound + err), terms
 
 
@@ -759,16 +812,210 @@ class TestWeighted:
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24))
         walks = []
-        real = se._terms
+        real = se._term_columns
 
         def spy(s, lo, hi):
             walks.append((s.weight, lo, hi))
             return real(s, lo, hi)
 
-        monkeypatch.setattr(se, "_terms", spy)
+        monkeypatch.setattr(se, "_term_columns", spy)
         got = se.eval_weighted(spec, [(0, 1), (1, 0)], 60)
         terms = [info["terms"] for _, info in got]
         assert walks == [((1,), 0, max(terms) - 1)]
+
+    def test_euler_weights_share_one_pass(self, monkeypatch):
+        # S12's head term k = 0 comes from term_value; the stream starts at
+        # k_start = 1 and reaches the larger of the two N
+        walks = []
+        real = se._term_columns
+
+        def spy(s, lo, hi):
+            walks.append((s.weight, lo, hi))
+            return real(s, lo, hi)
+
+        monkeypatch.setattr(se, "_term_columns", spy)
+        got = se.eval_weighted(S12, [(0, 1), (-1, 4)], 30)
+        terms = [info["terms"] for _, info in got]
+        assert walks[-1] == ((1,), 1, max(terms) - 1)
+        assert [w for w in walks if w[0] == (1,)] == [walks[-1]]
+
+    @pytest.mark.parametrize("spec", [CHUDNOVSKY, S12],
+                             ids=["direct", "euler"])
+    def test_no_weights(self, spec):
+        assert se.eval_weighted(spec, [], 20) == []
+
+
+SLOW_SERIES = {"II4p", "8.1", "5.20", "5.23", "S2", "IV15p", "5.24", "II11p",
+               "III9p", "7.3", "w2"}
+
+
+def _registry_specs(exclude=frozenset()):
+    from piseries import corpus
+    return [pytest.param(e.series.spec, id=e.ident)
+            for e in corpus.load_default()
+            if e.kind == "SERIES" and e.series is not None
+            and e.ident not in exclude]
+
+
+def pascal_weights(N: int) -> list:
+    """A_i = sum_j C(j,i) 2^(N-j) from the Pascal triangle, O(N^2): the
+    weights of the Euler transform before se._euler_weights."""
+    A = [0] * (N + 1)
+    row = [1]
+    for j in range(N + 1):
+        w = 1 << (N - j)
+        for i, cji in enumerate(row):
+            A[i] += cji * w
+        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
+    return A
+
+
+def fraction_euler_tail(cert, N: int):
+    """The Euler tail bound in Fraction arithmetic, one addend at a time:
+    the oracle of se._euler_tail's integer sum."""
+    total = Fraction(0)
+    for s, ws in enumerate(cert.wfall):
+        if ws == 0:
+            continue
+        if N + 1 < s or N + 2 - s <= 0:
+            return None
+        rho = cert.q * Fraction(N + 2, N + 2 - s)
+        if rho >= 1:
+            return None
+        first = se._falling(N + 1, s) * cert.q ** (N + 1 - s)
+        total += ws * (cert.R / 2) ** s * first / (1 - rho)
+    return cert.mass / 2 * total
+
+
+def exact_euler_N(cert, digits: int, floors: int):
+    """The N loop of the Euler path with the exact tail bound at every
+    candidate, as it was before the float screen."""
+    target = Fraction(1, 10 ** (digits + 2))
+    N = 16 + 8 * len(cert.wfall)
+    while True:
+        s, err = se._fixed_point(N + 1 + floors, digits)
+        tail = fraction_euler_tail(cert, N)
+        if tail is not None and tail < target - err:
+            return N, s, err, tail
+        N += max(16, N // 4)
+
+
+def euler_oracle(spec: TermSpec, digits: int):
+    """The Euler-path ball and term count as the per-term code gave them:
+    the exact N loop, the Pascal weights and one term at a time."""
+    cert = se._certificate(spec)
+    floors = 1 if cert.k_start > spec.k0 else 0
+    N, s, err, tail = exact_euler_N(cert, digits, floors)
+    head = sum((se.term_value(spec, k) for k in range(spec.k0, cert.k_start)),
+               Fraction(0))
+    total = (head.numerator << s) // head.denominator
+    terms = terms_oracle(spec, cert.k_start, cert.k_start + N)
+    for a, (num, den) in zip(pascal_weights(N), terms):
+        total += ((a * num) << s) // (den << (N + 1))
+    return (Ball(Fraction(total, 1 << s), tail + err),
+            cert.k_start - spec.k0 + N + 1)
+
+
+def direct_oracle(spec: TermSpec, digits: int, terms: int) -> Ball:
+    """The direct-path ball at the N behind ``terms``, summed one term at a
+    time; N must pass the exact check."""
+    N = spec.k0 + terms - 1
+    s, err = se._fixed_point(terms, digits)
+    bound = se.tail_bound(spec, N)
+    assert bound < Fraction(1, 10 ** (digits + 2)) - err
+    total = sum((num << s) // den
+                for num, den in terms_oracle(spec, spec.k0, N))
+    return Ball(Fraction(total, 1 << s), bound + err)
+
+
+class TestColumnOracles:
+    """The column builder, the O(N) Euler weights and the screened Euler N
+    against the per-term code they replaced."""
+
+    @pytest.mark.parametrize("spec", _registry_specs())
+    def test_columns_equal_per_term_generator(self, spec):
+        hi = spec.k0 + se._BLOCK + 20        # across a block boundary
+        assert column_pairs(spec, spec.k0, hi) \
+            == list(terms_oracle(spec, spec.k0, hi))
+        lo = spec.k0 + 3
+        assert column_pairs(spec, lo, lo + 4) \
+            == list(terms_oracle(spec, lo, lo + 4))
+
+    @staticmethod
+    def _check_ball(spec, digits):
+        stats: dict = {}
+        try:
+            ball = se.eval_series(spec, digits, stats)
+        except DivergentError:
+            assert se._certificate(spec) is None
+            return
+        if stats["path"] == "direct":
+            assert ball == direct_oracle(spec, digits, stats["terms"])
+        else:
+            assert (ball, stats["terms"]) == euler_oracle(spec, digits)
+
+    @pytest.mark.parametrize("spec", _registry_specs())
+    def test_balls_at_12_digits(self, spec):
+        self._check_ball(spec, 12)
+
+    @pytest.mark.parametrize("spec", _registry_specs(SLOW_SERIES))
+    def test_balls_at_40_digits(self, spec):
+        self._check_ball(spec, 40)
+
+    @pytest.mark.parametrize("spec,digits", [
+        # N = 0 lies below the crossover K0 = 1: term 1 is pending, not summed
+        (TermSpec(weight=(1,), den=(("k+1", 1),), seq=(),
+                  m=Fraction(10 ** 20)), 10),
+        (WZAG16, 20), (S12, 20),
+    ], ids=["below-crossover", "wzag", "1.2"])
+    def test_balls_of_constructed_specs(self, spec, digits):
+        self._check_ball(spec, digits)
+
+    def test_euler_weights_equal_pascal(self):
+        # A_i(N) = 2 A_i(N-1) + C(N, i), from the definition
+        A = []
+        for N in range(301):
+            A = [2 * a + comb(N, i) for i, a in enumerate(A + [0])]
+            assert se._euler_weights(N) == A
+        for N in (0, 1, 2, 17, 113, 300):
+            assert se._euler_weights(N) == pascal_weights(N)
+
+    @pytest.mark.parametrize("spec", [
+        p for p in _registry_specs()
+        if se._spec_envelope(p.values[0])[1] >= 1
+        and se._certificate(p.values[0]) is not None])
+    def test_euler_tail_equals_fraction_sum(self, spec):
+        cert = se._certificate(spec)
+        for N in [*range(0, 12), *range(12, 400, 13)]:
+            assert se._euler_tail(cert, N) == fraction_euler_tail(cert, N)
+        # with R = 0 every addend s > 0 is 0
+        flat = replace(cert, R=Fraction(0))
+        for N in (0, 1, 40):
+            assert se._euler_tail(flat, N) == fraction_euler_tail(flat, N)
+
+    @pytest.mark.parametrize("spec", [
+        p for p in _registry_specs()
+        if se._spec_envelope(p.values[0])[1] >= 1
+        and se._certificate(p.values[0]) is not None])
+    def test_euler_N_equals_exact_loop(self, spec):
+        cert = se._certificate(spec)
+        floors = 1 if cert.k_start > spec.k0 else 0
+        for digits in (12, 15, 20, 30, 40):
+            assert se._euler_N(cert, digits, floors) \
+                == exact_euler_N(cert, digits, floors)
+
+    @pytest.mark.parametrize("spec", [CHUDNOVSKY, AUX5, WZAG16],
+                             ids=["chudnovsky", "aux-5", "wzag"])
+    def test_closed_bound_in_integers(self, spec):
+        poly, theta = se._spec_envelope(spec)
+        for digits in (12, 40):
+            d = se._DirectSum(spec, poly, theta, digits)
+            target = Fraction(1, 10 ** (digits + 2))
+            for N in range(d.K0, d.N + 40):
+                bound = se._closed_tail(poly, theta, N)
+                _, err = se._fixed_point(N - spec.k0 + 1, digits)
+                want = bound if bound < target - err else None
+                assert d._closed_bound(N) == want
 
 
 def test_soundness_checks_survive_python_O():
