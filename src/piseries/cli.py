@@ -58,7 +58,7 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type of --degree."""
+    """argparse type of --degree and --k0."""
     return _int_from(text, 0, "non-negative")
 
 
@@ -200,6 +200,7 @@ def _cmd_verify_exact(args) -> int:
 
 
 def _parse_basis(text: str):
+    """``--basis`` as explicit (d, name) pairs and bare names to scan."""
     fixed = []
     scan_names = []
     for token in text.split(","):
@@ -208,9 +209,15 @@ def _parse_basis(text: str):
             continue
         if "*" in token:
             d_s, name = token.split("*", 1)
-            fixed.append((int(d_s), name.strip().upper()))
+            try:
+                fixed.append((int(d_s), name.strip().upper()))
+            except ValueError:
+                raise CliError(f"bad --basis entry {token!r}: expected"
+                               " d*NAME with an integer d") from None
         else:
             scan_names.append(token.upper())
+    if not fixed and not scan_names:
+        raise CliError(f"--basis {text!r} names no constant")
     return fixed, scan_names
 
 
@@ -227,18 +234,19 @@ def _cmd_discover(args) -> int:
     attempts = [fixed] if fixed else \
         [[(d, name) for name in scan_names] for d in _SQUAREFREE_D]
     candidate = None
-    for basis in attempts:
-        try:
-            candidate = relation.rediscover(spec, basis, digits=args.digits,
-                                            max_norm=args.max_norm,
-                                            degree=args.degree)
-        except sereval.DivergentError as exc:
-            raise CliError(f"cannot evaluate the series: {exc}") from exc
-        except ValueError as exc:   # e.g. too few digits for a search
-            raise CliError(str(exc)) from exc
-        if candidate is not None and candidate.confirmed:
-            break
-        candidate = None
+    try:
+        # one set of search moments serves every basis
+        for found in relation.rediscover_each(spec, attempts,
+                                              digits=args.digits,
+                                              max_norm=args.max_norm,
+                                              degree=args.degree):
+            if found is not None and found.confirmed:
+                candidate = found
+                break
+    except sereval.DivergentError as exc:
+        raise CliError(f"cannot evaluate the series: {exc}") from exc
+    except ValueError as exc:   # e.g. too few digits for a search
+        raise CliError(str(exc)) from exc
     if candidate is None:
         print("NOT FOUND: no integer relation within the norm bound")
         return 0
@@ -333,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--seq", required=True,
                       help='sequence factor(s), e.g. "S(1,25)" or CB2^3')
     disc.add_argument("--m", required=True, help="base of the power m^k")
-    disc.add_argument("--k0", type=int, default=0)
+    disc.add_argument("--k0", type=_nonnegative_int, default=0)
     disc.add_argument("--basis", default="inv_pi",
                       help="comma list of constants; bare names scan"
                            " square-free sqrt multipliers, d*name pins one")

@@ -302,11 +302,12 @@ def _term_spec(text: str, line: int) -> TermSpec:
     weight = _weight(parts[0], line)
     if len(weight) > 4:
         raise CorpusError("weight degree above 3 is unsupported", line)
-    return TermSpec(weight=weight,
-                    den=_den(parts[1], line),
-                    seq=_seq(parts[2], line),
-                    m=_rational(parts[3][2:], line),
-                    k0=_integer(parts[4][3:], line))
+    den, seq = _den(parts[1], line), _seq(parts[2], line)
+    m, k0 = _rational(parts[3][2:], line), _integer(parts[4][3:], line)
+    try:
+        return TermSpec(weight=weight, den=den, seq=seq, m=m, k0=k0)
+    except ValueError as exc:       # m = 0, k0 < 0
+        raise CorpusError(str(exc), line) from None
 
 
 _RHS_ADDEND = re.compile(

@@ -1,23 +1,47 @@
 """Integer-relation discovery with certified residuals.
 
-The PSLQ search itself runs in floating point (mpmath, whose lattice
-reduction uses the standard gamma = 2/sqrt(3)), but a relation is only
-reported as FOUND after its residual has been re-evaluated in exact ball
-arithmetic and shown to be below the detection threshold
-10^-(digits-15).  A NONE answer carries the norm bound that was
-excluded; if the input balls are too wide to support the threshold the
-search is refused with PRECISION_EXHAUSTED.
+The search is PSLQ (Ferguson, Bailey & Arno, Math. Comp. 68, 1999) in
+fixed point, on integers only.  Each ball midpoint is scaled by 2^P, with
+P at least ``digits + 10`` decimal digits plus 64 guard bits.  H and y
+are lists of ints at that scale, and B, whose columns are the candidate
+relations, is an integer matrix (its inverse A is never needed).  The
+steps are the usual ones: gamma = sqrt(4/3), a row exchange at the
+largest gamma^j |H_jj|, a corner rotation, and Hermite reduction with
+nearest-integer multipliers.  A search ends
 
-mpmath is imported on the first :func:`pslq` call, not with this module,
-so a process that never searches for a relation never loads it.
+* FOUND when some |y_j| is below the tolerance 10^-(digits-10) and the
+  matching column of B has max norm at most ``max_norm``; the column,
+  divided by its gcd and with its first nonzero entry made positive, is
+  reported only after its residual has been certified in exact ball
+  arithmetic below 10^-(digits-15) (:func:`certify`);
+* NONE only when the norm bound 1/max_j |H_jj| of PSLQ exceeds
+  sqrt(n) * max_norm: every relation has Euclidean norm at least that
+  bound, so none has max norm within ``max_norm`` (``bound`` is then
+  ``max_norm``);
+* PRECISION_EXHAUSTED when the input balls are too wide for the
+  threshold, when a pivot of H becomes zero, when the step cap runs out,
+  when the only relations detected exceed ``max_norm`` (the norm bound
+  no longer holds once x is singular to working precision), or when a
+  candidate fails its certificate.
+
+The residual of a relation sums the midpoints exactly over their common
+denominator; each radius is rounded up to a multiple of 2^-e, 64 bits
+finer than that denominator, before it is summed, which only widens the
+ball.
+
+:func:`rediscover` searches on moment sums evaluated at ``digits`` and
+re-verifies only a FOUND relation, at 1.5x the digits;
+:func:`rediscover_each` runs it over several bases on one set of moments.
+The module needs nothing outside the standard library.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import count
+from math import ceil, gcd, isqrt, lcm, log2
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import sereval
 from .sereval import Ball, RHSForm, SeriesIdentity, TermSpec
@@ -28,6 +52,7 @@ __all__ = [
     "certify",
     "Candidate",
     "rediscover",
+    "rediscover_each",
     "FOUND",
     "NONE",
     "PRECISION_EXHAUSTED",
@@ -47,10 +72,16 @@ class PSLQResult:
 
 
 def _residual(values: Sequence[Ball], coeffs: Sequence[int]) -> Ball:
-    total = Ball.exact(Fraction(0))
+    """The ball sum c_i v_i: the midpoints summed exactly over their
+    common denominator D, and each radius rounded up to a multiple of
+    2^-e, e = bitlength(D) + 64, before it is scaled and summed."""
+    den = lcm(*(v.mid.denominator for v in values))
+    e = den.bit_length() + 64
+    mid = rad = 0
     for c, v in zip(coeffs, values):
-        total = total + v * Ball.exact(Fraction(c))
-    return total
+        mid += c * v.mid.numerator * (den // v.mid.denominator)
+        rad += abs(c) * -((-v.rad.numerator << e) // v.rad.denominator)
+    return Ball(Fraction(mid, den), Fraction(rad, 1 << e))
 
 
 #: Fewest digits a search runs at: its threshold 10^-(digits-15) must be
@@ -68,16 +99,109 @@ def _threshold(digits: int) -> Fraction:
 def certify(values: Sequence[Ball], coeffs: Sequence[int],
             digits: int) -> Tuple[bool, Ball]:
     """Ball-arithmetic check that the relation holds to the threshold."""
+    threshold = _threshold(digits)
     res = _residual(values, coeffs)
-    return res.abs_upper() < _threshold(digits), res
+    return res.abs_upper() < threshold, res
+
+
+#: Most PSLQ iterations one search runs before it gives up as
+#: PRECISION_EXHAUSTED.
+_MAX_STEPS = 10000
+#: Guard bits of the fixed-point scale beyond digits + 10 decimal digits.
+_PSLQ_GUARD = 64
+
+
+def _hermite(rows: Iterable[Tuple[int, int]], y: List[int],
+             H: List[List[int]], B: List[List[int]]) -> bool:
+    """Hermite-reduce each row i of H against rows top(i), ..., 0 with
+    nearest-integer multipliers t, updating y and B (kept as its
+    columns) alike; False at a zero pivot, where the reduction stops."""
+    for i, top in rows:
+        Hi = H[i]
+        for j in range(top, -1, -1):
+            Hj = H[j]
+            if not Hj[j]:
+                return False
+            t = ((Hi[j] << 1) // Hj[j] + 1) >> 1
+            if t:
+                y[j] += t * y[i]
+                for k in range(j + 1):
+                    Hi[k] -= t * Hj[k]
+                B[j] = [a + t * b for a, b in zip(B[j], B[i])]
+    return True
+
+
+def _pslq(x: List[int], P: int, tol: int,
+          max_norm: int) -> Tuple[str, Optional[List[int]]]:
+    """PSLQ on the fixed-point vector x (x_i / 2^P, all |x_i| >= tol):
+    FOUND with a relation of max norm at most ``max_norm``, NONE, or
+    PRECISION_EXHAUSTED, as in the module docstring.  B is kept as the
+    list of its columns."""
+    n = len(x)
+    g = isqrt((4 << 2 * P) // 3)                  # gamma = sqrt(4/3)
+    gpow = [g]
+    for _ in range(n - 2):
+        gpow.append(gpow[-1] * g >> P)
+    # s_k = |(x_k, ..., x_n)|, then y = x / s_1 and s = s / s_1
+    tails, acc = [0] * n, 0
+    for k in range(n - 1, -1, -1):
+        acc += x[k] * x[k]
+        tails[k] = isqrt(acc)
+    s1 = tails[0]
+    y = [(v << P) // s1 for v in x]
+    s = [(v << P) // s1 for v in tails]
+    B = [[int(i == j) for i in range(n)] for j in range(n)]
+    H = [[0] * (n - 1) for _ in range(n)]
+    for i in range(n):
+        if i < n - 1:
+            H[i][i] = (s[i + 1] << P) // s[i]
+        for j in range(min(i, n - 1)):
+            H[i][j] = (-y[i] * y[j] << P) // (s[j] * s[j + 1])
+    pivots = _hermite(((i, i - 1) for i in range(1, n)), y, H, B)
+    # a relation of max norm M has Euclidean norm at most sqrt(n) M
+    limit = n * max_norm * max_norm
+    rows = range(n - 1)
+    for step in count():
+        small = [i for i in range(n) if abs(y[i]) < tol]
+        if small:
+            # a relation is detected: x is singular to working precision
+            # from here on, so the norm bound below no longer holds
+            for i in small:
+                if max(map(abs, B[i])) <= max_norm:
+                    return FOUND, B[i]
+            return PRECISION_EXHAUSTED, None
+        hmax = max(abs(H[j][j]) for j in rows)
+        if not pivots or not hmax or step == _MAX_STEPS:
+            return PRECISION_EXHAUSTED, None
+        # 1 / max |H_jj| > sqrt(n) max_norm, in integers
+        if 1 << 2 * P > limit * hmax * hmax:
+            return NONE, None
+        m = max(rows, key=lambda i: gpow[i] * abs(H[i][i]))
+        y[m], y[m + 1] = y[m + 1], y[m]
+        H[m], H[m + 1] = H[m + 1], H[m]
+        B[m], B[m + 1] = B[m + 1], B[m]
+        if m < n - 2:
+            a, b = H[m][m], H[m][m + 1]
+            t0 = isqrt(a * a + b * b)
+            if not t0:
+                return PRECISION_EXHAUSTED, None
+            t1, t2 = (a << P) // t0, (b << P) // t0
+            for Hi in H[m:]:
+                t3, t4 = Hi[m], Hi[m + 1]
+                Hi[m] = (t1 * t3 + t2 * t4) >> P
+                Hi[m + 1] = (t1 * t4 - t2 * t3) >> P
+        pivots = _hermite(((i, min(i - 1, m + 1)) for i in range(m + 1, n)),
+                          y, H, B)
 
 
 def pslq(values: Sequence[Ball], max_norm: int,
          digits: int = 80) -> PSLQResult:
     """Search for small integer coefficients with sum c_i v_i = 0.
 
-    The search runs on the ball midpoints; any candidate is certified on
-    the balls themselves before being reported FOUND.
+    The search runs on the ball midpoints, in the integer PSLQ of the
+    module docstring; any candidate is certified on the balls themselves
+    before being reported FOUND.  A midpoint already below the tolerance
+    is its own candidate relation.
     """
     n = len(values)
     if n < 2:
@@ -90,29 +214,26 @@ def pslq(values: Sequence[Ball], max_norm: int,
     budget = threshold / (n * max_norm)
     if any(v.rad > budget for v in values):
         return PSLQResult(PRECISION_EXHAUSTED)
-    import mpmath
-    with mpmath.workdps(digits + 10):
-        mids = [mpmath.mpf(v.mid.numerator) / v.mid.denominator
-                for v in values]
-        coeffs = mpmath.pslq(mids, tol=mpmath.mpf(10) ** (-(digits - 10)),
-                             maxcoeff=max_norm, maxsteps=10000)
-    if coeffs is None:
+    P = ceil((digits + 10) * log2(10)) + _PSLQ_GUARD
+    tol = (1 << P) // 10 ** (digits - 10)
+    x = [(v.mid.numerator << P) // v.mid.denominator for v in values]
+    small = min(range(n), key=lambda i: abs(x[i]))
+    if abs(x[small]) < tol:
+        status, coeffs = FOUND, [int(i == small) for i in range(n)]
+    else:
+        status, coeffs = _pslq(x, P, tol, max_norm)
+    if status == NONE:
         return PSLQResult(NONE, bound=max_norm)
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            if c < 0:
-                coeffs = [-c for c in coeffs]
-            break
+    if status != FOUND:
+        return PSLQResult(status)
+    g = gcd(*coeffs)
+    coeffs = [c // g for c in coeffs]
+    if next(c for c in coeffs if c) < 0:
+        coeffs = [-c for c in coeffs]
     ok, res = certify(values, coeffs, digits)
     if not ok:
         return PSLQResult(PRECISION_EXHAUSTED, residual=res)
-    return PSLQResult(FOUND, coeffs=tuple(int(c) for c in coeffs),
-                      residual=res)
+    return PSLQResult(FOUND, coeffs=tuple(coeffs), residual=res)
 
 
 @dataclass
@@ -132,14 +253,27 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
                degree: int = 1) -> Optional[Candidate]:
     """Rediscover a closed form for a family of weighted sums.
 
-    ``spec`` fixes the unweighted term (its weight field is ignored);
-    the search runs over the moment sums with weights k^degree, ..., k, 1,
-    all summed from one pass over the terms (:func:`sereval.eval_weighted`),
-    together with the basis values sqrt(d) * <named constant>.  A FOUND
-    relation is turned into a weighted identity and re-verified from
-    scratch at 1.5x the search precision.  Raises ``ValueError`` below
-    ``MIN_DIGITS`` digits, for ``max_norm < 1`` or for ``degree < 0``,
-    before any series is summed.
+    ``spec`` fixes the unweighted term (its weight field is ignored); the
+    search runs over the moment sums with weights k^degree, ..., k, 1,
+    all summed from one pass over the terms (:func:`sereval.eval_weighted`)
+    at ``digits``, together with the basis values sqrt(d) * <named
+    constant>.  Only a FOUND relation costs more: it is turned into a
+    weighted identity and re-verified by
+    :func:`sereval.verify_series_identity` at 1.5x the search precision.
+    Raises ``ValueError`` below ``MIN_DIGITS`` digits, for
+    ``max_norm < 1`` or for ``degree < 0``, before any series is summed.
+    """
+    return next(rediscover_each(spec, [basis], digits, max_norm, degree))
+
+
+def rediscover_each(spec: TermSpec,
+                    bases: Iterable[Sequence[Tuple[int, str]]],
+                    digits: int = 80, max_norm: int = 10 ** 6,
+                    degree: int = 1) -> Iterator[Optional[Candidate]]:
+    """:func:`rediscover` for each basis in turn, lazily.  The moments do
+    not depend on the basis, so one pass over the terms serves the
+    searches of every basis.  Raises as :func:`rediscover` does, at the
+    first step.
     """
     _threshold(digits)
     if max_norm < 1:
@@ -148,25 +282,30 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
         raise ValueError(f"degree must be >= 0, got {degree}")
     weights = [tuple(1 if i == j else 0 for i in range(degree + 1))
                for j in range(degree, -1, -1)]
-    moments: List[Ball] = [
-        ball for ball, _ in sereval.eval_weighted(spec, weights, digits)]
-    for d, name in basis:
-        moments.append(sereval.eval_rhs(
-            RHSForm(addends=((Fraction(1), d, name),)), digits))
-    result = pslq(moments, max_norm, digits)
-    if result.status != FOUND:
-        return None
-    coeffs = result.coeffs
-    weight = tuple(coeffs[degree - j] for j in range(degree + 1))
-    addends = tuple(
-        (Fraction(-coeffs[degree + 1 + i]), d, name)
-        for i, (d, name) in enumerate(basis)
-        if coeffs[degree + 1 + i] != 0)
-    ident = SeriesIdentity(
-        ident="pslq-candidate",
-        spec=TermSpec(weight=weight, den=spec.den, seq=spec.seq,
-                      m=spec.m, k0=spec.k0),
-        rhs=RHSForm(addends=addends))
-    verify_digits = digits + digits // 2
-    report = sereval.verify_series_identity(ident, verify_digits)
-    return Candidate(ident, coeffs, result, report)
+    moments: Optional[List[Ball]] = None
+    for basis in bases:
+        if moments is None:
+            moments = [ball for ball, _ in
+                       sereval.eval_weighted(spec, weights, digits)]
+        values = moments + [
+            sereval.eval_rhs(RHSForm(addends=((Fraction(1), d, name),)),
+                             digits)
+            for d, name in basis]
+        result = pslq(values, max_norm, digits)
+        if result.status != FOUND:
+            yield None
+            continue
+        coeffs = result.coeffs
+        weight = tuple(coeffs[degree - j] for j in range(degree + 1))
+        addends = tuple(
+            (Fraction(-coeffs[degree + 1 + i]), d, name)
+            for i, (d, name) in enumerate(basis)
+            if coeffs[degree + 1 + i] != 0)
+        ident = SeriesIdentity(
+            ident="pslq-candidate",
+            spec=TermSpec(weight=weight, den=spec.den, seq=spec.seq,
+                          m=spec.m, k0=spec.k0),
+            rhs=RHSForm(addends=addends))
+        verify_digits = digits + digits // 2
+        report = sereval.verify_series_identity(ident, verify_digits)
+        yield Candidate(ident, coeffs, result, report)

@@ -357,6 +357,8 @@ class TermSpec:
     def __post_init__(self):
         if self.m == 0:
             raise ValueError("m must be nonzero")
+        if self.k0 < 0:
+            raise ValueError(f"k0 must be >= 0, got {self.k0}")
         if not 1 <= len(self.weight) <= 4:
             raise ValueError(f"weight needs 1 to 4 coefficients, "
                              f"got {len(self.weight)}")

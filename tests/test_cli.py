@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from piseries import corpus
+from piseries import sereval
 from piseries.cli import main
 
 
@@ -160,12 +161,47 @@ class TestDiscover:
         (entry,) = corpus.parse_registry(out)
         assert entry.series.rhs.addends == ((25, 1, "INV_PI"),)
 
+    def test_scan_sums_the_moments_once(self, capsys, monkeypatch):
+        # a bare basis name tries 15 multipliers sqrt(d); the moments do
+        # not depend on d, so the search sums them once for all of them
+        calls = []
+        real = sereval.eval_weighted
+
+        def spy(spec, weights, digits):
+            calls.append(digits)
+            return real(spec, weights, digits)
+
+        monkeypatch.setattr(sereval, "eval_weighted", spy)
+        code, out, err = _run(capsys, ["discover", "--seq", "F", "--m",
+                                       "-400", "--digits", "30"])
+        assert (code, err) == (0, "")
+        assert out == "NOT FOUND: no integer relation within the norm bound\n"
+        assert calls == [30]
+
     @pytest.mark.parametrize("m", ["__import__('os').getpid()", "1.5", "k",
                                    "1/0"])
     def test_bad_m(self, capsys, m):
         code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m", m])
         assert code == 2 and out == ""
         assert "bad --seq/--m" in err
+
+    @pytest.mark.parametrize("basis, message", [
+        ("x*INV_PI", "bad --basis entry 'x*INV_PI'"),
+        ("", "--basis '' names no constant"),
+        (",", "--basis ',' names no constant"),
+    ])
+    def test_bad_basis(self, capsys, basis, message):
+        code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m",
+                                       "-64", "--digits", "30", "--basis",
+                                       basis])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_zero_m(self, capsys):
+        code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m",
+                                       "0"])
+        assert (code, out) == (2, "")
+        assert "bad --seq/--m" in err and "m must be nonzero" in err
 
     def test_divergent_series(self, capsys):
         code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m",
@@ -193,6 +229,8 @@ class TestNumericArguments:
          "--max-norm", "-7"],
         ["discover", "--seq", "CB2^3", "--m", "-64", "--digits", "30",
          "--degree", "-1"],
+        ["discover", "--seq", "CB2^3", "--m", "-64", "--digits", "30",
+         "--k0", "-1"],
     ])
     def test_out_of_range_is_a_usage_error(self, capsys, argv):
         code, out, err = _run(capsys, argv)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import random
@@ -369,6 +370,18 @@ class TestMalformed:
             corpus.parse_registry(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("m=-64", "m=0", "m must be nonzero"),
+        ("k0=0", "k0=-1", "k0 must be >= 0, got -1"),
+    ])
+    def test_term_spec_rejects(self, old, new, message):
+        # a TermSpec the reader would build but that TermSpec refuses is
+        # a registry error at the term line, not a traceback or a FAIL row
+        text = _CONGRUENCE.format(upper="p-1").replace(old, new)
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 4 and message in str(exc.value)
+
     def test_integer_fields_accepted(self):
         text = _CONGRUENCE.format(upper="p-1").replace(
             "upper: p-1", "minp: 7\nexclude: 11, 13,2^4+1").replace(
@@ -551,28 +564,55 @@ def test_parse_without_sympy():
     assert done.stdout.split() == ["False"]
 
 
-def test_mpmath_loaded_only_by_a_search():
+def test_mpmath_never_loaded():
+    # with mpmath poisoned, any import of it raises ImportError: an
+    # EVALUATED row, a PSLQ search and a rediscovery all run without it
     code = textwrap.dedent("""
         import sys
+        sys.modules["mpmath"] = None
+        from fractions import Fraction
         import piseries.cli, piseries.relation
-        from piseries import corpus
-        from piseries.sereval import Ball
+        from piseries import corpus, seqkit
+        from piseries.sereval import Ball, TermSpec
         entries = corpus.load_default()
         assert len(entries) == 479
-        print("mpmath" in sys.modules)
         (row,) = corpus.run([e for e in entries if e.ident == "open-a"],
                             digits=40).rows
-        print(row.outcome, "mpmath" in sys.modules)
+        print(row.outcome)
         res = piseries.relation.pslq([Ball.exact(1), Ball.exact(2)], 10, 20)
-        print(res.status, "mpmath" in sys.modules)
+        print(res.status)
+        spec = TermSpec(weight=(1,), den=(), seq=((seqkit.CB2, 3),),
+                        m=Fraction(-64), k0=0)
+        cand = piseries.relation.rediscover(spec, [(1, "INV_PI")],
+                                            digits=40, max_norm=1000)
+        print(cand.coeffs, cand.confirmed)
+        print(sys.modules["mpmath"])
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "EVALUATED", "False", "FOUND",
-                                   "True"]
+    assert done.stdout.splitlines() == ["EVALUATED", "FOUND",
+                                        "(4, 1, -2) True", "None"]
+
+
+def test_imports_only_the_standard_library():
+    # pyproject.toml declares no dependency, so the package imports none
+    pkg = Path(__file__).resolve().parents[1] / "src" / "piseries"
+    outside = set()
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside.update(f"{path.name}: {name}" for name in names
+                           if name.split(".")[0]
+                           not in sys.stdlib_module_names)
+    assert not outside
 
 
 def _nstr_oracle(x: Fraction, digits: int) -> str:

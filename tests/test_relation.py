@@ -1,13 +1,102 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from piseries import corpus
 from piseries import relation as rl
 from piseries import seqkit as sk
 from piseries import sereval as se
-from piseries.sereval import Ball, TermSpec
+from piseries.sereval import Ball, RHSForm, TermSpec
+
+
+def _mpmath_pslq(values, max_norm, digits, maxsteps=10000):
+    """The search before the integer PSLQ: mpmath.pslq on the midpoints
+    at digits + 10 (its coefficient bound is strict, hence the + 1)."""
+    with mpmath.workdps(digits + 10):
+        mids = [mpmath.mpf(v.mid.numerator) / v.mid.denominator
+                for v in values]
+        return mpmath.pslq(mids, tol=mpmath.mpf(10) ** (-(digits - 10)),
+                           maxcoeff=max_norm + 1, maxsteps=maxsteps)
+
+
+def _primitive(coeffs):
+    """coeffs divided by their gcd, first nonzero entry positive."""
+    if coeffs is None:
+        return None
+    g = math.gcd(*coeffs)
+    coeffs = [c // g for c in coeffs]
+    if next(c for c in coeffs if c) < 0:
+        coeffs = [-c for c in coeffs]
+    return tuple(coeffs)
+
+
+def _basis_ball(d, name, digits):
+    return se.eval_rhs(RHSForm(addends=((Fraction(1), d, name),)), digits)
+
+
+def _search_values(spec, d, digits):
+    """The k and 1 moments of spec and sqrt(d)/pi, at ``digits``."""
+    moments = se.eval_weighted(spec, [(0, 1), (1,)], digits)
+    return [ball for ball, _ in moments] + [_basis_ball(d, "INV_PI", digits)]
+
+
+#: The series the benchmark's discover workload searches: registry SERIES
+#: entries with weight (w0, w1) and closed form q sqrt(d)/pi, fast enough
+#: to rediscover at 60-64 digits.  Frozen here so that the tests keep
+#: their inputs whatever the benchmark's pool becomes.
+DISCOVER_IDS = (
+    "1.14", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S10", "f-96",
+    "f-112", "f-320", "f-400", "f-896", "f-2704", "f-10400", "f-24304",
+    "f-39200", "f-1123600", "I1p", "I2p", "I4p", "II1p", "II2p", "II6p",
+    "II7p", "II13", "II13p", "II14", "II14p", "III3p", "III4p", "III6p",
+    "III8p", "III10p", "III12p", "VIII1", "VIII2", "VIII3", "VIII4", "5.2",
+    "5.6", "5.7", "5.8", "5.10", "5.11", "5.14", "5.15", "5.16", "5.18",
+    "5.19", "5.21", "5.22", "6.2", "6.3", "6.5", "6.6", "6.7", "6.9",
+    "6.10", "6.11", "6.12", "7.2", "7.4", "7.6", "7.8", "7.9", "7.12", "w1",
+    "w3", "w4",
+)
+
+
+@pytest.fixture(scope="module")
+def discover_pool():
+    """(id, spec, d) of each series in ``DISCOVER_IDS``."""
+    by_id = {e.ident: e for e in corpus.load_default()}
+    pool = []
+    for ident in DISCOVER_IDS:
+        series = by_id[ident].series
+        (_, d, name), = series.rhs.addends
+        assert name == "INV_PI" and len(series.spec.weight) == 2, ident
+        pool.append((ident, series.spec, d))
+    return pool
+
+
+def _old_rediscover(spec, d, digits, max_norm):
+    """The two-pass rediscovery: mpmath's search on moments summed at
+    ``digits``, a Fraction-ball certificate, then the weighted identity
+    re-verified from scratch at 1.5x the digits.  (coeffs, confirmed,
+    status), or None."""
+    values = _search_values(spec, d, digits)
+    coeffs = _primitive(_mpmath_pslq(values, max_norm, digits))
+    if coeffs is None:
+        return None
+    residual = sum((v * c for c, v in zip(coeffs, values)), Ball.exact(0))
+    if residual.abs_upper() >= Fraction(1, 10 ** (digits - 15)):
+        return None
+    ident = se.SeriesIdentity(
+        "old", _with_weight(spec, (coeffs[1], coeffs[0])),
+        RHSForm(addends=((Fraction(-coeffs[2]), d, "INV_PI"),)))
+    report = se.verify_series_identity(ident, digits + digits // 2)
+    return coeffs, report.passed, report.status
+
+
+def _with_weight(spec, weight):
+    return TermSpec(weight=weight, den=spec.den, seq=spec.seq, m=spec.m,
+                    k0=spec.k0)
 
 
 class TestPslq:
@@ -53,6 +142,95 @@ class TestPslq:
         values = [Ball.exact(1), Ball.exact(2)]
         with pytest.raises(ValueError, match="max_norm must be >= 1"):
             rl.pslq(values, max_norm, digits=40)
+
+
+class TestIntegerPslq:
+    """The integer PSLQ against mpmath.pslq, the search it replaced."""
+
+    def test_discover_inputs(self, discover_pool):
+        found = 0
+        for ident, spec, d in discover_pool:
+            values = _search_values(spec, d, 60)
+            res = rl.pslq(values, 10 ** 6, 60)
+            want = _primitive(_mpmath_pslq(values, 10 ** 6 - 1, 60))
+            assert res.coeffs == want, ident
+            assert (res.status == rl.FOUND) == (want is not None), ident
+            found += want is not None
+        assert found > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_planted_relations(self, n):
+        rng = random.Random(n)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19]
+        for digits in (30, 50, 80):
+            for _ in range(4):
+                base = [se.sqrt_ball(p, digits + 20)
+                        for p in rng.sample(primes, n - 1)]
+                plant = [rng.randrange(-60, 61) for _ in range(n - 1)]
+                plant[0] = plant[0] or 1
+                last = sum((c * b for c, b in zip(plant, base)),
+                           Ball.exact(0))
+                values = base + [last]
+                res = rl.pslq(values, 1000, digits)
+                want = _primitive(_mpmath_pslq(values, 1000, digits))
+                assert res.status == rl.FOUND
+                assert res.coeffs == want == _primitive(plant + [-1])
+
+    def test_relation_at_the_norm_bound(self):
+        # 37 sqrt2 - 20 sqrt3 - v = 0 has max norm exactly 37
+        r2, r3 = se.sqrt_ball(2, 60), se.sqrt_ball(3, 60)
+        values = [r2, r3, r2 * 37 - r3 * 20]
+        res = rl.pslq(values, 37, 40)
+        assert res.status == rl.FOUND and res.coeffs == (37, -20, -1)
+        assert _primitive(_mpmath_pslq(values, 37, 40)) == res.coeffs
+        below = rl.pslq(values, 36, 40)
+        assert below.status != rl.FOUND and below.coeffs is None
+
+    def test_step_cap_is_precision_exhausted(self, monkeypatch):
+        # mpmath returns None when its steps run out, which read as NONE
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-64), k0=0)
+        values = _search_values(spec, 1, 40)
+        assert _mpmath_pslq(values, 1000, 40, maxsteps=1) is None
+        monkeypatch.setattr(rl, "_MAX_STEPS", 1)
+        assert rl.pslq(values, 1000, 40).status == rl.PRECISION_EXHAUSTED
+
+    def test_relation_beyond_norm_is_precision_exhausted(self):
+        # 1000*1 - 1*1000 = 0 is detected, but exceeds the norm bound
+        # before the search could exclude every relation within it
+        values = [Ball.exact(1), Ball.exact(1000)]
+        assert _mpmath_pslq(values, 998, 40) is None
+        res = rl.pslq(values, 999, 40)
+        assert res.status == rl.PRECISION_EXHAUSTED and res.bound is None
+
+    def test_none_excludes_the_norm_bound(self):
+        # 1, pi, pi^2 have no relation: NONE comes with the bound
+        pi = _basis_ball(1, "PI", 60)
+        res = rl.pslq([Ball.exact(1), pi, pi * pi], 10 ** 6, 40)
+        assert (res.status, res.bound) == (rl.NONE, 10 ** 6)
+
+    def test_tiny_value_is_its_own_relation(self):
+        values = [Ball.exact(1), Ball.exact(Fraction(1, 10 ** 50))]
+        res = rl.pslq(values, 10, 40)
+        assert (res.status, res.coeffs) == (rl.FOUND, (0, 1))
+
+
+class TestResidual:
+    def test_encloses_the_exact_sum(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            values = [Ball(Fraction(rng.randrange(-10 ** 9, 10 ** 9),
+                                    rng.choice((1, 3, 7, 1 << 40))),
+                           Fraction(rng.randrange(10 ** 6),
+                                    rng.randrange(1, 10 ** 12)))
+                      for _ in range(rng.randrange(1, 5))]
+            coeffs = [rng.randrange(-99, 100) for _ in values]
+            res = rl._residual(values, coeffs)
+            mid = sum(c * v.mid for c, v in zip(coeffs, values))
+            rad = sum(abs(c) * v.rad for c, v in zip(coeffs, values))
+            assert res.mid == mid
+            slack = Fraction(sum(map(abs, coeffs)), 1 << 64)
+            assert rad <= res.rad <= rad + slack
 
 
 class TestRediscover:
@@ -115,25 +293,71 @@ class TestRediscover:
         ok, res = rl.certify(values, cand.coeffs, 120)
         assert ok
 
+    @staticmethod
+    def _spy_passes(monkeypatch, seq):
+        """Record the digits of each eval_weighted call and each walk over
+        the unweighted terms of ``seq``."""
+        walks, precisions = [], []
+        columns, weighted = se._term_columns, se.eval_weighted
+
+        def spy_columns(s, lo, hi):
+            if s.seq == seq:
+                walks.append(s.weight)
+            return columns(s, lo, hi)
+
+        def spy_weighted(s, weights, digits):
+            precisions.append(digits)
+            return weighted(s, weights, digits)
+
+        monkeypatch.setattr(se, "_term_columns", spy_columns)
+        monkeypatch.setattr(se, "eval_weighted", spy_weighted)
+        return walks, precisions
+
     def test_moments_share_one_pass(self, monkeypatch):
         # the k and 1 moments come from one walk over the unweighted terms
+        # at the search digits; only the found relation walks once more,
+        # in verify_series_identity at 120 + 5 digits plus one for
+        # 15 sqrt(2)/pi
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24), k0=0)
-        walks = []
-        real = se._term_columns
+        walks, precisions = self._spy_passes(monkeypatch, spec.seq)
+        cand = rl.rediscover(spec, [(2, "INV_PI")], digits=80,
+                             max_norm=10 ** 3)
+        assert cand.confirmed and cand.coeffs == (14, 6, -15)
+        assert precisions == [80, 126] and walks == [(1,), (1,)]
 
-        def spy(s, lo, hi):
-            if s.seq == spec.seq:
-                walks.append(s.weight)
-            return real(s, lo, hi)
+    def test_search_without_relation_sums_once(self, monkeypatch):
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.FRANEL, 1),),
+                        m=Fraction(-9), k0=0)
+        walks, precisions = self._spy_passes(monkeypatch, spec.seq)
+        assert rl.rediscover(spec, [(1, "INV_PI")], digits=80) is None
+        assert precisions == [80] and walks == [(1,)]
 
-        monkeypatch.setattr(se, "_term_columns", spy)
-        # stop after the search, before the candidate's re-verification
-        monkeypatch.setattr(rl, "pslq",
-                            lambda values, *a: rl.PSLQResult(rl.NONE))
-        assert rl.rediscover(spec, [(2, "INV_PI")], digits=80,
-                             max_norm=10 ** 3) is None
-        assert walks == [(1,)]
+    def test_each_basis_shares_the_search_moments(self, monkeypatch):
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
+                        m=Fraction(24), k0=0)
+        bases = [[(d, "INV_PI")] for d in (1, 3, 2)]
+        alone = [rl.rediscover(spec, b, digits=80, max_norm=10 ** 3)
+                 for b in bases]
+        walks, precisions = self._spy_passes(monkeypatch, spec.seq)
+        each = list(rl.rediscover_each(spec, bases, digits=80,
+                                       max_norm=10 ** 3))
+        assert [None if c is None else (c.coeffs, c.confirmed)
+                for c in each] == \
+            [None if c is None else (c.coeffs, c.confirmed) for c in alone]
+        assert each[2].confirmed and each[2].coeffs == (14, 6, -15)
+        # one search pass for all three bases, one verification pass
+        assert precisions == [80, 126] and walks == [(1,), (1,)]
+
+    @pytest.mark.parametrize("digits", [60, 64])
+    def test_matches_two_passes(self, discover_pool, digits):
+        for ident, spec, d in discover_pool:
+            cand = rl.rediscover(spec, [(d, "INV_PI")], digits=digits,
+                                 max_norm=10 ** 6)
+            got = None if cand is None else (
+                cand.coeffs, cand.confirmed, cand.verification.status)
+            assert got == _old_rediscover(spec, d, digits, 10 ** 6 - 1), \
+                ident
 
     def test_no_relation_returns_none(self):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.FRANEL, 1),),
