@@ -34,8 +34,9 @@ errors are not kept, so each one names the line that gave it.
 
 Kind-specific keys:
 
-* SERIES: ``rhs`` (sum of ``q[*sqrt(d)][*BASIS]`` addends, or ``none`` for
-  a series evaluated without an asserted closed form), optional
+* SERIES: ``rhs`` (sum of ``q[*sqrt(d)][*BASIS]`` addends with q non-zero,
+  ``0`` for a sum that vanishes, or ``none`` for a series evaluated
+  without an asserted closed form), optional
   ``variant`` (``verbatim``/``corrected`` for erratum twins) and
   ``counterpart`` (``q * <entry-id>``: this sum equals q times another
   registered sum).
@@ -317,15 +318,22 @@ _RHS_ADDEND = re.compile(
 
 
 def _rhs(text: str, line: int) -> Optional[RHSForm]:
+    """The closed form of an ``rhs:`` line: None for ``none``, no addends
+    for the literal ``0``, else addends q*sqrt(d)*basis with q nonzero."""
     if text == "none":
         return None
+    if text == "0":
+        return RHSForm(addends=())
     addends = []
     for part in re.split(r"\s\+\s", text):
         m = _RHS_ADDEND.match(part.strip())
         if not m:
             raise CorpusError(f"bad rhs addend {part!r}", line)
-        addends.append((Fraction(m.group("q")), int(m.group("d") or 1),
-                        m.group("basis") or "ONE"))
+        q = Fraction(m.group("q"))
+        if q == 0:
+            raise CorpusError(f"rhs addend {part!r} has coefficient 0;"
+                              " a zero right-hand side is written 0", line)
+        addends.append((q, int(m.group("d") or 1), m.group("basis") or "ONE"))
     return RHSForm(addends=tuple(addends))
 
 

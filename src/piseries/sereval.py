@@ -20,17 +20,25 @@ sums of :mod:`~piseries.congruence` and :mod:`~piseries.exactid`.
 
 The number of terms N is chosen once per evaluation.  The envelope
 |term(k)| <= P(k) theta^k and its crossover K0 (past which the envelope
-falls geometrically with ratio rho = (1+theta)/2) are computed once; N is
-estimated in floating-point logs from the closed form
-P(N+1) theta^(N+1) / (1-rho), and then checked in exact rationals against
-the target minus the rounding radius.  If the check fails N steps up until
-it passes, so no float ever decides a verdict.  One pass over the terms
-then gives the sum, and the exact terms N+1..K0 as well when N < K0; the
-moment sums of :func:`eval_weighted` share that pass.  A boundary-ratio
-series takes the Euler transform (:class:`_EulerSum`) from the same pass:
-its weights are suffix sums of one binomial row, and its N is the first
-candidate whose exact tail bound passes, with a float screen that only
-skips candidates far above the target.
+falls geometrically with ratio rho = (1+theta)/2) are computed once, the
+part that does not depend on the weight once for all the weights of
+:func:`eval_weighted`; N is estimated in floating-point logs from the
+closed form P(N+1) theta^(N+1) / (1-rho).  That closed form is bounded by
+an upward-rounded dyadic m 2^-e with a mantissa of 80 bits
+(:class:`_Tail`): theta and 2/(1-theta) are rounded up, theta^(N+1) comes
+from binary powering that rounds up after every product, and so does the
+last product with the integer numerator of P(N+1).  So it is still an upper
+bound, and no gcd runs on the thousands-of-bits parts of the exact power.
+N is checked against the target minus the rounding radius in one comparison
+of integers, and if the check fails N steps up until it passes, so no float
+ever decides a verdict.  The radius, the bound plus the rounding radius, is
+dyadic too.  One pass over the terms then gives the sum, and the exact
+terms N+1..K0 as well when N < K0, which stay exact rationals on that rare
+path.  The moment sums of :func:`eval_weighted` share the pass.  A
+boundary-ratio series takes the Euler transform (:class:`_EulerSum`) from
+the same pass: its weights are suffix sums of one binomial row, and its N
+is the first candidate whose exact tail bound passes, with a float screen
+that only skips candidates far above the target.
 
 Closed forms are evaluated in fixed point as well.  :func:`eval_rhs` keeps
 each addend q sqrt(d) basis as an integer interval lo <= value * 2^s <= hi:
@@ -51,8 +59,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, islice, repeat
-from math import ceil, comb, exp, inf, isqrt, lcm, log, log2, log10
+from math import (ceil, comb, exp, inf, isqrt, lcm, log, log1p, log2,
+                  log10)
 from operator import add, attrgetter, floordiv, lshift, mul
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
@@ -405,8 +415,9 @@ def _product(factors: List[Iterable[int]], n: int) -> List[int]:
 def _integer_weight(weight: Sequence) -> Tuple[List[int], int]:
     """A weight's coefficients over their common denominator, high -> low,
     and that denominator."""
-    wden = lcm(*(Fraction(c).denominator for c in weight))
-    return [int(c * wden) for c in reversed(weight)], wden
+    wden = lcm(*(c.denominator for c in weight))
+    return [c.numerator * (wden // c.denominator)
+            for c in reversed(weight)], wden
 
 
 def _weighted(coeffs: List[int], wden: int, k: int, nums: List[int],
@@ -499,8 +510,10 @@ def term_value(spec: TermSpec, k: int) -> Fraction:
 
 # ---- growth bounds -------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def _kind_growth(kind: SequenceKind) -> Fraction:
-    """A rational g with |a_k| <= g^k for all k >= 0 (proved termwise)."""
+    """A rational g with |a_k| <= g^k for all k >= 0 (proved termwise).
+    It depends on the kind alone, so it is memoised per kind."""
     tag = kind.tag
     if tag == "GCT":
         b, c = kind.params
@@ -550,54 +563,7 @@ def _kind_growth(kind: SequenceKind) -> Fraction:
     raise DivergentError(f"no growth bound for sequence kind {kind}")
 
 
-def _spec_envelope(spec: TermSpec) -> Tuple[List[Fraction], Fraction]:
-    """Return (poly_coeffs P, theta) with |term(k)| <= P(k) * theta^k for
-    k >= max(k0, 1), where P has nonnegative coefficients."""
-    theta = Fraction(1)
-    poly_seq: List[Fraction] = [Fraction(1)]
-    for kind, e in spec.seq:
-        if getattr(kind, "tag", "") == "WZAG":
-            # |w_k| <= (28/45) C(k+9,9) sqrt(27)^(k-1) for k >= 1: write
-            # v_k = (w_k, w_{k-1}); the one-step matrices converge to
-            # M = [[9,-27],[1,0]] with complex eigenvalues of modulus
-            # sqrt(27), and in the norm adapted to M each step has norm
-            # at most sqrt(27) + 46/(k+1), whose product telescopes into
-            # the binomial-coefficient envelope above.
-            s = _sqrt_frac_up(Fraction(27))
-            theta *= s ** e
-            binom = [1]          # (k+1)(k+2)...(k+9), in integers
-            for i in range(1, 10):
-                binom = _poly_mul(binom, [i, 1])
-            c = Fraction(28, 45) / (s * 362880)
-            env = [c * x for x in binom]
-            for _ in range(e):
-                poly_seq = _poly_mul(poly_seq, env)
-        else:
-            theta *= _kind_growth(kind) ** e
-    theta /= abs(spec.m)
-    # polynomial envelope: |weight| plus (2k+1)-style numerators from
-    # reciprocal central binomials; affine denominators are >= 1 in modulus
-    # for every integer k where they are nonzero.
-    poly: List[Fraction] = [Fraction(abs(c)) for c in spec.weight]
-    if len(poly_seq) > 1:
-        poly = _poly_mul(poly, poly_seq)
-    for tag, e in spec.den:
-        if tag == "CB2":
-            theta /= Fraction(4) ** e
-            for _ in range(e):
-                poly = _poly_mul(poly, [Fraction(1), Fraction(2)])  # 2k+1
-        elif tag == "CB3":
-            theta /= Fraction(27, 4) ** e
-            for _ in range(e):
-                poly = _poly_mul(poly, [Fraction(1), Fraction(3)])  # 3k+1
-        elif tag == "CB4":
-            theta /= Fraction(16) ** e
-            for _ in range(e):
-                poly = _poly_mul(poly, [Fraction(1), Fraction(4)])  # 4k+1
-    return poly, theta
-
-
-def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+def _poly_mul(a: Sequence, b: Sequence) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -605,11 +571,74 @@ def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return out
 
 
-def _poly_at(p: Sequence[Fraction], k: int) -> Fraction:
-    return sum(c * k ** i for i, c in enumerate(p))
+#: (k+1)(k+2)...(k+9) in integer coefficients, low -> high
+_WZAG_BINOM = reduce(_poly_mul, ([i, 1] for i in range(1, 10)), [1])
+
+#: reciprocal denominator binomial -> (its polynomial numerator, low ->
+#: high, and its growth g): 1/C(2k,k) <= (2k+1)/4^k,
+#: 1/C(3k,k) <= (3k+1)(4/27)^k and 1/C(4k,2k) <= (4k+1)/16^k
+_DEN_ENVELOPE = {"CB2": ((1, 2), Fraction(4)),
+                 "CB3": ((1, 3), Fraction(27, 4)),
+                 "CB4": ((1, 4), Fraction(16))}
 
 
-def _crossover(poly: Sequence[Fraction], theta: Fraction, lo: int) -> int:
+def _base_envelope(spec: TermSpec) -> Tuple[List[int], int, Fraction]:
+    """(q, den, theta) with |term(k)| <= |w|(k) q(k) theta^k / den for
+    k >= max(k0, 1), where |w| is the weight with nonnegative coefficients
+    and q has nonnegative integer coefficients, low -> high.  Nothing here
+    reads the weight, so :func:`eval_weighted` builds it once for all its
+    weights."""
+    num, tden = 1, 1        # theta = num / tden, reduced once at the end
+    q, den = [1], 1
+    for kind, e in spec.seq:
+        if kind.tag == "WZAG":
+            # |w_k| <= (28/45) C(k+9,9) sqrt(27)^(k-1) for k >= 1: write
+            # v_k = (w_k, w_{k-1}); the one-step matrices converge to
+            # M = [[9,-27],[1,0]] with complex eigenvalues of modulus
+            # sqrt(27), and in the norm adapted to M each step has norm
+            # at most sqrt(27) + 46/(k+1), whose product telescopes into
+            # the binomial-coefficient envelope above.
+            s = _sqrt_frac_up(Fraction(27))
+            num, tden = num * s.numerator ** e, tden * s.denominator ** e
+            c = Fraction(28, 45) / (s * 362880)
+            env = [c.numerator * x for x in _WZAG_BINOM]
+            for _ in range(e):
+                q = _poly_mul(q, env)
+            den *= c.denominator ** e
+        else:
+            g = _kind_growth(kind)
+            num, tden = num * g.numerator ** e, tden * g.denominator ** e
+    num, tden = num * spec.m.denominator, tden * abs(spec.m.numerator)
+    # (2k+1)-style numerators from reciprocal central binomials; affine
+    # denominators are >= 1 in modulus for every integer k where they are
+    # nonzero.
+    for tag, e in spec.den:
+        if tag in _DEN_ENVELOPE:
+            lin, g = _DEN_ENVELOPE[tag]
+            num, tden = num * g.denominator ** e, tden * g.numerator ** e
+            for _ in range(e):
+                q = _poly_mul(q, lin)
+    return q, den, Fraction(num, tden)
+
+
+def _envelope_poly(weight: Sequence[int], wden: int, q: Sequence[int],
+                   den: int) -> Tuple[List[int], int]:
+    """P = |w| q / den as integer coefficients, low -> high, over one
+    denominator, for the weight w = weight / wden of
+    :func:`_integer_weight` (high -> low) and q / den of
+    :func:`_base_envelope`."""
+    return _poly_mul([abs(c) for c in reversed(weight)], q), wden * den
+
+
+def _spec_envelope(spec: TermSpec) -> Tuple[List[Fraction], Fraction]:
+    """Return (poly_coeffs P, theta) with |term(k)| <= P(k) * theta^k for
+    k >= max(k0, 1), where P has nonnegative coefficients."""
+    q, den, theta = _base_envelope(spec)
+    coeffs, den = _envelope_poly(*_integer_weight(spec.weight), q, den)
+    return [Fraction(c, den) for c in coeffs], theta
+
+
+def _crossover(poly: Sequence, theta: Fraction, lo: int) -> int:
     """Smallest K >= lo with ((K+2)/(K+1))^deg * theta <= rho = (1+theta)/2,
     deg = len(poly) - 1: from K on, the envelope ratio
     P(k+1)/P(k) * theta stays at most rho < 1."""
@@ -621,14 +650,79 @@ def _crossover(poly: Sequence[Fraction], theta: Fraction, lo: int) -> int:
     return K
 
 
-def _closed_tail(poly: Sequence[Fraction], theta: Fraction, K: int,
-                 power: Optional[Fraction] = None) -> Fraction:
-    """P(K+1) theta^(K+1) / (1 - rho): the geometric bound on the envelope
-    past a K at or beyond the crossover; ``power`` is theta^(K+1) when the
-    caller holds it already."""
-    if power is None:
-        power = theta ** (K + 1)
-    return 2 * _poly_at(poly, K + 1) * power / (1 - theta)
+#: mantissa bits of an upward-rounded dyadic in a tail bound
+_TAIL_BITS = 80
+
+
+def _dyadic_up(num: int, den: int) -> Tuple[int, int]:
+    """(m, e) with num/den <= m 2^-e <= num/den (1 + 2^(1-_TAIL_BITS)),
+    for num >= 0 and den > 0."""
+    e = _TAIL_BITS + den.bit_length() - num.bit_length()
+    if e >= 0:
+        return -(-(num << e) // den), e
+    return -(-num // (den << -e)), e
+
+
+def _mul_up(m1: int, e1: int, m2: int, e2: int) -> Tuple[int, int]:
+    """The product of m1 2^-e1 and m2 2^-e2, its mantissa rounded up to
+    ``_TAIL_BITS`` bits: above the product by at most 2^(1-_TAIL_BITS)
+    relative."""
+    m, e = m1 * m2, e1 + e2
+    cut = m.bit_length() - _TAIL_BITS
+    if cut <= 0:
+        return m, e
+    return -(-m >> cut), e - cut
+
+
+def _pow_up(m: int, e: int, n: int) -> Tuple[int, int]:
+    """(m 2^-e)^n by binary powering, every product by :func:`_mul_up`."""
+    out, oe = 1, 0
+    while n:
+        if n & 1:
+            out, oe = _mul_up(out, oe, m, e)
+        n >>= 1
+        if n:
+            m, e = _mul_up(m, e, m, e)
+    return out, oe
+
+
+def _dyadic_fraction(m: int, e: int) -> Fraction:
+    """m 2^-e as a Fraction."""
+    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
+
+
+class _Tail:
+    """The closed-form tail bound of an envelope P(k) theta^k, theta < 1,
+    past its crossover K0 (:func:`_crossover`), as an upward-rounded dyadic.
+
+    Past N >= K0 the tail is at most P(N+1) theta^(N+1) / (1 - rho) =
+    2 P(N+1) theta^(N+1) / (1 - theta).  :meth:`closed` bounds it by
+    m 2^-e with m of at most ``_TAIL_BITS`` bits: theta and
+    2 / ((1 - theta) den) are rounded up once, theta^(N+1) is taken by
+    binary powering rounded up after every product, and P(N+1) den is an
+    exact integer.  Every factor is positive and nothing is rounded down,
+    so m 2^-e is an upper bound, like every radius of this module.  Each
+    rounding adds less than 2^(1-_TAIL_BITS) relative; counted with the
+    powers they are raised to there are fewer than 3 (N+1) + 2 log2(N+1)
+    + 3, so below N = 10^8 the bound exceeds the exact closed form by a
+    factor below 1 + 2^-50.  The exact rational it replaces had parts of
+    thousands of bits, as theta carries :func:`_sqrt_frac_up`'s guard.
+    """
+
+    def __init__(self, coeffs: List[int], den: int, theta: Fraction, k0: int):
+        self.coeffs = coeffs
+        self.K0 = _crossover(coeffs, theta, max(k0, 1))
+        a, b = theta.as_integer_ratio()
+        self._theta = _dyadic_up(a, b)
+        self._scale = _dyadic_up(2 * b, (b - a) * den)
+
+    def closed(self, N: int) -> Tuple[int, int]:
+        """(m, e) with P(N+1) theta^(N+1) / (1 - rho) <= m 2^-e, N >= K0."""
+        p = 0
+        for c in reversed(self.coeffs):
+            p = p * (N + 1) + c
+        m, e = _pow_up(*self._theta, N + 1)
+        return _mul_up(m, e, p * self._scale[0], self._scale[1])
 
 
 def tail_bound(spec: TermSpec, N: int) -> Fraction:
@@ -636,26 +730,34 @@ def tail_bound(spec: TermSpec, N: int) -> Fraction:
 
     Uses |term(k)| <= P(k) theta^k with P of nonnegative coefficients; past
     the crossover index K0 the bound ratio P(k+1)/P(k)*theta stays below a
-    fixed rho < 1, giving a geometric tail.  Before the crossover the terms
-    are bounded exactly one by one.  :func:`eval_series` uses this very
-    bound; it only picks N differently.
+    fixed rho < 1, giving a geometric tail whose closed form is rounded up
+    to a dyadic (:class:`_Tail`).  Before the crossover the terms N+1..K0
+    are bounded exactly one by one, in rationals, and added to the closed
+    form at K0.  :func:`eval_series` uses this very bound; it only picks N
+    differently.
     """
-    poly, theta = _spec_envelope(spec)
+    q, den, theta = _base_envelope(spec)
     if theta >= 1:
         raise DivergentError(f"term envelope ratio {theta} >= 1")
-    K0 = _crossover(poly, theta, max(spec.k0, 1))
-    if N >= K0:
-        return _closed_tail(poly, theta, N)
-    exact = (Fraction(abs(num), den)
-             for num, den in _term_pairs(spec, N + 1, K0))
-    return sum(exact, _closed_tail(poly, theta, K0))
+    tail = _Tail(*_envelope_poly(*_integer_weight(spec.weight), q, den),
+                 theta, spec.k0)
+    if N >= tail.K0:
+        return _dyadic_fraction(*tail.closed(N))
+    exact = (Fraction(abs(num), d)
+             for num, d in _term_pairs(spec, N + 1, tail.K0))
+    return sum(exact, _dyadic_fraction(*tail.closed(tail.K0)))
+
+
+def _scale_bits(rounded: int, T: int) -> int:
+    """The scale bits s of :func:`_fixed_point`, for T = 10^(digits+2)."""
+    return (32 * rounded * T - 1).bit_length()
 
 
 def _fixed_point(rounded: int, digits: int) -> Tuple[int, Fraction]:
     """Scale bits s for a sum of ``rounded`` values each floored to a
     multiple of 2^-s, and the radius rounded * 2^-s that covers the
     floors; s makes that radius at most 10^-(digits+2) / 32."""
-    s = (32 * rounded * 10 ** (digits + 2) - 1).bit_length()
+    s = _scale_bits(rounded, 10 ** (digits + 2))
     return s, Fraction(rounded, 1 << s)
 
 
@@ -664,37 +766,45 @@ def _log(x: Fraction) -> float:
     return log(x.numerator) - log(x.denominator)
 
 
-def _estimate_N(poly: Sequence[Fraction], theta: Fraction, k0: int, K0: int,
+def _estimate_N(poly: Sequence, theta: Fraction, k0: int, K0: int,
                 digits: int) -> int:
     """First guess at the smallest N >= k0 whose closed-form tail
     P(N+1) theta^(N+1) / (1-rho) is below 10^-(digits+2) minus the
-    rounding radius of N - k0 + 1 terms, in floating-point logs.
+    rounding radius of N - k0 + 1 terms, in floating-point logs only.
 
     From max(k0, K0) the guess moves up by the log gap over -log(theta).
     Each step lowers the gap by -log(theta) less the growth of log P, so
     by at most -log(theta), and no move passes the smallest such N.  Only
     a guess: below K0 the closed form is no bound, and rounding may move
-    the answer by one; the caller checks the N it settles on exactly.
+    the answer by one; the caller checks the N it settles on in integers.
     """
     coeffs = [float(c) for c in poly]
-    log_theta = _log(theta)
-    log_scale = _log(2 / (1 - theta))
-    target = Fraction(1, 10 ** (digits + 2))
+    a, b = theta.as_integer_ratio()
+    log_theta = log(a) - log(b)
+    log_scale = log(2 * b) - log(b - a)
+    T = 10 ** (digits + 2)
+    log_target = -(digits + 2) * log(10)
 
     def gap(N: int) -> float:
         """log(closed-form tail) - log(budget) at N; negative passes."""
-        p = sum(c * (N + 1) ** i for i, c in enumerate(coeffs))
+        p = 0.0
+        for c in reversed(coeffs):
+            p = p * (N + 1) + c
         if p <= 0:
             return -inf
-        budget = target - _fixed_point(N - k0 + 1, digits)[1]
-        return log(p) + (N + 1) * log_theta + log_scale - _log(budget)
+        rounded = N - k0 + 1
+        # the rounding radius over the target, rounded T / 2^s <= 1/32
+        ratio = rounded * T / (1 << _scale_bits(rounded, T))
+        return (log(p) + (N + 1) * log_theta + log_scale
+                - log_target - log1p(-ratio))
 
     N = max(k0, K0)
-    if gap(N) < 0:
+    if (g := gap(N)) < 0:
         # below the crossover the closed form need not fall monotonically
         return next(n for n in range(k0, N + 1) if gap(n) < 0)
-    while (g := gap(N)) >= 0:
+    while g >= 0:
         N += max(1, ceil(g / -log_theta))
+        g = gap(N)
     return N
 
 
@@ -702,45 +812,46 @@ class _DirectSum:
     """The fixed-point sum of one weighted series, fed from a stream of
     column blocks of the unweighted term shared with other weights.
 
-    The envelope and the crossover K0 are computed once.  N starts at the
-    closed-form estimate of :func:`_estimate_N`.  At or past K0 the exact
-    bound is the closed form, so N is settled before any term is summed:
-    it steps up (galloping, then bisecting) until ``bound < target - err``
-    holds, checked in integers.  Below K0 the bound needs the exact terms
-    N+1..K0, which the stream supplies together with the sum; if the check
+    The envelope, from the weight-free part of :func:`_base_envelope` that
+    the caller builds once, and its crossover K0 are computed once.  N
+    starts at the float estimate of :func:`_estimate_N`.  At or past K0
+    the bound is the closed form of :class:`_Tail`, an upward-rounded
+    dyadic, so N is settled before any term is summed: it steps up
+    (galloping, then bisecting) until ``bound < target - err`` holds, one
+    comparison of integers.  The radius, that bound plus the rounding
+    radius, is dyadic.  Below K0 the bound needs the exact terms N+1..K0,
+    which the stream supplies together with the sum; they stay exact
+    rationals, added to the dyadic closed form at K0, and if the check
     then fails, N moves to K0 and on, and the stream is walked again.
     """
 
-    def __init__(self, spec: TermSpec, poly: List[Fraction], theta: Fraction,
-                 digits: int):
-        self.k0, self.digits = spec.k0, digits
-        self.poly, self.theta = poly, theta
-        self.target = Fraction(1, 10 ** (digits + 2))
-        self.K0 = _crossover(poly, theta, max(spec.k0, 1))
+    def __init__(self, spec: TermSpec, q: List[int], qden: int,
+                 theta: Fraction, digits: int):
+        self.k0, self.digits, self.theta = spec.k0, digits, theta
+        self.T = 10 ** (digits + 2)
         self.weight, self.wden = _integer_weight(spec.weight)
-        self._start(_estimate_N(poly, theta, spec.k0, self.K0, digits), None)
+        coeffs, den = _envelope_poly(self.weight, self.wden, q, qden)
+        self.env = _Tail(coeffs, den, theta, spec.k0)
+        self.K0 = self.env.K0
+        self._start(_estimate_N([c / den for c in coeffs], theta, spec.k0,
+                                self.K0, digits), None)
 
     def _closed_bound(self, N: int) -> Optional[Fraction]:
-        """The exact bound at N >= K0 if it passes, else None.
+        """The closed-form bound at N >= K0 if it passes, else None.
 
-        With P(N+1) = u/v, theta = a/b, theta^(N+1) = A/B and target - err
-        = (ed - en T) / (T ed), T = 10^(digits+2), the bound
-        2 u A b / (v B (b - a)) passes when
-        2 u A b T ed < (ed - en T) v B (b - a): every denominator is
-        positive, so the check is one comparison of integers, and the
-        Fraction is built only for a bound that passes, from the same
-        power theta^(N+1).
+        With the bound m 2^-e, T = 10^(digits+2) and the rounding radius
+        err = r 2^-s, the bound passes when m T 2^s < (2^s - r T) 2^e:
+        one comparison of integers of a few hundred bits.
         """
-        _, err = _fixed_point(N - self.k0 + 1, self.digits)
-        power = self.theta ** (N + 1)
-        u, v = _poly_at(self.poly, N + 1).as_integer_ratio()
-        A, B = power.as_integer_ratio()
-        a, b = self.theta.as_integer_ratio()
-        en, ed = err.as_integer_ratio()
-        T = self.target.denominator
-        if 2 * u * A * b * T * ed >= (ed - en * T) * v * B * (b - a):
-            return None
-        return _closed_tail(self.poly, self.theta, N, power)
+        r = N - self.k0 + 1
+        s = _scale_bits(r, self.T)
+        m, e = self.env.closed(N)
+        lhs, rhs = (m * self.T) << s, (1 << s) - r * self.T
+        if e >= 0:
+            rhs <<= e
+        else:
+            lhs <<= -e
+        return _dyadic_fraction(m, e) if lhs < rhs else None
 
     def _start(self, N: int, bound: Optional[Fraction]) -> None:
         if bound is None and N >= self.K0:
@@ -787,12 +898,12 @@ class _DirectSum:
                                     dens))
 
     def settle(self) -> bool:
-        """After the stream: True when N passed the exact check; else N
+        """After the stream: True when N passed the check; else N
         moves to K0, steps up by the closed form, and the sum starts over."""
         if self.bound is not None:
             return True
-        tail = sum(self.pending, _closed_tail(self.poly, self.theta, self.K0))
-        if tail < self.target - self.err:
+        tail = sum(self.pending, _dyadic_fraction(*self.env.closed(self.K0)))
+        if tail < Fraction(1, self.T) - self.err:
             self.bound = tail
             return True
         self._start(self.K0, None)
@@ -819,15 +930,14 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     """
     if not weights:
         return []
-    specs = [replace(spec, weight=tuple(w)) for w in weights]
-    envelopes = [_spec_envelope(s) for s in specs]
-    theta = envelopes[0][1]
+    specs = [spec if tuple(w) == spec.weight
+             else replace(spec, weight=tuple(w)) for w in weights]
+    q, qden, theta = _base_envelope(spec)
     if theta >= 1:
         sums = [_EulerSum(s, theta, digits) for s in specs]
     else:
-        sums = [_DirectSum(s, poly, theta, digits)
-                for s, (poly, _) in zip(specs, envelopes)]
-    base = replace(spec, weight=(1,))
+        sums = [_DirectSum(s, q, qden, theta, digits) for s in specs]
+    base = spec if spec.weight == (1,) else replace(spec, weight=(1,))
     todo = sums
     while todo:
         lo, hi = min(d.start for d in todo), max(d.reach for d in todo)
@@ -851,11 +961,14 @@ def eval_series(spec: TermSpec, digits: int = 40,
     of 2^-s near the partial sum, and the radius is the tail bound plus
     one unit 2^-s per rounded term.
 
-    On the direct path N is the closed-form estimate of the smallest N
-    with P(N+1) theta^(N+1) / (1-rho) below the budget, stepped up until
-    the exact check ``tail_bound(spec, N) < target - err`` passes; no
-    float decides.  The radius is ``tail_bound(spec, N)`` plus the
-    rounding part.  This is the one-weight case of :func:`eval_weighted`.
+    On the direct path N is the float estimate of the smallest N with
+    P(N+1) theta^(N+1) / (1-rho) below the budget, stepped up until the
+    check ``tail_bound(spec, N) < target - err`` passes in integers; no
+    float decides.  At N >= K0 the tail bound is that closed form rounded
+    up to a dyadic (:class:`_Tail`), an upper bound above the exact one by
+    a factor below 1 + 2^-50; below K0 it adds the exact terms N+1..K0 to
+    it.  The radius is ``tail_bound(spec, N)`` plus the rounding part.
+    This is the one-weight case of :func:`eval_weighted`.
 
     When ``stats`` is given it receives ``terms`` (the number of terms
     summed), ``path`` (``direct`` or ``euler``), ``theta`` (the envelope

@@ -161,6 +161,19 @@ class TestDiscover:
         (entry,) = corpus.parse_registry(out)
         assert entry.series.rhs.addends == ((25, 1, "INV_PI"),)
 
+    def test_vanishing_sum(self, capsys):
+        # (22742k - 307) T_k(62,9025) / 5184^k sums to 0; its block carries
+        # the zero closed form and reads back
+        code, out, err = _run(capsys, ["discover", "--seq", "T(62,9025)",
+                                       "--m", "2^6*3^4", "--digits", "30"])
+        assert (code, err) == (0, "")
+        assert "term: 22742*k+-307 ; - ; T(62,9025) ; m=5184 ; k0=0\n" in out
+        assert "\nrhs: 0\n" in out
+        (entry,) = corpus.parse_registry(out)
+        assert entry.series.rhs.addends == ()
+        rep = sereval.verify_series_identity(entry.series, 30)
+        assert rep.status == "CONSISTENT"
+
     def test_scan_sums_the_moments_once(self, capsys, monkeypatch):
         # a bare basis name tries 15 multipliers sqrt(d); the moments do
         # not depend on d, so the search sums them once for all of them

@@ -232,6 +232,25 @@ class TestMalformed:
             corpus.parse_registry(_SERIES.format(weight=weight, m=m))
         assert exc.value.line == 4
 
+    def test_zero_rhs(self):
+        # the literal 0 is the closed form with no addends: the exact ball 0
+        text = _SERIES.format(weight="1", m="-64").replace("rhs: none",
+                                                           "rhs: 0")
+        (entry,) = corpus.parse_registry(text)
+        assert entry.series.rhs == sereval.RHSForm(addends=())
+        assert sereval.eval_rhs(entry.series.rhs, 20) == sereval.Ball(0, 0)
+        (back,) = corpus.parse_registry(corpus.render_entry(entry))
+        assert back.series.rhs == entry.series.rhs
+
+    @pytest.mark.parametrize("rhs", ["0*PI", "-0*sqrt(2)*INV_PI", "0/3",
+                                     "1*PI + 0"])
+    def test_zero_coefficient_rhs(self, rhs):
+        text = _SERIES.format(weight="1", m="-64").replace("rhs: none",
+                                                           f"rhs: {rhs}")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and "coefficient 0" in str(exc.value)
+
     @pytest.mark.parametrize("template", ["x^3", "x^2*y", "y^2", "p^2", "1",
                                           "q*x"])
     def test_template_outside_span(self, template):

@@ -651,6 +651,10 @@ def old_schedule(spec: TermSpec, digits: int):
     return Ball(Fraction(total, 1 << s), bound + err), terms
 
 
+def poly_at(p, k: int) -> Fraction:
+    return sum(c * k ** i for i, c in enumerate(p))
+
+
 def old_tail_bound(spec: TermSpec, N: int) -> Fraction:
     """tail_bound as it was before the crossover and the closed form were
     split out: the crossover found from max(N, k0, 1) on in Fractions, and
@@ -663,8 +667,35 @@ def old_tail_bound(spec: TermSpec, N: int) -> Fraction:
         K += 1
     total = sum((abs(se.term_value(spec, k)) for k in range(N + 1, K + 1)),
                 Fraction(0))
-    first = se._poly_at(poly, K + 1) * theta ** (K + 1)
+    first = poly_at(poly, K + 1) * theta ** (K + 1)
     return total + first / (1 - rho)
+
+
+def exact_closed_tail(poly, theta: Fraction, K: int) -> Fraction:
+    """P(K+1) theta^(K+1) / (1 - rho) in exact rationals: the closed-form
+    tail that se._Tail rounds up to a dyadic, as sereval computed it
+    before, kept as its oracle."""
+    return 2 * poly_at(poly, K + 1) * theta ** (K + 1) / (1 - theta)
+
+
+def exact_closed_bound(spec: TermSpec, digits: int, N: int):
+    """The exact closed-form bound at N >= K0 if it is below the target
+    less the rounding radius of N - k0 + 1 terms, else None: the check of
+    _DirectSum._closed_bound before the tail was rounded to a dyadic."""
+    poly, theta = se._spec_envelope(spec)
+    _, err = se._fixed_point(N - spec.k0 + 1, digits)
+    bound = exact_closed_tail(poly, theta, N)
+    return bound if bound < Fraction(1, 10 ** (digits + 2)) - err else None
+
+
+#: how far above the exact tail the dyadic tail bound may lie, relative
+TAIL_SLACK = Fraction(1, 2 ** 50)
+
+
+def assert_rounded_up(got: Fraction, exact: Fraction) -> None:
+    """exact <= got <= exact (1 + TAIL_SLACK): the dyadic tail is an upper
+    bound, and a tight one."""
+    assert exact <= got <= exact * (1 + TAIL_SLACK)
 
 
 WZAG16 = TermSpec(weight=(1, 5), den=(), seq=((sk.WZAG, 1),),
@@ -718,7 +749,7 @@ class TestOneShotN:
         poly, theta = se._spec_envelope(spec)
         K0 = se._crossover(poly, theta, max(spec.k0, 1))
         for N in [*range(spec.k0, K0 + 3), 2 * K0 + 5, 60]:
-            assert se.tail_bound(spec, N) == old_tail_bound(spec, N)
+            assert_rounded_up(se.tail_bound(spec, N), old_tail_bound(spec, N))
 
     # a fast series (crossover 1), aux-5 (k0 = 1, denominators) and a WZAG
     # series (degree-10 envelope, crossover 13)
@@ -759,13 +790,19 @@ class TestOneShotN:
         assert _checked_N(spec, 10, ball, 1) == 0
 
     def test_one_exact_check(self, monkeypatch):
+        # the estimate is right for Chudnovsky's series: one closed-form
+        # bound is taken, it passes, and it lies just above the exact one
         calls = []
-        real = se._closed_tail
-        monkeypatch.setattr(se, "_closed_tail",
-                            lambda *a: calls.append(a) or real(*a))
+        real = se._Tail.closed
+        monkeypatch.setattr(se._Tail, "closed",
+                            lambda tail, N: calls.append(N) or real(tail, N))
         monkeypatch.setattr(se, "tail_bound", None)
-        se.eval_series(CHUDNOVSKY, 60)
-        assert len(calls) == 1
+        stats: dict = {}
+        se.eval_series(CHUDNOVSKY, 60, stats)
+        assert calls == [stats["terms"] - 1]
+        poly, theta = se._spec_envelope(CHUDNOVSKY)
+        assert_rounded_up(stats["tail"],
+                          exact_closed_tail(poly, theta, calls[0]))
 
 
 class TestStats:
@@ -789,6 +826,21 @@ class TestStats:
         assert stats["tail"] == se._euler_tail(se._certificate(S12), N)
         assert ball.rad == stats["tail"] + se._fixed_point(stats["terms"],
                                                            20)[1]
+
+
+class TestPrintedResults:
+    """The terms summed and the printed gap bound of three certifications,
+    pinned: a tail bound that is rounded up must not move them."""
+
+    @pytest.mark.parametrize("ident, digits, terms, gap", [
+        ("5.13", 12, 417, "1e-19"),    # theta with the 10^8-guard parts
+        ("II3p", 15, 949, "1e-24"),
+        ("aux-5", 40, 93, "1e-47"),
+    ])
+    def test_pinned(self, ident, digits, terms, gap):
+        from piseries import corpus
+        rep = se.verify_series_identity(_registry_series()[ident], digits)
+        assert (rep.terms_used, corpus._sci(rep.gap_upper)) == (terms, gap)
 
 
 class TestWeighted:
@@ -1007,15 +1059,54 @@ class TestColumnOracles:
     @pytest.mark.parametrize("spec", [CHUDNOVSKY, AUX5, WZAG16],
                              ids=["chudnovsky", "aux-5", "wzag"])
     def test_closed_bound_in_integers(self, spec):
-        poly, theta = se._spec_envelope(spec)
+        q, qden, theta = se._base_envelope(spec)
         for digits in (12, 40):
-            d = se._DirectSum(spec, poly, theta, digits)
-            target = Fraction(1, 10 ** (digits + 2))
+            d = se._DirectSum(spec, q, qden, theta, digits)
             for N in range(d.K0, d.N + 40):
-                bound = se._closed_tail(poly, theta, N)
-                _, err = se._fixed_point(N - spec.k0 + 1, digits)
-                want = bound if bound < target - err else None
-                assert d._closed_bound(N) == want
+                want = exact_closed_bound(spec, digits, N)
+                got = d._closed_bound(N)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert_rounded_up(got, want)
+
+    def test_dyadic_rounding_is_upward_and_tight(self):
+        # values from 2^-300 to 2^160, so that the exponents e of m 2^-e
+        # take both signs; a power n rounds at most 2 n times
+        rel = Fraction(1, 2 ** (se._TAIL_BITS - 1))
+        for a in range(1, 300, 7):
+            for b in (1, 3, 10 ** 40 + 7, 2 ** 300 - 1):
+                x = Fraction(a ** 20 + 1, b)
+                m, e = se._dyadic_up(x.numerator, x.denominator)
+                got = se._dyadic_fraction(m, e)
+                assert x <= got <= x * (1 + rel)
+                y = se._dyadic_fraction(*se._mul_up(m, e, m, e))
+                assert got ** 2 <= y <= got ** 2 * (1 + rel)
+                n = (1, 2, 3, 17, 64)[a % 5]
+                p = se._dyadic_fraction(*se._pow_up(m, e, n))
+                assert got ** n <= p <= got ** n * (1 + rel) ** (2 * n)
+
+    @pytest.mark.parametrize("spec", [
+        p for p in _registry_specs()
+        if se._spec_envelope(p.values[0])[1] < 1])
+    def test_dyadic_tail_above_exact(self, spec):
+        """For every direct-path registry series and N in [k0, K0+3] and
+        at 2 K0 + 5 and 60: exact <= tail_bound <= exact (1 + 2^-50),
+        where below the crossover both add the same exact terms.  Each
+        tail_bound below K0 sums the exact terms N+1..K0 afresh, so past
+        64 such N (w2 has K0 = 514) only k0, K0/2 and K0 - 1 are taken."""
+        poly, theta = se._spec_envelope(spec)
+        K0 = se._crossover(poly, theta, max(spec.k0, 1))
+        # below[N] = the exact bound at N < K0: the closed form at K0 plus
+        # |term(k)| for N < k <= K0
+        below = {K0: exact_closed_tail(poly, theta, K0)}
+        for k, (num, den) in reversed(list(enumerate(
+                column_pairs(spec, spec.k0 + 1, K0), spec.k0 + 1))):
+            below[k - 1] = below[k] + Fraction(abs(num), den)
+        lower = range(spec.k0, K0) if K0 - spec.k0 <= 64 \
+            else (spec.k0, K0 // 2, K0 - 1)
+        for N in [*lower, *range(K0, K0 + 4), 2 * K0 + 5, 60]:
+            exact = below[N] if N < K0 else exact_closed_tail(poly, theta, N)
+            assert_rounded_up(se.tail_bound(spec, N), exact)
 
 
 def test_soundness_checks_survive_python_O():
