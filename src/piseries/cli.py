@@ -88,17 +88,20 @@ def _select(entries, id_glob, kind):
 
 
 def _fmt_weight(weight: Sequence[Fraction]) -> str:
-    parts = []
+    """The weight as the registry writes it, highest power first, each
+    monomial after its own sign: ``22742*k-307``."""
+    out = ""
     for j in range(len(weight) - 1, -1, -1):
         c = weight[j]
         if c == 0 and len(weight) > 1:
             continue
         mono = "" if j == 0 else ("k" if j == 1 else f"k^{j}")
-        if mono and c == 1:
-            parts.append(mono)
+        if mono and abs(c) == 1:
+            text = mono
         else:
-            parts.append(f"{c}*{mono}" if mono else f"{c}")
-    return "+".join(parts) or "0"
+            text = f"{abs(c)}*{mono}" if mono else f"{abs(c)}"
+        out += ("-" if c < 0 else "+" if out else "") + text
+    return out or "0"
 
 
 def _fmt_rhs(rhs: sereval.RHSForm) -> str:

@@ -14,8 +14,8 @@ The operators
 - Order 1: the binomial kinds CB2, CB3, CB4, CB63, CATALAN and CB2SHIFT,
   from the ratio of consecutive rows.
 - Order 2: GCT(b,c), FRANEL, BETA, WZAG, DOMB, ZAGIER, CLF and GSEQ, the
-  classical three-term recurrences, and FRANEL4 by Franel's recurrence
-  for sum_k C(n,k)^4.
+  classical three-term recurrences, FRANEL4 by Franel's recurrence for
+  sum_k C(n,k)^4, and GCT2(b,c), GCT3(b,c) (below).
 - Order 3: GPOLY(x), g_n(x) = sum_k C(n,k)^2 C(2k,k) x^k; for x = P/Q the
   operator runs on the integers Q^n g_n(x).
 - Order 4: SBC(b,c), S_n(b,c) = sum_k C(n,k)^2 T_k(b,c) T_{n-k}(b,c).  With
@@ -36,15 +36,25 @@ the boundary terms exactly.
 Every division by a leading coefficient is checked to be exact and raises
 ``ArithmeticError`` otherwise.  Where SBC's leading coefficient vanishes
 (at most four n for each (b, c), or every n for (0, 0)), that row comes
-from the Lucas sum instead.  The kinds that are not recurrences: GCT2/GCT3
-are strided slices of their GCT kind's rows in the same store: to reach
-row n the store grows GCT to row 2n (3n) and appends
-``base[i*stride : stride*n + 1 : stride]`` from its own length i on, so
-the rows are the GCT kind's own integers and no step runs per row; EULER
-continues the secant recurrence row by row; BERNOULLI holds the even
-Bernoulli numbers (row j is B_{2j}, a ``Fraction``) and carries the
-Akiyama-Tanigawa row, so the numbers are computed only as far as they are
-read (the K3 constant's Euler-Maclaurin sum reads about 30 at 60 digits).
+from the Lucas sum instead.
+
+The strided kinds GCT2 and GCT3, u_n = T_{2n}(b,c) and T_{3n}(b,c), are
+operators too: eliminating the odd (or the off-stride) rows from three
+(five) steps of GCT's recurrence leaves an order-2 recurrence for u_n, so
+a row costs one step and nothing grows T_k to 2n or 3n.  GCT3's leading
+coefficient (n+2)(3n+4)(3n+5)((3b^2+4c)(3n+2)^2 - b^2) can vanish (for
+one n at most, when c < 0, or for every n at (0, 0)), and that row comes
+from the defining sum of T_{3n}.  ``tests/test_operators.py`` derives
+both recurrences from GCT's.
+
+The kinds that are not recurrences: EULER continues the secant
+recurrence row by row; BERNOULLI holds the even Bernoulli numbers (row j
+is B_{2j}, a ``Fraction``) from the integer tangent numbers T_j of Brent
+and Harvey's triangle (*Fast computation of Bernoulli, tangent and secant
+numbers*, 2011), B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).  The
+triangle is read along its diagonals, one per row, so the numbers are
+computed only as far as they are read (the K3 constant's Euler-Maclaurin
+sum reads about 30 at 60 digits).
 
 The sequence store
 ------------------
@@ -305,6 +315,44 @@ def _gpoly_coeffs(P, Q):
                       _poly(n, p2), (n + 3) ** 2 * (4 * n + 5))
 
 
+def _gct3_direct(n: int, b: int, c: int) -> int:
+    """T_{3n}(b,c) = sum_i h_i b^(3n-2i) c^i, h_i = C(3n,2i) C(2i,i),
+    with h_{i+1} = h_i (3n-2i)(3n-2i-1) / (i+1)^2."""
+    k = 3 * n
+    total, h = 0, 1
+    for i in range(k // 2 + 1):
+        total += h * b ** (k - 2 * i) * c ** i
+        h = h * (k - 2 * i) * (k - 2 * i - 1) // (i + 1) ** 2
+    return total
+
+
+def _gct2_coeffs(b, c):
+    """GCT2's operator on u_n = T_{2n}(b,c), of degree 3 in n:
+    (n+2)(2n+3)(4n+3) u_{n+2} = (4n+5) w(n) u_{n+1}
+    - (b^2-4c)^2 (n+1)(2n+1)(4n+7) u_n."""
+    w = _lin((b * b, (4, 10, 5)), (c, (16, 40, 22)))
+    k0 = (b * b - 4 * c) ** 2
+    return lambda n: (k0 * (n + 1) * (2 * n + 1) * (4 * n + 7),
+                      -(4 * n + 5) * _poly(n, w),
+                      (n + 2) * (2 * n + 3) * (4 * n + 3))
+
+
+def _gct3_coeffs(b, c):
+    """GCT3's operator on u_n = T_{3n}(b,c), of degree 5 in n: with the
+    quadratic w(n) = (3b^2+4c)(3n+2)^2 - b^2,
+    c_0 = (b^2-4c)^3 (n+1)(3n+1)(3n+2) w(n+1), c_1 = -b (6n+7) q(n) and
+    c_2 = (n+2)(3n+4)(3n+5) w(n)."""
+    w = _lin((b * b, (27, 36, 11)), (c, (36, 48, 16)))
+    q = _lin((b ** 4, (81, 378, 609, 392, 84)),
+             (b * b * c, (1080, 5040, 8232, 5488, 1248)),
+             (c * c, (1296, 6048, 9936, 6720, 1584)))
+    k0 = (b * b - 4 * c) ** 3
+    return lambda n: (k0 * (n + 1) * (3 * n + 1) * (3 * n + 2)
+                      * _poly(n + 1, w),
+                      -b * (6 * n + 7) * _poly(n, q),
+                      (n + 2) * (3 * n + 4) * (3 * n + 5) * _poly(n, w))
+
+
 def _one():
     return (1,)
 
@@ -315,7 +363,8 @@ def _one():
 #: the three-term ones as lead(n+1) a_{n+2} = A(n+1) a_{n+1} + B(n+1) a_n,
 #: i.e. (-B, -A, lead) at n + 1.  tests/test_operators.py derives the
 #: creative-telescoping certificate of SBC, GPOLY, FRANEL4, FRANEL, DOMB,
-#: ZAGIER, CLF and GSEQ from the coefficients here and checks it exactly.
+#: ZAGIER, CLF and GSEQ from the coefficients here and checks it exactly,
+#: and derives GCT2's and GCT3's from GCT's recurrence.
 OPERATORS: Dict[str, Operator] = {
     "CB2": Operator(_one, lambda: lambda n: (-2 * (2 * n + 1), n + 1)),
     "CB3": Operator(_one, lambda: lambda n: (
@@ -359,6 +408,11 @@ OPERATORS: Dict[str, Operator] = {
     # (n+1) T_{n+1} = (2n+1) b T_n - n (b^2 - 4c) T_{n-1}
     "GCT": Operator(lambda b, c: (1, b), lambda b, c: lambda n: (
         (n + 1) * (b * b - 4 * c), -(2 * n + 3) * b, n + 2)),
+    # T_{2n}(b,c) and T_{3n}(b,c); c_2 of GCT3 vanishes for at most one n,
+    # or for every n when b = c = 0
+    "GCT2": Operator(lambda b, c: (1, b * b + 2 * c), _gct2_coeffs),
+    "GCT3": Operator(lambda b, c: (1, b ** 3 + 6 * b * c), _gct3_coeffs,
+                     direct=_gct3_direct),
     # sum_k C(n,k)^2 C(2k,k) P^k Q^(n-k)
     "GPOLY": Operator(
         lambda P, Q: (1, 2 * P + Q, 6 * P * P + 8 * P * Q + Q * Q),
@@ -409,20 +463,29 @@ def _euler() -> Iterator[int]:
 
 
 def _bernoulli_even() -> Iterator[Fraction]:
-    """B_0, B_2, B_4, ... by the Akiyama-Tanigawa scheme: step m sets
-    A[m] = 1/(m+1), then A[j-1] = j (A[j-1] - A[j]) for j = m..1, and
-    leaves B_m in A[0]; each row takes the odd step and the even one."""
-    A: List[Fraction] = []
-    for m in count():
-        A.append(Fraction(1, m + 1))
-        for j in range(m, 0, -1):
-            A[j - 1] = j * (A[j - 1] - A[j])
-        if m % 2 == 0:
-            yield A[0]
+    """B_0, B_2, B_4, ... from the tangent numbers T_1, T_2, ...
+
+    Brent and Harvey's triangle starts from T_j = (j-1)! and makes passes
+    k = 2, 3, ...: pass k sets T_j = (j-k) T_{j-1} + (j-k+2) T_j for
+    j = k, k+1, ... in turn, and leaves T_k final.  ``diag`` holds T_j
+    after passes 1..j, so each T_j takes j - 1 small multiples of the
+    last diagonal, and then B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
+    """
+    yield Fraction(1)
+    diag = [1]
+    for j in count(1):
+        if j > 1:
+            new = [(j - 1) * diag[0]]
+            for k in range(2, j):
+                new.append((j - k) * diag[k - 1] + (j - k + 2) * new[-1])
+            new.append(2 * new[-1])
+            diag = new
+        four = 4 ** j
+        yield Fraction((-1) ** (j - 1) * 2 * j * diag[-1], four * (four - 1))
 
 
 def _generator(kind: SequenceKind) -> Iterator[Number]:
-    """The row generator of ``kind``, for every kind but the strided ones."""
+    """The row generator of ``kind``."""
     tag = kind.tag
     if tag == "GPOLY":
         x = Fraction(kind.params[0])
@@ -445,18 +508,13 @@ def _generator(kind: SequenceKind) -> Iterator[Number]:
 # The store
 # --------------------------------------------------------------------------
 
-#: kinds whose row n is row stride * n of GCT with the same parameters
-_STRIDES = {"GCT2": 2, "GCT3": 3}
-
-
 class SequenceStore:
     """Rows of each sequence kind, computed once and extended in place."""
 
     def __init__(self) -> None:
         self._rows: Dict[SequenceKind, List[Number]] = {}
         self._gens: Dict[SequenceKind, Iterator[Number]] = {}
-        # re-entrant: growing GCT2 or GCT3 grows its GCT kind inside the lock
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def rows(self, kind: SequenceKind, n: int) -> Sequence[Number]:
         """Rows 0..n' of ``kind`` for some n' >= n.
@@ -470,16 +528,11 @@ class SequenceStore:
             return got
         with self._lock:
             got = self._rows.get(kind)
-            stride = _STRIDES.get(kind.tag)
             if got is None:
-                if stride is None:
-                    self._gens[kind] = _generator(kind)
+                self._gens[kind] = _generator(kind)
                 got = self._rows[kind] = []
             try:
-                if stride is not None:
-                    base = self.rows(GCT(*kind.params), stride * n)
-                    got.extend(base[stride * len(got):stride * n + 1:stride])
-                elif len(got) <= n:
+                if len(got) <= n:
                     got.extend(islice(self._gens[kind], n + 1 - len(got)))
             except BaseException:
                 # the generator is spent (or a value was lost between it and

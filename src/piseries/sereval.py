@@ -18,6 +18,20 @@ enclosure is a proof-grade statement about the sum.  :func:`term_value` is
 the exact value of one term, from the same builder, and so are the partial
 sums of :mod:`~piseries.congruence` and :mod:`~piseries.exactid`.
 
+Far out, the factors of a term have thousands of bits, of which the floor
+keeps about s.  There the builder cuts each long column to its p = s + 64
+leading bits (``_term_columns(..., bits=p)``), so the products and the
+division are of short numbers, and the sum proves each floor from the cut
+product before it keeps it (Ziv's rounding test, Ziv 1991): the floor at
+s + 32 bits is off by less than 1 + (|z|+1) f 2^(3-p) for f cut columns,
+and when its low 32 bits keep that margin from both ends its top bits are
+the exact floor at s.  A term that fails the test is floored from its
+exact factors, so every floor, and the ball, is the one exact arithmetic
+gives (:class:`_DirectSum`).  A block is cut only once one of its columns
+has 4p + 2048 bits, where the cut pays for itself, and then every column
+longer than 2p bits is; the Euler path, the exact terms of a tail bound
+below the crossover and :func:`term_value` stay exact.
+
 The number of terms N is chosen once per evaluation.  The envelope
 |term(k)| <= P(k) theta^k and its crossover K0 (past which the envelope
 falls geometrically with ratio rho = (1+theta)/2) are computed once, the
@@ -48,7 +62,9 @@ lo, ceil for hi, the ends swapped for q < 0).  The named constants pi, G,
 K and log 3 are held as one such enclosure each for the whole process, at
 the finest scale asked for so far: a coarser request is cut from it by a
 shift, and only a finer one calls :func:`constant`, once, at a scale
-rounded up to a multiple of 64 bits.  The closed forms used to be products
+rounded up to a multiple of 64 bits.  K's Euler-Maclaurin sum
+(:func:`_hurwitz_zeta2`) is a pair of directed-rounded integer sums as
+well.  The closed forms used to be products
 and quotients of ``Fraction`` balls, and every one of those operations ran
 a gcd on numbers hundreds of digits long: about a third of the time of
 certifying a fast series.  :func:`verify_series_identity` compares the two
@@ -59,16 +75,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
 from math import (ceil, comb, exp, inf, isqrt, lcm, log, log1p, log2,
-                  log10)
-from operator import add, attrgetter, floordiv, lshift, mul
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+                  log10, prod)
+from operator import add, attrgetter, floordiv, lshift, mul, rshift
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from . import seqkit
-from .seqkit import SequenceKind
+from .seqkit import Number, SequenceKind
 
 __all__ = [
     "Ball", "DivergentError", "TermSpec", "RHSForm", "SeriesIdentity",
@@ -202,35 +218,46 @@ def sqrt_ball(d, digits: int = 50) -> Ball:
 
 
 def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
-    """zeta(2, a) for rational 0 < a <= 1 by Euler-Maclaurin.
+    """zeta(2, a) for rational 0 < a <= 1 by Euler-Maclaurin:
+    sum_{k<N} 1/(k+a)^2 + 1/x + 1/(2x^2) + sum_{j>=1} B_{2j} / x^(2j+1),
+    x = N + a.
 
     The remainder is bounded by the magnitude of the first omitted
     correction term (the summand derivatives are monotone of one sign).
+    Every addend v is summed as the integers floor(v 2^S) and ceil(v 2^S),
+    so the ends bound the sum, and the magnitudes that stop the
+    corrections and bound the remainder are rounded up.
     """
-    target = Fraction(1, 10 ** (digits + 3))
+    p, q = a.numerator, a.denominator
     N = max(40, digits)
     while True:
-        head = sum(Fraction(1, 1) / (k + a) ** 2 for k in range(N))
-        x = N + a
-        total = head + 1 / x + Fraction(1, 2) / x ** 2
-        bound = None
-        acc = Fraction(0)
-        prev_mag = None
+        X = N * q + p                   # x = X / q
+        # at most N + 81 roundings, each below 2^-S: below target / 16
+        S = ceil((digits + 3) * log2(10)) + (N + 81).bit_length() + 4
+        target = 10 ** (digits + 3)     # |v| < 1/target when v 2^S target < 2^S
+        parts = [(q * q, (k * q + p) ** 2) for k in range(N)]
+        parts += [(q, X), (q * q, 2 * X * X)]
+        bound = prev = None
         for j in range(1, 80):   # B_2 .. B_158, grown only as read
-            term = seqkit.rows(seqkit.BERNOULLI, j)[j] / x ** (2 * j + 1)
-            mag = abs(term)
-            if prev_mag is not None and mag > prev_mag:
+            B = seqkit.rows(seqkit.BERNOULLI, j)[j]
+            num = B.numerator * q ** (2 * j + 1)
+            den = B.denominator * X ** (2 * j + 1)
+            mag = -((-abs(num) << S) // den)
+            if prev is not None and mag > prev:
                 # correction terms started growing; omit this one and bound
                 # the remainder by the magnitude of the first omitted term
                 bound = mag
                 break
-            acc += term
-            if mag < target:
+            parts.append((num, den))
+            if mag * target < 1 << S:
                 bound = mag
                 break
-            prev_mag = mag
-        if bound is not None and bound < target:
-            return Ball(total + acc, bound)
+            prev = mag
+        if bound is not None and bound * target < 1 << S:
+            lo = sum((num << S) // den for num, den in parts)
+            hi = -sum((-num << S) // den for num, den in parts)
+            return Ball(Fraction(lo + hi, 2 << S),
+                        Fraction(hi - lo + 2 * bound, 2 << S))
         N *= 2
 
 
@@ -388,6 +415,9 @@ class TermSpec:
 #: terms per block of :func:`_term_columns`: a bound on the columns held
 #: at once, whatever the number of terms
 _BLOCK = 32
+#: the extra bits of a cut term's floor test, and its guard: a direct sum
+#: at the scale 2^-s has its columns cut to s + 2 _GUARD bits
+_GUARD = 32
 
 
 def _poly_column(coeffs: Sequence[int], ks: range) -> Optional[List[int]]:
@@ -429,8 +459,76 @@ def _weighted(coeffs: List[int], wden: int, k: int, nums: List[int],
             iter(dens) if wden == 1 else map(mul, dens, repeat(wden)))
 
 
-def _term_columns(spec: TermSpec, lo: int, hi: int
-                  ) -> Iterator[Tuple[int, List[int], List[int]]]:
+def _cut_from(bits: int) -> int:
+    """The bit length from which :func:`_term_columns` cuts a block to
+    ``bits`` bits: a block whose columns are all shorter costs less
+    exact than cut and tested."""
+    return 4 * bits + 2048
+
+
+class _Cut(NamedTuple):
+    """How a cut block of :func:`_term_columns` stands for its terms.
+
+    Entry i of the block is term(k + i) = nums[i] / dens[i] 2^shift times
+    a factor within cols 2^(2-bits) of 1, as each of the ``cols`` cut
+    columns is off by less than 2^(1-bits) relative; ``exact(i)`` is the
+    exact pair (num, den), den > 0, of the same term.
+    """
+
+    shift: int
+    cols: int
+    bits: int
+    exact: Callable[[int], Tuple[int, int]]
+
+
+def _bit_length(v: Number) -> int:
+    """The bit length of an integer, or of the longer part of a Fraction."""
+    if isinstance(v, Fraction):
+        return max(v.numerator.bit_length(), v.denominator.bit_length())
+    return v.bit_length()
+
+
+def _least_bits(col: List[int]) -> int:
+    """The bit length of the shortest nonzero entry, 0 if there is none."""
+    return min(filter(None, map(int.bit_length, col)), default=0)
+
+
+def _cut_block(num_f: List[List[int]], den_f: List[List[int]], bits: int
+               ) -> Optional[Tuple[List[List[int]], List[List[int]], int, int]]:
+    """A block's factor columns cut to ``bits`` bits, or None when no
+    column's shortest nonzero entry reaches ``_cut_from(bits)`` bits or
+    no column is longer than 2 ``bits`` bits.
+
+    Each column whose shortest nonzero entry has n > 2 ``bits`` bits is
+    shifted right by n - ``bits``; the result is the cut numerator and
+    denominator columns, the numerator's total shift less the
+    denominator's, and the number of columns cut.  A shifted entry keeps
+    its sign, a nonzero one stays nonzero, and each is off by less than
+    2^(1-bits) relative.
+    """
+    least = [list(map(_least_bits, cols)) for cols in (num_f, den_f)]
+    if max(chain(*least), default=0) < _cut_from(bits):
+        return None
+    out, shift, cut = [], 0, 0
+    for cols, ns, sign in zip((num_f, den_f), least, (1, -1)):
+        out.append([])
+        for col, n in zip(cols, ns):
+            if n > 2 * bits:
+                col = list(map(rshift, col, repeat(n - bits)))
+                shift, cut = shift + sign * (n - bits), cut + 1
+            out[-1].append(col)
+    return (out[0], out[1], shift, cut) if cut else None
+
+
+def _exact_pair(num_f: List[List[int]], den_f: List[List[int]], i: int
+                ) -> Tuple[int, int]:
+    """Entry i of the products of the factor columns, with den > 0."""
+    num, den = prod(c[i] for c in num_f), prod(c[i] for c in den_f)
+    return (-num, -den) if den < 0 else (num, den)
+
+
+def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
+                  ) -> Iterator[tuple]:
     """Terms lo..hi of ``spec`` as columns of unreduced integers: blocks
     (k, nums, dens) of at most ``_BLOCK`` terms, the first at k = lo, with
     term(k + i) = nums[i] / dens[i] and dens[i] > 0.
@@ -443,6 +541,14 @@ def _term_columns(spec: TermSpec, lo: int, hi: int
     b^k and a^k, each one ``accumulate`` over the whole range.  The
     factors are chained ``map`` iterators, so a block holds only its two
     result columns.  A kind's rows are all integers or all Fractions.
+
+    With ``bits``, each block is (k, nums, dens, cut) instead.  Once a
+    factor column's shortest nonzero entry has ``_cut_from(bits)`` bits,
+    every column longer than 2 ``bits`` bits is shifted right to keep
+    ``bits`` leading bits (:func:`_cut_block`), and the products are of
+    the cut columns; ``cut`` is the :class:`_Cut` that relates them to the
+    exact terms, or None when the block was not cut and nums, dens are
+    exact.  The columns of a cut block are lists, kept for ``cut.exact``.
     """
     if lo < spec.k0:
         raise ValueError(f"term starts at k0={spec.k0}")
@@ -459,6 +565,14 @@ def _term_columns(spec: TermSpec, lo: int, hi: int
         a, b = -a, -b
     apow = accumulate(repeat(a), mul, initial=a ** lo)
     bpow = accumulate(repeat(b), mul, initial=b ** lo)
+    cutting = False
+    if bits is not None:
+        # no column is cut when none reaches _cut_from(bits) at hi (or at
+        # hi - 1, for the kinds whose odd rows are 0)
+        top = _cut_from(bits)
+        cutting = hi * max(a, abs(b)).bit_length() >= top or any(
+            e * _bit_length(tab[hi] or tab[hi - 1]) >= top
+            for tab, e in chain(seq, binom))
     for k in range(lo, hi + 1, _BLOCK):
         end = min(k + _BLOCK, hi + 1)
         n = end - k
@@ -488,11 +602,20 @@ def _term_columns(spec: TermSpec, lo: int, hi: int
         for c1, c0, e in affine:
             col = range(c1 * k + c0, c1 * end + c0, c1)
             den_f.append(col if e == 1 else map(pow, col, repeat(e)))
+        cut = None
+        if cutting:
+            num_f, den_f = list(map(list, num_f)), list(map(list, den_f))
+            cols = _cut_block(num_f, den_f, bits)
+            if cols is not None:
+                cut_num, cut_den, shift, count = cols
+                cut = _Cut(shift, count, bits,
+                           partial(_exact_pair, num_f, den_f))
+                num_f, den_f = cut_num, cut_den
         nums, dens = _product(num_f, n), _product(den_f, n)
         for i in range(min(n, positive - k)):
             if dens[i] < 0:
                 nums[i], dens[i] = -nums[i], -dens[i]
-        yield k, nums, dens
+        yield (k, nums, dens) if bits is None else (k, nums, dens, cut)
 
 
 def _term_pairs(spec: TermSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
@@ -823,6 +946,19 @@ class _DirectSum:
     which the stream supplies together with the sum; they stay exact
     rationals, added to the dyadic closed form at K0, and if the check
     then fails, N moves to K0 and on, and the stream is walked again.
+
+    Once N has passed its check, the sum asks the stream for cut blocks
+    (:attr:`bits`).  For a term of a cut block it floors
+    z = floor(w(k) term'(k) 2^(s+G)), G = ``_GUARD``, from the cut
+    columns, whose product term' is within f 2^(2-p) of term(k)
+    relative (f columns cut, p bits kept); so |w(k) term(k) 2^(s+G) - z|
+    < D = 1 + (|z|+1) f 2^(3-p), and one integer d >= D serves the whole
+    block.  z >> G is then the exact floor floor(w(k) term(k) 2^s) when
+    the low G bits of z keep d from both ends, or when |z| + d <= 2^G:
+    the floor is then 0 or -1 by the sign of the term, and the cut keeps
+    the signs.  Any other term is floored from its exact pair,
+    ``cut.exact``.  Every floor, and so the ball, is the one the exact
+    columns give.  Below the check (terms pending) the stream stays exact.
     """
 
     def __init__(self, spec: TermSpec, q: List[int], qden: int,
@@ -879,10 +1015,18 @@ class _DirectSum:
         """The last term this sum still needs from the stream."""
         return self.N if self.bound is not None else self.K0
 
-    def add(self, k: int, nums: List[int], dens: List[int]) -> None:
+    @property
+    def bits(self) -> Optional[int]:
+        """The leading bits a cut column must keep for this sum, None
+        while terms are pending."""
+        return None if self.bound is None else self.s + 2 * _GUARD
+
+    def add(self, k: int, nums: List[int], dens: List[int],
+            cut: Optional[_Cut] = None) -> None:
         """Take the block of unweighted terms k, k+1, ... of the stream:
-        floor(w(k) num 2^s / (wden den)) for each term up to N, and the
-        exact |term| for each pending one."""
+        floor(w(k) num 2^s / (wden den)) for each term up to N (proved
+        from the cut columns when the block is cut), and the exact |term|
+        for each pending one."""
         n = min(len(nums), self.reach - k + 1)
         if n <= 0:
             return
@@ -891,11 +1035,39 @@ class _DirectSum:
         # take exactly ``head`` entries of each column, and the pending
         # ones the entries after them
         head = max(0, min(n, self.N - k + 1))
+        if cut is not None:
+            self.total += self._cut_floors(k, islice(nums, head), dens, cut)
+            return
         self.total += sum(map(floordiv, map(lshift, islice(nums, head),
                                             repeat(self.s)), dens))
         if head < n:
             self.pending.extend(map(Fraction, map(abs, islice(nums, n - head)),
                                     dens))
+
+    def _cut_floors(self, k: int, nums: Iterator[int], dens: Iterator[int],
+                    cut: _Cut) -> int:
+        """The sum of floor(w(k+i) term(k+i) 2^s) over the weighted cut
+        columns of a block, each proved exact or taken from the exact
+        term (see the class docstring)."""
+        shift = self.s + _GUARD + cut.shift
+        if shift >= 0:
+            zs = list(map(floordiv, map(lshift, nums, repeat(shift)), dens))
+        else:
+            zs = list(map(floordiv, nums, map(lshift, dens, repeat(-shift))))
+        # one margin for the block: D <= d = 1 + ceil((|z|+1) f 2^(3-p))
+        # for every z of it
+        d = 2 + ((max(map(abs, zs)) + 1) * cut.cols - 1 >> cut.bits - 3)
+        mask, hi = (1 << _GUARD) - 1, (1 << _GUARD) - d
+        total = sum(map(rshift, zs, repeat(_GUARD)))
+        for i, z in enumerate(zs):
+            # kept unless its low bits come within d of an end and |z| + d
+            # passes 2^G
+            if not d <= z & mask <= hi and not -hi <= z <= hi:
+                num, den = cut.exact(i)
+                w = reduce(lambda acc, c: acc * (k + i) + c, self.weight, 0)
+                total += (w * num << self.s) // (self.wden * den) \
+                    - (z >> _GUARD)
+        return total
 
     def settle(self) -> bool:
         """After the stream: True when N passed the check; else N
@@ -926,7 +1098,8 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     behind each term are made once, on the direct path
     (:class:`_DirectSum`) and on the Euler path (:class:`_EulerSum`)
     alike; each ball equals :func:`eval_series` of the spec with that
-    weight.
+    weight.  A direct-path stream is cut to the most bits any of its sums
+    needs once every sum has passed its check.
     """
     if not weights:
         return []
@@ -941,9 +1114,11 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     todo = sums
     while todo:
         lo, hi = min(d.start for d in todo), max(d.reach for d in todo)
-        for k, nums, dens in _term_columns(base, lo, hi):
+        bits = [d.bits for d in todo]
+        for block in _term_columns(base, lo, hi,
+                                   None if None in bits else max(bits)):
             for d in todo:
-                d.add(k, nums, dens)
+                d.add(*block)
         todo = [d for d in todo if not d.settle()]
     return [d.result() for d in sums]
 
@@ -1311,6 +1486,9 @@ class _EulerSum:
     :func:`_euler_weights`, each product floored at 2^-s.  N, and with it
     the rounding radius, is fixed before any term is read.
     """
+
+    #: the transform's weights are exact, so its stream is never cut
+    bits = None
 
     def __init__(self, spec: TermSpec, theta: Fraction, digits: int):
         cert = _certificate(spec)

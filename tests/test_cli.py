@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from piseries import corpus
 from piseries import sereval
-from piseries.cli import main
+from piseries.cli import _fmt_weight, main
 
 
 def _run(capsys, argv):
@@ -167,12 +168,26 @@ class TestDiscover:
         code, out, err = _run(capsys, ["discover", "--seq", "T(62,9025)",
                                        "--m", "2^6*3^4", "--digits", "30"])
         assert (code, err) == (0, "")
-        assert "term: 22742*k+-307 ; - ; T(62,9025) ; m=5184 ; k0=0\n" in out
+        assert "term: 22742*k-307 ; - ; T(62,9025) ; m=5184 ; k0=0\n" in out
         assert "\nrhs: 0\n" in out
         (entry,) = corpus.parse_registry(out)
         assert entry.series.rhs.addends == ()
         rep = sereval.verify_series_identity(entry.series, 30)
         assert rep.status == "CONSISTENT"
+
+    @pytest.mark.parametrize("weight,text", [
+        ((-307, 22742), "22742*k-307"),
+        ((8, 24), "24*k+8"),
+        ((1, -1), "-k+1"),
+        ((0, 0, -1), "-k^2"),
+        ((-7, 0, 0, 3), "3*k^3-7"),
+        ((Fraction(4, 27), Fraction(-5, 9)), "-5/9*k+4/27"),
+        ((-1,), "-1"),
+        ((0,), "0"),
+    ])
+    def test_weight_is_written_with_its_signs(self, weight, text):
+        assert _fmt_weight(weight) == text
+        assert corpus._weight(text, 1) == weight
 
     def test_scan_sums_the_moments_once(self, capsys, monkeypatch):
         # a bare basis name tries 15 multipliers sqrt(d); the moments do

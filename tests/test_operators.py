@@ -25,7 +25,9 @@ for 0 <= m <= n.
 The tests solve (Gosper) for x from the operator in ``seqkit`` and check
 both identities exactly, with P and Q left symbolic: a polynomial identity
 in P and Q holds for every SBC pair (b, c) = (P + Q, PQ) and every GPOLY
-argument P/Q.  Nothing here needs sympy.
+argument P/Q.  The GCT2 and GCT3 operators are not telescoped: they are
+eliminated from GCT's own recurrence (at the end of this file).  Nothing
+here needs sympy.
 """
 
 from __future__ import annotations
@@ -296,3 +298,55 @@ def test_poly_division_and_coefficients_in_m():
         divide_exact(f + 1, P - Q)
     assert [c.t for c in ((M + N) ** 2).by_m()] == [
         (N ** 2).t, (2 * N).t, Poly.lift(1).t]
+
+
+# --------------------------------------------------------------------------
+# GCT2 and GCT3: eliminated from GCT's recurrence
+# --------------------------------------------------------------------------
+#
+# Here P stands for b and Q for c.  GCT's recurrence
+# (k+1) T_{k+1} = (2k+1) b T_k - k (b^2-4c) T_{k-1} holds for every k >= 0,
+# so with u = T_{sn}, v = T_{sn+1} each later row is d_j T_{sn+j} =
+# x_j u + y_j v, where d_j = (sn+2)...(sn+j) and x_j, y_j are polynomials.
+# Steps k = sn+1, ..., sn+2s-1 reach T_{s(n+2)}: 3 instances for s = 2
+# and 5 for s = 3.
+
+def _strided_rows(s: int):
+    """[(x_j, y_j)] for j = 0..2s, and the denominators [d_j]."""
+    D = P * P - 4 * Q
+    xy = [(Poly.lift(1), Poly()), (Poly(), Poly.lift(1))]
+    d = [Poly.lift(1), Poly.lift(1)]
+    for j in range(1, 2 * s):
+        k = s * N + j
+        # d_j T_{k-1} = r (x_{j-1}, y_{j-1}), r = d_j / d_{j-1}
+        r = k if j > 1 else Poly.lift(1)
+        (x1, y1), (x0, y0) = xy[j], xy[j - 1]
+        xy.append(((2 * k + 1) * P * x1 - k * D * r * x0,
+                   (2 * k + 1) * P * y1 - k * D * r * y0))
+        d.append(d[j] * (k + 1))
+    return xy, d
+
+
+@pytest.mark.parametrize("tag,s", [("GCT2", 2), ("GCT3", 3)])
+def test_strided_operator_is_eliminated_from_gct(tag, s):
+    xy, d = _strided_rows(s)
+    # columns of T_{sn}, T_{s(n+1)}, T_{s(n+2)} over the common d_{2s}
+    lift = divide_exact(d[2 * s], d[s])
+    cols = [(d[2 * s], Poly()), (lift * xy[s][0], lift * xy[s][1]),
+            xy[2 * s]]
+    # the elimination: the kernel of the 2 x 3 matrix of columns
+    (a0, b0), (a1, b1), (a2, b2) = cols
+    kernel = (a1 * b2 - b1 * a2, a2 * b0 - b2 * a0, a0 * b1 - b0 * a1)
+    ops = sk.OPERATORS[tag].coeffs(P, Q)(N)
+    # the operator is the kernel over a polynomial factor ...
+    factor = divide_exact(kernel[2], ops[2])
+    assert all(not (kc - factor * oc) for kc, oc in zip(kernel, ops))
+    # ... and annihilates the columns: sum_j c_j(n) T_{s(n+j)} d_{2s} = 0
+    # for every u, v, so for every n >= 0, where d_{2s} has no zero
+    for i in range(2):
+        assert not sum((c * col[i] for c, col in zip(ops, cols)), Poly())
+
+
+def test_gct3_lead_vanishes_where_said():
+    lead = sk.OPERATORS["GCT3"].coeffs(4, -11)
+    assert lead(0)[-1] == 0 and all(lead(n)[-1] for n in range(1, 300))

@@ -300,10 +300,10 @@ class TestRediscover:
         walks, precisions = [], []
         columns, weighted = se._term_columns, se.eval_weighted
 
-        def spy_columns(s, lo, hi):
+        def spy_columns(s, lo, hi, bits=None):
             if s.seq == seq:
                 walks.append(s.weight)
-            return columns(s, lo, hi)
+            return columns(s, lo, hi, bits)
 
         def spy_weighted(s, weights, digits):
             precisions.append(digits)

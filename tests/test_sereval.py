@@ -150,6 +150,34 @@ class TestSqrt:
             se.sqrt_ball(-1)
 
 
+def fraction_hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
+    """zeta(2, a) by Euler-Maclaurin in exact Fractions: the sum that
+    se._hurwitz_zeta2 replaced, kept as its oracle."""
+    target = Fraction(1, 10 ** (digits + 3))
+    N = max(40, digits)
+    while True:
+        head = sum(Fraction(1, 1) / (k + a) ** 2 for k in range(N))
+        x = N + a
+        total = head + 1 / x + Fraction(1, 2) / x ** 2
+        bound = None
+        acc = Fraction(0)
+        prev_mag = None
+        for j in range(1, 80):
+            term = sk.rows(sk.BERNOULLI, j)[j] / x ** (2 * j + 1)
+            mag = abs(term)
+            if prev_mag is not None and mag > prev_mag:
+                bound = mag
+                break
+            acc += term
+            if mag < target:
+                bound = mag
+                break
+            prev_mag = mag
+        if bound is not None and bound < target:
+            return Ball(total + acc, bound)
+        N *= 2
+
+
 _CONSTANT_REFERENCES = [
     ("PI", "mp.pi"),
     ("CATALAN_G", "mp.catalan"),
@@ -163,7 +191,10 @@ class TestConstants:
     @pytest.mark.parametrize("name,expr,digits", [
         pytest.param(name, expr, digits, id=f"{name}-{expr}" + (
             "" if digits == 40 else f"-{digits}"))
-        for digits in (40, 20, 60) for name, expr in _CONSTANT_REFERENCES])
+        for digits in (40, 20, 60) for name, expr in _CONSTANT_REFERENCES]
+        # K3's Euler-Maclaurin sum well past the digits the registry uses
+        + [pytest.param("K3", _CONSTANT_REFERENCES[3][1], digits,
+                        id=f"K3-{digits}") for digits in (80, 200)])
     def test_against_reference(self, name, expr, digits):
         ball = se.constant(name, digits)
         assert ball.rad < Fraction(1, 10 ** digits)
@@ -176,13 +207,14 @@ class TestConstants:
                       for j in range(4000))
         assert abs(ball.mid - partial) < Fraction(1, 10 ** 6)
 
-    #: sha256 of repr((mid, rad)) of constant("K3", d), recorded when
-    #: the Bernoulli numbers were one table of B_0..B_158 built up front
+    #: sha256 of repr((mid, rad)) of constant("K3", d), recorded when the
+    #: Euler-Maclaurin sum became directed-rounded integers at 2^-S (the
+    #: exact Fraction sum it replaced is fraction_hurwitz_zeta2 below)
     K3_DIGESTS = {
-        12: "f5875e1df7511d69dd7860c70e5a99bc9f8062704f3fa1cb01862696ec6f1bfe",
-        20: "39738ca055aaffeae63eb2f392c2a058e5833ddd0e6fde452447bad134269c0b",
-        40: "6ca9227f6e3a7d9d03d84fa4e216e8780f7db5b8fb22e96a2790ad1cfb7ece2a",
-        60: "f01353152e77a11f4fd59856f1f5fbc4e86daefc527a6008789770a21bcbf993",
+        12: "c5230e8ea41a4130e1e4dd001e5a684aa0ef392c6c63dd8bd4c2c8e3bbb7b3ed",
+        20: "bf30cddaca3f1c151c8ee6a345f99a196da1cb2491ebe0b49738e6db5ce30337",
+        40: "da5bd9f5ffd63c65e51de22163677e2dd3159b222369e0ced51d65a1ce78d934",
+        60: "a6cd3aef75f72ef64cff6abe19899f37db85206676a126590cff574a1c23e64d",
     }
 
     @pytest.mark.parametrize("digits, rows_read", [
@@ -196,6 +228,19 @@ class TestConstants:
         got = hashlib.sha256(repr((ball.mid, ball.rad)).encode()).hexdigest()
         assert got == self.K3_DIGESTS[digits]
         assert len(store.rows(sk.BERNOULLI, 0)) == rows_read
+
+    @pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(2, 3),
+                                   Fraction(1)])
+    @pytest.mark.parametrize("digits", [17, 45, 65])
+    def test_hurwitz_against_fraction_sum(self, a, digits):
+        got = se._hurwitz_zeta2(a, digits)
+        want = fraction_hurwitz_zeta2(a, digits)
+        target = Fraction(1, 10 ** (digits + 3))
+        # the rounding adds below target / 16 to the remainder bound
+        assert want.rad <= got.rad < want.rad + target / 16
+        assert abs(got.mid - want.mid) <= got.rad - want.rad
+        if a == 1:
+            assert got.contains(mp_ref("mp.pi**2 / 6", digits + 20))
 
     def test_cache_hit(self):
         a = se.constant("PI", 40)
@@ -866,9 +911,9 @@ class TestWeighted:
         walks = []
         real = se._term_columns
 
-        def spy(s, lo, hi):
+        def spy(s, lo, hi, bits=None):
             walks.append((s.weight, lo, hi))
-            return real(s, lo, hi)
+            return real(s, lo, hi, bits)
 
         monkeypatch.setattr(se, "_term_columns", spy)
         got = se.eval_weighted(spec, [(0, 1), (1, 0)], 60)
@@ -881,9 +926,9 @@ class TestWeighted:
         walks = []
         real = se._term_columns
 
-        def spy(s, lo, hi):
+        def spy(s, lo, hi, bits=None):
             walks.append((s.weight, lo, hi))
-            return real(s, lo, hi)
+            return real(s, lo, hi, bits)
 
         monkeypatch.setattr(se, "_term_columns", spy)
         got = se.eval_weighted(S12, [(0, 1), (-1, 4)], 30)
@@ -895,6 +940,133 @@ class TestWeighted:
                              ids=["direct", "euler"])
     def test_no_weights(self, spec):
         assert se.eval_weighted(spec, [], 20) == []
+
+
+class TestCutColumns:
+    """Cut columns on constructed specs, with every block cut that has a
+    column longer than 2p bits: each floor must be the one of the exact
+    term."""
+
+    # each stream starts at long columns, and the weights bring the terms
+    # near 2^-s; all but the first have terms that a 2-bit guard sends to
+    # the exact fallback
+    SPECS = [
+        # true ratio 11.09/17 against the bound 16/17: the terms are far
+        # below 2^-s, of both signs
+        pytest.param(TermSpec(weight=(1,), den=(), seq=((sk.BETA, 1),),
+                              m=Fraction(-17), k0=300), False,
+                     id="beta-tiny-negative"),
+        # terms (k - 3) 2^(500-12k) are dyadic: each scaled term is an
+        # integer, whose floor lies on the boundary
+        pytest.param(TermSpec(weight=(-3 * 2 ** 500, 2 ** 500), den=(),
+                              seq=(), m=Fraction(2 ** 12), k0=40), True,
+                     id="dyadic"),
+        pytest.param(TermSpec(weight=(2 ** 350,), den=(),
+                              seq=((sk.GPOLY(Fraction(-1, 5)), 1),),
+                              m=Fraction(4), k0=300), True,
+                     id="gpoly-fraction"),
+        pytest.param(TermSpec(weight=(2 ** 900,), den=(),
+                              seq=((sk.CB2, 3),), m=Fraction(-512), k0=300),
+                     True, id="cube"),
+        # T_k(0,3) = 0 for odd k
+        pytest.param(TermSpec(weight=(2 ** 400,), den=(),
+                              seq=((sk.GCT(0, 3), 1),), m=Fraction(-8),
+                              k0=300), True, id="zero-rows"),
+    ]
+
+    @staticmethod
+    def _spy(monkeypatch, guard):
+        """Cut every block with a column longer than 2p bits; count the
+        cut blocks and the exact fallbacks."""
+        seen = {"cut": 0, "exact": 0}
+        cut, exact = se._cut_block, se._exact_pair
+
+        def spy_cut(num_f, den_f, bits):
+            out = cut(num_f, den_f, bits)
+            seen["cut"] += out is not None and out[3] > 0
+            return out
+
+        def spy_exact(*args):
+            seen["exact"] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(se, "_cut_from", lambda bits: bits + 1)
+        monkeypatch.setattr(se, "_GUARD", guard)
+        monkeypatch.setattr(se, "_cut_block", spy_cut)
+        monkeypatch.setattr(se, "_exact_pair", spy_exact)
+        return seen
+
+    @pytest.mark.parametrize("guard", [32, 2])
+    @pytest.mark.parametrize("spec,falls_back", SPECS)
+    def test_floors_are_exact(self, spec, falls_back, guard, monkeypatch):
+        seen = self._spy(monkeypatch, guard)
+        for digits in (12, 40):
+            stats: dict = {}
+            ball = se.eval_series(spec, digits, stats)
+            assert ball == direct_oracle(spec, digits, stats["terms"])
+        assert seen["cut"]
+        if guard == 2 and falls_back:
+            assert seen["exact"]
+
+    def test_weights_share_the_cut_stream(self, monkeypatch):
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-512), k0=300)
+        w = 2 ** 900
+        weights = [(w,), (0, w), (Fraction(-w, 3), 7 * w)]
+        seen = self._spy(monkeypatch, 2)
+        got = se.eval_weighted(spec, weights, 40)
+        for weight, (ball, info) in zip(weights, got):
+            assert ball == direct_oracle(replace(spec, weight=weight), 40,
+                                         info["terms"])
+        assert seen["cut"] and seen["exact"]
+
+    def test_cut_keeps_signs_and_relative_error(self, monkeypatch):
+        monkeypatch.setattr(se, "_cut_from", lambda bits: bits + 1)
+        bits = 40
+        col = [0, 3 << 200, -(5 << 190), (1 << 260) - 1, -1 << 250]
+        short = [1 << 70, 5 << 77]
+        (got, same), (den,), shift, cut = se._cut_block([col, short], [col],
+                                                        bits)
+        assert cut == 2 and shift == 0 and same == short
+        sh = 193 - bits
+        for x, y, z in zip(col, got, den):
+            assert y == z and (x > 0) == (y > 0) and (x < 0) == (y < 0)
+            assert abs(x - (y << sh)) <= abs(x) * Fraction(2, 2 ** bits)
+        # no column is longer than 2 bits, or none reaches the threshold
+        assert se._cut_block([short], [short], bits) is None
+        monkeypatch.setattr(se, "_cut_from", lambda bits: 4 * bits + 2048)
+        assert se._cut_block([col], [], bits) is None
+
+    # weighted specs, so that the first block has a long column: a weight
+    # that is negative at small k, 2k - 1 < 0 at k = 0, Fraction rows and
+    # zero rows
+    @pytest.mark.parametrize("spec", [
+        TermSpec(weight=(-(2 ** 300), 1), den=(("2k-1", 1), ("CB2", 1)),
+                 seq=(), m=Fraction(-3)),
+        TermSpec(weight=(2 ** 200,), den=(("2k-1", 2),),
+                 seq=((sk.GPOLY(Fraction(-1, 5)), 3),), m=Fraction(-7, 2)),
+        TermSpec(weight=(2 ** 150,), den=(),
+                 seq=((sk.GCT(0, 3), 1), (sk.CB2, 2)), m=Fraction(-8)),
+    ], ids=["weight-affine", "gpoly-fraction", "zero-rows"])
+    def test_cut_blocks_stand_for_the_exact_terms(self, spec, monkeypatch):
+        monkeypatch.setattr(se, "_cut_from", lambda bits: bits + 1)
+        bits, lo, hi = 64, spec.k0, spec.k0 + 3 * se._BLOCK
+        exact = column_pairs(spec, lo, hi)
+        cut_blocks = 0
+        for k, nums, dens, cut in se._term_columns(spec, lo, hi, bits):
+            want = exact[k - lo:k - lo + len(nums)]
+            if cut is None:
+                assert list(zip(nums, dens)) == want
+                continue
+            cut_blocks += 1
+            rel = cut.cols * Fraction(4, 2 ** cut.bits)
+            for i, (num, den) in enumerate(want):
+                assert cut.exact(i) == (num, den) and dens[i] > 0
+                term, approx = Fraction(num, den), Fraction(nums[i], dens[i])
+                approx *= Fraction(2) ** cut.shift
+                assert (term > 0) == (approx > 0) and (term < 0) == (approx < 0)
+                assert abs(approx - term) <= rel * abs(term)
+        assert cut_blocks
 
 
 SLOW_SERIES = {"II4p", "8.1", "5.20", "5.23", "S2", "IV15p", "5.24", "II11p",
@@ -1022,6 +1194,22 @@ class TestColumnOracles:
     ], ids=["below-crossover", "wzag", "1.2"])
     def test_balls_of_constructed_specs(self, spec, digits):
         self._check_ball(spec, digits)
+
+    @pytest.mark.parametrize("spec", [
+        p for p in _registry_specs()
+        if se._spec_envelope(p.values[0])[1] < 1])
+    def test_cut_columns_give_the_exact_floors(self, spec, monkeypatch):
+        # every direct-path series, the slow ones too, whose long columns
+        # are cut; a 2-bit guard sends many terms to the exact fallback
+        for digits in (12, 20, 40):
+            stats: dict = {}
+            ball = se.eval_series(spec, digits, stats)
+            assert ball == direct_oracle(spec, digits, stats["terms"])
+            with monkeypatch.context() as mp:
+                mp.setattr(se, "_GUARD", 2)
+                low: dict = {}
+                assert se.eval_series(spec, digits, low) == ball
+                assert low == stats
 
     def test_euler_weights_equal_pascal(self):
         # A_i(N) = 2 A_i(N-1) + C(N, i), from the definition
