@@ -11,21 +11,30 @@ the terms yields the exact partial sums S(c) at each requested count c as
 unreduced integer pairs P/Q, and ``_residue`` reads a residue modulo p^s
 off such a pair.  A check sums each series once for all its primes (or all
 its n), so a reported residue is exact and never subject to rounding.
+``rhs_residue`` works in integers modulo a power of p: coefficients by
+their inverse, Fermat quotients from ``pow(a, p-1, p^(s+1))``, E_{p-3}
+reduced.
 
 Elementary number theory: primes are read off one process-wide sieve that
 grows by doubling to the largest bound asked for so far.  ``is_prime`` grows
-it up to ``SIEVE_CAP`` = 2^20 and uses trial division above that.
-``legendre(a, p)`` and ``jacobi(a, n)`` are memoised on (a mod p, p) and
-(a mod n, n), each memo bounded to ``SYMBOL_MEMO`` = 2^14 entries (least
-recently used dropped first).
+it up to ``SIEVE_CAP`` = 2^20 and uses trial division above that.  Every
+quadratic character read at a prime, here and in ``quadform``, comes from
+one process-wide ``Characters`` table (``characters(bound)``), which grows
+the same way: bit i of an int stands for the i-th odd prime, and a
+character p -> (d|p) or p -> (p|d) is a pair of such bitsets (where it is
+-1, where it is 0), built by quadratic reciprocity from the residue classes
+of the primes modulo 4, 8 and the odd prime factors of d.  ``legendre`` and
+``jacobi`` compute one symbol directly (Euler's criterion, and
+reciprocity with the Euclidean algorithm); the tests use them as the
+table's oracle.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from math import isqrt
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
@@ -40,6 +49,8 @@ __all__ = [
     "is_prime",
     "legendre",
     "jacobi",
+    "Characters",
+    "characters",
     "fraction_mod",
     "truncated_sum_exact",
     "truncated_sum_mod",
@@ -75,9 +86,6 @@ _SIEVE_LOCK = threading.Lock()
 #: ``is_prime(n)`` grows the sieve only while n <= SIEVE_CAP, so the sieve
 #: it grows stays within about 1 MB; above the cap it uses trial division.
 SIEVE_CAP = 1 << 20
-
-#: Bound on the memo of each of ``legendre`` and ``jacobi``.
-SYMBOL_MEMO = 1 << 14
 
 
 def _cover(n: int) -> None:
@@ -121,31 +129,21 @@ def is_prime(n: int) -> bool:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p; ValueError otherwise."""
-    if p <= 2:
+    """Legendre symbol (a|p) for an odd prime p, by Euler's criterion;
+    ValueError otherwise."""
+    if p <= 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
-    return _legendre(a % p, p)
-
-
-@lru_cache(maxsize=SYMBOL_MEMO)
-def _legendre(a: int, p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
+    a %= p
     if a == 0:
         return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd n > 0; ValueError otherwise."""
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"n = {n} must be positive and odd")
-    return _jacobi(a % n, n)
-
-
-@lru_cache(maxsize=SYMBOL_MEMO)
-def _jacobi(a: int, n: int) -> int:
+    a %= n
     result = 1
     while a != 0:
         while a % 2 == 0:
@@ -157,6 +155,164 @@ def _jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+#: A quadratic character over a ``Characters`` index: the bitsets (neg,
+#: zero) of the primes where it is -1 and where it is 0, neg & zero == 0.
+Char = Tuple[int, int]
+
+
+def _times(a: Char, b: Char) -> Char:
+    """The product of two characters."""
+    zero = a[1] | b[1]
+    return (a[0] ^ b[0]) & ~zero, zero
+
+
+class Characters:
+    """Quadratic characters of the odd primes up to ``bound``, as bitsets.
+
+    Bit i of a mask stands for ``primes[i]``, the i-th odd prime (3 is bit
+    0).  For an odd prime q, p -> (p|q) is -1 on the residue classes of the
+    non-squares modulo q and 0 at q.  Jacobi (p|n) is the product of these
+    over the prime factors of n, and (d|p) follows by reciprocity:
+    (n|p) = (p|n) (-1|p)^[n = 3 mod 4] for odd n > 0, with (-1|p) = -1
+    for p = 3 mod 4 and (2|p) = -1 for p = 3, 5 mod 8.  A factor of n above
+    every indexed prime is coprime to all of them and is read with
+    ``jacobi`` prime by prime.  Masks are memoised per table; the table for
+    a larger bound is a new one.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.primes = primes_upto(bound)[1:]
+        self.bit = {p: i for i, p in enumerate(self.primes)}
+        self.full = (1 << len(self.primes)) - 1
+        self._memo: Dict[tuple, object] = {}
+
+    def where(self, pred) -> int:
+        """The mask of the indexed primes p with pred(p)."""
+        return int("0" + "".join("1" if pred(p) else "0"
+                                 for p in reversed(self.primes)), 2)
+
+    def upto(self, x: int) -> int:
+        """The mask of the indexed primes <= x."""
+        return (1 << bisect_right(self.primes, x)) - 1
+
+    def primes_in(self, mask: int) -> List[int]:
+        """The indexed primes whose bits are set in ``mask``, in order."""
+        return [p for p, b in zip(self.primes, bin(mask)[:1:-1]) if b == "1"]
+
+    def residues(self, n: int, rs: Tuple[int, ...]) -> int:
+        """The mask of the indexed primes p with p mod n in ``rs``."""
+        key = ("mod", n, rs)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self.where(lambda p: p % n in rs)
+        return got
+
+    def _mod_q(self, q: int) -> Char:
+        """p -> (p|q) for an indexed odd prime q."""
+        key = ("q", q)
+        got = self._memo.get(key)
+        if got is None:
+            squares = {k * k % q for k in range(1, q // 2 + 1)}
+            neg = self.where(lambda p: p % q not in squares and p != q)
+            got = self._memo[key] = (neg, 1 << self.bit[q])
+        return got
+
+    def jacobi(self, n: int) -> Char:
+        """The character p -> (p|n), n odd and positive."""
+        key = ("J", n)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        if n <= 0 or n % 2 == 0:
+            raise ValueError(f"n = {n} must be positive and odd")
+        char, rest = (0, 0), n
+        for q in self.primes:
+            if q * q > rest:
+                break
+            e = 0
+            while rest % q == 0:
+                rest //= q
+                e += 1
+            if e:
+                neg, zero = self._mod_q(q)
+                char = _times(char, (neg if e % 2 else 0, zero))
+        if rest in self.bit:
+            char = _times(char, self._mod_q(rest))
+        elif rest > 1:   # every prime factor of rest is above the index
+            char = _times(char, (self.where(lambda p: jacobi(p, rest) < 0),
+                                 0))
+        self._memo[key] = char
+        return char
+
+    def legendre(self, d: int) -> Char:
+        """The character p -> (d|p)."""
+        key = ("L", d)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        if d == 0:
+            char = (0, self.full)
+        else:
+            e2 = (abs(d) & -abs(d)).bit_length() - 1
+            n = abs(d) >> e2
+            char = self.jacobi(n)
+            if (d < 0) != (n % 4 == 3):
+                char = _times(char, (self.residues(4, (3,)), 0))
+            if e2 % 2:
+                char = _times(char, (self.residues(8, (3, 5)), 0))
+        self._memo[key] = char
+        return char
+
+    def product(self, sym: Tuple[int, ...] = (),
+                sym_p: Tuple[int, ...] = ()) -> Char:
+        """p -> prod (d|p) over ``sym`` times prod (p|d) over ``sym_p``."""
+        key = ("P", sym, sym_p)
+        got = self._memo.get(key)
+        if got is None:
+            got = (0, 0)
+            for d in sym:
+                got = _times(got, self.legendre(d))
+            for d in sym_p:
+                got = _times(got, self.jacobi(d))
+            self._memo[key] = got
+        return got
+
+    def holds(self, char: Char, v: int) -> int:
+        """The mask of the indexed primes p where char(p) == v."""
+        neg, zero = char
+        if v == 1:
+            return self.full & ~(neg | zero)
+        return neg if v == -1 else zero if v == 0 else 0
+
+    def value(self, char: Char, p: int) -> int:
+        """char(p) for an indexed p; ValueError for p = 2 or a p that is
+        not prime."""
+        i = self.bit.get(p)
+        if i is None:
+            raise ValueError(f"p = {p} is not an odd prime")
+        if char[1] >> i & 1:
+            return 0
+        return -1 if char[0] >> i & 1 else 1
+
+
+_CHARS = Characters(2)
+_CHARS_LOCK = threading.Lock()
+
+
+def characters(bound: int) -> Characters:
+    """The process-wide character table, grown to cover ``bound``: to at
+    least twice its bound, as the sieve grows."""
+    global _CHARS
+    chars = _CHARS
+    if bound <= chars.bound:
+        return chars
+    with _CHARS_LOCK:
+        if bound > _CHARS.bound:
+            _CHARS = Characters(max(bound, 2 * _CHARS.bound))
+        return _CHARS
 
 
 def fraction_mod(x: Fraction, p: int, s: int) -> Optional[int]:
@@ -277,6 +433,8 @@ class RHSTerm:
     fermat: int = 0               # multiply by (fermat^(p-1) - 1)/p
 
     def value(self, p: int) -> Fraction:
+        """The exact value at p, symbol by symbol: the tests' oracle of
+        ``rhs_residue``."""
         v = self.coef * p ** self.ppow
         for d in self.sym:
             v *= legendre(d, p)
@@ -290,10 +448,35 @@ class RHSTerm:
 
 
 def rhs_residue(terms: Sequence[RHSTerm], p: int, s: int) -> Optional[int]:
-    total = Fraction(0)
+    """The sum of the terms' values at p modulo p^s, or None when it is not
+    a p-adic integer: ``fraction_mod`` of the sum of ``RHSTerm.value``,
+    computed in integers.  With p^k the largest power of p a coefficient's
+    denominator has beyond the term's p^ppow, the sum times p^k is summed
+    modulo p^(s+k); the sum is p-integral exactly when p^k divides that."""
+    chars = characters(p)
+    parts = []
+    k = 0
     for t in terms:
-        total += t.value(p)
-    return fraction_mod(total, p, s)
+        den, e = t.coef.denominator, t.ppow
+        while den % p == 0:
+            den //= p
+            e -= 1
+        k = max(k, -e)
+        parts.append((t, den, e))
+    ps = p ** (s + k)
+    total = 0
+    for t, den, e in parts:
+        v = t.coef.numerator * pow(den, -1, ps) * p ** (e + k)
+        if t.sym or t.sym_p:
+            v *= chars.value(chars.product(t.sym, t.sym_p), p)
+        if t.euler:
+            v *= euler_number(p - 3) % ps
+        if t.fermat:
+            v *= (pow(t.fermat, p - 1, ps * p) - 1) // p
+        total += v
+    total %= ps
+    pk = p ** k
+    return None if total % pk else total // pk
 
 
 # --------------------------------------------------------------------------
@@ -341,9 +524,11 @@ class CongruenceClaim:
                     return False
             if t.fermat and t.fermat % p == 0:
                 return False
-        for d, v in self.require:
-            if legendre(d, p) != v:
-                return False
+        if self.require:
+            chars = characters(p)
+            for d, v in self.require:
+                if chars.value(chars.legendre(d), p) != v:
+                    return False
         return True
 
 
@@ -364,6 +549,7 @@ def claim_rows(claim: CongruenceClaim,
     order: the truncated sum times p^lhs_ppow modulo p^s or NONINTEGRAL, and
     the right-hand side modulo p^s or None.  One pass over the terms serves
     every prime.  The claim holds at p exactly when lhs == rhs."""
+    characters(p_max)   # grown once here, not prime by prime below
     primes = [p for p in primes_upto(p_max) if claim.admissible(p)]
     upper = UPPERS[claim.upper]
     lhs = truncated_residues(claim.spec, {p: upper(p) for p in primes},
@@ -415,12 +601,12 @@ def check_pn_refinement(claim: CongruenceClaim, p_max: int = 50,
         raise ValueError(f"claim {claim.ident} carries no refinement data")
     report = RefinementReport(claim.ident, [], None, [])
     checks: List[Tuple[int, int]] = []   # (p, delta)
+    chars = characters(p_max)
     for p in primes_upto(p_max):
         if not claim.admissible(p):
             continue
-        delta = 1
-        for d in claim.pn_delta:
-            delta *= legendre(d, p)
+        delta = chars.value(chars.product(claim.pn_delta), p) \
+            if claim.pn_delta else 1
         if delta != 0:
             checks.append((p, delta))
     ns = range(1, n_max + 1)
@@ -549,11 +735,12 @@ def check_duality_term(kind, d: Optional[int], D: int,
     ``d = None`` means no symbol factor.  Primes dividing 6 d D are skipped.
     """
     report = ClaimReport(getattr(kind, "tag", str(kind)), [], [])
+    chars = characters(p_max)
     for p in primes_upto(p_max):
         if p < 5 or (d is not None and d % p == 0) or D % p == 0:
             continue
         tab = seqkit.rows(kind, p - 1)
-        s = 1 if d is None else legendre(d, p)
+        s = 1 if d is None else chars.value(chars.legendre(d), p)
         report.tested.append(p)
         for k in range(p):
             lhs = int(tab[k]) % p
@@ -590,13 +777,14 @@ def check_duality_sum(claim: DualityClaim, p_max: int = 200) -> ClaimReport:
               and claim.d % p and claim.D % p and claim.m % p}
     lhs_at = truncated_residues(spec_m, uppers, 2)
     rhs_at = truncated_residues(spec_dual, uppers, 2)
+    chars = characters(p_max)
     for p in uppers:
         lhs, rhs0 = lhs_at[p], rhs_at[p]
         report.tested.append(p)
         if lhs == NONINTEGRAL or rhs0 == NONINTEGRAL:
             report.failures.append((p, lhs, rhs0))
             continue
-        rhs = legendre(claim.d, p) * rhs0 % p ** 2
+        rhs = chars.value(chars.legendre(claim.d), p) * rhs0 % p ** 2
         if lhs != rhs:
             report.failures.append((p, lhs, rhs))
     return report

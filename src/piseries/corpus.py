@@ -50,7 +50,9 @@ Kind-specific keys:
   Optional: ``upper`` (``p-1``, ``p-2``, ``(p+1)/2`` or ``(p-1)/2``),
   ``minp``, ``exclude``, ``require``, ``pn-delta``, ``sym-factor``,
   ``check: refinement`` (refinement-only entries; ``sum``, the default,
-  is the only other value).
+  is the only other value).  A ``minp`` that admits p = 2 is an error
+  when the check reads a quadratic character at p: a ``case`` table, or
+  an ``L``/``Lp`` factor in ``crhs``, ``require`` or ``pn-delta``.
 * INTEGRALITY: a weight with integer coefficients, and ``idiv`` options
   ``div=<int> ; mul=<int> ; div-base=<int> ;
   div-exp=none|n-1|half|half-up ; alt ; odd=pow2|pow2-pos|pow2-not2|none ;
@@ -705,7 +707,15 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
             _symbols(get("pn-delta"), line_of("pn-delta"))
     entry.check = get("check", "sum")
 
+    def odd_primes_only(reads_character: bool) -> None:
+        if reads_character and min_p <= 2 and 2 not in exclude:
+            raise CorpusError(
+                f"entry {ident}: minp {min_p} admits p = 2, but the check"
+                " reads a quadratic character at odd primes only",
+                line_of("minp"))
+
     if cases:
+        odd_primes_only(True)
         sym_factor = _symbols(get("sym-factor"), line_of("sym-factor")) \
             if get("sym-factor") else ()
         table = qf.QuadFormTable(
@@ -744,6 +754,8 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
         raise CorpusError(
             f"entry {ident}: congruence needs crhs, case lines, dual data,"
             " or check: refinement", None)
+    odd_primes_only(bool(require or pn_delta
+                         or any(t.sym or t.sym_p for t in crhs)))
     upper = get("upper", "p-1")
     if upper not in cg.UPPERS:
         raise CorpusError(f"entry {ident}: bad upper {upper!r}",

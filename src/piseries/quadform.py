@@ -5,7 +5,16 @@ representation mu*p = a*x^2 + d*y^2.  Each case is selected by a guard
 (Legendre/Jacobi symbol values and/or residue classes of p), the
 representation is found by exhaustive search, a normalization rule picks
 admissible sign choices, and an affine template in {x^2, xy, p} with an
-optional parity sign factor produces the value.  The template must give
+optional parity sign factor produces the value.
+
+Case selection is read off bitsets over the odd primes of the
+process-wide ``congruence.Characters`` table: each case's guard becomes
+one mask, the primes where it holds, built once per table and table size
+(``QuadFormTable.case_masks``).  ``dispatch`` takes its case from the
+masks; ``check_partition`` checks that exactly one guard holds by
+``once``/``twice`` bit algebra over them.  ``Guard.holds`` evaluates a
+guard at one p directly; it serves p outside the index (p = 2, or a p
+that is not prime) and is the masks' test oracle.  The template must give
 the same value for every admissible representative; dispatch verifies
 this invariance for each prime it touches.
 """
@@ -15,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import congruence as cg
 from .sereval import TermSpec
@@ -69,6 +78,17 @@ class Guard:
                 return False
         return True
 
+    def mask(self, chars: cg.Characters) -> int:
+        """The mask of the primes of ``chars`` where the guard holds."""
+        m = chars.full
+        for d, v in self.syms:
+            m &= chars.holds(chars.legendre(d), v)
+        for d, v in self.syms_p:
+            m &= chars.holds(chars.jacobi(d), v)
+        for n, residues in self.mods:
+            m &= chars.residues(n, residues)
+        return m
+
 
 @dataclass(frozen=True)
 class QuadFormCase:
@@ -103,6 +123,19 @@ class QuadFormTable:
     min_p: int = 5
     exclude: Tuple[int, ...] = ()
     sym_factor: Tuple[int, ...] = ()  # (d, ...): prod (d|p) multiplies the sum
+    # one slot: (character table, one guard mask per case), read and
+    # replaced whole, so that threads sharing the table see a matching pair
+    _masks: list = field(init=False, default_factory=lambda: [(None, ())],
+                         compare=False, repr=False)
+
+    def case_masks(self, chars: cg.Characters) -> Tuple[int, ...]:
+        """The mask of each case's guard over ``chars``, built once per
+        character table."""
+        built, masks = self._masks[0]
+        if built is not chars:
+            masks = tuple(c.guard.mask(chars) for c in self.cases)
+            self._masks[0] = (chars, masks)
+        return masks
 
 
 def represent(mu: int, a: int, d: int, p: int) -> List[Tuple[int, int]]:
@@ -171,11 +204,20 @@ class DispatchResult:
 
 
 def dispatch(table: QuadFormTable, p: int) -> DispatchResult:
-    """Value of the table at p, verifying template invariance."""
-    matches = [(i, c) for i, c in enumerate(table.cases) if c.guard.holds(p)]
+    """Value of the table at p, verifying template invariance.  The case
+    is read off the table's case masks; a p outside the character index
+    is matched guard by guard."""
+    chars = cg.characters(p)
+    i = chars.bit.get(p)
+    if i is None:
+        matches = [j for j, c in enumerate(table.cases) if c.guard.holds(p)]
+    else:
+        matches = [j for j, m in enumerate(table.case_masks(chars))
+                   if m >> i & 1]
     if len(matches) != 1:
         return DispatchResult(p, None, NO_CASE)
-    idx, case = matches[0]
+    idx = matches[0]
+    case = table.cases[idx]
     if case.zero:
         return DispatchResult(p, Fraction(0), case_index=idx)
     reps = normalize(represent(case.mu, case.a, case.d, p), case.norm)
@@ -204,15 +246,15 @@ def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
               and spec.m.numerator % p and spec.m.denominator % p
               and all(d % p for d in table.sym_factor)]
     sums = cg.truncated_residues(spec, {p: p - 1 for p in primes}, 2)
+    chars = cg.characters(p_max)
     for p in primes:
         res = dispatch(table, p)
         report.tested.append(p)
         if not res.ok:
             report.failures.append((p, res.error, None))
             continue
-        factor = 1
-        for d in table.sym_factor:
-            factor *= cg.legendre(d, p)
+        factor = chars.value(chars.product(table.sym_factor), p) \
+            if table.sym_factor else 1
         rhs = cg.fraction_mod(factor * res.value, p, 2)
         if rhs is None or sums[p] != rhs:
             report.failures.append((p, sums[p], rhs))
@@ -222,28 +264,29 @@ def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
 def check_partition(table: QuadFormTable, p_max: int = 1000) -> cg.ClaimReport:
     """Exactly one guard must hold for every admissible prime <= p_max.
 
-    Each guard is narrowed to the primes where it holds, one condition at a
-    time in the order of ``Guard.holds``; a symbol (d|p) or (p|d) is
-    evaluated at most once per prime, however many guards test it."""
+    Over the table's case masks, ``once`` collects the primes where some
+    guard holds and ``twice`` those where a second one does; the primes
+    outside ``once & ~twice`` fail, and only for them are the guards that
+    hold counted.  p = 2, when admissible, is matched guard by guard."""
     report = cg.ClaimReport(table.ident, [], [])
-    primes = [p for p in cg.primes_upto(p_max)
-              if p >= table.min_p and p not in table.exclude]
-    hits = dict.fromkeys(primes, 0)
-    symbols: Dict[Tuple[str, int], Dict[int, int]] = {}  # (kind, d): {p: .}
-    for case in table.cases:
-        g, held = case.guard, primes
-        for kind, d, v in [("L", d, v) for d, v in g.syms] \
-                + [("Lp", d, v) for d, v in g.syms_p]:
-            seen = symbols.setdefault((kind, d), {})
-            for p in [p for p in held if p not in seen]:
-                seen[p] = cg.legendre(d, p) if kind == "L" else cg.jacobi(p, d)
-            held = [p for p in held if seen[p] == v]
-        for n, residues in g.mods:
-            held = [p for p in held if p % n in residues]
-        for p in held:
-            hits[p] += 1
-    for p in primes:
-        report.tested.append(p)
-        if hits[p] != 1:
-            report.failures.append((p, hits[p], 1))
+    chars = cg.characters(p_max)
+    masks = table.case_masks(chars)
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    admissible = chars.upto(p_max) & ~chars.upto(table.min_p - 1)
+    for p in table.exclude:
+        if p in chars.bit:
+            admissible &= ~(1 << chars.bit[p])
+    bad = admissible & ~(once & ~twice)
+    if table.min_p <= 2 <= p_max and 2 not in table.exclude:
+        hits = sum(1 for c in table.cases if c.guard.holds(2))
+        report.tested.append(2)
+        if hits != 1:
+            report.failures.append((2, hits, 1))
+    report.tested += chars.primes_in(admissible)
+    for p in chars.primes_in(bad):
+        i = chars.bit[p]
+        report.failures.append((p, sum(m >> i & 1 for m in masks), 1))
     return report

@@ -889,11 +889,14 @@ def _log(x: Fraction) -> float:
     return log(x.numerator) - log(x.denominator)
 
 
-def _estimate_N(poly: Sequence, theta: Fraction, k0: int, K0: int,
-                digits: int) -> int:
+def _estimate_N(coeffs: Sequence[int], den: int, theta: Fraction, k0: int,
+                K0: int, digits: int) -> int:
     """First guess at the smallest N >= k0 whose closed-form tail
     P(N+1) theta^(N+1) / (1-rho) is below 10^-(digits+2) minus the
     rounding radius of N - k0 + 1 terms, in floating-point logs only.
+    P is the integer ``coeffs`` (low -> high) over ``den``; P(N+1) is
+    evaluated in integers, so only its log is a float, however long
+    its parts.
 
     From max(k0, K0) the guess moves up by the log gap over -log(theta).
     Each step lowers the gap by -log(theta) less the growth of log P, so
@@ -901,7 +904,7 @@ def _estimate_N(poly: Sequence, theta: Fraction, k0: int, K0: int,
     a guess: below K0 the closed form is no bound, and rounding may move
     the answer by one; the caller checks the N it settles on in integers.
     """
-    coeffs = [float(c) for c in poly]
+    log_den = log(den)
     a, b = theta.as_integer_ratio()
     log_theta = log(a) - log(b)
     log_scale = log(2 * b) - log(b - a)
@@ -910,7 +913,7 @@ def _estimate_N(poly: Sequence, theta: Fraction, k0: int, K0: int,
 
     def gap(N: int) -> float:
         """log(closed-form tail) - log(budget) at N; negative passes."""
-        p = 0.0
+        p = 0
         for c in reversed(coeffs):
             p = p * (N + 1) + c
         if p <= 0:
@@ -918,7 +921,7 @@ def _estimate_N(poly: Sequence, theta: Fraction, k0: int, K0: int,
         rounded = N - k0 + 1
         # the rounding radius over the target, rounded T / 2^s <= 1/32
         ratio = rounded * T / (1 << _scale_bits(rounded, T))
-        return (log(p) + (N + 1) * log_theta + log_scale
+        return (log(p) - log_den + (N + 1) * log_theta + log_scale
                 - log_target - log1p(-ratio))
 
     N = max(k0, K0)
@@ -969,8 +972,8 @@ class _DirectSum:
         coeffs, den = _envelope_poly(self.weight, self.wden, q, qden)
         self.env = _Tail(coeffs, den, theta, spec.k0)
         self.K0 = self.env.K0
-        self._start(_estimate_N([c / den for c in coeffs], theta, spec.k0,
-                                self.K0, digits), None)
+        self._start(_estimate_N(coeffs, den, theta, spec.k0, self.K0,
+                                digits), None)
 
     def _closed_bound(self, N: int) -> Optional[Fraction]:
         """The closed-form bound at N >= K0 if it passes, else None.

@@ -97,6 +97,50 @@ class TestVerifyCongruence:
         assert (code, out) == (2, "")
         assert err.startswith("registry error: line 4:")
 
+    # minp 2 admits p = 2, where the check would read (d|p): 8-1-q's body
+    # (once a FAIL row with a ValueError and exit 0), and each crhs,
+    # require and pn-delta symbol
+    @pytest.mark.parametrize("body", [
+        "term: 1 ; - ; T(4,1)*T(1,-1)^2 ; m=-50 ; k0=0\nminp: 2\n"
+        "exclude: 5\n"
+        "case: mod(20)=1,9 ; p=x^2+5*y^2 ; XY_NONNEG ; 4*x^2-2*p\n"
+        "case: mod(20)=3,7 ; 2p=x^2+5*y^2 ; XY_NONNEG ; 2*x^2-2*p\n"
+        "case: L(-5)=-1 ; zero",
+        "term: 1 ; - ; CB2^3 ; m=64 ; k0=0\nminp: 2\ncase: always ; zero",
+        "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\nminp: 2\ncrhs: 1*L(-1)",
+        "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\nminp: 2\ncrhs: 1*Lp(3)",
+        "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\nminp: 2\ncrhs: 1\n"
+        "require: L(-1)=1",
+        "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\nminp: 2\ncrhs: 1\n"
+        "check: refinement\npn-delta: L(-1)",
+    ], ids=["8-1-q", "case", "crhs-L", "crhs-Lp", "require", "pn-delta"])
+    def test_minp_two_with_a_character_is_a_usage_error(self, capsys,
+                                                        tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text("entry bad\nkind: CONGRUENCE\nstatus: conjectural\n"
+                        f"{body}\nanchor: \"x\"\nend\n")
+        code, out, err = _run(capsys, ["run", "--registry", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("registry error: line 5:")
+        assert "minp 2 admits p = 2" in err
+
+    # no character read at p: p = 2 is checked; p = 2 excluded: the
+    # character is read from p = 5 on (sum_{k<p} C(2k,k) = (p|3) mod p^2)
+    @pytest.mark.parametrize("extra, verdict", [
+        ("crhs: 1", "FAIL <t>  [(2, 3, 1), (3, 0, 1), (5, 24, 1)]"),
+        ("crhs: 1*Lp(3)\nexclude: 2", "SUPPORTED <t>  6 primes"),
+    ])
+    def test_minp_two_without_a_character(self, capsys, tmp_path, extra,
+                                          verdict):
+        path = tmp_path / "ok.txt"
+        path.write_text("entry ok\nkind: CONGRUENCE\nstatus: conjectural\n"
+                        "term: 1 ; - ; CB2 ; m=1 ; k0=0\nminp: 2\n"
+                        f"{extra}\nanchor: \"x\"\nend\n")
+        code, out, err = _run(capsys, ["run", "--registry", str(path),
+                                       "--pmax", "20"])
+        assert (code, err) == (0, "")
+        assert f"ok  {verdict}\n" in _untimed(out)
+
 
 class TestVerifyExact:
     def test_no_match_is_a_usage_error(self, capsys):

@@ -78,7 +78,13 @@ def _claim_row_oracle(claim, p):
                                     claim.lhs_ppow)
     else:
         lhs = _mod_oracle(claim.spec, upper, p, claim.s)
-    return lhs, cg.rhs_residue(claim.rhs, p, claim.s)
+    return lhs, _rhs_oracle(claim.rhs, p, claim.s)
+
+
+def _rhs_oracle(terms, p, s):
+    """The right-hand side as the Fraction sum of its terms' values."""
+    return cg.fraction_mod(sum((t.value(p) for t in terms), Fraction(0)),
+                           p, s)
 
 
 def _integrality_value_oracle(claim, n):
@@ -248,9 +254,173 @@ class TestSieve:
         with pytest.raises(ValueError):
             cg.jacobi(1, n)
 
-    def test_memo_is_bounded(self):
-        for f in (cg._legendre, cg._jacobi):
-            assert f.cache_info().maxsize == cg.SYMBOL_MEMO
+
+
+# --------------------------------------------------------------------------
+# the character table against the symbols computed one at a time
+# --------------------------------------------------------------------------
+
+def _registry_symbols():
+    """(the d of every (d|p), the n of every (p|n)) the registry reads."""
+    ds, ns = set(), set()
+    for e in corpus.load_default():
+        if e.claim is not None:
+            for t in e.claim.rhs:
+                ds.update(t.sym)
+                ns.update(t.sym_p)
+            ds.update(d for d, _ in e.claim.require)
+            ds.update(e.claim.pn_delta or ())
+        if e.quadform is not None:
+            table = e.quadform.table
+            ds.update(table.sym_factor)
+            for c in table.cases:
+                ds.update(d for d, _ in c.guard.syms)
+                ns.update(d for d, _ in c.guard.syms_p)
+        if e.duality is not None:
+            ds.add(e.duality.d)
+        if e.dual_term is not None and e.dual_term[1] is not None:
+            ds.add(e.dual_term[1])
+    return sorted(ds), sorted(ns)
+
+
+REGISTRY_DS, REGISTRY_NS = _registry_symbols()
+
+
+def _check_char(chars, char, want, p_max):
+    neg, zero = char
+    assert neg & zero == 0 and (neg | zero) <= chars.full
+    for p in chars.primes:
+        if p > p_max:
+            break
+        assert chars.value(char, p) == want(p), p
+
+
+class TestCharacters:
+    def test_registry_symbols(self):
+        assert len(REGISTRY_DS) > 50 and -756000 in REGISTRY_DS
+        assert {3, 5, 7, 59} <= set(REGISTRY_NS)
+
+    def test_legendre_masks(self):
+        chars = cg.characters(3000)
+        assert chars.primes[0] == 3 and chars.bound >= 3000
+        for d in sorted(set(REGISTRY_DS) | set(range(-300, 301)) - {0}):
+            _check_char(chars, chars.legendre(d),
+                        lambda p: cg.legendre(d, p), 3000)
+
+    def test_jacobi_masks(self):
+        chars = cg.characters(3000)
+        for n in sorted(set(REGISTRY_NS) | set(range(1, 301, 2))):
+            _check_char(chars, chars.jacobi(n),
+                        lambda p: cg.jacobi(p, n), 3000)
+
+    @pytest.mark.parametrize("bound", [2, 3, 5, 10, 50])
+    def test_factors_above_the_index(self, bound):
+        # a small table: prime factors of d above every indexed prime,
+        # as a lone prime, squared and times indexed primes
+        chars = cg.Characters(bound)
+        for d in (0, 1, -1, 2, -2, 53, 2809, -3 * 53, 45 * 59 * 61,
+                  10 ** 12 + 39, -(2 ** 5) * (10 ** 12 + 39), 3001 * 3011):
+            _check_char(chars, chars.legendre(d),
+                        lambda p: cg.legendre(d, p), bound)
+            if d > 0 and d % 2:
+                _check_char(chars, chars.jacobi(d),
+                            lambda p: cg.jacobi(p, d), bound)
+
+    def test_products_and_values(self):
+        chars = cg.characters(1000)
+        char = chars.product((-1, 5, 0x3F), (15, 7))
+        _check_char(chars, char, lambda p: cg.legendre(-1, p)
+                    * cg.legendre(5, p) * cg.legendre(0x3F, p)
+                    * cg.jacobi(p, 15) * cg.jacobi(p, 7), 1000)
+        assert chars.product() == (0, 0)
+        for v in (-1, 0, 1, 2):
+            assert chars.primes_in(chars.holds(char, v)) == \
+                [p for p in chars.primes if chars.value(char, p) == v]
+        for p in (2, 9, 1, -3):
+            with pytest.raises(ValueError):
+                chars.value(char, p)
+        with pytest.raises(ValueError):
+            chars.jacobi(10)
+
+    def test_residues_and_ranges(self):
+        chars = cg.characters(500)
+        assert chars.primes_in(chars.residues(12, (1, 11))) == \
+            [p for p in chars.primes if p % 12 in (1, 11)]
+        assert chars.primes_in(chars.upto(100) & ~chars.upto(10)) == \
+            [p for p in cg.primes_upto(100) if p > 10]
+
+    def test_growth(self, monkeypatch):
+        monkeypatch.setattr(cg, "_CHARS", cg.Characters(2))
+        first = cg.characters(50)
+        assert first.bound == 50 and cg.characters(40) is first
+        assert cg.characters(51).bound == 100
+        assert cg.characters(1000).bound == 1000
+        assert cg.characters(7).primes[-1] == 997
+
+    def test_concurrent_growth(self, monkeypatch):
+        monkeypatch.setattr(cg, "_CHARS", cg.Characters(2))
+        got, errors = [], []
+
+        def work(bounds):
+            try:
+                for b in bounds:
+                    chars = cg.characters(b)
+                    got.append((b, chars))
+                    assert chars.value(chars.legendre(-7), 3) == -1
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=([50 * t, 900, 77],))
+                   for t in range(1, 6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(got) == 15
+        assert all(b <= chars.bound for b, chars in got)
+        assert cg.characters(900).bound >= 900
+
+
+class TestRhsResidue:
+    @pytest.mark.parametrize("claim", [e.claim for e in corpus.load_default()
+                                       if e.claim is not None and e.claim.rhs],
+                             ids=lambda c: c.ident)
+    def test_registry_claims(self, claim):
+        primes = [p for p in cg.primes_upto(300) if claim.admissible(p)]
+        assert primes
+        for p in primes:
+            assert cg.rhs_residue(claim.rhs, p, claim.s) == \
+                _rhs_oracle(claim.rhs, p, claim.s), p
+
+    def test_p_in_the_coefficients(self):
+        # coefficients with p in the denominator: the sum is p-integral
+        # only when the terms below p^0 cancel
+        F = Fraction
+        cases = [
+            (cg.RHSTerm(F(1, 9), ppow=1),),
+            (cg.RHSTerm(F(1, 9), ppow=2),),
+            (cg.RHSTerm(F(2, 27), ppow=1), cg.RHSTerm(F(-2, 27), ppow=1),
+             cg.RHSTerm(F(5, 7))),
+            (cg.RHSTerm(F(4, 45), ppow=1, sym=(-1,), euler=True),
+             cg.RHSTerm(F(7, 25), ppow=2, sym_p=(7,), fermat=2),
+             cg.RHSTerm(F(-3, 5), ppow=0)),
+            (cg.RHSTerm(F(10, 3), ppow=0, fermat=3),),
+            (cg.RHSTerm(F(-1, 2), ppow=3, sym=(5, -3), fermat=6),),
+            (cg.RHSTerm(F(3 ** 30 + 5, 9), ppow=1),
+             cg.RHSTerm(F(4, 9), ppow=1, euler=True)),
+        ]
+        for terms in cases:
+            for p in (3, 5, 7, 11, 13):
+                for s in (1, 2, 3):
+                    got = cg.rhs_residue(terms, p, s)
+                    assert got == _rhs_oracle(terms, p, s), (terms, p, s)
+                    assert got is None or type(got) is int
 
 
 class TestElementary:

@@ -139,6 +139,23 @@ def _partition_oracle(table, p_max):
     return tested, failures
 
 
+def _dispatch_oracle(table, p):
+    """dispatch with every guard evaluated at p, as before the masks."""
+    matches = [(i, c) for i, c in enumerate(table.cases) if c.guard.holds(p)]
+    if len(matches) != 1:
+        return qf.DispatchResult(p, None, qf.NO_CASE)
+    idx, case = matches[0]
+    if case.zero:
+        return qf.DispatchResult(p, Fraction(0), case_index=idx)
+    reps = qf.normalize(qf.represent(case.mu, case.a, case.d, p), case.norm)
+    if not reps:
+        return qf.DispatchResult(p, None, qf.NO_REPRESENTATION, idx)
+    values = {qf._template_value(case, x, y, p) for x, y in reps}
+    if len(values) != 1:
+        return qf.DispatchResult(p, None, qf.AMBIGUOUS, idx)
+    return qf.DispatchResult(p, values.pop(), case_index=idx)
+
+
 @pytest.fixture(scope="module")
 def registry_tables():
     return [e.quadform.table for e in corpus.load_default()
@@ -172,24 +189,56 @@ class TestPartitionOracle:
         if p_max >= 1000:
             assert failing == 2 * len(registry_tables)
 
-    def test_each_symbol_once_per_prime(self, registry_tables, monkeypatch):
-        calls = []
-        legendre, jacobi = cg.legendre, cg.jacobi
-
-        def count_legendre(a, p):
-            calls.append(("L", a, p))
-            return legendre(a, p)
-
-        def count_jacobi(a, n):
-            calls.append(("J", a, n))
-            return jacobi(a, n)
-
-        monkeypatch.setattr(cg, "legendre", count_legendre)
-        monkeypatch.setattr(cg, "jacobi", count_jacobi)
-        evaluated = 0
+    def test_dispatch_matches_guard_oracle(self, registry_tables):
+        primes = cg.primes_upto(1000)[1:]
         for table in registry_tables:
-            calls.clear()
-            qf.check_partition(table, 1000)
-            assert len(calls) == len(set(calls)), table.ident
-            evaluated += len(calls)
-        assert evaluated > 5000
+            for variant in _variants(table):
+                for p in primes:
+                    got, want = qf.dispatch(variant, p), \
+                        _dispatch_oracle(variant, p)
+                    assert (got.p, got.value, got.error, got.case_index) \
+                        == (want.p, want.value, want.error,
+                            want.case_index), (table.ident, p)
+
+    @pytest.mark.parametrize("p", [2, 1, 9, 15, 0])
+    def test_dispatch_outside_the_index(self, registry_tables, p):
+        # guard by guard, as the oracle: mods-only guards are read, a
+        # symbol at p = 2 or a p that is not prime is a ValueError
+        tables = registry_tables + [two_square_table()]
+        for table in tables:
+            try:
+                want = _dispatch_oracle(table, p)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    qf.dispatch(table, p)
+                continue
+            got = qf.dispatch(table, p)
+            assert (got.value, got.error, got.case_index) == \
+                (want.value, want.error, want.case_index)
+
+    def test_partition_admits_two(self):
+        # p = 2 is matched guard by guard: mods-only guards pass through
+        table = two_square_table()
+        low = qf.QuadFormTable("low", table.cases, min_p=2)
+        rep = qf.check_partition(low, 100)
+        assert rep.tested[:3] == [2, 3, 5]
+        assert (rep.tested, rep.failures) == _partition_oracle(low, 100)
+        with pytest.raises(ValueError):
+            qf.check_partition(qf.QuadFormTable(
+                "sym", (qf.QuadFormCase(qf.Guard(syms=((-1, 1),)),
+                                        zero=True),), min_p=2), 100)
+
+    def test_no_symbol_call_once_the_masks_exist(self, monkeypatch):
+        claims = [e.quadform for e in corpus.load_default()
+                  if e.quadform is not None]
+        for claim in claims:
+            qf.check_partition(claim.table, 1000)
+
+        def refuse(*args):
+            raise AssertionError(f"symbol evaluated at {args}")
+
+        monkeypatch.setattr(cg, "legendre", refuse)
+        monkeypatch.setattr(cg, "jacobi", refuse)
+        for claim in claims:
+            assert qf.check_partition(claim.table, 1000).tested
+            assert qf.verify_quadform_claim(claim, 1000).tested

@@ -810,8 +810,8 @@ class TestOneShotN:
         N = _checked_N(spec, digits, ball, stats["terms"])
         real = se._estimate_N
 
-        def under(poly, theta, k0, K0, d):
-            est = real(poly, theta, k0, K0, d)
+        def under(coeffs, den, theta, k0, K0, d):
+            est = real(coeffs, den, theta, k0, K0, d)
             assert est == N
             return k0 if guess == "k0" else (k0 + est) // 2
 
@@ -821,6 +821,21 @@ class TestOneShotN:
         # the exact check moves N up to the smallest N that passes
         assert _checked_N(spec, digits, got, again["terms"]) == N
         assert got == ball
+
+    # weights beyond the float range, once an OverflowError in the float
+    # estimate of N: 2^1100 leaves every term below 10^-34, 2^1400 puts the
+    # first one near 10^55
+    @pytest.mark.parametrize("e", [1100, 1400])
+    def test_weight_beyond_floats(self, e):
+        spec = TermSpec(weight=(2 ** e,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-512), k0=400)
+        digits = 20
+        stats: dict = {}
+        ball = se.eval_series(spec, digits, stats)
+        N = _checked_N(spec, digits, ball, stats["terms"])
+        assert ball == direct_oracle(spec, digits, stats["terms"])
+        assert ball.contains(sum(se.term_value(spec, k)
+                                 for k in range(spec.k0, N + 1)))
 
     def test_below_crossover(self):
         # 1/((k+1) 10^(20k)): theta = 10^-20, crossover K0 = 1, and at 10
