@@ -53,7 +53,8 @@ def _int_from(text: str, least: int, what: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of every --digits, --pmax, --nmax and --max-norm."""
+    """argparse type of every --digits, --pmax, --nmax and --max-norm, and
+    of quadform's --mu, --a and --d."""
     return _int_from(text, 1, "positive")
 
 
@@ -187,6 +188,12 @@ def _cmd_verify_exact(args) -> int:
         family = exactid.FAMILIES.get(name)
         if family is None:
             raise CliError(f"unknown family {args.family!r}")
+        if args.m is not None and family.params != exactid.ONE_M:
+            # as the registry reader words a family line with parameters
+            # it does not take
+            raise CliError(f"family {name} takes no parameters" if
+                           family.params == exactid.NO_PARAMS else
+                           f"family {name} takes no --m")
         # --m for a family of one m; SN_EXPANSION's c range is -10..10
         fam_args = {exactid.ONE_M: (args.m,),
                     exactid.TWO_INTS: (-10, 10)}.get(family.params, ())
@@ -358,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     qr = qsub.add_parser("represent",
                          help="solve mu*p = a*x^2 + d*y^2 over nonnegative"
                               " integers")
-    qr.add_argument("--mu", type=int, default=1)
-    qr.add_argument("--a", type=int, default=1)
-    qr.add_argument("--d", type=int, required=True)
+    qr.add_argument("--mu", type=_positive_int, default=1)
+    qr.add_argument("--a", type=_positive_int, default=1)
+    qr.add_argument("--d", type=_positive_int, required=True)
     qr.add_argument("--p", type=int, required=True)
     qr.set_defaults(func=_cmd_quadform)
 

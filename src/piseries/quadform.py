@@ -12,11 +12,12 @@ process-wide ``congruence.Characters`` table: each case's guard becomes
 one mask, the primes where it holds, built once per table and table size
 (``QuadFormTable.case_masks``).  ``dispatch`` takes its case from the
 masks; ``check_partition`` checks that exactly one guard holds by
-``once``/``twice`` bit algebra over them.  ``Guard.holds`` evaluates a
-guard at one p directly; it serves p outside the index (p = 2, or a p
-that is not prime) and is the masks' test oracle.  The template must give
-the same value for every admissible representative; dispatch verifies
-this invariance for each prime it touches.
+``once``/``twice`` bit algebra over them.  A table admits odd primes
+only: the characters have no value at p = 2, so a ``min_p`` that admits
+2 without excluding it is a ``ValueError``.  ``Guard.holds`` evaluates a
+guard at one p directly; it is the masks' test oracle.  The template must
+give the same value for every admissible representative; dispatch
+verifies this invariance for each prime it touches.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ class QuadFormCase:
 
 @dataclass(frozen=True)
 class QuadFormTable:
+    """A case table over the odd primes p >= ``min_p`` not in ``exclude``."""
+
     ident: str
     cases: Tuple[QuadFormCase, ...]
     min_p: int = 5
@@ -127,6 +130,11 @@ class QuadFormTable:
     # replaced whole, so that threads sharing the table see a matching pair
     _masks: list = field(init=False, default_factory=lambda: [(None, ())],
                          compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.min_p <= 2 and 2 not in self.exclude:
+            raise ValueError(f"table {self.ident}: min_p {self.min_p} admits"
+                             " p = 2, which has no quadratic character")
 
     def case_masks(self, chars: cg.Characters) -> Tuple[int, ...]:
         """The mask of each case's guard over ``chars``, built once per
@@ -139,7 +147,10 @@ class QuadFormTable:
 
 
 def represent(mu: int, a: int, d: int, p: int) -> List[Tuple[int, int]]:
-    """All (x, y) with x, y >= 0 and mu*p = a*x^2 + d*y^2, by exhaustion."""
+    """All (x, y) with x, y >= 0 and mu*p = a*x^2 + d*y^2, by exhaustion;
+    ValueError unless a and d are positive."""
+    if a <= 0 or d <= 0:
+        raise ValueError(f"a = {a} and d = {d} must be positive")
     target = mu * p
     out = []
     y = 0
@@ -205,15 +216,14 @@ class DispatchResult:
 
 def dispatch(table: QuadFormTable, p: int) -> DispatchResult:
     """Value of the table at p, verifying template invariance.  The case
-    is read off the table's case masks; a p outside the character index
-    is matched guard by guard."""
+    is read off the table's case masks; ValueError for p = 2 or a p that
+    is not prime, as ``Characters.value``."""
     chars = cg.characters(p)
     i = chars.bit.get(p)
     if i is None:
-        matches = [j for j, c in enumerate(table.cases) if c.guard.holds(p)]
-    else:
-        matches = [j for j, m in enumerate(table.case_masks(chars))
-                   if m >> i & 1]
+        raise ValueError(f"p = {p} is not an odd prime")
+    matches = [j for j, m in enumerate(table.case_masks(chars))
+               if m >> i & 1]
     if len(matches) != 1:
         return DispatchResult(p, None, NO_CASE)
     idx = matches[0]
@@ -267,7 +277,7 @@ def check_partition(table: QuadFormTable, p_max: int = 1000) -> cg.ClaimReport:
     Over the table's case masks, ``once`` collects the primes where some
     guard holds and ``twice`` those where a second one does; the primes
     outside ``once & ~twice`` fail, and only for them are the guards that
-    hold counted.  p = 2, when admissible, is matched guard by guard."""
+    hold counted."""
     report = cg.ClaimReport(table.ident, [], [])
     chars = cg.characters(p_max)
     masks = table.case_masks(chars)
@@ -280,11 +290,6 @@ def check_partition(table: QuadFormTable, p_max: int = 1000) -> cg.ClaimReport:
         if p in chars.bit:
             admissible &= ~(1 << chars.bit[p])
     bad = admissible & ~(once & ~twice)
-    if table.min_p <= 2 <= p_max and 2 not in table.exclude:
-        hits = sum(1 for c in table.cases if c.guard.holds(2))
-        report.tested.append(2)
-        if hits != 1:
-            report.failures.append((2, hits, 1))
     report.tested += chars.primes_in(admissible)
     for p in chars.primes_in(bad):
         i = chars.bit[p]

@@ -13,11 +13,12 @@ The operators
 -------------
 - Order 1: the binomial kinds CB2, CB3, CB4, CB63, CATALAN and CB2SHIFT,
   from the ratio of consecutive rows.
-- Order 2: GCT(b,c), FRANEL, BETA, WZAG, DOMB, ZAGIER, CLF and GSEQ, the
+- Order 2: GCT(b,c), FRANEL, BETA, WZAG, DOMB, ZAGIER and GSEQ, the
   classical three-term recurrences, FRANEL4 by Franel's recurrence for
-  sum_k C(n,k)^4, and GCT2(b,c), GCT3(b,c) (below).
-- Order 3: GPOLY(x), g_n(x) = sum_k C(n,k)^2 C(2k,k) x^k; for x = P/Q the
-  operator runs on the integers Q^n g_n(x).
+  sum_k C(n,k)^4, and GCT2(b,c) (below).
+- Order 3: GPOLY(x), g_n(x) = sum_k C(n,k)^2 C(2k,k) x^k for an integer x.
+  The operator is written for x = P/Q on the integers Q^n g_n(P/Q); the
+  rows take Q = 1.
 - Order 4: SBC(b,c), S_n(b,c) = sum_k C(n,k)^2 T_k(b,c) T_{n-k}(b,c).  With
   p + q = b and pq = c it is the sum of the proper hypergeometric term
   C(n,m)^2 C(2m,m) C(2n-2m,n-m) p^m q^(n-m) (from T_k = sum_i C(k,i)^2
@@ -28,7 +29,7 @@ The operators
 The SBC, GPOLY and FRANEL4 operators are proven, not guessed: each is
 Zeilberger's creative telescoping on its summand (Petkovsek, Wilf and
 Zeilberger, *A = B*, 1996).  Their certificates, and those of the FRANEL,
-DOMB, ZAGIER, CLF and GSEQ recurrences, live in ``tests/test_operators.py``:
+DOMB, ZAGIER and GSEQ recurrences, live in ``tests/test_operators.py``:
 from the coefficients in :data:`OPERATORS` it solves Gosper's equation for
 the polynomial certificate, with the parameters symbolic, and checks it and
 the boundary terms exactly.
@@ -38,14 +39,10 @@ Every division by a leading coefficient is checked to be exact and raises
 (at most four n for each (b, c), or every n for (0, 0)), that row comes
 from the Lucas sum instead.
 
-The strided kinds GCT2 and GCT3, u_n = T_{2n}(b,c) and T_{3n}(b,c), are
-operators too: eliminating the odd (or the off-stride) rows from three
-(five) steps of GCT's recurrence leaves an order-2 recurrence for u_n, so
-a row costs one step and nothing grows T_k to 2n or 3n.  GCT3's leading
-coefficient (n+2)(3n+4)(3n+5)((3b^2+4c)(3n+2)^2 - b^2) can vanish (for
-one n at most, when c < 0, or for every n at (0, 0)), and that row comes
-from the defining sum of T_{3n}.  ``tests/test_operators.py`` derives
-both recurrences from GCT's.
+The strided kind GCT2, u_n = T_{2n}(b,c), is an operator too: eliminating
+the odd rows from three steps of GCT's recurrence leaves an order-2
+recurrence for u_n, so a row costs one step and nothing grows T_k to 2n.
+``tests/test_operators.py`` derives it from GCT's.
 
 The kinds that are not recurrences: EULER continues the secant
 recurrence row by row; BERNOULLI holds the even Bernoulli numbers (row j
@@ -79,7 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import comb
-from operator import mul
+from operator import index, mul
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -89,9 +86,9 @@ __all__ = [
     "SequenceKind",
     "SequenceTable",
     "SequenceStore",
-    "GCT", "GCT2", "GCT3", "CB2", "CB3", "CB4", "CB63", "CB2SHIFT",
+    "GCT", "GCT2", "CB2", "CB3", "CB4", "CB63", "CB2SHIFT",
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
-    "ZAGIER", "CLF", "BETA", "WZAG", "EULER", "BERNOULLI",
+    "ZAGIER", "BETA", "WZAG", "EULER", "BERNOULLI",
     "Operator", "OPERATORS",
     "STORE", "rows", "memo_table", "table", "snk", "snk_row",
     "tsmall_direct",
@@ -107,7 +104,7 @@ class SequenceKind:
     """Tag plus parameters identifying one sequence family."""
 
     tag: str
-    params: Tuple[Number, ...] = ()
+    params: Tuple[int, ...] = ()
 
     def __str__(self) -> str:
         if not self.params:
@@ -124,10 +121,6 @@ def GCT2(b: int, c: int) -> SequenceKind:
     return SequenceKind("GCT2", (b, c))
 
 
-def GCT3(b: int, c: int) -> SequenceKind:
-    return SequenceKind("GCT3", (b, c))
-
-
 CB2 = SequenceKind("CB2")
 CB3 = SequenceKind("CB3")
 CB4 = SequenceKind("CB4")
@@ -139,7 +132,6 @@ FRANEL = SequenceKind("FRANEL")
 FRANEL4 = SequenceKind("FRANEL4")
 GSEQ = SequenceKind("GSEQ")
 ZAGIER = SequenceKind("ZAGIER")
-CLF = SequenceKind("CLF")
 BETA = SequenceKind("BETA")
 WZAG = SequenceKind("WZAG")
 EULER = SequenceKind("EULER")
@@ -150,10 +142,8 @@ def SBC(b: int, c: int) -> SequenceKind:
     return SequenceKind("SBC", (b, c))
 
 
-def GPOLY(x: Number) -> SequenceKind:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        x = int(x)
-    return SequenceKind("GPOLY", (x,))
+def GPOLY(x: int) -> SequenceKind:
+    return SequenceKind("GPOLY", (index(x),))
 
 
 @dataclass(frozen=True)
@@ -315,17 +305,6 @@ def _gpoly_coeffs(P, Q):
                       _poly(n, p2), (n + 3) ** 2 * (4 * n + 5))
 
 
-def _gct3_direct(n: int, b: int, c: int) -> int:
-    """T_{3n}(b,c) = sum_i h_i b^(3n-2i) c^i, h_i = C(3n,2i) C(2i,i),
-    with h_{i+1} = h_i (3n-2i)(3n-2i-1) / (i+1)^2."""
-    k = 3 * n
-    total, h = 0, 1
-    for i in range(k // 2 + 1):
-        total += h * b ** (k - 2 * i) * c ** i
-        h = h * (k - 2 * i) * (k - 2 * i - 1) // (i + 1) ** 2
-    return total
-
-
 def _gct2_coeffs(b, c):
     """GCT2's operator on u_n = T_{2n}(b,c), of degree 3 in n:
     (n+2)(2n+3)(4n+3) u_{n+2} = (4n+5) w(n) u_{n+1}
@@ -335,22 +314,6 @@ def _gct2_coeffs(b, c):
     return lambda n: (k0 * (n + 1) * (2 * n + 1) * (4 * n + 7),
                       -(4 * n + 5) * _poly(n, w),
                       (n + 2) * (2 * n + 3) * (4 * n + 3))
-
-
-def _gct3_coeffs(b, c):
-    """GCT3's operator on u_n = T_{3n}(b,c), of degree 5 in n: with the
-    quadratic w(n) = (3b^2+4c)(3n+2)^2 - b^2,
-    c_0 = (b^2-4c)^3 (n+1)(3n+1)(3n+2) w(n+1), c_1 = -b (6n+7) q(n) and
-    c_2 = (n+2)(3n+4)(3n+5) w(n)."""
-    w = _lin((b * b, (27, 36, 11)), (c, (36, 48, 16)))
-    q = _lin((b ** 4, (81, 378, 609, 392, 84)),
-             (b * b * c, (1080, 5040, 8232, 5488, 1248)),
-             (c * c, (1296, 6048, 9936, 6720, 1584)))
-    k0 = (b * b - 4 * c) ** 3
-    return lambda n: (k0 * (n + 1) * (3 * n + 1) * (3 * n + 2)
-                      * _poly(n + 1, w),
-                      -b * (6 * n + 7) * _poly(n, q),
-                      (n + 2) * (3 * n + 4) * (3 * n + 5) * _poly(n, w))
 
 
 def _one():
@@ -363,8 +326,8 @@ def _one():
 #: the three-term ones as lead(n+1) a_{n+2} = A(n+1) a_{n+1} + B(n+1) a_n,
 #: i.e. (-B, -A, lead) at n + 1.  tests/test_operators.py derives the
 #: creative-telescoping certificate of SBC, GPOLY, FRANEL4, FRANEL, DOMB,
-#: ZAGIER, CLF and GSEQ from the coefficients here and checks it exactly,
-#: and derives GCT2's and GCT3's from GCT's recurrence.
+#: ZAGIER and GSEQ from the coefficients here and checks it exactly, and
+#: derives GCT2's from GCT's recurrence.
 OPERATORS: Dict[str, Operator] = {
     "CB2": Operator(_one, lambda: lambda n: (-2 * (2 * n + 1), n + 1)),
     "CB3": Operator(_one, lambda: lambda n: (
@@ -394,9 +357,6 @@ OPERATORS: Dict[str, Operator] = {
     # (n+1)^2 a_{n+1} = 4(3n^2+3n+1) a_n - 32n^2 a_{n-1}
     "ZAGIER": Operator(lambda: (1, 4), lambda: lambda n: (
         32 * (n + 1) ** 2, -4 * (3 * n * n + 9 * n + 7), (n + 2) ** 2)),
-    # 2^n times ZAGIER
-    "CLF": Operator(lambda: (1, 8), lambda: lambda n: (
-        128 * (n + 1) ** 2, -8 * (3 * n * n + 9 * n + 7), (n + 2) ** 2)),
     # (n+1)^3 a_{n+1} = 2(2n+1)(5n^2+5n+2) a_n - 64n^3 a_{n-1}
     "DOMB": Operator(lambda: (1, 4), lambda: lambda n: (
         64 * (n + 1) ** 3, -2 * (2 * n + 3) * (5 * n * n + 15 * n + 12),
@@ -408,11 +368,8 @@ OPERATORS: Dict[str, Operator] = {
     # (n+1) T_{n+1} = (2n+1) b T_n - n (b^2 - 4c) T_{n-1}
     "GCT": Operator(lambda b, c: (1, b), lambda b, c: lambda n: (
         (n + 1) * (b * b - 4 * c), -(2 * n + 3) * b, n + 2)),
-    # T_{2n}(b,c) and T_{3n}(b,c); c_2 of GCT3 vanishes for at most one n,
-    # or for every n when b = c = 0
+    # T_{2n}(b,c)
     "GCT2": Operator(lambda b, c: (1, b * b + 2 * c), _gct2_coeffs),
-    "GCT3": Operator(lambda b, c: (1, b ** 3 + 6 * b * c), _gct3_coeffs,
-                     direct=_gct3_direct),
     # sum_k C(n,k)^2 C(2k,k) P^k Q^(n-k)
     "GPOLY": Operator(
         lambda P, Q: (1, 2 * P + Q, 6 * P * P + 8 * P * Q + Q * Q),
@@ -488,12 +445,7 @@ def _generator(kind: SequenceKind) -> Iterator[Number]:
     """The row generator of ``kind``."""
     tag = kind.tag
     if tag == "GPOLY":
-        x = Fraction(kind.params[0])
-        q = x.denominator
-        gen = _operator_rows(kind, OPERATORS[tag], (x.numerator, q))
-        if q == 1:
-            return gen
-        return (Fraction(h, q ** n) for n, h in enumerate(gen))
+        return _operator_rows(kind, OPERATORS[tag], (kind.params[0], 1))
     if tag in OPERATORS:
         return _operator_rows(kind, OPERATORS[tag],
                               tuple(int(v) for v in kind.params))

@@ -29,8 +29,8 @@ the exact floor at s.  A term that fails the test is floored from its
 exact factors, so every floor, and the ball, is the one exact arithmetic
 gives (:class:`_DirectSum`).  A block is cut only once one of its columns
 has 4p + 2048 bits, where the cut pays for itself, and then every column
-longer than 2p bits is; the Euler path, the exact terms of a tail bound
-below the crossover and :func:`term_value` stay exact.
+longer than 2p bits is; the Euler path, :func:`tail_bound` and
+:func:`term_value` stay exact.
 
 The number of terms N is chosen once per evaluation.  The envelope
 |term(k)| <= P(k) theta^k and its crossover K0 (past which the envelope
@@ -43,16 +43,16 @@ an upward-rounded dyadic m 2^-e with a mantissa of 80 bits
 from binary powering that rounds up after every product, and so does the
 last product with the integer numerator of P(N+1).  So it is still an upper
 bound, and no gcd runs on the thousands-of-bits parts of the exact power.
-N is checked against the target minus the rounding radius in one comparison
-of integers, and if the check fails N steps up until it passes, so no float
-ever decides a verdict.  The radius, the bound plus the rounding radius, is
-dyadic too.  One pass over the terms then gives the sum, and the exact
-terms N+1..K0 as well when N < K0, which stay exact rationals on that rare
-path.  The moment sums of :func:`eval_weighted` share the pass.  A
-boundary-ratio series takes the Euler transform (:class:`_EulerSum`) from
-the same pass: its weights are suffix sums of one binomial row, and its N
-is the first candidate whose exact tail bound passes, with a float screen
-that only skips candidates far above the target.
+N starts at K0 or past it, is checked against the target minus the
+rounding radius in one comparison of integers, and if the check fails N
+steps up until it passes, so no float ever decides a verdict.  The radius,
+the bound plus the rounding radius, is dyadic too.  One pass over the
+terms then gives the sum, and the moment sums of :func:`eval_weighted`
+share it.  A boundary-ratio series takes the Euler transform
+(:class:`_EulerSum`) from the same pass: its weights are suffix sums of
+one binomial row, and its N is the first candidate whose exact tail bound
+passes, with a float screen that only skips candidates far above the
+target.
 
 Closed forms are evaluated in fixed point as well.  :func:`eval_rhs` keeps
 each addend q sqrt(d) basis as an integer interval lo <= value * 2^s <= hi:
@@ -73,18 +73,18 @@ dyadic balls in integers too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
 from math import (ceil, comb, exp, inf, isqrt, lcm, log, log1p, log2,
                   log10, prod)
-from operator import add, attrgetter, floordiv, lshift, mul, rshift
+from operator import add, floordiv, lshift, mul, rshift
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple, Union)
+                    Optional, Sequence, Tuple)
 
 from . import seqkit
-from .seqkit import Number, SequenceKind
+from .seqkit import SequenceKind
 
 __all__ = [
     "Ball", "DivergentError", "TermSpec", "RHSForm", "SeriesIdentity",
@@ -481,13 +481,6 @@ class _Cut(NamedTuple):
     exact: Callable[[int], Tuple[int, int]]
 
 
-def _bit_length(v: Number) -> int:
-    """The bit length of an integer, or of the longer part of a Fraction."""
-    if isinstance(v, Fraction):
-        return max(v.numerator.bit_length(), v.denominator.bit_length())
-    return v.bit_length()
-
-
 def _least_bits(col: List[int]) -> int:
     """The bit length of the shortest nonzero entry, 0 if there is none."""
     return min(filter(None, map(int.bit_length, col)), default=0)
@@ -540,7 +533,7 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
     factor, and for m = a/b (a > 0, the sign of m moved to b) the powers
     b^k and a^k, each one ``accumulate`` over the whole range.  The
     factors are chained ``map`` iterators, so a block holds only its two
-    result columns.  A kind's rows are all integers or all Fractions.
+    result columns.  Every kind a term reads has integer rows.
 
     With ``bits``, each block is (k, nums, dens, cut) instead.  Once a
     factor column's shortest nonzero entry has ``_cut_from(bits)`` bits,
@@ -571,7 +564,7 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
         # hi - 1, for the kinds whose odd rows are 0)
         top = _cut_from(bits)
         cutting = hi * max(a, abs(b)).bit_length() >= top or any(
-            e * _bit_length(tab[hi] or tab[hi - 1]) >= top
+            e * (tab[hi] or tab[hi - 1]).bit_length() >= top
             for tab, e in chain(seq, binom))
     for k in range(lo, hi + 1, _BLOCK):
         end = min(k + _BLOCK, hi + 1)
@@ -589,13 +582,7 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
             den_f.append(islice(apow, n))
         for tab, e in seq:
             col = tab[k:end]
-            if isinstance(tab[0], Fraction):
-                num_f.append(map(pow, map(attrgetter("numerator"), col),
-                                 repeat(e)))
-                den_f.append(map(pow, map(attrgetter("denominator"), col),
-                                 repeat(e)))
-            else:
-                num_f.append(col if e == 1 else map(pow, col, repeat(e)))
+            num_f.append(col if e == 1 else map(pow, col, repeat(e)))
         for tab, e in binom:
             col = tab[k:end]
             den_f.append(col if e == 1 else map(pow, col, repeat(e)))
@@ -646,8 +633,6 @@ def _kind_growth(kind: SequenceKind) -> Fraction:
         return abs(b) + 2 * _sqrt_frac_up(Fraction(c))
     if tag == "GCT2":
         return _kind_growth(SequenceKind("GCT", kind.params)) ** 2
-    if tag == "GCT3":
-        return _kind_growth(SequenceKind("GCT", kind.params)) ** 3
     if tag in ("CB2", "CB2SHIFT", "CATALAN"):
         return Fraction(4)
     if tag == "CB3":
@@ -669,16 +654,12 @@ def _kind_growth(kind: SequenceKind) -> Fraction:
         return Fraction(9)
     if tag == "GPOLY":
         (x,) = kind.params
-        x = Fraction(x)
         if x < 0:
             # |g_k(x)| <= (1+4|x|)^k via the Legendre integral representation
-            return 1 + 4 * abs(x)
-        q = 2 * _sqrt_frac_up(x)
-        return (1 + q) ** 2
+            return Fraction(1 - 4 * x)
+        return (1 + 2 * _sqrt_frac_up(Fraction(x))) ** 2
     if tag == "ZAGIER":
         return Fraction(8)
-    if tag == "CLF":
-        return Fraction(16)
     if tag == "BETA":
         return Fraction(16)
     if tag == "WZAG":
@@ -891,18 +872,18 @@ def _log(x: Fraction) -> float:
 
 def _estimate_N(coeffs: Sequence[int], den: int, theta: Fraction, k0: int,
                 K0: int, digits: int) -> int:
-    """First guess at the smallest N >= k0 whose closed-form tail
-    P(N+1) theta^(N+1) / (1-rho) is below 10^-(digits+2) minus the
-    rounding radius of N - k0 + 1 terms, in floating-point logs only.
-    P is the integer ``coeffs`` (low -> high) over ``den``; P(N+1) is
-    evaluated in integers, so only its log is a float, however long
-    its parts.
+    """First guess at the smallest N >= K0 (K0 >= k0, the crossover)
+    whose closed-form tail P(N+1) theta^(N+1) / (1-rho) is below
+    10^-(digits+2) minus the rounding radius of N - k0 + 1 terms, in
+    floating-point logs only.  P is the integer ``coeffs`` (low -> high)
+    over ``den``; P(N+1) is evaluated in integers, so only its log is a
+    float, however long its parts.
 
-    From max(k0, K0) the guess moves up by the log gap over -log(theta).
-    Each step lowers the gap by -log(theta) less the growth of log P, so
-    by at most -log(theta), and no move passes the smallest such N.  Only
-    a guess: below K0 the closed form is no bound, and rounding may move
-    the answer by one; the caller checks the N it settles on in integers.
+    From K0 the guess moves up by the log gap over -log(theta).  Each
+    step lowers the gap by -log(theta) less the growth of log P, so by at
+    most -log(theta), and no move passes the smallest such N.  Only a
+    guess: rounding may move the answer by one, and the caller checks the
+    N it settles on in integers.
     """
     log_den = log(den)
     a, b = theta.as_integer_ratio()
@@ -924,10 +905,7 @@ def _estimate_N(coeffs: Sequence[int], den: int, theta: Fraction, k0: int,
         return (log(p) - log_den + (N + 1) * log_theta + log_scale
                 - log_target - log1p(-ratio))
 
-    N = max(k0, K0)
-    if (g := gap(N)) < 0:
-        # below the crossover the closed form need not fall monotonically
-        return next(n for n in range(k0, N + 1) if gap(n) < 0)
+    N, g = K0, gap(K0)
     while g >= 0:
         N += max(1, ceil(g / -log_theta))
         g = gap(N)
@@ -940,40 +918,50 @@ class _DirectSum:
 
     The envelope, from the weight-free part of :func:`_base_envelope` that
     the caller builds once, and its crossover K0 are computed once.  N
-    starts at the float estimate of :func:`_estimate_N`.  At or past K0
-    the bound is the closed form of :class:`_Tail`, an upward-rounded
-    dyadic, so N is settled before any term is summed: it steps up
+    starts at the float estimate of :func:`_estimate_N`, never below K0,
+    where the bound is the closed form of :class:`_Tail`, an upward-rounded
+    dyadic; so N is settled before any term is summed: it steps up
     (galloping, then bisecting) until ``bound < target - err`` holds, one
     comparison of integers.  The radius, that bound plus the rounding
-    radius, is dyadic.  Below K0 the bound needs the exact terms N+1..K0,
-    which the stream supplies together with the sum; they stay exact
-    rationals, added to the dyadic closed form at K0, and if the check
-    then fails, N moves to K0 and on, and the stream is walked again.
+    radius, is dyadic.
 
-    Once N has passed its check, the sum asks the stream for cut blocks
-    (:attr:`bits`).  For a term of a cut block it floors
-    z = floor(w(k) term'(k) 2^(s+G)), G = ``_GUARD``, from the cut
-    columns, whose product term' is within f 2^(2-p) of term(k)
-    relative (f columns cut, p bits kept); so |w(k) term(k) 2^(s+G) - z|
-    < D = 1 + (|z|+1) f 2^(3-p), and one integer d >= D serves the whole
-    block.  z >> G is then the exact floor floor(w(k) term(k) 2^s) when
-    the low G bits of z keep d from both ends, or when |z| + d <= 2^G:
-    the floor is then 0 or -1 by the sign of the term, and the cut keeps
-    the signs.  Any other term is floored from its exact pair,
-    ``cut.exact``.  Every floor, and so the ball, is the one the exact
-    columns give.  Below the check (terms pending) the stream stays exact.
+    The sum asks the stream for cut blocks (:attr:`bits`).  For a term of
+    a cut block it floors z = floor(w(k) term'(k) 2^(s+G)), G = ``_GUARD``,
+    from the cut columns, whose product term' is within f 2^(2-p) of
+    term(k) relative (f columns cut, p bits kept); so
+    |w(k) term(k) 2^(s+G) - z| < D = 1 + (|z|+1) f 2^(3-p), and one integer
+    d >= D serves the whole block.  z >> G is then the exact floor
+    floor(w(k) term(k) 2^s) when the low G bits of z keep d from both ends,
+    or when |z| + d <= 2^G: the floor is then 0 or -1 by the sign of the
+    term, and the cut keeps the signs.  Any other term is floored from its
+    exact pair, ``cut.exact``.  Every floor, and so the ball, is the one
+    the exact columns give.
     """
 
     def __init__(self, spec: TermSpec, q: List[int], qden: int,
                  theta: Fraction, digits: int):
-        self.k0, self.digits, self.theta = spec.k0, digits, theta
+        self.k0, self.theta = spec.k0, theta
         self.T = 10 ** (digits + 2)
         self.weight, self.wden = _integer_weight(spec.weight)
         coeffs, den = _envelope_poly(self.weight, self.wden, q, qden)
         self.env = _Tail(coeffs, den, theta, spec.k0)
-        self.K0 = self.env.K0
-        self._start(_estimate_N(coeffs, den, theta, spec.k0, self.K0,
-                                digits), None)
+        # the closed form bounds the tail only from K0 on
+        N = max(_estimate_N(coeffs, den, theta, spec.k0, self.env.K0, digits),
+                self.env.K0)
+        failed, step = None, 1
+        while (bound := self._closed_bound(N)) is None:
+            failed, N, step = N, N + step, 2 * step
+        while failed is not None and N - failed > 1:
+            mid = (failed + N) // 2
+            if (at_mid := self._closed_bound(mid)) is None:
+                failed = mid
+            else:
+                N, bound = mid, at_mid
+        self.N, self.bound = N, bound
+        self.s, self.err = _fixed_point(N - self.k0 + 1, digits)
+        #: the leading bits a cut column must keep for this sum
+        self.bits = self.s + 2 * _GUARD
+        self.total = 0
 
     def _closed_bound(self, N: int) -> Optional[Fraction]:
         """The closed-form bound at N >= K0 if it passes, else None.
@@ -992,22 +980,6 @@ class _DirectSum:
             lhs <<= -e
         return _dyadic_fraction(m, e) if lhs < rhs else None
 
-    def _start(self, N: int, bound: Optional[Fraction]) -> None:
-        if bound is None and N >= self.K0:
-            failed, step = None, 1
-            while (bound := self._closed_bound(N)) is None:
-                failed, N, step = N, N + step, 2 * step
-            while failed is not None and N - failed > 1:
-                mid = (failed + N) // 2
-                if (at_mid := self._closed_bound(mid)) is None:
-                    failed = mid
-                else:
-                    N, bound = mid, at_mid
-        self.N, self.bound = N, bound
-        self.s, self.err = _fixed_point(N - self.k0 + 1, self.digits)
-        self.total = 0
-        self.pending: List[Fraction] = []   # |term(k)|, N < k <= K0
-
     @property
     def start(self) -> int:
         """The first term this sum reads from the stream."""
@@ -1015,37 +987,25 @@ class _DirectSum:
 
     @property
     def reach(self) -> int:
-        """The last term this sum still needs from the stream."""
-        return self.N if self.bound is not None else self.K0
-
-    @property
-    def bits(self) -> Optional[int]:
-        """The leading bits a cut column must keep for this sum, None
-        while terms are pending."""
-        return None if self.bound is None else self.s + 2 * _GUARD
+        """The last term this sum reads from the stream."""
+        return self.N
 
     def add(self, k: int, nums: List[int], dens: List[int],
             cut: Optional[_Cut] = None) -> None:
         """Take the block of unweighted terms k, k+1, ... of the stream:
-        floor(w(k) num 2^s / (wden den)) for each term up to N (proved
-        from the cut columns when the block is cut), and the exact |term|
-        for each pending one."""
-        n = min(len(nums), self.reach - k + 1)
+        floor(w(k) num 2^s / (wden den)) for each term up to N, proved
+        from the cut columns when the block is cut."""
+        n = min(len(nums), self.N - k + 1)
         if n <= 0:
             return
         nums, dens = _weighted(self.weight, self.wden, k, nums, dens)
-        # map stops when its first iterator does, so the terms up to N
-        # take exactly ``head`` entries of each column, and the pending
-        # ones the entries after them
-        head = max(0, min(n, self.N - k + 1))
+        # map stops when its first iterator does: n entries of each column
+        nums = islice(nums, n)
         if cut is not None:
-            self.total += self._cut_floors(k, islice(nums, head), dens, cut)
-            return
-        self.total += sum(map(floordiv, map(lshift, islice(nums, head),
-                                            repeat(self.s)), dens))
-        if head < n:
-            self.pending.extend(map(Fraction, map(abs, islice(nums, n - head)),
-                                    dens))
+            self.total += self._cut_floors(k, nums, dens, cut)
+        else:
+            self.total += sum(map(floordiv, map(lshift, nums,
+                                                repeat(self.s)), dens))
 
     def _cut_floors(self, k: int, nums: Iterator[int], dens: Iterator[int],
                     cut: _Cut) -> int:
@@ -1072,18 +1032,6 @@ class _DirectSum:
                     - (z >> _GUARD)
         return total
 
-    def settle(self) -> bool:
-        """After the stream: True when N passed the check; else N
-        moves to K0, steps up by the closed form, and the sum starts over."""
-        if self.bound is not None:
-            return True
-        tail = sum(self.pending, _dyadic_fraction(*self.env.closed(self.K0)))
-        if tail < Fraction(1, self.T) - self.err:
-            self.bound = tail
-            return True
-        self._start(self.K0, None)
-        return False
-
     def result(self) -> Tuple[Ball, dict]:
         return (Ball(Fraction(self.total, 1 << self.s), self.bound + self.err),
                 {"path": "direct", "terms": self.N - self.k0 + 1,
@@ -1101,8 +1049,9 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     behind each term are made once, on the direct path
     (:class:`_DirectSum`) and on the Euler path (:class:`_EulerSum`)
     alike; each ball equals :func:`eval_series` of the spec with that
-    weight.  A direct-path stream is cut to the most bits any of its sums
-    needs once every sum has passed its check.
+    weight.  Every N is fixed before the stream starts, so one walk serves
+    every sum; a direct-path stream is cut to the most bits any of its
+    sums needs.
     """
     if not weights:
         return []
@@ -1114,15 +1063,12 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     else:
         sums = [_DirectSum(s, q, qden, theta, digits) for s in specs]
     base = spec if spec.weight == (1,) else replace(spec, weight=(1,))
-    todo = sums
-    while todo:
-        lo, hi = min(d.start for d in todo), max(d.reach for d in todo)
-        bits = [d.bits for d in todo]
-        for block in _term_columns(base, lo, hi,
-                                   None if None in bits else max(bits)):
-            for d in todo:
-                d.add(*block)
-        todo = [d for d in todo if not d.settle()]
+    bits = [d.bits for d in sums]
+    for block in _term_columns(base, min(d.start for d in sums),
+                               max(d.reach for d in sums),
+                               None if None in bits else max(bits)):
+        for d in sums:
+            d.add(*block)
     return [d.result() for d in sums]
 
 
@@ -1139,13 +1085,13 @@ def eval_series(spec: TermSpec, digits: int = 40,
     of 2^-s near the partial sum, and the radius is the tail bound plus
     one unit 2^-s per rounded term.
 
-    On the direct path N is the float estimate of the smallest N with
-    P(N+1) theta^(N+1) / (1-rho) below the budget, stepped up until the
-    check ``tail_bound(spec, N) < target - err`` passes in integers; no
-    float decides.  At N >= K0 the tail bound is that closed form rounded
-    up to a dyadic (:class:`_Tail`), an upper bound above the exact one by
-    a factor below 1 + 2^-50; below K0 it adds the exact terms N+1..K0 to
-    it.  The radius is ``tail_bound(spec, N)`` plus the rounding part.
+    On the direct path N is the float estimate of the smallest N >= K0
+    with P(N+1) theta^(N+1) / (1-rho) below the budget, stepped up until
+    the check ``tail_bound(spec, N) < target - err`` passes in integers;
+    no float decides.  From K0 on the tail bound is that closed form
+    rounded up to a dyadic (:class:`_Tail`), an upper bound above the
+    exact one by a factor below 1 + 2^-50.  The radius is
+    ``tail_bound(spec, N)`` plus the rounding part.
     This is the one-weight case of :func:`eval_weighted`.
 
     When ``stats`` is given it receives ``terms`` (the number of terms
@@ -1249,7 +1195,7 @@ def _seq_moment(kind: SequenceKind) -> Optional[_Moment]:
     if tag == "CATALAN":
         # C(2k,k)/(k+1): arcsine moment times a mass-1 moment on [0,1]
         return _Moment(_rbox(0, 4), Fraction(4), Fraction(1))
-    if tag in ("GCT", "GCT2", "GCT3"):
+    if tag in ("GCT", "GCT2"):
         b, c = kind.params
         if c > 0:
             s = _sqrt_frac_up(Fraction(4 * c))
@@ -1265,16 +1211,13 @@ def _seq_moment(kind: SequenceKind) -> Optional[_Moment]:
             base = _Moment(_rbox(b, b), abs(Fraction(b)), Fraction(1))
         if tag == "GCT":
             return base
-        stride = 2 if tag == "GCT2" else 3
-        return _Moment(_box_pow(base.box, stride), base.R ** stride,
-                       Fraction(1))
+        return _Moment(_box_pow(base.box, 2), base.R ** 2, Fraction(1))
     if tag == "GPOLY":
         (x,) = kind.params
-        x = Fraction(x)
         if x < 0:
-            s = _sqrt_frac_up(16 * abs(x))
-            return _Moment(_CBox(1 + 4 * x, Fraction(1), -s, s),
-                           1 + 4 * abs(x), Fraction(1))
+            s = _sqrt_frac_up(Fraction(-16 * x))
+            return _Moment(_CBox(Fraction(1 + 4 * x), Fraction(1), -s, s),
+                           Fraction(1 - 4 * x), Fraction(1))
         return None
     return None
 
@@ -1534,10 +1477,6 @@ class _EulerSum:
         else:
             dens = map(lshift, dens, repeat(-shift))
         self.total += sum(map(floordiv, nums, dens))
-
-    def settle(self) -> bool:
-        """N was fixed before the stream, so one walk always settles."""
-        return True
 
     def result(self) -> Tuple[Ball, dict]:
         return (Ball(Fraction(self.total, 1 << self.s),

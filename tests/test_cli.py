@@ -177,6 +177,15 @@ class TestVerifyExact:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "needs a nonzero m" in err
 
+    @pytest.mark.parametrize("family, message", [
+        ("glaisher", "family GLAISHER takes no parameters"),
+        ("sn_expansion", "family SN_EXPANSION takes no --m"),
+    ])
+    def test_family_without_m_refuses_it(self, capsys, family, message):
+        code, out, err = _run(capsys, ["verify", "exact", "--family", family,
+                                       "--m", "5"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_sn_expansion_range(self, capsys):
         # c from -10 to 10, n from 0 to 7: 21 * 8 checks
         code, out, _ = _run(capsys, ["verify", "exact", "--family",
@@ -269,6 +278,13 @@ class TestDiscover:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("seq", ["T3(1,1)", "CLF", "P(-1/4)"])
+    def test_removed_kinds(self, capsys, seq):
+        code, out, err = _run(capsys, ["discover", "--seq", seq, "--m",
+                                       "100"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad --seq/--m: line 0:")
+
     def test_zero_m(self, capsys):
         code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m",
                                        "0"])
@@ -303,6 +319,11 @@ class TestNumericArguments:
          "--degree", "-1"],
         ["discover", "--seq", "CB2^3", "--m", "-64", "--digits", "30",
          "--k0", "-1"],
+        # d = 0 once searched forever, a = 0 divided by zero
+        ["quadform", "represent", "--p", "5", "--d", "0"],
+        ["quadform", "represent", "--p", "5", "--d", "-3"],
+        ["quadform", "represent", "--d", "1", "--p", "5", "--a", "0"],
+        ["quadform", "represent", "--d", "1", "--p", "5", "--mu", "0"],
     ])
     def test_out_of_range_is_a_usage_error(self, capsys, argv):
         code, out, err = _run(capsys, argv)
@@ -324,6 +345,15 @@ class TestNumericArguments:
                                        "-100", "--digits", digits])
         assert (code, out) == (2, "")
         assert err == f"error: digits must be >= 16, got {digits}\n"
+
+
+class TestQuadform:
+    def test_represent(self, capsys):
+        code, out, err = _run(capsys, ["quadform", "represent", "--mu", "2",
+                                       "--d", "1", "--p", "17"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["2*17 = 1*5^2 + 1*3^2",
+                                    "2*17 = 1*3^2 + 1*5^2"]
 
 
 class TestClosedPipe:

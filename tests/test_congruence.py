@@ -502,9 +502,8 @@ class TestTruncatedSum:
 
     @pytest.mark.parametrize("s", [
         BAUER, AUX5, spec((1, 2), ((sk.GPOLY(-20), 1),), 81),
-        spec((1,), ((sk.GPOLY(Fraction(1, 3)), 2),), -8, k0=1),
         spec((Fraction(1, 2), 3), ((sk.FRANEL, 1),), Fraction(7, 3)),
-    ], ids=["bauer", "aux-5", "gpoly", "gpoly-rational", "rational-m"])
+    ], ids=["bauer", "aux-5", "gpoly", "rational-m"])
     def test_residues_equal_oracles(self, s):
         primes = [p for p in cg.primes_upto(100) if p >= 5]
         for e, shift in ((1, 0), (2, 0), (3, 0), (2, 1), (3, 2)):
@@ -633,13 +632,18 @@ class TestDuality:
     def test_sum_level_trivial_pair(self):
         # D = m^2 makes both sides literally equal
         claim = cg.DualityClaim("triv", ((sk.FRANEL, 1),), -8, 1, 64)
-        assert not claim.lint()
         rep = cg.check_duality_sum(claim, p_max=60)
         assert rep.ok
 
     def test_lint_divisibility(self):
-        claim = cg.DualityClaim("bad", ((sk.FRANEL, 1),), 3, 1, -8)
-        assert claim.lint()
+        # a base that does not divide D is rejected where the entry is read
+        text = ("entry bad\nkind: CONGRUENCE\nstatus: conjectural\n"
+                "term: 1 ; - ; F ; m=3 ; k0=0\ndual: d=1 ; D=-8\n"
+                "anchor: \"x\"\nend\n")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and "base 3 does not divide D=-8" \
+            in str(exc.value)
 
 
 # --------------------------------------------------------------------------

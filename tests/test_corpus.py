@@ -133,8 +133,8 @@ PAPER_LABELS = (
 class TestSequenceNames:
     # one sample factor per registry name, written as _render_seq writes it
     @pytest.mark.parametrize("text", [
-        name + {"T": "(3,-2)", "T2": "(1,4)", "T3": "(-1,0)", "S": "(1,25)",
-                "P": "(-1/4)"}.get(name, "") + "^2"
+        name + {"T": "(3,-2)", "T2": "(1,4)", "S": "(1,25)",
+                "P": "(-20)"}.get(name, "") + "^2"
         for name in sorted(corpus._SEQ_NAMES)])
     def test_round_trip(self, text):
         seq = corpus._seq(text, 1)
@@ -153,6 +153,19 @@ class TestSequenceNames:
     def test_rejected(self, text):
         with pytest.raises(corpus.CorpusError):
             corpus._seq(text, 1)
+
+    # no entry reads GCT3 or CLF, and P's one argument is an integer
+    @pytest.mark.parametrize("factor, why", [
+        ("T3(1,1)", "unknown sequence factor"),
+        ("CLF", "unknown sequence factor"),
+        ("P(-1/4)", "P takes one integer"),
+    ])
+    def test_removed_kinds_name_their_line(self, factor, why):
+        text = _DUAL.format(seq=factor, key="dual-term", value="d=- ; D=-8")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 4
+        assert why in str(exc.value) and repr(factor) in str(exc.value)
 
 
 class TestRunner:

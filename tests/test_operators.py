@@ -1,7 +1,7 @@
 """Certificates for the recurrences of ``seqkit.OPERATORS``.
 
 The operators of SBC, GPOLY and FRANEL4, and the classical ones of FRANEL,
-DOMB, ZAGIER, CLF and GSEQ, are proven here.  Each of them,
+DOMB, ZAGIER and GSEQ, are proven here.  Each of them,
 sum_j c_j(n) a_{n+j} = 0, comes from Zeilberger's creative telescoping on a
 summand of the form
 
@@ -25,8 +25,8 @@ for 0 <= m <= n.
 The tests solve (Gosper) for x from the operator in ``seqkit`` and check
 both identities exactly, with P and Q left symbolic: a polynomial identity
 in P and Q holds for every SBC pair (b, c) = (P + Q, PQ) and every GPOLY
-argument P/Q.  The GCT2 and GCT3 operators are not telescoped: they are
-eliminated from GCT's own recurrence (at the end of this file).  Nothing
+argument P/Q.  The GCT2 operator is not telescoped: it is eliminated
+from GCT's own recurrence (at the end of this file).  Nothing
 here needs sympy.
 """
 
@@ -246,7 +246,6 @@ SUMMANDS = {
     "FRANEL": (3, False, False, 1, 1),
     "DOMB": (2, True, True, 1, 1),
     "ZAGIER": (1, True, True, 1, 1),
-    "CLF": (1, True, True, 2, 2),
     "GSEQ": (2, True, False, 1, 1),
 }
 
@@ -301,15 +300,14 @@ def test_poly_division_and_coefficients_in_m():
 
 
 # --------------------------------------------------------------------------
-# GCT2 and GCT3: eliminated from GCT's recurrence
+# GCT2: eliminated from GCT's recurrence
 # --------------------------------------------------------------------------
 #
 # Here P stands for b and Q for c.  GCT's recurrence
 # (k+1) T_{k+1} = (2k+1) b T_k - k (b^2-4c) T_{k-1} holds for every k >= 0,
 # so with u = T_{sn}, v = T_{sn+1} each later row is d_j T_{sn+j} =
 # x_j u + y_j v, where d_j = (sn+2)...(sn+j) and x_j, y_j are polynomials.
-# Steps k = sn+1, ..., sn+2s-1 reach T_{s(n+2)}: 3 instances for s = 2
-# and 5 for s = 3.
+# Steps k = sn+1, ..., sn+2s-1 reach T_{s(n+2)}: 3 instances for s = 2.
 
 def _strided_rows(s: int):
     """[(x_j, y_j)] for j = 0..2s, and the denominators [d_j]."""
@@ -327,7 +325,7 @@ def _strided_rows(s: int):
     return xy, d
 
 
-@pytest.mark.parametrize("tag,s", [("GCT2", 2), ("GCT3", 3)])
+@pytest.mark.parametrize("tag,s", [("GCT2", 2)])
 def test_strided_operator_is_eliminated_from_gct(tag, s):
     xy, d = _strided_rows(s)
     # columns of T_{sn}, T_{s(n+1)}, T_{s(n+2)} over the common d_{2s}
@@ -345,8 +343,3 @@ def test_strided_operator_is_eliminated_from_gct(tag, s):
     # for every u, v, so for every n >= 0, where d_{2s} has no zero
     for i in range(2):
         assert not sum((c * col[i] for c, col in zip(ops, cols)), Poly())
-
-
-def test_gct3_lead_vanishes_where_said():
-    lead = sk.OPERATORS["GCT3"].coeffs(4, -11)
-    assert lead(0)[-1] == 0 and all(lead(n)[-1] for n in range(1, 300))

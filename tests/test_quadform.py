@@ -36,6 +36,12 @@ class TestRepresent:
         # 2*17 = 34 = 5^2 + 3^2
         assert (5, 3) in qf.represent(2, 1, 1, 17)
 
+    @pytest.mark.parametrize("a, d", [(1, 0), (0, 1), (1, -2), (-1, 1)])
+    def test_form_must_be_positive(self, a, d):
+        # d = 0 once searched forever, a = 0 divided by zero
+        with pytest.raises(ValueError, match="must be positive"):
+            qf.represent(1, a, d, 5)
+
 
 class TestNormalize:
     def test_xy_nonneg(self):
@@ -202,31 +208,23 @@ class TestPartitionOracle:
 
     @pytest.mark.parametrize("p", [2, 1, 9, 15, 0])
     def test_dispatch_outside_the_index(self, registry_tables, p):
-        # guard by guard, as the oracle: mods-only guards are read, a
-        # symbol at p = 2 or a p that is not prime is a ValueError
-        tables = registry_tables + [two_square_table()]
-        for table in tables:
-            try:
-                want = _dispatch_oracle(table, p)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    qf.dispatch(table, p)
-                continue
-            got = qf.dispatch(table, p)
-            assert (got.value, got.error, got.case_index) == \
-                (want.value, want.error, want.case_index)
+        # p = 2 or a p that is not prime is a ValueError, as in
+        # Characters.value, even for a table of mods-only guards
+        for table in registry_tables + [two_square_table()]:
+            with pytest.raises(ValueError, match="not an odd prime"):
+                qf.dispatch(table, p)
 
     def test_partition_admits_two(self):
-        # p = 2 is matched guard by guard: mods-only guards pass through
-        table = two_square_table()
-        low = qf.QuadFormTable("low", table.cases, min_p=2)
-        rep = qf.check_partition(low, 100)
-        assert rep.tested[:3] == [2, 3, 5]
-        assert (rep.tested, rep.failures) == _partition_oracle(low, 100)
-        with pytest.raises(ValueError):
-            qf.check_partition(qf.QuadFormTable(
-                "sym", (qf.QuadFormCase(qf.Guard(syms=((-1, 1),)),
-                                        zero=True),), min_p=2), 100)
+        # a table that admits p = 2 is refused where it is made; with 2
+        # excluded it is a table of the odd primes
+        cases = two_square_table().cases
+        for min_p in (2, 1, 0):
+            with pytest.raises(ValueError, match="admits p = 2"):
+                qf.QuadFormTable("low", cases, min_p=min_p)
+            low = qf.QuadFormTable("low", cases, min_p=min_p, exclude=(2,))
+            rep = qf.check_partition(low, 100)
+            assert rep.tested[:2] == [3, 5]
+            assert (rep.tested, rep.failures) == _partition_oracle(low, 100)
 
     def test_no_symbol_call_once_the_masks_exist(self, monkeypatch):
         claims = [e.quadform for e in corpus.load_default()
