@@ -298,12 +298,17 @@ def check_sn_expansion(c_lo: int, c_hi: int, n_max: int) -> CheckReport:
 
 
 def check_skl_bound(k_max: int, l_max: int) -> CheckReport:
-    """s_{k+l,k} <= (2k+1) 4^k l C(k+l,l) as an exact rational comparison."""
+    """s_{k+l,k} <= (2k+1) 4^k l C(k+l,l) as an exact comparison in
+    integers: both sides times C(k+l,k), the left one read from one row
+    per n = k + l (:func:`seqkit.snk_scaled`)."""
     if k_max < 1 or l_max < 1:
         raise ValueError("k_max and l_max must be >= 1")
+    scaled = [seqkit.snk_scaled(n, min(n - 1, k_max)) if n else []
+              for n in range(k_max + l_max + 1)]
     for k in range(k_max + 1):
         for l in range(1, l_max + 1):
-            if seqkit.snk(k + l, k) > (2 * k + 1) * 4 ** k * l * comb(k + l, l):
+            c = comb(k + l, l)
+            if scaled[k + l][k] > (2 * k + 1) * 4 ** k * l * c * c:
                 return CheckReport("SKL_BOUND", (k, l), 0, first_failure=k,
                                    detail=f"k={k} l={l}")
     return CheckReport("SKL_BOUND", (k_max, l_max), (k_max + 1) * l_max)

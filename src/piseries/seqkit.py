@@ -90,7 +90,7 @@ __all__ = [
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
     "ZAGIER", "BETA", "WZAG", "EULER", "BERNOULLI",
     "Operator", "OPERATORS",
-    "STORE", "rows", "memo_table", "table", "snk", "snk_row",
+    "STORE", "rows", "memo_table", "table", "snk", "snk_scaled", "snk_row",
     "tsmall_direct",
 ]
 
@@ -176,9 +176,10 @@ def snk(n: int, k: int) -> Fraction:
     return Fraction(total, comb(n, k))
 
 
-def snk_row(n: int, k_max: int) -> List[Fraction]:
-    """s_{n,0}, ..., s_{n,k_max} from one row of binomials: with
-    u_i = C(n,2i) C(2i,i), C(n,k) s_{n,k} = sum_i u_i u_{k-i}."""
+def snk_scaled(n: int, k_max: int) -> List[int]:
+    """C(n,k) s_{n,k} for k = 0..k_max, in integers, from one row of
+    binomials: with u_i = C(n,2i) C(2i,i), C(n,k) s_{n,k} = sum_i u_i
+    u_{k-i}."""
     if not 0 <= k_max <= n:
         raise ValueError("need 0 <= k_max <= n")
     row = [1]
@@ -194,8 +195,14 @@ def snk_row(n: int, k_max: int) -> List[Fraction]:
         total = 2 * sum(map(mul, u[lo:hi], reversed(u[k - hi + 1:k - lo + 1])))
         if k % 2 == 0:
             total += u[k // 2] ** 2
-        out.append(Fraction(total, row[k]))
+        out.append(total)
     return out
+
+
+def snk_row(n: int, k_max: int) -> List[Fraction]:
+    """s_{n,0}, ..., s_{n,k_max}: :func:`snk_scaled` over C(n,k)."""
+    return [Fraction(t, comb(n, k))
+            for k, t in enumerate(snk_scaled(n, k_max))]
 
 
 def tsmall_direct(n: int, s: Callable[[int, int], Fraction] = snk
@@ -448,7 +455,7 @@ def _generator(kind: SequenceKind) -> Iterator[Number]:
         return _operator_rows(kind, OPERATORS[tag], (kind.params[0], 1))
     if tag in OPERATORS:
         return _operator_rows(kind, OPERATORS[tag],
-                              tuple(int(v) for v in kind.params))
+                              tuple(map(index, kind.params)))
     if tag == "EULER":
         return _euler()
     if tag == "BERNOULLI":

@@ -69,6 +69,15 @@ and quotients of ``Fraction`` balls, and every one of those operations ran
 a gcd on numbers hundreds of digits long: about a third of the time of
 certifying a fast series.  :func:`verify_series_identity` compares the two
 dyadic balls in integers too.
+
+The two sides of an identity are evaluated to different precisions.  The
+verdict reads an absolute gap below 10^(1-digits), and the radius of
+:func:`eval_series` is absolute, so the series is summed at ``digits``
+(radius below 10^-(digits+2)).  The radius of :func:`eval_rhs` is relative
+to the size of the closed form, so the closed form alone is evaluated
+``extra`` more digits deep, ``extra`` being the number of decimal digits of
+its integer part.  Summing the series at that depth too added terms whose
+digits no verdict read.
 """
 
 from __future__ import annotations
@@ -1578,9 +1587,16 @@ class SeriesReport:
 def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesReport:
     """Compare a certified series enclosure with its closed form.
 
-    The gap threshold 10^(1-digits) is absolute, so the working precision
-    is raised by the magnitude of the target value; otherwise identities
-    with very large constants could never certify the requested gap.
+    The identity passes when the exact gap bound |lhs.mid - rhs.mid| +
+    lhs.rad + rhs.rad is below the absolute threshold 10^(1-digits).  The
+    series side is summed at ``digits``: :func:`eval_series`'s radius is
+    absolute, below 10^-(digits+2), a thousandth of the threshold, and
+    more terms would only add digits that no verdict reads.  The closed
+    form is evaluated at ``digits + extra + 5``, where ``extra`` is the
+    number of decimal digits of its integer part, because
+    :func:`eval_rhs`'s radius is relative to the size of the closed form;
+    without ``extra`` an identity with a large constant could never
+    certify the gap.
     """
     probe = eval_rhs(entry.rhs, 15).mid
     # the number of decimal digits of floor(|probe|), 0 below 1
@@ -1588,7 +1604,7 @@ def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesRep
     extra = len(str(whole)) if whole else 0
     work = digits + extra + 5
     stats: dict = {}
-    lhs = eval_series(entry.spec, work, stats)
+    lhs = eval_series(entry.spec, digits, stats)
     rhs = eval_rhs(entry.rhs, work)
     # |lhs.mid - rhs.mid| + rhs.rad = dy / 2^e, all three dyadic
     (ln, le), (rn, re_), (rr, rre) = map(_dyadic, (lhs.mid, rhs.mid, rhs.rad))

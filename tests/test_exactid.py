@@ -371,3 +371,53 @@ class TestSklBound:
 
     def test_sweep(self):
         assert ei.check_skl_bound(25, 25).ok
+
+    @staticmethod
+    def rational_oracle(k_max: int, l_max: int) -> ei.CheckReport:
+        """The check as it was: every s_{k+l,k} a Fraction from snk."""
+        for k in range(k_max + 1):
+            for l in range(1, l_max + 1):
+                if ei.seqkit.snk(k + l, k) > \
+                        (2 * k + 1) * 4 ** k * l * comb(k + l, l):
+                    return ei.CheckReport("SKL_BOUND", (k, l), 0,
+                                          first_failure=k,
+                                          detail=f"k={k} l={l}")
+        return ei.CheckReport("SKL_BOUND", (k_max, l_max),
+                              (k_max + 1) * l_max)
+
+    def test_integer_totals_match_snk(self):
+        # C(n,k) s_{n,k} for the 1640 pairs of the registry's (40, 40)
+        for n in range(1, 81):
+            row = ei.seqkit.snk_scaled(n, min(n - 1, 40))
+            for k in range(max(0, n - 40), min(n - 1, 40) + 1):
+                assert row[k] == ei.seqkit.snk(n, k) * comb(n, k), (n, k)
+
+    @pytest.mark.parametrize("k_max, l_max", [(1, 1), (7, 3), (3, 9),
+                                              (40, 40)])
+    def test_against_rational_oracle(self, k_max, l_max):
+        assert ei.check_skl_bound(k_max, l_max) == \
+            self.rational_oracle(k_max, l_max)
+
+    def test_registry_detail(self):
+        (row,) = corpus.run(corpus.load_default(), "skl-bound").rows
+        assert (row.outcome, row.detail) == ("PASS", "checked 1640")
+
+    def test_first_failure_in_k_then_l_order(self, monkeypatch):
+        # inflate s_{8,3} (k=3, l=5) and s_{11,2} (k=2, l=9): the first
+        # failure is the smaller k, though its n is the larger
+        real_scaled, real_snk = ei.seqkit.snk_scaled, ei.seqkit.snk
+        bumped = {(8, 3), (11, 2)}
+
+        def scaled(n, k_max):
+            return [t + 10 ** 40 * ((n, k) in bumped)
+                    for k, t in enumerate(real_scaled(n, k_max))]
+
+        def snk(n, k):
+            return real_snk(n, k) + Fraction(10 ** 40 * ((n, k) in bumped),
+                                             comb(n, k))
+
+        monkeypatch.setattr(ei.seqkit, "snk_scaled", scaled)
+        monkeypatch.setattr(ei.seqkit, "snk", snk)
+        rep = ei.check_skl_bound(10, 10)
+        assert rep == self.rational_oracle(10, 10)
+        assert (rep.ok, rep.first_failure, rep.detail) == (False, 2, "k=2 l=9")

@@ -316,15 +316,14 @@ class TestRediscover:
     def test_moments_share_one_pass(self, monkeypatch):
         # the k and 1 moments come from one walk over the unweighted terms
         # at the search digits; only the found relation walks once more,
-        # in verify_series_identity at 120 + 5 digits plus one for
-        # 15 sqrt(2)/pi
+        # in verify_series_identity at 1.5 x 80 = 120 digits
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24), k0=0)
         walks, precisions = self._spy_passes(monkeypatch, spec.seq)
         cand = rl.rediscover(spec, [(2, "INV_PI")], digits=80,
                              max_norm=10 ** 3)
         assert cand.confirmed and cand.coeffs == (14, 6, -15)
-        assert precisions == [80, 126] and walks == [(1,), (1,)]
+        assert precisions == [80, 120] and walks == [(1,), (1,)]
 
     def test_search_without_relation_sums_once(self, monkeypatch):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.FRANEL, 1),),
@@ -347,7 +346,7 @@ class TestRediscover:
             [None if c is None else (c.coeffs, c.confirmed) for c in alone]
         assert each[2].confirmed and each[2].coeffs == (14, 6, -15)
         # one search pass for all three bases, one verification pass
-        assert precisions == [80, 126] and walks == [(1,), (1,)]
+        assert precisions == [80, 120] and walks == [(1,), (1,)]
 
     @pytest.mark.parametrize("digits", [60, 64])
     def test_matches_two_passes(self, discover_pool, digits):

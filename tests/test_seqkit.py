@@ -524,6 +524,19 @@ class TestStore:
         with pytest.raises(TypeError):
             sk.GPOLY(Fraction(-1, 4))
 
+    @pytest.mark.parametrize("kind", [
+        sk.SequenceKind("GCT", (Fraction(1, 2), 1)),    # int() gave GCT(0,1)
+        sk.SequenceKind("SBC", (1.5, 2)),               # int() gave SBC(1,2)
+    ], ids=["gct-fraction", "sbc-float"])
+    def test_operator_params_take_integers(self, kind):
+        with pytest.raises(TypeError):
+            sk.table(kind, 4)
+        # the store keeps nothing of the refused kind
+        store = sk.SequenceStore()
+        with pytest.raises(TypeError):
+            store.rows(kind, 4)
+        assert kind not in store._rows and kind not in store._gens
+
 
 class _ReadingStore(sk.SequenceStore):
     """A store that records the tag of every kind read from it."""

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from pathlib import Path
 
@@ -500,9 +501,10 @@ class TestConstFixed:
 
 
 class TestWorkingDigits:
-    """verify_series_identity raises the working digits by the number of
-    decimal digits of the closed form's integer part, as it did when the
-    probe was a Fraction ball."""
+    """verify_series_identity sums the series side at the requested digits
+    and raises only the closed form's working digits by the number of
+    decimal digits of its integer part, as it did when the probe was a
+    Fraction ball."""
 
     @staticmethod
     def old_work(rhs: RHSForm, digits: int) -> int:
@@ -519,27 +521,87 @@ class TestWorkingDigits:
     ])
     def test_same_work_as_before(self, monkeypatch, ident, extra):
         series = _registry_series()[ident]
-        seen = []
-        real = se.eval_series
+        seen, seen_rhs = [], []
+        real, real_rhs = se.eval_series, se.eval_rhs
 
         def spy(spec, digits, stats=None):
             if spec == series.spec:
                 seen.append(digits)
             return real(spec, digits, stats)
 
+        def spy_rhs(rhs, digits):
+            if rhs == series.rhs:
+                seen_rhs.append(digits)
+            return real_rhs(rhs, digits)
+
         monkeypatch.setattr(se, "eval_series", spy)
+        monkeypatch.setattr(se, "eval_rhs", spy_rhs)
         rep = se.verify_series_identity(series, 20)
         assert rep.passed
-        assert seen == [self.old_work(series.rhs, 20)] == [20 + extra + 5]
+        assert seen == [20]
+        # the probe at 15 digits, then the closed form at the old work
+        assert seen_rhs == [15, self.old_work(series.rhs, 20)] \
+            == [15, 20 + extra + 5]
 
     def test_gap_bound_is_exact_gap_rounded_up(self):
         series = _registry_series()["1.71"]
         rep = se.verify_series_identity(series, 30)
         work = 30 + 8 + 5
-        gap = se.eval_series(series.spec, work) - se.eval_rhs(series.rhs, work)
+        gap = se.eval_series(series.spec, 30) - se.eval_rhs(series.rhs, work)
         scale = 10 ** (work + 10)
         assert rep.gap_upper.denominator * scale % scale == 0
         assert 0 <= rep.gap_upper - gap.abs_upper() < Fraction(1, scale)
+
+
+@lru_cache(maxsize=None)
+def _registry_reports(digits: int) -> dict:
+    """Each registry series' report at ``digits``, or the DivergentError
+    raised for a series with no certified evaluation (7.1)."""
+    reports = {}
+    for ident, s in _registry_series().items():
+        try:
+            reports[ident] = se.verify_series_identity(s, digits)
+        except DivergentError as exc:
+            reports[ident] = exc
+    return reports
+
+
+class TestSeriesDigits:
+    """Summing the series side at the requested digits instead of the
+    closed form's digits + extra + 5 changes no outcome, and every pass
+    keeps a margin of ten below the threshold 10^(1-digits)."""
+
+    @staticmethod
+    def old_outcome(series: SeriesIdentity, digits: int) -> str:
+        """The outcome with both sides at digits + extra + 5, the gap
+        bound taken in Fraction ball arithmetic."""
+        work = TestWorkingDigits.old_work(series.rhs, digits)
+        try:
+            lhs = se.eval_series(series.spec, work)
+        except DivergentError:
+            return "DivergentError"
+        gap = lhs - se.eval_rhs(series.rhs, work)
+        if gap.abs_upper() * 10 ** (digits - 1) >= 1:
+            return "FAIL"
+        return "PASS" if series.proven else "CONSISTENT"
+
+    @pytest.mark.parametrize("digits", [1, 2, 12, 40])
+    def test_outcome_as_with_the_closed_forms_work(self, digits):
+        series = _registry_series()
+        reports = _registry_reports(digits)
+        assert len(reports) >= 238
+        for ident, s in series.items():
+            rep = reports[ident]
+            got = getattr(rep, "status", type(rep).__name__)
+            assert got == self.old_outcome(s, digits), ident
+
+    @pytest.mark.parametrize("digits", [1, 2, 12, 40])
+    def test_passes_keep_a_margin(self, digits):
+        passed = [r for r in _registry_reports(digits).values()
+                  if getattr(r, "passed", False)]
+        assert passed
+        for r in passed:
+            assert r.gap_upper * 10 ** (digits + 1) < 1, r.ident
 
 
 class TestRHS:
@@ -896,9 +958,9 @@ class TestPrintedResults:
     pinned: a tail bound that is rounded up must not move them."""
 
     @pytest.mark.parametrize("ident, digits, terms, gap", [
-        ("5.13", 12, 417, "1e-19"),    # theta with the 10^8-guard parts
-        ("II3p", 15, 949, "1e-24"),
-        ("aux-5", 40, 93, "1e-47"),
+        ("5.13", 12, 311, "1e-13"),    # theta with the 10^8-guard parts
+        ("II3p", 15, 706, "1e-17"),
+        ("aux-5", 40, 84, "1e-42"),
     ])
     def test_pinned(self, ident, digits, terms, gap):
         from piseries import corpus
