@@ -913,7 +913,7 @@ class VerificationReport:
 
 def _evaluate(spec: TermSpec, digits: int) -> str:
     ball = sereval.eval_series(spec, digits)
-    return f"value ~ {_nstr(ball.mid, digits)}"
+    return f"value ~ {_nstr(ball.mid, 1 << ball.exp, digits)}"
 
 
 def _nearest_binary(a: int, b: int, prec: int) -> Tuple[int, int]:
@@ -931,10 +931,10 @@ def _nearest_binary(a: int, b: int, prec: int) -> Tuple[int, int]:
 _LOG2_10 = math.log(10, 2)
 
 
-def _nstr(x: Fraction, digits: int) -> str:
-    """``mpmath.nstr(mpf(x.numerator) / x.denominator, digits)`` under
-    ``mpmath.workdps(digits)``, for digits >= 1 and |x| < 2^3500, from
-    integers alone.
+def _nstr(num: int, den: int, digits: int) -> str:
+    """``mpmath.nstr(mpf(num) / den, digits)`` under
+    ``mpmath.workdps(digits)``, for digits >= 1, den > 0 and
+    |num / den| < 2^3500, from integers alone.
 
     As in mpmath: the numerator and then the quotient are rounded to the
     working precision of round((digits + 1) log2 10) bits; the binary value
@@ -942,11 +942,11 @@ def _nstr(x: Fraction, digits: int) -> str:
     half up to ``digits`` significant digits; trailing zeros are stripped;
     and the text is fixed-point exactly when the decimal exponent lies
     strictly between min(-(digits // 3), -5) and ``digits``."""
-    if not x:
+    if not num:
         return "0.0"
     prec = round((digits + 1) * 3.3219280948873626)   # mpmath's dps_to_prec
-    m, e = _nearest_binary(abs(x.numerator), 1, prec)
-    m, e = _nearest_binary(m << max(e, 0), x.denominator << max(-e, 0), prec)
+    m, e = _nearest_binary(abs(num), 1, prec)
+    m, e = _nearest_binary(m << max(e, 0), den << max(-e, 0), prec)
     fixprec = max(int((digits + 3) * _LOG2_10) + 10 - e - m.bit_length(), 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
     fixed = m << (e + fixprec) if e + fixprec >= 0 else m >> -(e + fixprec)
@@ -968,7 +968,7 @@ def _nstr(x: Fraction, digits: int) -> str:
     body = (head[:split] + "." + head[split:]).rstrip("0")
     if body.endswith("."):
         body += "0"
-    sign = "-" if x < 0 else ""
+    sign = "-" if num < 0 else ""
     if exponent == 0:
         return sign + body
     return f"{sign}{body}e{'+' if exponent > 0 else ''}{exponent}"
@@ -982,11 +982,16 @@ def _run_series(entry: RegistryEntry, digits: int) -> Tuple[bool, str]:
 
 
 def _sci(x: Fraction) -> str:
-    """Compact scientific upper bound for a nonnegative rational."""
+    """``1e<e>`` for the least integer e with x < 10^e, x >= 0, found in
+    integers; "0" for 0.  With a and b the decimal lengths of the
+    numerator and the denominator, 10^(a-b-1) < x < 10^(a-b+1), so e is
+    a - b or a - b + 1."""
     if x == 0:
         return "0"
-    exp = len(str(abs(x.numerator))) - len(str(x.denominator)) + 1
-    return f"1e{exp}"
+    n, d = x.numerator, x.denominator
+    e = len(str(n)) - len(str(d))
+    below = n < d * 10 ** e if e >= 0 else n * 10 ** -e < d
+    return f"1e{e if below else e + 1}"
 
 
 def _run_congruence(entry: RegistryEntry, p_max: int,

@@ -17,14 +17,17 @@ only: the characters have no value at p = 2, so a ``min_p`` that admits
 2 without excluding it is a ``ValueError``.  ``Guard.holds`` evaluates a
 guard at one p directly; it is the masks' test oracle.  The template must
 give the same value for every admissible representative; dispatch
-verifies this invariance for each prime it touches.
+verifies this invariance for each prime it touches.  Each case holds its
+template as integer coefficients over one common denominator, built once,
+so a value is an integer numerator over that denominator and is reduced
+mod p^2 with one modular inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import List, Optional, Tuple
 
 from . import congruence as cg
@@ -103,8 +106,17 @@ class QuadFormCase:
     x2: Fraction = Fraction(0)  # template coefficients
     xy: Fraction = Fraction(0)
     p_coef: Fraction = Fraction(0)
+    #: (x2, xy, p_coef) times ``den``, the least common denominator
+    template: Tuple[int, int, int] = field(init=False, repr=False,
+                                          compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        coeffs = (self.x2, self.xy, self.p_coef)
+        den = lcm(*(Fraction(c).denominator for c in coeffs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "template", tuple(
+            int(c * den) for c in coeffs))
         if self.norm not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.norm}")
         if self.mu not in (1, 2, 4):
@@ -192,9 +204,10 @@ def normalize(solutions: List[Tuple[int, int]],
     return out
 
 
-def _template_value(case: QuadFormCase, x: int, y: int,
-                    p: int) -> Fraction:
-    v = case.x2 * x * x + case.xy * x * y + case.p_coef * p
+def _template_value(case: QuadFormCase, x: int, y: int, p: int) -> int:
+    """The template at (x, y, p) times the case's ``den``."""
+    x2, xy, pc = case.template
+    v = x2 * x * x + xy * x * y + pc * p
     if case.sign == "Y_HALF":
         v *= (-1) ** ((y // 2) % 2)
     elif case.sign == "XY_HALF":
@@ -205,13 +218,18 @@ def _template_value(case: QuadFormCase, x: int, y: int,
 @dataclass
 class DispatchResult:
     p: int
-    value: Optional[Fraction]
+    num: Optional[int]          # the table value is num / den
     error: Optional[str] = None
     case_index: Optional[int] = None
+    den: int = 1
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        return None if self.num is None else Fraction(self.num, self.den)
 
 
 def dispatch(table: QuadFormTable, p: int) -> DispatchResult:
@@ -229,14 +247,25 @@ def dispatch(table: QuadFormTable, p: int) -> DispatchResult:
     idx = matches[0]
     case = table.cases[idx]
     if case.zero:
-        return DispatchResult(p, Fraction(0), case_index=idx)
+        return DispatchResult(p, 0, case_index=idx)
     reps = normalize(represent(case.mu, case.a, case.d, p), case.norm)
     if not reps:
         return DispatchResult(p, None, NO_REPRESENTATION, idx)
     values = {_template_value(case, x, y, p) for x, y in reps}
     if len(values) != 1:
         return DispatchResult(p, None, AMBIGUOUS, idx)
-    return DispatchResult(p, values.pop(), case_index=idx)
+    return DispatchResult(p, values.pop(), case_index=idx, den=case.den)
+
+
+def _residue(num: int, den: int, p: int) -> Optional[int]:
+    """num / den mod p^2, or None when p divides the denominator of the
+    reduced fraction; the common factors p of num and den cancel first."""
+    while den % p == 0 and num % p == 0:
+        num, den = num // p, den // p
+    if den % p == 0:
+        return None
+    p2 = p * p
+    return num * pow(den, -1, p2) % p2
 
 
 @dataclass(frozen=True)
@@ -265,7 +294,7 @@ def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
             continue
         factor = chars.value(chars.product(table.sym_factor), p) \
             if table.sym_factor else 1
-        rhs = cg.fraction_mod(factor * res.value, p, 2)
+        rhs = _residue(factor * res.num, res.den, p)
         if rhs is None or sums[p] != rhs:
             report.failures.append((p, sums[p], rhs))
     return report

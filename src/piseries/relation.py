@@ -24,10 +24,9 @@ nearest-integer multipliers.  A search ends
   no longer holds once x is singular to working precision), or when a
   candidate fails its certificate.
 
-The residual of a relation sums the midpoints exactly over their common
-denominator; each radius is rounded up to a multiple of 2^-e, 64 bits
-finer than that denominator, before it is summed, which only widens the
-ball.
+The residual of a relation is exact: the balls are dyadic, so their
+midpoints and radii are aligned at the finest binary exponent by shifts
+and summed as integers.
 
 :func:`rediscover` searches on moment sums evaluated at ``digits`` and
 re-verifies only a FOUND relation, at 1.5x the digits;
@@ -40,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import ceil, gcd, isqrt, lcm, log2
+from math import ceil, gcd, isqrt, log2
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import sereval
@@ -72,16 +71,13 @@ class PSLQResult:
 
 
 def _residual(values: Sequence[Ball], coeffs: Sequence[int]) -> Ball:
-    """The ball sum c_i v_i: the midpoints summed exactly over their
-    common denominator D, and each radius rounded up to a multiple of
-    2^-e, e = bitlength(D) + 64, before it is scaled and summed."""
-    den = lcm(*(v.mid.denominator for v in values))
-    e = den.bit_length() + 64
-    mid = rad = 0
-    for c, v in zip(coeffs, values):
-        mid += c * v.mid.numerator * (den // v.mid.denominator)
-        rad += abs(c) * -((-v.rad.numerator << e) // v.rad.denominator)
-    return Ball(Fraction(mid, den), Fraction(rad, 1 << e))
+    """The ball sum c_i v_i, exactly: each midpoint and radius is shifted
+    to the finest exponent e of the values, and the midpoints are summed
+    with the coefficients c_i, the radii with |c_i|."""
+    e = max(v.exp for v in values)
+    return Ball(sum(c * (v.mid << e - v.exp) for c, v in zip(coeffs, values)),
+                sum(abs(c) * (v.rad << e - v.exp)
+                    for c, v in zip(coeffs, values)), e)
 
 
 #: Fewest digits a search runs at: its threshold 10^-(digits-15) must be
@@ -89,19 +85,19 @@ def _residual(values: Sequence[Ball], coeffs: Sequence[int]) -> Ball:
 MIN_DIGITS = 16
 
 
-def _threshold(digits: int) -> Fraction:
-    """The detection threshold 10^-(digits-15)."""
+def _threshold(digits: int) -> int:
+    """1 over the detection threshold 10^-(digits-15)."""
     if digits < MIN_DIGITS:
         raise ValueError(f"digits must be >= {MIN_DIGITS}, got {digits}")
-    return Fraction(1, 10 ** (digits - 15))
+    return 10 ** (digits - 15)
 
 
 def certify(values: Sequence[Ball], coeffs: Sequence[int],
             digits: int) -> Tuple[bool, Ball]:
     """Ball-arithmetic check that the relation holds to the threshold."""
-    threshold = _threshold(digits)
+    scale = _threshold(digits)
     res = _residual(values, coeffs)
-    return res.abs_upper() < threshold, res
+    return res.below(scale), res
 
 
 #: Most PSLQ iterations one search runs before it gives up as
@@ -208,15 +204,16 @@ def pslq(values: Sequence[Ball], max_norm: int,
         raise ValueError("need at least two values")
     if max_norm < 1:
         raise ValueError(f"max_norm must be >= 1, got {max_norm}")
-    threshold = _threshold(digits)
     # the balls must be tight enough that a true relation's residual can
-    # actually get below the threshold
-    budget = threshold / (n * max_norm)
-    if any(v.rad > budget for v in values):
+    # actually get below the threshold: no radius above it / (n max_norm)
+    scale = _threshold(digits) * n * max_norm
+    if any(v.rad * scale > 1 << v.exp for v in values):
         return PSLQResult(PRECISION_EXHAUSTED)
     P = ceil((digits + 10) * log2(10)) + _PSLQ_GUARD
     tol = (1 << P) // 10 ** (digits - 10)
-    x = [(v.mid.numerator << P) // v.mid.denominator for v in values]
+    # the floors of the midpoints at 2^-P
+    x = [v.mid << P - v.exp if P >= v.exp else v.mid >> v.exp - P
+         for v in values]
     small = min(range(n), key=lambda i: abs(x[i]))
     if abs(x[small]) < tol:
         status, coeffs = FOUND, [int(i == small) for i in range(n)]
@@ -261,7 +258,8 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
     weighted identity and re-verified by
     :func:`sereval.verify_series_identity` at 1.5x the search precision.
     Raises ``ValueError`` below ``MIN_DIGITS`` digits, for
-    ``max_norm < 1`` or for ``degree < 0``, before any series is summed.
+    ``max_norm < 1``, for ``degree < 0`` or for a dependent basis (see
+    :func:`rediscover_each`), before any series is summed.
     """
     return next(rediscover_each(spec, [basis], digits, max_norm, degree))
 
@@ -273,13 +271,23 @@ def rediscover_each(spec: TermSpec,
     """:func:`rediscover` for each basis in turn, lazily.  The moments do
     not depend on the basis, so one pass over the terms serves the
     searches of every basis.  Raises as :func:`rediscover` does, at the
-    first step.
+    first step; a basis is dependent when two of its entries have one
+    name and radicands d, d' with d d' a square: the two values are then
+    rational multiples of each other, and PSLQ would find that relation.
     """
     _threshold(digits)
     if max_norm < 1:
         raise ValueError(f"max_norm must be >= 1, got {max_norm}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    bases = list(bases)
+    for basis in bases:
+        for i, (d, name) in enumerate(basis):
+            for e, other in basis[:i]:
+                if other == name and d * e > 0 and isqrt(d * e) ** 2 == d * e:
+                    raise ValueError(
+                        f"basis entries {e}*{name} and {d}*{name} are"
+                        " rational multiples of each other")
     weights = [tuple(1 if i == j else 0 for i in range(degree + 1))
                for j in range(degree, -1, -1)]
     moments: Optional[List[Ball]] = None

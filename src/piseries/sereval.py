@@ -1,22 +1,35 @@
-"""Certified series evaluation with exact-rational ball arithmetic.
+"""Certified series evaluation in dyadic ball arithmetic.
 
-A :class:`Ball` is a midpoint/radius pair of ``Fraction`` values; the true
-value is guaranteed to lie in [mid-rad, mid+rad] and every operation widens
-the radius conservatively.  A series is summed in fixed point, as integers
-scaled by 2^s.  One builder, :func:`_term_columns`, gives the terms
-k = lo..hi as two columns of unreduced integers, nums and dens > 0, in
-blocks of at most ``_BLOCK`` terms; each column is the entrywise product
-of slices of the sequence store's rows, ranges and ``accumulate`` powers,
-multiplied in chained ``map`` iterators.  A weight's sum is then
+A :class:`Ball` is three integers: a midpoint, a radius >= 0 and one
+binary exponent e, standing for the interval [(mid - rad) 2^-e,
+(mid + rad) 2^-e] that is proved to hold the true value (the
+midpoint-radius design of Arb, Johansson 2017, with both parts dyadic).
+Every producer emits it directly: the series sums, :func:`eval_rhs`,
+:func:`sqrt_ball`, :func:`_hurwitz_zeta2` and :func:`constant`.  Sums and
+differences of balls are exact, as the parts are aligned at the finer
+exponent by shifts, and :meth:`Ball.interval` reads a ball at a coarser
+scale with its ends rounded outward, so no operation loses an enclosure.
+``Fraction`` stays only for exact rationals that no ball holds: the
+weights, m and the closed forms' coefficients, the envelope ratio theta,
+the Euler path's moment boxes, R, mass and q (q, R/2 and mass/2 are
+rounded up to dyadics once per certificate), :func:`term_value` and the
+printed gap bound of :func:`verify_series_identity`.
+
+A series is summed in fixed point, as integers scaled by 2^s.  One
+builder, :func:`_term_columns`, gives the terms k = lo..hi as two columns
+of unreduced integers, nums and dens > 0, in blocks of at most ``_BLOCK``
+terms; each column is the entrywise product of slices of the sequence
+store's rows, ranges and ``accumulate`` powers, multiplied in chained
+``map`` iterators.  A weight's sum is then
 ``sum(map(floordiv, map(lshift, map(mul, w, nums), repeat(s)), dens))``:
-the floor of each term at 2^-s, as before, below its true value by less
-than one unit in the last place, so ``terms * 2^-s`` added to the radius
-covers every rounding (the midpoint-radius scheme of Arb, Johansson 2017).
-A rigorous geometric tail bound derived from per-sequence growth
-inequalities (never from sampled ratios) covers the rest, so a reported
-enclosure is a proof-grade statement about the sum.  :func:`term_value` is
-the exact value of one term, from the same builder, and so are the partial
-sums of :mod:`~piseries.congruence` and :mod:`~piseries.exactid`.
+the floor of each term at 2^-s, below its true value by less than one
+unit in the last place, so ``terms`` units of 2^-s added to the radius
+cover every rounding.  A rigorous geometric tail bound derived from
+per-sequence growth inequalities (never from sampled ratios) covers the
+rest, so a reported enclosure is a proof-grade statement about the sum.
+:func:`term_value` is the exact value of one term, from the same builder,
+and so are the partial sums of :mod:`~piseries.congruence` and
+:mod:`~piseries.exactid`.
 
 Far out, the factors of a term have thousands of bits, of which the floor
 keeps about s.  There the builder cuts each long column to its p = s + 64
@@ -32,43 +45,38 @@ has 4p + 2048 bits, where the cut pays for itself, and then every column
 longer than 2p bits is; the Euler path, :func:`tail_bound` and
 :func:`term_value` stay exact.
 
-The number of terms N is chosen once per evaluation.  The envelope
-|term(k)| <= P(k) theta^k and its crossover K0 (past which the envelope
-falls geometrically with ratio rho = (1+theta)/2) are computed once, the
-part that does not depend on the weight once for all the weights of
-:func:`eval_weighted`; N is estimated in floating-point logs from the
-closed form P(N+1) theta^(N+1) / (1-rho).  That closed form is bounded by
-an upward-rounded dyadic m 2^-e with a mantissa of 80 bits
-(:class:`_Tail`): theta and 2/(1-theta) are rounded up, theta^(N+1) comes
-from binary powering that rounds up after every product, and so does the
-last product with the integer numerator of P(N+1).  So it is still an upper
-bound, and no gcd runs on the thousands-of-bits parts of the exact power.
-N starts at K0 or past it, is checked against the target minus the
-rounding radius in one comparison of integers, and if the check fails N
-steps up until it passes, so no float ever decides a verdict.  The radius,
-the bound plus the rounding radius, is dyadic too.  One pass over the
-terms then gives the sum, and the moment sums of :func:`eval_weighted`
-share it.  A boundary-ratio series takes the Euler transform
-(:class:`_EulerSum`) from the same pass: its weights are suffix sums of
-one binomial row, and its N is the first candidate whose exact tail bound
-passes, with a float screen that only skips candidates far above the
-target.
+The number of terms N is chosen once per evaluation, and every tail bound
+is an upward-rounded dyadic m 2^-e with a mantissa of 80 bits
+(:func:`_dyadic_up`, :func:`_mul_up`, :func:`_pow_up`).  On the direct
+path the envelope |term(k)| <= P(k) theta^k and its crossover K0 (past
+which the envelope falls geometrically with ratio rho = (1+theta)/2) are
+computed once, the part that does not depend on the weight once for all
+the weights of :func:`eval_weighted`; N is estimated in floating-point
+logs from the closed form P(N+1) theta^(N+1) / (1-rho), which
+:class:`_Tail` bounds by such a dyadic.  N starts at K0 or past it, is
+checked against the target minus the rounding radius in one comparison of
+integers, and if the check fails N steps up until it passes, so no float
+ever decides a verdict.  One pass over the terms then gives the sum, and
+the moment sums of :func:`eval_weighted` share it.  A boundary-ratio
+series takes the Euler transform (:class:`_EulerSum`) from the same pass:
+its weights are suffix sums of one binomial row, its weight-free moment
+certificate is built once per :func:`eval_weighted` call, and its N is the
+first candidate whose dyadic tail bound passes.
 
 Closed forms are evaluated in fixed point as well.  :func:`eval_rhs` keeps
 each addend q sqrt(d) basis as an integer interval lo <= value * 2^s <= hi:
 sqrt(d) comes from ``isqrt``, 1/pi from 2^(2s) over the ends of pi,
 products are shifted down by s, and every rounding is directed (floor for
-lo, ceil for hi, the ends swapped for q < 0).  The named constants pi, G,
-K and log 3 are held as one such enclosure each for the whole process, at
-the finest scale asked for so far: a coarser request is cut from it by a
-shift, and only a finer one calls :func:`constant`, once, at a scale
-rounded up to a multiple of 64 bits.  K's Euler-Maclaurin sum
-(:func:`_hurwitz_zeta2`) is a pair of directed-rounded integer sums as
-well.  The closed forms used to be products
-and quotients of ``Fraction`` balls, and every one of those operations ran
-a gcd on numbers hundreds of digits long: about a third of the time of
-certifying a fast series.  :func:`verify_series_identity` compares the two
-dyadic balls in integers too.
+lo, ceil for hi, the ends swapped for q < 0).  Each named constant c (pi,
+G, K and log 3) is one such interval lo <= c 2^top <= hi, held per name in
+``_CONST_FIXED`` for the whole process at the finest scale asked for so
+far: a coarser request is cut from it by a shift, and only a finer one
+calls :func:`constant`, once, at a scale rounded up to a multiple of 64
+bits.  :func:`constant` builds a directed-rounded interval from its
+series: pi = 426880 sqrt(10005) / (Chudnovsky's sum), G from two series
+and pi, K from two Euler-Maclaurin sums (:func:`_hurwitz_zeta2`) and log 3
+from one series.  :func:`verify_series_identity` compares the two dyadic
+balls in integers too.
 
 The two sides of an identity are evaluated to different precisions.  The
 verdict reads an absolute gap below 10^(1-digits), and the radius of
@@ -76,8 +84,7 @@ verdict reads an absolute gap below 10^(1-digits), and the radius of
 (radius below 10^-(digits+2)).  The radius of :func:`eval_rhs` is relative
 to the size of the closed form, so the closed form alone is evaluated
 ``extra`` more digits deep, ``extra`` being the number of decimal digits of
-its integer part.  Summing the series at that depth too added terms whose
-digits no verdict read.
+its integer part.
 """
 
 from __future__ import annotations
@@ -86,8 +93,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from math import (ceil, comb, exp, inf, isqrt, lcm, log, log1p, log2,
-                  log10, prod)
+from math import ceil, comb, inf, isqrt, lcm, log, log1p, log2, log10, prod
 from operator import add, floordiv, lshift, mul, rshift
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -107,92 +113,55 @@ class DivergentError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Ball arithmetic over exact rationals
+# Dyadic balls
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Ball:
-    mid: Fraction
-    rad: Fraction = Fraction(0)
+    """The interval [(mid - rad) 2^-exp, (mid + rad) 2^-exp] of integers
+    mid, rad >= 0 and exp >= 0."""
+
+    mid: int
+    rad: int = 0
+    exp: int = 0
 
     def __post_init__(self):
         if self.rad < 0:
             raise ValueError(f"negative ball radius {self.rad}")
+        if self.exp < 0:
+            raise ValueError(f"negative ball exponent {self.exp}")
 
-    @staticmethod
-    def exact(x) -> "Ball":
-        return Ball(Fraction(x), Fraction(0))
-
-    def __add__(self, other) -> "Ball":
-        other = _as_ball(other)
-        return Ball(self.mid + other.mid, self.rad + other.rad)
-
-    __radd__ = __add__
+    def __add__(self, other: "Ball") -> "Ball":
+        e = max(self.exp, other.exp)
+        a, b = e - self.exp, e - other.exp
+        return Ball((self.mid << a) + (other.mid << b),
+                    (self.rad << a) + (other.rad << b), e)
 
     def __neg__(self) -> "Ball":
-        return Ball(-self.mid, self.rad)
+        return Ball(-self.mid, self.rad, self.exp)
 
-    def __sub__(self, other) -> "Ball":
-        return self + (-_as_ball(other))
+    def __sub__(self, other: "Ball") -> "Ball":
+        return self + -other
 
-    def __rsub__(self, other) -> "Ball":
-        return _as_ball(other) + (-self)
-
-    def __mul__(self, other) -> "Ball":
-        other = _as_ball(other)
-        rad = (abs(self.mid) * other.rad + abs(other.mid) * self.rad
-               + self.rad * other.rad)
-        return Ball(self.mid * other.mid, rad)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Ball":
+    def interval(self, t: int) -> Tuple[int, int]:
+        """Integers lo <= x 2^t <= hi for every x in the ball: its ends at
+        the scale 2^-t, lo rounded down and hi up."""
         lo, hi = self.mid - self.rad, self.mid + self.rad
-        if lo <= 0 <= hi:
-            raise ZeroDivisionError("ball contains zero")
-        ilo, ihi = 1 / hi, 1 / lo
-        return Ball((ilo + ihi) / 2, (ihi - ilo) / 2)
+        if t >= self.exp:
+            return lo << (t - self.exp), hi << (t - self.exp)
+        return lo >> (self.exp - t), -(-hi >> (self.exp - t))
 
-    def __truediv__(self, other) -> "Ball":
-        return self * _as_ball(other).inverse()
-
-    def __rtruediv__(self, other) -> "Ball":
-        return _as_ball(other) * self.inverse()
-
-    def abs_upper(self) -> Fraction:
-        return abs(self.mid) + self.rad
-
-    def contains_zero(self) -> bool:
-        return abs(self.mid) <= self.rad
-
-    def contains(self, x) -> bool:
-        return abs(self.mid - Fraction(x)) <= self.rad
-
-    def shrink(self, digits: int) -> "Ball":
-        """Round the midpoint to ~digits decimal places, keeping soundness."""
-        scale = 10 ** (digits + 2)
-        num = self.mid * scale
-        rounded = Fraction(round(num), scale)
-        err = abs(rounded - self.mid)
-        return Ball(rounded, self.rad + err)
-
-    def decimal(self, digits: int = 30) -> str:
-        scale = 10 ** digits
-        q = round(self.mid * scale)
-        sign = "-" if q < 0 else ""
-        q = abs(q)
-        ip, fp = divmod(q, scale)
-        return f"{sign}{ip}.{str(fp).zfill(digits)}"
-
-    def __repr__(self) -> str:
-        r = float(self.rad) if self.rad else 0.0
-        return f"Ball({self.decimal(25)}..., rad<={r:.3e})"
+    def below(self, scale: int) -> bool:
+        """Whether |x| < 1/scale for every x in the ball, scale > 0."""
+        return (abs(self.mid) + self.rad) * scale < 1 << self.exp
 
 
-def _as_ball(x) -> Ball:
-    if isinstance(x, Ball):
-        return x
-    return Ball.exact(x)
+def _radius(parts: Iterable[Tuple[int, int]]) -> Ball:
+    """The ball at 0 whose radius is the exact sum of the dyadics m 2^-e
+    of ``parts``, m >= 0, at the finest of their exponents."""
+    parts = list(parts)
+    top = max(0, max((e for _, e in parts), default=0))
+    return Ball(0, sum(m << (top - e) for m, e in parts), top)
 
 
 # --------------------------------------------------------------------------
@@ -208,26 +177,32 @@ def _sqrt_frac_up(x: Fraction, guard: int = 10 ** 8) -> Fraction:
     return Fraction(r + 1, d * guard)
 
 
+def _bits(digits: int) -> int:
+    """The least t with 2^-t <= 10^-digits."""
+    return ceil(digits * log2(10))
+
+
+def _digits(bits: int) -> int:
+    """Decimal digits whose radius bound 10^-digits is below 2^-bits / 10."""
+    return ceil(bits * log10(2)) + 1
+
+
 def sqrt_ball(d, digits: int = 50) -> Ball:
-    """Certified enclosure of sqrt(d) for nonnegative rational d."""
-    d = Fraction(d)
-    if d < 0:
+    """Certified enclosure of sqrt(d) for a nonnegative rational d (an int
+    or a ``Fraction``), with radius below 10^-digits; the radius is 0
+    when sqrt(d) 2^t is an integer, t = ``_bits(digits)`` + 1."""
+    a, b = d.as_integer_ratio()
+    if a < 0:
         raise ValueError("negative radicand")
-    if d == 0:
-        return Ball.exact(0)
-    sn, sd = isqrt(d.numerator), isqrt(d.denominator)
-    if sn * sn == d.numerator and sd * sd == d.denominator:
-        return Ball.exact(Fraction(sn, sd))
-    scale = 10 ** digits
-    n = d.numerator * d.denominator * scale * scale
-    r = isqrt(n)  # r <= sqrt(n) < r+1
-    lo = Fraction(r, d.denominator * scale)
-    hi = Fraction(r + 1, d.denominator * scale)
-    return Ball((lo + hi) / 2, (hi - lo) / 2)
+    t = _bits(digits) + 1
+    n = a * b << 2 * t           # sqrt(d) 2^t = sqrt(n) / b
+    r = isqrt(n)
+    lo, hi = r // b, -(-(r + (r * r != n)) // b)
+    return Ball(lo + hi, hi - lo, t + 1)
 
 
-def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
-    """zeta(2, a) for rational 0 < a <= 1 by Euler-Maclaurin:
+def _hurwitz_zeta2(p: int, q: int, digits: int) -> Ball:
+    """zeta(2, a) for rational 0 < a = p/q <= 1 by Euler-Maclaurin:
     sum_{k<N} 1/(k+a)^2 + 1/x + 1/(2x^2) + sum_{j>=1} B_{2j} / x^(2j+1),
     x = N + a.
 
@@ -237,7 +212,6 @@ def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
     so the ends bound the sum, and the magnitudes that stop the
     corrections and bound the remainder are rounded up.
     """
-    p, q = a.numerator, a.denominator
     N = max(40, digits)
     while True:
         X = N * q + p                   # x = X / q
@@ -265,83 +239,78 @@ def _hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
         if bound is not None and bound * target < 1 << S:
             lo = sum((num << S) // den for num, den in parts)
             hi = -sum((-num << S) // den for num, den in parts)
-            return Ball(Fraction(lo + hi, 2 << S),
-                        Fraction(hi - lo + 2 * bound, 2 << S))
+            return Ball(lo + hi, hi - lo + 2 * bound, S + 1)
         N *= 2
 
 
-_CONST_CACHE: Dict[Tuple[str, int], Ball] = {}
-
-
-def _constant_sum(spec: TermSpec, digits: int) -> Ball:
-    """The series behind a named constant, as :func:`eval_series` gives it.
-    It goes through :func:`eval_weighted`, so that the work is billed to
+def _constant_sum(spec: TermSpec, t: int) -> Tuple[int, int]:
+    """Integers lo <= v 2^t <= hi for the sum v of ``spec``, as
+    :func:`eval_series` gives it with radius below 2^-t / 1000.  It goes
+    through :func:`eval_weighted`, so that the work is billed to
     :func:`constant` and not counted as a series evaluation."""
-    (ball, _), = eval_weighted(spec, [spec.weight], digits)
-    return ball
+    (ball, _), = eval_weighted(spec, [spec.weight], _digits(t))
+    return ball.interval(t)
 
 
-def _pi_ball(digits: int) -> Ball:
-    """pi from the fast 640320^3 series, with certified tail."""
-    spec = TermSpec(weight=(13591409, 545140134),
-                    den=(), seq=((seqkit.CB2, 1), (seqkit.CB3, 1),
-                                 (seqkit.CB63, 1)),
-                    m=Fraction(-640320) ** 3, k0=0)
-    s = _constant_sum(spec, digits + 10)
-    return 426880 * sqrt_ball(10005, digits + 10) / s
+def _pi_fixed(t: int) -> Tuple[int, int]:
+    """Integers lo <= pi 2^t <= hi, from Chudnovsky's series (1988):
+    pi = 426880 sqrt(10005) / sum (13591409 + 545140134 k) C(2k,k) C(3k,k)
+    C(6k,3k) / (-640320^3)^k."""
+    slo, shi = _constant_sum(TermSpec(
+        weight=(13591409, 545140134), den=(),
+        seq=((seqkit.CB2, 1), (seqkit.CB3, 1), (seqkit.CB63, 1)),
+        m=Fraction(-640320) ** 3), t)
+    r = isqrt(10005 << 2 * t)          # r <= sqrt(10005) 2^t < r + 1
+    return (426880 * r << t) // shi, -(-(426880 * (r + 1) << t) // slo)
 
 
-def _catalan_g_ball(digits: int) -> Ball:
-    """Catalan's constant via
-    G = (3/8) sum 1/(C(2k,k)(2k+1)^2) + (pi/8) log(2+sqrt 3),
+def _catalan_g_fixed(t: int) -> Tuple[int, int]:
+    """Integers lo <= G 2^t <= hi, from
+    G = (3/8) sum 1/(C(2k,k)(2k+1)^2) + (pi/8) log(2+sqrt 3) and
     log(2+sqrt3) = (sqrt3/2) sum (3/4)^k/(2k+1)."""
-    d = digits + 10
-    s1 = _constant_sum(TermSpec(weight=(1,), den=(("CB2", 1), ("2k+1", 2)),
-                                seq=(), m=Fraction(1)), d)
-    s2 = _constant_sum(TermSpec(weight=(1,), den=(("2k+1", 1),), seq=(),
-                                m=Fraction(4, 3)), d)
-    log_2p_sqrt3 = sqrt_ball(3, d) / 2 * s2
-    pi = constant("PI", d)
-    return (Fraction(3, 8) * s1 + pi / 8 * log_2p_sqrt3).shrink(digits + 5)
+    alo, ahi = _constant_sum(TermSpec(weight=(1,), den=(("CB2", 1),
+                                                        ("2k+1", 2)),
+                                      seq=(), m=Fraction(1)), t)
+    blo, bhi = _constant_sum(TermSpec(weight=(1,), den=(("2k+1", 1),),
+                                      seq=(), m=Fraction(4, 3)), t)
+    plo, phi = _const_fixed("PI", t)
+    r = isqrt(3 << 2 * t)              # r <= sqrt(3) 2^t < r + 1
+    return ((3 * alo >> 3) + (plo * r * blo >> 2 * t + 4),
+            -(-3 * ahi >> 3) - (-phi * (r + 1) * bhi >> 2 * t + 4))
 
 
-def _k3_ball(digits: int) -> Ball:
-    """K = sum_{k>=1} (k|3)/k^2 = (zeta(2,1/3) - zeta(2,2/3))/9."""
-    z1 = _hurwitz_zeta2(Fraction(1, 3), digits + 5)
-    z2 = _hurwitz_zeta2(Fraction(2, 3), digits + 5)
-    return ((z1 - z2) / 9).shrink(digits + 3)
+def _k3_fixed(t: int) -> Tuple[int, int]:
+    """Integers lo <= K 2^t <= hi, K = sum_{k>=1} (k|3)/k^2 =
+    (zeta(2,1/3) - zeta(2,2/3))/9."""
+    d = _digits(t)
+    lo, hi = (_hurwitz_zeta2(1, 3, d) - _hurwitz_zeta2(2, 3, d)).interval(t)
+    return lo // 9, -(-hi // 9)
 
 
-def _log3_ball(digits: int) -> Ball:
-    """log 3 = 2 atanh(1/2) = sum_k 1 / ((2k+1) 4^k)."""
-    spec = TermSpec(weight=(1,), den=(("2k+1", 1),), seq=(), m=Fraction(4))
-    return _constant_sum(spec, digits + 3).shrink(digits + 3)
+def _log3_fixed(t: int) -> Tuple[int, int]:
+    """Integers lo <= log(3) 2^t <= hi, log 3 = 2 atanh(1/2) =
+    sum_k 1 / ((2k+1) 4^k)."""
+    return _constant_sum(TermSpec(weight=(1,), den=(("2k+1", 1),), seq=(),
+                                  m=Fraction(4)), t)
+
+
+_CONSTANTS: Dict[str, Callable[[int], Tuple[int, int]]] = {
+    "PI": _pi_fixed, "CATALAN_G": _catalan_g_fixed, "K3": _k3_fixed,
+    "LOG3": _log3_fixed}
 
 
 def constant(name: str, digits: int = 50) -> Ball:
-    """Named constant with radius < 10^-digits."""
+    """A new enclosure of a named positive constant, radius < 10^-digits,
+    from a directed-rounded integer interval 8 bits finer than that."""
     if digits < 10:
         raise ValueError("digits must be >= 10")
-    key = (name, digits)
-    if key in _CONST_CACHE:
-        return _CONST_CACHE[key]
-    if name == "PI":
-        val = _pi_ball(digits).shrink(digits + 3)
-    elif name == "CATALAN_G":
-        val = _catalan_g_ball(digits)
-    elif name == "K3":
-        val = _k3_ball(digits)
-    elif name == "LOG3":
-        val = _log3_ball(digits)
-    elif name.startswith("SQRT(") and name.endswith(")"):
-        val = sqrt_ball(Fraction(name[5:-1]), digits + 3)
-    else:
+    if name not in _CONSTANTS:
         raise ValueError(f"unknown constant {name}")
-    if val.rad >= Fraction(1, 10 ** digits):
-        raise ArithmeticError(
-            f"constant {name} radius {float(val.rad):.3e} misses 1e-{digits}")
-    _CONST_CACHE[key] = val
-    return val
+    t = _bits(digits) + 8
+    lo, hi = _CONSTANTS[name](t)
+    if not 0 < lo <= hi or (hi - lo) * 10 ** digits >= 2 << t:
+        raise ArithmeticError(f"constant {name} misses 1e-{digits}")
+    return Ball(lo + hi, hi - lo, t + 1)
 
 
 #: name -> (top, lo, hi) with lo <= c * 2^top <= hi: the finest-scale
@@ -364,13 +333,8 @@ def _const_fixed(name: str, s: int) -> Tuple[int, int]:
     if held is None or held[0] < s:
         top = -(-s // _CONST_STEP) * _CONST_STEP
         # radius < 10^-digits <= 2^-top / 10
-        ball = constant(name, ceil(top * log10(2)) + 1)
-        lo, hi = ball.mid - ball.rad, ball.mid + ball.rad
-        lo = (lo.numerator << top) // lo.denominator
-        hi = -((-hi.numerator << top) // hi.denominator)
-        if not 0 < lo <= hi:
-            raise ArithmeticError(f"bad enclosure of constant {name}")
-        held = _CONST_FIXED[name] = (top, lo, hi)
+        held = _CONST_FIXED[name] = (
+            top, *constant(name, _digits(top)).interval(top))
     top, lo, hi = held
     return lo >> (top - s), -(-hi >> (top - s))
 
@@ -743,14 +707,6 @@ def _envelope_poly(weight: Sequence[int], wden: int, q: Sequence[int],
     return _poly_mul([abs(c) for c in reversed(weight)], q), wden * den
 
 
-def _spec_envelope(spec: TermSpec) -> Tuple[List[Fraction], Fraction]:
-    """Return (poly_coeffs P, theta) with |term(k)| <= P(k) * theta^k for
-    k >= max(k0, 1), where P has nonnegative coefficients."""
-    q, den, theta = _base_envelope(spec)
-    coeffs, den = _envelope_poly(*_integer_weight(spec.weight), q, den)
-    return [Fraction(c, den) for c in coeffs], theta
-
-
 def _crossover(poly: Sequence, theta: Fraction, lo: int) -> int:
     """Smallest K >= lo with ((K+2)/(K+1))^deg * theta <= rho = (1+theta)/2,
     deg = len(poly) - 1: from K on, the envelope ratio
@@ -799,11 +755,6 @@ def _pow_up(m: int, e: int, n: int) -> Tuple[int, int]:
     return out, oe
 
 
-def _dyadic_fraction(m: int, e: int) -> Fraction:
-    """m 2^-e as a Fraction."""
-    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
-
-
 class _Tail:
     """The closed-form tail bound of an envelope P(k) theta^k, theta < 1,
     past its crossover K0 (:func:`_crossover`), as an upward-rounded dyadic.
@@ -818,8 +769,8 @@ class _Tail:
     rounding adds less than 2^(1-_TAIL_BITS) relative; counted with the
     powers they are raised to there are fewer than 3 (N+1) + 2 log2(N+1)
     + 3, so below N = 10^8 the bound exceeds the exact closed form by a
-    factor below 1 + 2^-50.  The exact rational it replaces had parts of
-    thousands of bits, as theta carries :func:`_sqrt_frac_up`'s guard.
+    factor below 1 + 2^-50, and no gcd runs on the thousands-of-bits parts
+    of the exact power (theta carries :func:`_sqrt_frac_up`'s guard).
     """
 
     def __init__(self, coeffs: List[int], den: int, theta: Fraction, k0: int):
@@ -838,16 +789,18 @@ class _Tail:
         return _mul_up(m, e, p * self._scale[0], self._scale[1])
 
 
-def tail_bound(spec: TermSpec, N: int) -> Fraction:
-    """Rigorous upper bound on |sum_{k>N} term(k)|.
+def tail_bound(spec: TermSpec, N: int) -> Ball:
+    """A ball at 0 that holds sum_{k>N} term(k): its radius is a rigorous
+    upper bound on the tail, a sum of upward-rounded dyadics.
 
     Uses |term(k)| <= P(k) theta^k with P of nonnegative coefficients; past
     the crossover index K0 the bound ratio P(k+1)/P(k)*theta stays below a
     fixed rho < 1, giving a geometric tail whose closed form is rounded up
-    to a dyadic (:class:`_Tail`).  Before the crossover the terms N+1..K0
-    are bounded exactly one by one, in rationals, and added to the closed
-    form at K0.  :func:`eval_series` uses this very bound; it only picks N
-    differently.
+    to a dyadic (:class:`_Tail`).  Before the crossover each exact |term|
+    N+1..K0 is rounded up to a dyadic by :func:`_dyadic_up`, and these are
+    added to the closed form at K0 at one exponent; so the bound exceeds
+    the exact one by a factor below 1 + 2^-50 there too.
+    :func:`eval_series` uses this very bound; it only picks N differently.
     """
     q, den, theta = _base_envelope(spec)
     if theta >= 1:
@@ -855,28 +808,30 @@ def tail_bound(spec: TermSpec, N: int) -> Fraction:
     tail = _Tail(*_envelope_poly(*_integer_weight(spec.weight), q, den),
                  theta, spec.k0)
     if N >= tail.K0:
-        return _dyadic_fraction(*tail.closed(N))
-    exact = (Fraction(abs(num), d)
-             for num, d in _term_pairs(spec, N + 1, tail.K0))
-    return sum(exact, _dyadic_fraction(*tail.closed(tail.K0)))
+        return _radius([tail.closed(N)])
+    return _radius([tail.closed(tail.K0),
+                    *(_dyadic_up(abs(num), d)
+                      for num, d in _term_pairs(spec, N + 1, tail.K0))])
 
 
 def _scale_bits(rounded: int, T: int) -> int:
-    """The scale bits s of :func:`_fixed_point`, for T = 10^(digits+2)."""
+    """Scale bits s for a sum of ``rounded`` values each floored to a
+    multiple of 2^-s, for T = 10^(digits+2): the rounding radius
+    rounded 2^-s is then at most 10^-(digits+2) / 32."""
     return (32 * rounded * T - 1).bit_length()
 
 
-def _fixed_point(rounded: int, digits: int) -> Tuple[int, Fraction]:
-    """Scale bits s for a sum of ``rounded`` values each floored to a
-    multiple of 2^-s, and the radius rounded * 2^-s that covers the
-    floors; s makes that radius at most 10^-(digits+2) / 32."""
-    s = _scale_bits(rounded, 10 ** (digits + 2))
-    return s, Fraction(rounded, 1 << s)
-
-
-def _log(x: Fraction) -> float:
-    """Natural log of a positive rational of any size."""
-    return log(x.numerator) - log(x.denominator)
+def _fits(m: int, e: int, rounded: int, T: int) -> bool:
+    """Whether the tail bound m 2^-e is below 1/T less the rounding radius
+    r 2^-s of r = ``rounded`` floors at s = ``_scale_bits(r, T)``, in one
+    comparison of integers: m T 2^s < (2^s - r T) 2^e."""
+    s = _scale_bits(rounded, T)
+    lhs, rhs = (m * T) << s, (1 << s) - rounded * T
+    if e >= 0:
+        rhs <<= e
+    else:
+        lhs <<= -e
+    return lhs < rhs
 
 
 def _estimate_N(coeffs: Sequence[int], den: int, theta: Fraction, k0: int,
@@ -931,8 +886,8 @@ class _DirectSum:
     where the bound is the closed form of :class:`_Tail`, an upward-rounded
     dyadic; so N is settled before any term is summed: it steps up
     (galloping, then bisecting) until ``bound < target - err`` holds, one
-    comparison of integers.  The radius, that bound plus the rounding
-    radius, is dyadic.
+    comparison of integers (:func:`_fits`).  The radius is that bound plus
+    one unit of 2^-s per floor.
 
     The sum asks the stream for cut blocks (:attr:`bits`).  For a term of
     a cut block it floors z = floor(w(k) term'(k) 2^(s+G)), G = ``_GUARD``,
@@ -966,28 +921,18 @@ class _DirectSum:
                 failed = mid
             else:
                 N, bound = mid, at_mid
-        self.N, self.bound = N, bound
-        self.s, self.err = _fixed_point(N - self.k0 + 1, digits)
+        self.N, self.tail = N, _radius([bound])
+        self.s = _scale_bits(N - self.k0 + 1, self.T)
         #: the leading bits a cut column must keep for this sum
         self.bits = self.s + 2 * _GUARD
         self.total = 0
 
-    def _closed_bound(self, N: int) -> Optional[Fraction]:
-        """The closed-form bound at N >= K0 if it passes, else None.
-
-        With the bound m 2^-e, T = 10^(digits+2) and the rounding radius
-        err = r 2^-s, the bound passes when m T 2^s < (2^s - r T) 2^e:
-        one comparison of integers of a few hundred bits.
-        """
-        r = N - self.k0 + 1
-        s = _scale_bits(r, self.T)
-        m, e = self.env.closed(N)
-        lhs, rhs = (m * self.T) << s, (1 << s) - r * self.T
-        if e >= 0:
-            rhs <<= e
-        else:
-            lhs <<= -e
-        return _dyadic_fraction(m, e) if lhs < rhs else None
+    def _closed_bound(self, N: int) -> Optional[Tuple[int, int]]:
+        """The closed-form bound (m, e) at N >= K0 if it leaves room for
+        the rounding radius of N - k0 + 1 floors (:func:`_fits`), else
+        None."""
+        bound = self.env.closed(N)
+        return bound if _fits(*bound, N - self.k0 + 1, self.T) else None
 
     @property
     def start(self) -> int:
@@ -1042,9 +987,10 @@ class _DirectSum:
         return total
 
     def result(self) -> Tuple[Ball, dict]:
-        return (Ball(Fraction(self.total, 1 << self.s), self.bound + self.err),
-                {"path": "direct", "terms": self.N - self.k0 + 1,
-                 "theta": self.theta, "tail": self.bound})
+        terms = self.N - self.k0 + 1
+        return (Ball(self.total, terms, self.s) + self.tail,
+                {"path": "direct", "terms": terms, "theta": self.theta,
+                 "tail": self.tail})
 
 
 def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
@@ -1058,7 +1004,9 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     behind each term are made once, on the direct path
     (:class:`_DirectSum`) and on the Euler path (:class:`_EulerSum`)
     alike; each ball equals :func:`eval_series` of the spec with that
-    weight.  Every N is fixed before the stream starts, so one walk serves
+    weight.  The weight-free parts, the envelope of the direct path and the
+    moment certificate of the Euler path, are built once for all the
+    weights.  Every N is fixed before the stream starts, so one walk serves
     every sum; a direct-path stream is cut to the most bits any of its
     sums needs.
     """
@@ -1068,7 +1016,11 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
              else replace(spec, weight=tuple(w)) for w in weights]
     q, qden, theta = _base_envelope(spec)
     if theta >= 1:
-        sums = [_EulerSum(s, theta, digits) for s in specs]
+        cert = _certificate(spec)
+        if cert is None:
+            raise DivergentError(
+                "no moment certificate available; cannot evaluate this series")
+        sums = [_EulerSum(s, cert, theta, digits) for s in specs]
     else:
         sums = [_DirectSum(s, q, qden, theta, digits) for s in specs]
     base = spec if spec.weight == (1,) else replace(spec, weight=(1,))
@@ -1096,16 +1048,16 @@ def eval_series(spec: TermSpec, digits: int = 40,
 
     On the direct path N is the float estimate of the smallest N >= K0
     with P(N+1) theta^(N+1) / (1-rho) below the budget, stepped up until
-    the check ``tail_bound(spec, N) < target - err`` passes in integers;
-    no float decides.  From K0 on the tail bound is that closed form
-    rounded up to a dyadic (:class:`_Tail`), an upper bound above the
-    exact one by a factor below 1 + 2^-50.  The radius is
-    ``tail_bound(spec, N)`` plus the rounding part.
+    the check bound < target - err passes in integers; no float decides.
+    From K0 on the tail bound is that closed form rounded up to a dyadic
+    (:class:`_Tail`), an upper bound above the exact one by a factor below
+    1 + 2^-50.  The ball is the rounded sum plus ``tail_bound(spec, N)``.
     This is the one-weight case of :func:`eval_weighted`.
 
     When ``stats`` is given it receives ``terms`` (the number of terms
     summed), ``path`` (``direct`` or ``euler``), ``theta`` (the envelope
-    ratio) and ``tail`` (the tail-bound part of the radius).
+    ratio) and ``tail`` (the ball at 0 whose radius is the tail-bound part
+    of the radius).
     """
     (ball, info), = eval_weighted(spec, [spec.weight], digits)
     if stats is not None:
@@ -1238,18 +1190,25 @@ _DEN_MOMENT = {
 }
 
 
-@dataclass(frozen=True)
-class _Cert:
+class _Cert(NamedTuple):
+    """The weight-free part of an Euler-path certificate:
+    term(k) = weight(k) extra(k) E[eta^k] for k >= k_start, with
+    |eta| <= R, a measure of total mass at most ``mass`` and
+    sup |1 + eta| / 2 <= q < 1, all exact; ``q_up`` and ``half_R_up`` are
+    q and R/2 rounded up to dyadics (m, e) with :func:`_dyadic_up`."""
+
     k_start: int
+    extra: List[int]             # integer polynomial cofactor, low -> high
     q: Fraction
     R: Fraction
     mass: Fraction
-    wfall: Tuple[Fraction, ...]       # |coeffs| of W' in falling-factorial basis
+    q_up: Tuple[int, int]
+    half_R_up: Tuple[int, int]
 
 
-def _poly_shift(coeffs: Sequence[Fraction], kappa: int) -> List[Fraction]:
-    """Coefficients of p(j + kappa) given those of p."""
-    out = [Fraction(0)] * len(coeffs)
+def _poly_shift(coeffs: Sequence[int], kappa: int) -> List[int]:
+    """Coefficients of p(j + kappa) given those of p, low -> high."""
+    out = [0] * len(coeffs)
     for d, a in enumerate(coeffs):
         for s in range(d + 1):
             out[s] += a * comb(d, s) * kappa ** (d - s)
@@ -1266,10 +1225,12 @@ def _stirling2(n: int) -> List[List[int]]:
 
 
 def _certificate(spec: TermSpec) -> Optional[_Cert]:
+    """The weight-free moment certificate of ``spec``, or None when a
+    factor has no moment representation, R > 1 or q rounds up to 1."""
     box = _CBox(Fraction(1), Fraction(1))
     R = Fraction(1)
     mass = Fraction(1)
-    extra: List[Fraction] = [Fraction(1)]
+    extra = [1]
     k_start = spec.k0
     affine: List[Tuple[int, int, int]] = []   # (a, b, exponent)
     for kind, e in spec.seq:
@@ -1290,7 +1251,7 @@ def _certificate(spec: TermSpec) -> Optional[_Cert]:
             box = _box_mul(box, _box_pow(_rbox(0, Rf), e))
             R *= Rf ** e
             for _ in range(e):
-                extra = _poly_mul(extra, [Fraction(c) for c in wf])
+                extra = _poly_mul(extra, wf)
     inv_m = 1 / spec.m
     box = _box_scale(box, inv_m)
     R *= abs(inv_m)
@@ -1306,17 +1267,21 @@ def _certificate(spec: TermSpec) -> Optional[_Cert]:
     if q_sq >= 1:
         return None
     q = _sqrt_frac_up(q_sq)
-    if q >= 1:
+    q_up = _dyadic_up(*q.as_integer_ratio())
+    if q_up[0] >= 1 << q_up[1]:
         return None
-    # W'(j) = weight(j + k_start) * extra(j + k_start), in falling factorials
-    wp = _poly_mul([Fraction(c) for c in spec.weight], extra)
-    wp = _poly_shift(wp, k_start)
+    return _Cert(k_start, extra, q, R, mass, q_up,
+                 _dyadic_up(*(R / 2).as_integer_ratio()))
+
+
+def _falling_weights(cert: _Cert, weight: Sequence[int]) -> List[int]:
+    """|w_s|: the coefficients of W'(j) = weight(j + k_start)
+    extra(j + k_start) in the falling-factorial basis, in absolute value,
+    for an integer weight, high -> low, as :func:`_integer_weight` gives."""
+    wp = _poly_shift(_poly_mul(weight[::-1], cert.extra), cert.k_start)
     S2 = _stirling2(len(wp) - 1)
-    wfall = []
-    for s in range(len(wp)):
-        ws = sum(wp[d] * S2[d][s] for d in range(s, len(wp)))
-        wfall.append(abs(ws))
-    return _Cert(k_start, q, R, mass, tuple(wfall))
+    return [abs(sum(wp[d] * S2[d][s] for d in range(s, len(wp))))
+            for s in range(len(wp))]
 
 
 def _falling(j: int, s: int) -> int:
@@ -1326,93 +1291,54 @@ def _falling(j: int, s: int) -> int:
     return out
 
 
-def _euler_gaps(cert: _Cert, N: int
-                ) -> Optional[List[Tuple[int, Fraction, int]]]:
-    """(s, ws, gap) for each nonzero ws of ``cert``, where
-    rho_s = q (N+2) / (N+2-s) and 1 - rho_s = gap / (qd (N+2-s)) with
-    q = qn / qd; None when N is too small: N + 1 < s or rho_s >= 1 (gap
-    <= 0) for some addend."""
-    qn, qd = cert.q.as_integer_ratio()
-    out = []
-    for s, ws in enumerate(cert.wfall):
-        if ws == 0:
-            continue
-        if N + 1 < s or N + 2 - s <= 0:
-            return None
-        gap = qd * (N + 2 - s) - qn * (N + 2)
-        if gap <= 0:
-            return None
-        out.append((s, ws, gap))
-    return out
+def _euler_tail(cert: _Cert, wfall: Sequence[int], scale: Tuple[int, int],
+                N: int) -> Optional[Tuple[int, int]]:
+    """An upward-rounded dyadic (m, e) above the tail bound of the
+    transformed series past N, scale * sum over s of w_s (R/2)^s
+    falling(N+1, s) q^(N+1-s) / (1 - rho_s) with rho_s = q (N+2) / (N+2-s)
+    and ``scale`` = mass / 2 for the weight w_s, rounded up; None when N
+    is too small: N + 1 < s or rho_s >= 1 for the top s, where rho_s is
+    largest.
 
-
-def _euler_tail(cert: _Cert, N: int) -> Optional[Fraction]:
-    """Upper bound on |sum_{j>N} c_j|, or None if N is too small: mass/2
-    times the sum over s of ws (R/2)^s falling(N+1, s) q^(N+1-s) /
-    (1 - rho_s).
-
-    With R/2 = hn / hd the addend s is num_s / (wd_s gap_s hd^top
-    qd^(N+1)), top = len(wfall) - 1, so the sum is taken in integers over
-    the small common factor prod_s wd_s gap_s, and reduced once."""
-    gaps = _euler_gaps(cert, N)
-    if gaps is None:
-        return None
-    qn, qd = cert.q.as_integer_ratio()
-    hn, hd = (cert.R / 2).as_integer_ratio()
-    top = len(cert.wfall) - 1
-    parts = []
-    for s, ws, gap in gaps:
-        wn, wd = ws.as_integer_ratio()
-        parts.append((wn * hn ** s * hd ** (top - s) * _falling(N + 1, s)
-                      * qn ** (N + 1 - s) * qd ** (s + 1) * (N + 2 - s),
-                      wd * gap))
-    common = 1
-    for _, e in parts:
-        common *= e
-    total = sum(num * (common // e) for num, e in parts)
-    mn, md = (cert.mass / 2).as_integer_ratio()
-    return Fraction(mn * total, md * common * hd ** top * qd ** (N + 1))
-
-
-def _euler_log_tail(cert: _Cert, N: int) -> float:
-    """The natural log of :func:`_euler_tail` in floating point, inf where
-    that is None: a screen that never decides (see :func:`_euler_N`)."""
-    gaps = _euler_gaps(cert, N)
-    if gaps is None:
-        return inf
-    _, qd = cert.q.as_integer_ratio()
-    log_q = _log(cert.q)
-    log_h = _log(cert.R / 2) if cert.R else -inf
-    logs = [_log(ws) + log(_falling(N + 1, s)) + (N + 1 - s) * log_q
-            + (s * log_h if s else 0) + log(qd * (N + 2 - s)) - log(gap)
-            for s, ws, gap in gaps if cert.R or not s]
-    if not logs:
-        return -inf
-    top = max(logs)
-    return (top + log(sum(exp(x - top) for x in logs))
-            + _log(cert.mass / 2))
-
-
-def _euler_N(cert: _Cert, digits: int, floors: int
-             ) -> Tuple[int, int, Fraction, Fraction]:
-    """(N, s, err, tail): the first N of 16 + 8 len(wfall), then
-    N += max(16, N // 4), whose exact :func:`_euler_tail` is below the
-    target less the radius ``err`` of N + 1 + ``floors`` floors at 2^-s.
-
-    A candidate is skipped without the exact bound only when the float
-    estimate exceeds e^2 times the target, far beyond any rounding of the
-    estimate: the exact check would fail there too, so N is the one the
-    exact loop alone gives.
+    The bound grows with q and R, so it holds for their rounded-up
+    ``q_up`` = mq 2^-eq and ``half_R_up``.  Then 1 / (1 - rho_s) is
+    (N+2-s) 2^eq over the integer gap (N+2-s) 2^eq - mq (N+2), the powers
+    and products are taken by :func:`_pow_up` and :func:`_mul_up` (one
+    power of q, then one product per addend), the quotient by the gap by
+    :func:`_dyadic_up`, and the addends are added exactly, so every
+    rounding is upward.
     """
-    target = Fraction(1, 10 ** (digits + 2))
-    screen = _log(target) + 2
-    N = 16 + 8 * len(cert.wfall)
+    mq, eq = cert.q_up
+    top = len(wfall) - 1
+    if N + 1 < top or (N + 2 - top << eq) <= mq * (N + 2):
+        return None
+    hpow = list(accumulate(range(top), lambda h, _: _mul_up(
+        *h, *cert.half_R_up), initial=(1, 0)))
+    qpow = _pow_up(mq, eq, N + 1 - top)
+    parts = []
+    for s in range(top, -1, -1):
+        if wfall[s]:
+            m, e = _mul_up(*qpow, *hpow[s])
+            m, e = _mul_up(m, e, wfall[s] * _falling(N + 1, s) * (N + 2 - s),
+                           -eq)
+            m, shift = _dyadic_up(m, (N + 2 - s << eq) - mq * (N + 2))
+            parts.append((m, e + shift))
+        qpow = _mul_up(*qpow, mq, eq)
+    total = _radius(parts)
+    return _mul_up(total.rad, total.exp, *scale)
+
+
+def _euler_N(cert: _Cert, wfall: Sequence[int], scale: Tuple[int, int],
+             digits: int, floors: int) -> Tuple[int, Tuple[int, int]]:
+    """(N, tail): the first N of 16 + 8 len(wfall), then
+    N += max(16, N // 4), whose :func:`_euler_tail` leaves room for the
+    rounding radius of N + 1 + ``floors`` floors (:func:`_fits`)."""
+    T = 10 ** (digits + 2)
+    N = 16 + 8 * len(wfall)
     while True:
-        if _euler_log_tail(cert, N) <= screen:
-            s, err = _fixed_point(N + 1 + floors, digits)
-            tail = _euler_tail(cert, N)
-            if tail is not None and tail < target - err:
-                return N, s, err, tail
+        tail = _euler_tail(cert, wfall, scale, N)
+        if tail is not None and _fits(*tail, N + 1 + floors, T):
+            return N, tail
         N += max(16, N // 4)
 
 
@@ -1434,9 +1360,12 @@ class _EulerSum:
     series, fed from the same stream of column blocks as
     :class:`_DirectSum`.
 
-    The head terms k0 <= k < k_start are summed exactly by
-    :func:`term_value` and floored once; the stream starts at k_start.
-    The transform needs the N + 1 terms t'_i = term(k_start + i):
+    The weight-free certificate comes from the caller, built once for all
+    the weights; the falling-factorial weights and mass / 2 are rounded
+    for this weight once.  The head terms k0 <= k < k_start are summed
+    exactly by :func:`term_value` and floored once; the stream starts at
+    k_start.  The transform
+    needs the N + 1 terms t'_i = term(k_start + i):
     sum_{j<=N} c_j = sum_i A_i t'_i / 2^(N+1) with the weights A_i of
     :func:`_euler_weights`, each product floored at 2^-s.  N, and with it
     the rounding radius, is fixed before any term is read.
@@ -1445,18 +1374,22 @@ class _EulerSum:
     #: the transform's weights are exact, so its stream is never cut
     bits = None
 
-    def __init__(self, spec: TermSpec, theta: Fraction, digits: int):
-        cert = _certificate(spec)
-        if cert is None:
-            raise DivergentError(
-                "no moment certificate available; cannot evaluate this series")
+    def __init__(self, spec: TermSpec, cert: _Cert, theta: Fraction,
+                 digits: int):
         self.k0, self.k_start, self.theta = spec.k0, cert.k_start, theta
         self.weight, self.wden = _integer_weight(spec.weight)
         floors = 1 if cert.k_start > spec.k0 else 0
-        self.N, self.s, self.err, self.tail = _euler_N(cert, digits, floors)
+        mn, md = cert.mass.as_integer_ratio()
+        self.N, tail = _euler_N(cert, _falling_weights(cert, self.weight),
+                                _dyadic_up(mn, 2 * md * self.wden), digits,
+                                floors)
+        self.tail = _radius([tail])
+        #: one floor per transformed term, and one for the head
+        self.rounded = self.N + 1 + floors
+        self.s = _scale_bits(self.rounded, 10 ** (digits + 2))
         self.A = _euler_weights(self.N)
-        head = sum((term_value(spec, k) for k in range(spec.k0, cert.k_start)),
-                   Fraction(0))
+        head = sum(map(partial(term_value, spec),
+                       range(spec.k0, cert.k_start)), Fraction(0))
         self.total = (head.numerator << self.s) // head.denominator
 
     @property
@@ -1488,8 +1421,7 @@ class _EulerSum:
         self.total += sum(map(floordiv, nums, dens))
 
     def result(self) -> Tuple[Ball, dict]:
-        return (Ball(Fraction(self.total, 1 << self.s),
-                     self.tail + self.err),
+        return (Ball(self.total, self.rounded, self.s) + self.tail,
                 {"path": "euler", "terms": self.k_start - self.k0 + self.N + 1,
                  "theta": self.theta, "tail": self.tail})
 
@@ -1572,7 +1504,7 @@ def eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
     if (hi - lo) * 10 ** (digits + 5) >= 2 * max(1 << s, mag):
         raise ArithmeticError(
             f"right-hand side radius misses 1e-{digits + 5} relative")
-    return Ball(Fraction(lo + hi, 2 << s), Fraction(hi - lo, 2 << s))
+    return Ball(lo + hi, hi - lo, s + 1)
 
 
 @dataclass
@@ -1598,33 +1530,18 @@ def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesRep
     without ``extra`` an identity with a large constant could never
     certify the gap.
     """
-    probe = eval_rhs(entry.rhs, 15).mid
+    probe = eval_rhs(entry.rhs, 15)
     # the number of decimal digits of floor(|probe|), 0 below 1
-    whole = abs(probe.numerator) // probe.denominator
+    whole = abs(probe.mid) >> probe.exp
     extra = len(str(whole)) if whole else 0
     work = digits + extra + 5
     stats: dict = {}
-    lhs = eval_series(entry.spec, digits, stats)
-    rhs = eval_rhs(entry.rhs, work)
-    # |lhs.mid - rhs.mid| + rhs.rad = dy / 2^e, all three dyadic
-    (ln, le), (rn, re_), (rr, rre) = map(_dyadic, (lhs.mid, rhs.mid, rhs.rad))
-    e = max(le, re_, rre)
-    dy = abs((ln << (e - le)) - (rn << (e - re_))) + (rr << (e - rre))
-    # the gap bound dy / 2^e + lhs.rad as the exact ratio num / den
-    p, q = lhs.rad.numerator, lhs.rad.denominator
-    num, den = dy * q + (p << e), q << e
-    ok = num * 10 ** (digits - 1) < den
-    # Round the exact gap bound up to a small fraction so the report stays
-    # printable; the pass/fail decision above already used the exact value.
+    gap = eval_series(entry.spec, digits, stats) - eval_rhs(entry.rhs, work)
+    ok = gap.below(10 ** (digits - 1))
+    # Round the exact gap bound |mid| + rad up to a small fraction so the
+    # report stays printable; the pass/fail decision above already used
+    # the exact value.
     scale = 10 ** (work + 10)
-    upper = Fraction(-((-num * scale) // den), scale)
+    upper = Fraction(-(-(abs(gap.mid) + gap.rad) * scale >> gap.exp), scale)
     status = ("PASS" if entry.proven else "CONSISTENT") if ok else "FAIL"
     return SeriesReport(entry.ident, ok, upper, stats["terms"], status)
-
-
-def _dyadic(x: Fraction) -> Tuple[int, int]:
-    """(n, e) with x = n / 2^e; ``ArithmeticError`` if x is not dyadic."""
-    den = x.denominator
-    if den & (den - 1):
-        raise ArithmeticError(f"{x} is not a dyadic rational")
-    return x.numerator, den.bit_length() - 1

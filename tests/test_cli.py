@@ -278,6 +278,19 @@ class TestDiscover:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
+    # sqrt(d) NAME and sqrt(d') NAME with d d' a square are rationally
+    # dependent, so PSLQ would find that relation and call it a discovery
+    @pytest.mark.parametrize("basis, pair", [
+        ("PI,PI", "1*PI and 1*PI"), ("2*PI,8*PI", "2*PI and 8*PI"),
+        ("3*INV_PI,5*INV_PI,12*INV_PI", "3*INV_PI and 12*INV_PI")])
+    def test_dependent_basis(self, capsys, basis, pair):
+        code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m",
+                                       "-64", "--digits", "30", "--basis",
+                                       basis])
+        assert (code, out) == (2, "")
+        assert err == f"error: basis entries {pair} are rational multiples" \
+            " of each other\n"
+
     @pytest.mark.parametrize("seq", ["T3(1,1)", "CLF", "P(-1/4)"])
     def test_removed_kinds(self, capsys, seq):
         code, out, err = _run(capsys, ["discover", "--seq", seq, "--m",

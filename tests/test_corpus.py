@@ -251,7 +251,8 @@ class TestMalformed:
                                                            "rhs: 0")
         (entry,) = corpus.parse_registry(text)
         assert entry.series.rhs == sereval.RHSForm(addends=())
-        assert sereval.eval_rhs(entry.series.rhs, 20) == sereval.Ball(0, 0)
+        ball = sereval.eval_rhs(entry.series.rhs, 20)
+        assert (ball.mid, ball.rad) == (0, 0)
         (back,) = corpus.parse_registry(corpus.render_entry(entry))
         assert back.series.rhs == entry.series.rhs
 
@@ -611,7 +612,7 @@ def test_mpmath_never_loaded():
         (row,) = corpus.run([e for e in entries if e.ident == "open-a"],
                             digits=40).rows
         print(row.outcome)
-        res = piseries.relation.pslq([Ball.exact(1), Ball.exact(2)], 10, 20)
+        res = piseries.relation.pslq([Ball(1), Ball(2)], 10, 20)
         print(res.status)
         spec = TermSpec(weight=(1,), den=(), seq=((seqkit.CB2, 3),),
                         m=Fraction(-64), k0=0)
@@ -675,13 +676,53 @@ class TestDecimalText:
                 values.append(scale * Fraction(num, den)
                               * rng.choice((1, -1)))
         for x in values:
-            assert corpus._nstr(x, digits) == _nstr_oracle(x, digits), x
+            assert corpus._nstr(x.numerator, x.denominator, digits) \
+                == _nstr_oracle(x, digits), x
 
     @pytest.mark.parametrize("ident", ["open-a", "open-b"])
     @pytest.mark.parametrize("digits", [12, 20, 40, 80])
     def test_evaluated_rows(self, entries, ident, digits):
         (entry,) = [e for e in entries if e.ident == ident]
         spec = entry.raw["_spec"]
-        mid = sereval.eval_series(spec, digits).mid
+        ball = sereval.eval_series(spec, digits)
+        mid = Fraction(ball.mid, 1 << ball.exp)
         assert corpus._evaluate(spec, digits) == \
             f"value ~ {_nstr_oracle(mid, digits)}"
+
+
+def _sci_oracle(x: Fraction) -> str:
+    """1e<e> for the least e with x < 10^e, found by stepping e."""
+    if x == 0:
+        return "0"
+    e = 0
+    while x >= Fraction(10) ** e:
+        e += 1
+    while x < Fraction(10) ** (e - 1):
+        e -= 1
+    return f"1e{e}"
+
+
+class TestGapText:
+    """The printed gap bound is the least power of ten above the gap,
+    whatever the reduced form of the rounded gap."""
+
+    @pytest.mark.parametrize("gap, text", [
+        # 1.79 and 5.13 at 12 digits; 1e-13 before
+        (Fraction(446, 10 ** 17), "1e-14"), (Fraction(959, 10 ** 17), "1e-14"),
+        (Fraction(1, 10 ** 14), "1e-13"), (Fraction(10 ** 14 - 1, 10 ** 28),
+                                            "1e-14"),
+        (Fraction(0), "0"), (Fraction(7), "1e1"), (Fraction(10), "1e2"),
+        (Fraction(1, 3), "1e0"), (Fraction(1), "1e1")])
+    def test_examples(self, gap, text):
+        assert corpus._sci(gap) == text
+
+    def test_against_stepping(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            x = Fraction(rng.randrange(1, 10 ** rng.randint(1, 30)),
+                         rng.randrange(1, 10 ** rng.randint(1, 30)))
+            assert corpus._sci(x) == _sci_oracle(x), x
+        for e in range(-30, 31):
+            for x in (Fraction(10) ** e, Fraction(10) ** e * Fraction(999, 1000),
+                      Fraction(10) ** e * Fraction(1001, 1000)):
+                assert corpus._sci(x) == _sci_oracle(x), x

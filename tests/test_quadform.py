@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -145,21 +146,34 @@ def _partition_oracle(table, p_max):
     return tested, failures
 
 
+def _template_oracle(case, x, y, p) -> Fraction:
+    """The template value in Fractions, as dispatch computed it before
+    the cases held integer coefficients over one denominator."""
+    v = case.x2 * x * x + case.xy * x * y + case.p_coef * p
+    if case.sign == "Y_HALF":
+        v *= (-1) ** ((y // 2) % 2)
+    elif case.sign == "XY_HALF":
+        v *= (-1) ** (((x * y - 1) // 2) % 2)
+    return v
+
+
 def _dispatch_oracle(table, p):
-    """dispatch with every guard evaluated at p, as before the masks."""
+    """(p, value, error, case index) of dispatch with every guard
+    evaluated at p, as before the masks, and every template value in
+    Fractions."""
     matches = [(i, c) for i, c in enumerate(table.cases) if c.guard.holds(p)]
     if len(matches) != 1:
-        return qf.DispatchResult(p, None, qf.NO_CASE)
+        return p, None, qf.NO_CASE, None
     idx, case = matches[0]
     if case.zero:
-        return qf.DispatchResult(p, Fraction(0), case_index=idx)
+        return p, Fraction(0), None, idx
     reps = qf.normalize(qf.represent(case.mu, case.a, case.d, p), case.norm)
     if not reps:
-        return qf.DispatchResult(p, None, qf.NO_REPRESENTATION, idx)
-    values = {qf._template_value(case, x, y, p) for x, y in reps}
+        return p, None, qf.NO_REPRESENTATION, idx
+    values = {_template_oracle(case, x, y, p) for x, y in reps}
     if len(values) != 1:
-        return qf.DispatchResult(p, None, qf.AMBIGUOUS, idx)
-    return qf.DispatchResult(p, values.pop(), case_index=idx)
+        return p, None, qf.AMBIGUOUS, idx
+    return p, values.pop(), None, idx
 
 
 @pytest.fixture(scope="module")
@@ -200,11 +214,9 @@ class TestPartitionOracle:
         for table in registry_tables:
             for variant in _variants(table):
                 for p in primes:
-                    got, want = qf.dispatch(variant, p), \
-                        _dispatch_oracle(variant, p)
+                    got = qf.dispatch(variant, p)
                     assert (got.p, got.value, got.error, got.case_index) \
-                        == (want.p, want.value, want.error,
-                            want.case_index), (table.ident, p)
+                        == _dispatch_oracle(variant, p), (table.ident, p)
 
     @pytest.mark.parametrize("p", [2, 1, 9, 15, 0])
     def test_dispatch_outside_the_index(self, registry_tables, p):
@@ -240,3 +252,27 @@ class TestPartitionOracle:
         for claim in claims:
             assert qf.check_partition(claim.table, 1000).tested
             assert qf.verify_quadform_claim(claim, 1000).tested
+
+
+class TestIntegerTemplates:
+    """A case's template is integers over one common denominator, and the
+    value is reduced mod p^2 with one inverse."""
+
+    def test_common_denominator(self):
+        case = qf.QuadFormCase(qf.Guard(), a=1, d=2, norm="Y_HALF_PARITY",
+                               sign="Y_HALF", x2=F(1, 3), xy=F(-5, 6),
+                               p_coef=F(2))
+        assert (case.template, case.den) == ((2, -5, 12), 6)
+        for x, y, p in [(1, 2, 3), (3, 4, 41), (-5, 6, 43), (7, 0, 7)]:
+            assert F(qf._template_value(case, x, y, p), case.den) \
+                == _template_oracle(case, x, y, p)
+
+    def test_residue_is_fraction_mod(self):
+        rng = random.Random(7)
+        for p in (3, 5, 7, 11, 101):
+            for _ in range(300):
+                num = rng.randrange(-10 ** 6, 10 ** 6)
+                den = rng.choice((1, 2, 6, p, p * p, 3 * p)) \
+                    * rng.choice((1, p))
+                assert qf._residue(num, den, p) \
+                    == cg.fraction_mod(F(num, den), p, 2), (num, den, p)

@@ -13,13 +13,14 @@ from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import Ball, RHSForm, TermSpec
 
+from oracle_ball import FBall, enclose, fb
+
 
 def _mpmath_pslq(values, max_norm, digits, maxsteps=10000):
     """The search before the integer PSLQ: mpmath.pslq on the midpoints
     at digits + 10 (its coefficient bound is strict, hence the + 1)."""
     with mpmath.workdps(digits + 10):
-        mids = [mpmath.mpf(v.mid.numerator) / v.mid.denominator
-                for v in values]
+        mids = [mpmath.ldexp(mpmath.mpf(v.mid), -v.exp) for v in values]
         return mpmath.pslq(mids, tol=mpmath.mpf(10) ** (-(digits - 10)),
                            maxcoeff=max_norm + 1, maxsteps=maxsteps)
 
@@ -84,7 +85,8 @@ def _old_rediscover(spec, d, digits, max_norm):
     coeffs = _primitive(_mpmath_pslq(values, max_norm, digits))
     if coeffs is None:
         return None
-    residual = sum((v * c for c, v in zip(coeffs, values)), Ball.exact(0))
+    residual = sum((fb(v) * c for c, v in zip(coeffs, values)),
+                   FBall.exact(0))
     if residual.abs_upper() >= Fraction(1, 10 ** (digits - 15)):
         return None
     ident = se.SeriesIdentity(
@@ -101,37 +103,39 @@ def _with_weight(spec, weight):
 
 class TestPslq:
     def test_exact_rational_relation(self):
-        values = [Ball.exact(Fraction(1, 3)), Ball.exact(Fraction(1, 6)),
-                  Ball.exact(Fraction(-2, 3))]
+        # dyadic rationals, which the balls hold exactly
+        exact = [Fraction(1, 4), Fraction(1, 8), Fraction(-3, 4)]
+        values = [enclose(x, 64) for x in exact]
+        assert all(v.rad == 0 for v in values)
         res = rl.pslq(values, 100, digits=40)
         assert res.status == rl.FOUND
         # any reported relation must hold exactly on these rationals
-        assert sum(c * v.mid for c, v in zip(res.coeffs, values)) == 0
+        assert sum(c * x for c, x in zip(res.coeffs, exact)) == 0
         assert any(res.coeffs)
-        assert res.residual is not None and res.residual.abs_upper() == 0
+        assert res.residual is not None \
+            and fb(res.residual).abs_upper() == 0
 
     def test_none_for_irrational_pair(self):
-        values = [Ball.exact(1), se.sqrt_ball(2, 60)]
+        values = [Ball(1), se.sqrt_ball(2, 60)]
         res = rl.pslq(values, 1000, digits=40)
         assert res.status == rl.NONE
         assert res.bound == 1000
 
     def test_precision_exhausted(self):
-        wide = [Ball(Fraction(1), Fraction(1, 100)),
-                Ball(Fraction(2), Fraction(1, 100))]
+        wide = [enclose(FBall(Fraction(1), Fraction(1, 100)), 64),
+                enclose(FBall(Fraction(2), Fraction(1, 100)), 64)]
         res = rl.pslq(wide, 10 ** 6, digits=40)
         assert res.status == rl.PRECISION_EXHAUSTED
 
     def test_certify_rejects_near_miss(self):
-        values = [Ball.exact(Fraction(1)),
-                  Ball.exact(Fraction(-1) + Fraction(1, 10 ** 10))]
+        values = [Ball(1), enclose(Fraction(-1) + Fraction(1, 10 ** 10), 200)]
         ok, res = rl.certify(values, [1, 1], 40)
         assert not ok
-        assert res.abs_upper() >= Fraction(1, 10 ** 25)
+        assert fb(res).abs_upper() >= Fraction(1, 10 ** 25)
 
     @pytest.mark.parametrize("digits", [15, 12, 0, -3])
     def test_too_few_digits(self, digits):
-        values = [Ball.exact(1), Ball.exact(2)]
+        values = [Ball(1), Ball(2)]
         with pytest.raises(ValueError, match="digits must be >= 16"):
             rl.pslq(values, 10, digits)
         with pytest.raises(ValueError, match="digits must be >= 16"):
@@ -139,7 +143,7 @@ class TestPslq:
 
     @pytest.mark.parametrize("max_norm", [0, -1])
     def test_max_norm_below_one(self, max_norm):
-        values = [Ball.exact(1), Ball.exact(2)]
+        values = [Ball(1), Ball(2)]
         with pytest.raises(ValueError, match="max_norm must be >= 1"):
             rl.pslq(values, max_norm, digits=40)
 
@@ -168,9 +172,7 @@ class TestIntegerPslq:
                         for p in rng.sample(primes, n - 1)]
                 plant = [rng.randrange(-60, 61) for _ in range(n - 1)]
                 plant[0] = plant[0] or 1
-                last = sum((c * b for c, b in zip(plant, base)),
-                           Ball.exact(0))
-                values = base + [last]
+                values = base + [rl._residual(base, plant)]
                 res = rl.pslq(values, 1000, digits)
                 want = _primitive(_mpmath_pslq(values, 1000, digits))
                 assert res.status == rl.FOUND
@@ -179,7 +181,7 @@ class TestIntegerPslq:
     def test_relation_at_the_norm_bound(self):
         # 37 sqrt2 - 20 sqrt3 - v = 0 has max norm exactly 37
         r2, r3 = se.sqrt_ball(2, 60), se.sqrt_ball(3, 60)
-        values = [r2, r3, r2 * 37 - r3 * 20]
+        values = [r2, r3, rl._residual([r2, r3], [37, -20])]
         res = rl.pslq(values, 37, 40)
         assert res.status == rl.FOUND and res.coeffs == (37, -20, -1)
         assert _primitive(_mpmath_pslq(values, 37, 40)) == res.coeffs
@@ -198,39 +200,38 @@ class TestIntegerPslq:
     def test_relation_beyond_norm_is_precision_exhausted(self):
         # 1000*1 - 1*1000 = 0 is detected, but exceeds the norm bound
         # before the search could exclude every relation within it
-        values = [Ball.exact(1), Ball.exact(1000)]
+        values = [Ball(1), Ball(1000)]
         assert _mpmath_pslq(values, 998, 40) is None
         res = rl.pslq(values, 999, 40)
         assert res.status == rl.PRECISION_EXHAUSTED and res.bound is None
 
     def test_none_excludes_the_norm_bound(self):
         # 1, pi, pi^2 have no relation: NONE comes with the bound
-        pi = _basis_ball(1, "PI", 60)
-        res = rl.pslq([Ball.exact(1), pi, pi * pi], 10 ** 6, 40)
+        res = rl.pslq([Ball(1), _basis_ball(1, "PI", 60),
+                       _basis_ball(1, "PI2", 60)], 10 ** 6, 40)
         assert (res.status, res.bound) == (rl.NONE, 10 ** 6)
 
     def test_tiny_value_is_its_own_relation(self):
-        values = [Ball.exact(1), Ball.exact(Fraction(1, 10 ** 50))]
+        values = [Ball(1), enclose(Fraction(1, 10 ** 50), 400)]
         res = rl.pslq(values, 10, 40)
         assert (res.status, res.coeffs) == (rl.FOUND, (0, 1))
 
 
 class TestResidual:
     def test_encloses_the_exact_sum(self):
+        # the balls are dyadic, so the sum of the Fraction oracle balls is
+        # the residual exactly, whatever their exponents
         rng = random.Random(3)
         for _ in range(50):
-            values = [Ball(Fraction(rng.randrange(-10 ** 9, 10 ** 9),
-                                    rng.choice((1, 3, 7, 1 << 40))),
-                           Fraction(rng.randrange(10 ** 6),
-                                    rng.randrange(1, 10 ** 12)))
+            values = [Ball(rng.randrange(-10 ** 9, 10 ** 9),
+                           rng.randrange(10 ** 6), rng.choice((0, 3, 40, 64)))
                       for _ in range(rng.randrange(1, 5))]
             coeffs = [rng.randrange(-99, 100) for _ in values]
-            res = rl._residual(values, coeffs)
-            mid = sum(c * v.mid for c, v in zip(coeffs, values))
-            rad = sum(abs(c) * v.rad for c, v in zip(coeffs, values))
-            assert res.mid == mid
-            slack = Fraction(sum(map(abs, coeffs)), 1 << 64)
-            assert rad <= res.rad <= rad + slack
+            res = fb(rl._residual(values, coeffs))
+            assert res.mid == sum(c * fb(v).mid
+                                  for c, v in zip(coeffs, values))
+            assert res.rad == sum(abs(c) * fb(v).rad
+                                  for c, v in zip(coeffs, values))
 
 
 class TestRediscover:
@@ -259,6 +260,30 @@ class TestRediscover:
                         m=Fraction(-64), k0=0)
         with pytest.raises(ValueError, match=message):
             rl.rediscover(spec, [(1, "INV_PI")], digits=30, **kwargs)
+
+    @pytest.mark.parametrize("basis", [
+        [(1, "PI"), (1, "PI")], [(2, "INV_PI"), (8, "INV_PI")],
+        [(3, "K3"), (5, "K3"), (27, "K3")]])
+    def test_dependent_basis_sums_nothing(self, monkeypatch, basis):
+        def unexpected(*args):
+            raise AssertionError("summed a series")
+
+        monkeypatch.setattr(se, "eval_weighted", unexpected)
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-64), k0=0)
+        # a dependent basis anywhere in the list fails the first step
+        with pytest.raises(ValueError, match="rational multiples"):
+            next(rl.rediscover_each(spec, [[(1, "INV_PI")], basis],
+                                    digits=30))
+
+    def test_independent_bases_pass(self):
+        # the same d under two names, or d d' not a square, is no relation
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-64), k0=0)
+        cand = rl.rediscover(spec, [(1, "INV_PI"), (1, "PI"), (2, "PI"),
+                                    (6, "PI")], digits=40, max_norm=1000)
+        assert cand is not None and cand.confirmed
+        assert cand.coeffs == (4, 1, -2, 0, 0, 0)
 
     def test_apery_like_series(self):
         # moments of S_k(1,-6)/24^k against sqrt(2)/pi

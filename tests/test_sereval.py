@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -17,6 +18,28 @@ import pytest
 from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import Ball, DivergentError, RHSForm, SeriesIdentity, TermSpec
+
+from oracle_ball import FBall, fb
+
+
+def dy(m: int, e: int) -> Fraction:
+    """The dyadic m 2^-e as a Fraction."""
+    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
+
+
+def fixed_point(rounded: int, digits: int):
+    """The scale bits s of a sum of ``rounded`` floors at 2^-s, and their
+    rounding radius rounded 2^-s, at most 10^-(digits+2) / 32."""
+    s = se._scale_bits(rounded, 10 ** (digits + 2))
+    return s, Fraction(rounded, 1 << s)
+
+
+def spec_envelope(spec: TermSpec):
+    """(P, theta) with |term(k)| <= P(k) theta^k for k >= max(k0, 1), P a
+    list of nonnegative Fractions, low -> high, from sereval's envelope."""
+    q, den, theta = se._base_envelope(spec)
+    coeffs, den = se._envelope_poly(*se._integer_weight(spec.weight), q, den)
+    return [Fraction(c, den) for c in coeffs], theta
 
 
 def term_oracle(spec: TermSpec, hi: int) -> list:
@@ -103,50 +126,111 @@ def mp_ref(expr: str, dps: int = 80) -> Fraction:
 
 
 class TestBall:
+    """The Fraction ball, now the tests' oracle."""
+
     def test_add_mul(self):
-        a = Ball(Fraction(1, 3), Fraction(1, 100))
-        b = Ball(Fraction(2, 3), Fraction(1, 200))
+        a = FBall(Fraction(1, 3), Fraction(1, 100))
+        b = FBall(Fraction(2, 3), Fraction(1, 200))
         s = a + b
         assert s.mid == 1 and s.rad == Fraction(3, 200)
         p = a * b
         assert p.contains(Fraction(2, 9))
 
     def test_inverse_bounds(self):
-        a = Ball(Fraction(2), Fraction(1, 10))
+        a = FBall(Fraction(2), Fraction(1, 10))
         inv = a.inverse()
         assert inv.contains(Fraction(10, 21))
         assert inv.contains(Fraction(10, 19))
         with pytest.raises(ZeroDivisionError):
-            Ball(Fraction(0), Fraction(1)).inverse()
+            FBall(Fraction(0), Fraction(1)).inverse()
 
     def test_shrink_keeps_value(self):
-        a = Ball(Fraction(355, 113), Fraction(1, 10 ** 30))
+        a = FBall(Fraction(355, 113), Fraction(1, 10 ** 30))
         b = a.shrink(20)
         assert b.contains(Fraction(355, 113))
         assert b.rad < Fraction(1, 10 ** 19)
 
     def test_decimal(self):
-        assert Ball.exact(Fraction(1, 4)).decimal(5) == "0.25000"
-        assert Ball.exact(Fraction(-1, 4)).decimal(3) == "-0.250"
+        assert FBall.exact(Fraction(1, 4)).decimal(5) == "0.25000"
+        assert FBall.exact(Fraction(-1, 4)).decimal(3) == "-0.250"
+
+
+def random_balls(rng, n):
+    return [Ball(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(10 ** 20),
+                 rng.choice((0, 1, 7, 64, 200))) for _ in range(n)]
+
+
+class TestDyadicBall:
+    """Ball is three integers; its sums are exact and its intervals are
+    rounded outward, against the Fraction oracle."""
+
+    def test_sum_and_difference_are_exact(self):
+        rng = random.Random(1)
+        for a, b in zip(random_balls(rng, 200), random_balls(rng, 200)):
+            for got, want in ((a + b, fb(a) + fb(b)), (a - b, fb(a) - fb(b)),
+                              (-a, -fb(a))):
+                assert fb(got) == want
+            assert (a + b).exp == max(a.exp, b.exp)
+
+    def test_interval_rounds_outward_and_tightly(self):
+        rng = random.Random(2)
+        for ball in random_balls(rng, 300):
+            for t in (0, 5, ball.exp, ball.exp + 9, 300):
+                lo, hi = ball.interval(t)
+                x = fb(ball)
+                lo_x, hi_x = (x.mid - x.rad) * 2 ** t, (x.mid + x.rad) * 2 ** t
+                assert lo <= lo_x < lo + 1 and hi - 1 < hi_x <= hi
+
+    def test_below(self):
+        rng = random.Random(3)
+        for ball in random_balls(rng, 300):
+            for scale in (1, 3, 10 ** 9, 10 ** 40, 10 ** 80):
+                assert ball.below(scale) == \
+                    (fb(ball).abs_upper() < Fraction(1, scale))
+
+    @pytest.mark.parametrize("mid, rad, exp", [(1, -1, 0), (0, 1, -1)])
+    def test_negative_radius_or_exponent_rejected(self, mid, rad, exp):
+        with pytest.raises(ValueError):
+            Ball(mid, rad, exp)
+
+    def test_fields_are_integers(self):
+        ball = se.eval_series(CHUDNOVSKY, 20)
+        assert all(type(v) is int for v in (ball.mid, ball.rad, ball.exp))
 
 
 class TestSqrt:
     def test_exact_square(self):
         b = se.sqrt_ball(Fraction(9, 16))
-        assert b.rad == 0 and b.mid == Fraction(3, 4)
+        assert b.rad == 0 and fb(b).mid == Fraction(3, 4)
+        assert fb(se.sqrt_ball(0)) == FBall.exact(0)
+        # 1/3 is not dyadic: enclosed, not exact
+        third = fb(se.sqrt_ball(Fraction(1, 9), 30))
+        assert 0 < third.rad < Fraction(1, 10 ** 30)
+        assert third.contains(Fraction(1, 3))
 
     def test_enclosure(self):
-        b = se.sqrt_ball(2, 40)
+        b = fb(se.sqrt_ball(2, 40))
         assert b.rad < Fraction(1, 10 ** 39)
         ref = mp_ref("mp.sqrt(2)")
         assert b.contains(ref)
+        # both ends of every enclosure are directed
+        for d in (2, 3, 5, 10005, Fraction(7, 3), Fraction(2, 11)):
+            for digits in range(10, 60, 3):
+                b = fb(se.sqrt_ball(d, digits))
+                with mpmath.workdps(digits + 60):
+                    ref = Fraction(mpmath.nstr(
+                        mpmath.sqrt(mpmath.mpf(d.numerator) / d.denominator),
+                        digits + 50))
+                assert b.rad < Fraction(1, 10 ** digits)
+                assert abs(b.mid - ref) < b.rad - Fraction(1, 10 ** (digits
+                                                                      + 45))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             se.sqrt_ball(-1)
 
 
-def fraction_hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
+def fraction_hurwitz_zeta2(a: Fraction, digits: int) -> FBall:
     """zeta(2, a) by Euler-Maclaurin in exact Fractions: the sum that
     se._hurwitz_zeta2 replaced, kept as its oracle."""
     target = Fraction(1, 10 ** (digits + 3))
@@ -170,7 +254,7 @@ def fraction_hurwitz_zeta2(a: Fraction, digits: int) -> Ball:
                 break
             prev_mag = mag
         if bound is not None and bound < target:
-            return Ball(total + acc, bound)
+            return FBall(total + acc, bound)
         N *= 2
 
 
@@ -192,36 +276,37 @@ class TestConstants:
         + [pytest.param("K3", _CONSTANT_REFERENCES[3][1], digits,
                         id=f"K3-{digits}") for digits in (80, 200)])
     def test_against_reference(self, name, expr, digits):
-        ball = se.constant(name, digits)
+        ball = fb(se.constant(name, digits))
         assert ball.rad < Fraction(1, 10 ** digits)
         assert ball.contains(mp_ref(expr, digits + 40))
 
     def test_k3_is_character_sum(self):
         # sum_{k>=1} (k|3)/k^2 with (k|3) of period 3: +1, -1, 0
-        ball = se.constant("K3", 30)
+        ball = fb(se.constant("K3", 30))
         partial = sum(Fraction(1, (3 * j + 1) ** 2) - Fraction(1, (3 * j + 2) ** 2)
                       for j in range(4000))
         assert abs(ball.mid - partial) < Fraction(1, 10 ** 6)
 
-    #: sha256 of repr((mid, rad)) of constant("K3", d), recorded when the
-    #: Euler-Maclaurin sum became directed-rounded integers at 2^-S (the
-    #: exact Fraction sum it replaced is fraction_hurwitz_zeta2 below)
+    #: sha256 of repr((mid, rad, exp)) of constant("K3", d), recorded when
+    #: K became a directed-rounded integer interval (the exact Fraction
+    #: Euler-Maclaurin sum is fraction_hurwitz_zeta2 below)
     K3_DIGESTS = {
-        12: "c5230e8ea41a4130e1e4dd001e5a684aa0ef392c6c63dd8bd4c2c8e3bbb7b3ed",
-        20: "bf30cddaca3f1c151c8ee6a345f99a196da1cb2491ebe0b49738e6db5ce30337",
-        40: "da5bd9f5ffd63c65e51de22163677e2dd3159b222369e0ced51d65a1ce78d934",
-        60: "a6cd3aef75f72ef64cff6abe19899f37db85206676a126590cff574a1c23e64d",
+        12: "a7acfca38fade38cea25851a179dcc49ec433dcc1365b564182fb51a1cfbbceb",
+        20: "51f40a22864c98b56ca4f5ce67e55c635d43ea41f79ad324466b1f6219653adb",
+        40: "7d27631a1dddda79d399ef7f2a3c2c84701e6b8538d2edc33e202bf87998b267",
+        60: "8ba759159237f0d9117239a0f1271a07b46381fb602bda6826e21c64ced8fffc",
     }
 
     @pytest.mark.parametrize("digits, rows_read", [
-        (12, 7), (20, 10), (40, 19), (60, 27)])
+        (12, 7), (20, 10), (40, 19), (60, 26)])
     def test_k3_unchanged_and_reads_few_bernoulli(self, monkeypatch, digits,
                                                   rows_read):
         store = sk.SequenceStore()
         monkeypatch.setattr(sk, "STORE", store)
-        monkeypatch.setattr(se, "_CONST_CACHE", {})
+        monkeypatch.setattr(se, "_CONST_FIXED", {})
         ball = se.constant("K3", digits)
-        got = hashlib.sha256(repr((ball.mid, ball.rad)).encode()).hexdigest()
+        got = hashlib.sha256(repr((ball.mid, ball.rad, ball.exp))
+                             .encode()).hexdigest()
         assert got == self.K3_DIGESTS[digits]
         assert len(store.rows(sk.BERNOULLI, 0)) == rows_read
 
@@ -229,7 +314,7 @@ class TestConstants:
                                    Fraction(1)])
     @pytest.mark.parametrize("digits", [17, 45, 65])
     def test_hurwitz_against_fraction_sum(self, a, digits):
-        got = se._hurwitz_zeta2(a, digits)
+        got = fb(se._hurwitz_zeta2(a.numerator, a.denominator, digits))
         want = fraction_hurwitz_zeta2(a, digits)
         target = Fraction(1, 10 ** (digits + 3))
         # the rounding adds below target / 16 to the remainder bound
@@ -238,10 +323,25 @@ class TestConstants:
         if a == 1:
             assert got.contains(mp_ref("mp.pi**2 / 6", digits + 20))
 
-    def test_cache_hit(self):
-        a = se.constant("PI", 40)
-        b = se.constant("PI", 40)
-        assert a is b
+    def test_cache_hit(self, monkeypatch):
+        # the second request is read from the enclosure held per name
+        monkeypatch.setattr(se, "_CONST_FIXED", {})
+        calls = []
+        real = se.constant
+        monkeypatch.setattr(se, "constant", lambda name, digits=50: (
+            calls.append(name), real(name, digits))[1])
+        assert se._const_fixed("PI", 133) == se._const_fixed("PI", 133)
+        assert calls == ["PI"]
+
+    # 48 scales, each rounding of an end directed: a flipped one puts the
+    # end on the wrong side of the constant at most scales
+    @pytest.mark.parametrize("name,expr", _CONSTANT_REFERENCES)
+    def test_builders_are_directed_at_every_scale(self, name, expr):
+        ref = mp_ref(expr, 250)
+        for t in range(40, 760, 15):
+            lo, hi = se._CONSTANTS[name](t)
+            assert Fraction(lo, 1 << t) <= ref <= Fraction(hi, 1 << t), t
+            assert 0 < hi - lo <= 4, t
 
     def test_bad_name(self):
         with pytest.raises(ValueError):
@@ -274,15 +374,15 @@ class TestGeometricSeries:
         spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 1),),
                         m=Fraction(8), k0=0)
         ball = se.eval_series(spec, 40)
-        assert (se.sqrt_ball(2, 50) - ball).abs_upper() < Fraction(1, 10 ** 39)
+        assert fb(se.sqrt_ball(2, 50) - ball).abs_upper() < Fraction(1, 10 ** 39)
 
     def test_weighted_franel(self):
         # sum (99k+17) C(2k,k) f_k / (-400)^k = 50/pi
         spec = TermSpec(weight=(17, 99), den=(),
                         seq=((sk.CB2, 1), (sk.FRANEL, 1)),
                         m=Fraction(-400), k0=0)
-        ball = se.eval_series(spec, 40)
-        rhs = 50 / se.constant("PI", 50)
+        ball = fb(se.eval_series(spec, 40))
+        rhs = 50 / fb(se.constant("PI", 50))
         assert (ball - rhs).abs_upper() < Fraction(1, 10 ** 39)
 
     def test_divergent_rejected(self):
@@ -294,7 +394,8 @@ class TestGeometricSeries:
     def test_tail_bound_decreases(self):
         spec = TermSpec(weight=(1, 3), den=(), seq=((sk.FRANEL4, 1),),
                         m=Fraction(-20), k0=0)
-        assert se.tail_bound(spec, 80) < se.tail_bound(spec, 40)
+        assert se.tail_bound(spec, 80).mid == 0
+        assert fb(se.tail_bound(spec, 80)).rad < fb(se.tail_bound(spec, 40)).rad
 
 
 class TestEulerTransform:
@@ -304,15 +405,15 @@ class TestEulerTransform:
         # sum (4k+1)(-1)^k C(2k,k)^3 / 64^k = 2/pi
         spec = TermSpec(weight=(1, 4), den=(), seq=((sk.CB2, 3),),
                         m=Fraction(-64), k0=0)
-        ball = se.eval_series(spec, 40)
-        rhs = 2 / se.constant("PI", 50)
+        ball = fb(se.eval_series(spec, 40))
+        rhs = 2 / fb(se.constant("PI", 50))
         assert (ball - rhs).abs_upper() < Fraction(1, 10 ** 39)
 
     def test_bauer_high_precision(self):
         spec = TermSpec(weight=(1, 4), den=(), seq=((sk.CB2, 3),),
                         m=Fraction(-64), k0=0)
-        ball = se.eval_series(spec, 120)
-        rhs = 2 / se.constant("PI", 130)
+        ball = fb(se.eval_series(spec, 120))
+        rhs = 2 / fb(se.constant("PI", 130))
         assert (ball - rhs).abs_upper() < Fraction(1, 10 ** 119)
 
     def test_g_series(self):
@@ -320,8 +421,8 @@ class TestEulerTransform:
         spec = TermSpec(weight=(5, 16), den=(),
                         seq=((sk.CB2, 1), (sk.GPOLY(-20), 1)),
                         m=Fraction(324), k0=0)
-        ball = se.eval_series(spec, 40)
-        rhs = Fraction(189, 25) / se.constant("PI", 50)
+        ball = fb(se.eval_series(spec, 40))
+        rhs = Fraction(189, 25) / fb(se.constant("PI", 50))
         assert (ball - rhs).abs_upper() < Fraction(1, 10 ** 39)
 
     def test_reciprocal_central_binomial(self):
@@ -330,9 +431,9 @@ class TestEulerTransform:
         # so this exercises the shifted reciprocal-binomial certificate
         spec = TermSpec(weight=(1,), den=(("k", 2), ("CB2", 1)), seq=(),
                         m=Fraction(-1, 4), k0=1)
-        ball = se.eval_series(spec, 35)
+        ball = fb(se.eval_series(spec, 35))
         ref = mp_ref("-2*mp.log(1+mp.sqrt(2))**2")
-        assert (ball - Ball.exact(ref)).abs_upper() < Fraction(1, 10 ** 33)
+        assert (ball - ref).abs_upper() < Fraction(1, 10 ** 33)
 
     def test_certificate_shape(self):
         spec = TermSpec(weight=(1, 4), den=(), seq=((sk.CB2, 3),),
@@ -341,6 +442,9 @@ class TestEulerTransform:
         assert cert is not None
         assert cert.R <= 1
         assert cert.q < Fraction(51, 100)
+        # q and R/2 rounded up once, by at most 2^-79 relative
+        for exact, up in ((cert.q, cert.q_up), (cert.R / 2, cert.half_R_up)):
+            assert exact <= dy(*up) <= exact * (1 + Fraction(1, 2 ** 79))
 
     def test_no_certificate(self):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.DOMB, 1),),
@@ -349,28 +453,22 @@ class TestEulerTransform:
             se.eval_series(spec, 20)
 
 
-def old_eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
+def old_eval_rhs(rhs: RHSForm, digits: int = 40) -> FBall:
     """eval_rhs as it was before the closed forms moved to fixed point:
     products and quotients of Fraction balls, every constant and square
     root at digits + 8.  The oracle of the fixed-point version."""
-    total = Ball.exact(0)
+    total = FBall.exact(0)
     for q, d, basis in rhs.addends:
-        part = Ball.exact(q)
+        part = FBall.exact(q)
         if d != 1:
-            part = part * se.sqrt_ball(d, digits + 8)
-        if basis == "PI":
-            part = part * se.constant("PI", digits + 8)
-        elif basis == "PI2":
-            pi = se.constant("PI", digits + 8)
+            part = part * fb(se.sqrt_ball(d, digits + 8))
+        if basis == "PI2":
+            pi = fb(se.constant("PI", digits + 8))
             part = part * pi * pi
         elif basis == "INV_PI":
-            part = part / se.constant("PI", digits + 8)
-        elif basis == "CATALAN_G":
-            part = part * se.constant("CATALAN_G", digits + 8)
-        elif basis == "K3":
-            part = part * se.constant("K3", digits + 8)
-        elif basis == "LOG3":
-            part = part * se.constant("LOG3", digits + 8)
+            part = part / fb(se.constant("PI", digits + 8))
+        elif basis != "ONE":
+            part = part * fb(se.constant(basis, digits + 8))
         total = total + part
     return total
 
@@ -381,7 +479,7 @@ def _registry_series():
             if e.kind == "SERIES" and e.series is not None}
 
 
-def _radius_within(ball: Ball, digits: int) -> bool:
+def _radius_within(ball: FBall, digits: int) -> bool:
     """rad < 10^-(digits+5) * max(1, |mid|), eval_rhs's radius contract
     for addends that do not cancel."""
     return ball.rad * 10 ** (digits + 5) < max(1, abs(ball.mid))
@@ -403,7 +501,8 @@ class TestFixedRHS:
         series = _registry_series()
         assert len(series) >= 238
         for ident, s in series.items():
-            new, old = se.eval_rhs(s.rhs, digits), old_eval_rhs(s.rhs, digits)
+            new = fb(se.eval_rhs(s.rhs, digits))
+            old = old_eval_rhs(s.rhs, digits)
             assert abs(new.mid - old.mid) <= new.rad + old.rad, ident
             assert _radius_within(new, digits), ident
 
@@ -412,7 +511,7 @@ class TestFixedRHS:
         # a negative q swaps the ends; d = 7 is not a square
         rhs = RHSForm(addends=((Fraction(-22, 7), 7, basis),))
         digits = 40
-        ball = se.eval_rhs(rhs, digits)
+        ball = fb(se.eval_rhs(rhs, digits))
         ref = mp_ref(f"mp.mpf(-22)/7 * mp.sqrt(7) * ({_BASIS_REFERENCES[basis]})")
         assert ball.contains(ref)
         assert ball.mid < 0 and _radius_within(ball, digits)
@@ -422,7 +521,7 @@ class TestFixedRHS:
                                (Fraction(-5), 3, "PI2"),
                                (Fraction(1, 9), 6, "INV_PI"),
                                (Fraction(-7, 4), 2, "LOG3")))
-        ball = se.eval_rhs(rhs, 60)
+        ball = fb(se.eval_rhs(rhs, 60))
         ref = mp_ref("mp.mpf(3)/2 - 5*mp.sqrt(3)*mp.pi**2"
                      " + mp.sqrt(6)/(9*mp.pi) - mp.mpf(7)/4*mp.sqrt(2)*mp.log(3)",
                      120)
@@ -431,8 +530,9 @@ class TestFixedRHS:
 
     def test_ball_is_dyadic(self):
         ball = se.eval_rhs(RHSForm(addends=((Fraction(1, 3), 5, "PI"),)), 30)
-        for x in (ball.mid, ball.rad):
-            assert x.denominator & (x.denominator - 1) == 0
+        # the sum of the interval ends at 2^-s, s = ceil(38 log2 10) + 8
+        assert ball.exp == 127 + 8 + 1
+        assert all(type(x) is int for x in (ball.mid, ball.rad, ball.exp))
         assert 0 < ball.rad
 
     def test_radius_check_raises(self, monkeypatch):
@@ -547,7 +647,8 @@ class TestWorkingDigits:
         series = _registry_series()["1.71"]
         rep = se.verify_series_identity(series, 30)
         work = 30 + 8 + 5
-        gap = se.eval_series(series.spec, 30) - se.eval_rhs(series.rhs, work)
+        gap = fb(se.eval_series(series.spec, 30)
+                 - se.eval_rhs(series.rhs, work))
         scale = 10 ** (work + 10)
         assert rep.gap_upper.denominator * scale % scale == 0
         assert 0 <= rep.gap_upper - gap.abs_upper() < Fraction(1, scale)
@@ -580,7 +681,7 @@ class TestSeriesDigits:
             lhs = se.eval_series(series.spec, work)
         except DivergentError:
             return "DivergentError"
-        gap = lhs - se.eval_rhs(series.rhs, work)
+        gap = fb(lhs - se.eval_rhs(series.rhs, work))
         if gap.abs_upper() * 10 ** (digits - 1) >= 1:
             return "FAIL"
         return "PASS" if series.proven else "CONSISTENT"
@@ -607,14 +708,14 @@ class TestSeriesDigits:
 class TestRHS:
     def test_eval_rhs(self):
         rhs = RHSForm(addends=((Fraction(3), 2, "INV_PI"),))
-        ball = se.eval_rhs(rhs, 40)
+        ball = fb(se.eval_rhs(rhs, 40))
         ref = mp_ref("3*mp.sqrt(2)/mp.pi")
         assert ball.contains(ref)
 
     def test_multi_addend(self):
         rhs = RHSForm(addends=((Fraction(8), 1, "ONE"),
                                (Fraction(-16), 1, "INV_PI")))
-        ball = se.eval_rhs(rhs, 35)
+        ball = fb(se.eval_rhs(rhs, 35))
         ref = mp_ref("8 - 16/mp.pi")
         assert ball.contains(ref)
 
@@ -649,6 +750,7 @@ class TestTermsUsed:
         rep = se.verify_series_identity(SeriesIdentity("t", spec, rhs), digits)
         (ball, work, stats), = seen
         assert rep.passed and rep.terms_used == stats["terms"]
+        ball = fb(ball)
         assert ball.rad < Fraction(1, 10 ** (work + 2))
         return ball, stats["terms"]
 
@@ -701,23 +803,23 @@ class TestFixedPoint:
             == term_oracle(spec, hi)
 
     @pytest.mark.parametrize("spec,expected", [
-        (CHUDNOVSKY,
-         lambda d: 426880 * se.sqrt_ball(10005, d) / se.constant("PI", d)),
-        (AUX5, lambda d: se.constant("K3", d)),
+        (CHUDNOVSKY, lambda d: 426880 * fb(se.sqrt_ball(10005, d))
+         / fb(se.constant("PI", d))),
+        (AUX5, lambda d: fb(se.constant("K3", d))),
     ], ids=["chudnovsky", "aux-5"])
     def test_direct_ball_holds_partial_sum(self, spec, expected):
         digits = 30
         stats: dict = {}
-        ball = se.eval_series(spec, digits, stats)
+        ball = fb(se.eval_series(spec, digits, stats))
         assert ball.rad < Fraction(1, 10 ** (digits + 2))
         partial = sum(term_oracle(spec, spec.k0 + stats["terms"] - 1))
         # every term is floored, so the midpoint sits below the partial sum
         # by less than the rounding part of the radius
-        _, err = se._fixed_point(stats["terms"], digits)
+        _, err = fixed_point(stats["terms"], digits)
         assert err <= Fraction(1, 32 * 10 ** (digits + 2))
         assert 0 <= partial - ball.mid < err
         N = spec.k0 + stats["terms"] - 1
-        assert ball.rad == se.tail_bound(spec, N) + err
+        assert ball.rad == fb(se.tail_bound(spec, N)).rad + err
         assert (ball - expected(digits + 5)).contains_zero()
 
     def test_euler_head(self):
@@ -725,14 +827,17 @@ class TestFixedPoint:
         cert = se._certificate(S12)
         assert cert.k_start == 1
         stats: dict = {}
-        ball = se.eval_series(S12, digits, stats)
+        ball = fb(se.eval_series(S12, digits, stats))
         assert ball.rad < Fraction(1, 10 ** (digits + 2))
         t = term_oracle(S12, stats["terms"] - 1)
         # one floor for the head, one per transformed term
-        _, err = se._fixed_point(stats["terms"], digits)
+        _, err = fixed_point(stats["terms"], digits)
         assert 0 <= t[0] + euler_partial(t[1:]) - ball.mid < err
-        assert ball.rad == se._euler_tail(cert, len(t) - 2) + err
-        assert (ball - 2 / se.constant("PI", digits + 5)).contains_zero()
+        tail = fb(stats["tail"]).rad
+        assert ball.rad == tail + err
+        assert_rounded_up(tail, fraction_euler_tail(
+            cert, fraction_wfall(cert, S12.weight), len(t) - 2))
+        assert (ball - 2 / fb(se.constant("PI", digits + 5))).contains_zero()
 
 
 def old_schedule(spec: TermSpec, digits: int):
@@ -743,14 +848,14 @@ def old_schedule(spec: TermSpec, digits: int):
     N = max(spec.k0, 4)
     while True:
         terms = N - spec.k0 + 1
-        s, err = se._fixed_point(terms, digits)
-        bound = se.tail_bound(spec, N)
+        s, err = fixed_point(terms, digits)
+        bound = fb(se.tail_bound(spec, N)).rad
         if bound < target - err:
             break
         N += max(8, N // 2)
     total = sum((num << s) // den
                 for num, den in terms_oracle(spec, spec.k0, N))
-    return Ball(Fraction(total, 1 << s), bound + err), terms
+    return FBall(Fraction(total, 1 << s), bound + err), terms
 
 
 def poly_at(p, k: int) -> Fraction:
@@ -761,7 +866,7 @@ def old_tail_bound(spec: TermSpec, N: int) -> Fraction:
     """tail_bound as it was before the crossover and the closed form were
     split out: the crossover found from max(N, k0, 1) on in Fractions, and
     the exact terms summed through term_value."""
-    poly, theta = se._spec_envelope(spec)
+    poly, theta = spec_envelope(spec)
     deg = len(poly) - 1
     rho = (1 + theta) / 2
     K = max(N, spec.k0, 1)
@@ -784,8 +889,8 @@ def exact_closed_bound(spec: TermSpec, digits: int, N: int):
     """The exact closed-form bound at N >= K0 if it is below the target
     less the rounding radius of N - k0 + 1 terms, else None: the check of
     _DirectSum._closed_bound before the tail was rounded to a dyadic."""
-    poly, theta = se._spec_envelope(spec)
-    _, err = se._fixed_point(N - spec.k0 + 1, digits)
+    poly, theta = spec_envelope(spec)
+    _, err = fixed_point(N - spec.k0 + 1, digits)
     bound = exact_closed_tail(poly, theta, N)
     return bound if bound < Fraction(1, 10 ** (digits + 2)) - err else None
 
@@ -815,7 +920,7 @@ def _direct_series():
     for e in corpus.load_default():
         if e.kind == "SERIES" and e.series is not None \
                 and e.ident not in slow \
-                and se._spec_envelope(e.series.spec)[1] < 1:
+                and spec_envelope(e.series.spec)[1] < 1:
             out.append(pytest.param(e.series.spec, id=e.ident))
     return out
 
@@ -824,10 +929,10 @@ def _checked_N(spec: TermSpec, digits: int, ball: Ball, terms: int) -> int:
     """Assert that the N behind ``ball`` passes the exact check and that
     the radius is exactly its tail bound plus the rounding part."""
     N = spec.k0 + terms - 1
-    _, err = se._fixed_point(terms, digits)
-    bound = se.tail_bound(spec, N)
+    _, err = fixed_point(terms, digits)
+    bound = fb(se.tail_bound(spec, N)).rad
     assert bound < Fraction(1, 10 ** (digits + 2)) - err
-    assert ball.rad == bound + err
+    assert fb(ball).rad == bound + err
     return N
 
 
@@ -841,17 +946,18 @@ class TestOneShotN:
             stats: dict = {}
             ball = se.eval_series(spec, digits, stats)
             want, want_terms = old_schedule(spec, digits)
-            assert abs(ball.mid - want.mid) <= ball.rad + want.rad
+            assert abs(fb(ball).mid - want.mid) <= fb(ball).rad + want.rad
             _checked_N(spec, digits, ball, stats["terms"])
             assert stats["terms"] <= want_terms
 
     @pytest.mark.parametrize("spec", [CHUDNOVSKY, AUX5, WZAG16],
                              ids=["chudnovsky", "aux-5", "wzag"])
     def test_tail_bound_matches_old(self, spec):
-        poly, theta = se._spec_envelope(spec)
+        poly, theta = spec_envelope(spec)
         K0 = se._crossover(poly, theta, max(spec.k0, 1))
         for N in [*range(spec.k0, K0 + 3), 2 * K0 + 5, 60]:
-            assert_rounded_up(se.tail_bound(spec, N), old_tail_bound(spec, N))
+            assert_rounded_up(fb(se.tail_bound(spec, N)).rad,
+                              old_tail_bound(spec, N))
 
     # a fast series (crossover 1), aux-5 (k0 = 1, denominators) and a WZAG
     # series (degree-10 envelope, crossover 13)
@@ -890,9 +996,9 @@ class TestOneShotN:
         stats: dict = {}
         ball = se.eval_series(spec, digits, stats)
         N = _checked_N(spec, digits, ball, stats["terms"])
-        assert ball == direct_oracle(spec, digits, stats["terms"])
-        assert ball.contains(sum(se.term_value(spec, k)
-                                 for k in range(spec.k0, N + 1)))
+        assert fb(ball) == direct_oracle(spec, digits, stats["terms"])
+        assert fb(ball).contains(sum(se.term_value(spec, k)
+                                     for k in range(spec.k0, N + 1)))
 
     def test_below_crossover(self):
         # 1/((k+1) 10^(20k)): theta = 10^-20, crossover K0 = 1.  At 10
@@ -900,19 +1006,19 @@ class TestOneShotN:
         # bounds the tail, and the ball holds the exact sum
         spec = TermSpec(weight=(1,), den=(("k+1", 1),), seq=(),
                         m=Fraction(10 ** 20))
-        poly, theta = se._spec_envelope(spec)
+        poly, theta = spec_envelope(spec)
         assert se._crossover(poly, theta, 1) == 1
-        assert se.tail_bound(spec, 0) < Fraction(1, 10 ** 12)
+        assert fb(se.tail_bound(spec, 0)).rad < Fraction(1, 10 ** 12)
         stats: dict = {}
         ball = se.eval_series(spec, 10, stats)
         assert stats["terms"] == 2
         assert _checked_N(spec, 10, ball, 2) == 1
-        assert ball == direct_oracle(spec, 10, 2)
+        assert fb(ball) == direct_oracle(spec, 10, 2)
         # sum 10^(-20k)/(k+1) = -10^20 log(1 - 10^-20), bracketed by its
         # first terms and a geometric tail
         x = Fraction(1, 10 ** 20)
         head = 1 + x / 2 + x * x / 3
-        assert ball.contains(head) and ball.contains(head + x ** 3)
+        assert fb(ball).contains(head) and fb(ball).contains(head + x ** 3)
 
     def test_one_exact_check(self, monkeypatch):
         # the estimate is right for Chudnovsky's series: one closed-form
@@ -925,8 +1031,8 @@ class TestOneShotN:
         stats: dict = {}
         se.eval_series(CHUDNOVSKY, 60, stats)
         assert calls == [stats["terms"] - 1]
-        poly, theta = se._spec_envelope(CHUDNOVSKY)
-        assert_rounded_up(stats["tail"],
+        poly, theta = spec_envelope(CHUDNOVSKY)
+        assert_rounded_up(fb(stats["tail"]).rad,
                           exact_closed_tail(poly, theta, calls[0]))
 
 
@@ -935,22 +1041,25 @@ class TestStats:
         stats: dict = {}
         ball = se.eval_series(AUX5, 30, stats)
         assert stats["path"] == "direct"
-        assert stats["theta"] == se._spec_envelope(AUX5)[1] < 1
+        assert stats["theta"] == spec_envelope(AUX5)[1] < 1
         N = AUX5.k0 + stats["terms"] - 1
         assert stats["tail"] == se.tail_bound(AUX5, N)
-        assert ball.rad == stats["tail"] + se._fixed_point(stats["terms"],
-                                                           30)[1]
+        assert fb(ball).rad == fb(stats["tail"]).rad \
+            + fixed_point(stats["terms"], 30)[1]
 
     def test_euler(self):
         stats: dict = {}
         ball = se.eval_series(S12, 20, stats)
         assert stats["path"] == "euler"
-        assert stats["theta"] == se._spec_envelope(S12)[1] >= 1
+        assert stats["theta"] == spec_envelope(S12)[1] >= 1
         # one head term before k_start = 1, then N + 1 transformed terms
         N = stats["terms"] - 2
-        assert stats["tail"] == se._euler_tail(se._certificate(S12), N)
-        assert ball.rad == stats["tail"] + se._fixed_point(stats["terms"],
-                                                           20)[1]
+        cert = se._certificate(S12)
+        assert stats["tail"] == se._radius([se._euler_tail(
+            cert, se._falling_weights(cert, [4, -1]),
+            se._dyadic_up(*(cert.mass / 2).as_integer_ratio()), N)])
+        assert fb(ball).rad == fb(stats["tail"]).rad \
+            + fixed_point(stats["terms"], 20)[1]
 
 
 class TestPrintedResults:
@@ -958,7 +1067,7 @@ class TestPrintedResults:
     pinned: a tail bound that is rounded up must not move them."""
 
     @pytest.mark.parametrize("ident, digits, terms, gap", [
-        ("5.13", 12, 311, "1e-13"),    # theta with the 10^8-guard parts
+        ("5.13", 12, 311, "1e-14"),    # theta with the 10^8-guard parts
         ("II3p", 15, 706, "1e-17"),
         ("aux-5", 40, 84, "1e-42"),
     ])
@@ -1079,7 +1188,7 @@ class TestCutColumns:
         for digits in (12, 40):
             stats: dict = {}
             ball = se.eval_series(spec, digits, stats)
-            assert ball == direct_oracle(spec, digits, stats["terms"])
+            assert fb(ball) == direct_oracle(spec, digits, stats["terms"])
         assert seen["cut"]
         if guard == 2 and falls_back:
             assert seen["exact"]
@@ -1092,8 +1201,8 @@ class TestCutColumns:
         seen = self._spy(monkeypatch, 2)
         got = se.eval_weighted(spec, weights, 40)
         for weight, (ball, info) in zip(weights, got):
-            assert ball == direct_oracle(replace(spec, weight=weight), 40,
-                                         info["terms"])
+            assert fb(ball) == direct_oracle(replace(spec, weight=weight), 40,
+                                             info["terms"])
         assert seen["cut"] and seen["exact"]
 
     def test_cut_keeps_signs_and_relative_error(self, monkeypatch):
@@ -1167,62 +1276,102 @@ def pascal_weights(N: int) -> list:
     return A
 
 
-def fraction_euler_tail(cert, N: int):
-    """The Euler tail bound in Fraction arithmetic, one addend at a time:
-    the oracle of se._euler_tail's integer sum."""
+def fraction_wfall(cert, weight) -> list:
+    """|w_s|, the falling-factorial coefficients of
+    W'(j) = weight(j + k_start) extra(j + k_start), in Fractions: the
+    per-weight part of the Euler certificate as sereval built it before
+    it moved to integers over the weight's denominator."""
+    wp = [Fraction(0)] * (len(weight) + len(cert.extra) - 1)
+    for i, a in enumerate(weight):
+        for j, b in enumerate(cert.extra):
+            wp[i + j] += Fraction(a) * b
+    shifted = [sum(a * comb(d, s) * cert.k_start ** (d - s)
+                   for d, a in enumerate(wp) if d >= s)
+               for s in range(len(wp))]
+    S2 = se._stirling2(len(wp) - 1)
+    return [abs(sum(shifted[d] * S2[d][s] for d in range(s, len(wp))))
+            for s in range(len(wp))]
+
+
+def fraction_euler_tail(cert, wfall, N: int, q=None, half_R=None,
+                        half_mass=None):
+    """The Euler tail bound in Fraction arithmetic, one addend at a time,
+    from the exact q, R/2 and mass/2 of ``cert`` unless others are given:
+    the oracle of se._euler_tail's upward-rounded dyadic."""
+    q = cert.q if q is None else q
+    half_R = cert.R / 2 if half_R is None else half_R
+    half_mass = cert.mass / 2 if half_mass is None else half_mass
     total = Fraction(0)
-    for s, ws in enumerate(cert.wfall):
+    for s, ws in enumerate(wfall):
         if ws == 0:
             continue
         if N + 1 < s or N + 2 - s <= 0:
             return None
-        rho = cert.q * Fraction(N + 2, N + 2 - s)
+        rho = q * Fraction(N + 2, N + 2 - s)
         if rho >= 1:
             return None
-        first = se._falling(N + 1, s) * cert.q ** (N + 1 - s)
-        total += ws * (cert.R / 2) ** s * first / (1 - rho)
-    return cert.mass / 2 * total
+        first = se._falling(N + 1, s) * q ** (N + 1 - s)
+        total += ws * half_R ** s * first / (1 - rho)
+    return half_mass * total
 
 
-def exact_euler_N(cert, digits: int, floors: int):
+def exact_euler_N(cert, wfall, digits: int, floors: int):
     """The N loop of the Euler path with the exact tail bound at every
-    candidate, as it was before the float screen."""
+    candidate, as it was before the tail was rounded to a dyadic."""
     target = Fraction(1, 10 ** (digits + 2))
-    N = 16 + 8 * len(cert.wfall)
+    N = 16 + 8 * len(wfall)
     while True:
-        s, err = se._fixed_point(N + 1 + floors, digits)
-        tail = fraction_euler_tail(cert, N)
+        s, err = fixed_point(N + 1 + floors, digits)
+        tail = fraction_euler_tail(cert, wfall, N)
         if tail is not None and tail < target - err:
             return N, s, err, tail
         N += max(16, N // 4)
 
 
 def euler_oracle(spec: TermSpec, digits: int):
-    """The Euler-path ball and term count as the per-term code gave them:
-    the exact N loop, the Pascal weights and one term at a time."""
+    """The Euler-path ball, term count and rounding radius as the
+    per-term code gave them: the exact N loop, the Pascal weights and one
+    term at a time; the radius has the exact tail bound."""
     cert = se._certificate(spec)
     floors = 1 if cert.k_start > spec.k0 else 0
-    N, s, err, tail = exact_euler_N(cert, digits, floors)
+    wfall = fraction_wfall(cert, spec.weight)
+    N, s, err, tail = exact_euler_N(cert, wfall, digits, floors)
     head = sum((se.term_value(spec, k) for k in range(spec.k0, cert.k_start)),
                Fraction(0))
     total = (head.numerator << s) // head.denominator
     terms = terms_oracle(spec, cert.k_start, cert.k_start + N)
     for a, (num, den) in zip(pascal_weights(N), terms):
         total += ((a * num) << s) // (den << (N + 1))
-    return (Ball(Fraction(total, 1 << s), tail + err),
-            cert.k_start - spec.k0 + N + 1)
+    return (FBall(Fraction(total, 1 << s), tail + err),
+            cert.k_start - spec.k0 + N + 1, err)
 
 
-def direct_oracle(spec: TermSpec, digits: int, terms: int) -> Ball:
+def direct_oracle(spec: TermSpec, digits: int, terms: int) -> FBall:
     """The direct-path ball at the N behind ``terms``, summed one term at a
     time; N must pass the exact check."""
     N = spec.k0 + terms - 1
-    s, err = se._fixed_point(terms, digits)
-    bound = se.tail_bound(spec, N)
+    s, err = fixed_point(terms, digits)
+    bound = fb(se.tail_bound(spec, N)).rad
     assert bound < Fraction(1, 10 ** (digits + 2)) - err
     total = sum((num << s) // den
                 for num, den in terms_oracle(spec, spec.k0, N))
-    return Ball(Fraction(total, 1 << s), bound + err)
+    return FBall(Fraction(total, 1 << s), bound + err)
+
+
+def euler_parts(spec: TermSpec):
+    """The certificate, the integer falling weights and the rounded-up
+    mass / (2 wden) that se._euler_tail takes for ``spec``'s weight."""
+    cert = se._certificate(spec)
+    weight, wden = se._integer_weight(spec.weight)
+    mn, md = cert.mass.as_integer_ratio()
+    return (cert, se._falling_weights(cert, weight),
+            se._dyadic_up(mn, 2 * md * wden), wden)
+
+
+#: the registry series on the Euler path that have a certificate
+EULER_SPECS = [p for p in _registry_specs()
+               if spec_envelope(p.values[0])[1] >= 1
+               and se._certificate(p.values[0]) is not None]
 
 
 class TestColumnOracles:
@@ -1246,10 +1395,15 @@ class TestColumnOracles:
         except DivergentError:
             assert se._certificate(spec) is None
             return
+        got = fb(ball)
         if stats["path"] == "direct":
-            assert ball == direct_oracle(spec, digits, stats["terms"])
-        else:
-            assert (ball, stats["terms"]) == euler_oracle(spec, digits)
+            assert got == direct_oracle(spec, digits, stats["terms"])
+            return
+        # the same N and midpoint, and a tail bound rounded up from the
+        # exact one: the balls overlap, and the new one holds the old
+        want, terms, err = euler_oracle(spec, digits)
+        assert stats["terms"] == terms and got.mid == want.mid
+        assert_rounded_up(got.rad - err, want.rad - err)
 
     @pytest.mark.parametrize("spec", _registry_specs())
     def test_balls_at_12_digits(self, spec):
@@ -1270,14 +1424,14 @@ class TestColumnOracles:
 
     @pytest.mark.parametrize("spec", [
         p for p in _registry_specs()
-        if se._spec_envelope(p.values[0])[1] < 1])
+        if spec_envelope(p.values[0])[1] < 1])
     def test_cut_columns_give_the_exact_floors(self, spec, monkeypatch):
         # every direct-path series, the slow ones too, whose long columns
         # are cut; a 2-bit guard sends many terms to the exact fallback
         for digits in (12, 20, 40):
             stats: dict = {}
             ball = se.eval_series(spec, digits, stats)
-            assert ball == direct_oracle(spec, digits, stats["terms"])
+            assert fb(ball) == direct_oracle(spec, digits, stats["terms"])
             with monkeypatch.context() as mp:
                 mp.setattr(se, "_GUARD", 2)
                 low: dict = {}
@@ -1293,29 +1447,42 @@ class TestColumnOracles:
         for N in (0, 1, 2, 17, 113, 300):
             assert se._euler_weights(N) == pascal_weights(N)
 
-    @pytest.mark.parametrize("spec", [
-        p for p in _registry_specs()
-        if se._spec_envelope(p.values[0])[1] >= 1
-        and se._certificate(p.values[0]) is not None])
+    @pytest.mark.parametrize("spec", EULER_SPECS)
     def test_euler_tail_equals_fraction_sum(self, spec):
-        cert = se._certificate(spec)
-        for N in [*range(0, 12), *range(12, 400, 13)]:
-            assert se._euler_tail(cert, N) == fraction_euler_tail(cert, N)
-        # with R = 0 every addend s > 0 is 0
-        flat = replace(cert, R=Fraction(0))
-        for N in (0, 1, 40):
-            assert se._euler_tail(flat, N) == fraction_euler_tail(flat, N)
+        """The dyadic tail is the Fraction sum rounded up: at least the sum
+        with q, R/2 and mass/(2 wden) rounded up exactly as the code rounds
+        them, within 2^-50 of it, and so within 2^-50 of the exact sum."""
+        cert, wfall, scale, wden = euler_parts(spec)
+        assert [Fraction(w, wden) for w in wfall] \
+            == fraction_wfall(cert, spec.weight)
+        rounded = dict(q=dy(*cert.q_up), half_R=dy(*cert.half_R_up),
+                       half_mass=dy(*scale) * wden)
+        exact_wfall = fraction_wfall(cert, spec.weight)
+        for flat in (False, True):
+            if flat:
+                # with R = 0 every addend s > 0 is 0
+                cert = cert._replace(R=Fraction(0), half_R_up=(0, 0))
+                rounded["half_R"] = 0
+            for N in [*range(0, 12), *range(12, 400, 13)]:
+                got = se._euler_tail(cert, wfall, scale, N)
+                want = fraction_euler_tail(cert, exact_wfall, N, **rounded)
+                exact = fraction_euler_tail(cert, exact_wfall, N)
+                assert (got is None) == (want is None) == (exact is None)
+                if got is not None:
+                    assert_rounded_up(dy(*got), want)
+                    assert_rounded_up(dy(*got), exact)
 
-    @pytest.mark.parametrize("spec", [
-        p for p in _registry_specs()
-        if se._spec_envelope(p.values[0])[1] >= 1
-        and se._certificate(p.values[0]) is not None])
+    @pytest.mark.parametrize("spec", EULER_SPECS)
     def test_euler_N_equals_exact_loop(self, spec):
-        cert = se._certificate(spec)
+        cert, wfall, scale, _ = euler_parts(spec)
         floors = 1 if cert.k_start > spec.k0 else 0
-        for digits in (12, 15, 20, 30, 40):
-            assert se._euler_N(cert, digits, floors) \
-                == exact_euler_N(cert, digits, floors)
+        exact_wfall = fraction_wfall(cert, spec.weight)
+        for digits in (*range(1, 81), 100, 150):
+            N, tail = se._euler_N(cert, wfall, scale, digits, floors)
+            want, _, _, exact = exact_euler_N(cert, exact_wfall, digits,
+                                              floors)
+            assert N == want, digits
+            assert_rounded_up(dy(*tail), exact)
 
     @pytest.mark.parametrize("spec", [CHUDNOVSKY, AUX5, WZAG16],
                              ids=["chudnovsky", "aux-5", "wzag"])
@@ -1328,7 +1495,7 @@ class TestColumnOracles:
                 got = d._closed_bound(N)
                 assert (got is None) == (want is None)
                 if want is not None:
-                    assert_rounded_up(got, want)
+                    assert_rounded_up(dy(*got), want)
 
     def test_dyadic_rounding_is_upward_and_tight(self):
         # values from 2^-300 to 2^160, so that the exponents e of m 2^-e
@@ -1338,24 +1505,25 @@ class TestColumnOracles:
             for b in (1, 3, 10 ** 40 + 7, 2 ** 300 - 1):
                 x = Fraction(a ** 20 + 1, b)
                 m, e = se._dyadic_up(x.numerator, x.denominator)
-                got = se._dyadic_fraction(m, e)
+                got = dy(m, e)
                 assert x <= got <= x * (1 + rel)
-                y = se._dyadic_fraction(*se._mul_up(m, e, m, e))
+                y = dy(*se._mul_up(m, e, m, e))
                 assert got ** 2 <= y <= got ** 2 * (1 + rel)
                 n = (1, 2, 3, 17, 64)[a % 5]
-                p = se._dyadic_fraction(*se._pow_up(m, e, n))
+                p = dy(*se._pow_up(m, e, n))
                 assert got ** n <= p <= got ** n * (1 + rel) ** (2 * n)
 
     @pytest.mark.parametrize("spec", [
         p for p in _registry_specs()
-        if se._spec_envelope(p.values[0])[1] < 1])
+        if spec_envelope(p.values[0])[1] < 1])
     def test_dyadic_tail_above_exact(self, spec):
         """For every direct-path registry series and N in [k0, K0+3] and
         at 2 K0 + 5 and 60: exact <= tail_bound <= exact (1 + 2^-50),
-        where below the crossover both add the same exact terms.  Each
-        tail_bound below K0 sums the exact terms N+1..K0 afresh, so past
-        64 such N (w2 has K0 = 514) only k0, K0/2 and K0 - 1 are taken."""
-        poly, theta = se._spec_envelope(spec)
+        where below the crossover the bound rounds each exact |term| up.
+        Each tail_bound below K0 builds the exact terms N+1..K0 afresh, so
+        past 64 such N (w2 has K0 = 514) only k0, K0/2 and K0 - 1 are
+        taken."""
+        poly, theta = spec_envelope(spec)
         K0 = se._crossover(poly, theta, max(spec.k0, 1))
         # below[N] = the exact bound at N < K0: the closed form at K0 plus
         # |term(k)| for N < k <= K0
@@ -1367,7 +1535,9 @@ class TestColumnOracles:
             else (spec.k0, K0 // 2, K0 - 1)
         for N in [*lower, *range(K0, K0 + 4), 2 * K0 + 5, 60]:
             exact = below[N] if N < K0 else exact_closed_tail(poly, theta, N)
-            assert_rounded_up(se.tail_bound(spec, N), exact)
+            bound = se.tail_bound(spec, N)
+            assert bound.mid == 0
+            assert_rounded_up(fb(bound).rad, exact)
 
 
 def test_soundness_checks_survive_python_O():
@@ -1448,7 +1618,7 @@ class TestGrowthConstants:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(se, "eval_series", counted)
-        monkeypatch.setattr(se, "_CONST_CACHE", {})
+        monkeypatch.setattr(se, "_CONST_FIXED", {})
         for name in ("PI", "CATALAN_G", "LOG3"):
             se.constant(name, 30)
         assert calls == []
