@@ -452,10 +452,14 @@ def _case(text: str, line: int) -> qf.QuadFormCase:
         raise CorpusError(f"bad representation {parts[1]!r}", line)
     norm, _, sign = parts[2].partition(":")
     x2, xy, p_coef = _template(parts[3], line)
-    return qf.QuadFormCase(guard, mu=int(m.group("mu") or 1),
-                           a=int(m.group("a") or 1), d=int(m.group("d") or 1),
-                           norm=norm, sign=sign or "NONE",
-                           x2=x2, xy=xy, p_coef=p_coef)
+    try:
+        return qf.QuadFormCase(guard, mu=int(m.group("mu") or 1),
+                               a=int(m.group("a") or 1),
+                               d=int(m.group("d") or 1), norm=norm,
+                               sign=sign or "NONE", x2=x2, xy=xy,
+                               p_coef=p_coef)
+    except ValueError as exc:
+        raise CorpusError(str(exc), line) from None
 
 
 #: (arity, wording) of each kind of family parameters
@@ -689,6 +693,9 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
         raise CorpusError(f"entry {ident}: bad modulus {mod!r}",
                           line_of("mod") if "mod" in raw else None)
     s = int(m.group(1))
+    if s < 1:
+        raise CorpusError(f"entry {ident}: modulus {mod!r} has exponent"
+                          f" below 1", line_of("mod"))
     min_p = _integer(get("minp"), line_of("minp")) if "minp" in raw else 5
     exclude = tuple(_integer(x, line_of("exclude"))
                     for x in get("exclude", "").split(",") if x.strip())

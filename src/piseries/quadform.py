@@ -257,17 +257,6 @@ def dispatch(table: QuadFormTable, p: int) -> DispatchResult:
     return DispatchResult(p, values.pop(), case_index=idx, den=case.den)
 
 
-def _residue(num: int, den: int, p: int) -> Optional[int]:
-    """num / den mod p^2, or None when p divides the denominator of the
-    reduced fraction; the common factors p of num and den cancel first."""
-    while den % p == 0 and num % p == 0:
-        num, den = num // p, den // p
-    if den % p == 0:
-        return None
-    p2 = p * p
-    return num * pow(den, -1, p2) % p2
-
-
 @dataclass(frozen=True)
 class QuadFormClaim:
     """Truncated sum congruent mod p^2 to the table value."""
@@ -294,7 +283,9 @@ def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
             continue
         factor = chars.value(chars.product(table.sym_factor), p) \
             if table.sym_factor else 1
-        rhs = _residue(factor * res.num, res.den, p)
+        rhs = cg._residue(factor * res.num, res.den, p, 2)
+        if rhs == cg.NONINTEGRAL:
+            rhs = None
         if rhs is None or sums[p] != rhs:
             report.failures.append((p, sums[p], rhs))
     return report

@@ -10,10 +10,11 @@ differences of balls are exact, as the parts are aligned at the finer
 exponent by shifts, and :meth:`Ball.interval` reads a ball at a coarser
 scale with its ends rounded outward, so no operation loses an enclosure.
 ``Fraction`` stays only for exact rationals that no ball holds: the
-weights, m and the closed forms' coefficients, the envelope ratio theta,
-the Euler path's moment boxes, R, mass and q (q, R/2 and mass/2 are
-rounded up to dyadics once per certificate), :func:`term_value` and the
-printed gap bound of :func:`verify_series_identity`.
+weights, m and the closed forms' coefficients, the factor table's growths
+and moment boxes, the envelope ratio theta (which is also the Euler
+certificate's radius R), the certificate's box, mass and q (q, R/2 and
+mass/2 are rounded up to dyadics once per certificate), :func:`term_value`
+and the printed gap bound of :func:`verify_series_identity`.
 
 A series is summed in fixed point, as integers scaled by 2^s.  One
 builder, :func:`_term_columns`, gives the terms k = lo..hi as two columns
@@ -61,7 +62,10 @@ the moment sums of :func:`eval_weighted` share it.  A boundary-ratio
 series takes the Euler transform (:class:`_EulerSum`) from the same pass:
 its weights are suffix sums of one binomial row, its weight-free moment
 certificate is built once per :func:`eval_weighted` call, and its N is the
-first candidate whose dyadic tail bound passes.
+first candidate whose dyadic tail bound passes.  Both paths read one
+table of term factors (:class:`_Factor`): a factor's growth bound enters
+the envelope, its moment box the certificate, and the certificate takes
+its radius R = theta and its polynomial cofactor from the envelope.
 
 Closed forms are evaluated in fixed point as well.  :func:`eval_rhs` keeps
 each addend q sqrt(d) basis as an integer interval lo <= value * 2^s <= hi:
@@ -351,7 +355,6 @@ _AFFINE = {
     "4k-1": (4, -1), "4k+1": (4, 1),
     "6k-1": (6, -1),
 }
-_DEN_BINOMIAL = {"CB2", "CB3", "CB4"}
 
 
 @dataclass(frozen=True)
@@ -373,7 +376,7 @@ class TermSpec:
             raise ValueError(f"weight needs 1 to 4 coefficients, "
                              f"got {len(self.weight)}")
         for tag, e in self.den:
-            if tag not in _AFFINE and tag not in _DEN_BINOMIAL:
+            if tag not in _DEN:
                 raise ValueError(f"unknown denominator factor {tag!r}")
             if e < 1:
                 raise ValueError(f"exponent {e} of {tag!r} is below 1")
@@ -521,7 +524,7 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
     weight, wden = _integer_weight(spec.weight)
     seq = [(seqkit.rows(kind, hi), e) for kind, e in spec.seq]
     binom = [(seqkit.rows(SequenceKind(tag), hi), e)
-             for tag, e in spec.den if tag in _DEN_BINOMIAL]
+             for tag, e in spec.den if tag not in _AFFINE]
     affine = [(*_AFFINE[tag], e) for tag, e in spec.den if tag in _AFFINE]
     # from this k on every affine factor is positive; before it den may not be
     positive = max((-((c0 - 1) // c1) for c1, c0, _ in affine), default=0)
@@ -591,53 +594,80 @@ def term_value(spec: TermSpec, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-# ---- growth bounds -------------------------------------------------------
+# ---- term factors: growth bounds and moment boxes -------------------------
+#
+# Every factor f(k) of a term but the weight and m^-k (a sequence of
+# ``spec.seq``, or the reciprocal of a factor of ``spec.den``) is described
+# once, by a :class:`_Factor`: a growth bound
+#     |f(k)| <= poly(k) g^k / den                   for k >= 1,
+# which the direct path's envelope multiplies out (:func:`_base_envelope`),
+# and, for the factors that have one, a moment representation
+#     f(k) = poly(k) E[eta^k],   eta in ``box()``,  |eta| <= g,
+# where E integrates against a positive measure of mass at most 1 and eta
+# lies in a rectangle of the complex plane with rational corners:
+#     C(2k,k)       = E[(4x)^k]                  (arcsine measure on [0,1])
+#     C(2k,k)/(k+1) = E[(4xy)^k]                 (times the mass-1 E[y^k])
+#     1/(a*k+b)     = E[y^k] with mass 1/(a*k0+b) (power measure, y = v^a)
+#     1/C(2k,k)     = (2k+1) * E[(x(1-x))^k]      (Beta integral)
+#     1/C(3k,k)     = (3k+1) * E[(x^2(1-x))^k]
+#     1/C(4k,2k)    = (4k+1) * E[(x(1-x))^(2k)]
+#     T_k(b,c), c>0 = E[(b + 2 sqrt(c) cos t)^k]
+#     T_k(b,c), c<0 = E[(b + 2 i sqrt(|c|) cos t)^k]
+#     g_k(x), x<0   = E[eta^k], Re eta in [1+4x, 1], |Im eta| <= 4 sqrt(|x|)
+# (the last one combines sum_j C(k,j)^2 y^j = (1-y)^k P_k((1+y)/(1-y)) with
+# the Laplace integral for the Legendre polynomial P_k).  The power
+# measure's mass is set by :func:`_certificate`, which knows k0.  As each
+# eta is at most the growth g of its factor in modulus, the envelope ratio
+# theta, the product of the growths over |m|, bounds |eta| for the whole
+# term, and the Euler certificate takes it as its radius R.
 
-@lru_cache(maxsize=1024)
-def _kind_growth(kind: SequenceKind) -> Fraction:
-    """A rational g with |a_k| <= g^k for all k >= 0 (proved termwise).
-    It depends on the kind alone, so it is memoised per kind."""
-    tag = kind.tag
-    if tag == "GCT":
-        b, c = kind.params
-        if c < 0:
-            # |T_k(b,c)| = |D^(k/2) P_k(b/sqrt D)| <= sqrt(D)^k, D = b^2-4c
-            return _sqrt_frac_up(Fraction(b * b - 4 * c))
-        return abs(b) + 2 * _sqrt_frac_up(Fraction(c))
-    if tag == "GCT2":
-        return _kind_growth(SequenceKind("GCT", kind.params)) ** 2
-    if tag in ("CB2", "CB2SHIFT", "CATALAN"):
-        return Fraction(4)
-    if tag == "CB3":
-        return Fraction(27, 4)
-    if tag == "CB4":
-        return Fraction(16)
-    if tag == "CB63":
-        return Fraction(64)
-    if tag == "SBC":
-        # S_k(b,c) <= C(2k,k) g^k <= (4g)^k
-        return 4 * _kind_growth(SequenceKind("GCT", kind.params))
-    if tag == "DOMB":
-        return Fraction(16)
-    if tag == "FRANEL":
-        return Fraction(8)
-    if tag == "FRANEL4":
-        return Fraction(16)
-    if tag == "GSEQ":
-        return Fraction(9)
-    if tag == "GPOLY":
-        (x,) = kind.params
-        if x < 0:
-            # |g_k(x)| <= (1+4|x|)^k via the Legendre integral representation
-            return Fraction(1 - 4 * x)
-        return (1 + 2 * _sqrt_frac_up(Fraction(x))) ** 2
-    if tag == "ZAGIER":
-        return Fraction(8)
-    if tag == "BETA":
-        return Fraction(16)
-    if tag == "WZAG":
-        return Fraction(6)
-    raise DivergentError(f"no growth bound for sequence kind {kind}")
+@dataclass(frozen=True)
+class _CBox:
+    """Axis-aligned rectangle in the complex plane with rational corners."""
+
+    re_lo: Fraction
+    re_hi: Fraction
+    im_lo: Fraction = Fraction(0)
+    im_hi: Fraction = Fraction(0)
+
+
+def _imul(al, ah, bl, bh) -> Tuple[Fraction, Fraction]:
+    if not (al or ah) or not (bl or bh):
+        # a zero interval, as every imaginary part of a real box is
+        return Fraction(0), Fraction(0)
+    vals = (al * bl, al * bh, ah * bl, ah * bh)
+    return min(vals), max(vals)
+
+
+def _box_mul(a: _CBox, b: _CBox) -> _CBox:
+    pl, ph = _imul(a.re_lo, a.re_hi, b.re_lo, b.re_hi)
+    ql, qh = _imul(a.im_lo, a.im_hi, b.im_lo, b.im_hi)
+    rl, rh = _imul(a.re_lo, a.re_hi, b.im_lo, b.im_hi)
+    sl, sh = _imul(a.im_lo, a.im_hi, b.re_lo, b.re_hi)
+    return _CBox(pl - qh, ph - ql, rl + sl, rh + sh)
+
+
+def _box_pow(a: _CBox, e: int) -> _CBox:
+    out = _CBox(Fraction(1), Fraction(1))
+    for _ in range(e):
+        out = _box_mul(out, a)
+    return out
+
+
+def _box_scale(a: _CBox, s: Fraction) -> _CBox:
+    if s >= 0:
+        return _CBox(a.re_lo * s, a.re_hi * s, a.im_lo * s, a.im_hi * s)
+    return _CBox(a.re_hi * s, a.re_lo * s, a.im_hi * s, a.im_lo * s)
+
+
+def _rbox(lo, hi) -> _CBox:
+    return _CBox(Fraction(lo), Fraction(hi))
+
+
+def _cbox(re_lo, re_hi, im_sq) -> _CBox:
+    """[re_lo, re_hi] x [-r, r] with r = sqrt(im_sq) rounded up."""
+    r = _sqrt_frac_up(Fraction(im_sq))
+    return _CBox(Fraction(re_lo), Fraction(re_hi), -r, r)
 
 
 def _poly_mul(a: Sequence, b: Sequence) -> list:
@@ -648,53 +678,109 @@ def _poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-#: (k+1)(k+2)...(k+9) in integer coefficients, low -> high
-_WZAG_BINOM = reduce(_poly_mul, ([i, 1] for i in range(1, 10)), [1])
+class _Factor(NamedTuple):
+    """A term factor's growth g, the function that builds its moment box
+    (None when it has no moment representation; only the Euler path reads
+    a box, so none is built for the direct path) and its integer
+    polynomial poly / den, low -> high; den is 1 when there is a box."""
 
-#: reciprocal denominator binomial -> (its polynomial numerator, low ->
-#: high, and its growth g): 1/C(2k,k) <= (2k+1)/4^k,
-#: 1/C(3k,k) <= (3k+1)(4/27)^k and 1/C(4k,2k) <= (4k+1)/16^k
-_DEN_ENVELOPE = {"CB2": ((1, 2), Fraction(4)),
-                 "CB3": ((1, 3), Fraction(27, 4)),
-                 "CB4": ((1, 4), Fraction(16))}
+    g: Fraction
+    box: Optional[Callable[[], _CBox]] = None
+    poly: Tuple[int, ...] = (1,)
+    den: int = 1
+
+
+def _wzag() -> _Factor:
+    """|w_k| <= (28/45) C(k+9,9) sqrt(27)^(k-1) for k >= 1: write
+    v_k = (w_k, w_{k-1}); the one-step matrices converge to
+    M = [[9,-27],[1,0]] with complex eigenvalues of modulus sqrt(27), and
+    in the norm adapted to M each step has norm at most sqrt(27) + 46/(k+1),
+    whose product telescopes into this binomial-coefficient envelope."""
+    s = _sqrt_frac_up(Fraction(27))
+    c = Fraction(28, 45) / (s * 362880)
+    binom = reduce(_poly_mul, ([i, 1] for i in range(1, 10)), [1])
+    return _Factor(s, None, tuple(c.numerator * x for x in binom),
+                   c.denominator)
+
+
+#: sequence tag -> the factor of a kind without parameters
+_SEQ = {
+    "CB2": _Factor(Fraction(4), partial(_rbox, 0, 4)),
+    "CATALAN": _Factor(Fraction(4), partial(_rbox, 0, 4)),
+    "CB2SHIFT": _Factor(Fraction(4)), "CB3": _Factor(Fraction(27, 4)),
+    "CB4": _Factor(Fraction(16)), "CB63": _Factor(Fraction(64)),
+    "DOMB": _Factor(Fraction(16)), "FRANEL": _Factor(Fraction(8)),
+    "FRANEL4": _Factor(Fraction(16)), "GSEQ": _Factor(Fraction(9)),
+    "ZAGIER": _Factor(Fraction(8)), "BETA": _Factor(Fraction(16)),
+    "WZAG": _wzag(),
+}
+
+#: denominator factor tag -> the factor of its reciprocal: an affine factor
+#: (``_AFFINE``) is >= 1 in modulus wherever it is nonzero, and
+#: 1/C(2k,k) <= (2k+1)/4^k, 1/C(3k,k) <= (3k+1)(4/27)^k and
+#: 1/C(4k,2k) <= (4k+1)/16^k
+_DEN = {
+    **dict.fromkeys(_AFFINE, _Factor(Fraction(1), partial(_rbox, 0, 1))),
+    "CB2": _Factor(Fraction(1, 4), partial(_rbox, 0, Fraction(1, 4)), (1, 2)),
+    "CB3": _Factor(Fraction(4, 27), partial(_rbox, 0, Fraction(4, 27)),
+                   (1, 3)),
+    "CB4": _Factor(Fraction(1, 16), partial(_rbox, 0, Fraction(1, 16)),
+                   (1, 4)),
+}
+
+
+@lru_cache(maxsize=1024)
+def _kind_factor(kind: SequenceKind) -> _Factor:
+    """The factor of a sequence kind, memoised per kind."""
+    tag = kind.tag
+    if tag in _SEQ:
+        return _SEQ[tag]
+    if tag == "GCT":
+        b, c = kind.params
+        if c < 0:
+            # |T_k(b,c)| = |D^(k/2) P_k(b/sqrt D)| <= sqrt(D)^k, D = b^2-4c
+            return _Factor(_sqrt_frac_up(Fraction(b * b - 4 * c)),
+                           partial(_cbox, b, b, -4 * c))
+        s = 2 * _sqrt_frac_up(Fraction(c))
+        return _Factor(abs(b) + s, lambda: _rbox(b - s, b + s))
+    if tag == "GCT2":
+        g, box = _kind_factor(SequenceKind("GCT", kind.params))[:2]
+        return _Factor(g ** 2, lambda: _box_pow(box(), 2))
+    if tag == "SBC":
+        # S_k(b,c) <= C(2k,k) g^k <= (4g)^k
+        return _Factor(4 * _kind_factor(SequenceKind("GCT", kind.params)).g)
+    if tag == "GPOLY":
+        (x,) = kind.params
+        if x < 0:
+            # |g_k(x)| <= (1+4|x|)^k via the Legendre integral representation
+            return _Factor(Fraction(1 - 4 * x),
+                           partial(_cbox, 1 + 4 * x, 1, -16 * x))
+        return _Factor((1 + 2 * _sqrt_frac_up(Fraction(x))) ** 2)
+    raise DivergentError(f"no growth bound for sequence kind {kind}")
+
+
+def _factors(spec: TermSpec) -> Iterator[Tuple[_Factor, int]]:
+    """(factor, exponent) for each sequence of a term, then for each
+    reciprocal denominator factor."""
+    return chain(((_kind_factor(kind), e) for kind, e in spec.seq),
+                 ((_DEN[tag], e) for tag, e in spec.den))
 
 
 def _base_envelope(spec: TermSpec) -> Tuple[List[int], int, Fraction]:
     """(q, den, theta) with |term(k)| <= |w|(k) q(k) theta^k / den for
     k >= max(k0, 1), where |w| is the weight with nonnegative coefficients
-    and q has nonnegative integer coefficients, low -> high.  Nothing here
+    and q has nonnegative integer coefficients, low -> high: the products
+    of the factors' polys, dens and growths, theta over |m|.  Nothing here
     reads the weight, so :func:`eval_weighted` builds it once for all its
     weights."""
-    num, tden = 1, 1        # theta = num / tden, reduced once at the end
+    num, tden = spec.m.denominator, abs(spec.m.numerator)
     q, den = [1], 1
-    for kind, e in spec.seq:
-        if kind.tag == "WZAG":
-            # |w_k| <= (28/45) C(k+9,9) sqrt(27)^(k-1) for k >= 1: write
-            # v_k = (w_k, w_{k-1}); the one-step matrices converge to
-            # M = [[9,-27],[1,0]] with complex eigenvalues of modulus
-            # sqrt(27), and in the norm adapted to M each step has norm
-            # at most sqrt(27) + 46/(k+1), whose product telescopes into
-            # the binomial-coefficient envelope above.
-            s = _sqrt_frac_up(Fraction(27))
-            num, tden = num * s.numerator ** e, tden * s.denominator ** e
-            c = Fraction(28, 45) / (s * 362880)
-            env = [c.numerator * x for x in _WZAG_BINOM]
+    for f, e in _factors(spec):
+        num, tden = num * f.g.numerator ** e, tden * f.g.denominator ** e
+        den *= f.den ** e
+        if f.poly != (1,):
             for _ in range(e):
-                q = _poly_mul(q, env)
-            den *= c.denominator ** e
-        else:
-            g = _kind_growth(kind)
-            num, tden = num * g.numerator ** e, tden * g.denominator ** e
-    num, tden = num * spec.m.denominator, tden * abs(spec.m.numerator)
-    # (2k+1)-style numerators from reciprocal central binomials; affine
-    # denominators are >= 1 in modulus for every integer k where they are
-    # nonzero.
-    for tag, e in spec.den:
-        if tag in _DEN_ENVELOPE:
-            lin, g = _DEN_ENVELOPE[tag]
-            num, tden = num * g.denominator ** e, tden * g.numerator ** e
-            for _ in range(e):
-                q = _poly_mul(q, lin)
+                q = _poly_mul(q, f.poly)
     return q, den, Fraction(num, tden)
 
 
@@ -1069,23 +1155,14 @@ def eval_series(spec: TermSpec, digits: int = 40,
 # Euler-transform acceleration for boundary-ratio series
 # --------------------------------------------------------------------------
 #
-# Many summands of interest can be written exactly as
+# When every factor of a term has a moment box (see the factor table), the
+# summand is exactly
 #     term(k) = W(k) * E[eta^k],
-# where E integrates a complex-valued function eta against a finite
-# positive product measure and eta is confined to a known rectangle of the
-# complex plane with |eta| <= R <= 1.  Building blocks:
-#     C(2k,k)       = E[(4x)^k]                  (arcsine measure on [0,1])
-#     1/(a*k+b)     = E[y^k] with mass 1/(a*k0+b) (power measure, y = v^a)
-#     1/C(2k,k)     = (2k+1) * E[(x(1-x))^k]      (Beta integral)
-#     1/C(3k,k)     = (3k+1) * E[(x^2(1-x))^k]
-#     1/C(4k,2k)    = (4k+1) * E[(x(1-x))^(2k)]
-#     T_k(b,c), c>0 = E[(b + 2 sqrt(c) cos t)^k]
-#     T_k(b,c), c<0 = E[(b + 2 i sqrt(|c|) cos t)^k]
-#     g_k(x), x<0   = E[eta^k], Re eta in [1+4x, 1], |Im eta| <= 4 sqrt(|x|)
-# (the last one combines sum_j C(k,j)^2 y^j = (1-y)^k P_k((1+y)/(1-y)) with
-# the Laplace integral for the Legendre polynomial P_k).
-#
-# With such a representation the binomial (Euler) transform
+# where W is the weight times the polynomial cofactor of
+# :func:`_base_envelope`, E integrates against the product of the factors'
+# positive measures and eta, the product of their etas over m, lies in the
+# product of their boxes scaled by 1/m, with |eta| <= R = theta <= 1.
+# The binomial (Euler) transform
 #     c_j = 2^(-j-1) * sum_{i<=j} C(j,i) * term(i)
 # obeys  |c_j| <= (M/2) * sum_s |w_s| * falling(j,s) * (R/2)^s * q^(j-s),
 # where W in the falling-factorial basis has coefficients w_s,
@@ -1094,101 +1171,6 @@ def eval_series(spec: TermSpec, digits: int = 40,
 # tails even when the original series converges only conditionally; the
 # Euler method is regular, so whenever the original series converges both
 # converge to the same value.
-
-@dataclass(frozen=True)
-class _CBox:
-    """Axis-aligned rectangle in the complex plane with rational corners."""
-
-    re_lo: Fraction
-    re_hi: Fraction
-    im_lo: Fraction = Fraction(0)
-    im_hi: Fraction = Fraction(0)
-
-
-def _imul(al, ah, bl, bh) -> Tuple[Fraction, Fraction]:
-    if not (al or ah) or not (bl or bh):
-        # a zero interval, as every imaginary part of a real box is
-        return Fraction(0), Fraction(0)
-    vals = (al * bl, al * bh, ah * bl, ah * bh)
-    return min(vals), max(vals)
-
-
-def _box_mul(a: _CBox, b: _CBox) -> _CBox:
-    pl, ph = _imul(a.re_lo, a.re_hi, b.re_lo, b.re_hi)
-    ql, qh = _imul(a.im_lo, a.im_hi, b.im_lo, b.im_hi)
-    rl, rh = _imul(a.re_lo, a.re_hi, b.im_lo, b.im_hi)
-    sl, sh = _imul(a.im_lo, a.im_hi, b.re_lo, b.re_hi)
-    return _CBox(pl - qh, ph - ql, rl + sl, rh + sh)
-
-
-def _box_pow(a: _CBox, e: int) -> _CBox:
-    out = _CBox(Fraction(1), Fraction(1))
-    for _ in range(e):
-        out = _box_mul(out, a)
-    return out
-
-
-def _box_scale(a: _CBox, s: Fraction) -> _CBox:
-    if s >= 0:
-        return _CBox(a.re_lo * s, a.re_hi * s, a.im_lo * s, a.im_hi * s)
-    return _CBox(a.re_hi * s, a.re_lo * s, a.im_hi * s, a.im_lo * s)
-
-
-def _rbox(lo, hi) -> _CBox:
-    return _CBox(Fraction(lo), Fraction(hi))
-
-
-@dataclass(frozen=True)
-class _Moment:
-    """Certificate that a factor sequence equals poly(k) * E[eta^k]."""
-
-    box: _CBox
-    R: Fraction                       # |eta| <= R everywhere
-    mass: Fraction                    # total measure mass bound
-    extra_weight: Tuple[int, ...] = (1,)   # polynomial cofactor, low->high
-    min_k: int = 0
-
-
-def _seq_moment(kind: SequenceKind) -> Optional[_Moment]:
-    tag = kind.tag
-    if tag == "CB2":
-        return _Moment(_rbox(0, 4), Fraction(4), Fraction(1))
-    if tag == "CATALAN":
-        # C(2k,k)/(k+1): arcsine moment times a mass-1 moment on [0,1]
-        return _Moment(_rbox(0, 4), Fraction(4), Fraction(1))
-    if tag in ("GCT", "GCT2"):
-        b, c = kind.params
-        if c > 0:
-            s = _sqrt_frac_up(Fraction(4 * c))
-            base = _Moment(_rbox(b - s, b + s),
-                           max(abs(Fraction(b) - s), abs(Fraction(b) + s)),
-                           Fraction(1))
-        elif c < 0:
-            s = _sqrt_frac_up(Fraction(-4 * c))
-            base = _Moment(_CBox(Fraction(b), Fraction(b), -s, s),
-                           _sqrt_frac_up(Fraction(b * b - 4 * c)),
-                           Fraction(1))
-        else:
-            base = _Moment(_rbox(b, b), abs(Fraction(b)), Fraction(1))
-        if tag == "GCT":
-            return base
-        return _Moment(_box_pow(base.box, 2), base.R ** 2, Fraction(1))
-    if tag == "GPOLY":
-        (x,) = kind.params
-        if x < 0:
-            s = _sqrt_frac_up(Fraction(-16 * x))
-            return _Moment(_CBox(Fraction(1 + 4 * x), Fraction(1), -s, s),
-                           Fraction(1 - 4 * x), Fraction(1))
-        return None
-    return None
-
-
-_DEN_MOMENT = {
-    "CB2": (Fraction(1, 4), (1, 2)),
-    "CB3": (Fraction(4, 27), (1, 3)),
-    "CB4": (Fraction(1, 16), (1, 4)),
-}
-
 
 class _Cert(NamedTuple):
     """The weight-free part of an Euler-path certificate:
@@ -1226,40 +1208,24 @@ def _stirling2(n: int) -> List[List[int]]:
 
 def _certificate(spec: TermSpec) -> Optional[_Cert]:
     """The weight-free moment certificate of ``spec``, or None when a
-    factor has no moment representation, R > 1 or q rounds up to 1."""
-    box = _CBox(Fraction(1), Fraction(1))
-    R = Fraction(1)
-    mass = Fraction(1)
-    extra = [1]
-    k_start = spec.k0
-    affine: List[Tuple[int, int, int]] = []   # (a, b, exponent)
-    for kind, e in spec.seq:
-        mom = _seq_moment(kind)
-        if mom is None:
-            return None
-        box = _box_mul(box, _box_pow(mom.box, e))
-        R *= mom.R ** e
-        mass *= mom.mass ** e
-    for tag, e in spec.den:
-        if tag in _AFFINE:
-            a, b = _AFFINE[tag]
-            affine.append((a, b, e))
-            k_start = max(k_start, -(-(1 - b) // a))   # smallest k: a*k+b >= 1
-            box = _box_mul(box, _rbox(0, 1))
-        else:
-            Rf, wf = _DEN_MOMENT[tag]
-            box = _box_mul(box, _box_pow(_rbox(0, Rf), e))
-            R *= Rf ** e
-            for _ in range(e):
-                extra = _poly_mul(extra, wf)
-    inv_m = 1 / spec.m
-    box = _box_scale(box, inv_m)
-    R *= abs(inv_m)
+    factor has no moment box, theta > 1 or q rounds up to 1.  R is the
+    envelope ratio theta and ``extra`` the envelope polynomial q of
+    :func:`_base_envelope`; this builds the box, k_start and the mass."""
+    extra, _, R = _base_envelope(spec)
     if R > 1:
         return None
+    box = _CBox(Fraction(1), Fraction(1))
+    for f, e in _factors(spec):
+        if f.box is None:
+            return None
+        box = _box_mul(box, _box_pow(f.box(), e))
+    box = _box_scale(box, 1 / spec.m)
+    affine = [(*_AFFINE[tag], e) for tag, e in spec.den if tag in _AFFINE]
+    # the smallest k >= k0 with a k + b >= 1 for every affine factor
+    k_start = max([spec.k0, *(-(-(1 - b) // a) for a, b, _ in affine)])
+    mass = R ** k_start
     for a, b, e in affine:
         mass *= Fraction(1, a * k_start + b) ** e
-    mass *= R ** k_start
     # sup |1 + eta|^2 over box intersected with the disk of radius R
     re_hi = min(box.re_hi, R)
     im_max = min(max(-box.im_lo, box.im_hi, Fraction(0)), R)

@@ -97,6 +97,23 @@ class TestVerifyCongruence:
         assert (code, out) == (2, "")
         assert err.startswith("registry error: line 4:")
 
+    # an unknown case normalization (once a traceback, exit 1), and a
+    # proven claim mod p^0 (once PASS, exit 0)
+    @pytest.mark.parametrize("body", [
+        "term: 1 ; - ; CB2^3 ; m=64 ; k0=0\n"
+        "case: always ; p=x^2+y^2 ; BOGUS ; 4*x^2-2*p",
+        "term: 1 ; - ; CB2^3 ; m=64 ; k0=0\nmod: p^0\ncrhs: 12345",
+    ], ids=["case", "mod"])
+    def test_vacuous_or_unknown_claim_is_a_usage_error(self, capsys,
+                                                       tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text("entry bad\nkind: CONGRUENCE\nstatus: proven\n"
+                        f"{body}\nanchor: \"x\"\nend\n")
+        code, out, err = _run(capsys, ["run", "--registry", str(path),
+                                       "--pmax", "50"])
+        assert (code, out) == (2, "")
+        assert err.startswith("registry error: line 5:")
+
     # minp 2 admits p = 2, where the check would read (d|p): 8-1-q's body
     # (once a FAIL row with a ValueError and exit 0), and each crhs,
     # require and pn-delta symbol

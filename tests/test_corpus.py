@@ -130,6 +130,30 @@ PAPER_LABELS = (
        for i in range(1, count + 1)])
 
 
+class TestCounterparts:
+    """Each ``counterpart: q * <id>`` line holds: this sum is q times the
+    other's, |A - q B| < 10^-30 for their certified 30-digit balls, read in
+    integers at one exponent."""
+
+    def test_s1_to_s10_are_paired(self, entries):
+        paired = [e.ident for e in entries if e.counterpart is not None]
+        assert paired == [f"S{i}" for i in range(1, 11)]
+
+    @pytest.mark.parametrize("ident", [f"S{i}" for i in range(1, 11)])
+    def test_relation_holds(self, entries, ident):
+        by_id = {e.ident: e for e in entries}
+        q, other = by_id[ident].counterpart
+        A = sereval.eval_series(by_id[ident].series.spec, 30)
+        B = sereval.eval_series(by_id[other].series.spec, 30)
+        a, b = q.numerator, q.denominator
+        e = max(A.exp, B.exp)
+        am, ar = A.mid << e - A.exp, A.rad << e - A.exp
+        bm, br = B.mid << e - B.exp, B.rad << e - B.exp
+        # |b A - a B| over b 2^e, with both radii added
+        gap = abs(b * am - a * bm) + b * ar + abs(a) * br
+        assert gap * 10 ** 30 < b << e
+
+
 class TestSequenceNames:
     # one sample factor per registry name, written as _render_seq writes it
     @pytest.mark.parametrize("text", [
@@ -271,6 +295,26 @@ class TestMalformed:
         with pytest.raises(corpus.CorpusError) as exc:
             corpus.parse_registry(_QUADFORM.format(template=template))
         assert exc.value.line == 6
+
+    # once a ValueError traceback from QuadFormCase, exit 1
+    @pytest.mark.parametrize("norm, why", [
+        ("BOGUS", "unknown normalization BOGUS"),
+        ("XY_NONNEG:WEIRD", "unknown sign rule WEIRD"),
+        ("XY_NONNEG:Y_HALF", "Y_HALF sign needs the y-even normalization"),
+    ])
+    def test_bad_case_normalization(self, norm, why):
+        text = _QUADFORM.format(template="4*x*y").replace(
+            "Y_HALF_PARITY:Y_HALF", norm)
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and why in str(exc.value)
+
+    def test_modulus_exponent_below_one(self):
+        # p^0 makes every congruence hold: it once printed PASS
+        text = _CONGRUENCE.format(upper="p-1").replace("p^3", "p^0")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and "'p^0'" in str(exc.value)
 
     @pytest.mark.parametrize("upper", ["p-1", "p-2", "(p+1)/2", "(p-1)/2"])
     def test_upper_accepted(self, upper):

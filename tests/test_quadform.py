@@ -274,5 +274,8 @@ class TestIntegerTemplates:
                 num = rng.randrange(-10 ** 6, 10 ** 6)
                 den = rng.choice((1, 2, 6, p, p * p, 3 * p)) \
                     * rng.choice((1, p))
-                assert qf._residue(num, den, p) \
-                    == cg.fraction_mod(F(num, den), p, 2), (num, den, p)
+                got = cg._residue(num, den, p, 2)
+                if got == cg.NONINTEGRAL:
+                    got = None
+                assert got == cg.fraction_mod(F(num, den), p, 2), \
+                    (num, den, p)

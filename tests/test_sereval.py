@@ -20,6 +20,7 @@ from piseries import sereval as se
 from piseries.sereval import Ball, DivergentError, RHSForm, SeriesIdentity, TermSpec
 
 from oracle_ball import FBall, fb
+import oracle_envelope as oe
 
 
 def dy(m: int, e: int) -> Fraction:
@@ -77,7 +78,7 @@ def terms_oracle(spec: TermSpec, lo: int, hi: int):
     weight = [int(c * wden) for c in reversed(spec.weight)]   # high -> low
     seq = [(sk.rows(kind, hi), e) for kind, e in spec.seq]
     binom = [(sk.rows(sk.SequenceKind(tag), hi), e)
-             for tag, e in spec.den if tag in se._DEN_BINOMIAL]
+             for tag, e in spec.den if tag not in se._AFFINE]
     affine = [(*se._AFFINE[tag], e) for tag, e in spec.den
               if tag in se._AFFINE]
     m = Fraction(spec.m)
@@ -1586,24 +1587,153 @@ def _series_kinds():
                    for kind, _ in spec.spec.seq}, key=str)
 
 
+def _theta(spec) -> Fraction:
+    return se._base_envelope(spec)[2]
+
+
+class TestFactorTable:
+    """The one factor table against the two tables it replaced, one per
+    path (``oracle_envelope``): the same envelope everywhere, and on the
+    Euler path the same certificate, whose R is now theta."""
+
+    @pytest.mark.parametrize("spec", _registry_specs())
+    def test_envelope_equals_old(self, spec):
+        assert se._base_envelope(spec) == oe.base_envelope(spec)
+        for kind, _ in spec.seq:
+            if kind.tag != "WZAG":     # its old g was never read
+                assert se._kind_factor(kind).g == oe.kind_growth(kind)
+
+    @pytest.mark.parametrize("spec", [p for p in _registry_specs()
+                                      if _theta(p.values[0]) >= 1])
+    def test_certificate_equals_old(self, spec):
+        cert, old = se._certificate(spec), oe.certificate(spec)
+        assert (cert is None) == (old is None)
+        if cert is not None:
+            assert cert._asdict() == old
+
+    def test_euler_path_specs(self):
+        euler = {e.ident: se._certificate(e.spec) for e in
+                 _registry_series().values() if _theta(e.spec) >= 1}
+        assert len(euler) == 8
+        assert [i for i, c in euler.items() if c is None] == ["7.1"]
+        assert all(c.R == 1 for c in euler.values() if c is not None)
+
+    @pytest.mark.parametrize("spec", _registry_specs())
+    def test_old_certificates_read_the_envelope(self, spec):
+        """Wherever the old code built a certificate, its cofactor was the
+        envelope polynomial (over 1) and its R at most theta."""
+        old = oe.certificate(spec)
+        if old is not None:
+            q, den, theta = se._base_envelope(spec)
+            assert (old["extra"], den) == (q, 1) and old["R"] <= theta
+
+
+#: parameter grid on [0, 1] with the points where the moment variables of
+#: the denominator binomials peak (1/2, 2/3)
+_GRID = [Fraction(i, 24) for i in range(25)] + [Fraction(1, 3),
+                                                Fraction(2, 3)]
+_ANGLES = range(25)                    # t = pi i / 24
+
+
+def _moment_support(name: str, params) -> list:
+    """Points eta of the measure behind a factor's moment representation,
+    as mpmath numbers from its parametrisation: a grid that holds the
+    points where Re eta, Im eta and |eta| are extreme."""
+    mp = mpmath.mp
+    grid = [mp.mpf(x.numerator) / x.denominator for x in _GRID]
+    cos = [mp.cos(mp.pi * i / 24) for i in _ANGLES]
+
+    def gct(b, c):
+        return [b + 2 * mp.sqrt(c) * t for t in cos]
+
+    if name in ("CB2", "CATALAN"):     # 4x, times y on [0, 1] for CATALAN
+        return [4 * x * y for x in grid
+                for y in (grid if name == "CATALAN" else [1])]
+    if name == "GCT":
+        return gct(*params)
+    if name == "GCT2":                 # T_k^2: a product of two measures
+        pts = gct(*params)
+        return [u * v for u in pts for v in pts]
+    if name == "GPOLY":
+        (x,) = params
+        return [1 + y + 2 * mp.sqrt(y) * t for y in (4 * x * u for u in grid)
+                for t in cos]
+    if name == "1/CB2":
+        return [x * (1 - x) for x in grid]
+    if name == "1/CB3":
+        return [x * x * (1 - x) for x in grid]
+    if name == "1/CB4":
+        return [(x * (1 - x)) ** 2 for x in grid]
+    assert name.startswith("1/")       # an affine factor: y on [0, 1]
+    return grid
+
+
+def _boxed_factors():
+    """(name, params, factor) of every registry sequence kind and
+    denominator factor that has a moment box."""
+    out = [pytest.param(kind.tag, kind.params, se._kind_factor(kind),
+                        id=str(kind)) for kind in _series_kinds()
+           if se._kind_factor(kind).box is not None]
+    out += [pytest.param("1/" + tag, (), f, id="1/" + tag)
+            for tag, f in se._DEN.items()]
+    return out
+
+
+class TestMomentBoxes:
+    """Every moment box sits inside its factor's growth bound, which makes
+    the theta of the envelope a sound radius R for the Euler certificate."""
+
+    @pytest.mark.parametrize("name,params,factor", _boxed_factors())
+    def test_box_within_growth(self, name, params, factor):
+        box, g = factor.box(), factor.g
+        assert factor.den == 1       # a boxed factor is poly(k) E[eta^k]
+        if box.im_lo == box.im_hi == 0:
+            # a real box: both corners at most g in modulus, exactly
+            assert max(-box.re_lo, box.re_hi) <= g
+        # a complex rectangle's corner need not be reached, and those of
+        # g_k(x) and T_k(b,c)^2 with c < 0 lie beyond g: there the
+        # measure's own points are checked, in the box and within g
+        with mpmath.workdps(50):
+            mp = mpmath.mp
+            lo, hi, ilo, ihi, gm = (mp.mpf(v.numerator) / v.denominator
+                                    for v in (box.re_lo, box.re_hi,
+                                              box.im_lo, box.im_hi, g))
+            tol = max(1, gm) * mp.mpf(10) ** -40
+            pts = _moment_support(name, params)
+            for z in pts:
+                z = mp.mpc(z)
+                assert lo - tol <= z.real <= hi + tol, (z, box)
+                assert ilo - tol <= z.imag <= ihi + tol, (z, box)
+                assert abs(z) <= gm + tol, (z, g)
+            # and the box is the support's hull, rounded out by < 10^-7 g
+            close = max(1, gm) * mp.mpf(10) ** -7
+            for edge, part in ((lo, "real"), (hi, "real"),
+                               (ilo, "imag"), (ihi, "imag")):
+                assert min(abs(getattr(mp.mpc(z), part) - edge)
+                           for z in pts) < close, (edge, box)
+
+
 class TestGrowthConstants:
-    """Each hand-entered _kind_growth constant g bounds its rows: |a_k| <= g^k."""
+    """Each sequence kind's factor bounds its rows:
+    |a_k| <= poly(k) g^k / den for k >= 1."""
 
     def test_registry_kinds_are_found(self):
         assert len(_series_kinds()) > 100
 
     @pytest.mark.parametrize("kind", _series_kinds(), ids=str)
     def test_constant_bounds_the_rows(self, kind):
-        g = se._kind_growth(kind)
+        f = se._kind_factor(kind)
         rows = sk.rows(kind, GROWTH_K)
-        num, den = 1, 1     # g^k = num / den, kept unreduced
-        for k in range(GROWTH_K + 1):
+        g = f.g
+        num, den = g.numerator, g.denominator * f.den   # g^k / den, unreduced
+        for k in range(1, GROWTH_K + 1):
             a = Fraction(rows[k])
             x, y = abs(a.numerator), a.denominator
-            # x den < 2^(bits) <= num y when the bit lengths are far apart
+            p = sum(c * k ** i for i, c in enumerate(f.poly))
+            # x den < 2^(bits) <= p num y when the bit lengths are far apart
             if (x.bit_length() + den.bit_length()
-                    > num.bit_length() + y.bit_length() - 2):
-                assert x * den <= num * y, (str(kind), k)
+                    > (p * num).bit_length() + y.bit_length() - 2):
+                assert x * den <= p * num * y, (str(kind), k)
             num *= g.numerator
             den *= g.denominator
 
