@@ -2,12 +2,18 @@
 
 Subcommands
 -----------
-verify series      certify series identities (PASS/CONSISTENT/FAIL/DIVERGENT)
-verify congruence  check truncated-sum congruences prime by prime
-verify exact       run exact finite-identity families
 run, report        verify a filtered slice of the whole registry
+verify series      ``run``'s rows of the SERIES entries that --id picks
+verify exact       ``run``'s rows of the FINITE_IDENTITY entries that --id
+                   picks, or the one row of a family named by --family
+verify congruence  check truncated-sum congruences prime by prime
 discover           integer-relation search for a closed form of a series
 quadform           binary-quadratic-form representation helpers
+
+``run``, ``verify series`` and ``verify exact`` print the rows of one
+``corpus.run`` report, which alone decides each outcome (PASS, CONSISTENT,
+SUPPORTED, EVALUATED, FAIL or SKIPPED); ``verify congruence`` lists one
+line per prime instead.
 
 Exit codes: 0 when everything passed or is supported, 1 when a proven
 claim failed, 2 on usage or registry-parse errors, and 141 (128 + SIGPIPE)
@@ -73,12 +79,17 @@ def _load(paths: Optional[Sequence[str]]) -> List[corpus.RegistryEntry]:
     return entries
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(report: corpus.VerificationReport, fmt: str = "text",
+          out: Optional[str] = None) -> int:
+    """Write the rendered report to the file ``out``, or else to stdout,
+    the same bytes either way, and return its exit code."""
+    text = report.render(fmt)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+    return report.exit_code
 
 
 def _select(entries, id_glob, kind):
@@ -126,35 +137,12 @@ def _cmd_run(args) -> int:
     report = corpus.run(entries, id_glob=args.filter, kind=args.kind,
                         status=args.status, digits=args.digits,
                         p_max=args.pmax, n_max=args.nmax)
-    _emit(report.render(args.format), args.out)
-    return report.exit_code
+    return _emit(report, args.format, args.out)
 
 
 def _cmd_verify_series(args) -> int:
-    entries = _select(_load(args.registry), args.id, kind="SERIES")
-    worst = 0
-    for entry in entries:
-        start = time.monotonic()
-        if entry.check == "evaluate":
-            row = corpus._run_entry(entry, args.digits, 0, 0)
-            print(f"{entry.ident}\t{row.outcome}\t{row.detail}"
-                  f"\t{row.seconds:.2f}s")
-            continue
-        try:
-            rep = sereval.verify_series_identity(entry.series, args.digits)
-            status, gap, terms = rep.status, rep.gap_upper, rep.terms_used
-        except sereval.DivergentError as exc:
-            if entry.status == "proven":
-                worst = 1
-            print(f"{entry.ident}\tDIVERGENT\t{exc}\t-\t-")
-            continue
-        secs = time.monotonic() - start
-        gap_s = corpus._sci(gap) if gap is not None else "-"
-        print(f"{entry.ident}\t{status}\tgap<{gap_s}\tterms={terms}"
-              f"\t{secs:.2f}s")
-        if status == "FAIL" and entry.status == "proven":
-            worst = 1
-    return worst
+    picked = _select(_load(args.registry), args.id, "SERIES")
+    return _emit(corpus.run(picked, digits=args.digits))
 
 
 def _cmd_verify_congruence(args) -> int:
@@ -183,30 +171,23 @@ def _cmd_verify_congruence(args) -> int:
 
 
 def _cmd_verify_exact(args) -> int:
-    if args.family:
-        name = args.family.upper()
-        family = exactid.FAMILIES.get(name)
-        if family is None:
-            raise CliError(f"unknown family {args.family!r}")
-        if args.m is not None and family.params != exactid.ONE_M:
-            # as the registry reader words a family line with parameters
-            # it does not take
-            raise CliError(f"family {name} takes no parameters" if
-                           family.params == exactid.NO_PARAMS else
-                           f"family {name} takes no --m")
-        # --m for a family of one m; SN_EXPANSION's c range is -10..10
-        fam_args = {exactid.ONE_M: (args.m,),
-                    exactid.TWO_INTS: (-10, 10)}.get(family.params, ())
-        try:
-            ok, detail = corpus._run_finite(name, fam_args, args.nmax)
-        except ValueError as exc:   # e.g. a family that needs a nonzero m
-            raise CliError(str(exc)) from exc
-        print(f"{name}\t{'PASS' if ok else 'FAIL'}\t{detail}")
-        return int(not ok)
-    picked = _select(_load(args.registry), args.id, "FINITE_IDENTITY")
-    report = corpus.run(picked, n_max=args.nmax)
-    _emit(report.render("text"), None)
-    return report.exit_code
+    if not args.family:
+        picked = _select(_load(args.registry), args.id, "FINITE_IDENTITY")
+        return _emit(corpus.run(picked, n_max=args.nmax))
+    # the family line of a registry entry, read by the registry's reader;
+    # SN_EXPANSION's c range is -10..10
+    name = args.family.upper()
+    text = name if args.m is None else f"{name} ; m={args.m}"
+    family = exactid.FAMILIES.get(name)
+    if family is not None and family.params == exactid.TWO_INTS:
+        text += " ; args=-10,10"
+    try:
+        parsed = corpus._family(text, None)
+    except corpus.CorpusError as exc:
+        raise CliError(str(exc)) from exc
+    entry = corpus.RegistryEntry(name, "FINITE_IDENTITY", "proven", "",
+                                 family=parsed)
+    return _emit(corpus.run([entry], n_max=args.nmax))
 
 
 def _parse_basis(text: str):
@@ -339,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--digits", type=_positive_int, default=40)
     run_p.add_argument("--pmax", type=_positive_int, default=300)
     run_p.add_argument("--nmax", type=_positive_int, default=128)
-    run_p.add_argument("--kind", default=None)
-    run_p.add_argument("--status", default=None)
+    run_p.add_argument("--kind", choices=corpus.KINDS, default=None)
+    run_p.add_argument("--status", choices=corpus.STATUSES, default=None)
     run_p.add_argument("--format", choices=("text", "tsv"), default="text")
     run_p.add_argument("--out", default=None, metavar="PATH")
     add_registry(run_p)

@@ -505,7 +505,6 @@ class CongruenceClaim:
     exclude: Tuple[int, ...] = ()
     require: Tuple[Tuple[int, int], ...] = ()   # (d, v): need (d|p) == v
     pn_delta: Optional[Tuple[int, ...]] = None  # symbols whose product is delta
-    proven: bool = False
     lhs_ppow: int = 0         # multiply the truncated sum by p^lhs_ppow
 
     def admissible(self, p: int) -> bool:

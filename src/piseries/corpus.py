@@ -633,8 +633,7 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
             raise CorpusError(f"entry {ident}: SERIES needs rhs", None)
         rhs = _rhs(get("rhs"), line_of("rhs"))
         if rhs is not None:
-            entry.series = SeriesIdentity(ident=ident, spec=spec, rhs=rhs,
-                                          proven=(status == "proven"))
+            entry.series = SeriesIdentity(ident=ident, spec=spec, rhs=rhs)
         else:
             entry.series = None
             entry.check = "evaluate"
@@ -773,7 +772,7 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
     entry.claim = cg.CongruenceClaim(
         ident=ident, spec=spec, s=s, rhs=crhs, upper=upper,
         min_p=min_p, exclude=exclude, require=tuple(require),
-        pn_delta=pn_delta, proven=(status == "proven"), lhs_ppow=lhs_ppow)
+        pn_delta=pn_delta, lhs_ppow=lhs_ppow)
     return entry
 
 
@@ -875,22 +874,12 @@ class ReportRow:
 @dataclass
 class VerificationReport:
     rows: List[ReportRow]
-    digits: int
-    p_max: int
-    n_max: int
-
-    @property
-    def proven_failures(self) -> List[ReportRow]:
-        return [r for r in self.rows
-                if r.status == "proven" and r.outcome == "FAIL"]
-
-    @property
-    def failures(self) -> List[ReportRow]:
-        return [r for r in self.rows if r.outcome == "FAIL"]
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.proven_failures else 0
+        """1 when a proven entry failed, else 0."""
+        return int(any(r.status == "proven" and r.outcome == "FAIL"
+                       for r in self.rows))
 
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -983,9 +972,8 @@ def _nstr(num: int, den: int, digits: int) -> str:
 
 def _run_series(entry: RegistryEntry, digits: int) -> Tuple[bool, str]:
     report = sereval.verify_series_identity(entry.series, digits)
-    detail = f"gap<{_sci(report.gap_upper)}" if report.passed \
-        else report.status
-    return report.passed, detail
+    return report.passed, \
+        f"gap<{_sci(report.gap_upper)} terms={report.terms_used}"
 
 
 def _sci(x: Fraction) -> str:
@@ -1098,4 +1086,4 @@ def run(entries: Sequence[RegistryEntry],
     rows = [_run_entry(e, digits, p_max, n_max)
             for e in select(entries, id_glob, kind, status)]
     rows.sort(key=lambda r: r.ident)
-    return VerificationReport(rows, digits, p_max, n_max)
+    return VerificationReport(rows)

@@ -2,10 +2,11 @@
 
 :data:`FAMILIES` is the one table of them: each entry states the parameters
 its family takes (none, one non-zero integer m, or two integers) and its
-check.  The registry reader, the batch runner and ``verify exact --family``
-all read it.  The fifteen telescoping families (Lemmas 2.1 and 2.2, and
-Glaisher's) are term specs on the shared engine: a summand and a closed
-form c, both :class:`~piseries.sereval.TermSpec`, with
+check.  The registry reader reads a family line's parameters by it, and
+the batch runner runs its check; ``verify exact --family`` builds a family
+line and goes through both.  The fifteen telescoping families (Lemmas 2.1
+and 2.2, and Glaisher's) are term specs on the shared engine: a summand
+and a closed form c, both :class:`~piseries.sereval.TermSpec`, with
 
     sum_{k0 <= k <= n} summand(k) = scale * c(n) + const    for n >= k0.
 

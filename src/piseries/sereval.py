@@ -1102,7 +1102,7 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
              else replace(spec, weight=tuple(w)) for w in weights]
     q, qden, theta = _base_envelope(spec)
     if theta >= 1:
-        cert = _certificate(spec)
+        cert = _certificate(spec, q, theta)
         if cert is None:
             raise DivergentError(
                 "no moment certificate available; cannot evaluate this series")
@@ -1206,12 +1206,13 @@ def _stirling2(n: int) -> List[List[int]]:
     return S
 
 
-def _certificate(spec: TermSpec) -> Optional[_Cert]:
+def _certificate(spec: TermSpec, extra: List[int],
+                 R: Fraction) -> Optional[_Cert]:
     """The weight-free moment certificate of ``spec``, or None when a
-    factor has no moment box, theta > 1 or q rounds up to 1.  R is the
-    envelope ratio theta and ``extra`` the envelope polynomial q of
-    :func:`_base_envelope`; this builds the box, k_start and the mass."""
-    extra, _, R = _base_envelope(spec)
+    factor has no moment box, theta > 1 or q rounds up to 1.  ``extra``
+    and R are the envelope polynomial q and the ratio theta of
+    :func:`_base_envelope`, which the caller has built; this builds the
+    box, k_start and the mass."""
     if R > 1:
         return None
     box = _CBox(Fraction(1), Fraction(1))
@@ -1420,7 +1421,6 @@ class SeriesIdentity:
     ident: str
     spec: TermSpec
     rhs: RHSForm
-    proven: bool = True
 
 
 #: bits of the right-hand side's scale beyond (digits + 8) log2(10)
@@ -1475,11 +1475,9 @@ def eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
 
 @dataclass
 class SeriesReport:
-    ident: str
     passed: bool
     gap_upper: Fraction
     terms_used: int       # terms summed for the series enclosure
-    status: str
 
 
 def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesReport:
@@ -1509,5 +1507,4 @@ def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesRep
     # the exact value.
     scale = 10 ** (work + 10)
     upper = Fraction(-(-(abs(gap.mid) + gap.rad) * scale >> gap.exp), scale)
-    status = ("PASS" if entry.proven else "CONSISTENT") if ok else "FAIL"
-    return SeriesReport(entry.ident, ok, upper, stats["terms"], status)
+    return SeriesReport(ok, upper, stats["terms"])

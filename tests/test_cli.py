@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +49,99 @@ class TestRunReport:
         rows = path.read_text().splitlines()
         assert rows[0].split("\t")[:4] == ["id", "kind", "status", "outcome"]
         assert rows[1].split("\t")[:4] == ["1.5", "SERIES", "proven", "PASS"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--filter", "1.5", "--digits", "12"],
+        ["report", "--filter", "1.5", "--digits", "12", "--format", "tsv"],
+        ["verify", "exact", "--id", "l21-1-*", "--nmax", "20"],
+    ])
+    def test_stdout_and_out_file_hold_the_same_bytes(self, capsys,
+                                                     monkeypatch, tmp_path,
+                                                     argv):
+        # one clock reading for every row, so that two runs print the same
+        monkeypatch.setattr(corpus, "time",
+                            SimpleNamespace(monotonic=lambda: 0.0))
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and out.endswith("\n") and not out.endswith("\n\n")
+        if argv[0] != "verify":
+            path = tmp_path / "out.txt"
+            code, printed, _ = _run(capsys, argv + ["--out", str(path)])
+            assert (code, printed) == (0, "")
+            assert path.read_bytes() == out.encode()
+
+    # a kind or status that no entry can have is a usage error, not an
+    # empty report
+    @pytest.mark.parametrize("option, value, allowed", [
+        ("--kind", "series", "'SERIES', 'CONGRUENCE', 'FINITE_IDENTITY',"
+                             " 'INTEGRALITY', 'SKIP'"),
+        ("--status", "proved", "'proven', 'conjectural'"),
+    ])
+    def test_kind_and_status_are_choices(self, capsys, option, value,
+                                         allowed):
+        code, out, err = _run(capsys, ["run", option, value, "--digits",
+                                       "12"])
+        assert (code, out) == (2, "")
+        assert f"argument {option}: invalid choice: '{value}'" \
+            f" (choose from {allowed})" in err
+
+
+class TestVerifySeries:
+    """``verify series`` prints the SERIES rows of ``run``."""
+
+    @pytest.mark.parametrize("ident, digits, row", [
+        ("1.79", 12, "PASS <t>  gap<1e-14 terms=73"),
+        # conjectural failures: a FAIL row with its gap, and exit 0
+        ("1.72-alt", 20, "FAIL <t>  gap<1e20 terms=4"),
+        ("1.24-verbatim", 20, "FAIL <t>  gap<1e-3 terms=9"),
+        ("7.1", 20, "FAIL <t>  error: DivergentError('no moment certificate"
+                    " available; cannot evaluate this series')"),
+    ])
+    def test_rows(self, capsys, ident, digits, row):
+        code, out, err = _run(capsys, ["verify", "series", "--id", ident,
+                                       "--digits", str(digits)])
+        assert (code, err) == (0, "")
+        assert _untimed(out) == f"{ident}  {row}\n-- 1 entries:" \
+            f" {row.split()[0]}=1\n"
+
+    def test_is_run_of_the_series(self, capsys):
+        code, out, _ = _run(capsys, ["verify", "series", "--id", "1.7*",
+                                     "--digits", "20"])
+        code_run, out_run, _ = _run(capsys, ["run", "--kind", "SERIES",
+                                             "--filter", "1.7*", "--digits",
+                                             "20"])
+        assert code == code_run == 0
+        assert _untimed(out) == _untimed(out_run)
+
+    def test_counts(self, capsys):
+        code, out, _ = _run(capsys, ["run", "--kind", "SERIES", "--digits",
+                                     "20"])
+        assert code == 0
+        assert out.splitlines()[-1] == "-- 240 entries: CONSISTENT=113," \
+            " EVALUATED=2, FAIL=3, PASS=122"
+
+    def test_no_match_is_a_usage_error(self, capsys):
+        code, out, err = _run(capsys, ["verify", "series", "--id", "nomatch"])
+        assert (code, out) == (2, "")
+        assert err == "error: no series entry matches 'nomatch'\n"
+
+    # a proven series that fails, or whose evaluation raises, sets exit 1
+    @pytest.mark.parametrize("term, rhs, detail", [
+        ("4*k+1 ; - ; CB2^3 ; m=-64 ; k0=0", "3*INV_PI",
+         "gap<1e0 terms=65"),
+        ("1 ; - ; D ; m=16 ; k0=0", "1",
+         "error: DivergentError('no moment certificate available; cannot"
+         " evaluate this series')"),
+    ])
+    def test_failing_proven_series(self, capsys, tmp_path, term, rhs,
+                                   detail):
+        path = tmp_path / "s.txt"
+        path.write_text("entry s\nkind: SERIES\nstatus: proven\n"
+                        f"term: {term}\nrhs: {rhs}\nanchor: \"x\"\nend\n")
+        code, out, _ = _run(capsys, ["verify", "series", "--registry",
+                                     str(path), "--digits", "12"])
+        assert code == 1
+        assert _untimed(out) == f"s  FAIL <t>  {detail}\n" \
+            "-- 1 entries: FAIL=1\n"
 
 
 class TestVerifyCongruence:
@@ -181,22 +275,44 @@ class TestVerifyExact:
     def test_family(self, capsys):
         code, out, _ = _run(capsys, ["verify", "exact", "--family",
                                      "glaisher", "--nmax", "20"])
-        assert (code, out) == (0, "GLAISHER\tPASS\tchecked 21\n")
+        assert code == 0
+        assert _untimed(out) == "GLAISHER  PASS <t>  checked 21\n" \
+                                "-- 1 entries: PASS=1\n"
+
+    def test_family_is_a_registry_row(self, capsys, tmp_path):
+        # --family L21_7 --m M is the row of a proven entry whose family
+        # line is "L21_7 ; m=M"
+        m = "-262537412640768000"
+        code, out, _ = _run(capsys, ["verify", "exact", "--family", "l21_7",
+                                     "--m", m, "--nmax", "30"])
+        path = tmp_path / "f.txt"
+        path.write_text("entry L21_7\nkind: FINITE_IDENTITY\nstatus: proven\n"
+                        f"family: L21_7 ; m={m}\nanchor: \"x\"\nend\n")
+        code_run, out_run, _ = _run(capsys, ["run", "--registry", str(path),
+                                             "--nmax", "30"])
+        assert code == code_run == 0
+        assert _untimed(out) == _untimed(out_run)
+        assert "L21_7  PASS <t>  checked" in _untimed(out)
 
     def test_unknown_family(self, capsys):
-        code, _, err = _run(capsys, ["verify", "exact", "--family", "nosuch"])
-        assert code == 2 and "unknown family" in err
+        code, out, err = _run(capsys, ["verify", "exact", "--family",
+                                       "nosuch"])
+        assert (code, out, err) == (2, "", "error: unknown family 'NOSUCH'\n")
 
+    # the registry reader's messages for the family line --family builds
     @pytest.mark.parametrize("extra", [[], ["--m", "0"]])
     def test_family_needs_m(self, capsys, extra):
         code, out, err = _run(capsys, ["verify", "exact", "--family",
                                        "l21_1"] + extra)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "needs a nonzero m" in err
+        line = " ; ".join(["L21_1"] + [f"m={m}" for m in extra[1:]])
+        assert (code, out, err) == (2, "", "error: family L21_1 needs"
+                                    f" m=<non-zero integer>, got {line!r}\n")
 
     @pytest.mark.parametrize("family, message", [
-        ("glaisher", "family GLAISHER takes no parameters"),
-        ("sn_expansion", "family SN_EXPANSION takes no --m"),
+        ("glaisher", "family GLAISHER takes no parameters, got"
+                     " 'GLAISHER ; m=5'"),
+        ("sn_expansion", "family SN_EXPANSION needs args=<integer>,<integer>,"
+                         " got 'SN_EXPANSION ; m=5 ; args=-10,10'"),
     ])
     def test_family_without_m_refuses_it(self, capsys, family, message):
         code, out, err = _run(capsys, ["verify", "exact", "--family", family,
@@ -207,7 +323,9 @@ class TestVerifyExact:
         # c from -10 to 10, n from 0 to 7: 21 * 8 checks
         code, out, _ = _run(capsys, ["verify", "exact", "--family",
                                      "sn_expansion", "--nmax", "7"])
-        assert (code, out) == (0, "SN_EXPANSION\tPASS\tchecked 168\n")
+        assert code == 0
+        assert _untimed(out) == "SN_EXPANSION  PASS <t>  checked 168\n" \
+                                "-- 1 entries: PASS=1\n"
 
     @pytest.mark.parametrize("family", ["L21_1 ; m=-129/2", "L21_9 ; m=-64",
                                         "SN_EXPANSION ; args=1,x",
@@ -242,8 +360,7 @@ class TestDiscover:
         assert "\nrhs: 0\n" in out
         (entry,) = corpus.parse_registry(out)
         assert entry.series.rhs.addends == ()
-        rep = sereval.verify_series_identity(entry.series, 30)
-        assert rep.status == "CONSISTENT"
+        assert sereval.verify_series_identity(entry.series, 30).passed
 
     @pytest.mark.parametrize("weight,text", [
         ((-307, 22742), "22742*k-307"),

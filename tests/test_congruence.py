@@ -523,7 +523,7 @@ class TestProvenCongruences:
         # sum_{k<p} (4k+1) C(2k,k)^3/(-64)^k = p(-1|p)  (mod p^3)
         claim = cg.CongruenceClaim(
             "bauer-p", BAUER, 3,
-            (cg.RHSTerm(Fraction(1), 1, sym=(-1,)),), proven=True)
+            (cg.RHSTerm(Fraction(1), 1, sym=(-1,)),))
         rep = cg.verify_claim(claim, 60)
         assert rep.ok and len(rep.tested) >= 10
 
@@ -532,8 +532,7 @@ class TestProvenCongruences:
         s = spec((-1, 3), ((sk.CB2, 3),), 16, den=(("2k-1", 2),))
         claim = cg.CongruenceClaim(
             "wang-p4", s, 4,
-            (cg.RHSTerm(Fraction(1), 1), cg.RHSTerm(Fraction(-2), 3)),
-            proven=True)
+            (cg.RHSTerm(Fraction(1), 1), cg.RHSTerm(Fraction(-2), 3)))
         rep = cg.verify_claim(claim, 40)
         assert rep.ok and len(rep.tested) >= 8
 
@@ -546,7 +545,7 @@ class TestProvenCongruences:
             (cg.RHSTerm(Fraction(1), 1, sym=(-1,)),
              cg.RHSTerm(Fraction(1), 3, euler=True),
              cg.RHSTerm(Fraction(-2), 3)),
-            upper="(p+1)/2", proven=True)
+            upper="(p+1)/2")
         rep = cg.verify_claim(claim, 40)
         assert rep.ok and len(rep.tested) >= 8
 
@@ -555,7 +554,7 @@ class TestProvenCongruences:
         s = spec((1,), ((sk.CB2, 1), (sk.CB3, 1)), 27)
         claim = cg.CongruenceClaim(
             "mortenson", s, 2,
-            (cg.RHSTerm(Fraction(1), 0, sym_p=(3,)),), proven=True)
+            (cg.RHSTerm(Fraction(1), 0, sym_p=(3,)),))
         rep = cg.verify_claim(claim, 80)
         assert rep.ok and len(rep.tested) >= 15
 
