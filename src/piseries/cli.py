@@ -16,7 +16,8 @@ SUPPORTED, EVALUATED, FAIL or SKIPPED); ``verify congruence`` lists one
 line per prime instead.
 
 Exit codes: 0 when everything passed or is supported, 1 when a proven
-claim failed, 2 on usage or registry-parse errors, and 141 (128 + SIGPIPE)
+claim failed, 2 on usage or registry-parse errors and on a --registry or
+--out path that cannot be read or written, and 141 (128 + SIGPIPE)
 when stdout's reader closed before the output was written, as in
 ``piseries verify series | head``; that case prints nothing more.
 """
@@ -75,7 +76,11 @@ def _load(paths: Optional[Sequence[str]]) -> List[corpus.RegistryEntry]:
     entries: List[corpus.RegistryEntry] = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            entries.extend(corpus.parse_registry(fh.read()))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise CliError(f"{path}: not UTF-8 text ({exc})") from None
+        entries.extend(corpus.parse_registry(text))
     return entries
 
 
@@ -379,7 +384,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except corpus.CorpusError as exc:
         print(f"registry error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # after BrokenPipeError, which is an OSError: a --registry or --out
+        # path that is missing, a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -633,7 +633,7 @@ def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
             raise CorpusError(f"entry {ident}: SERIES needs rhs", None)
         rhs = _rhs(get("rhs"), line_of("rhs"))
         if rhs is not None:
-            entry.series = SeriesIdentity(ident=ident, spec=spec, rhs=rhs)
+            entry.series = SeriesIdentity(spec=spec, rhs=rhs)
         else:
             entry.series = None
             entry.check = "evaluate"

@@ -243,8 +243,8 @@ def check_franel_transform(n_max: int) -> CheckReport:
     (tf)  (2n+1) t_{n+1} + 8 n t_n = (2n+1) f_{n+1} - 4 (n+1) f_n
     plus the second-order recurrence satisfied by f_n itself.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     f = seqkit.rows(seqkit.FRANEL, n_max + 1)
     # s_{m,k} for k <= m/2: t and sf read s_{n+k,k} with k <= n
     s = [seqkit.snk_row(m, m // 2) for m in range(2 * n_max + 3)]

@@ -310,7 +310,6 @@ def rediscover_each(spec: TermSpec,
             for i, (d, name) in enumerate(basis)
             if coeffs[degree + 1 + i] != 0)
         ident = SeriesIdentity(
-            ident="pslq-candidate",
             spec=TermSpec(weight=weight, den=spec.den, seq=spec.seq,
                           m=spec.m, k0=spec.k0),
             rhs=RHSForm(addends=addends))

@@ -44,14 +44,8 @@ the odd rows from three steps of GCT's recurrence leaves an order-2
 recurrence for u_n, so a row costs one step and nothing grows T_k to 2n.
 ``tests/test_operators.py`` derives it from GCT's.
 
-The kinds that are not recurrences: EULER continues the secant
-recurrence row by row; BERNOULLI holds the even Bernoulli numbers (row j
-is B_{2j}, a ``Fraction``) from the integer tangent numbers T_j of Brent
-and Harvey's triangle (*Fast computation of Bernoulli, tangent and secant
-numbers*, 2011), B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).  The
-triangle is read along its diagonals, one per row, so the numbers are
-computed only as far as they are read (the K3 constant's Euler-Maclaurin
-sum reads about 30 at 60 digits).
+EULER is the one kind that is not an operator: it continues the secant
+recurrence row by row.  Every row of every kind is an ``int``.
 
 The sequence store
 ------------------
@@ -78,9 +72,7 @@ from itertools import count, islice
 from math import comb
 from operator import index, mul
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
-
-Number = Union[int, Fraction]
+                    Tuple)
 
 __all__ = [
     "SequenceKind",
@@ -88,7 +80,7 @@ __all__ = [
     "SequenceStore",
     "GCT", "GCT2", "CB2", "CB3", "CB4", "CB63", "CB2SHIFT",
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
-    "ZAGIER", "BETA", "WZAG", "EULER", "BERNOULLI",
+    "ZAGIER", "BETA", "WZAG", "EULER",
     "Operator", "OPERATORS",
     "STORE", "rows", "memo_table", "table", "snk", "snk_scaled", "snk_row",
     "tsmall_direct",
@@ -135,7 +127,6 @@ ZAGIER = SequenceKind("ZAGIER")
 BETA = SequenceKind("BETA")
 WZAG = SequenceKind("WZAG")
 EULER = SequenceKind("EULER")
-BERNOULLI = SequenceKind("BERNOULLI")
 
 
 def SBC(b: int, c: int) -> SequenceKind:
@@ -151,13 +142,13 @@ class SequenceTable:
     """Immutable table of exact values indexed 0..n_max."""
 
     kind: SequenceKind
-    values: Tuple[Number, ...]
+    values: Tuple[int, ...]
 
     @property
     def n_max(self) -> int:
         return len(self.values) - 1
 
-    def __getitem__(self, n: int) -> Number:
+    def __getitem__(self, n: int) -> int:
         return self.values[n]
 
 
@@ -426,29 +417,7 @@ def _euler() -> Iterator[int]:
         yield even[m]
 
 
-def _bernoulli_even() -> Iterator[Fraction]:
-    """B_0, B_2, B_4, ... from the tangent numbers T_1, T_2, ...
-
-    Brent and Harvey's triangle starts from T_j = (j-1)! and makes passes
-    k = 2, 3, ...: pass k sets T_j = (j-k) T_{j-1} + (j-k+2) T_j for
-    j = k, k+1, ... in turn, and leaves T_k final.  ``diag`` holds T_j
-    after passes 1..j, so each T_j takes j - 1 small multiples of the
-    last diagonal, and then B_{2j} = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
-    """
-    yield Fraction(1)
-    diag = [1]
-    for j in count(1):
-        if j > 1:
-            new = [(j - 1) * diag[0]]
-            for k in range(2, j):
-                new.append((j - k) * diag[k - 1] + (j - k + 2) * new[-1])
-            new.append(2 * new[-1])
-            diag = new
-        four = 4 ** j
-        yield Fraction((-1) ** (j - 1) * 2 * j * diag[-1], four * (four - 1))
-
-
-def _generator(kind: SequenceKind) -> Iterator[Number]:
+def _generator(kind: SequenceKind) -> Iterator[int]:
     """The row generator of ``kind``."""
     tag = kind.tag
     if tag == "GPOLY":
@@ -458,8 +427,6 @@ def _generator(kind: SequenceKind) -> Iterator[Number]:
                               tuple(map(index, kind.params)))
     if tag == "EULER":
         return _euler()
-    if tag == "BERNOULLI":
-        return _bernoulli_even()
     raise ValueError(f"unknown sequence kind {kind}")
 
 
@@ -471,11 +438,11 @@ class SequenceStore:
     """Rows of each sequence kind, computed once and extended in place."""
 
     def __init__(self) -> None:
-        self._rows: Dict[SequenceKind, List[Number]] = {}
-        self._gens: Dict[SequenceKind, Iterator[Number]] = {}
+        self._rows: Dict[SequenceKind, List[int]] = {}
+        self._gens: Dict[SequenceKind, Iterator[int]] = {}
         self._lock = threading.Lock()
 
-    def rows(self, kind: SequenceKind, n: int) -> Sequence[Number]:
+    def rows(self, kind: SequenceKind, n: int) -> Sequence[int]:
         """Rows 0..n' of ``kind`` for some n' >= n.
 
         The result is the store's own list.  It only ever grows by
@@ -506,7 +473,7 @@ class SequenceStore:
 STORE = SequenceStore()
 
 
-def rows(kind: SequenceKind, n: int) -> Sequence[Number]:
+def rows(kind: SequenceKind, n: int) -> Sequence[int]:
     """Rows 0..n' (n' >= n) of ``kind`` from the process-wide store."""
     return STORE.rows(kind, n)
 

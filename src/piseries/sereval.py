@@ -5,10 +5,10 @@ binary exponent e, standing for the interval [(mid - rad) 2^-e,
 (mid + rad) 2^-e] that is proved to hold the true value (the
 midpoint-radius design of Arb, Johansson 2017, with both parts dyadic).
 Every producer emits it directly: the series sums, :func:`eval_rhs`,
-:func:`sqrt_ball`, :func:`_hurwitz_zeta2` and :func:`constant`.  Sums and
-differences of balls are exact, as the parts are aligned at the finer
-exponent by shifts, and :meth:`Ball.interval` reads a ball at a coarser
-scale with its ends rounded outward, so no operation loses an enclosure.
+:func:`sqrt_ball` and :func:`constant`.  Sums and differences of balls
+are exact, as the parts are aligned at the finer exponent by shifts, and
+:meth:`Ball.interval` reads a ball at a coarser scale with its ends
+rounded outward, so no operation loses an enclosure.
 ``Fraction`` stays only for exact rationals that no ball holds: the
 weights, m and the closed forms' coefficients, the factor table's growths
 and moment boxes, the envelope ratio theta (which is also the Euler
@@ -77,10 +77,13 @@ G, K and log 3) is one such interval lo <= c 2^top <= hi, held per name in
 far: a coarser request is cut from it by a shift, and only a finer one
 calls :func:`constant`, once, at a scale rounded up to a multiple of 64
 bits.  :func:`constant` builds a directed-rounded interval from its
-series: pi = 426880 sqrt(10005) / (Chudnovsky's sum), G from two series
-and pi, K from two Euler-Maclaurin sums (:func:`_hurwitz_zeta2`) and log 3
-from one series.  :func:`verify_series_identity` compares the two dyadic
-balls in integers too.
+series, each summed by :func:`eval_weighted` with its certified tail
+bound: pi = 426880 sqrt(10005) / (Chudnovsky's sum), G from two series and
+pi, K = 2 (3A - 10C) / (3 sqrt(3) pi) from the central-binomial sums
+A = sum_{k>=1} 1/(k^3 C(2k,k)) and C = sum_{k>=1} (-1)^k/(k^3 C(2k,k))
+(Zucker 1985 for A, Apery's zeta(3) = -(5/2) C) and pi, and log 3 from one
+series.  :func:`verify_series_identity` compares the two dyadic balls in
+integers too.
 
 The two sides of an identity are evaluated to different precisions.  The
 verdict reads an absolute gap below 10^(1-digits), and the radius of
@@ -205,48 +208,6 @@ def sqrt_ball(d, digits: int = 50) -> Ball:
     return Ball(lo + hi, hi - lo, t + 1)
 
 
-def _hurwitz_zeta2(p: int, q: int, digits: int) -> Ball:
-    """zeta(2, a) for rational 0 < a = p/q <= 1 by Euler-Maclaurin:
-    sum_{k<N} 1/(k+a)^2 + 1/x + 1/(2x^2) + sum_{j>=1} B_{2j} / x^(2j+1),
-    x = N + a.
-
-    The remainder is bounded by the magnitude of the first omitted
-    correction term (the summand derivatives are monotone of one sign).
-    Every addend v is summed as the integers floor(v 2^S) and ceil(v 2^S),
-    so the ends bound the sum, and the magnitudes that stop the
-    corrections and bound the remainder are rounded up.
-    """
-    N = max(40, digits)
-    while True:
-        X = N * q + p                   # x = X / q
-        # at most N + 81 roundings, each below 2^-S: below target / 16
-        S = ceil((digits + 3) * log2(10)) + (N + 81).bit_length() + 4
-        target = 10 ** (digits + 3)     # |v| < 1/target when v 2^S target < 2^S
-        parts = [(q * q, (k * q + p) ** 2) for k in range(N)]
-        parts += [(q, X), (q * q, 2 * X * X)]
-        bound = prev = None
-        for j in range(1, 80):   # B_2 .. B_158, grown only as read
-            B = seqkit.rows(seqkit.BERNOULLI, j)[j]
-            num = B.numerator * q ** (2 * j + 1)
-            den = B.denominator * X ** (2 * j + 1)
-            mag = -((-abs(num) << S) // den)
-            if prev is not None and mag > prev:
-                # correction terms started growing; omit this one and bound
-                # the remainder by the magnitude of the first omitted term
-                bound = mag
-                break
-            parts.append((num, den))
-            if mag * target < 1 << S:
-                bound = mag
-                break
-            prev = mag
-        if bound is not None and bound * target < 1 << S:
-            lo = sum((num << S) // den for num, den in parts)
-            hi = -sum((-num << S) // den for num, den in parts)
-            return Ball(lo + hi, hi - lo + 2 * bound, S + 1)
-        N *= 2
-
-
 def _constant_sum(spec: TermSpec, t: int) -> Tuple[int, int]:
     """Integers lo <= v 2^t <= hi for the sum v of ``spec``, as
     :func:`eval_series` gives it with radius below 2^-t / 1000.  It goes
@@ -284,11 +245,22 @@ def _catalan_g_fixed(t: int) -> Tuple[int, int]:
 
 
 def _k3_fixed(t: int) -> Tuple[int, int]:
-    """Integers lo <= K 2^t <= hi, K = sum_{k>=1} (k|3)/k^2 =
-    (zeta(2,1/3) - zeta(2,2/3))/9."""
-    d = _digits(t)
-    lo, hi = (_hurwitz_zeta2(1, 3, d) - _hurwitz_zeta2(2, 3, d)).interval(t)
-    return lo // 9, -(-hi // 9)
+    """Integers lo <= K 2^t <= hi, K = sum_{k>=1} (k|3)/k^2, from
+    K = 2 (3A - 10C) / (3 sqrt(3) pi), A = sum_{k>=1} 1/(k^3 C(2k,k)) and
+    C = sum_{k>=1} (-1)^k/(k^3 C(2k,k)): Zucker's (1985)
+    A = (sqrt(3) pi / 2) K - (4/3) zeta(3) with Apery's zeta(3) = -(5/2) C.
+    Both sums and pi are read 2 bits finer than t, so hi - lo <= 3."""
+    u = t + 2
+    (alo, ahi), (clo, chi) = (
+        _constant_sum(TermSpec(weight=(1,), den=(("CB2", 1), ("k", 3)),
+                               seq=(), m=Fraction(m), k0=1), u)
+        for m in (1, -1))
+    plo, phi = _const_fixed("PI", u)
+    r = isqrt(3 << 2 * u)              # r <= sqrt(3) 2^u < r + 1
+    # 3A - 10C > 0 at 2^-u, over 3 sqrt(3) pi at 2^-2u
+    nlo, nhi = 3 * alo - 10 * chi, 3 * ahi - 10 * clo
+    return ((nlo << t + u + 1) // (3 * (r + 1) * phi),
+            -(-(nhi << t + u + 1) // (3 * r * plo)))
 
 
 def _log3_fixed(t: int) -> Tuple[int, int]:
@@ -1418,7 +1390,6 @@ class RHSForm:
 
 @dataclass(frozen=True)
 class SeriesIdentity:
-    ident: str
     spec: TermSpec
     rhs: RHSForm
 

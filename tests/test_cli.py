@@ -69,6 +69,26 @@ class TestRunReport:
             assert (code, printed) == (0, "")
             assert path.read_bytes() == out.encode()
 
+    # a path that cannot be read or written is a usage error (exit 2),
+    # not a traceback with the exit code of a failed proven claim
+    def test_registry_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = _run(capsys, ["run", "--registry", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+
+    def test_registry_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("entry caf\xe9\n".encode("latin-1"))
+        code, out, err = _run(capsys, ["run", "--registry", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text (")
+
+    def test_out_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = _run(capsys, ["run", "--filter", "1.5", "--digits",
+                                       "12", "--out", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+
     # a kind or status that no entry can have is a usage error, not an
     # empty report
     @pytest.mark.parametrize("option, value, allowed", [
@@ -293,6 +313,18 @@ class TestVerifyExact:
         assert code == code_run == 0
         assert _untimed(out) == _untimed(out_run)
         assert "L21_7  PASS <t>  checked" in _untimed(out)
+
+    # n_max = 1 checks n = 0 and 1: the bound is too small, not wrong
+    @pytest.mark.parametrize("argv, ident", [
+        (["run", "--filter", "franel-transform"], "franel-transform"),
+        (["verify", "exact", "--family", "FRANEL_TRANSFORM"],
+         "FRANEL_TRANSFORM"),
+    ])
+    def test_franel_transform_at_nmax_one(self, capsys, argv, ident):
+        code, out, err = _run(capsys, argv + ["--nmax", "1"])
+        assert (code, err) == (0, "")
+        assert _untimed(out) == f"{ident}  PASS <t>  checked 2\n" \
+                                "-- 1 entries: PASS=1\n"
 
     def test_unknown_family(self, capsys):
         code, out, err = _run(capsys, ["verify", "exact", "--family",

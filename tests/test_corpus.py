@@ -20,7 +20,7 @@ from piseries import corpus, sereval
 #: (see ``_payload``).  It pins the parser: a change to how any number,
 #: weight, template or field is read changes it.
 PAYLOAD_DIGEST = \
-    "d2e47f5aacab7bc06772a74d44476a44da702c3bfe8ca589a9f4354dcdd82444"
+    "b056143dd569db0d3b00ec13a961ac963c929f793d0ca5b47f6318f6bdc256c9"
 
 
 def _payload(e: corpus.RegistryEntry) -> tuple:

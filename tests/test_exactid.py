@@ -351,6 +351,16 @@ class TestFranelTransform:
         assert (rep.family, rep.checked, rep.first_failure) == \
             ("FRANEL_SF_TF", 31, None)
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    def test_small_bounds(self, n_max):
+        rep = ei.check_franel_transform(n_max)
+        assert (rep.family, rep.checked, rep.first_failure) == \
+            ("FRANEL_SF_TF", n_max + 1, None)
+
+    def test_negative_bound(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            ei.check_franel_transform(-1)
+
     def test_u_first_values(self):
         f0 = ei.seqkit.snk(0, 0)
         assert 4 ** 0 * f0 == 1

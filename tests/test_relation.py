@@ -90,7 +90,7 @@ def _old_rediscover(spec, d, digits, max_norm):
     if residual.abs_upper() >= Fraction(1, 10 ** (digits - 15)):
         return None
     ident = se.SeriesIdentity(
-        "old", _with_weight(spec, (coeffs[1], coeffs[0])),
+        _with_weight(spec, (coeffs[1], coeffs[0])),
         RHSForm(addends=((Fraction(-coeffs[2]), d, "INV_PI"),)))
     report = se.verify_series_identity(ident, digits + digits // 2)
     return coeffs, report.passed

@@ -182,39 +182,6 @@ class TestAperyLike:
         assert tab.values == (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
 
-def bernoulli_even_oracle(count: int) -> tuple:
-    """B_0, B_2, ..., B_{2(count-1)}: every Akiyama-Tanigawa row up to
-    2(count-1) built in one go, as sereval once did for the K3 constant."""
-    n = 2 * (count - 1)
-    A = [Fraction(0)] * (n + 1)
-    out = []
-    for m in range(n + 1):
-        A[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            A[j - 1] = j * (A[j - 1] - A[j])
-        out.append(A[0])
-    return tuple(out[0::2])
-
-
-class TestBernoulli:
-    def test_first_values(self):
-        assert sk.table(sk.BERNOULLI, 5).values == (
-            1, Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-            Fraction(-1, 30), Fraction(5, 66))
-
-    def test_matches_oracle_through_b158(self):
-        # rows 0..79 are the Akiyama-Tanigawa rows 0..158
-        want = bernoulli_even_oracle(80)
-        assert sk.table(sk.BERNOULLI, 79).values == want
-        assert all(type(b) is Fraction for b in want)
-
-    def test_grows_only_as_read(self):
-        store = sk.SequenceStore()
-        assert len(store.rows(sk.BERNOULLI, 6)) == 7
-        assert tuple(store.rows(sk.BERNOULLI, 20)) \
-            == bernoulli_even_oracle(21)
-
-
 class TestSnk:
     def test_snk_zero_column(self):
         for n in range(10):
@@ -404,6 +371,11 @@ class TestStore:
             got = sk.rows(kind, STORE_N)
             assert list(got[:STORE_N + 1]) == oracle.values(kind, STORE_N), \
                 str(kind)
+
+    def test_every_row_is_an_int(self, store_kinds):
+        for kind in store_kinds:
+            got = sk.rows(kind, STORE_N)[:STORE_N + 1]
+            assert all(type(v) is int for v in got), str(kind)
 
     def test_operator_kinds_match_direct_sums(self):
         rng = random.Random(20191113)

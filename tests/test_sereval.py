@@ -238,34 +238,6 @@ class TestSqrt:
             se.sqrt_ball(-1)
 
 
-def fraction_hurwitz_zeta2(a: Fraction, digits: int) -> FBall:
-    """zeta(2, a) by Euler-Maclaurin in exact Fractions: the sum that
-    se._hurwitz_zeta2 replaced, kept as its oracle."""
-    target = Fraction(1, 10 ** (digits + 3))
-    N = max(40, digits)
-    while True:
-        head = sum(Fraction(1, 1) / (k + a) ** 2 for k in range(N))
-        x = N + a
-        total = head + 1 / x + Fraction(1, 2) / x ** 2
-        bound = None
-        acc = Fraction(0)
-        prev_mag = None
-        for j in range(1, 80):
-            term = sk.rows(sk.BERNOULLI, j)[j] / x ** (2 * j + 1)
-            mag = abs(term)
-            if prev_mag is not None and mag > prev_mag:
-                bound = mag
-                break
-            acc += term
-            if mag < target:
-                bound = mag
-                break
-            prev_mag = mag
-        if bound is not None and bound < target:
-            return FBall(total + acc, bound)
-        N *= 2
-
-
 _CONSTANT_REFERENCES = [
     ("PI", "mp.pi"),
     ("CATALAN_G", "mp.catalan"),
@@ -280,7 +252,7 @@ class TestConstants:
         pytest.param(name, expr, digits, id=f"{name}-{expr}" + (
             "" if digits == 40 else f"-{digits}"))
         for digits in (40, 20, 60) for name, expr in _CONSTANT_REFERENCES]
-        # K3's Euler-Maclaurin sum well past the digits the registry uses
+        # K3 well past the digits the registry uses
         + [pytest.param("K3", _CONSTANT_REFERENCES[3][1], digits,
                         id=f"K3-{digits}") for digits in (80, 200)])
     def test_against_reference(self, name, expr, digits):
@@ -295,41 +267,41 @@ class TestConstants:
                       for j in range(4000))
         assert abs(ball.mid - partial) < Fraction(1, 10 ** 6)
 
+    def test_k3_identities(self):
+        # the two identities behind K = 2 (3A - 10C) / (3 sqrt(3) pi), at
+        # 300 digits: A = (sqrt(3) pi / 2) K - (4/3) zeta(3) (Zucker 1985)
+        # and Apery's zeta(3) = -(5/2) C, with A and C the sums of
+        # 1/(k^3 C(2k,k)) and (-1)^k/(k^3 C(2k,k)) over k >= 1; 520 terms
+        # leave a tail below 4^-520 < 10^-313
+        with mpmath.workdps(320):
+            A, C = (mpmath.fsum(mpmath.mpf(sign ** k)
+                                / (k ** 3 * comb(2 * k, k))
+                                for k in range(1, 521))
+                    for sign in (1, -1))
+            K = eval(_CONSTANT_REFERENCES[3][1], {"mp": mpmath})
+            zeta3 = mpmath.zeta(3)
+            eps = mpmath.mpf(10) ** -300
+            assert abs(A - (mpmath.sqrt(3) * mpmath.pi / 2 * K
+                            - zeta3 * 4 / 3)) < eps
+            assert abs(zeta3 + C * 5 / 2) < eps
+
     #: sha256 of repr((mid, rad, exp)) of constant("K3", d), recorded when
-    #: K became a directed-rounded integer interval (the exact Fraction
-    #: Euler-Maclaurin sum is fraction_hurwitz_zeta2 below)
+    #: K became 2 (3A - 10C) / (3 sqrt(3) pi) from two series on the term
+    #: engine
     K3_DIGESTS = {
-        12: "a7acfca38fade38cea25851a179dcc49ec433dcc1365b564182fb51a1cfbbceb",
-        20: "51f40a22864c98b56ca4f5ce67e55c635d43ea41f79ad324466b1f6219653adb",
+        12: "24a8d8e0080a188c4af3e99c8e36ae403eeb82a027535097d17da2f53a500eb2",
+        20: "b8c5271f8473b66f2a777898d5f4b72a7d50697d8c12dfac8fab96eb0c4cfa7c",
         40: "7d27631a1dddda79d399ef7f2a3c2c84701e6b8538d2edc33e202bf87998b267",
         60: "8ba759159237f0d9117239a0f1271a07b46381fb602bda6826e21c64ced8fffc",
     }
 
-    @pytest.mark.parametrize("digits, rows_read", [
-        (12, 7), (20, 10), (40, 19), (60, 26)])
-    def test_k3_unchanged_and_reads_few_bernoulli(self, monkeypatch, digits,
-                                                  rows_read):
-        store = sk.SequenceStore()
-        monkeypatch.setattr(sk, "STORE", store)
+    @pytest.mark.parametrize("digits", [12, 20, 40, 60])
+    def test_k3_pinned(self, monkeypatch, digits):
         monkeypatch.setattr(se, "_CONST_FIXED", {})
         ball = se.constant("K3", digits)
         got = hashlib.sha256(repr((ball.mid, ball.rad, ball.exp))
                              .encode()).hexdigest()
         assert got == self.K3_DIGESTS[digits]
-        assert len(store.rows(sk.BERNOULLI, 0)) == rows_read
-
-    @pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(2, 3),
-                                   Fraction(1)])
-    @pytest.mark.parametrize("digits", [17, 45, 65])
-    def test_hurwitz_against_fraction_sum(self, a, digits):
-        got = fb(se._hurwitz_zeta2(a.numerator, a.denominator, digits))
-        want = fraction_hurwitz_zeta2(a, digits)
-        target = Fraction(1, 10 ** (digits + 3))
-        # the rounding adds below target / 16 to the remainder bound
-        assert want.rad <= got.rad < want.rad + target / 16
-        assert abs(got.mid - want.mid) <= got.rad - want.rad
-        if a == 1:
-            assert got.contains(mp_ref("mp.pi**2 / 6", digits + 20))
 
     def test_cache_hit(self, monkeypatch):
         # the second request is read from the enclosure held per name
@@ -729,11 +701,11 @@ class TestRHS:
     def test_verify_identity_pass_and_fail(self):
         spec = TermSpec(weight=(1, 4), den=(), seq=((sk.CB2, 3),),
                         m=Fraction(-64), k0=0)
-        good = SeriesIdentity("bauer", spec,
+        good = SeriesIdentity(spec,
                               RHSForm(addends=((Fraction(2), 1, "INV_PI"),)))
         rep = se.verify_series_identity(good, 40)
         assert rep.passed
-        bad = SeriesIdentity("bogus", spec,
+        bad = SeriesIdentity(spec,
                              RHSForm(addends=((Fraction(2), 2, "INV_PI"),)))
         rep = se.verify_series_identity(bad, 40)
         assert not rep.passed
@@ -754,7 +726,7 @@ class TestTermsUsed:
             return ball
 
         monkeypatch.setattr(se, "eval_series", spy)
-        rep = se.verify_series_identity(SeriesIdentity("t", spec, rhs), digits)
+        rep = se.verify_series_identity(SeriesIdentity(spec, rhs), digits)
         (ball, work, stats), = seen
         assert rep.passed and rep.terms_used == stats["terms"]
         ball = fb(ball)
@@ -1618,8 +1590,8 @@ class TestFactorTable:
             assert cert._asdict() == old
 
     def test_euler_path_specs(self):
-        euler = {e.ident: certificate(e.spec) for e in
-                 _registry_series().values() if _theta(e.spec) >= 1}
+        euler = {i: certificate(s.spec) for i, s in
+                 _registry_series().items() if _theta(s.spec) >= 1}
         assert len(euler) == 8
         assert [i for i, c in euler.items() if c is None] == ["7.1"]
         assert all(c.R == 1 for c in euler.values() if c is not None)
