@@ -10,10 +10,13 @@ verify congruence  check truncated-sum congruences prime by prime
 discover           integer-relation search for a closed form of a series
 quadform           binary-quadratic-form representation helpers
 
-``run``, ``verify series`` and ``verify exact`` print the rows of one
-``corpus.run`` report, which alone decides each outcome (PASS, CONSISTENT,
-SUPPORTED, EVALUATED, FAIL or SKIPPED); ``verify congruence`` lists one
-line per prime instead.
+``run``, ``verify series``, ``verify exact`` and ``verify congruence``
+print the rows of one ``corpus.run`` report, which alone decides each
+outcome (PASS, CONSISTENT, SUPPORTED, EVALUATED, FAIL or SKIPPED) and
+the exit code.  ``verify congruence`` prints them tab-separated, in the
+report's id order: a row of the ``sum`` check that tested a prime as one
+line per tested prime, ``id  p  ok|FAIL  lhs  rhs``, and every other row
+as ``id  -  OUTCOME  detail  -``.
 
 Exit codes: 0 when everything passed or is supported, 1 when a proven
 claim failed, 2 on usage or registry-parse errors and on a --registry or
@@ -31,7 +34,6 @@ import time
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from . import congruence as cg
 from . import corpus, exactid, quadform, relation, sereval
 
 _SQUAREFREE_D = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 30)
@@ -70,18 +72,18 @@ def _nonnegative_int(text: str) -> int:
     return _int_from(text, 0, "non-negative")
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load(paths: Optional[Sequence[str]]) -> List[corpus.RegistryEntry]:
     if not paths:
         return corpus.load_default()
-    entries: List[corpus.RegistryEntry] = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise CliError(f"{path}: not UTF-8 text ({exc})") from None
-        entries.extend(corpus.parse_registry(text))
-    return entries
+    return corpus.load((path, _read(path)) for path in paths)
 
 
 def _emit(report: corpus.VerificationReport, fmt: str = "text",
@@ -157,22 +159,17 @@ def _cmd_verify_congruence(args) -> int:
         picked = [e for e in picked if e.check == "refinement"]
     if not picked:
         raise CliError(f"no refinement entry matches {args.id!r}")
-    worst = 0
-    for entry in picked:
-        claim = entry.claim   # set only on truncated-sum congruences
-        if claim is not None and entry.check != "refinement":
-            for p, lhs, rhs in cg.claim_rows(claim, args.pmax):
-                if lhs != rhs and entry.status == "proven":
-                    worst = 1
-                status = "ok" if lhs == rhs else "FAIL"
-                print(f"{entry.ident}\t{p}\t{status}\t{lhs}\t{rhs}")
+    check = {e.ident: e.check for e in picked}
+    report = corpus.run(picked, p_max=args.pmax, n_max=args.nmax)
+    for row in report.rows:
+        if check[row.ident] == "sum" and row.report and row.report.tested:
+            failed = {p for p, _, _ in row.report.failures}
+            for p, lhs, rhs in row.report.rows:
+                status = "FAIL" if p in failed else "ok"
+                print(f"{row.ident}\t{p}\t{status}\t{lhs}\t{rhs}")
         else:
-            n_max = 128 if args.nmax is None else args.nmax
-            row = corpus._run_entry(entry, 40, args.pmax, n_max)
-            print(f"{entry.ident}\t-\t{row.outcome}\t{row.detail}\t-")
-            if row.outcome == "FAIL" and entry.status == "proven":
-                worst = 1
-    return worst
+            print(f"{row.ident}\t-\t{row.outcome}\t{row.detail}\t-")
+    return report.exit_code
 
 
 def _cmd_verify_exact(args) -> int:
@@ -191,7 +188,7 @@ def _cmd_verify_exact(args) -> int:
     except corpus.CorpusError as exc:
         raise CliError(str(exc)) from exc
     entry = corpus.RegistryEntry(name, "FINITE_IDENTITY", "proven", "",
-                                 family=parsed)
+                                 "finite", family=parsed)
     return _emit(corpus.run([entry], n_max=args.nmax))
 
 
@@ -302,12 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     vc = vsub.add_parser("congruence", help="check congruences per prime")
     vc.add_argument("--id", default="*", help="registry id glob")
-    vc.add_argument("--pmax", type=_positive_int, default=300)
+    vc.add_argument("--pmax", type=_positive_int, default=300,
+                    help="largest prime tested; dual stops at 200,"
+                         " dual-term at 97, refinement at 50, and a case"
+                         " table's partition runs to max(1000, PMAX)")
     vc.add_argument("--pn", action="store_true",
                     help="restrict to prime-power refinement checks")
     vc.add_argument("--integrality", action="store_true",
                     help="run integrality/parity checks instead")
-    vc.add_argument("--nmax", type=_positive_int, default=None)
+    vc.add_argument("--nmax", type=_positive_int, default=128)
     add_registry(vc)
     vc.set_defaults(func=_cmd_verify_congruence)
 

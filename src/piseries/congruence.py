@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import isqrt
@@ -51,7 +51,6 @@ __all__ = [
     "jacobi",
     "Characters",
     "characters",
-    "fraction_mod",
     "truncated_sum_exact",
     "truncated_sum_mod",
     "truncated_residues",
@@ -59,7 +58,6 @@ __all__ = [
     "rhs_residue",
     "CongruenceClaim",
     "ClaimReport",
-    "claim_rows",
     "verify_claim",
     "check_pn_refinement",
     "IntegralityClaim",
@@ -315,14 +313,6 @@ def characters(bound: int) -> Characters:
         return _CHARS
 
 
-def fraction_mod(x: Fraction, p: int, s: int) -> Optional[int]:
-    """Residue of a rational modulo p^s, or None if p divides the denominator."""
-    ps = p ** s
-    if x.denominator % p == 0:
-        return None
-    return x.numerator * pow(x.denominator, -1, ps) % ps
-
-
 def padic_valuation(x: Union[int, Fraction], p: int) -> Optional[int]:
     """v_p(x) for a nonzero integer or rational; None for x = 0 (infinite
     valuation)."""
@@ -432,27 +422,13 @@ class RHSTerm:
     euler: bool = False           # multiply by the Euler number E_{p-3}
     fermat: int = 0               # multiply by (fermat^(p-1) - 1)/p
 
-    def value(self, p: int) -> Fraction:
-        """The exact value at p, symbol by symbol: the tests' oracle of
-        ``rhs_residue``."""
-        v = self.coef * p ** self.ppow
-        for d in self.sym:
-            v *= legendre(d, p)
-        for d in self.sym_p:
-            v *= jacobi(p, d)
-        if self.euler:
-            v *= euler_number(p - 3)
-        if self.fermat:
-            v *= (self.fermat ** (p - 1) - 1) // p
-        return v
-
 
 def rhs_residue(terms: Sequence[RHSTerm], p: int, s: int) -> Optional[int]:
     """The sum of the terms' values at p modulo p^s, or None when it is not
-    a p-adic integer: ``fraction_mod`` of the sum of ``RHSTerm.value``,
-    computed in integers.  With p^k the largest power of p a coefficient's
-    denominator has beyond the term's p^ppow, the sum times p^k is summed
-    modulo p^(s+k); the sum is p-integral exactly when p^k divides that."""
+    a p-adic integer, computed in integers.  With p^k the largest power of
+    p a coefficient's denominator has beyond the term's p^ppow, the sum
+    times p^k is summed modulo p^(s+k); the sum is p-integral exactly when
+    p^k divides that."""
     chars = characters(p)
     parts = []
     k = 0
@@ -536,35 +512,34 @@ class ClaimReport:
     ident: str
     tested: List[int]
     failures: List[Tuple[int, object, object]]   # (p, lhs, rhs)
+    #: (p, lhs, rhs) at every tested prime, where the check has one
+    rows: List[Tuple[int, object, object]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return bool(self.tested) and not self.failures
 
+    @classmethod
+    def of(cls, ident: str, rows: List[Tuple[int, object, object]]):
+        """The report of one row (p, lhs, rhs) per tested prime: the claim
+        holds at p exactly when lhs == rhs."""
+        return cls(ident, [p for p, _, _ in rows],
+                   [row for row in rows if row[1] != row[2]], rows)
 
-def claim_rows(claim: CongruenceClaim,
-               p_max: int) -> Iterator[Tuple[int, object, Optional[int]]]:
-    """(p, lhs, rhs) for each admissible prime p <= p_max, in increasing
-    order: the truncated sum times p^lhs_ppow modulo p^s or NONINTEGRAL, and
-    the right-hand side modulo p^s or None.  One pass over the terms serves
-    every prime.  The claim holds at p exactly when lhs == rhs."""
+
+def verify_claim(claim: CongruenceClaim, p_max: int) -> ClaimReport:
+    """Check the claim at each admissible prime p <= p_max, in increasing
+    order.  Its row (p, lhs, rhs) holds the truncated sum times
+    p^lhs_ppow modulo p^s or NONINTEGRAL, and the right-hand side modulo
+    p^s or None; the claim holds at p exactly when lhs == rhs.  One pass
+    over the terms serves every prime."""
     characters(p_max)   # grown once here, not prime by prime below
     primes = [p for p in primes_upto(p_max) if claim.admissible(p)]
     upper = UPPERS[claim.upper]
     lhs = truncated_residues(claim.spec, {p: upper(p) for p in primes},
                              claim.s, claim.lhs_ppow)
-    for p in primes:
-        yield p, lhs[p], rhs_residue(claim.rhs, p, claim.s)
-
-
-def verify_claim(claim: CongruenceClaim, p_max: int) -> ClaimReport:
-    """Check the claim for every admissible prime <= p_max (``claim_rows``)."""
-    report = ClaimReport(claim.ident, [], [])
-    for p, lhs, rhs in claim_rows(claim, p_max):
-        report.tested.append(p)
-        if lhs != rhs:
-            report.failures.append((p, lhs, rhs))
-    return report
+    return ClaimReport.of(claim.ident, [
+        (p, lhs[p], rhs_residue(claim.rhs, p, claim.s)) for p in primes])
 
 
 # --------------------------------------------------------------------------
@@ -762,23 +737,19 @@ class DualityClaim:
 
 
 def check_duality_sum(claim: DualityClaim, p_max: int = 200) -> ClaimReport:
-    report = ClaimReport(claim.ident, [], [])
+    """Rows (p, lhs, rhs) at p <= p_max, 5 <= p, p prime to d D m: the sum
+    with base m, and (d|p) times the sum with base D/m, or None when that
+    is not a p-adic integer, both modulo p^2."""
     spec_m = TermSpec(weight=(1,), den=(), seq=claim.seq,
                       m=Fraction(claim.m), k0=0)
     spec_dual = TermSpec(weight=(1,), den=(), seq=claim.seq,
                          m=Fraction(claim.D, claim.m), k0=0)
     uppers = {p: p - 1 for p in primes_upto(p_max) if p >= 5
               and claim.d % p and claim.D % p and claim.m % p}
-    lhs_at = truncated_residues(spec_m, uppers, 2)
-    rhs_at = truncated_residues(spec_dual, uppers, 2)
+    lhs = truncated_residues(spec_m, uppers, 2)
+    dual = truncated_residues(spec_dual, uppers, 2)
     chars = characters(p_max)
-    for p in uppers:
-        lhs, rhs0 = lhs_at[p], rhs_at[p]
-        report.tested.append(p)
-        if lhs == NONINTEGRAL or rhs0 == NONINTEGRAL:
-            report.failures.append((p, lhs, rhs0))
-            continue
-        rhs = chars.value(chars.legendre(claim.d), p) * rhs0 % p ** 2
-        if lhs != rhs:
-            report.failures.append((p, lhs, rhs))
-    return report
+    return ClaimReport.of(claim.ident, [
+        (p, lhs[p], None if dual[p] == NONINTEGRAL else
+         chars.value(chars.legendre(claim.d), p) * dual[p] % p ** 2)
+        for p in uppers])

@@ -38,38 +38,45 @@ expressions (about 1900 read, about 640 distinct), so each distinct
 expression is walked once and its coefficients kept in a bounded memo;
 errors are not kept, so each one names the line that gave it.
 
-Kind-specific keys:
+Each entry has one check path, ``entry.check``, and the runner reads
+nothing else to choose its check.  The kind names the path; a
+CONGRUENCE's one selector key does.  Every entry may give ``kind``,
+``status``, ``covers``, ``anchor`` and ``variant``; each path reads the
+keys below, those it needs first.  Any other key, or a second selector,
+is a ``CorpusError`` at its line, and a needed key that is missing is one
+at the ``entry`` line.
 
-* SERIES: ``rhs`` (sum of ``q[*sqrt(d)][*BASIS]`` addends with q non-zero,
-  ``0`` for a sum that vanishes, or ``none`` for a series evaluated
-  without an asserted closed form), optional
-  ``variant`` (``verbatim``/``corrected`` for erratum twins) and
-  ``counterpart`` (``q * <entry-id>``: this sum equals q times another
-  registered sum).
-* CONGRUENCE: ``mod`` (``p^s``) with one of
-  - ``crhs``: symbol combination ``q[*p^j][*L(d)][*Lp(d)][*E][*Q(a)]``
-    (Legendre (d|p), Jacobi (p|d), Euler number E_{p-3}, Fermat quotient
-    (a^(p-1)-1)/p), checked as a truncated-sum congruence;
-  - ``case`` lines: a binary-quadratic-form dispatch table;
-  - ``dual``: sum-level duality data ``d=<int> ; D=<int>``, for an
-    integer base m that divides D;
-  - ``dual-term``: term-level duality ``d=<int|-> ; D=<int>``.
-  Optional: ``upper`` (``p-1``, ``p-2``, ``(p+1)/2`` or ``(p-1)/2``),
-  ``minp``, ``exclude``, ``require``, ``pn-delta``, ``sym-factor``,
-  ``check: refinement`` (refinement-only entries; ``sum``, the default,
-  is the only other value).  A ``minp`` that admits p = 2 is an error
-  when the check reads a quadratic character at p: a ``case`` table, or
-  an ``L``/``Lp`` factor in ``crhs``, ``require`` or ``pn-delta``.
-* INTEGRALITY: a weight with integer coefficients, and ``idiv`` options
-  ``div=<int> ; mul=<int> ; div-base=<int> ;
-  div-exp=none|n-1|half|half-up ; alt ; odd=pow2|pow2-pos|pow2-not2|none ;
-  any-sign ; nmin=<int>``.
-* FINITE_IDENTITY: ``family: <name>`` with exactly the parameters that
-  ``exactid.FAMILIES`` gives the family: ``m=<non-zero integer>`` for
-  L21_1..L21_8 and L22_1..L22_6 (Lemmas 2.1 and 2.2),
-  ``args=<c_lo>,<c_hi>`` for SN_EXPANSION, and none for GLAISHER,
-  SUN_FINITE, FRANEL_TRANSFORM and SKL_BOUND.
-* SKIP: ``reason`` only; records a label consciously left unverified.
+* ``series``, ``evaluate`` (SERIES; ``evaluate`` when ``rhs: none``):
+  ``term``, ``rhs`` (``q[*sqrt(d)][*BASIS]`` addends joined by `` + ``,
+  q non-zero, or ``0``), ``counterpart`` (``q * <entry-id>``: this sum is
+  q times another registered sum).  ``variant`` marks erratum twins.
+* ``sum`` (selector ``crhs``): ``term``, ``crhs`` (addends
+  ``q[*p^j][*L(d)][*Lp(d)][*E][*Q(a)]``: (d|p), (p|d), E_{p-3} and the
+  Fermat quotient (a^(p-1)-1)/p), ``mod`` (``p^s``, default ``p^2``),
+  ``upper`` (``p-1``, ``p-2``, ``(p+1)/2``, ``(p-1)/2``), ``minp``,
+  ``exclude``, ``require``, ``lhs-mul``, ``check: sum``; at p <= p_max.
+* ``refinement`` (selector ``check: refinement``): ``term``, ``check``,
+  ``pn-delta``, ``minp``, ``exclude``, ``require``; at p <= min(p_max, 50).
+* ``quadform`` (selector ``case`` lines): ``term``, ``case``, ``minp``,
+  ``exclude``, ``sym-factor``; mod p^2 at p <= p_max, and the cases'
+  partition of the primes at p <= max(1000, p_max).
+* ``dual`` (selector ``dual: d=<int> ; D=<int>``, an integer base m that
+  divides D): ``term``, ``dual``; at p <= min(p_max, 200).
+* ``dual-term`` (selector ``dual-term: d=<int|-> ; D=<int>``): ``term``,
+  ``dual-term``; at p <= min(p_max, 97).
+* ``integrality`` (INTEGRALITY): ``term`` with an integer weight, ``idiv``
+  (``div=<int> ; mul=<int> ; div-base=<int> ;
+  div-exp=none|n-1|half|half-up ; alt ; odd=pow2|pow2-pos|pow2-not2|none
+  ; any-sign ; nmin=<int>``).
+* ``finite`` (FINITE_IDENTITY): ``family: <name>`` with exactly the
+  parameters that ``exactid.FAMILIES`` gives it: ``m=<non-zero integer>``
+  for L21_1..L21_8 and L22_1..L22_6 (Lemmas 2.1 and 2.2),
+  ``args=<c_lo>,<c_hi>`` for SN_EXPANSION, none for the others.
+* ``skip`` (SKIP): ``reason``, for a label consciously left unverified.
+
+A ``minp`` that admits p = 2 is an error when the check reads a quadratic
+character at p: a ``case`` table, or an ``L``/``Lp`` factor in ``crhs``,
+``require`` or ``pn-delta``.
 """
 
 from __future__ import annotations
@@ -79,11 +86,12 @@ import fnmatch
 import math
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import congruence as cg
 from . import exactid
@@ -97,6 +105,7 @@ __all__ = [
     "RegistryEntry",
     "parse_registry",
     "render_entry",
+    "load",
     "load_default",
     "default_paths",
     "select",
@@ -109,8 +118,6 @@ DATA_DIR = Path(__file__).parent / "data"
 
 KINDS = ("SERIES", "CONGRUENCE", "FINITE_IDENTITY", "INTEGRALITY", "SKIP")
 STATUSES = ("proven", "conjectural")
-#: ``check:`` values a registry entry may give; ``sum`` is the default.
-CHECKS = ("sum", "refinement")
 
 
 class CorpusError(ValueError):
@@ -531,9 +538,10 @@ class RegistryEntry:
     kind: str
     status: str
     anchor: str
+    check: str          # the check path, a key of ``_PATHS``
     covers: Tuple[str, ...] = ()
     raw: Dict[str, object] = field(default_factory=dict)  # key -> value lines
-    # parsed payloads (exactly one family populated, depending on kind)
+    # parsed payloads: the ones that the entry's check path reads
     series: Optional[SeriesIdentity] = None
     counterpart: Optional[Tuple[Fraction, str]] = None
     variant: Optional[str] = None
@@ -541,246 +549,272 @@ class RegistryEntry:
     quadform: Optional[qf.QuadFormClaim] = None
     duality: Optional[cg.DualityClaim] = None
     dual_term: Optional[Tuple[seqkit.SequenceKind, Optional[int], int]] = None
-    check: str = "sum"
     integrality: Optional[cg.IntegralityClaim] = None
     family: Optional[Tuple[str, tuple]] = None
     reason: str = ""
 
 
-_KNOWN_KEYS = {
-    "kind", "status", "covers", "anchor", "term", "rhs", "variant",
-    "counterpart", "mod", "crhs", "upper", "minp", "exclude", "require",
-    "pn-delta", "sym-factor", "case", "dual", "dual-term", "check", "idiv",
-    "family", "reason", "lhs-mul",
+class _Block:
+    """One entry's lines as {key: (line, value)}; the ``case`` lines are
+    one key, at the first one's line, whose value lists each (line, value).
+    ``line`` of a key that the block does not give is the ``entry`` line."""
+
+    def __init__(self, ident: str, line: int, raw: Dict[str, tuple]):
+        self.ident, self.entry_line, self.raw = ident, line, raw
+
+    def get(self, key: str, default=None):
+        return self.raw[key][1] if key in self.raw else default
+
+    def line(self, key: str) -> int:
+        return self.raw[key][0] if key in self.raw else self.entry_line
+
+    def read(self, key: str, parse, default=None):   # parse(value, line)
+        return parse(self.get(key), self.line(key)) if key in self.raw \
+            else default
+
+    def error(self, msg: str, key: str) -> CorpusError:
+        return CorpusError(f"entry {self.ident}: {msg}", self.line(key))
+
+
+def _read_series(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
+    rhs = b.read("rhs", _rhs)
+    if rhs is not None:
+        entry.series = SeriesIdentity(spec=spec, rhs=rhs)
+    entry.variant = b.get("variant")
+    if b.get("counterpart"):
+        q_text, _, other = b.get("counterpart").partition("*")
+        entry.counterpart = (_rational(q_text.strip(), b.line("counterpart")),
+                             other.strip())
+    # stash the spec even when there is no asserted closed form
+    entry.raw["_spec"] = spec
+
+
+def _p_power(text: str, line: int) -> int:
+    """j of ``p^j``, one digit."""
+    m = re.match(r"^p\^(\d)$", text)
+    if not m:
+        raise CorpusError(f"bad power of p {text!r}", line)
+    return int(m.group(1))
+
+
+def _require(text: str, line: int) -> Tuple[Tuple[int, int], ...]:
+    """The (d, v) of each ``L(d)=v`` or ``Lp(d)=v``: (d|p) must be v."""
+    out = []
+    for part in [p.strip() for p in text.split(",") if p.strip()]:
+        sym, _, v = part.partition("=")
+        m = _SYMBOL.match(sym)
+        if not m or v not in ("1", "-1"):
+            raise CorpusError(f"bad require condition {part!r}", line)
+        out.append((_legendre_equivalent(m.group("kind"), int(m.group("d")),
+                                         line), int(v)))
+    return tuple(out)
+
+
+def _admitted(b: _Block, reads_character: bool) -> Tuple[int, tuple]:
+    """(minp, exclude) of a congruence; a ``minp`` that admits p = 2 is an
+    error when the check reads a quadratic character at p."""
+    min_p = b.read("minp", _integer, 5)
+    exclude = tuple(_integer(x, b.line("exclude"))
+                    for x in b.get("exclude", "").split(",") if x.strip())
+    if reads_character and min_p <= 2 and 2 not in exclude:
+        raise b.error(f"minp {min_p} admits p = 2, but the check reads a"
+                      " quadratic character at odd primes only", "minp")
+    return min_p, exclude
+
+
+def _read_sum(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
+    s = b.read("mod", _p_power, 2)
+    if s < 1:
+        raise b.error(f"modulus {b.get('mod')!r} has exponent below 1", "mod")
+    crhs, require = b.read("crhs", _crhs), b.read("require", _require, ())
+    min_p, exclude = _admitted(b, bool(require or any(t.sym or t.sym_p
+                                                      for t in crhs)))
+    upper = b.get("upper", "p-1")
+    if upper not in cg.UPPERS:
+        raise b.error(f"bad upper {upper!r}", "upper")
+    entry.claim = cg.CongruenceClaim(
+        ident=b.ident, spec=spec, s=s, rhs=crhs, upper=upper, min_p=min_p,
+        exclude=exclude, require=require,
+        lhs_ppow=b.read("lhs-mul", _p_power, 0))
+
+
+def _read_refinement(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
+    text = b.get("pn-delta")
+    pn_delta = () if text == "1" else _symbols(text, b.line("pn-delta"))
+    require = b.read("require", _require, ())
+    min_p, exclude = _admitted(b, bool(require or pn_delta))
+    entry.claim = cg.CongruenceClaim(
+        ident=b.ident, spec=spec, s=2, rhs=(), min_p=min_p, exclude=exclude,
+        require=require, pn_delta=pn_delta)
+
+
+def _read_quadform(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
+    min_p, exclude = _admitted(b, True)
+    table = qf.QuadFormTable(
+        b.ident, tuple(_case(v, ln) for ln, v in b.get("case")),
+        min_p=min_p, exclude=exclude,
+        sym_factor=b.read("sym-factor", _symbols, ()))
+    entry.quadform = qf.QuadFormClaim(b.ident, spec, table)
+
+
+def _read_dual(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
+    d, D = _duality(b.get("dual"), b.line("dual"), blank_d=False)
+    if spec.m.denominator != 1:
+        raise b.error("dual needs integer base", "term")
+    if D % spec.m.numerator:
+        raise b.error(f"base {spec.m} does not divide D={D}", "dual")
+    entry.duality = cg.DualityClaim(ident=b.ident, seq=spec.seq,
+                                    m=int(spec.m), d=d, D=D)
+
+
+def _read_dual_term(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
+    d, D = _duality(b.get("dual-term"), b.line("dual-term"), blank_d=True)
+    if len(spec.seq) != 1 or spec.seq[0][1] != 1:
+        raise b.error("dual-term needs a single sequence factor", "term")
+    entry.dual_term = (spec.seq[0][0], d, D)
+
+
+def _read_integrality(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
+    if spec.den or spec.m.denominator != 1:
+        raise b.error("integrality term needs integer base, no denominator"
+                      " factors", "term")
+    if any(Fraction(c).denominator != 1 for c in spec.weight):
+        raise b.error("integrality weight needs integer coefficients", "term")
+    opts = {"div": 1, "mul": 1, "div-base": 1, "nmin": 1, "div-exp": "none",
+            "odd": "pow2", "alt": False, "any-sign": False}
+    for part in [p.strip() for p in b.get("idiv", "-").split(";")]:
+        if part in ("-", ""):
+            continue
+        k, _, v = (x.strip() for x in part.partition("="))
+        if part in ("alt", "any-sign"):
+            opts[part] = True
+        elif k in ("div", "mul", "div-base", "nmin") \
+                and re.fullmatch(r"-?\d+", v):
+            opts[k] = int(v)
+        elif (k == "div-exp" and v in cg.DIV_EXPS) \
+                or (k == "odd" and (v in cg.ODD_SETS or v == "none")):
+            opts[k] = v
+        else:
+            raise b.error(f"bad idiv option {part!r}", "idiv")
+    if not opts["div"] or not opts["div-base"]:
+        raise b.error("bad idiv option: a divisor is 0", "idiv")
+    entry.integrality = cg.IntegralityClaim(
+        ident=b.ident, weight=spec.weight, seq=spec.seq, base=int(spec.m),
+        div=opts["div"], alt=opts["alt"], positive=not opts["any-sign"],
+        odd_set=None if opts["odd"] == "none" else opts["odd"],
+        mul=opts["mul"], div_base=opts["div-base"], div_exp=opts["div-exp"],
+        n_min=opts["nmin"])
+
+
+def _read_finite(entry: RegistryEntry, b: _Block, spec: None) -> None:
+    entry.family = b.read("family", _family)
+
+
+def _read_skip(entry: RegistryEntry, b: _Block, spec: None) -> None:
+    entry.reason = b.get("reason")
+    if entry.reason.startswith('"') and entry.reason.endswith('"'):
+        entry.reason = entry.reason[1:-1]
+    if not entry.reason:
+        raise b.error("SKIP needs a reason", "reason")
+
+
+#: The keys that every entry may give, whatever its check path.
+_COMMON_KEYS = ("kind", "status", "covers", "anchor", "variant")
+#: check path -> (the keys it needs, the other keys it reads, beyond
+#: ``_COMMON_KEYS``; the reader of its payload)
+_PATHS = {
+    "series": (("term", "rhs"), ("counterpart",), _read_series),
+    "evaluate": (("term", "rhs"), ("counterpart",), _read_series),
+    "sum": (("term", "crhs"), ("mod", "upper", "minp", "exclude", "require",
+                               "lhs-mul", "check"), _read_sum),
+    "refinement": (("term", "check", "pn-delta"),
+                   ("minp", "exclude", "require"), _read_refinement),
+    "quadform": (("term", "case"), ("minp", "exclude", "sym-factor"),
+                 _read_quadform),
+    "dual": (("term", "dual"), (), _read_dual),
+    "dual-term": (("term", "dual-term"), (), _read_dual_term),
+    "integrality": (("term",), ("idiv",), _read_integrality),
+    "finite": (("family",), (), _read_finite),
+    "skip": (("reason",), (), _read_skip),
 }
+#: CONGRUENCE's selector keys; ``check`` selects only as ``refinement``
+_SELECTORS = {"crhs": "sum", "case": "quadform", "dual": "dual",
+              "dual-term": "dual-term", "check": "refinement"}
 
 
-def _parse_block(ident: str, lines: List[Tuple[int, str]]) -> RegistryEntry:
-    raw: Dict[str, object] = {}
+def _path(b: _Block, kind: str) -> str:
+    """The entry's check path: its kind's, a SERIES's by its ``rhs``, or
+    the path of a CONGRUENCE's one selector key."""
+    if kind != "CONGRUENCE":
+        return {"SERIES": "evaluate" if b.get("rhs") == "none" else "series",
+                "INTEGRALITY": "integrality", "FINITE_IDENTITY": "finite",
+                "SKIP": "skip"}[kind]
+    picked = [key for key in b.raw if key in _SELECTORS
+              and (key != "check" or b.get(key) == "refinement")]
+    if not picked:
+        raise CorpusError(f"entry {b.ident}: congruence needs crhs, case"
+                          " lines, dual, dual-term or check: refinement",
+                          b.entry_line)
+    if len(picked) > 1:
+        raise b.error(f"{picked[1]!r} selects a second check path beside"
+                      f" {picked[0]!r} (line {b.line(picked[0])})",
+                      picked[1])
+    return _SELECTORS[picked[0]]
+
+
+def _parse_block(ident: str, line: int,
+                 lines: List[Tuple[int, str]]) -> RegistryEntry:
+    raw: Dict[str, tuple] = {}
     cases: List[Tuple[int, str]] = []
     for ln, text in lines:
         key, sep, val = text.partition(":")
         key = key.strip()
         if not sep:
             raise CorpusError(f"expected 'key: value', got {text!r}", ln)
-        if key not in _KNOWN_KEYS:
-            raise CorpusError(f"unknown key {key!r} in entry {ident}", ln)
-        val = val.strip()
         if key == "case":
-            cases.append((ln, val))
+            cases.append((ln, val.strip()))
+            raw.setdefault("case", (ln, cases))
         elif key in raw:
             raise CorpusError(f"duplicate key {key!r} in entry {ident}", ln)
         else:
-            raw[key] = (ln, val)
-
-    def get(key: str, default: Optional[str] = None) -> Optional[str]:
-        if key in raw:
-            return raw[key][1]
-        return default
-
-    def line_of(key: str) -> int:
-        return raw[key][0]
-
-    kind = get("kind", "")
+            raw[key] = (ln, val.strip())
+    b = _Block(ident, line, raw)
+    kind = b.get("kind", "")
     if kind not in KINDS:
-        raise CorpusError(f"entry {ident}: bad kind {kind!r}",
-                          line_of("kind") if "kind" in raw else None)
-    status = get("status", "conjectural")
+        raise b.error(f"bad kind {kind!r}", "kind")
+    status = b.get("status", "conjectural")
     if status not in STATUSES:
-        raise CorpusError(f"entry {ident}: bad status {status!r}",
-                          line_of("status"))
-    if get("check", "sum") not in CHECKS:
-        raise CorpusError(f"entry {ident}: bad check {get('check')!r}",
-                          line_of("check"))
-    anchor = get("anchor", "")
+        raise b.error(f"bad status {status!r}", "status")
+    check = _path(b, kind)
+    if b.get("check", check) != check:
+        raise b.error(f"bad check {b.get('check')!r}", "check")
+    needs, reads, read = _PATHS[check]
+    for key in raw:
+        if key not in needs and key not in reads and key not in _COMMON_KEYS:
+            raise b.error(f"the {check} check does not read {key!r}", key)
+    for key in needs:
+        if key not in raw:
+            raise b.error(f"the {check} check needs {key!r}", key)
+    anchor = b.get("anchor", "")
     if anchor.startswith('"') and anchor.endswith('"'):
         anchor = anchor[1:-1]
     elif kind != "SKIP":
-        raise CorpusError(f"entry {ident}: anchor must be a quoted string",
-                          line_of("anchor") if "anchor" in raw else None)
-    covers = tuple(c.strip() for c in get("covers", "").split(",")
+        raise b.error("anchor must be a quoted string", "anchor")
+    covers = tuple(c.strip() for c in b.get("covers", "").split(",")
                    if c.strip())
     entry = RegistryEntry(ident=ident, kind=kind, status=status,
-                          anchor=anchor, covers=covers,
+                          anchor=anchor, check=check, covers=covers,
                           raw={k: v for k, (_, v) in raw.items()})
     if cases:
         entry.raw["case"] = [v for _, v in cases]
-
-    if kind == "SKIP":
-        reason = get("reason", "")
-        if reason.startswith('"') and reason.endswith('"'):
-            reason = reason[1:-1]
-        entry.reason = reason
-        if not entry.reason:
-            raise CorpusError(f"entry {ident}: SKIP needs a reason", None)
-        return entry
-
-    if kind == "FINITE_IDENTITY":
-        fam = get("family")
-        if fam is None:
-            raise CorpusError(f"entry {ident}: FINITE_IDENTITY needs family",
-                              None)
-        entry.family = _family(fam, line_of("family"))
-        return entry
-
-    term = get("term")
-    if term is None:
-        raise CorpusError(f"entry {ident}: missing term", None)
-    spec = _term_spec(term, line_of("term"))
-
-    if kind == "SERIES":
-        if "rhs" not in raw:
-            raise CorpusError(f"entry {ident}: SERIES needs rhs", None)
-        rhs = _rhs(get("rhs"), line_of("rhs"))
-        if rhs is not None:
-            entry.series = SeriesIdentity(spec=spec, rhs=rhs)
-        else:
-            entry.series = None
-            entry.check = "evaluate"
-        entry.variant = get("variant")
-        cp = get("counterpart")
-        if cp:
-            q_text, _, other = cp.partition("*")
-            entry.counterpart = (_rational(q_text.strip(),
-                                           line_of("counterpart")),
-                                 other.strip())
-        # stash the spec even when there is no asserted closed form
-        entry.raw["_spec"] = spec
-        return entry
-
-    if kind == "INTEGRALITY":
-        if spec.den or spec.m.denominator != 1:
-            raise CorpusError(
-                f"entry {ident}: integrality term needs integer base, no"
-                " denominator factors", line_of("term"))
-        if any(Fraction(c).denominator != 1 for c in spec.weight):
-            raise CorpusError(f"entry {ident}: integrality weight needs"
-                              " integer coefficients", line_of("term"))
-        opts = {"div": 1, "mul": 1, "div_base": 1, "nmin": 1}
-        div_exp, alt, odd, positive = "none", False, "pow2", True
-        for part in [p.strip() for p in get("idiv", "-").split(";")]:
-            if part in ("-", ""):
-                continue
-            k, _, v = (x.strip() for x in part.partition("="))
-            if part == "alt":
-                alt = True
-            elif part == "any-sign":
-                positive = False
-            elif k in ("div", "mul", "div-base", "nmin") \
-                    and re.fullmatch(r"-?\d+", v):
-                opts[k.replace("-", "_")] = int(v)
-            elif k == "div-exp" and v in cg.DIV_EXPS:
-                div_exp = v
-            elif k == "odd" and (v in cg.ODD_SETS or v == "none"):
-                odd = v
-            else:
-                raise CorpusError(f"bad idiv option {part!r}", line_of("idiv"))
-        if not opts["div"] or not opts["div_base"]:
-            raise CorpusError("bad idiv option: a divisor is 0",
-                              line_of("idiv"))
-        entry.integrality = cg.IntegralityClaim(
-            ident=ident, weight=spec.weight, seq=spec.seq, base=int(spec.m),
-            div=opts["div"], alt=alt, odd_set=None if odd == "none" else odd,
-            positive=positive, mul=opts["mul"], div_base=opts["div_base"],
-            div_exp=div_exp, n_min=opts["nmin"])
-        return entry
-
-    # CONGRUENCE
-    mod = get("mod", "p^2")
-    m = re.match(r"^p\^(\d)$", mod)
-    if not m:
-        raise CorpusError(f"entry {ident}: bad modulus {mod!r}",
-                          line_of("mod") if "mod" in raw else None)
-    s = int(m.group(1))
-    if s < 1:
-        raise CorpusError(f"entry {ident}: modulus {mod!r} has exponent"
-                          f" below 1", line_of("mod"))
-    min_p = _integer(get("minp"), line_of("minp")) if "minp" in raw else 5
-    exclude = tuple(_integer(x, line_of("exclude"))
-                    for x in get("exclude", "").split(",") if x.strip())
-    require: List[Tuple[int, int]] = []
-    for part in [p.strip() for p in get("require", "").split(",") if p.strip()]:
-        mm = re.match(r"^(L|Lp)\((-?\d+)\)=(-?1)$", part)
-        if not mm:
-            raise CorpusError(f"bad require condition {part!r}",
-                              line_of("require"))
-        d = _legendre_equivalent(mm.group(1), int(mm.group(2)),
-                                 line_of("require"))
-        require.append((d, int(mm.group(3))))
-    pn_delta: Optional[Tuple[int, ...]] = None
-    if get("pn-delta") is not None:
-        pn_delta = () if get("pn-delta") == "1" else \
-            _symbols(get("pn-delta"), line_of("pn-delta"))
-    entry.check = get("check", "sum")
-
-    def odd_primes_only(reads_character: bool) -> None:
-        if reads_character and min_p <= 2 and 2 not in exclude:
-            raise CorpusError(
-                f"entry {ident}: minp {min_p} admits p = 2, but the check"
-                " reads a quadratic character at odd primes only",
-                line_of("minp"))
-
-    if cases:
-        odd_primes_only(True)
-        sym_factor = _symbols(get("sym-factor"), line_of("sym-factor")) \
-            if get("sym-factor") else ()
-        table = qf.QuadFormTable(
-            ident, tuple(_case(v, ln) for ln, v in cases),
-            min_p=min_p, exclude=exclude, sym_factor=sym_factor)
-        entry.quadform = qf.QuadFormClaim(ident, spec, table)
-        return entry
-
-    if get("dual") is not None:
-        d, D = _duality(get("dual"), line_of("dual"), blank_d=False)
-        if spec.m.denominator != 1:
-            raise CorpusError(f"entry {ident}: dual needs integer base",
-                              line_of("term"))
-        if D % spec.m.numerator:
-            raise CorpusError(f"entry {ident}: base {spec.m} does not divide"
-                              f" D={D}", line_of("dual"))
-        entry.duality = cg.DualityClaim(ident=ident, seq=spec.seq,
-                                        m=int(spec.m), d=d, D=D)
-        return entry
-
-    if get("dual-term") is not None:
-        d, D = _duality(get("dual-term"), line_of("dual-term"), blank_d=True)
-        if len(spec.seq) != 1 or spec.seq[0][1] != 1:
-            raise CorpusError(
-                f"entry {ident}: dual-term needs a single sequence factor",
-                line_of("term"))
-        entry.dual_term = (spec.seq[0][0], d, D)
-        return entry
-
-    lhs_ppow = 0
-    if get("lhs-mul") is not None:
-        mm = re.match(r"^p\^(\d)$", get("lhs-mul"))
-        if not mm:
-            raise CorpusError(f"bad lhs-mul {get('lhs-mul')!r}",
-                              line_of("lhs-mul"))
-        lhs_ppow = int(mm.group(1))
-    crhs = _crhs(get("crhs"), line_of("crhs")) if "crhs" in raw else ()
-    if "crhs" not in raw and not crhs and entry.check != "refinement":
-        raise CorpusError(
-            f"entry {ident}: congruence needs crhs, case lines, dual data,"
-            " or check: refinement", None)
-    odd_primes_only(bool(require or pn_delta
-                         or any(t.sym or t.sym_p for t in crhs)))
-    upper = get("upper", "p-1")
-    if upper not in cg.UPPERS:
-        raise CorpusError(f"entry {ident}: bad upper {upper!r}",
-                          line_of("upper"))
-    entry.claim = cg.CongruenceClaim(
-        ident=ident, spec=spec, s=s, rhs=crhs, upper=upper,
-        min_p=min_p, exclude=exclude, require=tuple(require),
-        pn_delta=pn_delta, lhs_ppow=lhs_ppow)
+    read(entry, b, b.read("term", _term_spec))
     return entry
 
 
 def parse_registry(text: str) -> List[RegistryEntry]:
     entries: List[RegistryEntry] = []
     seen: Dict[str, int] = {}
-    block: Optional[Tuple[str, int]] = None
-    lines: List[Tuple[int, str]] = []
+    block: Optional[tuple] = None     # (ident, entry line, its lines)
     for ln, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.strip()
         if not stripped or stripped.startswith("#"):
@@ -794,66 +828,59 @@ def parse_registry(text: str) -> List[RegistryEntry]:
                 raise CorpusError(f"duplicate id {ident!r} (first at line"
                                   f" {seen[ident]})", ln)
             seen[ident] = ln
-            block = (ident, ln)
-            lines = []
+            block = (ident, ln, [])
+        elif block is None:
+            raise CorpusError("'end' outside an entry" if stripped == "end"
+                              else f"content outside an entry: {stripped!r}",
+                              ln)
         elif stripped == "end":
-            if block is None:
-                raise CorpusError("'end' outside an entry", ln)
-            entries.append(_parse_block(block[0], lines))
+            entries.append(_parse_block(*block))
             block = None
         else:
-            if block is None:
-                raise CorpusError(f"content outside an entry: {stripped!r}",
-                                  ln)
-            lines.append((ln, stripped))
+            block[2].append((ln, stripped))
     if block is not None:
         raise CorpusError(f"entry {block[0]} missing 'end'", block[1])
     return entries
 
 
 def render_entry(entry: RegistryEntry) -> str:
-    """Canonical text for an entry (stable under parse -> render)."""
-    out = [f"entry {entry.ident}"]
-    order = ["kind", "covers", "status", "variant", "term", "rhs",
-             "counterpart", "mod", "lhs-mul", "crhs", "upper", "minp",
-             "exclude",
-             "require", "pn-delta", "sym-factor", "case", "dual", "dual-term",
-             "check", "idiv", "family", "reason", "anchor"]
-    raw = dict(entry.raw)
-    raw.pop("_spec", None)
-    raw["kind"] = entry.kind
-    raw["status"] = entry.status
+    """Canonical text for an entry (stable under parse -> render): the
+    common keys, then the keys of its check path in ``_PATHS`` order."""
+    needs, reads, _ = _PATHS[entry.check]
+    raw = dict(entry.raw, kind=entry.kind, status=entry.status)
     if entry.kind != "SKIP" or entry.anchor:
         raw["anchor"] = f'"{entry.anchor}"'
-    for key in order:
-        if key not in raw:
-            continue
-        val = raw[key]
-        if key == "case":
-            for case in val:
-                out.append(f"case: {case}")
-        else:
-            out.append(f"{key}: {val}")
-    out.append("end")
-    return "\n".join(out) + "\n"
+    out = [f"entry {entry.ident}"]
+    for key in ("kind", "covers", "status", "variant") + needs + reads \
+            + ("anchor",):
+        if key in raw:
+            out += [f"{key}: {v}" for v in
+                    (raw[key] if key == "case" else [raw[key]])]
+    return "\n".join(out + ["end"]) + "\n"
 
 
 def default_paths() -> List[Path]:
     return sorted(DATA_DIR.glob("*.txt"))
 
 
-def load_default() -> List[RegistryEntry]:
+def load(sources: Iterable[Tuple[str, str]]) -> List[RegistryEntry]:
+    """The entries of each (name, text) registry, in order; an id that two
+    of them give is a ``CorpusError``, as one that a registry repeats."""
     entries: List[RegistryEntry] = []
     seen: Dict[str, str] = {}
-    for path in default_paths():
-        for e in parse_registry(path.read_text(encoding="utf-8")):
+    for name, text in sources:
+        for e in parse_registry(text):
             if e.ident in seen:
-                raise CorpusError(
-                    f"duplicate id {e.ident!r} across {seen[e.ident]} and"
-                    f" {path.name}")
-            seen[e.ident] = path.name
+                raise CorpusError(f"duplicate id {e.ident!r} across"
+                                  f" {seen[e.ident]} and {name}")
+            seen[e.ident] = name
             entries.append(e)
     return entries
+
+
+def load_default() -> List[RegistryEntry]:
+    return load((path.name, path.read_text(encoding="utf-8"))
+                for path in default_paths())
 
 
 # --------------------------------------------------------------------------
@@ -869,6 +896,9 @@ class ReportRow:
     #                     FAIL | SKIPPED
     seconds: float
     detail: str = ""
+    #: the report that the row's check returned (None where it verifies
+    #: nothing or raised); not compared, not rendered
+    report: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -880,12 +910,6 @@ class VerificationReport:
         """1 when a proven entry failed, else 0."""
         return int(any(r.status == "proven" and r.outcome == "FAIL"
                        for r in self.rows))
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for r in self.rows:
-            out[r.outcome] = out.get(r.outcome, 0) + 1
-        return out
 
     def render(self, fmt: str = "text") -> str:
         if fmt == "tsv":
@@ -901,7 +925,7 @@ class VerificationReport:
         for r in self.rows:
             lines.append(f"{r.ident:<{width}}  {r.outcome:<10}"
                          f" {r.seconds:7.2f}s  {r.detail}")
-        c = self.counts()
+        c = Counter(r.outcome for r in self.rows)
         summary = ", ".join(f"{k}={v}" for k, v in sorted(c.items()))
         lines.append(f"-- {len(self.rows)} entries: {summary}")
         return "\n".join(lines) + "\n"
@@ -970,10 +994,27 @@ def _nstr(num: int, den: int, digits: int) -> str:
     return f"{sign}{body}e{'+' if exponent > 0 else ''}{exponent}"
 
 
-def _run_series(entry: RegistryEntry, digits: int) -> Tuple[bool, str]:
-    report = sereval.verify_series_identity(entry.series, digits)
-    return report.passed, \
-        f"gap<{_sci(report.gap_upper)} terms={report.terms_used}"
+def _verdict(rep, passed: str, tested=True, none: str = "no prime tested",
+             failed: str = "") -> tuple:
+    """(rep, ok, detail) of a check's report: ``none`` when ``tested`` is
+    empty, else its first three failures after ``failed``, or ``passed``."""
+    if not tested:
+        return rep, False, none
+    if rep.failures:
+        return rep, False, f"{failed}{rep.failures[:3]}"
+    return rep, True, passed
+
+
+def _primes(rep) -> tuple:
+    """``_verdict`` of a report that tests prime by prime."""
+    return _verdict(rep, f"{len(rep.tested)} primes", rep.tested)
+
+
+def _check_series(entry: RegistryEntry, digits: int, p_max: int,
+                  n_max: int) -> tuple:
+    rep = sereval.verify_series_identity(entry.series, digits)
+    return rep, rep.passed, \
+        f"gap<{_sci(rep.gap_upper)} terms={rep.terms_used}"
 
 
 def _sci(x: Fraction) -> str:
@@ -989,77 +1030,80 @@ def _sci(x: Fraction) -> str:
     return f"1e{e if below else e + 1}"
 
 
-def _run_congruence(entry: RegistryEntry, p_max: int,
-                    n_max: int) -> Tuple[bool, str]:
-    if entry.quadform is not None:
-        rep = qf.verify_quadform_claim(entry.quadform, p_max)
-        part = qf.check_partition(entry.quadform.table, max(1000, p_max))
-        if not rep.ok:
-            return False, f"failures {rep.failures[:3]}"
-        if not part.ok:
-            return False, f"partition gaps {part.failures[:3]}"
-        return True, f"p<=..{p_max}: {len(rep.tested)} primes"
-    if entry.duality is not None:
-        rep = cg.check_duality_sum(entry.duality, p_max=min(p_max, 200))
-        passed = f"{len(rep.tested)} primes"
-    elif entry.dual_term is not None:
-        kind, d, D = entry.dual_term
-        rep = cg.check_duality_term(kind, d, D, p_max=min(p_max, 97))
-        passed = f"{len(rep.tested)} primes"
-    elif entry.check == "refinement":
-        rep = cg.check_pn_refinement(entry.claim, p_max=min(p_max, 50),
-                                     n_max=n_max)
-        passed = f"{len(rep.checked)} (p,n) pairs, min margin" \
-            f" {rep.min_margin}"
-    else:
-        rep = cg.verify_claim(entry.claim, p_max)
-        passed = f"{len(rep.tested)} primes"
-    return rep.ok, passed if rep.ok else f"{rep.failures[:3]}"
+def _check_quadform(entry: RegistryEntry, digits: int, p_max: int,
+                    n_max: int) -> tuple:
+    rep = qf.verify_quadform_claim(entry.quadform, p_max)
+    part = qf.check_partition(entry.quadform.table, max(1000, p_max))
+    if rep.ok and not part.ok:
+        return rep, False, f"partition gaps {part.failures[:3]}"
+    return _verdict(rep, f"p<=..{p_max}: {len(rep.tested)} primes",
+                    rep.tested, failed="failures ")
 
 
-def _run_integrality(entry: RegistryEntry, n_max: int) -> Tuple[bool, str]:
-    rep = cg.check_integrality(entry.integrality, n_max=n_max)
-    return rep.ok, f"n<= {n_max}" if rep.ok else f"{rep.failures[:3]}"
+def _check_refinement(entry: RegistryEntry, digits: int, p_max: int,
+                      n_max: int) -> tuple:
+    rep = cg.check_pn_refinement(entry.claim, p_max=min(p_max, 50),
+                                 n_max=n_max)
+    return _verdict(rep, f"{len(rep.checked)} (p,n) pairs, min margin"
+                         f" {rep.min_margin}", rep.checked,
+                    "no (p,n) pair checked")
 
 
-def _run_finite(name: str, args: tuple, n_max: int) -> Tuple[bool, str]:
+def _check_finite(entry: RegistryEntry, digits: int, p_max: int,
+                  n_max: int) -> tuple:
+    name, args = entry.family
     rep = exactid.FAMILIES[name].check(args, n_max)
-    return rep.ok, f"checked {rep.checked}" if rep.ok \
+    return rep, rep.ok, f"checked {rep.checked}" if rep.ok \
         else f"first failure {rep.first_failure}: {rep.detail}"
+
+
+#: check path -> its check, (entry, digits, p_max, n_max) -> (report, ok,
+#: detail), with ok None on the two paths that verify nothing.  Each row
+#: caps p_max itself: the partition of a case table runs to
+#: max(1000, p_max), dual to 200, dual-term to 97 and refinement to 50.
+_CHECKS = {
+    "series": _check_series,
+    "evaluate": lambda e, digits, p_max, n_max:
+        (None, None, _evaluate(e.raw["_spec"], digits)),
+    "sum": lambda e, digits, p_max, n_max:
+        _primes(cg.verify_claim(e.claim, p_max)),
+    "refinement": _check_refinement,
+    "quadform": _check_quadform,
+    "dual": lambda e, digits, p_max, n_max:
+        _primes(cg.check_duality_sum(e.duality, p_max=min(p_max, 200))),
+    "dual-term": lambda e, digits, p_max, n_max:
+        _primes(cg.check_duality_term(*e.dual_term, p_max=min(p_max, 97))),
+    "integrality": lambda e, digits, p_max, n_max: _verdict(
+        cg.check_integrality(e.integrality, n_max=n_max), f"n<= {n_max}"),
+    "finite": _check_finite,
+    "skip": lambda e, digits, p_max, n_max: (None, None, e.reason),
+}
 
 
 def _run_entry(entry: RegistryEntry, digits: int, p_max: int,
                n_max: int) -> ReportRow:
-    """Check one entry and map its verdict to an outcome: FAIL when the
+    """Run the entry's check path and map its verdict to an outcome:
+    SKIPPED or EVALUATED where the path verifies nothing, FAIL when the
     check fails, PASS when it holds for a proven entry, and otherwise
     CONSISTENT for a series and SUPPORTED for any other claim."""
     start = time.monotonic()
+    report = None
     try:
-        if entry.kind == "SKIP":
-            outcome, detail = "SKIPPED", entry.reason
-        elif entry.kind == "SERIES" and entry.check == "evaluate":
-            outcome, detail = "EVALUATED", _evaluate(entry.raw["_spec"],
-                                                     digits)
+        report, ok, detail = _CHECKS[entry.check](entry, digits, p_max,
+                                                  n_max)
+        if ok is None:
+            outcome = "SKIPPED" if entry.check == "skip" else "EVALUATED"
+        elif not ok:
+            outcome = "FAIL"
+        elif entry.status == "proven":
+            outcome = "PASS"
         else:
-            if entry.kind == "SERIES":
-                ok, detail = _run_series(entry, digits)
-            elif entry.kind == "CONGRUENCE":
-                ok, detail = _run_congruence(entry, p_max, n_max)
-            elif entry.kind == "INTEGRALITY":
-                ok, detail = _run_integrality(entry, n_max)
-            else:
-                ok, detail = _run_finite(*entry.family, n_max)
-            if not ok:
-                outcome = "FAIL"
-            elif entry.status == "proven":
-                outcome = "PASS"
-            else:
-                outcome = "CONSISTENT" if entry.kind == "SERIES" \
-                    else "SUPPORTED"
+            outcome = "CONSISTENT" if entry.check == "series" \
+                else "SUPPORTED"
     except Exception as exc:  # surface, do not crash the batch
         outcome, detail = "FAIL", f"error: {exc!r}"
     return ReportRow(entry.ident, entry.kind, entry.status, outcome,
-                     time.monotonic() - start, detail)
+                     time.monotonic() - start, detail, report)
 
 
 def select(entries: Sequence[RegistryEntry],

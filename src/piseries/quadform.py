@@ -70,18 +70,6 @@ class Guard:
     syms_p: Tuple[Tuple[int, int], ...] = ()  # (d, v): (p|d) == v
     mods: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()  # (N, residues)
 
-    def holds(self, p: int) -> bool:
-        for d, v in self.syms:
-            if cg.legendre(d, p) != v:
-                return False
-        for d, v in self.syms_p:
-            if cg.jacobi(p, d) != v:
-                return False
-        for n, residues in self.mods:
-            if p % n not in residues:
-                return False
-        return True
-
     def mask(self, chars: cg.Characters) -> int:
         """The mask of the primes of ``chars`` where the guard holds."""
         m = chars.full
@@ -267,7 +255,9 @@ class QuadFormClaim:
 
 
 def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
-    report = cg.ClaimReport(claim.ident, [], [])
+    """Rows (p, lhs, rhs): the truncated sum and the table's value times
+    the symbol factor modulo p^2 (None when that is not a p-adic integer),
+    or (p, error, None) where the table dispatches to no one value."""
     spec, table = claim.spec, claim.table
     primes = [p for p in cg.primes_upto(p_max)
               if p >= table.min_p and p not in table.exclude
@@ -275,20 +265,17 @@ def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
               and all(d % p for d in table.sym_factor)]
     sums = cg.truncated_residues(spec, {p: p - 1 for p in primes}, 2)
     chars = cg.characters(p_max)
+    rows = []
     for p in primes:
         res = dispatch(table, p)
-        report.tested.append(p)
         if not res.ok:
-            report.failures.append((p, res.error, None))
+            rows.append((p, res.error, None))
             continue
         factor = chars.value(chars.product(table.sym_factor), p) \
             if table.sym_factor else 1
         rhs = cg._residue(factor * res.num, res.den, p, 2)
-        if rhs == cg.NONINTEGRAL:
-            rhs = None
-        if rhs is None or sums[p] != rhs:
-            report.failures.append((p, sums[p], rhs))
-    return report
+        rows.append((p, sums[p], None if rhs == cg.NONINTEGRAL else rhs))
+    return cg.ClaimReport.of(claim.ident, rows)
 
 
 def check_partition(table: QuadFormTable, p_max: int = 1000) -> cg.ClaimReport:

@@ -356,9 +356,6 @@ class TermSpec:
             if e < 1:
                 raise ValueError(f"exponent {e} of {kind} is below 1")
 
-    def weight_at(self, k: int) -> int:
-        return sum(c * k ** i for i, c in enumerate(self.weight))
-
 
 #: terms per block of :func:`_term_columns`: a bound on the columns held
 #: at once, whatever the number of terms

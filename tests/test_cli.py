@@ -186,6 +186,55 @@ class TestVerifyCongruence:
         assert code == 0
         assert out == "".join(f"{ident}\t{r}\n" for r in rows)
 
+    # vh-d is proven and admits no prime <= 5: verify congruence once
+    # printed nothing and exited 0, while run printed FAIL [] and exited 1
+    def test_nothing_tested_fails_on_both_paths(self, capsys):
+        code, out, _ = _run(capsys, ["run", "--filter", "vh-d", "--pmax",
+                                     "5"])
+        assert code == 1
+        assert _untimed(out).startswith("vh-d  FAIL <t>  no prime tested\n")
+        code, out, _ = _run(capsys, ["verify", "congruence", "--id", "vh-d",
+                                     "--pmax", "5"])
+        assert (code, out) == (1, "vh-d\t-\tFAIL\tno prime tested\t-\n")
+
+    def test_rows_in_run_order_with_runs_exit_code(self, capsys):
+        # quadform, refinement and sum rows of one corpus.run report: the
+        # sum rows (ids ending in -p) one line per prime, the others as
+        # run's rows
+        argv = ["--pmax", "20", "--nmax", "2"]
+        code, out, _ = _run(capsys, ["verify", "congruence", "--id",
+                                     "[8V]*-[qp]*"] + argv)
+        run_code, run_out, _ = _run(capsys, ["run", "--filter",
+                                             "[8V]*-[qp]*", "--format",
+                                             "tsv", "--kind", "CONGRUENCE"]
+                                    + argv)
+        rows = [line.split("\t") for line in run_out.splitlines()[1:]]
+        lines = [line.split("\t") for line in out.splitlines()]
+        assert code == run_code
+        assert list(dict.fromkeys(r[0] for r in lines)) == \
+            [r[0] for r in rows]
+        assert [r for r in lines if r[1] == "-"] == \
+            [[r[0], "-", r[3], r[5], "-"] for r in rows
+             if not r[0].endswith("-p")]
+        assert {r[0] for r in lines if r[1] != "-"} == \
+            {r[0] for r in rows if r[0].endswith("-p")}
+
+    # an id that two --registry files give is refused, as load_default
+    # refuses it across the bundled files (once both rows ran)
+    def test_id_given_by_two_registries(self, capsys, tmp_path):
+        paths = []
+        for name, selector in (("a.txt", "crhs: 1*Lp(3)"),
+                               ("b.txt", "case: always ; zero")):
+            path = tmp_path / name
+            path.write_text("entry dup\nkind: CONGRUENCE\nstatus: proven\n"
+                            "term: 1 ; - ; CB2 ; m=1 ; k0=0\n"
+                            f"{selector}\nanchor: \"x\"\nend\n")
+            paths += ["--registry", str(path)]
+        code, out, err = _run(capsys, ["verify", "congruence"] + paths)
+        assert (code, out) == (2, "")
+        assert err == f"registry error: duplicate id 'dup' across" \
+            f" {paths[1]} and {paths[3]}\n"
+
     def test_bad_registry_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("entry bad\nkind: CONGRUENCE\nstatus: conjectural\n"
@@ -242,8 +291,8 @@ class TestVerifyCongruence:
         "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\nminp: 2\ncrhs: 1*Lp(3)",
         "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\nminp: 2\ncrhs: 1\n"
         "require: L(-1)=1",
-        "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\nminp: 2\ncrhs: 1\n"
-        "check: refinement\npn-delta: L(-1)",
+        "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\nminp: 2\ncheck: refinement\n"
+        "pn-delta: L(-1)",
     ], ids=["8-1-q", "case", "crhs-L", "crhs-Lp", "require", "pn-delta"])
     def test_minp_two_with_a_character_is_a_usage_error(self, capsys,
                                                         tmp_path, body):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
 import os
 import random
@@ -20,7 +21,7 @@ from piseries import corpus, sereval
 #: (see ``_payload``).  It pins the parser: a change to how any number,
 #: weight, template or field is read changes it.
 PAYLOAD_DIGEST = \
-    "b056143dd569db0d3b00ec13a961ac963c929f793d0ca5b47f6318f6bdc256c9"
+    "0f8b9c25e1b6d378c026ba58dfbfe0379998bc2eae27efaaa992324ab250782f"
 
 
 def _payload(e: corpus.RegistryEntry) -> tuple:
@@ -329,8 +330,11 @@ class TestMalformed:
 
     @pytest.mark.parametrize("check", ["sum", "refinement"])
     def test_check_accepted(self, check):
-        text = _CONGRUENCE.format(upper="p-1").replace(
-            "anchor:", f"check: {check}\nanchor:")
+        text = _CONGRUENCE.format(upper="p-1")
+        if check == "refinement":   # which reads no crhs, mod or upper
+            text = re.sub(r"mod:.*\ncrhs:.*\nupper:.*\n", "pn-delta: L(-1)\n",
+                          text)
+        text = text.replace("anchor:", f"check: {check}\nanchor:")
         (entry,) = corpus.parse_registry(text)
         assert entry.check == check
 
@@ -467,6 +471,123 @@ class TestMalformed:
         claim = entry.claim
         assert (claim.spec.k0, claim.min_p, claim.exclude) == \
             (2, 7, (11, 13, 17))
+
+
+#: one valid block per check path, after a comment line, so that its
+#: ``entry`` line is 2 and its ``anchor`` line the last but one
+_PATH_BLOCKS = {
+    "series": "kind: SERIES\nterm: 4*k+1 ; - ; CB2^3 ; m=-64 ; k0=0\n"
+              "rhs: 2*INV_PI",
+    "evaluate": "kind: SERIES\nterm: 1 ; - ; CB2 ; m=8 ; k0=0\nrhs: none",
+    "sum": "kind: CONGRUENCE\nterm: 4*k+1 ; - ; CB2^3 ; m=-64 ; k0=0\n"
+           "mod: p^3\ncrhs: 1*p*L(-1)",
+    "refinement": "kind: CONGRUENCE\nterm: 4*k+1 ; - ; CB2^3 ; m=-64 ;"
+                  " k0=0\ncheck: refinement\npn-delta: L(-1)",
+    "quadform": "kind: CONGRUENCE\nterm: 1 ; - ; CB2^3 ; m=64 ; k0=0\n"
+                "case: always ; zero",
+    "dual": "kind: CONGRUENCE\nterm: 1 ; - ; T(1,1)*Z ; m=32 ; k0=0\n"
+            "dual: d=3 ; D=-96",
+    "dual-term": "kind: CONGRUENCE\nterm: 1 ; - ; F ; m=32 ; k0=0\n"
+                 "dual-term: d=- ; D=-8",
+    "integrality": "kind: INTEGRALITY\nterm: 1 ; - ; D ; m=64 ; k0=0\n"
+                   "idiv: div=2",
+    "finite": "kind: FINITE_IDENTITY\nfamily: GLAISHER",
+    "skip": "kind: SKIP\nreason: \"x\"",
+}
+
+
+def _path_block(path: str, extra: str = "") -> str:
+    """The block of ``path``, with ``extra`` lines before its anchor."""
+    return (f"# one entry\nentry e\nstatus: proven\n{_PATH_BLOCKS[path]}\n"
+            f"{extra}anchor: \"x\"\nend\n")
+
+
+class TestCheckPaths:
+    def test_every_entry_names_its_path(self, entries):
+        counts = {}
+        for e in entries:
+            counts[e.check] = counts.get(e.check, 0) + 1
+        assert counts == {
+            "series": 238, "evaluate": 2, "sum": 56, "refinement": 46,
+            "quadform": 47, "dual": 11, "dual-term": 6, "integrality": 42,
+            "finite": 24, "skip": 7}
+        assert counts.keys() == corpus._PATHS.keys() == corpus._CHECKS.keys()
+
+    @pytest.mark.parametrize("path", list(_PATH_BLOCKS))
+    def test_each_block_reads(self, path):
+        (entry,) = corpus.parse_registry(_path_block(path))
+        assert entry.check == path
+
+    # a key that the path does not read, once dropped in silence (a case
+    # table checked mod p^2 under mod: p^3, and listed by --pn under
+    # check: refinement), or a second selector
+    @pytest.mark.parametrize("path, extra, why", [
+        ("series", "crhs: 7", "the series check does not read 'crhs'"),
+        ("evaluate", "mod: p^2", "does not read 'mod'"),
+        ("sum", "pn-delta: L(-1)", "the sum check does not read 'pn-delta'"),
+        ("refinement", "upper: p-2", "does not read 'upper'"),
+        ("quadform", "mod: p^3", "the quadform check does not read 'mod'"),
+        ("quadform", "check: refinement",
+         "'check' selects a second check path beside 'case' (line 6)"),
+        ("dual", "minp: 50", "the dual check does not read 'minp'"),
+        ("dual", "crhs: 7", "'crhs' selects a second check path beside"
+                            " 'dual' (line 6)"),
+        ("dual", "case: always ; zero", "'case' selects a second check"),
+        ("dual-term", "upper: p-1", "does not read 'upper'"),
+        ("integrality", "minp: 7", "does not read 'minp'"),
+        ("finite", "term: 1 ; - ; CB2 ; m=8 ; k0=0", "does not read 'term'"),
+        ("skip", "rhs: 1", "the skip check does not read 'rhs'"),
+        ("sum", "bogus: 1", "does not read 'bogus'"),
+    ])
+    def test_stray_key_names_its_line(self, path, extra, why):
+        text = _path_block(path, extra + "\n")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == text.count("\n") - 2
+        assert why in str(exc.value)
+
+    # a missing key once gave an error with no line; a refinement entry
+    # with no pn-delta once read as a FAIL row with a ValueError
+    @pytest.mark.parametrize("path, key, why", [
+        ("sum", "kind", "bad kind ''"),
+        ("sum", "anchor", "anchor must be a quoted string"),
+        ("series", "term", "the series check needs 'term'"),
+        ("series", "rhs", "the series check needs 'rhs'"),
+        ("integrality", "term", "the integrality check needs 'term'"),
+        ("finite", "family", "the finite check needs 'family'"),
+        ("skip", "reason", "the skip check needs 'reason'"),
+        ("sum", "crhs", "congruence needs crhs, case lines, dual,"),
+        ("refinement", "pn-delta", "the refinement check needs 'pn-delta'"),
+    ])
+    def test_missing_key_names_the_entry_line(self, path, key, why):
+        text = re.sub(rf"^{key}:.*\n", "", _path_block(path), flags=re.M)
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 2 and why in str(exc.value)
+
+    # a check that tested nothing once read FAIL with the detail [] (or
+    # "failures []" for a case table)
+    @pytest.mark.parametrize("ident, detail", [
+        ("vh-d", "no prime tested"), ("dt-t", "no prime tested"),
+        ("ds-z1", "no prime tested"), ("cb2cubed-q", "no prime tested"),
+        ("VI1-pn", "no (p,n) pair checked"),
+    ])
+    def test_nothing_tested_is_named(self, entries, ident, detail):
+        (row,) = corpus.run(entries, id_glob=ident, p_max=3, n_max=2).rows
+        assert (row.outcome, row.detail) == ("FAIL", detail)
+
+    def test_row_carries_its_report(self, entries):
+        (row,) = corpus.run(entries, id_glob="log-a-p", p_max=30).rows
+        assert row.report.rows[:2] == [(5, 11, 11), (7, 30, 30)]
+        assert row.report.tested == [p for p, _, _ in row.report.rows]
+        # kept out of equality and out of both renderings
+        bare = dataclasses.replace(row, report=None)
+        assert bare == row
+        for fmt in ("text", "tsv"):
+            assert corpus.VerificationReport([bare]).render(fmt) == \
+                corpus.VerificationReport([row]).render(fmt)
+        (skip,) = corpus.run(entries, id_glob="I5-trio").rows
+        assert skip.report is None
 
 
 def old_poly(text: str, names: tuple) -> dict:

@@ -11,6 +11,8 @@ from piseries import quadform as qf
 from piseries import seqkit as sk
 from piseries.sereval import TermSpec
 
+from oracle_symbols import fraction_mod, guard_holds
+
 F = Fraction
 
 
@@ -139,7 +141,7 @@ def _partition_oracle(table, p_max):
     for p in cg.primes_upto(p_max):
         if p < table.min_p or p in table.exclude:
             continue
-        n = sum(1 for c in table.cases if c.guard.holds(p))
+        n = sum(1 for c in table.cases if guard_holds(c.guard, p))
         tested.append(p)
         if n != 1:
             failures.append((p, n, 1))
@@ -161,7 +163,7 @@ def _dispatch_oracle(table, p):
     """(p, value, error, case index) of dispatch with every guard
     evaluated at p, as before the masks, and every template value in
     Fractions."""
-    matches = [(i, c) for i, c in enumerate(table.cases) if c.guard.holds(p)]
+    matches = [(i, c) for i, c in enumerate(table.cases) if guard_holds(c.guard, p)]
     if len(matches) != 1:
         return p, None, qf.NO_CASE, None
     idx, case = matches[0]
@@ -277,5 +279,5 @@ class TestIntegerTemplates:
                 got = cg._residue(num, den, p, 2)
                 if got == cg.NONINTEGRAL:
                     got = None
-                assert got == cg.fraction_mod(F(num, den), p, 2), \
+                assert got == fraction_mod(F(num, den), p, 2), \
                     (num, den, p)
