@@ -2,18 +2,19 @@
 
 Given a term specification ``w(k) * a_k / m^k`` this module computes the
 residue of a truncated sum modulo a prime power and compares it against a
-right-hand side built from Legendre/Jacobi symbols and Euler numbers.  It
-also checks (pn)^2-refinements, integrality-with-parity claims, and dual
-sums (term-level modulo p and sum-level modulo p^2).
+right-hand side built from Legendre symbols and Euler numbers.  It also
+checks (pn)^2-refinements, integrality-with-parity claims, and dual sums
+(term-level modulo p and sum-level modulo p^2).  Every prime-by-prime
+check, here and in ``quadform``, tests the primes that ``tested_primes``
+gives, so a right-hand side is a p-adic integer wherever it is read.
 
 Every truncated sum comes from one place, ``_prefix_sums``: one pass over
 the terms yields the exact partial sums S(c) at each requested count c as
 unreduced integer pairs P/Q, and ``_residue`` reads a residue modulo p^s
 off such a pair.  A check sums each series once for all its primes (or all
 its n), so a reported residue is exact and never subject to rounding.
-``rhs_residue`` works in integers modulo a power of p: coefficients by
-their inverse, Fermat quotients from ``pow(a, p-1, p^(s+1))``, E_{p-3}
-reduced.
+``rhs_residue`` works in integers modulo p^s: coefficients by their
+inverse, Fermat quotients from ``pow(a, p-1, p^(s+1))``, E_{p-3} reduced.
 
 Elementary number theory: primes are read off one process-wide sieve that
 grows by doubling to the largest bound asked for so far.  ``is_prime`` grows
@@ -21,9 +22,9 @@ it up to ``SIEVE_CAP`` = 2^20 and uses trial division above that.  Every
 quadratic character read at a prime, here and in ``quadform``, comes from
 one process-wide ``Characters`` table (``characters(bound)``), which grows
 the same way: bit i of an int stands for the i-th odd prime, and a
-character p -> (d|p) or p -> (p|d) is a pair of such bitsets (where it is
--1, where it is 0), built by quadratic reciprocity from the residue classes
-of the primes modulo 4, 8 and the odd prime factors of d.  ``legendre`` and
+character p -> (d|p) is a pair of such bitsets (where it is -1, where it
+is 0), built by quadratic reciprocity from the residue classes of the
+primes modulo 4, 8 and the odd prime factors of d.  ``legendre`` and
 ``jacobi`` compute one symbol directly (Euler's criterion, and
 reciprocity with the Euclidean algorithm); the tests use them as the
 table's oracle.
@@ -32,11 +33,11 @@ table's oracle.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import isqrt
+from math import isqrt, prod
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -51,6 +52,7 @@ __all__ = [
     "jacobi",
     "Characters",
     "characters",
+    "tested_primes",
     "truncated_sum_exact",
     "truncated_sum_mod",
     "truncated_residues",
@@ -192,14 +194,6 @@ class Characters:
         return int("0" + "".join("1" if pred(p) else "0"
                                  for p in reversed(self.primes)), 2)
 
-    def upto(self, x: int) -> int:
-        """The mask of the indexed primes <= x."""
-        return (1 << bisect_right(self.primes, x)) - 1
-
-    def primes_in(self, mask: int) -> List[int]:
-        """The indexed primes whose bits are set in ``mask``, in order."""
-        return [p for p, b in zip(self.primes, bin(mask)[:1:-1]) if b == "1"]
-
     def residues(self, n: int, rs: Tuple[int, ...]) -> int:
         """The mask of the indexed primes p with p mod n in ``rs``."""
         key = ("mod", n, rs)
@@ -264,17 +258,14 @@ class Characters:
         self._memo[key] = char
         return char
 
-    def product(self, sym: Tuple[int, ...] = (),
-                sym_p: Tuple[int, ...] = ()) -> Char:
-        """p -> prod (d|p) over ``sym`` times prod (p|d) over ``sym_p``."""
-        key = ("P", sym, sym_p)
+    def product(self, sym: Tuple[int, ...]) -> Char:
+        """p -> prod (d|p) over ``sym``."""
+        key = ("P", sym)
         got = self._memo.get(key)
         if got is None:
             got = (0, 0)
             for d in sym:
                 got = _times(got, self.legendre(d))
-            for d in sym_p:
-                got = _times(got, self.jacobi(d))
             self._memo[key] = got
         return got
 
@@ -311,6 +302,26 @@ def characters(bound: int) -> Characters:
         if bound > _CHARS.bound:
             _CHARS = Characters(max(bound, 2 * _CHARS.bound))
         return _CHARS
+
+
+def tested_primes(p_max: int, min_p: int = 5, exclude: Tuple[int, ...] = (),
+                  coprime: Iterable[int] = (),
+                  require: Iterable[Tuple[int, int]] = ()) -> List[int]:
+    """The primes a check tests, in increasing order: min_p <= p <= p_max,
+    p not in ``exclude``, p dividing no integer of ``coprime``, and
+    (d|p) == v for each (d, v) of ``require``.  A ``require`` at a p = 2
+    that min_p and ``exclude`` admit is a ValueError: (d|2) has no value."""
+    chars = characters(p_max)   # grown once here, not prime by prime
+    odd = chars.primes          # the odd primes up to chars.bound >= p_max
+    primes = odd[bisect_left(odd, min_p):bisect_right(odd, p_max)]
+    if min_p <= 2 <= p_max:
+        primes = [2] + primes
+    product = prod(coprime)
+    primes = [p for p in primes if p not in exclude and product % p]
+    for d, v in require:
+        char = chars.legendre(d)
+        primes = [p for p in primes if chars.value(char, p) == v]
+    return primes
 
 
 def padic_valuation(x: Union[int, Fraction], p: int) -> Optional[int]:
@@ -412,47 +423,33 @@ def euler_number(n: int) -> int:
 
 @dataclass(frozen=True)
 class RHSTerm:
-    """One additive term coef * p^ppow * prod (d|p) * prod (p|d), optionally
-    times the Euler number E_{p-3} or a Fermat quotient (a^(p-1) - 1)/p."""
+    """One additive term coef * p^ppow * prod (d|p), optionally times the
+    Euler number E_{p-3} or a Fermat quotient (a^(p-1) - 1)/p."""
 
     coef: Fraction
     ppow: int = 1
     sym: Tuple[int, ...] = ()     # Legendre symbols (d|p)
-    sym_p: Tuple[int, ...] = ()   # Jacobi symbols (p|d)
     euler: bool = False           # multiply by the Euler number E_{p-3}
     fermat: int = 0               # multiply by (fermat^(p-1) - 1)/p
 
 
-def rhs_residue(terms: Sequence[RHSTerm], p: int, s: int) -> Optional[int]:
-    """The sum of the terms' values at p modulo p^s, or None when it is not
-    a p-adic integer, computed in integers.  With p^k the largest power of
-    p a coefficient's denominator has beyond the term's p^ppow, the sum
-    times p^k is summed modulo p^(s+k); the sum is p-integral exactly when
-    p^k divides that."""
+def rhs_residue(terms: Sequence[RHSTerm], p: int, s: int) -> int:
+    """The sum of the terms' values at p modulo p^s, computed in integers,
+    for a p that divides no coefficient's denominator (``tested_primes``
+    leaves none)."""
     chars = characters(p)
-    parts = []
-    k = 0
-    for t in terms:
-        den, e = t.coef.denominator, t.ppow
-        while den % p == 0:
-            den //= p
-            e -= 1
-        k = max(k, -e)
-        parts.append((t, den, e))
-    ps = p ** (s + k)
+    ps = p ** s
     total = 0
-    for t, den, e in parts:
-        v = t.coef.numerator * pow(den, -1, ps) * p ** (e + k)
-        if t.sym or t.sym_p:
-            v *= chars.value(chars.product(t.sym, t.sym_p), p)
+    for t in terms:
+        v = t.coef.numerator * pow(t.coef.denominator, -1, ps) * p ** t.ppow
+        if t.sym:
+            v *= chars.value(chars.product(t.sym), p)
         if t.euler:
             v *= euler_number(p - 3) % ps
         if t.fermat:
             v *= (pow(t.fermat, p - 1, ps * p) - 1) // p
         total += v
-    total %= ps
-    pk = p ** k
-    return None if total % pk else total // pk
+    return total % ps
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +467,8 @@ UPPERS = {
 
 @dataclass(frozen=True)
 class CongruenceClaim:
-    """A family of congruences indexed by admissible primes."""
+    """A family of congruences indexed by the primes that
+    ``tested_primes`` admits."""
 
     ident: str
     spec: TermSpec
@@ -483,28 +481,15 @@ class CongruenceClaim:
     pn_delta: Optional[Tuple[int, ...]] = None  # symbols whose product is delta
     lhs_ppow: int = 0         # multiply the truncated sum by p^lhs_ppow
 
-    def admissible(self, p: int) -> bool:
-        if p < self.min_p or p in self.exclude:
-            return False
-        if self.spec.m.numerator % p == 0 or self.spec.m.denominator % p == 0:
-            return False
+    @property
+    def coprime(self) -> Tuple[int, ...]:
+        """The integers a tested prime must not divide: the base's numerator
+        and denominator, and each right-hand side term's denominator,
+        symbols and Fermat base."""
+        ints = [self.spec.m.numerator, self.spec.m.denominator]
         for t in self.rhs:
-            if t.coef.denominator % p == 0:
-                return False
-            for d in t.sym:
-                if d % p == 0:
-                    return False
-            for d in t.sym_p:
-                if d % p == 0:
-                    return False
-            if t.fermat and t.fermat % p == 0:
-                return False
-        if self.require:
-            chars = characters(p)
-            for d, v in self.require:
-                if chars.value(chars.legendre(d), p) != v:
-                    return False
-        return True
+            ints += [t.coef.denominator, *t.sym, t.fermat or 1]
+        return tuple(ints)
 
 
 @dataclass
@@ -528,13 +513,13 @@ class ClaimReport:
 
 
 def verify_claim(claim: CongruenceClaim, p_max: int) -> ClaimReport:
-    """Check the claim at each admissible prime p <= p_max, in increasing
+    """Check the claim at each of its primes p <= p_max, in increasing
     order.  Its row (p, lhs, rhs) holds the truncated sum times
     p^lhs_ppow modulo p^s or NONINTEGRAL, and the right-hand side modulo
-    p^s or None; the claim holds at p exactly when lhs == rhs.  One pass
-    over the terms serves every prime."""
-    characters(p_max)   # grown once here, not prime by prime below
-    primes = [p for p in primes_upto(p_max) if claim.admissible(p)]
+    p^s; the claim holds at p exactly when lhs == rhs.  One pass over the
+    terms serves every prime."""
+    primes = tested_primes(p_max, claim.min_p, claim.exclude, claim.coprime,
+                           claim.require)
     upper = UPPERS[claim.upper]
     lhs = truncated_residues(claim.spec, {p: upper(p) for p in primes},
                              claim.s, claim.lhs_ppow)
@@ -560,7 +545,8 @@ class RefinementReport:
 
 def check_pn_refinement(claim: CongruenceClaim, p_max: int = 50,
                         n_max: int = 6) -> RefinementReport:
-    """Check v_p(S(pn) - p*delta*S(n)) >= 2 + 2 v_p(n) for admissible p.
+    """Check v_p(S(pn) - p*delta*S(n)) >= 2 + 2 v_p(n) at the claim's
+    primes p <= p_max where delta is not 0, i.e. p prime to each d.
 
     ``delta`` is the product of the symbols (d|p) listed in claim.pn_delta
     (the common value required of the right-hand-side symbols).  S(c) is
@@ -574,15 +560,12 @@ def check_pn_refinement(claim: CongruenceClaim, p_max: int = 50,
     if claim.pn_delta is None:
         raise ValueError(f"claim {claim.ident} carries no refinement data")
     report = RefinementReport(claim.ident, [], None, [])
-    checks: List[Tuple[int, int]] = []   # (p, delta)
     chars = characters(p_max)
-    for p in primes_upto(p_max):
-        if not claim.admissible(p):
-            continue
-        delta = chars.value(chars.product(claim.pn_delta), p) \
-            if claim.pn_delta else 1
-        if delta != 0:
-            checks.append((p, delta))
+    delta = chars.product(claim.pn_delta)
+    checks = [(p, chars.value(delta, p) if claim.pn_delta else 1)
+              for p in tested_primes(p_max, claim.min_p, claim.exclude,
+                                     claim.coprime + claim.pn_delta,
+                                     claim.require)]
     ns = range(1, n_max + 1)
     due: Dict[int, List[Tuple[int, int, int]]] = {}   # p*n -> (p, delta, n)
     for p, delta in checks:
@@ -667,23 +650,24 @@ class IntegralityClaim:
 @dataclass
 class IntegralityReport:
     ident: str
-    n_max: int
+    tested: List[int]                  # every n checked, in order
     failures: List[Tuple[int, str]]
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return bool(self.tested) and not self.failures
 
 
 def check_integrality(claim: IntegralityClaim, n_max: int = 128) -> IntegralityReport:
     """Check the claim for n_min <= n <= n_max.  The value at n is
     mul M^(n-1) S(n) / (div n div_base^e(n)), where S(n) is the sum over
     k < n of w(k) a_k / (+-M)^k; one ``_prefix_sums`` pass gives every S(n)."""
-    report = IntegralityReport(claim.ident, n_max, [])
+    report = IntegralityReport(claim.ident, [], [])
     M = claim.base
     spec = TermSpec(claim.weight, (), claim.seq,
                     Fraction(-M if claim.alt else M))
     for n, P, Q in _prefix_sums(spec, range(max(1, claim.n_min), n_max + 1)):
+        report.tested.append(n)
         num = claim.mul * M ** (n - 1) * P
         den = Q * claim.div * n * claim.div_base ** DIV_EXPS[claim.div_exp](n)
         if num % den:
@@ -702,19 +686,19 @@ def check_integrality(claim: IntegralityClaim, n_max: int = 128) -> IntegralityR
 # duality
 # --------------------------------------------------------------------------
 
-def check_duality_term(kind, d: Optional[int], D: int,
+def check_duality_term(ident: str, kind, d: Optional[int], D: int,
                        p_max: int = 97) -> ClaimReport:
-    """Term-level duality a_k = (d|p) D^k a_{p-1-k} (mod p) for all k < p.
+    """Term-level duality a_k = (d|p) D^k a_{p-1-k} (mod p) for all k < p,
+    at 5 <= p <= p_max, p prime to d D; the report is named ``ident``.
 
-    ``d = None`` means no symbol factor.  Primes dividing 6 d D are skipped.
+    ``d = None`` means no symbol factor.
     """
-    report = ClaimReport(getattr(kind, "tag", str(kind)), [], [])
+    report = ClaimReport(ident, [], [])
     chars = characters(p_max)
-    for p in primes_upto(p_max):
-        if p < 5 or (d is not None and d % p == 0) or D % p == 0:
-            continue
+    d = 1 if d is None else d   # (1|p) = 1: no symbol factor
+    for p in tested_primes(p_max, coprime=(D, d)):
         tab = seqkit.rows(kind, p - 1)
-        s = 1 if d is None else chars.value(chars.legendre(d), p)
+        s = chars.value(chars.legendre(d), p)
         report.tested.append(p)
         for k in range(p):
             lhs = tab[k] % p
@@ -737,15 +721,15 @@ class DualityClaim:
 
 
 def check_duality_sum(claim: DualityClaim, p_max: int = 200) -> ClaimReport:
-    """Rows (p, lhs, rhs) at p <= p_max, 5 <= p, p prime to d D m: the sum
+    """Rows (p, lhs, rhs) at 5 <= p <= p_max, p prime to d D m: the sum
     with base m, and (d|p) times the sum with base D/m, or None when that
     is not a p-adic integer, both modulo p^2."""
     spec_m = TermSpec(weight=(1,), den=(), seq=claim.seq,
                       m=Fraction(claim.m), k0=0)
     spec_dual = TermSpec(weight=(1,), den=(), seq=claim.seq,
                          m=Fraction(claim.D, claim.m), k0=0)
-    uppers = {p: p - 1 for p in primes_upto(p_max) if p >= 5
-              and claim.d % p and claim.D % p and claim.m % p}
+    uppers = {p: p - 1 for p in tested_primes(
+        p_max, coprime=(claim.d, claim.D, claim.m))}
     lhs = truncated_residues(spec_m, uppers, 2)
     dual = truncated_residues(spec_dual, uppers, 2)
     chars = characters(p_max)

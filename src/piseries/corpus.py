@@ -74,6 +74,14 @@ at the ``entry`` line.
   ``args=<c_lo>,<c_hi>`` for SN_EXPANSION, none for the others.
 * ``skip`` (SKIP): ``reason``, for a label consciously left unverified.
 
+Every character is one Legendre symbol (d|p), in ``crhs``, ``case``,
+``require``, ``pn-delta`` and ``sym-factor`` alike: ``L(d)``, or
+``Lp(d)``, the Jacobi symbol (p|d) of a positive odd d, read as (d*|p)
+with d* = (-1)^((d-1)/2) d (equal at every odd p by reciprocity); any
+other ``Lp`` is a ``CorpusError`` at its line.  A check tests the primes
+minp <= p <= p_max (minp 5 by default) outside ``exclude`` that divide
+neither m nor a coefficient denominator, Fermat base or symbol d, and at
+which every ``require`` holds (``congruence.tested_primes``).
 A ``minp`` that admits p = 2 is an error when the check reads a quadratic
 character at p: a ``case`` table, or an ``L``/``Lp`` factor in ``crhs``,
 ``require`` or ``pn-delta``.
@@ -347,8 +355,7 @@ def _rhs(text: str, line: int) -> Optional[RHSForm]:
 
 
 _CRHS_FACTOR = re.compile(
-    r"^(?:p(?:\^(?P<pj>\d+))?|L\((?P<L>-?\d+)\)|Lp\((?P<Lp>\d+)\)"
-    r"|(?P<E>E)|Q\((?P<Q>\d+)\))$")
+    r"^(?:p(?:\^(?P<pj>\d+))?|(?P<E>E)|Q\((?P<Q>\d+)\))$")
 
 
 def _crhs(text: str, line: int) -> Tuple[cg.RHSTerm, ...]:
@@ -362,74 +369,79 @@ def _crhs(text: str, line: int) -> Tuple[cg.RHSTerm, ...]:
         coef = _rational(factors[0], line)
         ppow = 0
         sym: List[int] = []
-        sym_p: List[int] = []
         euler = False
         fermat = 0
         for f in factors[1:]:
+            d = _symbol(f, line)
+            if d is not None:
+                sym.append(d)
+                continue
             m = _CRHS_FACTOR.match(f)
             if not m:
                 raise CorpusError(f"bad congruence rhs factor {f!r}", line)
-            if m.group("L"):
-                sym.append(int(m.group("L")))
-            elif m.group("Lp"):
-                sym_p.append(int(m.group("Lp")))
-            elif m.group("E"):
+            if m.group("E"):
                 euler = True
             elif m.group("Q"):
                 fermat = int(m.group("Q"))
             else:
                 ppow += int(m.group("pj") or 1)
         terms.append(cg.RHSTerm(coef=coef, ppow=ppow, sym=tuple(sym),
-                                sym_p=tuple(sym_p), euler=euler,
-                                fermat=fermat))
+                                euler=euler, fermat=fermat))
     return tuple(terms)
 
 
 _SYMBOL = re.compile(r"^(?P<kind>L|Lp)\((?P<d>-?\d+)\)$")
 
 
-def _symbols(text: str, line: int) -> Tuple[int, ...]:
-    """The d of each factor L(d) / Lp(d), as its Legendre symbol (d|p),
-    e.g. for pn-delta."""
-    out = []
-    for part in _split_factors(text):
-        m = _SYMBOL.match(part)
-        if not m:
-            raise CorpusError(f"bad symbol factor {part!r}", line)
-        out.append(_legendre_equivalent(m.group("kind"), int(m.group("d")),
-                                        line))
-    return tuple(out)
-
-
-def _legendre_equivalent(kind: str, d: int, line: int) -> int:
-    """Rewrite a Jacobi symbol (p|d) as a Legendre symbol (d*|p)."""
-    if kind == "L":
+def _symbol(text: str, line: int) -> Optional[int]:
+    """The d of the Legendre symbol (d|p) that ``L(d)`` or ``Lp(d)``
+    names, or None for any other text.  ``Lp(d)``, the Jacobi symbol (p|d)
+    for a positive odd d, is (d*|p) with d* = (-1)^((d-1)/2) d."""
+    m = _SYMBOL.match(text)
+    if not m:
+        return None
+    d = int(m.group("d"))
+    if m.group("kind") == "L":
         return d
     if d <= 0 or d % 2 == 0:
         raise CorpusError(f"Lp({d}) needs positive odd d", line)
     return d if d % 4 == 1 else -d
 
 
-_GUARD_COND = re.compile(
-    r"^(?:mod\((?P<n>\d+)\)=(?P<rs>[\d,]+)"
-    r"|L\((?P<L>-?\d+)\)=(?P<Lv>-?1)|Lp\((?P<Lp>\d+)\)=(?P<Lpv>-?1))$")
+def _symbols(text: str, line: int) -> Tuple[int, ...]:
+    """The d of each factor L(d) / Lp(d), e.g. for pn-delta."""
+    out = []
+    for part in _split_factors(text):
+        d = _symbol(part, line)
+        if d is None:
+            raise CorpusError(f"bad symbol factor {part!r}", line)
+        out.append(d)
+    return tuple(out)
+
+
+def _condition(text: str, line: int, what: str) -> Tuple[int, int]:
+    """(d, v) of a condition ``L(d)=v`` or ``Lp(d)=v``: (d|p) must be v."""
+    sym, _, v = text.partition("=")
+    d = _symbol(sym, line)
+    if d is None or v not in ("1", "-1"):
+        raise CorpusError(f"bad {what} condition {text!r}", line)
+    return d, int(v)
+
+
+_MOD_COND = re.compile(r"^mod\((?P<n>\d+)\)=(?P<rs>[\d,]+)$")
 
 
 def _guard(text: str, line: int) -> qf.Guard:
-    syms, syms_p, mods = [], [], []
+    syms, mods = [], []
     if text != "always":
         for cond in text.split():
-            m = _GUARD_COND.match(cond)
-            if not m:
-                raise CorpusError(f"bad guard condition {cond!r}", line)
-            if m.group("n"):
+            m = _MOD_COND.match(cond)
+            if m:
                 mods.append((int(m.group("n")),
                              tuple(int(r) for r in m.group("rs").split(","))))
-            elif m.group("L"):
-                syms.append((int(m.group("L")), int(m.group("Lv"))))
             else:
-                syms_p.append((int(m.group("Lp")), int(m.group("Lpv"))))
-    return qf.Guard(syms=tuple(syms), syms_p=tuple(syms_p), mods=tuple(mods))
+                syms.append(_condition(cond, line, "guard"))
+    return qf.Guard(syms=tuple(syms), mods=tuple(mods))
 
 
 _REP = re.compile(r"^(?P<mu>[124])?p=(?:(?P<a>\d+)\*)?x\^2\+(?:(?P<d>\d+)\*)?y\^2$")
@@ -599,15 +611,8 @@ def _p_power(text: str, line: int) -> int:
 
 def _require(text: str, line: int) -> Tuple[Tuple[int, int], ...]:
     """The (d, v) of each ``L(d)=v`` or ``Lp(d)=v``: (d|p) must be v."""
-    out = []
-    for part in [p.strip() for p in text.split(",") if p.strip()]:
-        sym, _, v = part.partition("=")
-        m = _SYMBOL.match(sym)
-        if not m or v not in ("1", "-1"):
-            raise CorpusError(f"bad require condition {part!r}", line)
-        out.append((_legendre_equivalent(m.group("kind"), int(m.group("d")),
-                                         line), int(v)))
-    return tuple(out)
+    return tuple(_condition(part.strip(), line, "require")
+                 for part in text.split(",") if part.strip())
 
 
 def _admitted(b: _Block, reads_character: bool) -> Tuple[int, tuple]:
@@ -627,8 +632,7 @@ def _read_sum(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
     if s < 1:
         raise b.error(f"modulus {b.get('mod')!r} has exponent below 1", "mod")
     crhs, require = b.read("crhs", _crhs), b.read("require", _require, ())
-    min_p, exclude = _admitted(b, bool(require or any(t.sym or t.sym_p
-                                                      for t in crhs)))
+    min_p, exclude = _admitted(b, bool(require or any(t.sym for t in crhs)))
     upper = b.get("upper", "p-1")
     if upper not in cg.UPPERS:
         raise b.error(f"bad upper {upper!r}", "upper")
@@ -994,11 +998,12 @@ def _nstr(num: int, den: int, digits: int) -> str:
     return f"{sign}{body}e{'+' if exponent > 0 else ''}{exponent}"
 
 
-def _verdict(rep, passed: str, tested=True, none: str = "no prime tested",
+def _verdict(rep, passed: str, tested=None, none: str = "no prime tested",
              failed: str = "") -> tuple:
-    """(rep, ok, detail) of a check's report: ``none`` when ``tested`` is
-    empty, else its first three failures after ``failed``, or ``passed``."""
-    if not tested:
+    """(rep, ok, detail) of a check's report: ``none`` when ``tested``
+    (``rep.tested`` by default) is empty, else its first three failures
+    after ``failed``, or ``passed``."""
+    if not (rep.tested if tested is None else tested):
         return rep, False, none
     if rep.failures:
         return rep, False, f"{failed}{rep.failures[:3]}"
@@ -1007,7 +1012,7 @@ def _verdict(rep, passed: str, tested=True, none: str = "no prime tested",
 
 def _primes(rep) -> tuple:
     """``_verdict`` of a report that tests prime by prime."""
-    return _verdict(rep, f"{len(rep.tested)} primes", rep.tested)
+    return _verdict(rep, f"{len(rep.tested)} primes")
 
 
 def _check_series(entry: RegistryEntry, digits: int, p_max: int,
@@ -1037,7 +1042,7 @@ def _check_quadform(entry: RegistryEntry, digits: int, p_max: int,
     if rep.ok and not part.ok:
         return rep, False, f"partition gaps {part.failures[:3]}"
     return _verdict(rep, f"p<=..{p_max}: {len(rep.tested)} primes",
-                    rep.tested, failed="failures ")
+                    failed="failures ")
 
 
 def _check_refinement(entry: RegistryEntry, digits: int, p_max: int,
@@ -1053,8 +1058,11 @@ def _check_finite(entry: RegistryEntry, digits: int, p_max: int,
                   n_max: int) -> tuple:
     name, args = entry.family
     rep = exactid.FAMILIES[name].check(args, n_max)
-    return rep, rep.ok, f"checked {rep.checked}" if rep.ok \
-        else f"first failure {rep.first_failure}: {rep.detail}"
+    if not rep.ok:
+        return rep, False, f"first failure {rep.first_failure}: {rep.detail}"
+    if not rep.checked:
+        return rep, False, "no n checked"
+    return rep, True, f"checked {rep.checked}"
 
 
 #: check path -> its check, (entry, digits, p_max, n_max) -> (report, ok,
@@ -1071,10 +1079,11 @@ _CHECKS = {
     "quadform": _check_quadform,
     "dual": lambda e, digits, p_max, n_max:
         _primes(cg.check_duality_sum(e.duality, p_max=min(p_max, 200))),
-    "dual-term": lambda e, digits, p_max, n_max:
-        _primes(cg.check_duality_term(*e.dual_term, p_max=min(p_max, 97))),
+    "dual-term": lambda e, digits, p_max, n_max: _primes(
+        cg.check_duality_term(e.ident, *e.dual_term, p_max=min(p_max, 97))),
     "integrality": lambda e, digits, p_max, n_max: _verdict(
-        cg.check_integrality(e.integrality, n_max=n_max), f"n<= {n_max}"),
+        cg.check_integrality(e.integrality, n_max=n_max), f"n<= {n_max}",
+        none="no n checked"),
     "finite": _check_finite,
     "skip": lambda e, digits, p_max, n_max: (None, None, e.reason),
 }

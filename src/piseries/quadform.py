@@ -2,7 +2,7 @@
 
 A case table maps a prime p to a closed-form value determined by a
 representation mu*p = a*x^2 + d*y^2.  Each case is selected by a guard
-(Legendre/Jacobi symbol values and/or residue classes of p), the
+(Legendre symbol values and/or residue classes of p), the
 representation is found by exhaustive search, a normalization rule picks
 admissible sign choices, and an affine template in {x^2, xy, p} with an
 optional parity sign factor produces the value.
@@ -14,8 +14,8 @@ one mask, the primes where it holds, built once per table and table size
 masks; ``check_partition`` checks that exactly one guard holds by
 ``once``/``twice`` bit algebra over them.  A table admits odd primes
 only: the characters have no value at p = 2, so a ``min_p`` that admits
-2 without excluding it is a ``ValueError``.  ``Guard.holds`` evaluates a
-guard at one p directly; it is the masks' test oracle.  The template must
+2 without excluding it is a ``ValueError``.  Both checks test the primes
+that ``congruence.tested_primes`` gives.  The template must
 give the same value for every admissible representative; dispatch
 verifies this invariance for each prime it touches.  Each case holds its
 template as integer coefficients over one common denominator, built once,
@@ -67,7 +67,6 @@ class Guard:
     """Conjunction of symbol values and residue classes of p."""
 
     syms: Tuple[Tuple[int, int], ...] = ()    # (d, v): (d|p) == v
-    syms_p: Tuple[Tuple[int, int], ...] = ()  # (d, v): (p|d) == v
     mods: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()  # (N, residues)
 
     def mask(self, chars: cg.Characters) -> int:
@@ -75,8 +74,6 @@ class Guard:
         m = chars.full
         for d, v in self.syms:
             m &= chars.holds(chars.legendre(d), v)
-        for d, v in self.syms_p:
-            m &= chars.holds(chars.jacobi(d), v)
         for n, residues in self.mods:
             m &= chars.residues(n, residues)
         return m
@@ -255,14 +252,15 @@ class QuadFormClaim:
 
 
 def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
-    """Rows (p, lhs, rhs): the truncated sum and the table's value times
-    the symbol factor modulo p^2 (None when that is not a p-adic integer),
-    or (p, error, None) where the table dispatches to no one value."""
+    """Rows (p, lhs, rhs) at the table's primes p <= p_max that are prime
+    to the base and to the symbol factor's d: the truncated sum and the
+    table's value times the symbol factor modulo p^2 (None when that is
+    not a p-adic integer), or (p, error, None) where the table dispatches
+    to no one value."""
     spec, table = claim.spec, claim.table
-    primes = [p for p in cg.primes_upto(p_max)
-              if p >= table.min_p and p not in table.exclude
-              and spec.m.numerator % p and spec.m.denominator % p
-              and all(d % p for d in table.sym_factor)]
+    primes = cg.tested_primes(p_max, table.min_p, table.exclude,
+                              (spec.m.numerator, spec.m.denominator,
+                               *table.sym_factor))
     sums = cg.truncated_residues(spec, {p: p - 1 for p in primes}, 2)
     chars = cg.characters(p_max)
     rows = []
@@ -271,34 +269,30 @@ def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
         if not res.ok:
             rows.append((p, res.error, None))
             continue
-        factor = chars.value(chars.product(table.sym_factor), p) \
-            if table.sym_factor else 1
+        factor = chars.value(chars.product(table.sym_factor), p)
         rhs = cg._residue(factor * res.num, res.den, p, 2)
         rows.append((p, sums[p], None if rhs == cg.NONINTEGRAL else rhs))
     return cg.ClaimReport.of(claim.ident, rows)
 
 
 def check_partition(table: QuadFormTable, p_max: int = 1000) -> cg.ClaimReport:
-    """Exactly one guard must hold for every admissible prime <= p_max.
+    """Exactly one guard must hold at each of the table's primes <= p_max.
 
     Over the table's case masks, ``once`` collects the primes where some
     guard holds and ``twice`` those where a second one does; the primes
     outside ``once & ~twice`` fail, and only for them are the guards that
     hold counted."""
-    report = cg.ClaimReport(table.ident, [], [])
+    report = cg.ClaimReport(
+        table.ident, cg.tested_primes(p_max, table.min_p, table.exclude), [])
     chars = cg.characters(p_max)
     masks = table.case_masks(chars)
     once = twice = 0
     for m in masks:
         twice |= once & m
         once |= m
-    admissible = chars.upto(p_max) & ~chars.upto(table.min_p - 1)
-    for p in table.exclude:
-        if p in chars.bit:
-            admissible &= ~(1 << chars.bit[p])
-    bad = admissible & ~(once & ~twice)
-    report.tested += chars.primes_in(admissible)
-    for p in chars.primes_in(bad):
+    exactly_one = once & ~twice
+    for p in report.tested:
         i = chars.bit[p]
-        report.failures.append((p, sum(m >> i & 1 for m in masks), 1))
+        if not exactly_one >> i & 1:
+            report.failures.append((p, sum(m >> i & 1 for m in masks), 1))
     return report

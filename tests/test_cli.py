@@ -304,6 +304,22 @@ class TestVerifyCongruence:
         assert err.startswith("registry error: line 5:")
         assert "minp 2 admits p = 2" in err
 
+    # Lp(d) is (p|d), a Jacobi symbol for a positive odd d only: an even
+    # d in crhs or a case guard once read as a FAIL row with a ValueError
+    @pytest.mark.parametrize("body", [
+        "crhs: 1*Lp(4)", "crhs: 1*p*Lp(-3)", "crhs: 1*Lp(0)",
+        "case: Lp(8)=1 ; zero", "case: mod(4)=1 Lp(-3)=1 ; zero",
+    ])
+    def test_lp_needs_a_positive_odd_d(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text("entry bad\nkind: CONGRUENCE\nstatus: proven\n"
+                        "term: 1 ; - ; CB2^2 ; m=16 ; k0=0\n"
+                        f"{body}\nanchor: \"x\"\nend\n")
+        code, out, err = _run(capsys, ["run", "--registry", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("registry error: line 5: Lp(")
+        assert "needs positive odd d" in err
+
     # no character read at p: p = 2 is checked; p = 2 excluded: the
     # character is read from p = 5 on (sum_{k<p} C(2k,k) = (p|3) mod p^2)
     @pytest.mark.parametrize("extra, verdict", [
@@ -374,6 +390,30 @@ class TestVerifyExact:
         assert (code, err) == (0, "")
         assert _untimed(out) == f"{ident}  PASS <t>  checked 2\n" \
                                 "-- 1 entries: PASS=1\n"
+
+    # l22-4 and l22-6 sum from k0 = 2, so n_max = 1 compares no n: once
+    # read as PASS checked 0
+    def test_family_that_checks_no_n_fails(self, capsys):
+        code, out, err = _run(capsys, ["run", "--kind", "FINITE_IDENTITY",
+                                       "--nmax", "1"])
+        assert (code, err) == (1, "")
+        failed = [line.split()[0] for line in _untimed(out).splitlines()
+                  if line.endswith("FAIL <t>  no n checked")]
+        assert failed == ["l22-4", "l22-6"]
+        assert "-- 24 entries: FAIL=2, PASS=22" in out
+        code, out, err = _run(capsys, ["verify", "exact", "--family", "L22_4",
+                                       "--m", "-27", "--nmax", "1"])
+        assert (code, err) == (1, "")
+        assert _untimed(out) == "L22_4  FAIL <t>  no n checked\n" \
+                                "-- 1 entries: FAIL=1\n"
+
+    # w1-n starts at n = 2: once read as SUPPORTED n<= 1
+    def test_integrality_that_checks_no_n_fails(self, capsys):
+        code, out, err = _run(capsys, ["run", "--filter", "w1-n",
+                                       "--nmax", "1"])
+        assert (code, err) == (0, "")   # w1-n is conjectural
+        assert _untimed(out) == "w1-n  FAIL <t>  no n checked\n" \
+                                "-- 1 entries: FAIL=1\n"
 
     def test_unknown_family(self, capsys):
         code, out, err = _run(capsys, ["verify", "exact", "--family",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -16,7 +17,7 @@ from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import TermSpec
 
-from oracle_symbols import fraction_mod, rhs_value
+from oracle_symbols import claim_admissible, fraction_mod, rhs_value
 
 
 def spec(weight, seq, m, den=(), k0=0):
@@ -263,13 +264,13 @@ class TestSieve:
 # --------------------------------------------------------------------------
 
 def _registry_symbols():
-    """(the d of every (d|p), the n of every (p|n)) the registry reads."""
-    ds, ns = set(), set()
+    """(the d of every (d|p) the registry reads, the n of every ``Lp(n)``
+    its files write)."""
+    ds = set()
     for e in corpus.load_default():
         if e.claim is not None:
             for t in e.claim.rhs:
                 ds.update(t.sym)
-                ns.update(t.sym_p)
             ds.update(d for d, _ in e.claim.require)
             ds.update(e.claim.pn_delta or ())
         if e.quadform is not None:
@@ -277,15 +278,21 @@ def _registry_symbols():
             ds.update(table.sym_factor)
             for c in table.cases:
                 ds.update(d for d, _ in c.guard.syms)
-                ns.update(d for d, _ in c.guard.syms_p)
         if e.duality is not None:
             ds.add(e.duality.d)
         if e.dual_term is not None and e.dual_term[1] is not None:
             ds.add(e.dual_term[1])
+    ns = {int(n) for path in corpus.default_paths()
+          for n in re.findall(r"\bLp\((-?\d+)\)", path.read_text())}
     return sorted(ds), sorted(ns)
 
 
 REGISTRY_DS, REGISTRY_NS = _registry_symbols()
+
+
+def _primes_in(chars, mask):
+    """The indexed primes whose bits are set in ``mask``, in order."""
+    return [p for i, p in enumerate(chars.primes) if mask >> i & 1]
 
 
 def _check_char(chars, char, want, p_max):
@@ -315,6 +322,17 @@ class TestCharacters:
             _check_char(chars, chars.jacobi(n),
                         lambda p: cg.jacobi(p, n), 3000)
 
+    def test_lp_is_the_jacobi_symbol(self):
+        # the registry reads Lp(n) as (n*|p), n* = (-1)^((n-1)/2) n, which
+        # is (p|n) at every odd prime p
+        chars = cg.characters(3000)
+        for n in REGISTRY_NS:
+            d = corpus._symbol(f"Lp({n})", 1)
+            _check_char(chars, chars.legendre(d),
+                        lambda p: cg.jacobi(p, n), 3000)
+            for p in cg.primes_upto(3000)[1:]:
+                assert cg.legendre(d, p) == cg.jacobi(p, n), (n, p)
+
     @pytest.mark.parametrize("bound", [2, 3, 5, 10, 50])
     def test_factors_above_the_index(self, bound):
         # a small table: prime factors of d above every indexed prime,
@@ -330,13 +348,13 @@ class TestCharacters:
 
     def test_products_and_values(self):
         chars = cg.characters(1000)
-        char = chars.product((-1, 5, 0x3F), (15, 7))
+        char = chars.product((-1, 5, 0x3F, -15, -7))
         _check_char(chars, char, lambda p: cg.legendre(-1, p)
                     * cg.legendre(5, p) * cg.legendre(0x3F, p)
                     * cg.jacobi(p, 15) * cg.jacobi(p, 7), 1000)
-        assert chars.product() == (0, 0)
+        assert chars.product(()) == (0, 0)
         for v in (-1, 0, 1, 2):
-            assert chars.primes_in(chars.holds(char, v)) == \
+            assert _primes_in(chars, chars.holds(char, v)) == \
                 [p for p in chars.primes if chars.value(char, p) == v]
         for p in (2, 9, 1, -3):
             with pytest.raises(ValueError):
@@ -346,10 +364,8 @@ class TestCharacters:
 
     def test_residues_and_ranges(self):
         chars = cg.characters(500)
-        assert chars.primes_in(chars.residues(12, (1, 11))) == \
+        assert _primes_in(chars, chars.residues(12, (1, 11))) == \
             [p for p in chars.primes if p % 12 in (1, 11)]
-        assert chars.primes_in(chars.upto(100) & ~chars.upto(10)) == \
-            [p for p in cg.primes_upto(100) if p > 10]
 
     def test_growth(self, monkeypatch):
         monkeypatch.setattr(cg, "_CHARS", cg.Characters(2))
@@ -394,35 +410,35 @@ class TestRhsResidue:
                                        if e.claim is not None and e.claim.rhs],
                              ids=lambda c: c.ident)
     def test_registry_claims(self, claim):
-        primes = [p for p in cg.primes_upto(300) if claim.admissible(p)]
+        primes = [p for p in cg.primes_upto(300)
+                  if claim_admissible(claim, p)]
         assert primes
         for p in primes:
             assert cg.rhs_residue(claim.rhs, p, claim.s) == \
                 _rhs_oracle(claim.rhs, p, claim.s), p
 
-    def test_p_in_the_coefficients(self):
-        # coefficients with p in the denominator: the sum is p-integral
-        # only when the terms below p^0 cancel
+    def test_terms_at_their_primes(self):
+        # every factor a term may carry, at each prime tested_primes admits
         F = Fraction
         cases = [
             (cg.RHSTerm(F(1, 9), ppow=1),),
-            (cg.RHSTerm(F(1, 9), ppow=2),),
             (cg.RHSTerm(F(2, 27), ppow=1), cg.RHSTerm(F(-2, 27), ppow=1),
              cg.RHSTerm(F(5, 7))),
             (cg.RHSTerm(F(4, 45), ppow=1, sym=(-1,), euler=True),
-             cg.RHSTerm(F(7, 25), ppow=2, sym_p=(7,), fermat=2),
+             cg.RHSTerm(F(7, 25), ppow=2, sym=(-7,), fermat=2),
              cg.RHSTerm(F(-3, 5), ppow=0)),
             (cg.RHSTerm(F(10, 3), ppow=0, fermat=3),),
             (cg.RHSTerm(F(-1, 2), ppow=3, sym=(5, -3), fermat=6),),
-            (cg.RHSTerm(F(3 ** 30 + 5, 9), ppow=1),
-             cg.RHSTerm(F(4, 9), ppow=1, euler=True)),
         ]
         for terms in cases:
-            for p in (3, 5, 7, 11, 13):
+            claim = cg.CongruenceClaim("t", BAUER, 1, terms, min_p=3)
+            primes = cg.tested_primes(40, 3, (), claim.coprime)
+            assert primes and primes[0] >= 5
+            for p in primes:
                 for s in (1, 2, 3):
                     got = cg.rhs_residue(terms, p, s)
                     assert got == _rhs_oracle(terms, p, s), (terms, p, s)
-                    assert got is None or type(got) is int
+                    assert type(got) is int
 
 
 class TestElementary:
@@ -556,7 +572,7 @@ class TestProvenCongruences:
         s = spec((1,), ((sk.CB2, 1), (sk.CB3, 1)), 27)
         claim = cg.CongruenceClaim(
             "mortenson", s, 2,
-            (cg.RHSTerm(Fraction(1), 0, sym_p=(3,)),))
+            (cg.RHSTerm(Fraction(1), 0, sym=(-3,)),))
         rep = cg.verify_claim(claim, 80)
         assert rep.ok and len(rep.tested) >= 15
 
@@ -619,16 +635,22 @@ class TestIntegrality:
 
 class TestDuality:
     def test_term_level_franel(self):
-        rep = cg.check_duality_term(sk.FRANEL, None, -8, p_max=50)
+        rep = cg.check_duality_term("f", sk.FRANEL, None, -8, p_max=50)
         assert rep.ok
 
     def test_term_level_gct(self):
-        rep = cg.check_duality_term(sk.GCT(3, -5), 29, 29, p_max=50)
+        rep = cg.check_duality_term("g", sk.GCT(3, -5), 29, 29, p_max=50)
         assert rep.ok
 
     def test_term_level_wrong_d_fails(self):
-        rep = cg.check_duality_term(sk.FRANEL, None, 8, p_max=30)
+        rep = cg.check_duality_term("f", sk.FRANEL, None, 8, p_max=30)
         assert not rep.ok
+
+    def test_term_level_report_names_the_entry(self):
+        entry = next(e for e in corpus.load_default()
+                     if e.check == "dual-term")
+        row, = corpus.run([entry], p_max=30).rows
+        assert row.report.ident == entry.ident != entry.dual_term[0].tag
 
     def test_sum_level_trivial_pair(self):
         # D = m^2 makes both sides literally equal
@@ -656,7 +678,7 @@ def _refinement_oracle(claim, p_max, n_max):
     S(c) recomputed from k0 by the Fraction += loop for every prime."""
     report = cg.RefinementReport(claim.ident, [], None, [])
     for p in cg.primes_upto(p_max):
-        if not claim.admissible(p):
+        if not claim_admissible(claim, p):
             continue
         delta = 1
         for d in claim.pn_delta:
@@ -771,7 +793,7 @@ class TestRegistryOracles:
     @pytest.mark.parametrize("claim", SUM_CLAIMS, ids=lambda c: c.ident)
     def test_claim_rows(self, claim):
         want = [(p, *_claim_row_oracle(claim, p))
-                for p in cg.primes_upto(100) if claim.admissible(p)]
+                for p in cg.primes_upto(100) if claim_admissible(claim, p)]
         rep = cg.verify_claim(claim, 100)
         assert rep.rows == want
         assert rep.tested == [p for p, _, _ in want]
@@ -804,3 +826,72 @@ class TestRegistryOracles:
                                       div=2 * claim.div)
         assert cg.check_integrality(flipped, 64).failures == \
             _integrality_oracle(flipped, 64)
+
+
+# --------------------------------------------------------------------------
+# one rule for the tested primes against the per-prime rules it replaced
+# --------------------------------------------------------------------------
+
+def _old_primes(p_max, keep):
+    return [p for p in cg.primes_upto(p_max) if keep(p)]
+
+
+CLAIMS = [e.claim for e in ENTRIES if e.claim is not None]
+DUAL_TERMS = [(e.ident, *e.dual_term) for e in ENTRIES
+              if e.dual_term is not None]
+
+
+class TestTestedPrimes:
+    @pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.ident)
+    def test_claim(self, claim):
+        want = _old_primes(300, lambda p: claim_admissible(claim, p))
+        coprime = claim.coprime
+        if claim.pn_delta is None:
+            assert cg.verify_claim(claim, 300).tested == want
+        else:
+            # the refinement skipped the primes where delta = 0
+            want = [p for p in want
+                    if all(cg.legendre(d, p) for d in claim.pn_delta)]
+            rep = cg.check_pn_refinement(claim, p_max=300, n_max=1)
+            assert [p for p, _ in rep.checked] == want
+            coprime += claim.pn_delta
+        assert cg.tested_primes(300, claim.min_p, claim.exclude, coprime,
+                                claim.require) == want
+
+    @pytest.mark.parametrize("claim", QUADFORMS, ids=lambda c: c.ident)
+    def test_table(self, claim):
+        m, table = claim.spec.m, claim.table
+        in_range = lambda p: p >= table.min_p and p not in table.exclude
+        want = _old_primes(300, lambda p: p > 2 and in_range(p))
+        assert qf.check_partition(table, 300).tested == want
+        assert cg.tested_primes(300, table.min_p, table.exclude) == want
+        want = _old_primes(
+            300, lambda p: in_range(p) and m.numerator % p
+            and m.denominator % p and all(d % p for d in table.sym_factor))
+        assert qf.verify_quadform_claim(claim, 300).tested == want
+        assert cg.tested_primes(300, table.min_p, table.exclude,
+                                (m.numerator, m.denominator,
+                                 *table.sym_factor)) == want
+
+    @pytest.mark.parametrize("claim", DUALS, ids=lambda c: c.ident)
+    def test_duality_sum(self, claim):
+        want = _old_primes(300, lambda p: p >= 5 and claim.d % p
+                           and claim.D % p and claim.m % p)
+        assert cg.check_duality_sum(claim, 300).tested == want
+        assert cg.tested_primes(
+            300, coprime=(claim.d, claim.D, claim.m)) == want
+
+    @pytest.mark.parametrize("args", DUAL_TERMS, ids=lambda a: a[0])
+    def test_duality_term(self, args):
+        _, _, d, D = args
+        assert cg.check_duality_term(*args, p_max=300).tested == \
+            _old_primes(300, lambda p: p >= 5 and D % p
+                        and (d is None or d % p))
+
+    def test_require_needs_an_odd_prime(self):
+        with pytest.raises(ValueError):
+            cg.tested_primes(10, 2, (), (), ((-1, 1),))
+        assert cg.tested_primes(10, 2, (2,), (), ((-1, 1),)) == [5]
+        assert cg.tested_primes(30, 2, (7,), (0,)) == []
+        assert cg.tested_primes(30, 2, (7,), (-15, 1)) == \
+            [2, 11, 13, 17, 19, 23, 29]

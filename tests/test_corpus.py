@@ -21,7 +21,7 @@ from piseries import corpus, sereval
 #: (see ``_payload``).  It pins the parser: a change to how any number,
 #: weight, template or field is read changes it.
 PAYLOAD_DIGEST = \
-    "0f8b9c25e1b6d378c026ba58dfbfe0379998bc2eae27efaaa992324ab250782f"
+    "cad98113d8de09e1c1e50a95cd299863459052377cac3dd7d04b1247190cb9ca"
 
 
 def _payload(e: corpus.RegistryEntry) -> tuple:
@@ -575,6 +575,58 @@ class TestCheckPaths:
     def test_nothing_tested_is_named(self, entries, ident, detail):
         (row,) = corpus.run(entries, id_glob=ident, p_max=3, n_max=2).rows
         assert (row.outcome, row.detail) == ("FAIL", detail)
+
+    # nmin=2 and k0 = 2: n_max = 1 checks no n; once SUPPORTED and PASS
+    @pytest.mark.parametrize("ident", ["w1-n", "l22-4", "l22-6"])
+    def test_no_n_checked_is_named(self, entries, ident):
+        (row,) = corpus.run(entries, id_glob=ident, n_max=1).rows
+        assert (row.outcome, row.detail) == ("FAIL", "no n checked")
+        (row,) = corpus.run(entries, id_glob=ident, n_max=2).rows
+        assert row.outcome in ("PASS", "SUPPORTED")
+
+    def test_integrality_report_lists_its_n(self, entries):
+        (row,) = corpus.run(entries, id_glob="w1-n", n_max=6).rows
+        assert row.report.tested == [2, 3, 4, 5, 6]
+        (row,) = corpus.run(entries, id_glob="w1-n", n_max=1).rows
+        assert row.report.tested == [] and not row.report.ok
+
+    # every key that reads a character reads Lp(d) as one Legendre symbol,
+    # and refuses an even or non-positive d at its line
+    @pytest.mark.parametrize("sym", ["Lp(4)", "Lp(-3)", "Lp(0)"])
+    @pytest.mark.parametrize("path, old, new", [
+        ("sum", "crhs: 1*p*L(-1)", "crhs: 1*p*{}"),
+        ("sum", "mod: p^3", "require: {}=1"),
+        ("refinement", "pn-delta: L(-1)", "pn-delta: {}"),
+        ("quadform", "case: always ; zero", "case: {}=1 ; zero"),
+        ("quadform", "case: always ; zero",
+         "sym-factor: {}\ncase: always ; zero"),
+    ])
+    def test_lp_needs_a_positive_odd_d(self, path, old, new, sym):
+        text = _path_block(path).replace(old, new.format(sym))
+        line = text[:text.index(sym)].count("\n") + 1
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == line
+        assert f"{sym} needs positive odd d" in str(exc.value)
+
+    @pytest.mark.parametrize("path, old, new, read", [
+        ("sum", "crhs: 1*p*L(-1)", "crhs: 1*p*Lp({})",
+         lambda e: e.claim.rhs[0].sym),
+        ("sum", "mod: p^3", "require: Lp({})=1",
+         lambda e: tuple(d for d, _ in e.claim.require)),
+        ("refinement", "pn-delta: L(-1)", "pn-delta: Lp({})",
+         lambda e: e.claim.pn_delta),
+        ("quadform", "case: always ; zero", "case: Lp({})=1 ; zero",
+         lambda e: tuple(d for d, _ in e.quadform.table.cases[0].guard.syms)),
+        ("quadform", "case: always ; zero",
+         "sym-factor: Lp({})\ncase: always ; zero",
+         lambda e: e.quadform.table.sym_factor),
+    ])
+    def test_lp_is_read_as_one_legendre_symbol(self, path, old, new, read):
+        for d, star in ((3, -3), (5, 5), (15, -15), (59, -59), (1, 1)):
+            (entry,) = corpus.parse_registry(
+                _path_block(path).replace(old, new.format(d)))
+            assert read(entry) == (star,)
 
     def test_row_carries_its_report(self, entries):
         (row,) = corpus.run(entries, id_glob="log-a-p", p_max=30).rows
