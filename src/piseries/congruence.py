@@ -16,18 +16,15 @@ its n), so a reported residue is exact and never subject to rounding.
 ``rhs_residue`` works in integers modulo p^s: coefficients by their
 inverse, Fermat quotients from ``pow(a, p-1, p^(s+1))``, E_{p-3} reduced.
 
-Elementary number theory: primes are read off one process-wide sieve that
-grows by doubling to the largest bound asked for so far.  ``is_prime`` grows
-it up to ``SIEVE_CAP`` = 2^20 and uses trial division above that.  Every
-quadratic character read at a prime, here and in ``quadform``, comes from
-one process-wide ``Characters`` table (``characters(bound)``), which grows
-the same way: bit i of an int stands for the i-th odd prime, and a
-character p -> (d|p) is a pair of such bitsets (where it is -1, where it
-is 0), built by quadratic reciprocity from the residue classes of the
-primes modulo 4, 8 and the odd prime factors of d.  ``legendre`` and
-``jacobi`` compute one symbol directly (Euler's criterion, and
-reciprocity with the Euclidean algorithm); the tests use them as the
-table's oracle.
+Elementary number theory: every quadratic character read at a prime,
+here and in ``quadform``, comes from one process-wide ``Characters``
+table (``characters(bound)``), which grows by doubling to the largest
+bound asked for so far and sieves its own primes: bit i of an int stands
+for the i-th odd prime, and a character p -> (d|p) is a pair of such
+bitsets (where it is -1, where it is 0), built by quadratic reciprocity
+from the residue classes of the primes modulo 4, 8 and the odd prime
+factors of d.  ``jacobi`` computes one symbol directly (reciprocity with
+the Euclidean algorithm), for a prime factor of d above the table.
 """
 
 from __future__ import annotations
@@ -39,16 +36,13 @@ from fractions import Fraction
 from itertools import compress
 from math import isqrt, prod
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from . import seqkit
 # term_value is not called here: perfbench/tracer.py wraps this binding
 from .sereval import TermSpec, _term_pairs, term_value
 
 __all__ = [
-    "primes_upto",
-    "is_prime",
-    "legendre",
     "jacobi",
     "Characters",
     "characters",
@@ -77,67 +71,6 @@ NONINTEGRAL = "NONINTEGRAL"
 # --------------------------------------------------------------------------
 # elementary number theory
 # --------------------------------------------------------------------------
-
-#: 0/1 flags: _SIEVE[n] == 1 exactly when n is prime, for n < len(_SIEVE).
-#: Seeded with 0 and 1 (not prime) and grown by ``_cover``; never rebuilt.
-_SIEVE = bytearray(2)
-_SIEVE_LOCK = threading.Lock()
-
-#: ``is_prime(n)`` grows the sieve only while n <= SIEVE_CAP, so the sieve
-#: it grows stays within about 1 MB; above the cap it uses trial division.
-SIEVE_CAP = 1 << 20
-
-
-def _cover(n: int) -> None:
-    """Extend the sieve to cover 0..n, at least doubling it (up to
-    SIEVE_CAP), by sieving only the new segment."""
-    with _SIEVE_LOCK:
-        size = len(_SIEVE)
-        if n < size:
-            return
-        new = max(n + 1, min(2 * size, SIEVE_CAP + 1))
-        seg = bytearray([1]) * (new - size)
-        for i in range(2, isqrt(new - 1) + 1):
-            if _SIEVE[i] if i < size else seg[i - size]:
-                start = max(i * i, -(-size // i) * i)
-                seg[start - size::i] = bytes(len(range(start, new, i)))
-        _SIEVE.extend(seg)
-
-
-def primes_upto(n: int) -> List[int]:
-    """All primes <= n, read off the process-wide sieve."""
-    _cover(n)
-    return list(compress(range(n + 1), _SIEVE))
-
-
-def is_prime(n: int) -> bool:
-    """Sieve lookup for n <= SIEVE_CAP (growing the sieve if needed); trial
-    division above it."""
-    if n < len(_SIEVE):
-        return n >= 0 and _SIEVE[n] == 1
-    if n <= SIEVE_CAP:
-        _cover(n)
-        return _SIEVE[n] == 1
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p, by Euler's criterion;
-    ValueError otherwise."""
-    if p <= 2 or not is_prime(p):
-        raise ValueError(f"p = {p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd n > 0; ValueError otherwise."""
@@ -178,13 +111,18 @@ class Characters:
     (n|p) = (p|n) (-1|p)^[n = 3 mod 4] for odd n > 0, with (-1|p) = -1
     for p = 3 mod 4 and (2|p) = -1 for p = 3, 5 mod 8.  A factor of n above
     every indexed prime is coprime to all of them and is read with
-    ``jacobi`` prime by prime.  Masks are memoised per table; the table for
-    a larger bound is a new one.
+    ``jacobi`` prime by prime.  The table sieves its own primes up to
+    ``bound``; masks are memoised per table, and the table for a larger
+    bound is a new one.
     """
 
     def __init__(self, bound: int):
         self.bound = bound
-        self.primes = primes_upto(bound)[1:]
+        flags = bytearray([1]) * (bound + 1)
+        for i in range(2, isqrt(bound) + 1):
+            if flags[i]:
+                flags[i * i::i] = bytes(len(range(i * i, bound + 1, i)))
+        self.primes = list(compress(range(3, bound + 1), flags[3:]))
         self.bit = {p: i for i, p in enumerate(self.primes)}
         self.full = (1 << len(self.primes)) - 1
         self._memo: Dict[tuple, object] = {}
@@ -293,7 +231,7 @@ _CHARS_LOCK = threading.Lock()
 
 def characters(bound: int) -> Characters:
     """The process-wide character table, grown to cover ``bound``: to at
-    least twice its bound, as the sieve grows."""
+    least twice its bound."""
     global _CHARS
     chars = _CHARS
     if bound <= chars.bound:
@@ -324,20 +262,14 @@ def tested_primes(p_max: int, min_p: int = 5, exclude: Tuple[int, ...] = (),
     return primes
 
 
-def padic_valuation(x: Union[int, Fraction], p: int) -> Optional[int]:
-    """v_p(x) for a nonzero integer or rational; None for x = 0 (infinite
-    valuation)."""
-    if x == 0:
+def padic_valuation(n: int, p: int) -> Optional[int]:
+    """v_p(n) for an integer n; None for n = 0 (infinite valuation)."""
+    if n == 0:
         return None
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
@@ -461,7 +393,6 @@ UPPERS = {
     "p-1": lambda p: p - 1,
     "p-2": lambda p: p - 2,
     "(p+1)/2": lambda p: (p + 1) // 2,
-    "(p-1)/2": lambda p: (p - 1) // 2,
 }
 
 

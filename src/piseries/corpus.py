@@ -22,6 +22,9 @@ grammar, read off Python's syntax tree (``^`` is ``**``, ``-2^10`` is -1024)::
 
 Any other node (a float, a bool, a call, an unknown name) is a
 ``CorpusError`` with its line: nothing in a registry is evaluated as Python.
+A constant is raised to its power in one step; a power of a non-constant
+whose degree passes ``sereval.MAX_DEGREE`` = 3, the highest degree that any
+reader accepts (a weight in k; a template is of degree 2), is an error.
 
 The sequence factors of a ``term:`` line are ``NAME[(args)][^e]`` joined
 by ``*``: ``T(b,c)``, ``T2(b,c)`` and ``S(b,c)`` take two integers,
@@ -53,17 +56,18 @@ at the ``entry`` line.
 * ``sum`` (selector ``crhs``): ``term``, ``crhs`` (addends
   ``q[*p^j][*L(d)][*Lp(d)][*E][*Q(a)]``: (d|p), (p|d), E_{p-3} and the
   Fermat quotient (a^(p-1)-1)/p), ``mod`` (``p^s``, default ``p^2``),
-  ``upper`` (``p-1``, ``p-2``, ``(p+1)/2``, ``(p-1)/2``), ``minp``,
+  ``upper`` (``p-1``, ``p-2`` or ``(p+1)/2``), ``minp``,
   ``exclude``, ``require``, ``lhs-mul``, ``check: sum``; at p <= p_max.
 * ``refinement`` (selector ``check: refinement``): ``term``, ``check``,
   ``pn-delta``, ``minp``, ``exclude``, ``require``; at p <= min(p_max, 50).
 * ``quadform`` (selector ``case`` lines): ``term``, ``case``, ``minp``,
   ``exclude``, ``sym-factor``; mod p^2 at p <= p_max, and the cases'
   partition of the primes at p <= max(1000, p_max).
-* ``dual`` (selector ``dual: d=<int> ; D=<int>``, an integer base m that
-  divides D): ``term``, ``dual``; at p <= min(p_max, 200).
-* ``dual-term`` (selector ``dual-term: d=<int|-> ; D=<int>``): ``term``,
-  ``dual-term``; at p <= min(p_max, 97).
+* ``dual`` (selector ``dual: d=<int> ; D=<int>``, d and D non-zero, an
+  integer base m that divides D): ``term``, ``dual``; at
+  p <= min(p_max, 200).
+* ``dual-term`` (selector ``dual-term: d=<int|-> ; D=<int>``, d and D
+  non-zero): ``term``, ``dual-term``; at p <= min(p_max, 97).
 * ``integrality`` (INTEGRALITY): ``term`` with an integer weight, ``idiv``
   (``div=<int> ; mul=<int> ; div-base=<int> ;
   div-exp=none|n-1|half|half-up ; alt ; odd=pow2|pow2-pos|pow2-not2|none
@@ -106,13 +110,12 @@ from . import exactid
 from . import quadform as qf
 from . import sereval
 from . import seqkit
-from .sereval import RHSForm, SeriesIdentity, TermSpec
+from .sereval import MAX_DEGREE, RHSForm, SeriesIdentity, TermSpec
 
 __all__ = [
     "CorpusError",
     "RegistryEntry",
     "parse_registry",
-    "render_entry",
     "load",
     "load_default",
     "default_paths",
@@ -186,8 +189,15 @@ def _walk(text: str, names: Tuple[str, ...]) -> Tuple[tuple, ...]:
             return add({}, walk(node.operand), sign)
         if isinstance(op, ast.Pow) and isinstance(right, ast.Constant) \
                 and type(right.value) is int and right.value >= 0:
-            out, base = {one: 1}, walk(node.left)
-            for _ in range(right.value):
+            base, e = walk(node.left), right.value
+            if base.keys() <= {one}:    # a constant, 0 included
+                c = base.get(one, 0) ** e
+                return {one: c} if c else {}
+            if e * max(map(sum, base)) > MAX_DEGREE:
+                raise ValueError(f"{ast.unparse(node)!r} has degree above"
+                                 f" {MAX_DEGREE}")
+            out = {one: 1}
+            for _ in range(e):
                 out = mul(out, base)
             return out
         if isinstance(op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
@@ -318,13 +328,14 @@ def _term_spec(text: str, line: int) -> TermSpec:
     if not parts[3].startswith("m=") or not parts[4].startswith("k0="):
         raise CorpusError("term fields 4 and 5 must be m=... and k0=...", line)
     weight = _weight(parts[0], line)
-    if len(weight) > 4:
-        raise CorpusError("weight degree above 3 is unsupported", line)
+    if len(weight) > MAX_DEGREE + 1:
+        raise CorpusError(f"weight degree above {MAX_DEGREE} is unsupported",
+                          line)
     den, seq = _den(parts[1], line), _seq(parts[2], line)
     m, k0 = _rational(parts[3][2:], line), _integer(parts[4][3:], line)
     try:
         return TermSpec(weight=weight, den=den, seq=seq, m=m, k0=k0)
-    except ValueError as exc:       # m = 0, k0 < 0
+    except ValueError as exc:       # m = 0, k0 < 0, a zero denominator
         raise CorpusError(str(exc), line) from None
 
 
@@ -351,7 +362,10 @@ def _rhs(text: str, line: int) -> Optional[RHSForm]:
             raise CorpusError(f"rhs addend {part!r} has coefficient 0;"
                               " a zero right-hand side is written 0", line)
         addends.append((q, int(m.group("d") or 1), m.group("basis") or "ONE"))
-    return RHSForm(addends=tuple(addends))
+    try:
+        return RHSForm(addends=tuple(addends))
+    except ValueError as exc:       # a radicand 0
+        raise CorpusError(str(exc), line) from None
 
 
 _CRHS_FACTOR = re.compile(
@@ -428,7 +442,7 @@ def _condition(text: str, line: int, what: str) -> Tuple[int, int]:
     return d, int(v)
 
 
-_MOD_COND = re.compile(r"^mod\((?P<n>\d+)\)=(?P<rs>[\d,]+)$")
+_MOD_COND = re.compile(r"^mod\((?P<n>[1-9]\d*)\)=(?P<rs>[\d,]+)$")
 
 
 def _guard(text: str, line: int) -> qf.Guard:
@@ -530,14 +544,18 @@ def _family(text: str, line: int) -> Tuple[str, Tuple[int, ...]]:
 
 
 def _duality(text: str, line: int, blank_d: bool) -> Tuple[Optional[int], int]:
-    """(d, D) of ``d=<int> ; D=<int>``; with ``blank_d``, ``d=-`` gives
-    d = None."""
+    """(d, D) of ``d=<int> ; D=<int>``, both non-zero; with ``blank_d``,
+    ``d=-`` gives d = None."""
     opts = _options(text.split(";"), ("d", "D"), line, "duality")
     if len(opts) != 2:
         raise CorpusError(f"duality needs 'd=<int> ; D=<int>', got {text!r}",
                           line)
     d = None if blank_d and opts["d"] == "-" else _integer(opts["d"], line)
-    return d, _integer(opts["D"], line)
+    D = _integer(opts["D"], line)
+    if d == 0 or D == 0:
+        raise CorpusError(f"duality needs d and D non-zero, got {text!r}",
+                          line)
+    return d, D
 
 
 # --------------------------------------------------------------------------
@@ -845,22 +863,6 @@ def parse_registry(text: str) -> List[RegistryEntry]:
     if block is not None:
         raise CorpusError(f"entry {block[0]} missing 'end'", block[1])
     return entries
-
-
-def render_entry(entry: RegistryEntry) -> str:
-    """Canonical text for an entry (stable under parse -> render): the
-    common keys, then the keys of its check path in ``_PATHS`` order."""
-    needs, reads, _ = _PATHS[entry.check]
-    raw = dict(entry.raw, kind=entry.kind, status=entry.status)
-    if entry.kind != "SKIP" or entry.anchor:
-        raw["anchor"] = f'"{entry.anchor}"'
-    out = [f"entry {entry.ident}"]
-    for key in ("kind", "covers", "status", "variant") + needs + reads \
-            + ("anchor",):
-        if key in raw:
-            out += [f"{key}: {v}" for v in
-                    (raw[key] if key == "case" else [raw[key]])]
-    return "\n".join(out + ["end"]) + "\n"
 
 
 def default_paths() -> List[Path]:

@@ -27,11 +27,11 @@ from typing import Callable, Dict, Optional, Tuple
 from . import seqkit
 from .congruence import _prefix_sums
 from .seqkit import CB2, CB3, CB4, CB63
-from .sereval import TermSpec, _term_pairs, term_value
+from .sereval import TermSpec, _term_pairs
 
 __all__ = [
     "FAMILIES", "NO_PARAMS", "ONE_M", "TWO_INTS", "Family", "Telescoping",
-    "CheckReport", "family_term", "family_rhs", "check_family",
+    "CheckReport", "check_family",
     "check_sun_finite_step", "check_franel_transform", "check_sn_expansion",
     "check_skl_bound",
 ]
@@ -182,20 +182,6 @@ def _identity(family: str, m: Optional[int]) -> Tuple[Telescoping, int]:
     elif not m:
         raise ValueError(f"{family} needs a nonzero m")
     return entry.telescoping(m), m
-
-
-def family_term(family: str, k: int, m: Optional[int] = None) -> Fraction:
-    ident, _ = _identity(family, m)
-    if k < ident.summand.k0:
-        raise ValueError(f"{family} starts at k={ident.summand.k0}")
-    return term_value(ident.summand, k)
-
-
-def family_rhs(family: str, n: int, m: Optional[int] = None) -> Fraction:
-    ident, _ = _identity(family, m)
-    if n < ident.summand.k0:
-        raise ValueError(f"{family} closed form starts at n={ident.summand.k0}")
-    return ident.scale * term_value(ident.closed, n) + ident.const
 
 
 def check_family(family: str, m: Optional[int], n_max: int) -> CheckReport:

@@ -106,6 +106,9 @@ class QuadFormCase:
             raise ValueError(f"unknown normalization {self.norm}")
         if self.mu not in (1, 2, 4):
             raise ValueError(f"mu must be 1, 2 or 4, got {self.mu}")
+        if self.a < 1 or self.d < 1:
+            raise ValueError(f"a = {self.a} and d = {self.d} must be"
+                             " positive")
         if self.sign == "Y_HALF" and self.norm != "Y_HALF_PARITY":
             raise ValueError("Y_HALF sign needs the y-even normalization")
         if self.sign == "XY_HALF" and self.norm != "XY_HALF_PARITY":
@@ -211,10 +214,6 @@ class DispatchResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    @property
-    def value(self) -> Optional[Fraction]:
-        return None if self.num is None else Fraction(self.num, self.den)
 
 
 def dispatch(table: QuadFormTable, p: int) -> DispatchResult:

@@ -258,8 +258,9 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
     weighted identity and re-verified by
     :func:`sereval.verify_series_identity` at 1.5x the search precision.
     Raises ``ValueError`` below ``MIN_DIGITS`` digits, for
-    ``max_norm < 1``, for ``degree < 0`` or for a dependent basis (see
-    :func:`rediscover_each`), before any series is summed.
+    ``max_norm < 1``, for a degree outside 0..``sereval.MAX_DEGREE`` or
+    for a dependent basis (see :func:`rediscover_each`), before any
+    series is summed.
     """
     return next(rediscover_each(spec, [basis], digits, max_norm, degree))
 
@@ -280,6 +281,9 @@ def rediscover_each(spec: TermSpec,
         raise ValueError(f"max_norm must be >= 1, got {max_norm}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    if degree > sereval.MAX_DEGREE:
+        raise ValueError(f"degree must be <= {sereval.MAX_DEGREE},"
+                         f" got {degree}")
     bases = list(bases)
     for basis in bases:
         for i, (d, name) in enumerate(basis):

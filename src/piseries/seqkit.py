@@ -82,7 +82,7 @@ __all__ = [
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
     "ZAGIER", "BETA", "WZAG", "EULER",
     "Operator", "OPERATORS",
-    "STORE", "rows", "memo_table", "table", "snk", "snk_scaled", "snk_row",
+    "STORE", "rows", "memo_table", "table", "snk_scaled", "snk_row",
     "tsmall_direct",
 ]
 
@@ -156,17 +156,6 @@ class SequenceTable:
 # s_{n,k} and t_n
 # --------------------------------------------------------------------------
 
-def snk(n: int, k: int) -> Fraction:
-    """s_{n,k} = (1/C(n,k)) * sum_i C(n,2i) C(n,2(k-i)) C(2i,i) C(2(k-i),k-i)."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    total = 0
-    for i in range(k + 1):
-        total += (comb(n, 2 * i) * comb(n, 2 * (k - i))
-                  * comb(2 * i, i) * comb(2 * (k - i), k - i))
-    return Fraction(total, comb(n, k))
-
-
 def snk_scaled(n: int, k_max: int) -> List[int]:
     """C(n,k) s_{n,k} for k = 0..k_max, in integers, from one row of
     binomials: with u_i = C(n,2i) C(2i,i), C(n,k) s_{n,k} = sum_i u_i
@@ -196,10 +185,10 @@ def snk_row(n: int, k_max: int) -> List[Fraction]:
             for k, t in enumerate(snk_scaled(n, k_max))]
 
 
-def tsmall_direct(n: int, s: Callable[[int, int], Fraction] = snk
-                  ) -> Fraction:
+def tsmall_direct(n: int, s: Callable[[int, int], Fraction]) -> Fraction:
     """t_n = sum_{0<k<=n} C(n-1,k-1) (-1)^k 4^{n-k} s_{n+k,k}, reading
-    s_{n,k} from ``s`` (a caller may pass one that reads :func:`snk_row`)."""
+    s_{n,k} from ``s`` (the caller's, such as one that reads
+    :func:`snk_row`)."""
     total = Fraction(0)
     for k in range(1, n + 1):
         total += comb(n - 1, k - 1) * (-1) ** k * 4 ** (n - k) * s(n + k, k)

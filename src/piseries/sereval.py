@@ -4,17 +4,17 @@ A :class:`Ball` is three integers: a midpoint, a radius >= 0 and one
 binary exponent e, standing for the interval [(mid - rad) 2^-e,
 (mid + rad) 2^-e] that is proved to hold the true value (the
 midpoint-radius design of Arb, Johansson 2017, with both parts dyadic).
-Every producer emits it directly: the series sums, :func:`eval_rhs`,
-:func:`sqrt_ball` and :func:`constant`.  Sums and differences of balls
+Every producer emits it directly: the series sums, :func:`eval_rhs` and
+:func:`constant`.  Sums and differences of balls
 are exact, as the parts are aligned at the finer exponent by shifts, and
 :meth:`Ball.interval` reads a ball at a coarser scale with its ends
 rounded outward, so no operation loses an enclosure.
 ``Fraction`` stays only for exact rationals that no ball holds: the
 weights, m and the closed forms' coefficients, the factor table's growths
-and moment boxes, the envelope ratio theta (which is also the Euler
-certificate's radius R), the certificate's box, mass and q (q, R/2 and
-mass/2 are rounded up to dyadics once per certificate), :func:`term_value`
-and the printed gap bound of :func:`verify_series_identity`.
+and moment boxes, the envelope ratio theta, the Euler certificate's box,
+mass and q (q and mass/2 are rounded up to dyadics once per certificate),
+:func:`term_value` and the printed gap bound of
+:func:`verify_series_identity`.
 
 A series is summed in fixed point, as integers scaled by 2^s.  One
 builder, :func:`_term_columns`, gives the terms k = lo..hi as two columns
@@ -59,13 +59,13 @@ checked against the target minus the rounding radius in one comparison of
 integers, and if the check fails N steps up until it passes, so no float
 ever decides a verdict.  One pass over the terms then gives the sum, and
 the moment sums of :func:`eval_weighted` share it.  A boundary-ratio
-series takes the Euler transform (:class:`_EulerSum`) from the same pass:
-its weights are suffix sums of one binomial row, its weight-free moment
-certificate is built once per :func:`eval_weighted` call, and its N is the
-first candidate whose dyadic tail bound passes.  Both paths read one
-table of term factors (:class:`_Factor`): a factor's growth bound enters
-the envelope, its moment box the certificate, and the certificate takes
-its radius R = theta and its polynomial cofactor from the envelope.
+series, theta = 1, takes the Euler transform (:class:`_EulerSum`) from the
+same pass: its weights are suffix sums of one binomial row, its
+weight-free moment certificate is built once per :func:`eval_weighted`
+call, and its N is the first candidate whose dyadic tail bound passes.
+Both paths read one table of term factors (:class:`_Factor`): a factor's
+growth bound enters the envelope, its moment box the certificate, and the
+certificate takes its polynomial cofactor from the envelope.
 
 Closed forms are evaluated in fixed point as well.  :func:`eval_rhs` keeps
 each addend q sqrt(d) basis as an integer interval lo <= value * 2^s <= hi:
@@ -109,8 +109,8 @@ from . import seqkit
 from .seqkit import SequenceKind
 
 __all__ = [
-    "Ball", "DivergentError", "TermSpec", "RHSForm", "SeriesIdentity",
-    "constant", "sqrt_ball", "eval_series", "eval_weighted", "eval_rhs",
+    "Ball", "DivergentError", "MAX_DEGREE", "TermSpec", "RHSForm",
+    "SeriesIdentity", "constant", "eval_series", "eval_weighted", "eval_rhs",
     "tail_bound", "verify_series_identity", "term_value",
 ]
 
@@ -192,20 +192,6 @@ def _bits(digits: int) -> int:
 def _digits(bits: int) -> int:
     """Decimal digits whose radius bound 10^-digits is below 2^-bits / 10."""
     return ceil(bits * log10(2)) + 1
-
-
-def sqrt_ball(d, digits: int = 50) -> Ball:
-    """Certified enclosure of sqrt(d) for a nonnegative rational d (an int
-    or a ``Fraction``), with radius below 10^-digits; the radius is 0
-    when sqrt(d) 2^t is an integer, t = ``_bits(digits)`` + 1."""
-    a, b = d.as_integer_ratio()
-    if a < 0:
-        raise ValueError("negative radicand")
-    t = _bits(digits) + 1
-    n = a * b << 2 * t           # sqrt(d) 2^t = sqrt(n) / b
-    r = isqrt(n)
-    lo, hi = r // b, -(-(r + (r * r != n)) // b)
-    return Ball(lo + hi, hi - lo, t + 1)
 
 
 def _constant_sum(spec: TermSpec, t: int) -> Tuple[int, int]:
@@ -329,9 +315,14 @@ _AFFINE = {
 }
 
 
+#: the highest degree of a weight polynomial in k
+MAX_DEGREE = 3
+
+
 @dataclass(frozen=True)
 class TermSpec:
-    """One summand  weight(k) * prod seq(k)^e / (prod den(k)^e * m^k)."""
+    """One summand  weight(k) * prod seq(k)^e / (prod den(k)^e * m^k); no
+    affine denominator factor may be 0 at any k >= k0."""
 
     weight: Tuple[int, ...]                       # poly coefficients, low->high
     den: Tuple[Tuple[str, int], ...]              # (factor tag, exponent)
@@ -344,14 +335,19 @@ class TermSpec:
             raise ValueError("m must be nonzero")
         if self.k0 < 0:
             raise ValueError(f"k0 must be >= 0, got {self.k0}")
-        if not 1 <= len(self.weight) <= 4:
-            raise ValueError(f"weight needs 1 to 4 coefficients, "
-                             f"got {len(self.weight)}")
+        if not 1 <= len(self.weight) <= MAX_DEGREE + 1:
+            raise ValueError(f"weight needs 1 to {MAX_DEGREE + 1}"
+                             f" coefficients, got {len(self.weight)}")
         for tag, e in self.den:
             if tag not in _DEN:
                 raise ValueError(f"unknown denominator factor {tag!r}")
             if e < 1:
                 raise ValueError(f"exponent {e} of {tag!r} is below 1")
+            if tag in _AFFINE:
+                a, b = _AFFINE[tag]
+                if b % a == 0 and -b // a >= self.k0:
+                    raise ValueError(f"denominator factor {tag!r} is 0 at"
+                                     f" k = {-b // a} >= k0 = {self.k0}")
         for kind, e in self.seq:
             if e < 1:
                 raise ValueError(f"exponent {e} of {kind} is below 1")
@@ -588,7 +584,7 @@ def term_value(spec: TermSpec, k: int) -> Fraction:
 # measure's mass is set by :func:`_certificate`, which knows k0.  As each
 # eta is at most the growth g of its factor in modulus, the envelope ratio
 # theta, the product of the growths over |m|, bounds |eta| for the whole
-# term, and the Euler certificate takes it as its radius R.
+# term; the Euler certificate is built only at theta = 1, so |eta| <= 1.
 
 @dataclass(frozen=True)
 class _CBox:
@@ -939,9 +935,9 @@ class _DirectSum:
     the caller builds once, and its crossover K0 are computed once.  N
     starts at the float estimate of :func:`_estimate_N`, never below K0,
     where the bound is the closed form of :class:`_Tail`, an upward-rounded
-    dyadic; so N is settled before any term is summed: it steps up
-    (galloping, then bisecting) until ``bound < target - err`` holds, one
-    comparison of integers (:func:`_fits`).  The radius is that bound plus
+    dyadic; so N is settled before any term is summed: it steps up by one
+    until ``bound < target - err`` holds, one comparison of integers
+    (:func:`_fits`).  The radius is that bound plus
     one unit of 2^-s per floor.
 
     The sum asks the stream for cut blocks (:attr:`bits`).  For a term of
@@ -967,15 +963,8 @@ class _DirectSum:
         # the closed form bounds the tail only from K0 on
         N = max(_estimate_N(coeffs, den, theta, spec.k0, self.env.K0, digits),
                 self.env.K0)
-        failed, step = None, 1
         while (bound := self._closed_bound(N)) is None:
-            failed, N, step = N, N + step, 2 * step
-        while failed is not None and N - failed > 1:
-            mid = (failed + N) // 2
-            if (at_mid := self._closed_bound(mid)) is None:
-                failed = mid
-            else:
-                N, bound = mid, at_mid
+            N += 1
         self.N, self.tail = N, _radius([bound])
         self.s = _scale_bits(N - self.k0 + 1, self.T)
         #: the leading bits a cut column must keep for this sum
@@ -1071,7 +1060,7 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
              else replace(spec, weight=tuple(w)) for w in weights]
     q, qden, theta = _base_envelope(spec)
     if theta >= 1:
-        cert = _certificate(spec, q, theta)
+        cert = _certificate(spec, q) if theta == 1 else None
         if cert is None:
             raise DivergentError(
                 "no moment certificate available; cannot evaluate this series")
@@ -1130,10 +1119,10 @@ def eval_series(spec: TermSpec, digits: int = 40,
 # where W is the weight times the polynomial cofactor of
 # :func:`_base_envelope`, E integrates against the product of the factors'
 # positive measures and eta, the product of their etas over m, lies in the
-# product of their boxes scaled by 1/m, with |eta| <= R = theta <= 1.
+# product of their boxes scaled by 1/m, with |eta| <= theta = 1.
 # The binomial (Euler) transform
 #     c_j = 2^(-j-1) * sum_{i<=j} C(j,i) * term(i)
-# obeys  |c_j| <= (M/2) * sum_s |w_s| * falling(j,s) * (R/2)^s * q^(j-s),
+# obeys  |c_j| <= (M/2) * sum_s |w_s| * falling(j,s) * 2^-s * q^(j-s),
 # where W in the falling-factorial basis has coefficients w_s,
 # M bounds the total measure mass and 2q = sup |1 + eta| < 2.  The
 # transformed series therefore converges geometrically with certified
@@ -1144,17 +1133,15 @@ def eval_series(spec: TermSpec, digits: int = 40,
 class _Cert(NamedTuple):
     """The weight-free part of an Euler-path certificate:
     term(k) = weight(k) extra(k) E[eta^k] for k >= k_start, with
-    |eta| <= R, a measure of total mass at most ``mass`` and
-    sup |1 + eta| / 2 <= q < 1, all exact; ``q_up`` and ``half_R_up`` are
-    q and R/2 rounded up to dyadics (m, e) with :func:`_dyadic_up`."""
+    |eta| <= 1, a measure of total mass at most ``mass`` and
+    sup |1 + eta| / 2 <= q < 1, all exact; ``q_up`` is q rounded up to a
+    dyadic (m, e) with :func:`_dyadic_up`."""
 
     k_start: int
     extra: List[int]             # integer polynomial cofactor, low -> high
     q: Fraction
-    R: Fraction
     mass: Fraction
     q_up: Tuple[int, int]
-    half_R_up: Tuple[int, int]
 
 
 def _poly_shift(coeffs: Sequence[int], kappa: int) -> List[int]:
@@ -1175,15 +1162,12 @@ def _stirling2(n: int) -> List[List[int]]:
     return S
 
 
-def _certificate(spec: TermSpec, extra: List[int],
-                 R: Fraction) -> Optional[_Cert]:
-    """The weight-free moment certificate of ``spec``, or None when a
-    factor has no moment box, theta > 1 or q rounds up to 1.  ``extra``
-    and R are the envelope polynomial q and the ratio theta of
+def _certificate(spec: TermSpec, extra: List[int]) -> Optional[_Cert]:
+    """The weight-free moment certificate of a ``spec`` whose envelope
+    ratio theta is 1, or None when a factor has no moment box or q rounds
+    up to 1.  ``extra`` is the envelope polynomial q of
     :func:`_base_envelope`, which the caller has built; this builds the
     box, k_start and the mass."""
-    if R > 1:
-        return None
     box = _CBox(Fraction(1), Fraction(1))
     for f, e in _factors(spec):
         if f.box is None:
@@ -1193,21 +1177,20 @@ def _certificate(spec: TermSpec, extra: List[int],
     affine = [(*_AFFINE[tag], e) for tag, e in spec.den if tag in _AFFINE]
     # the smallest k >= k0 with a k + b >= 1 for every affine factor
     k_start = max([spec.k0, *(-(-(1 - b) // a) for a, b, _ in affine)])
-    mass = R ** k_start
+    mass = Fraction(1)
     for a, b, e in affine:
         mass *= Fraction(1, a * k_start + b) ** e
-    # sup |1 + eta|^2 over box intersected with the disk of radius R
-    re_hi = min(box.re_hi, R)
-    im_max = min(max(-box.im_lo, box.im_hi, Fraction(0)), R)
-    q_sq = min((1 + re_hi) ** 2 + im_max ** 2, 1 + 2 * re_hi + R ** 2) / 4
+    # sup |1 + eta|^2 over box intersected with the unit disk
+    re_hi = min(box.re_hi, 1)
+    im_max = min(max(-box.im_lo, box.im_hi, Fraction(0)), 1)
+    q_sq = min((1 + re_hi) ** 2 + im_max ** 2, 2 + 2 * re_hi) / 4
     if q_sq >= 1:
         return None
     q = _sqrt_frac_up(q_sq)
     q_up = _dyadic_up(*q.as_integer_ratio())
     if q_up[0] >= 1 << q_up[1]:
         return None
-    return _Cert(k_start, extra, q, R, mass, q_up,
-                 _dyadic_up(*(R / 2).as_integer_ratio()))
+    return _Cert(k_start, extra, q, mass, q_up)
 
 
 def _falling_weights(cert: _Cert, weight: Sequence[int]) -> List[int]:
@@ -1230,33 +1213,30 @@ def _falling(j: int, s: int) -> int:
 def _euler_tail(cert: _Cert, wfall: Sequence[int], scale: Tuple[int, int],
                 N: int) -> Optional[Tuple[int, int]]:
     """An upward-rounded dyadic (m, e) above the tail bound of the
-    transformed series past N, scale * sum over s of w_s (R/2)^s
+    transformed series past N, scale * sum over s of w_s 2^-s
     falling(N+1, s) q^(N+1-s) / (1 - rho_s) with rho_s = q (N+2) / (N+2-s)
     and ``scale`` = mass / 2 for the weight w_s, rounded up; None when N
     is too small: N + 1 < s or rho_s >= 1 for the top s, where rho_s is
     largest.
 
-    The bound grows with q and R, so it holds for their rounded-up
-    ``q_up`` = mq 2^-eq and ``half_R_up``.  Then 1 / (1 - rho_s) is
-    (N+2-s) 2^eq over the integer gap (N+2-s) 2^eq - mq (N+2), the powers
-    and products are taken by :func:`_pow_up` and :func:`_mul_up` (one
-    power of q, then one product per addend), the quotient by the gap by
-    :func:`_dyadic_up`, and the addends are added exactly, so every
-    rounding is upward.
+    The bound grows with q, so it holds for its rounded-up ``q_up`` =
+    mq 2^-eq.  Then 1 / (1 - rho_s) is (N+2-s) 2^eq over the integer gap
+    (N+2-s) 2^eq - mq (N+2), the powers and products are taken by
+    :func:`_pow_up` and :func:`_mul_up` (one power of q, then one product
+    per addend), 2^-s is an exact shift of the exponent, the quotient by
+    the gap is taken by :func:`_dyadic_up`, and the addends are added
+    exactly, so every rounding is upward.
     """
     mq, eq = cert.q_up
     top = len(wfall) - 1
     if N + 1 < top or (N + 2 - top << eq) <= mq * (N + 2):
         return None
-    hpow = list(accumulate(range(top), lambda h, _: _mul_up(
-        *h, *cert.half_R_up), initial=(1, 0)))
     qpow = _pow_up(mq, eq, N + 1 - top)
     parts = []
     for s in range(top, -1, -1):
         if wfall[s]:
-            m, e = _mul_up(*qpow, *hpow[s])
-            m, e = _mul_up(m, e, wfall[s] * _falling(N + 1, s) * (N + 2 - s),
-                           -eq)
+            m, e = _mul_up(*qpow, wfall[s] * _falling(N + 1, s) * (N + 2 - s),
+                           s - eq)
             m, shift = _dyadic_up(m, (N + 2 - s << eq) - mq * (N + 2))
             parts.append((m, e + shift))
         qpow = _mul_up(*qpow, mq, eq)

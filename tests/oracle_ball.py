@@ -5,15 +5,18 @@ replaced, kept as the tests' oracle, and the conversions between the two.
 two balls holds every sum, product or quotient of their points.  ``fb``
 reads a dyadic ball as the same interval in Fractions, and ``enclose``
 gives the dyadic ball at 2^-bits, ends rounded outward, that holds a
-rational or an ``FBall``.
+rational or an ``FBall``.  ``sqrt_ball`` encloses the square root of a
+rational in a dyadic ball, for the tests that need sqrt(d) beside a
+certified value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from piseries.sereval import Ball
+from piseries.sereval import Ball, _bits
 
 
 @dataclass(frozen=True)
@@ -110,3 +113,17 @@ def enclose(x, bits: int) -> Ball:
     lo, hi = (x.mid - x.rad) * 2 ** bits, (x.mid + x.rad) * 2 ** bits
     lo, hi = lo.numerator // lo.denominator, -(-hi.numerator // hi.denominator)
     return Ball(lo + hi, hi - lo, bits + 1)
+
+
+def sqrt_ball(d, digits: int = 50) -> Ball:
+    """Certified enclosure of sqrt(d) for a nonnegative rational d (an int
+    or a ``Fraction``), with radius below 10^-digits; the radius is 0
+    when sqrt(d) 2^t is an integer, t = ``_bits(digits)`` + 1."""
+    a, b = d.as_integer_ratio()
+    if a < 0:
+        raise ValueError("negative radicand")
+    t = _bits(digits) + 1
+    n = a * b << 2 * t           # sqrt(d) 2^t = sqrt(n) / b
+    r = isqrt(n)
+    lo, hi = r // b, -(-(r + (r * r != n)) // b)
+    return Ball(lo + hi, hi - lo, t + 1)

@@ -144,7 +144,8 @@ DEN_MOMENT = {
 
 
 def certificate(spec) -> Optional[dict]:
-    """The certificate's fields as a dict, or None."""
+    """The certificate's fields as a dict, its radius R among them, or
+    None."""
     box = _CBox(Fraction(1), Fraction(1))
     R = Fraction(1)
     mass = Fraction(1)
@@ -188,4 +189,4 @@ def certificate(spec) -> Optional[dict]:
     if q_up[0] >= 1 << q_up[1]:
         return None
     return dict(k_start=k_start, extra=extra, q=q, R=R, mass=mass,
-                q_up=q_up, half_R_up=se._dyadic_up(*(R / 2).as_integer_ratio()))
+                q_up=q_up)

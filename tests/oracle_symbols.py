@@ -1,17 +1,43 @@
-"""Oracles read symbol by symbol: a rational modulo p^s, the exact value
-of a congruence's right-hand side term at p, a quadratic-form guard at
-one prime, and whether a claim is tested at p.  The program reads the same
-quantities from integer residues and character bitsets
-(``congruence.rhs_residue``, ``congruence._residue``,
-``quadform.Guard.mask``) and from one rule for the tested primes
-(``congruence.tested_primes``); the tests compare the two."""
+"""Oracles read symbol by symbol: the primes up to n by trial division, a
+Legendre symbol by Euler's criterion, a rational modulo p^s, the exact
+value of a congruence's right-hand side term at p, a quadratic-form guard
+at one prime, and whether a claim is tested at p.  The program reads the
+same quantities from a sieve, integer residues and character bitsets
+(``congruence.Characters``, ``congruence.rhs_residue``,
+``congruence._residue``, ``quadform.Guard.mask``) and from one rule for
+the tested primes (``congruence.tested_primes``); the tests compare the
+two."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from math import isqrt
+from typing import List, Optional
 
 from piseries import congruence as cg
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division."""
+    if n < 4:
+        return n >= 2
+    return n % 2 != 0 and all(n % i for i in range(3, isqrt(n) + 1, 2))
+
+
+def primes_upto(n: int) -> List[int]:
+    """All primes <= n, by trial division."""
+    return [k for k in range(n + 1) if is_prime(k)]
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a|p) for an odd prime p, by Euler's criterion;
+    ValueError otherwise."""
+    if p <= 2 or not is_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def fraction_mod(x: Fraction, p: int, s: int) -> Optional[int]:
@@ -27,7 +53,7 @@ def rhs_value(term: cg.RHSTerm, p: int) -> Fraction:
     """The exact value of one right-hand side term at p."""
     v = term.coef * p ** term.ppow
     for d in term.sym:
-        v *= cg.legendre(d, p)
+        v *= legendre(d, p)
     if term.euler:
         v *= cg.euler_number(p - 3)
     if term.fermat:
@@ -37,7 +63,7 @@ def rhs_value(term: cg.RHSTerm, p: int) -> Fraction:
 
 def guard_holds(guard, p: int) -> bool:
     """Whether every symbol value and residue class of the guard holds."""
-    return all(cg.legendre(d, p) == v for d, v in guard.syms) \
+    return all(legendre(d, p) == v for d, v in guard.syms) \
         and all(p % n in residues for n, residues in guard.mods)
 
 
@@ -56,4 +82,4 @@ def claim_admissible(claim: cg.CongruenceClaim, p: int) -> bool:
                 return False
         if t.fermat and t.fermat % p == 0:
             return False
-    return all(cg.legendre(d, p) == v for d, v in claim.require)
+    return all(legendre(d, p) == v for d, v in claim.require)

@@ -607,6 +607,14 @@ class TestNumericArguments:
         assert (code, err) == (0, "")
         assert out.startswith("NOT FOUND")
 
+    def test_degree_above_three(self, capsys):
+        # once reported as the weight of the term spec the search builds
+        code, out, err = _run(capsys, ["discover", "--seq", "CB2^3", "--m",
+                                       "-64", "--digits", "30", "--degree",
+                                       "4"])
+        assert (code, out) == (2, "")
+        assert err == "error: degree must be <= 3, got 4\n"
+
     @pytest.mark.parametrize("digits", ["12", "15"])
     def test_discover_below_search_precision(self, capsys, digits):
         code, out, err = _run(capsys, ["discover", "--seq", "S(1,25)", "--m",

@@ -17,7 +17,8 @@ from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import TermSpec
 
-from oracle_symbols import claim_admissible, fraction_mod, rhs_value
+from oracle_symbols import (claim_admissible, fraction_mod, legendre,
+                            primes_upto, rhs_value)
 
 
 def spec(weight, seq, m, den=(), k0=0):
@@ -125,20 +126,16 @@ def _residues_oracle(s, uppers, e, shift=0):
     return {p: _mod_oracle(s, upper, p, e) for p, upper in uppers.items()}
 
 
-def _is_prime_oracle(n: int) -> bool:
-    """Trial division, as is_prime tested every n before the sieve."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+def _valuation(x: Fraction, p: int):
+    """v_p(x) of a rational x, None for x = 0."""
+    if x == 0:
+        return None
+    v, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
 
 
 def _prime_factors(n: int):
@@ -152,89 +149,16 @@ def _prime_factors(n: int):
     return out + [n] if n > 1 else out
 
 
-@pytest.fixture
-def fresh_sieve(monkeypatch):
-    """A sieve that knows only 0 and 1, as after import."""
-    monkeypatch.setattr(cg, "_SIEVE", bytearray(2))
-
-
 class TestSieve:
-    def test_matches_trial_division(self, fresh_sieve):
-        n = 10 ** 5
-        assert cg.primes_upto(n - 1) == \
-            [k for k in range(n) if _is_prime_oracle(k)]
-        assert [k for k in range(-5, n) if cg.is_prime(k)] == \
-            [k for k in range(-5, n) if _is_prime_oracle(k)]
-
-    @pytest.mark.parametrize("bounds", [
-        (0, 1, 2, 3, 4, 5), (10, 1000, 99_999), (5000, 3, 7919),
-        (31, 32, 33, 64, 65, 1025, 2048), (-1, 100, 99, 101, 4097),
-    ])
-    def test_growth(self, fresh_sieve, bounds):
-        for b in bounds:
-            size = len(cg._SIEVE)
-            assert cg.primes_upto(b) == \
-                [k for k in range(b + 1) if _is_prime_oracle(k)]
-            grown = len(cg._SIEVE)
-            assert grown >= size
-            if grown > size:   # grown to cover b, doubling at least
-                assert grown > b and grown >= 2 * size
-            # the last n inside the sieve and the first ones past it (the
-            # first of which grows it again)
-            for k in range(grown - 2, grown + 3):
-                assert cg.is_prime(k) == _is_prime_oracle(k), k
-
-    def test_is_prime_grows_small_then_large(self, fresh_sieve):
-        for n in (7, 8, 7919, 7920, 104_729, 104_730, 3, 1_000_003):
-            assert cg.is_prime(n) == _is_prime_oracle(n), n
-        assert 1_000_003 < len(cg._SIEVE) <= cg.SIEVE_CAP + 1
-
-    def test_above_the_cap_by_trial_division(self, fresh_sieve):
-        for n in (cg.SIEVE_CAP + 1, 1_048_583, 1_048_589, 2 ** 31 - 1,
-                  2 ** 31 + 1, 10 ** 12 + 39, 10 ** 12 + 41):
-            assert cg.is_prime(n) == _is_prime_oracle(n), n
-        assert len(cg._SIEVE) == 2
-
-    def test_concurrent_growth(self, monkeypatch):
-        # more threads than cores, switching often, each round from a fresh
-        # sieve: a lost or repeated segment would misplace later flags
-        bounds = [[(7919 * (t + 1) * (i + 3)) % 20_000 for i in range(12)]
-                  for t in range(6)]
-        oracle = [k for k in range(40_000) if _is_prime_oracle(k)]
-        errors = []
-
-        def work(bs):
-            try:
-                for b in bs:
-                    cg.primes_upto(b)
-                    cg.is_prime(b + 1)
-            except Exception as exc:   # reported by the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(30):
-                monkeypatch.setattr(cg, "_SIEVE", bytearray(2))
-                threads = [threading.Thread(target=work, args=(bs,))
-                           for bs in bounds]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-                assert not errors
-                size = len(cg._SIEVE)
-                assert [k for k in range(size) if cg._SIEVE[k]] == \
-                    [k for k in oracle if k < size]
-        finally:
-            sys.setswitchinterval(interval)
+    def test_matches_trial_division(self):
+        for b in (2, 3, 4, 5, 10, 1000, 10 ** 5):
+            assert cg.Characters(b).primes == primes_upto(b)[1:], b
 
     def test_legendre_is_euler_criterion(self):
-        for p in cg.primes_upto(400)[1:]:
+        for p in primes_upto(400)[1:]:
             for a in list(range(-2 * p, 2 * p)) + [10 ** 30 + p, -7 ** 40]:
                 r = pow(a, (p - 1) // 2, p)
-                assert cg.legendre(a, p) == (-1 if r == p - 1 else r), (a, p)
+                assert legendre(a, p) == (-1 if r == p - 1 else r), (a, p)
 
     def test_jacobi_is_product_of_legendre(self):
         for n in range(1, 2000, 2):
@@ -243,20 +167,19 @@ class TestSieve:
                                              10 ** 20 + 7, -10 ** 20]:
                 want = 1
                 for q in factors:
-                    want *= cg.legendre(a, q)
+                    want *= legendre(a, q)
                 assert cg.jacobi(a, n) == want, (a, n)
 
     @pytest.mark.parametrize("p", [-3, 1, 2, 9, 91, 0, -7])
     def test_legendre_needs_an_odd_prime(self, p):
         for a in (0, 1, 5, 5):   # twice: an error is not memoised
             with pytest.raises(ValueError):
-                cg.legendre(a, p)
+                legendre(a, p)
 
     @pytest.mark.parametrize("n", [0, -3, 2, 10])
     def test_jacobi_needs_a_positive_odd_n(self, n):
         with pytest.raises(ValueError):
             cg.jacobi(1, n)
-
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +237,7 @@ class TestCharacters:
         assert chars.primes[0] == 3 and chars.bound >= 3000
         for d in sorted(set(REGISTRY_DS) | set(range(-300, 301)) - {0}):
             _check_char(chars, chars.legendre(d),
-                        lambda p: cg.legendre(d, p), 3000)
+                        lambda p: legendre(d, p), 3000)
 
     def test_jacobi_masks(self):
         chars = cg.characters(3000)
@@ -330,8 +253,8 @@ class TestCharacters:
             d = corpus._symbol(f"Lp({n})", 1)
             _check_char(chars, chars.legendre(d),
                         lambda p: cg.jacobi(p, n), 3000)
-            for p in cg.primes_upto(3000)[1:]:
-                assert cg.legendre(d, p) == cg.jacobi(p, n), (n, p)
+            for p in primes_upto(3000)[1:]:
+                assert legendre(d, p) == cg.jacobi(p, n), (n, p)
 
     @pytest.mark.parametrize("bound", [2, 3, 5, 10, 50])
     def test_factors_above_the_index(self, bound):
@@ -341,7 +264,7 @@ class TestCharacters:
         for d in (0, 1, -1, 2, -2, 53, 2809, -3 * 53, 45 * 59 * 61,
                   10 ** 12 + 39, -(2 ** 5) * (10 ** 12 + 39), 3001 * 3011):
             _check_char(chars, chars.legendre(d),
-                        lambda p: cg.legendre(d, p), bound)
+                        lambda p: legendre(d, p), bound)
             if d > 0 and d % 2:
                 _check_char(chars, chars.jacobi(d),
                             lambda p: cg.jacobi(p, d), bound)
@@ -349,8 +272,8 @@ class TestCharacters:
     def test_products_and_values(self):
         chars = cg.characters(1000)
         char = chars.product((-1, 5, 0x3F, -15, -7))
-        _check_char(chars, char, lambda p: cg.legendre(-1, p)
-                    * cg.legendre(5, p) * cg.legendre(0x3F, p)
+        _check_char(chars, char, lambda p: legendre(-1, p)
+                    * legendre(5, p) * legendre(0x3F, p)
                     * cg.jacobi(p, 15) * cg.jacobi(p, 7), 1000)
         assert chars.product(()) == (0, 0)
         for v in (-1, 0, 1, 2):
@@ -410,7 +333,7 @@ class TestRhsResidue:
                                        if e.claim is not None and e.claim.rhs],
                              ids=lambda c: c.ident)
     def test_registry_claims(self, claim):
-        primes = [p for p in cg.primes_upto(300)
+        primes = [p for p in primes_upto(300)
                   if claim_admissible(claim, p)]
         assert primes
         for p in primes:
@@ -443,28 +366,28 @@ class TestRhsResidue:
 
 class TestElementary:
     def test_primes_upto(self):
-        assert cg.primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
     def test_legendre(self):
-        assert cg.legendre(2, 7) == 1
-        assert cg.legendre(3, 7) == -1
-        assert cg.legendre(14, 7) == 0
+        assert legendre(2, 7) == 1
+        assert legendre(3, 7) == -1
+        assert legendre(14, 7) == 0
         with pytest.raises(ValueError):
-            cg.legendre(1, 15)
+            legendre(1, 15)
 
     def test_jacobi_matches_legendre_on_primes(self):
-        for p in cg.primes_upto(60):
+        for p in primes_upto(60):
             if p < 3:
                 continue
             for a in range(1, 20):
-                assert cg.jacobi(a, p) == cg.legendre(a, p)
+                assert cg.jacobi(a, p) == legendre(a, p)
 
     def test_reciprocity_shortcut(self):
         # (p|3) = (-3|p) for every prime p > 3
-        for p in cg.primes_upto(200):
+        for p in primes_upto(200):
             if p <= 3:
                 continue
-            assert cg.jacobi(p, 3) == cg.legendre(-3, p)
+            assert cg.jacobi(p, 3) == legendre(-3, p)
 
     def test_fraction_mod(self):
         assert fraction_mod(Fraction(1, 2), 5, 2) == 13
@@ -482,7 +405,7 @@ class TestTruncatedSum:
         assert cg.truncated_sum_exact(BAUER, 1) == Fraction(3, 8)
 
     def test_fast_equals_exact(self):
-        for p in cg.primes_upto(100):
+        for p in primes_upto(100):
             if p < 5:
                 continue
             for s in (1, 2, 3):
@@ -523,7 +446,7 @@ class TestTruncatedSum:
         spec((Fraction(1, 2), 3), ((sk.FRANEL, 1),), Fraction(7, 3)),
     ], ids=["bauer", "aux-5", "gpoly", "rational-m"])
     def test_residues_equal_oracles(self, s):
-        primes = [p for p in cg.primes_upto(100) if p >= 5]
+        primes = [p for p in primes_upto(100) if p >= 5]
         for e, shift in ((1, 0), (2, 0), (3, 0), (2, 1), (3, 2)):
             for upper in (lambda p: p - 1, lambda p: (p - 1) // 2):
                 got = cg.truncated_residues(
@@ -677,12 +600,12 @@ def _refinement_oracle(claim, p_max, n_max):
     """check_pn_refinement as it was before the prefix sums were shared:
     S(c) recomputed from k0 by the Fraction += loop for every prime."""
     report = cg.RefinementReport(claim.ident, [], None, [])
-    for p in cg.primes_upto(p_max):
+    for p in primes_upto(p_max):
         if not claim_admissible(claim, p):
             continue
         delta = 1
         for d in claim.pn_delta:
-            delta *= cg.legendre(d, p)
+            delta *= legendre(d, p)
         if delta == 0:
             continue
         partials: Dict[int, Fraction] = {}
@@ -700,7 +623,7 @@ def _refinement_oracle(claim, p_max, n_max):
                 nn //= p
                 vpn += 1
             need = 2 + 2 * vpn
-            v = cg.padic_valuation(diff, p)
+            v = _valuation(diff, p)
             report.checked.append((p, n))
             if v is None:
                 continue
@@ -793,7 +716,7 @@ class TestRegistryOracles:
     @pytest.mark.parametrize("claim", SUM_CLAIMS, ids=lambda c: c.ident)
     def test_claim_rows(self, claim):
         want = [(p, *_claim_row_oracle(claim, p))
-                for p in cg.primes_upto(100) if claim_admissible(claim, p)]
+                for p in primes_upto(100) if claim_admissible(claim, p)]
         rep = cg.verify_claim(claim, 100)
         assert rep.rows == want
         assert rep.tested == [p for p, _, _ in want]
@@ -833,7 +756,7 @@ class TestRegistryOracles:
 # --------------------------------------------------------------------------
 
 def _old_primes(p_max, keep):
-    return [p for p in cg.primes_upto(p_max) if keep(p)]
+    return [p for p in primes_upto(p_max) if keep(p)]
 
 
 CLAIMS = [e.claim for e in ENTRIES if e.claim is not None]
@@ -851,7 +774,7 @@ class TestTestedPrimes:
         else:
             # the refinement skipped the primes where delta = 0
             want = [p for p in want
-                    if all(cg.legendre(d, p) for d in claim.pn_delta)]
+                    if all(legendre(d, p) for d in claim.pn_delta)]
             rep = cg.check_pn_refinement(claim, p_max=300, n_max=1)
             assert [p for p, _ in rep.checked] == want
             coprime += claim.pn_delta

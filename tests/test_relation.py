@@ -13,7 +13,7 @@ from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import Ball, RHSForm, TermSpec
 
-from oracle_ball import FBall, enclose, fb
+from oracle_ball import FBall, enclose, fb, sqrt_ball
 
 
 def _mpmath_pslq(values, max_norm, digits, maxsteps=10000):
@@ -116,7 +116,7 @@ class TestPslq:
             and fb(res.residual).abs_upper() == 0
 
     def test_none_for_irrational_pair(self):
-        values = [Ball(1), se.sqrt_ball(2, 60)]
+        values = [Ball(1), sqrt_ball(2, 60)]
         res = rl.pslq(values, 1000, digits=40)
         assert res.status == rl.NONE
         assert res.bound == 1000
@@ -168,7 +168,7 @@ class TestIntegerPslq:
         primes = [2, 3, 5, 7, 11, 13, 17, 19]
         for digits in (30, 50, 80):
             for _ in range(4):
-                base = [se.sqrt_ball(p, digits + 20)
+                base = [sqrt_ball(p, digits + 20)
                         for p in rng.sample(primes, n - 1)]
                 plant = [rng.randrange(-60, 61) for _ in range(n - 1)]
                 plant[0] = plant[0] or 1
@@ -180,7 +180,7 @@ class TestIntegerPslq:
 
     def test_relation_at_the_norm_bound(self):
         # 37 sqrt2 - 20 sqrt3 - v = 0 has max norm exactly 37
-        r2, r3 = se.sqrt_ball(2, 60), se.sqrt_ball(3, 60)
+        r2, r3 = sqrt_ball(2, 60), sqrt_ball(3, 60)
         values = [r2, r3, rl._residual([r2, r3], [37, -20])]
         res = rl.pslq(values, 37, 40)
         assert res.status == rl.FOUND and res.coeffs == (37, -20, -1)
@@ -249,6 +249,8 @@ class TestRediscover:
         ({"max_norm": 0}, "max_norm must be >= 1"),
         ({"max_norm": -5}, "max_norm must be >= 1"),
         ({"degree": -1}, "degree must be >= 0"),
+        # a weight of degree 4 is beyond every term spec
+        ({"degree": 4}, "degree must be <= 3, got 4"),
     ])
     def test_bad_search_bounds_sum_nothing(self, monkeypatch, kwargs,
                                            message):

