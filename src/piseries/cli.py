@@ -244,13 +244,14 @@ def _cmd_discover(args) -> int:
         print("NOT FOUND: no integer relation within the norm bound")
         return 0
     ident = candidate.identity
+    # m as given: str() refuses an int of more than 4300 digits
     block = "\n".join([
         f"entry discovered-{int(time.time())}",
         "kind: SERIES",
         "status: conjectural",
         "covers: discovered",
         f"term: {_fmt_weight(ident.spec.weight)} ; - ;"
-        f" {corpus._render_seq(ident.spec.seq)} ; m={ident.spec.m} ;"
+        f" {corpus._render_seq(ident.spec.seq)} ; m={args.m} ;"
         f" k0={ident.spec.k0}",
         f"rhs: {_fmt_rhs(ident.rhs)}",
         f'anchor: "found by integer-relation search at {args.digits} digits,'

@@ -16,15 +16,16 @@ its n), so a reported residue is exact and never subject to rounding.
 ``rhs_residue`` works in integers modulo p^s: coefficients by their
 inverse, Fermat quotients from ``pow(a, p-1, p^(s+1))``, E_{p-3} reduced.
 
-Elementary number theory: every quadratic character read at a prime,
-here and in ``quadform``, comes from one process-wide ``Characters``
-table (``characters(bound)``), which grows by doubling to the largest
-bound asked for so far and sieves its own primes: bit i of an int stands
-for the i-th odd prime, and a character p -> (d|p) is a pair of such
-bitsets (where it is -1, where it is 0), built by quadratic reciprocity
-from the residue classes of the primes modulo 4, 8 and the odd prime
-factors of d.  ``jacobi`` computes one symbol directly (reciprocity with
-the Euclidean algorithm), for a prime factor of d above the table.
+Elementary number theory: every quadratic character read at one prime,
+here and in ``quadform``, is ``symbol``: the product of the (d|p) over
+a tuple of d, each by Euler's criterion d^((p-1)/2) mod p.  The primes
+come from one process-wide ``Characters`` table (``characters(bound)``),
+which grows by doubling to the largest bound asked for so far and sieves
+its own primes: bit i of an int stands for the i-th odd prime.  The same
+table holds characters p -> (d|p) as pairs of such bitsets (where it is
+-1, where it is 0), for the one bulk reader, the guard masks of
+``quadform``'s case tables; a mask is the (-1|p) and (2|p) residue
+classes times one Euler's-criterion pass per odd prime factor of d.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from . import seqkit
 from .sereval import TermSpec, _term_pairs, term_value
 
 __all__ = [
-    "jacobi",
+    "symbol",
     "Characters",
     "characters",
     "tested_primes",
@@ -72,22 +73,17 @@ NONINTEGRAL = "NONINTEGRAL"
 # elementary number theory
 # --------------------------------------------------------------------------
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n > 0; ValueError otherwise."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"n = {n} must be positive and odd")
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+def symbol(sym: Tuple[int, ...], p: int) -> int:
+    """prod (d|p) over ``sym`` at a prime p, each (d|p) by Euler's
+    criterion d^((p-1)/2) mod p: 1 for an empty ``sym`` at every p, and a
+    ValueError for a non-empty one at p = 2, where (d|2) has no value."""
+    if p == 2 and sym:
+        raise ValueError("p = 2 has no quadratic character")
+    value = 1
+    for d in sym:
+        r = pow(d, p >> 1, p)   # p >> 1 == (p-1)/2 for an odd p
+        value *= -1 if r == p - 1 else r
+    return value
 
 
 #: A quadratic character over a ``Characters`` index: the bitsets (neg,
@@ -95,25 +91,17 @@ def jacobi(a: int, n: int) -> int:
 Char = Tuple[int, int]
 
 
-def _times(a: Char, b: Char) -> Char:
-    """The product of two characters."""
-    zero = a[1] | b[1]
-    return (a[0] ^ b[0]) & ~zero, zero
-
-
 class Characters:
     """Quadratic characters of the odd primes up to ``bound``, as bitsets.
 
     Bit i of a mask stands for ``primes[i]``, the i-th odd prime (3 is bit
-    0).  For an odd prime q, p -> (p|q) is -1 on the residue classes of the
-    non-squares modulo q and 0 at q.  Jacobi (p|n) is the product of these
-    over the prime factors of n, and (d|p) follows by reciprocity:
-    (n|p) = (p|n) (-1|p)^[n = 3 mod 4] for odd n > 0, with (-1|p) = -1
-    for p = 3 mod 4 and (2|p) = -1 for p = 3, 5 mod 8.  A factor of n above
-    every indexed prime is coprime to all of them and is read with
-    ``jacobi`` prime by prime.  The table sieves its own primes up to
-    ``bound``; masks are memoised per table, and the table for a larger
-    bound is a new one.
+    0).  The character (d|p) multiplies (-1|p) = -1 at p = 3 mod 4,
+    (2|p) = -1 at p = 3, 5 mod 8, and one Euler's-criterion pass per odd
+    prime factor of odd exponent; each odd prime factor's zero bit is read
+    from the index.  The table sieves its own primes up to ``bound``;
+    masks are memoised per table, and the table for a larger bound is a
+    new one.  Only guard masks read the characters in bulk; a character
+    at one prime is ``symbol``.
     """
 
     def __init__(self, bound: int):
@@ -140,42 +128,15 @@ class Characters:
             got = self._memo[key] = self.where(lambda p: p % n in rs)
         return got
 
-    def _mod_q(self, q: int) -> Char:
-        """p -> (p|q) for an indexed odd prime q."""
-        key = ("q", q)
+    def _euler(self, q: int) -> int:
+        """The mask of the indexed primes p with (q|p) = -1, by Euler's
+        criterion q^((p-1)/2) mod p."""
+        key = ("E", q)
         got = self._memo.get(key)
         if got is None:
-            squares = {k * k % q for k in range(1, q // 2 + 1)}
-            neg = self.where(lambda p: p % q not in squares and p != q)
-            got = self._memo[key] = (neg, 1 << self.bit[q])
+            got = self._memo[key] = self.where(
+                lambda p: pow(q, p >> 1, p) == p - 1)
         return got
-
-    def jacobi(self, n: int) -> Char:
-        """The character p -> (p|n), n odd and positive."""
-        key = ("J", n)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        if n <= 0 or n % 2 == 0:
-            raise ValueError(f"n = {n} must be positive and odd")
-        char, rest = (0, 0), n
-        for q in self.primes:
-            if q * q > rest:
-                break
-            e = 0
-            while rest % q == 0:
-                rest //= q
-                e += 1
-            if e:
-                neg, zero = self._mod_q(q)
-                char = _times(char, (neg if e % 2 else 0, zero))
-        if rest in self.bit:
-            char = _times(char, self._mod_q(rest))
-        elif rest > 1:   # every prime factor of rest is above the index
-            char = _times(char, (self.where(lambda p: jacobi(p, rest) < 0),
-                                 0))
-        self._memo[key] = char
-        return char
 
     def legendre(self, d: int) -> Char:
         """The character p -> (d|p)."""
@@ -187,25 +148,27 @@ class Characters:
             char = (0, self.full)
         else:
             e2 = (abs(d) & -abs(d)).bit_length() - 1
-            n = abs(d) >> e2
-            char = self.jacobi(n)
-            if (d < 0) != (n % 4 == 3):
-                char = _times(char, (self.residues(4, (3,)), 0))
+            rest = abs(d) >> e2
+            neg = self.residues(4, (3,)) if d < 0 else 0
             if e2 % 2:
-                char = _times(char, (self.residues(8, (3, 5)), 0))
+                neg ^= self.residues(8, (3, 5))
+            zero = 0
+            for q in self.primes:
+                if q * q > rest:
+                    break
+                e = 0
+                while rest % q == 0:
+                    rest //= q
+                    e += 1
+                if e:
+                    neg ^= self._euler(q) if e % 2 else 0
+                    zero |= 1 << self.bit[q]
+            if rest > 1:   # a prime, or a product of primes above the index
+                neg ^= self._euler(rest)
+                zero |= 1 << self.bit[rest] if rest in self.bit else 0
+            char = (neg & ~zero, zero)
         self._memo[key] = char
         return char
-
-    def product(self, sym: Tuple[int, ...]) -> Char:
-        """p -> prod (d|p) over ``sym``."""
-        key = ("P", sym)
-        got = self._memo.get(key)
-        if got is None:
-            got = (0, 0)
-            for d in sym:
-                got = _times(got, self.legendre(d))
-            self._memo[key] = got
-        return got
 
     def holds(self, char: Char, v: int) -> int:
         """The mask of the indexed primes p where char(p) == v."""
@@ -213,16 +176,6 @@ class Characters:
         if v == 1:
             return self.full & ~(neg | zero)
         return neg if v == -1 else zero if v == 0 else 0
-
-    def value(self, char: Char, p: int) -> int:
-        """char(p) for an indexed p; ValueError for p = 2 or a p that is
-        not prime."""
-        i = self.bit.get(p)
-        if i is None:
-            raise ValueError(f"p = {p} is not an odd prime")
-        if char[1] >> i & 1:
-            return 0
-        return -1 if char[0] >> i & 1 else 1
 
 
 _CHARS = Characters(2)
@@ -257,8 +210,7 @@ def tested_primes(p_max: int, min_p: int = 5, exclude: Tuple[int, ...] = (),
     product = prod(coprime)
     primes = [p for p in primes if p not in exclude and product % p]
     for d, v in require:
-        char = chars.legendre(d)
-        primes = [p for p in primes if chars.value(char, p) == v]
+        primes = [p for p in primes if symbol((d,), p) == v]
     return primes
 
 
@@ -369,13 +321,11 @@ def rhs_residue(terms: Sequence[RHSTerm], p: int, s: int) -> int:
     """The sum of the terms' values at p modulo p^s, computed in integers,
     for a p that divides no coefficient's denominator (``tested_primes``
     leaves none)."""
-    chars = characters(p)
     ps = p ** s
     total = 0
     for t in terms:
         v = t.coef.numerator * pow(t.coef.denominator, -1, ps) * p ** t.ppow
-        if t.sym:
-            v *= chars.value(chars.product(t.sym), p)
+        v *= symbol(t.sym, p)
         if t.euler:
             v *= euler_number(p - 3) % ps
         if t.fermat:
@@ -491,9 +441,7 @@ def check_pn_refinement(claim: CongruenceClaim, p_max: int = 50,
     if claim.pn_delta is None:
         raise ValueError(f"claim {claim.ident} carries no refinement data")
     report = RefinementReport(claim.ident, [], None, [])
-    chars = characters(p_max)
-    delta = chars.product(claim.pn_delta)
-    checks = [(p, chars.value(delta, p) if claim.pn_delta else 1)
+    checks = [(p, symbol(claim.pn_delta, p))
               for p in tested_primes(p_max, claim.min_p, claim.exclude,
                                      claim.coprime + claim.pn_delta,
                                      claim.require)]
@@ -625,11 +573,10 @@ def check_duality_term(ident: str, kind, d: Optional[int], D: int,
     ``d = None`` means no symbol factor.
     """
     report = ClaimReport(ident, [], [])
-    chars = characters(p_max)
     d = 1 if d is None else d   # (1|p) = 1: no symbol factor
     for p in tested_primes(p_max, coprime=(D, d)):
         tab = seqkit.rows(kind, p - 1)
-        s = chars.value(chars.legendre(d), p)
+        s = symbol((d,), p)
         report.tested.append(p)
         for k in range(p):
             lhs = tab[k] % p
@@ -663,8 +610,7 @@ def check_duality_sum(claim: DualityClaim, p_max: int = 200) -> ClaimReport:
         p_max, coprime=(claim.d, claim.D, claim.m))}
     lhs = truncated_residues(spec_m, uppers, 2)
     dual = truncated_residues(spec_dual, uppers, 2)
-    chars = characters(p_max)
     return ClaimReport.of(claim.ident, [
         (p, lhs[p], None if dual[p] == NONINTEGRAL else
-         chars.value(chars.legendre(claim.d), p) * dual[p] % p ** 2)
+         symbol((claim.d,), p) * dual[p] % p ** 2)
         for p in uppers])

@@ -12,7 +12,8 @@ process-wide ``congruence.Characters`` table: each case's guard becomes
 one mask, the primes where it holds, built once per table and table size
 (``QuadFormTable.case_masks``).  ``dispatch`` takes its case from the
 masks; ``check_partition`` checks that exactly one guard holds by
-``once``/``twice`` bit algebra over them.  A table admits odd primes
+``once``/``twice`` bit algebra over them; a claim's ``sym-factor`` is
+read prime by prime by ``congruence.symbol``.  A table admits odd primes
 only: the characters have no value at p = 2, so a ``min_p`` that admits
 2 without excluding it is a ``ValueError``.  Both checks test the primes
 that ``congruence.tested_primes`` gives.  The template must
@@ -219,7 +220,7 @@ class DispatchResult:
 def dispatch(table: QuadFormTable, p: int) -> DispatchResult:
     """Value of the table at p, verifying template invariance.  The case
     is read off the table's case masks; ValueError for p = 2 or a p that
-    is not prime, as ``Characters.value``."""
+    is not prime, which the masks do not index."""
     chars = cg.characters(p)
     i = chars.bit.get(p)
     if i is None:
@@ -261,14 +262,13 @@ def verify_quadform_claim(claim: QuadFormClaim, p_max: int) -> cg.ClaimReport:
                               (spec.m.numerator, spec.m.denominator,
                                *table.sym_factor))
     sums = cg.truncated_residues(spec, {p: p - 1 for p in primes}, 2)
-    chars = cg.characters(p_max)
     rows = []
     for p in primes:
         res = dispatch(table, p)
         if not res.ok:
             rows.append((p, res.error, None))
             continue
-        factor = chars.value(chars.product(table.sym_factor), p)
+        factor = cg.symbol(table.sym_factor, p)
         rhs = cg._residue(factor * res.num, res.den, p, 2)
         rows.append((p, sums[p], None if rhs == cg.NONINTEGRAL else rhs))
     return cg.ClaimReport.of(claim.ident, rows)

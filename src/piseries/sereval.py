@@ -175,13 +175,17 @@ def _radius(parts: Iterable[Tuple[int, int]]) -> Ball:
 # Square roots and named constants
 # --------------------------------------------------------------------------
 
-def _sqrt_frac_up(x: Fraction, guard: int = 10 ** 8) -> Fraction:
+#: :func:`_sqrt_frac_up` exceeds sqrt(x) by at most 1/(den(x) _SQRT_GUARD)
+_SQRT_GUARD = 10 ** 8
+
+
+def _sqrt_frac_up(x: Fraction) -> Fraction:
     """A rational upper bound on sqrt(x) for x >= 0."""
     if x < 0:
         raise ValueError("negative radicand")
     n, d = x.numerator, x.denominator
-    r = isqrt(n * d * guard * guard)
-    return Fraction(r + 1, d * guard)
+    r = isqrt(n * d * _SQRT_GUARD * _SQRT_GUARD)
+    return Fraction(r + 1, d * _SQRT_GUARD)
 
 
 def _bits(digits: int) -> int:
@@ -821,7 +825,7 @@ class _Tail:
     powers they are raised to there are fewer than 3 (N+1) + 2 log2(N+1)
     + 3, so below N = 10^8 the bound exceeds the exact closed form by a
     factor below 1 + 2^-50, and no gcd runs on the thousands-of-bits parts
-    of the exact power (theta carries :func:`_sqrt_frac_up`'s guard).
+    of the exact power (theta's denominator carries ``_SQRT_GUARD``).
     """
 
     def __init__(self, coeffs: List[int], den: int, theta: Fraction, k0: int):

@@ -1,12 +1,14 @@
 """Oracles read symbol by symbol: the primes up to n by trial division, a
-Legendre symbol by Euler's criterion, a rational modulo p^s, the exact
-value of a congruence's right-hand side term at p, a quadratic-form guard
-at one prime, and whether a claim is tested at p.  The program reads the
-same quantities from a sieve, integer residues and character bitsets
+Legendre symbol by Euler's criterion, a Jacobi symbol by reciprocity with
+the Euclidean algorithm, a rational modulo p^s, the exact value of a
+congruence's right-hand side term at p, a quadratic-form guard at one
+prime, and whether a claim is tested at p.  The program reads the same
+quantities from a sieve, ``congruence.symbol`` at one prime, integer
+residues and, for the case-table guards alone, character bitsets
 (``congruence.Characters``, ``congruence.rhs_residue``,
 ``congruence._residue``, ``quadform.Guard.mask``) and from one rule for
 the tested primes (``congruence.tested_primes``); the tests compare the
-two."""
+two.  ``jacobi`` shares no step with the program's Euler's criterion."""
 
 from __future__ import annotations
 
@@ -38,6 +40,25 @@ def legendre(a: int, p: int) -> int:
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0, by quadratic reciprocity with the
+    Euclidean algorithm; ValueError otherwise."""
+    if n <= 0 or n % 2 == 0:
+        raise ValueError(f"n = {n} must be positive and odd")
+    a %= n
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def fraction_mod(x: Fraction, p: int, s: int) -> Optional[int]:

@@ -304,6 +304,20 @@ class TestVerifyCongruence:
         assert err.startswith("registry error: line 5:")
         assert "minp 2 admits p = 2" in err
 
+    # a refinement with delta = 1 reads no character, so minp 2 tests p = 2
+    # too: the symbol of no d is 1 there
+    def test_minp_two_refinement_without_a_character(self, capsys,
+                                                     tmp_path):
+        path = tmp_path / "pn2.txt"
+        path.write_text("entry pn2\nkind: CONGRUENCE\nstatus: conjectural\n"
+                        "term: 1 ; - ; CB2^2 ; m=9 ; k0=0\nminp: 2\n"
+                        "check: refinement\npn-delta: 1\nanchor: \"x\"\nend\n")
+        code, out, err = _run(capsys, ["run", "--registry", str(path),
+                                       "--nmax", "3"])
+        assert (code, err) == (0, "")
+        assert "pn2  FAIL <t>  [(2, 1, -2), (2, 2, -4), (2, 3, -2)]\n" \
+            in _untimed(out)
+
     # Lp(d) is (p|d), a Jacobi symbol for a positive odd d only: an even
     # d in crhs or a case guard once read as a FAIL row with a ValueError
     @pytest.mark.parametrize("body", [
@@ -473,15 +487,25 @@ class TestDiscover:
 
     def test_vanishing_sum(self, capsys):
         # (22742k - 307) T_k(62,9025) / 5184^k sums to 0; its block carries
-        # the zero closed form and reads back
+        # the zero closed form, and m as it was given, and reads back
         code, out, err = _run(capsys, ["discover", "--seq", "T(62,9025)",
                                        "--m", "2^6*3^4", "--digits", "30"])
         assert (code, err) == (0, "")
-        assert "term: 22742*k-307 ; - ; T(62,9025) ; m=5184 ; k0=0\n" in out
+        assert "term: 22742*k-307 ; - ; T(62,9025) ; m=2^6*3^4 ; k0=0\n" \
+            in out
         assert "\nrhs: 0\n" in out
         (entry,) = corpus.parse_registry(out)
         assert entry.series.rhs.addends == ()
         assert sereval.verify_series_identity(entry.series, 30).passed
+
+    def test_huge_m_is_written_as_given(self, capsys):
+        # m has 1.8 million digits, beyond what str() of an int writes
+        code, out, err = _run(capsys, ["discover", "--seq", "CB2^3",
+                                       "--m=-2^6000000"])
+        assert (code, err) == (0, "")
+        assert " ; CB2^3 ; m=-2^6000000 ; k0=0\n" in out
+        (entry,) = corpus.parse_registry(out)
+        assert entry.series.spec.m == -2 ** 6000000
 
     @pytest.mark.parametrize("weight,text", [
         ((-307, 22742), "22742*k-307"),

@@ -17,8 +17,8 @@ from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import TermSpec
 
-from oracle_symbols import (claim_admissible, fraction_mod, legendre,
-                            primes_upto, rhs_value)
+from oracle_symbols import (claim_admissible, fraction_mod, jacobi,
+                            legendre, primes_upto, rhs_value)
 
 
 def spec(weight, seq, m, den=(), k0=0):
@@ -168,7 +168,7 @@ class TestSieve:
                 want = 1
                 for q in factors:
                     want *= legendre(a, q)
-                assert cg.jacobi(a, n) == want, (a, n)
+                assert jacobi(a, n) == want, (a, n)
 
     @pytest.mark.parametrize("p", [-3, 1, 2, 9, 91, 0, -7])
     def test_legendre_needs_an_odd_prime(self, p):
@@ -179,7 +179,7 @@ class TestSieve:
     @pytest.mark.parametrize("n", [0, -3, 2, 10])
     def test_jacobi_needs_a_positive_odd_n(self, n):
         with pytest.raises(ValueError):
-            cg.jacobi(1, n)
+            jacobi(1, n)
 
 
 # --------------------------------------------------------------------------
@@ -218,13 +218,19 @@ def _primes_in(chars, mask):
     return [p for i, p in enumerate(chars.primes) if mask >> i & 1]
 
 
+def _value(chars, char, p):
+    """The value at the indexed prime p of a character's bitsets."""
+    i = chars.bit[p]
+    return 0 if char[1] >> i & 1 else -1 if char[0] >> i & 1 else 1
+
+
 def _check_char(chars, char, want, p_max):
     neg, zero = char
     assert neg & zero == 0 and (neg | zero) <= chars.full
     for p in chars.primes:
         if p > p_max:
             break
-        assert chars.value(char, p) == want(p), p
+        assert _value(chars, char, p) == want(p), p
 
 
 class TestCharacters:
@@ -239,11 +245,27 @@ class TestCharacters:
             _check_char(chars, chars.legendre(d),
                         lambda p: legendre(d, p), 3000)
 
+    def test_registry_symbols_at_every_prime(self):
+        # the masks and symbol against both oracles: Euler's criterion
+        # and the Jacobi symbol by reciprocity
+        chars = cg.characters(3000)
+        primes = primes_upto(3000)[1:]
+        for d in REGISTRY_DS:
+            char = chars.legendre(d)
+            for p in primes:
+                want = legendre(d, p)
+                assert jacobi(d, p) == want, (d, p)
+                assert _value(chars, char, p) == want, (d, p)
+                assert cg.symbol((d,), p) == want, (d, p)
+
     def test_jacobi_masks(self):
+        # (n*|p) = (p|n) for n* = (-1)^((n-1)/2) n: the masks of n* against
+        # the Jacobi symbol by reciprocity
         chars = cg.characters(3000)
         for n in sorted(set(REGISTRY_NS) | set(range(1, 301, 2))):
-            _check_char(chars, chars.jacobi(n),
-                        lambda p: cg.jacobi(p, n), 3000)
+            star = -n if n % 4 == 3 else n
+            _check_char(chars, chars.legendre(star),
+                        lambda p: jacobi(p, n), 3000)
 
     def test_lp_is_the_jacobi_symbol(self):
         # the registry reads Lp(n) as (n*|p), n* = (-1)^((n-1)/2) n, which
@@ -252,9 +274,10 @@ class TestCharacters:
         for n in REGISTRY_NS:
             d = corpus._symbol(f"Lp({n})", 1)
             _check_char(chars, chars.legendre(d),
-                        lambda p: cg.jacobi(p, n), 3000)
+                        lambda p: jacobi(p, n), 3000)
             for p in primes_upto(3000)[1:]:
-                assert legendre(d, p) == cg.jacobi(p, n), (n, p)
+                assert legendre(d, p) == jacobi(p, n), (n, p)
+                assert cg.symbol((d,), p) == jacobi(p, n), (n, p)
 
     @pytest.mark.parametrize("bound", [2, 3, 5, 10, 50])
     def test_factors_above_the_index(self, bound):
@@ -265,25 +288,27 @@ class TestCharacters:
                   10 ** 12 + 39, -(2 ** 5) * (10 ** 12 + 39), 3001 * 3011):
             _check_char(chars, chars.legendre(d),
                         lambda p: legendre(d, p), bound)
-            if d > 0 and d % 2:
-                _check_char(chars, chars.jacobi(d),
-                            lambda p: cg.jacobi(p, d), bound)
 
     def test_products_and_values(self):
+        sym = (-1, 5, 0x3F, -15, -7)
+        want = lambda p: legendre(-1, p) * legendre(5, p) \
+            * legendre(0x3F, p) * jacobi(p, 15) * jacobi(p, 7)
         chars = cg.characters(1000)
-        char = chars.product((-1, 5, 0x3F, -15, -7))
-        _check_char(chars, char, lambda p: legendre(-1, p)
-                    * legendre(5, p) * legendre(0x3F, p)
-                    * cg.jacobi(p, 15) * cg.jacobi(p, 7), 1000)
-        assert chars.product(()) == (0, 0)
+        for p in primes_upto(1000)[1:]:
+            assert cg.symbol(sym, p) == want(p), p
+        char = chars.legendre(-15)
         for v in (-1, 0, 1, 2):
             assert _primes_in(chars, chars.holds(char, v)) == \
-                [p for p in chars.primes if chars.value(char, p) == v]
-        for p in (2, 9, 1, -3):
-            with pytest.raises(ValueError):
-                chars.value(char, p)
-        with pytest.raises(ValueError):
-            chars.jacobi(10)
+                [p for p in chars.primes if legendre(-15, p) == v]
+
+    def test_empty_symbol_is_one(self):
+        for p in primes_upto(3000):
+            assert cg.symbol((), p) == 1, p
+
+    def test_symbol_at_two(self):
+        for sym in ((-1,), (1,), (5, -3), (0,)):
+            with pytest.raises(ValueError, match="p = 2 has no quadratic"):
+                cg.symbol(sym, 2)
 
     def test_residues_and_ranges(self):
         chars = cg.characters(500)
@@ -307,7 +332,7 @@ class TestCharacters:
                 for b in bounds:
                     chars = cg.characters(b)
                     got.append((b, chars))
-                    assert chars.value(chars.legendre(-7), 3) == -1
+                    assert _value(chars, chars.legendre(-7), 3) == -1
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
@@ -380,14 +405,15 @@ class TestElementary:
             if p < 3:
                 continue
             for a in range(1, 20):
-                assert cg.jacobi(a, p) == legendre(a, p)
+                assert jacobi(a, p) == legendre(a, p)
+                assert cg.symbol((a,), p) == legendre(a, p)
 
     def test_reciprocity_shortcut(self):
         # (p|3) = (-3|p) for every prime p > 3
         for p in primes_upto(200):
             if p <= 3:
                 continue
-            assert cg.jacobi(p, 3) == legendre(-3, p)
+            assert jacobi(p, 3) == legendre(-3, p)
 
     def test_fraction_mod(self):
         assert fraction_mod(Fraction(1, 2), 5, 2) == 13

@@ -227,8 +227,8 @@ class TestPartitionOracle:
 
     @pytest.mark.parametrize("p", [2, 1, 9, 15, 0])
     def test_dispatch_outside_the_index(self, registry_tables, p):
-        # p = 2 or a p that is not prime is a ValueError, as in
-        # Characters.value, even for a table of mods-only guards
+        # p = 2 or a p that is not prime is a ValueError: the masks do not
+        # index it, even for a table of mods-only guards
         for table in registry_tables + [two_square_table()]:
             with pytest.raises(ValueError, match="not an odd prime"):
                 qf.dispatch(table, p)
@@ -252,9 +252,11 @@ class TestPartitionOracle:
             qf.check_partition(claim.table, 1000)
 
         def refuse(*args):
-            raise AssertionError(f"symbol evaluated at {args}")
+            raise AssertionError(f"mask built at {args[1:]}")
 
-        monkeypatch.setattr(cg, "jacobi", refuse)
+        # every mask a guard reads, Euler's-criterion passes and residue
+        # classes alike, is built by Characters.where
+        monkeypatch.setattr(cg.Characters, "where", refuse)
         for claim in claims:
             assert qf.check_partition(claim.table, 1000).tested
             assert qf.verify_quadform_claim(claim, 1000).tested
