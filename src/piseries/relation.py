@@ -275,6 +275,10 @@ def rediscover_each(spec: TermSpec,
     first step; a basis is dependent when two of its entries have one
     name and radicands d, d' with d d' a square: the two values are then
     rational multiples of each other, and PSLQ would find that relation.
+
+    When every moment ball contains its own first term, k0^j term(k0) for
+    the weight k^j, the terms past the first are below the search
+    precision, and each basis yields None without a search.
     """
     _threshold(digits)
     if max_norm < 1:
@@ -297,8 +301,16 @@ def rediscover_each(spec: TermSpec,
     moments: Optional[List[Ball]] = None
     for basis in bases:
         if moments is None:
-            moments = [ball for ball, _ in
-                       sereval.eval_weighted(spec, weights, digits)]
+            sums = sereval.eval_weighted(spec, weights, digits)
+            moments = [ball for ball, _ in sums]
+            # every term past the first is below the search precision: any
+            # relation found would hold only numerically
+            blind = all(info["first"] is not None
+                        and ball.contains(*info["first"])
+                        for ball, info in sums)
+        if blind:
+            yield None
+            continue
         values = moments + [
             sereval.eval_rhs(RHSForm(addends=((Fraction(1), d, name),)),
                              digits)

@@ -3,8 +3,8 @@
 Almost every sequence family is a recurrence, and :data:`OPERATORS`
 describes each one once: an :class:`Operator` holds its initial rows and
 its coefficient polynomials in n (and in the kind's parameters), whose
-count fixes its order, and one order-r stepper grows every kind from that
-table.
+count fixes its order, and :func:`_operator_rows` grows every kind from
+that table.
 The defining sums, evaluated term by term, live in the tests as the
 operators' oracles.  All arithmetic is exact -- Python integers and
 ``fractions.Fraction`` -- so the rows can feed congruence checks directly.
@@ -34,10 +34,19 @@ from the coefficients in :data:`OPERATORS` it solves Gosper's equation for
 the polynomial certificate, with the parameters symbolic, and checks it and
 the boundary terms exactly.
 
+A row costs its arithmetic, not its interpretation.  Orders 1 and 2,
+every kind but GPOLY and SBC, step in loops of their own that keep the
+last rows in locals and combine them with explicit products
+(c_0 a + c_1 b); orders 3 and 4 step in one general loop over a list of
+the last r rows.  Each operator binds its parameters once per kind, and
+its coefficients evaluate their polynomials in n by Horner's rule written
+out, with no helper call per row.  On long rows the exact division by the
+leading coefficient is most of the cost.
+
 Every division by a leading coefficient is checked to be exact and raises
 ``ArithmeticError`` otherwise.  Where SBC's leading coefficient vanishes
-(at most four n for each (b, c), or every n for (0, 0)), that row comes
-from the Lucas sum instead.
+(at most four n for each (b, c), or every n for (0, 0)), the general loop
+takes that row from the Lucas sum instead.
 
 The strided kind GCT2, u_n = T_{2n}(b,c), is an operator too: eliminating
 the odd rows from three steps of GCT's recurrence leaves an order-2
@@ -199,14 +208,6 @@ def tsmall_direct(n: int, s: Callable[[int, int], Fraction]) -> Fraction:
 # The operator table
 # --------------------------------------------------------------------------
 
-def _poly(n, coeffs: Sequence[int]):
-    """sum_i coeffs[i] n^(d-i), d = len(coeffs) - 1, by Horner's rule."""
-    acc = 0
-    for a in coeffs:
-        acc = acc * n + a
-    return acc
-
-
 def _lin(*terms) -> tuple:
     """sum_i w_i p_i over (w_i, p_i) pairs: each weight is a polynomial in
     the kind's parameters, each p_i a coefficient tuple of one length."""
@@ -220,12 +221,14 @@ class Operator:
     """The recurrence sum_{j=0}^{r} c_j(n) a_{n+j} = 0, for every n >= 0.
 
     ``coeffs(*params)`` binds the kind's parameters and returns the function
-    n -> (c_0(n), ..., c_r(n)) of integer polynomials in n.  Rows 0..s-1
-    (s >= r) are ``init(*params)``; each later row a_{n+r} is solved for,
-    with the division by c_r(n) checked to be exact.  Where c_r(n) vanishes,
-    ``direct(n + r, *params)`` gives the row by its defining sum instead.
-    The coefficients use only +, - and *, so the tests can evaluate them on
-    symbolic polynomials.
+    n -> (c_0(n), ..., c_r(n)) of integer polynomials in n; whatever
+    depends on the parameters alone is computed in the binding, once per
+    kind.  Rows 0..s-1 (s >= r) are ``init(*params)``; each later row
+    a_{n+r} is solved for, with the division by c_r(n) checked to be
+    exact.  Where c_r(n) vanishes, ``direct(n + r, *params)`` gives the row
+    by its defining sum instead; an operator with ``direct`` steps in the
+    general loop whatever its order.  The coefficients use only +, - and
+    *, so the tests can evaluate them on symbolic polynomials.
     """
 
     init: Callable[..., Tuple[int, ...]]
@@ -257,50 +260,77 @@ def _sbc_coeffs(b, c):
     w(n) = b^2 (64n^4 + ...) - c (400n^4 + ...),
     c_0 = 256 c (b^2 - 4c) (n+1)^3 (n+2) w(n+1), c_4 = (n+3) (n+4)^3 w(n),
     c_1 = (n+2) p_1(n), c_2 = p_2(n) and c_3 = (n+3) p_3(n)."""
-    w = _lin((b * b, (64, 448, 1156, 1305, 549)),
-             (-c, (400, 2800, 7180, 7980, 3264)))
-    p1 = _lin((-8 * b ** 5, (512, 7936, 51872, 185304, 390732, 486378,
-                              331047, 95094)),
-              (8 * b ** 3 * c, (4224, 65472, 427840, 1527632, 3218776,
-                                4002744, 2721048, 780432)),
-              (-8 * b * c * c, (6400, 99200, 649280, 2326496, 4930624,
-                                6183936, 4253040, 1238496)))
-    p2 = _lin((4 * b ** 4, (768, 14592, 119920, 556332, 1592200, 2876157,
-                            3199939, 2003775, 540792)),
-              (-4 * b * b * c, (5568, 105792, 868880, 4025244, 11492348,
-                                20682645, 22885727, 14220270, 3796944)),
-              (4 * c * c, (4800, 91200, 748960, 3469920, 9912748, 17868660,
-                           19837192, 12398400, 3342336)))
-    p3 = _lin((-6 * b ** 3, (128, 2240, 16456, 65654, 153373, 209578,
-                             155125, 48096)),
-              (6 * b * c, (800, 14000, 102760, 409052, 951352, 1289932,
-                           942720, 286592)))
+    w0, w1, w2, w3, w4 = _lin((b * b, (64, 448, 1156, 1305, 549)),
+                              (-c, (400, 2800, 7180, 7980, 3264)))
+    p10, p11, p12, p13, p14, p15, p16, p17 = _lin(
+        (-8 * b ** 5, (512, 7936, 51872, 185304, 390732, 486378, 331047,
+                       95094)),
+        (8 * b ** 3 * c, (4224, 65472, 427840, 1527632, 3218776, 4002744,
+                          2721048, 780432)),
+        (-8 * b * c * c, (6400, 99200, 649280, 2326496, 4930624, 6183936,
+                          4253040, 1238496)))
+    p20, p21, p22, p23, p24, p25, p26, p27, p28 = _lin(
+        (4 * b ** 4, (768, 14592, 119920, 556332, 1592200, 2876157, 3199939,
+                      2003775, 540792)),
+        (-4 * b * b * c, (5568, 105792, 868880, 4025244, 11492348, 20682645,
+                          22885727, 14220270, 3796944)),
+        (4 * c * c, (4800, 91200, 748960, 3469920, 9912748, 17868660,
+                     19837192, 12398400, 3342336)))
+    p30, p31, p32, p33, p34, p35, p36, p37 = _lin(
+        (-6 * b ** 3, (128, 2240, 16456, 65654, 153373, 209578, 155125,
+                       48096)),
+        (6 * b * c, (800, 14000, 102760, 409052, 951352, 1289932, 942720,
+                     286592)))
     k0 = 256 * c * (b * b - 4 * c)
-    return lambda n: (k0 * (n + 1) ** 3 * (n + 2) * _poly(n + 1, w),
-                      (n + 2) * _poly(n, p1), _poly(n, p2),
-                      (n + 3) * _poly(n, p3),
-                      (n + 3) * (n + 4) ** 3 * _poly(n, w))
+
+    def coeffs(n):
+        m, h, g = n + 1, n + 3, n + 4
+        return (
+            k0 * m * m * m * (n + 2)
+            * ((((w0 * m + w1) * m + w2) * m + w3) * m + w4),
+            (n + 2) * (((((((p10 * n + p11) * n + p12) * n + p13) * n + p14)
+                         * n + p15) * n + p16) * n + p17),
+            (((((((p20 * n + p21) * n + p22) * n + p23) * n + p24) * n + p25)
+              * n + p26) * n + p27) * n + p28,
+            h * (((((((p30 * n + p31) * n + p32) * n + p33) * n + p34) * n
+                   + p35) * n + p36) * n + p37),
+            h * g * g * g * ((((w0 * n + w1) * n + w2) * n + w3) * n + w4))
+    return coeffs
 
 
 def _gpoly_coeffs(P, Q):
     """GPOLY's order-3 operator on Q^n g_n(P/Q), of degree 3 in n."""
-    p1 = _lin((P * P, (64, 336, 576, 324)), (P * Q, (0, 0, 4, 6)),
-              (Q * Q, (12, 63, 106, 57)))
-    p2 = _lin((-P, (32, 200, 404, 258)), (-Q, (12, 75, 150, 93)))
+    p10, p11, p12, p13 = _lin((P * P, (64, 336, 576, 324)),
+                              (P * Q, (0, 0, 4, 6)),
+                              (Q * Q, (12, 63, 106, 57)))
+    p20, p21, p22, p23 = _lin((-P, (32, 200, 404, 258)),
+                              (-Q, (12, 75, 150, 93)))
     k0 = -Q * (4 * P - Q) ** 2
-    return lambda n: (k0 * (n + 1) ** 2 * (4 * n + 9), _poly(n, p1),
-                      _poly(n, p2), (n + 3) ** 2 * (4 * n + 5))
+
+    def coeffs(n):
+        m, h = n + 1, n + 3
+        return (k0 * m * m * (4 * n + 9),
+                ((p10 * n + p11) * n + p12) * n + p13,
+                ((p20 * n + p21) * n + p22) * n + p23,
+                h * h * (4 * n + 5))
+    return coeffs
 
 
 def _gct2_coeffs(b, c):
     """GCT2's operator on u_n = T_{2n}(b,c), of degree 3 in n:
     (n+2)(2n+3)(4n+3) u_{n+2} = (4n+5) w(n) u_{n+1}
     - (b^2-4c)^2 (n+1)(2n+1)(4n+7) u_n."""
-    w = _lin((b * b, (4, 10, 5)), (c, (16, 40, 22)))
+    w0, w1, w2 = _lin((b * b, (4, 10, 5)), (c, (16, 40, 22)))
     k0 = (b * b - 4 * c) ** 2
     return lambda n: (k0 * (n + 1) * (2 * n + 1) * (4 * n + 7),
-                      -(4 * n + 5) * _poly(n, w),
+                      -(4 * n + 5) * ((w0 * n + w1) * n + w2),
                       (n + 2) * (2 * n + 3) * (4 * n + 3))
+
+
+def _gct_coeffs(b, c):
+    """(n+1) T_{n+1} = (2n+1) b T_n - n (b^2-4c) T_{n-1}, at n + 1."""
+    d = b * b - 4 * c
+    return lambda n: ((n + 1) * d, -(2 * n + 3) * b, n + 2)
 
 
 def _one():
@@ -352,9 +382,7 @@ OPERATORS: Dict[str, Operator] = {
     "FRANEL4": Operator(lambda: (1, 2), lambda: lambda n: (
         -4 * (n + 1) * (4 * n + 3) * (4 * n + 5),
         -2 * (2 * n + 3) * (3 * n * n + 9 * n + 7), (n + 2) ** 3)),
-    # (n+1) T_{n+1} = (2n+1) b T_n - n (b^2 - 4c) T_{n-1}
-    "GCT": Operator(lambda b, c: (1, b), lambda b, c: lambda n: (
-        (n + 1) * (b * b - 4 * c), -(2 * n + 3) * b, n + 2)),
+    "GCT": Operator(lambda b, c: (1, b), _gct_coeffs),
     # T_{2n}(b,c)
     "GCT2": Operator(lambda b, c: (1, b * b + 2 * c), _gct2_coeffs),
     # sum_k C(n,k)^2 C(2k,k) P^k Q^(n-k)
@@ -369,28 +397,59 @@ OPERATORS: Dict[str, Operator] = {
 }
 
 
+def _stuck(kind: SequenceKind, n: int, why: str) -> ArithmeticError:
+    return ArithmeticError(f"{why} in the {kind} recurrence at n={n}")
+
+
 def _operator_rows(kind: SequenceKind, op: Operator,
                    params: Tuple[int, ...]) -> Iterator[int]:
-    """The rows of ``kind`` by the recurrence ``op`` at ``params``."""
+    """The rows of ``kind`` by the recurrence ``op`` at ``params``.
+
+    An operator of order 1 or 2 without ``direct`` rows steps in a loop of
+    its own, which keeps the last rows in locals and combines them with
+    explicit products; there a zero c_r(n) is the ``ZeroDivisionError`` of
+    the division, raised as the general loop's ``ArithmeticError``.  Every
+    other operator steps in the general loop over a list of its last r
+    rows, which takes ``direct`` where c_r(n) vanishes.
+    """
     coeffs = op.coeffs(*params)
     first = op.init(*params)
     yield from first
     r = len(coeffs(0)) - 1
+    n = len(first) - r
+    if op.direct is None and r in (1, 2):
+        try:
+            if r == 1:
+                a = first[-1]
+                for n in count(n):
+                    c0, c1 = coeffs(n)
+                    a, rem = divmod(c0 * a, -c1)
+                    if rem:
+                        raise _stuck(kind, n, "inexact division")
+                    yield a
+            else:
+                a, b = first[-2:]
+                for n in count(n):
+                    c0, c1, c2 = coeffs(n)
+                    a, (b, rem) = b, divmod(c0 * a + c1 * b, -c2)
+                    if rem:
+                        raise _stuck(kind, n, "inexact division")
+                    yield b
+        except ZeroDivisionError:
+            raise _stuck(kind, n, "zero leading coefficient") from None
     last = list(first[len(first) - r:])
-    for n in count(len(first) - r):
+    for n in count(n):
         cs = coeffs(n)
         lead = cs[r]
         if lead:
             # map stops after the r rows in last: c_0..c_{r-1}
             nxt, rem = divmod(sum(map(mul, cs, last)), -lead)
             if rem:
-                raise ArithmeticError(
-                    f"inexact division in the {kind} recurrence at n={n}")
+                raise _stuck(kind, n, "inexact division")
         elif op.direct is not None:
             nxt = op.direct(n + r, *params)
         else:
-            raise ArithmeticError(
-                f"zero leading coefficient in the {kind} recurrence at n={n}")
+            raise _stuck(kind, n, "zero leading coefficient")
         last.append(nxt)
         del last[0]
         yield nxt

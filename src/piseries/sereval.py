@@ -162,6 +162,11 @@ class Ball:
         """Whether |x| < 1/scale for every x in the ball, scale > 0."""
         return (abs(self.mid) + self.rad) * scale < 1 << self.exp
 
+    def contains(self, num: int, den: int) -> bool:
+        """Whether num / den, den > 0, lies in the ball."""
+        x = num << self.exp
+        return (self.mid - self.rad) * den <= x <= (self.mid + self.rad) * den
+
 
 def _radius(parts: Iterable[Tuple[int, int]]) -> Ball:
     """The ball at 0 whose radius is the exact sum of the dyadics m 2^-e
@@ -1056,7 +1061,10 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     moment certificate of the Euler path, are built once for all the
     weights.  Every N is fixed before the stream starts, so one walk serves
     every sum; a direct-path stream is cut to the most bits any of its
-    sums needs.
+    sums needs.  Each ``stats`` dict also has ``first``, the exact first
+    weighted term w(k0) term(k0) as a pair (num, den), den > 0, read from
+    the stream's first block; it is None on an Euler path that sums its
+    head apart, as the stream then starts past k0.
     """
     if not weights:
         return []
@@ -1073,12 +1081,25 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
         sums = [_DirectSum(s, q, qden, theta, digits) for s in specs]
     base = spec if spec.weight == (1,) else replace(spec, weight=(1,))
     bits = [d.bits for d in sums]
+    first = None
     for block in _term_columns(base, min(d.start for d in sums),
                                max(d.reach for d in sums),
                                None if None in bits else max(bits)):
+        first = first or block
         for d in sums:
             d.add(*block)
-    return [d.result() for d in sums]
+    k, nums, dens, *cut = first
+    if cut and cut[0] is not None:
+        num, den = cut[0].exact(0)
+    else:
+        num, den = nums[0], dens[0]
+    out = [d.result() for d in sums]
+    for d, (_, info) in zip(sums, out):
+        # an Euler path that sums its head apart starts its stream past k0
+        info["first"] = None if k > spec.k0 else (
+            reduce(lambda acc, c: acc * k + c, d.weight, 0) * num,
+            d.wden * den)
+    return out
 
 
 def eval_series(spec: TermSpec, digits: int = 40,
@@ -1104,8 +1125,9 @@ def eval_series(spec: TermSpec, digits: int = 40,
 
     When ``stats`` is given it receives ``terms`` (the number of terms
     summed), ``path`` (``direct`` or ``euler``), ``theta`` (the envelope
-    ratio) and ``tail`` (the ball at 0 whose radius is the tail-bound part
-    of the radius).
+    ratio), ``tail`` (the ball at 0 whose radius is the tail-bound part
+    of the radius) and ``first`` (the exact first term, as in
+    :func:`eval_weighted`).
     """
     (ball, info), = eval_weighted(spec, [spec.weight], digits)
     if stats is not None:

@@ -1,17 +1,22 @@
 """Exact oracles of the finite checks: s_{n,k} from its defining sum of
-binomials, and one summand and one closed-form value of a telescoping
-family.  The program reads s_{n,k} off integer rows
-(``seqkit.snk_scaled``) and compares a family's partial sums with its
-closed form in one pass (``exactid.check_family``); the tests compare the
-two."""
+binomials, one summand and one closed-form value of a telescoping
+family, and the rows of an operator kind by one generic order-r stepper.
+The program reads s_{n,k} off integer rows (``seqkit.snk_scaled``),
+compares a family's partial sums with its closed form in one pass
+(``exactid.check_family``) and steps orders 1 and 2 in loops of their own
+with coefficients evaluated by Horner's rule written out
+(``seqkit._operator_rows``); the tests compare the two."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from math import comb
-from typing import Optional
+from operator import mul
+from typing import List, Optional, Sequence
 
 from piseries import exactid as ei
+from piseries import seqkit as sk
 from piseries.sereval import term_value
 
 
@@ -40,3 +45,102 @@ def family_rhs(family: str, n: int, m: Optional[int] = None) -> Fraction:
     if n < ident.summand.k0:
         raise ValueError(f"{family} closed form starts at n={ident.summand.k0}")
     return ident.scale * term_value(ident.closed, n) + ident.const
+
+
+# --------------------------------------------------------------------------
+# Operator rows by the generic stepper, with coefficients by a Horner helper
+# --------------------------------------------------------------------------
+
+def _poly(n, coeffs: Sequence[int]):
+    """sum_i coeffs[i] n^(d-i), d = len(coeffs) - 1, by Horner's rule."""
+    acc = 0
+    for a in coeffs:
+        acc = acc * n + a
+    return acc
+
+
+def _sbc_coeffs(b, c):
+    w = sk._lin((b * b, (64, 448, 1156, 1305, 549)),
+                (-c, (400, 2800, 7180, 7980, 3264)))
+    p1 = sk._lin((-8 * b ** 5, (512, 7936, 51872, 185304, 390732, 486378,
+                                331047, 95094)),
+                 (8 * b ** 3 * c, (4224, 65472, 427840, 1527632, 3218776,
+                                   4002744, 2721048, 780432)),
+                 (-8 * b * c * c, (6400, 99200, 649280, 2326496, 4930624,
+                                   6183936, 4253040, 1238496)))
+    p2 = sk._lin((4 * b ** 4, (768, 14592, 119920, 556332, 1592200, 2876157,
+                               3199939, 2003775, 540792)),
+                 (-4 * b * b * c, (5568, 105792, 868880, 4025244, 11492348,
+                                   20682645, 22885727, 14220270, 3796944)),
+                 (4 * c * c, (4800, 91200, 748960, 3469920, 9912748,
+                              17868660, 19837192, 12398400, 3342336)))
+    p3 = sk._lin((-6 * b ** 3, (128, 2240, 16456, 65654, 153373, 209578,
+                                155125, 48096)),
+                 (6 * b * c, (800, 14000, 102760, 409052, 951352, 1289932,
+                              942720, 286592)))
+    k0 = 256 * c * (b * b - 4 * c)
+    return lambda n: (k0 * (n + 1) ** 3 * (n + 2) * _poly(n + 1, w),
+                      (n + 2) * _poly(n, p1), _poly(n, p2),
+                      (n + 3) * _poly(n, p3),
+                      (n + 3) * (n + 4) ** 3 * _poly(n, w))
+
+
+def _gpoly_coeffs(P, Q):
+    p1 = sk._lin((P * P, (64, 336, 576, 324)), (P * Q, (0, 0, 4, 6)),
+                 (Q * Q, (12, 63, 106, 57)))
+    p2 = sk._lin((-P, (32, 200, 404, 258)), (-Q, (12, 75, 150, 93)))
+    k0 = -Q * (4 * P - Q) ** 2
+    return lambda n: (k0 * (n + 1) ** 2 * (4 * n + 9), _poly(n, p1),
+                      _poly(n, p2), (n + 3) ** 2 * (4 * n + 5))
+
+
+def _gct2_coeffs(b, c):
+    w = sk._lin((b * b, (4, 10, 5)), (c, (16, 40, 22)))
+    k0 = (b * b - 4 * c) ** 2
+    return lambda n: (k0 * (n + 1) * (2 * n + 1) * (4 * n + 7),
+                      -(4 * n + 5) * _poly(n, w),
+                      (n + 2) * (2 * n + 3) * (4 * n + 3))
+
+
+#: The coefficient functions of the kinds whose ``seqkit`` coefficients are
+#: written out; every other kind reads ``seqkit.OPERATORS``.
+COEFFS = {
+    "SBC": _sbc_coeffs, "GPOLY": _gpoly_coeffs, "GCT2": _gct2_coeffs,
+    "GCT": lambda b, c: lambda n: (
+        (n + 1) * (b * b - 4 * c), -(2 * n + 3) * b, n + 2),
+}
+
+
+def _generic_rows(kind: sk.SequenceKind, op: sk.Operator, coeffs,
+                  params: tuple):
+    """The rows of ``kind`` by the recurrence at ``params``: one loop for
+    every order, over a list of the last r rows."""
+    first = op.init(*params)
+    yield from first
+    r = len(coeffs(0)) - 1
+    last = list(first[len(first) - r:])
+    for n in count(len(first) - r):
+        cs = coeffs(n)
+        lead = cs[r]
+        if lead:
+            nxt, rem = divmod(sum(map(mul, cs, last)), -lead)
+            if rem:
+                raise ArithmeticError(
+                    f"inexact division in the {kind} recurrence at n={n}")
+        elif op.direct is not None:
+            nxt = op.direct(n + r, *params)
+        else:
+            raise ArithmeticError(
+                f"zero leading coefficient in the {kind} recurrence at n={n}")
+        last.append(nxt)
+        del last[0]
+        yield nxt
+
+
+def operator_rows(kind: sk.SequenceKind, n_max: int) -> List[int]:
+    """Rows 0..n_max of an operator kind by the generic stepper, its
+    coefficients from :data:`COEFFS` where ``seqkit`` writes them out."""
+    op = sk.OPERATORS[kind.tag]
+    params = (kind.params[0], 1) if kind.tag == "GPOLY" else kind.params
+    coeffs = COEFFS.get(kind.tag, op.coeffs)(*params)
+    return list(islice(_generic_rows(kind, op, coeffs, params), n_max + 1))

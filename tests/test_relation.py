@@ -359,6 +359,25 @@ class TestRediscover:
         assert rl.rediscover(spec, [(1, "INV_PI")], digits=80) is None
         assert precisions == [80] and walks == [(1,)]
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_terms_below_the_precision_search_nothing(self, monkeypatch,
+                                                      degree):
+        # every term past k = 0 is below 10^-80, so each moment ball holds
+        # its first term alone: a search would confirm a relation, such as
+        # sum k term(k) = 0, that holds only numerically (term(1) = 8/m)
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-2 ** 600), k0=0)
+
+        def unexpected(*args):
+            raise AssertionError("searched")
+
+        walks, precisions = self._spy_passes(monkeypatch, spec.seq)
+        monkeypatch.setattr(rl, "pslq", unexpected)
+        bases = [[(1, "INV_PI")], [(2, "INV_PI"), (1, "ONE")]]
+        assert list(rl.rediscover_each(spec, bases, digits=80,
+                                       degree=degree)) == [None, None]
+        assert precisions == [80] and walks == [(1,)]
+
     def test_each_basis_shares_the_search_moments(self, monkeypatch):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24), k0=0)

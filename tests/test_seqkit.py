@@ -11,7 +11,7 @@ import pytest
 
 from piseries import seqkit as sk
 
-from oracle_exact import snk
+from oracle_exact import operator_rows, snk
 
 
 def poly_trinomial(b: int, c: int, n: int) -> int:
@@ -392,14 +392,29 @@ class TestStore:
             got = sk.table(kind, STORE_N).values
             assert list(got) == oracle.values(kind, STORE_N), str(kind)
 
-    @pytest.mark.parametrize("b,c", [(408, 27999), (1802, 528887), (0, 0)])
-    def test_rows_where_the_lead_vanishes_come_from_the_lucas_sum(self, b, c):
-        # SBC's leading coefficient vanishes at n = 0 and n = 1 for the
-        # first two pairs, and at every n for (0, 0)
-        coeffs = sk.OPERATORS["SBC"].coeffs(b, c)
-        assert 0 in (coeffs(0)[-1], coeffs(1)[-1])
+    # direct: the rows a_{n+4} where c_4(n) vanishes, past the four
+    # initial rows
+    @pytest.mark.parametrize("b,c,direct", [(408, 27999, [4]),
+                                            (1802, 528887, [5]),
+                                            (0, 0, range(4, 41)),
+                                            (1, -6, [])],
+                             ids=["408-27999", "1802-528887", "0-0", "1--6"])
+    def test_rows_where_the_lead_vanishes_come_from_the_lucas_sum(
+            self, monkeypatch, b, c, direct):
+        # SBC's leading coefficient vanishes at n = 0 for the first pair,
+        # at n = 1 for the second, and at every n for (0, 0)
+        op = sk.OPERATORS["SBC"]
+        called = []
+
+        def spy(n, *params):
+            called.append(n)
+            return op.direct(n, *params)
+
+        monkeypatch.setitem(sk.OPERATORS, "SBC",
+                            sk.Operator(op.init, op.coeffs, spy))
         assert list(sk.table(sk.SBC(b, c), 40).values) \
             == _Oracle().values(sk.SBC(b, c), 40)
+        assert called == list(direct)
 
     def test_growth_out_of_order_matches_table(self, store_kinds):
         store = sk.SequenceStore()
@@ -510,6 +525,60 @@ class TestStore:
         with pytest.raises(TypeError):
             store.rows(kind, 4)
         assert kind not in store._rows and kind not in store._gens
+
+
+class TestSteppers:
+    """The order-1 and order-2 loops and the written-out coefficients
+    against the generic stepper of ``oracle_exact``."""
+
+    N = 400
+
+    def test_rows_equal_the_generic_stepper(self, store_kinds):
+        kinds = [k for k in store_kinds if k.tag in sk.OPERATORS]
+        assert {k.tag for k in kinds} == set(sk.OPERATORS)
+        for kind in kinds:
+            assert list(sk.table(kind, self.N).values) \
+                == operator_rows(kind, self.N), str(kind)
+
+    @staticmethod
+    def _perturbed(monkeypatch, tag, j, at):
+        """Replace ``tag``'s operator by one whose c_j(n) is ``at(n)``
+        added to the true one."""
+        op = sk.OPERATORS[tag]
+
+        def coeffs(*params):
+            good = op.coeffs(*params)
+
+            def bad(n):
+                cs = list(good(n))
+                cs[j] += at(n)
+                return tuple(cs)
+            return bad
+
+        monkeypatch.setitem(sk.OPERATORS, tag,
+                            sk.Operator(op.init, coeffs, op.direct))
+
+    # kinds of each loop: order 1, order 2 and the general one (c_1 + 1
+    # would turn CB2 into the Catalan numbers, still integers)
+    @pytest.mark.parametrize("kind,j,d", [
+        (sk.CB2, 0, 1), (sk.CB2, 1, 2), (sk.FRANEL, 1, 1), (sk.GCT(3, 2), 0, 1),
+        (sk.GCT2(1, 1), 2, 1), (sk.GPOLY(-20), 1, 1), (sk.SBC(1, -6), 4, 1)])
+    def test_inexact_division_raises(self, monkeypatch, kind, j, d):
+        self._perturbed(monkeypatch, kind.tag, j, lambda n: d)
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            sk.table(kind, 60)
+
+    @pytest.mark.parametrize("kind,params", [
+        (sk.CB2, ()), (sk.FRANEL, ()), (sk.GPOLY(-20), (-20, 1))])
+    def test_zero_lead_without_direct_raises(self, monkeypatch, kind,
+                                             params):
+        good = sk.OPERATORS[kind.tag].coeffs(*params)
+        r = len(good(0)) - 1
+        self._perturbed(monkeypatch, kind.tag, r,
+                        lambda n: -good(n)[r] if n == 5 else 0)
+        with pytest.raises(ArithmeticError,
+                           match="zero leading coefficient .* at n=5"):
+            sk.table(kind, 60)
 
 
 class _ReadingStore(sk.SequenceStore):

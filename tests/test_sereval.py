@@ -1102,6 +1102,25 @@ class TestWeighted:
         assert walks[-1] == ((1,), 1, max(terms) - 1)
         assert [w for w in walks if w[0] == (1,)] == [walks[-1]]
 
+    # the first block is cut in the last spec (k0 = 300)
+    @pytest.mark.parametrize("spec", [
+        CHUDNOVSKY, AUX5,
+        TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                 m=Fraction(-512), k0=300)], ids=["direct", "aux-5", "cut"])
+    def test_first_is_the_exact_first_term(self, spec, monkeypatch):
+        monkeypatch.setattr(se, "_cut_from", lambda bits: bits + 1)
+        weights = [(1,), (1, 0), (Fraction(-2, 3), 0, 5)]
+        k = spec.k0
+        for w, (_, info) in zip(weights, se.eval_weighted(spec, weights, 40)):
+            num, den = info["first"]
+            assert den > 0
+            assert Fraction(num, den) == se.term_value(
+                replace(spec, weight=w), k)
+
+    def test_first_is_none_past_an_euler_head(self):
+        assert [info["first"] for _, info in
+                se.eval_weighted(S12, [(0, 1), (1, 0)], 30)] == [None, None]
+
     @pytest.mark.parametrize("spec", [CHUDNOVSKY, S12],
                              ids=["direct", "euler"])
     def test_no_weights(self, spec):
