@@ -214,6 +214,17 @@ def _parse_basis(text: str):
     return fixed, scan_names
 
 
+#: the NOT FOUND reason of each basis that gave no candidate
+_UNFOUND = {
+    relation.NOT_SEARCHED: "no search ran: every moment sum equals its"
+                           " first term at the search precision",
+    relation.NONE: "no integer relation within the norm bound",
+    relation.PRECISION_EXHAUSTED: "the search ran out of precision before"
+                                  " it could exclude a relation within the"
+                                  " norm bound",
+}
+
+
 def _cmd_discover(args) -> int:
     term_text = f"1 ; - ; {args.seq} ; m={args.m} ; k0={args.k0}"
     try:
@@ -226,24 +237,28 @@ def _cmd_discover(args) -> int:
                        " is not supported")
     attempts = [fixed] if fixed else \
         [[(d, name) for name in scan_names] for d in _SQUAREFREE_D]
-    candidate = None
+    reasons = []    # why each basis gave no confirmed relation
     try:
         # one set of search moments serves every basis
         for found in relation.rediscover_each(spec, attempts,
                                               digits=args.digits,
                                               max_norm=args.max_norm,
                                               degree=args.degree):
-            if found is not None and found.confirmed:
-                candidate = found
+            if not isinstance(found, relation.Candidate):
+                reasons.append(_UNFOUND[found])
+            elif found.confirmed:
                 break
+            else:
+                reasons.append("a found relation failed re-verification at"
+                               f" {args.digits + args.digits // 2} digits")
+        else:
+            print("NOT FOUND: " + "; ".join(dict.fromkeys(reasons)))
+            return 0
     except sereval.DivergentError as exc:
         raise CliError(f"cannot evaluate the series: {exc}") from exc
     except ValueError as exc:   # e.g. too few digits for a search
         raise CliError(str(exc)) from exc
-    if candidate is None:
-        print("NOT FOUND: no integer relation within the norm bound")
-        return 0
-    ident = candidate.identity
+    ident = found.identity
     # m as given: str() refuses an int of more than 4300 digits
     block = "\n".join([
         f"entry discovered-{int(time.time())}",

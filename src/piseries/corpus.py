@@ -225,6 +225,15 @@ def _poly(text: str, names: Tuple[str, ...], line: int) -> _Poly:
         raise CorpusError(f"bad expression {text!r}: {why}", line) from None
 
 
+def _int(digits: str, line: int) -> int:
+    """``int(digits)``; past Python's 4300 digits a ``CorpusError``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise CorpusError(f"an integer of {len(digits)} digits is too long"
+                          " to read", line) from None
+
+
 def _rational(text: str, line: int) -> Fraction:
     """Exact rational from an expression like ``-3*160^3`` or ``-25/16``."""
     return Fraction(_poly(text, (), line).get((), 0))
@@ -283,7 +292,7 @@ def _den(text: str, line: int) -> Tuple[Tuple[str, int], ...]:
         m = _DEN_FACTOR.match(part)
         if not m:
             raise CorpusError(f"bad denominator factor {part!r}", line)
-        out.append((m.group("tag"), int(m.group("exp") or 1)))
+        out.append((m.group("tag"), _int(m.group("exp") or "1", line)))
     return tuple(out)
 
 
@@ -304,7 +313,7 @@ def _seq(text: str, line: int) -> Tuple[Tuple[seqkit.SequenceKind, int], ...]:
             need = ("no arguments", "one integer", "two integers")[arity]
             raise CorpusError(f"{head} takes {need}: {part!r}", line)
         kind = seqkit.SequenceKind(tag, tuple(map(int, args)))
-        out.append((kind, int(m.group("exp") or 1)))
+        out.append((kind, _int(m.group("exp") or "1", line)))
     return tuple(out)
 
 
@@ -340,7 +349,7 @@ def _term_spec(text: str, line: int) -> TermSpec:
 
 
 _RHS_ADDEND = re.compile(
-    r"^(?P<q>-?\d+(?:/\d+)?)"
+    r"^(?P<q>-?\d+)(?:/(?P<qden>\d*[1-9]\d*))?"
     r"(?:\*sqrt\((?P<d>\d+)\))?"
     r"(?:\*(?P<basis>ONE|PI2|PI|INV_PI|CATALAN_G|K3|LOG3))?$")
 
@@ -357,11 +366,13 @@ def _rhs(text: str, line: int) -> Optional[RHSForm]:
         m = _RHS_ADDEND.match(part.strip())
         if not m:
             raise CorpusError(f"bad rhs addend {part!r}", line)
-        q = Fraction(m.group("q"))
+        q = Fraction(_int(m.group("q"), line),
+                     _int(m.group("qden") or "1", line))
         if q == 0:
             raise CorpusError(f"rhs addend {part!r} has coefficient 0;"
                               " a zero right-hand side is written 0", line)
-        addends.append((q, int(m.group("d") or 1), m.group("basis") or "ONE"))
+        addends.append((q, _int(m.group("d") or "1", line),
+                        m.group("basis") or "ONE"))
     try:
         return RHSForm(addends=tuple(addends))
     except ValueError as exc:       # a radicand 0
@@ -396,9 +407,9 @@ def _crhs(text: str, line: int) -> Tuple[cg.RHSTerm, ...]:
             if m.group("E"):
                 euler = True
             elif m.group("Q"):
-                fermat = int(m.group("Q"))
+                fermat = _int(m.group("Q"), line)
             else:
-                ppow += int(m.group("pj") or 1)
+                ppow += _int(m.group("pj") or "1", line)
         terms.append(cg.RHSTerm(coef=coef, ppow=ppow, sym=tuple(sym),
                                 euler=euler, fermat=fermat))
     return tuple(terms)
@@ -414,7 +425,7 @@ def _symbol(text: str, line: int) -> Optional[int]:
     m = _SYMBOL.match(text)
     if not m:
         return None
-    d = int(m.group("d"))
+    d = _int(m.group("d"), line)
     if m.group("kind") == "L":
         return d
     if d <= 0 or d % 2 == 0:
@@ -442,7 +453,7 @@ def _condition(text: str, line: int, what: str) -> Tuple[int, int]:
     return d, int(v)
 
 
-_MOD_COND = re.compile(r"^mod\((?P<n>[1-9]\d*)\)=(?P<rs>[\d,]+)$")
+_MOD_COND = re.compile(r"^mod\((?P<n>[1-9]\d*)\)=(?P<rs>\d+(?:,\d+)*)$")
 
 
 def _guard(text: str, line: int) -> qf.Guard:
@@ -451,8 +462,9 @@ def _guard(text: str, line: int) -> qf.Guard:
         for cond in text.split():
             m = _MOD_COND.match(cond)
             if m:
-                mods.append((int(m.group("n")),
-                             tuple(int(r) for r in m.group("rs").split(","))))
+                mods.append((_int(m.group("n"), line),
+                             tuple(_int(r, line)
+                                   for r in m.group("rs").split(","))))
             else:
                 syms.append(_condition(cond, line, "guard"))
     return qf.Guard(syms=tuple(syms), mods=tuple(mods))
@@ -485,11 +497,10 @@ def _case(text: str, line: int) -> qf.QuadFormCase:
         raise CorpusError(f"bad representation {parts[1]!r}", line)
     norm, _, sign = parts[2].partition(":")
     x2, xy, p_coef = _template(parts[3], line)
+    a, d = (_int(m.group(g) or "1", line) for g in ("a", "d"))
     try:
-        return qf.QuadFormCase(guard, mu=int(m.group("mu") or 1),
-                               a=int(m.group("a") or 1),
-                               d=int(m.group("d") or 1), norm=norm,
-                               sign=sign or "NONE", x2=x2, xy=xy,
+        return qf.QuadFormCase(guard, mu=int(m.group("mu") or 1), a=a, d=d,
+                               norm=norm, sign=sign or "NONE", x2=x2, xy=xy,
                                p_coef=p_coef)
     except ValueError as exc:
         raise CorpusError(str(exc), line) from None
@@ -712,7 +723,7 @@ def _read_integrality(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
             opts[part] = True
         elif k in ("div", "mul", "div-base", "nmin") \
                 and re.fullmatch(r"-?\d+", v):
-            opts[k] = int(v)
+            opts[k] = _int(v, b.line("idiv"))
         elif (k == "div-exp" and v in cg.DIV_EXPS) \
                 or (k == "odd" and (v in cg.ODD_SETS or v == "none")):
             opts[k] = v
@@ -959,8 +970,8 @@ _LOG2_10 = math.log(10, 2)
 
 def _nstr(num: int, den: int, digits: int) -> str:
     """``mpmath.nstr(mpf(num) / den, digits)`` under
-    ``mpmath.workdps(digits)``, for digits >= 1, den > 0 and
-    |num / den| < 2^3500, from integers alone.
+    ``mpmath.workdps(digits)``, for digits >= 1 and den > 0, from integers
+    alone and with no ``str()`` of more than digits + 1 digits.
 
     As in mpmath: the numerator and then the quotient are rounded to the
     working precision of round((digits + 1) log2 10) bits; the binary value
@@ -976,10 +987,13 @@ def _nstr(num: int, den: int, digits: int) -> str:
     fixprec = max(int((digits + 3) * _LOG2_10) + 10 - e - m.bit_length(), 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
     fixed = m << (e + fixprec) if e + fixprec >= 0 else m >> -(e + fixprec)
-    text = str(fixed * 10 ** fixdps >> fixprec)
-    exponent = len(text) - fixdps - 1
+    value = fixed * 10 ** fixdps >> fixprec
+    length = sereval._decimal_length(value)
+    # the leading digits + 1 digits of value: all that is read of it
+    text = str(value // 10 ** max(length - digits - 1, 0))
+    exponent = length - fixdps - 1
     head = text[:digits]
-    if len(text) > digits and text[digits] in "56789":
+    if length > digits and text[digits] in "56789":
         head = str(int(head) + 1)
         if len(head) > digits:     # 99..9 rounded up to 100..0
             head = head[:digits]
@@ -1032,7 +1046,7 @@ def _sci(x: Fraction) -> str:
     if x == 0:
         return "0"
     n, d = x.numerator, x.denominator
-    e = len(str(n)) - len(str(d))
+    e = sereval._decimal_length(n) - sereval._decimal_length(d)
     below = n < d * 10 ** e if e >= 0 else n * 10 ** -e < d
     return f"1e{e if below else e + 1}"
 

@@ -13,7 +13,7 @@ and a closed form c, both :class:`~piseries.sereval.TermSpec`, with
 :func:`check_family` walks one ``congruence._prefix_sums`` pass over the
 summand beside ``sereval._term_pairs`` over c and compares cross-multiplied
 integers: equality is literal.  The Franel transform, the S_n(4, c)
-expansion and the s_{k+l,k} bound are exact checks over ``seqkit`` rows.
+expansion and the s_{k+l,k} bound compare integers, s_{n,k} among them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb
-from typing import Callable, Dict, Optional, Tuple
+from operator import mul
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import seqkit
 from .congruence import _prefix_sums
@@ -33,7 +34,7 @@ __all__ = [
     "FAMILIES", "NO_PARAMS", "ONE_M", "TWO_INTS", "Family", "Telescoping",
     "CheckReport", "check_family",
     "check_sun_finite_step", "check_franel_transform", "check_sn_expansion",
-    "check_skl_bound",
+    "check_skl_bound", "snk_scaled", "snk_row", "tsmall_direct",
 ]
 
 
@@ -219,6 +220,52 @@ def check_sun_finite_step(n_max: int) -> CheckReport:
 
 
 # --------------------------------------------------------------------------
+# s_{n,k} and t_n
+# --------------------------------------------------------------------------
+
+def snk_scaled(n: int, k_max: int) -> List[int]:
+    """C(n,k) s_{n,k} for k = 0..k_max, in integers, from one row of
+    binomials: with u_i = C(n,2i) C(2i,i), C(n,k) s_{n,k} = sum_i u_i
+    u_{k-i}."""
+    if not 0 <= k_max <= n:
+        raise ValueError("need 0 <= k_max <= n")
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    half = n // 2
+    cb = seqkit.rows(CB2, half)
+    u = [row[2 * i] * cb[i] for i in range(half + 1)]
+    out = []
+    for k in range(k_max + 1):
+        # the terms i and k - i agree: sum over lo <= i < k/2 and double
+        lo, hi = max(0, k - half), (k + 1) // 2
+        total = 2 * sum(map(mul, u[lo:hi], reversed(u[k - hi + 1:k - lo + 1])))
+        if k % 2 == 0:
+            total += u[k // 2] ** 2
+        out.append(total)
+    return out
+
+
+def snk_row(n: int, k_max: int) -> List[int]:
+    """s_{n,0}, ..., s_{n,k_max}: :func:`snk_scaled` over C(n,k), each
+    division exact; ``ArithmeticError`` where one is not, as the sequence
+    store raises at an inexact step."""
+    row = [divmod(t, comb(n, k)) for k, t in enumerate(snk_scaled(n, k_max))]
+    for k, (_, r) in enumerate(row):
+        if r:
+            raise ArithmeticError(f"s_({n},{k}) is not an integer")
+    return [s for s, _ in row]
+
+
+def tsmall_direct(n: int, s: Callable[[int, int], int]) -> int:
+    """t_n = sum_{0<k<=n} C(n-1,k-1) (-1)^k 4^{n-k} s_{n+k,k}, reading
+    s_{n,k} from ``s`` (the caller's, such as one that reads
+    :func:`snk_row`)."""
+    return sum(comb(n - 1, k - 1) * (-1) ** k * 4 ** (n - k) * s(n + k, k)
+               for k in range(1, n + 1))
+
+
+# --------------------------------------------------------------------------
 # Franel-number transforms
 # --------------------------------------------------------------------------
 
@@ -233,8 +280,8 @@ def check_franel_transform(n_max: int) -> CheckReport:
         raise ValueError("n_max must be >= 0")
     f = seqkit.rows(seqkit.FRANEL, n_max + 1)
     # s_{m,k} for k <= m/2: t and sf read s_{n+k,k} with k <= n
-    s = [seqkit.snk_row(m, m // 2) for m in range(2 * n_max + 3)]
-    t = [seqkit.tsmall_direct(n, lambda m, k: s[m][k])
+    s = [snk_row(m, m // 2) for m in range(2 * n_max + 3)]
+    t = [tsmall_direct(n, lambda m, k: s[m][k])
          for n in range(n_max + 2)]
     for n in range(n_max + 1):
         sf = sum(comb(n, k) * (-1) ** k * 4 ** (n - k) * s[n + k][k]
@@ -266,12 +313,12 @@ def check_sn_expansion(c_lo: int, c_hi: int, n_max: int) -> CheckReport:
     and 4^n S_n(1,m) = S_n(4,16m), all exact."""
     if c_lo > c_hi:
         raise ValueError("empty c range")
-    s = [seqkit.snk_row(n, n // 2) for n in range(n_max + 1)]
+    s = [snk_row(n, n // 2) for n in range(n_max + 1)]
     for c in range(c_lo, c_hi + 1):
         for n in range(n_max + 1):
             lhs = _sn_bc(4, c, n)
             rhs = sum(comb(n - k, k) * comb(2 * (n - k), n - k)
-                      * Fraction(c) ** k * 4 ** (n - 2 * k) * s[n][k]
+                      * c ** k * 4 ** (n - 2 * k) * s[n][k]
                       for k in range(n // 2 + 1))
             if lhs != rhs:
                 return CheckReport("SN4C", (c,), n, first_failure=n,
@@ -287,10 +334,10 @@ def check_sn_expansion(c_lo: int, c_hi: int, n_max: int) -> CheckReport:
 def check_skl_bound(k_max: int, l_max: int) -> CheckReport:
     """s_{k+l,k} <= (2k+1) 4^k l C(k+l,l) as an exact comparison in
     integers: both sides times C(k+l,k), the left one read from one row
-    per n = k + l (:func:`seqkit.snk_scaled`)."""
+    per n = k + l (:func:`snk_scaled`)."""
     if k_max < 1 or l_max < 1:
         raise ValueError("k_max and l_max must be >= 1")
-    scaled = [seqkit.snk_scaled(n, min(n - 1, k_max)) if n else []
+    scaled = [snk_scaled(n, min(n - 1, k_max)) if n else []
               for n in range(k_max + l_max + 1)]
     for k in range(k_max + 1):
         for l in range(1, l_max + 1):

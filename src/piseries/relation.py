@@ -30,17 +30,18 @@ and summed as integers.
 
 :func:`rediscover` searches on moment sums evaluated at ``digits`` and
 re-verifies only a FOUND relation, at 1.5x the digits;
-:func:`rediscover_each` runs it over several bases on one set of moments.
+:func:`rediscover_each` runs it over several bases on one set of moments
+and says why a basis gave no candidate.
 The module needs nothing outside the standard library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count
 from math import ceil, gcd, isqrt, log2
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import sereval
 from .sereval import Ball, RHSForm, SeriesIdentity, TermSpec
@@ -55,11 +56,14 @@ __all__ = [
     "FOUND",
     "NONE",
     "PRECISION_EXHAUSTED",
+    "NOT_SEARCHED",
 ]
 
 FOUND = "FOUND"
 NONE = "NONE"
 PRECISION_EXHAUSTED = "PRECISION_EXHAUSTED"
+#: no search ran: every term past the first is below the search precision
+NOT_SEARCHED = "NOT_SEARCHED"
 
 
 @dataclass
@@ -260,25 +264,29 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
     Raises ``ValueError`` below ``MIN_DIGITS`` digits, for
     ``max_norm < 1``, for a degree outside 0..``sereval.MAX_DEGREE`` or
     for a dependent basis (see :func:`rediscover_each`), before any
-    series is summed.
+    series is summed.  None when no relation was found.
     """
-    return next(rediscover_each(spec, [basis], digits, max_norm, degree))
+    found = next(rediscover_each(spec, [basis], digits, max_norm, degree))
+    return found if isinstance(found, Candidate) else None
 
 
 def rediscover_each(spec: TermSpec,
                     bases: Iterable[Sequence[Tuple[int, str]]],
                     digits: int = 80, max_norm: int = 10 ** 6,
-                    degree: int = 1) -> Iterator[Optional[Candidate]]:
-    """:func:`rediscover` for each basis in turn, lazily.  The moments do
-    not depend on the basis, so one pass over the terms serves the
-    searches of every basis.  Raises as :func:`rediscover` does, at the
-    first step; a basis is dependent when two of its entries have one
-    name and radicands d, d' with d d' a square: the two values are then
-    rational multiples of each other, and PSLQ would find that relation.
+                    degree: int = 1) -> Iterator[Union[Candidate, str]]:
+    """:func:`rediscover` for each basis in turn, lazily: a FOUND
+    relation's Candidate, confirmed or not, or else the search's NONE or
+    PRECISION_EXHAUSTED.  The moments do not depend on the basis, so one
+    pass over the terms serves the searches of every basis.  Raises as
+    :func:`rediscover` does, at the first step; a basis is dependent when
+    two of its entries have one name and radicands d, d' with d d' a
+    square: the two values are then rational multiples of each other, and
+    PSLQ would find that relation.
 
     When every moment ball contains its own first term, k0^j term(k0) for
-    the weight k^j, the terms past the first are below the search
-    precision, and each basis yields None without a search.
+    the weight k^j (term(k0) from :func:`sereval.term_value`), the terms
+    past the first are below the search precision, and each basis yields
+    NOT_SEARCHED without a search.
     """
     _threshold(digits)
     if max_norm < 1:
@@ -301,15 +309,16 @@ def rediscover_each(spec: TermSpec,
     moments: Optional[List[Ball]] = None
     for basis in bases:
         if moments is None:
-            sums = sereval.eval_weighted(spec, weights, digits)
-            moments = [ball for ball, _ in sums]
+            moments = [ball for ball, _ in
+                       sereval.eval_weighted(spec, weights, digits)]
             # every term past the first is below the search precision: any
             # relation found would hold only numerically
-            blind = all(info["first"] is not None
-                        and ball.contains(*info["first"])
-                        for ball, info in sums)
+            first = sereval.term_value(replace(spec, weight=(1,)), spec.k0)
+            blind = all(ball.contains(*(spec.k0 ** j * first)
+                                      .as_integer_ratio())
+                        for j, ball in zip(range(degree, -1, -1), moments))
         if blind:
-            yield None
+            yield NOT_SEARCHED
             continue
         values = moments + [
             sereval.eval_rhs(RHSForm(addends=((Fraction(1), d, name),)),
@@ -317,7 +326,7 @@ def rediscover_each(spec: TermSpec,
             for d, name in basis]
         result = pslq(values, max_norm, digits)
         if result.status != FOUND:
-            yield None
+            yield result.status
             continue
         coeffs = result.coeffs
         weight = tuple(coeffs[degree - j] for j in range(degree + 1))

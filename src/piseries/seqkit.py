@@ -1,4 +1,4 @@
-"""Exact generators for the integer/rational sequences used across the workbench.
+"""Exact generators for the integer sequences used across the workbench.
 
 Almost every sequence family is a recurrence, and :data:`OPERATORS`
 describes each one once: an :class:`Operator` holds its initial rows and
@@ -6,8 +6,8 @@ its coefficient polynomials in n (and in the kind's parameters), whose
 count fixes its order, and :func:`_operator_rows` grows every kind from
 that table.
 The defining sums, evaluated term by term, live in the tests as the
-operators' oracles.  All arithmetic is exact -- Python integers and
-``fractions.Fraction`` -- so the rows can feed congruence checks directly.
+operators' oracles.  All arithmetic is exact, in Python integers, so the
+rows can feed congruence checks directly.
 
 The operators
 -------------
@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, islice
 from math import comb
 from operator import index, mul
@@ -91,8 +90,7 @@ __all__ = [
     "CATALAN", "SBC", "DOMB", "FRANEL", "FRANEL4", "GSEQ", "GPOLY",
     "ZAGIER", "BETA", "WZAG", "EULER",
     "Operator", "OPERATORS",
-    "STORE", "rows", "memo_table", "table", "snk_scaled", "snk_row",
-    "tsmall_direct",
+    "STORE", "rows", "memo_table", "table",
 ]
 
 
@@ -159,49 +157,6 @@ class SequenceTable:
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
-
-
-# --------------------------------------------------------------------------
-# s_{n,k} and t_n
-# --------------------------------------------------------------------------
-
-def snk_scaled(n: int, k_max: int) -> List[int]:
-    """C(n,k) s_{n,k} for k = 0..k_max, in integers, from one row of
-    binomials: with u_i = C(n,2i) C(2i,i), C(n,k) s_{n,k} = sum_i u_i
-    u_{k-i}."""
-    if not 0 <= k_max <= n:
-        raise ValueError("need 0 <= k_max <= n")
-    row = [1]
-    for j in range(n):
-        row.append(row[-1] * (n - j) // (j + 1))
-    half = n // 2
-    cb = rows(CB2, half)
-    u = [row[2 * i] * cb[i] for i in range(half + 1)]
-    out = []
-    for k in range(k_max + 1):
-        # the terms i and k - i agree: sum over lo <= i < k/2 and double
-        lo, hi = max(0, k - half), (k + 1) // 2
-        total = 2 * sum(map(mul, u[lo:hi], reversed(u[k - hi + 1:k - lo + 1])))
-        if k % 2 == 0:
-            total += u[k // 2] ** 2
-        out.append(total)
-    return out
-
-
-def snk_row(n: int, k_max: int) -> List[Fraction]:
-    """s_{n,0}, ..., s_{n,k_max}: :func:`snk_scaled` over C(n,k)."""
-    return [Fraction(t, comb(n, k))
-            for k, t in enumerate(snk_scaled(n, k_max))]
-
-
-def tsmall_direct(n: int, s: Callable[[int, int], Fraction]) -> Fraction:
-    """t_n = sum_{0<k<=n} C(n-1,k-1) (-1)^k 4^{n-k} s_{n+k,k}, reading
-    s_{n,k} from ``s`` (the caller's, such as one that reads
-    :func:`snk_row`)."""
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += comb(n - 1, k - 1) * (-1) ** k * 4 ** (n - k) * s(n + k, k)
-    return total
 
 
 # --------------------------------------------------------------------------

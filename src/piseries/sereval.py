@@ -13,7 +13,7 @@ rounded outward, so no operation loses an enclosure.
 weights, m and the closed forms' coefficients, the factor table's growths
 and moment boxes, the envelope ratio theta, the Euler certificate's box,
 mass and q (q and mass/2 are rounded up to dyadics once per certificate),
-:func:`term_value` and the printed gap bound of
+:func:`term_value` (which no sum calls) and the printed gap bound of
 :func:`verify_series_identity`.
 
 A series is summed in fixed point, as integers scaled by 2^s.  One
@@ -28,9 +28,9 @@ unit in the last place, so ``terms`` units of 2^-s added to the radius
 cover every rounding.  A rigorous geometric tail bound derived from
 per-sequence growth inequalities (never from sampled ratios) covers the
 rest, so a reported enclosure is a proof-grade statement about the sum.
-:func:`term_value` is the exact value of one term, from the same builder,
-and so are the partial sums of :mod:`~piseries.congruence` and
-:mod:`~piseries.exactid`.
+Both sums read the terms from k0 and keep no exact term.  :func:`term_value`
+is the exact value of one term, from the same builder, and so are the
+partial sums of :mod:`~piseries.congruence` and :mod:`~piseries.exactid`.
 
 Far out, the factors of a term have thousands of bits, of which the floor
 keeps about s.  There the builder cuts each long column to its p = s + 64
@@ -39,12 +39,13 @@ division are of short numbers, and the sum proves each floor from the cut
 product before it keeps it (Ziv's rounding test, Ziv 1991): the floor at
 s + 32 bits is off by less than 1 + (|z|+1) f 2^(3-p) for f cut columns,
 and when its low 32 bits keep that margin from both ends its top bits are
-the exact floor at s.  A term that fails the test is floored from its
-exact factors, so every floor, and the ball, is the one exact arithmetic
-gives (:class:`_DirectSum`).  A block is cut only once one of its columns
-has 4p + 2048 bits, where the cut pays for itself, and then every column
-longer than 2p bits is; the Euler path, :func:`tail_bound` and
-:func:`term_value` stay exact.
+the exact floor at s.  A term that fails the test is re-read exact,
+alone (``_term_pairs(spec, k, k)``), and floored from that, so every
+floor, and the ball, is the one exact arithmetic gives
+(:class:`_DirectSum`); a cut block keeps no exact column.  A block is cut
+only once one of its columns has 4p + 2048 bits, where the cut pays for
+itself, and then every column longer than 2p bits is; the Euler path and
+:func:`tail_bound` stay exact.
 
 The number of terms N is chosen once per evaluation, and every tail bound
 is an upward-rounded dyadic m 2^-e with a mantissa of 80 bits
@@ -100,7 +101,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from math import ceil, comb, inf, isqrt, lcm, log, log1p, log2, log10, prod
+from math import ceil, comb, inf, isqrt, lcm, log, log1p, log2, log10
 from operator import add, floordiv, lshift, mul, rshift
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -201,6 +202,15 @@ def _bits(digits: int) -> int:
 def _digits(bits: int) -> int:
     """Decimal digits whose radius bound 10^-digits is below 2^-bits / 10."""
     return ceil(bits * log10(2)) + 1
+
+
+def _decimal_length(n: int) -> int:
+    """The number of decimal digits of n >= 0, 0 for 0, without ``str(n)``,
+    which Python refuses past 4300 digits."""
+    length = max(int(n.bit_length() * log10(2)) - 1, 0)    # not above it
+    while n >= 10 ** length:
+        length += 1
+    return length
 
 
 def _constant_sum(spec: TermSpec, t: int) -> Tuple[int, int]:
@@ -421,14 +431,12 @@ class _Cut(NamedTuple):
 
     Entry i of the block is term(k + i) = nums[i] / dens[i] 2^shift times
     a factor within cols 2^(2-bits) of 1, as each of the ``cols`` cut
-    columns is off by less than 2^(1-bits) relative; ``exact(i)`` is the
-    exact pair (num, den), den > 0, of the same term.
+    columns is off by less than 2^(1-bits) relative.
     """
 
     shift: int
     cols: int
     bits: int
-    exact: Callable[[int], Tuple[int, int]]
 
 
 def _least_bits(col: List[int]) -> int:
@@ -463,13 +471,6 @@ def _cut_block(num_f: List[List[int]], den_f: List[List[int]], bits: int
     return (out[0], out[1], shift, cut) if cut else None
 
 
-def _exact_pair(num_f: List[List[int]], den_f: List[List[int]], i: int
-                ) -> Tuple[int, int]:
-    """Entry i of the products of the factor columns, with den > 0."""
-    num, den = prod(c[i] for c in num_f), prod(c[i] for c in den_f)
-    return (-num, -den) if den < 0 else (num, den)
-
-
 def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
                   ) -> Iterator[tuple]:
     """Terms lo..hi of ``spec`` as columns of unreduced integers: blocks
@@ -491,7 +492,7 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
     ``bits`` leading bits (:func:`_cut_block`), and the products are of
     the cut columns; ``cut`` is the :class:`_Cut` that relates them to the
     exact terms, or None when the block was not cut and nums, dens are
-    exact.  The columns of a cut block are lists, kept for ``cut.exact``.
+    exact.  No exact column of a cut block outlives the block.
     """
     if lo < spec.k0:
         raise ValueError(f"term starts at k0={spec.k0}")
@@ -544,10 +545,8 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
             num_f, den_f = list(map(list, num_f)), list(map(list, den_f))
             cols = _cut_block(num_f, den_f, bits)
             if cols is not None:
-                cut_num, cut_den, shift, count = cols
-                cut = _Cut(shift, count, bits,
-                           partial(_exact_pair, num_f, den_f))
-                num_f, den_f = cut_num, cut_den
+                num_f, den_f, shift, count = cols
+                cut = _Cut(shift, count, bits)
         nums, dens = _product(num_f, n), _product(den_f, n)
         for i in range(min(n, positive - k)):
             if dens[i] < 0:
@@ -957,14 +956,14 @@ class _DirectSum:
     d >= D serves the whole block.  z >> G is then the exact floor
     floor(w(k) term(k) 2^s) when the low G bits of z keep d from both ends,
     or when |z| + d <= 2^G: the floor is then 0 or -1 by the sign of the
-    term, and the cut keeps the signs.  Any other term is floored from its
-    exact pair, ``cut.exact``.  Every floor, and so the ball, is the one
-    the exact columns give.
+    term, and the cut keeps the signs.  Any other term is re-read exact,
+    alone and weighted, by :func:`_term_pairs`, and floored from that.
+    Every floor, and so the ball, is the one the exact columns give.
     """
 
     def __init__(self, spec: TermSpec, q: List[int], qden: int,
                  theta: Fraction, digits: int):
-        self.k0, self.theta = spec.k0, theta
+        self.spec, self.k0, self.theta = spec, spec.k0, theta
         self.T = 10 ** (digits + 2)
         self.weight, self.wden = _integer_weight(spec.weight)
         coeffs, den = _envelope_poly(self.weight, self.wden, q, qden)
@@ -974,7 +973,8 @@ class _DirectSum:
                 self.env.K0)
         while (bound := self._closed_bound(N)) is None:
             N += 1
-        self.N, self.tail = N, _radius([bound])
+        # N is also the reach, the last term this sum reads from the stream
+        self.N, self.reach, self.tail = N, N, _radius([bound])
         self.s = _scale_bits(N - self.k0 + 1, self.T)
         #: the leading bits a cut column must keep for this sum
         self.bits = self.s + 2 * _GUARD
@@ -986,16 +986,6 @@ class _DirectSum:
         None."""
         bound = self.env.closed(N)
         return bound if _fits(*bound, N - self.k0 + 1, self.T) else None
-
-    @property
-    def start(self) -> int:
-        """The first term this sum reads from the stream."""
-        return self.k0
-
-    @property
-    def reach(self) -> int:
-        """The last term this sum reads from the stream."""
-        return self.N
 
     def add(self, k: int, nums: List[int], dens: List[int],
             cut: Optional[_Cut] = None) -> None:
@@ -1018,7 +1008,7 @@ class _DirectSum:
                     cut: _Cut) -> int:
         """The sum of floor(w(k+i) term(k+i) 2^s) over the weighted cut
         columns of a block, each proved exact or taken from the exact
-        term (see the class docstring)."""
+        weighted term (see the class docstring)."""
         shift = self.s + _GUARD + cut.shift
         if shift >= 0:
             zs = list(map(floordiv, map(lshift, nums, repeat(shift)), dens))
@@ -1033,10 +1023,8 @@ class _DirectSum:
             # kept unless its low bits come within d of an end and |z| + d
             # passes 2^G
             if not d <= z & mask <= hi and not -hi <= z <= hi:
-                num, den = cut.exact(i)
-                w = reduce(lambda acc, c: acc * (k + i) + c, self.weight, 0)
-                total += (w * num << self.s) // (self.wden * den) \
-                    - (z >> _GUARD)
+                (num, den), = _term_pairs(self.spec, k + i, k + i)
+                total += (num << self.s) // den - (z >> _GUARD)
         return total
 
     def result(self) -> Tuple[Ball, dict]:
@@ -1059,12 +1047,9 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     alike; each ball equals :func:`eval_series` of the spec with that
     weight.  The weight-free parts, the envelope of the direct path and the
     moment certificate of the Euler path, are built once for all the
-    weights.  Every N is fixed before the stream starts, so one walk serves
-    every sum; a direct-path stream is cut to the most bits any of its
-    sums needs.  Each ``stats`` dict also has ``first``, the exact first
-    weighted term w(k0) term(k0) as a pair (num, den), den > 0, read from
-    the stream's first block; it is None on an Euler path that sums its
-    head apart, as the stream then starts past k0.
+    weights.  Every N is fixed before the stream starts, so one walk from
+    k0 serves every sum; a direct-path stream is cut to the most bits any
+    of its sums needs.  No sum keeps an exact term.
     """
     if not weights:
         return []
@@ -1081,25 +1066,11 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
         sums = [_DirectSum(s, q, qden, theta, digits) for s in specs]
     base = spec if spec.weight == (1,) else replace(spec, weight=(1,))
     bits = [d.bits for d in sums]
-    first = None
-    for block in _term_columns(base, min(d.start for d in sums),
-                               max(d.reach for d in sums),
+    for block in _term_columns(base, spec.k0, max(d.reach for d in sums),
                                None if None in bits else max(bits)):
-        first = first or block
         for d in sums:
             d.add(*block)
-    k, nums, dens, *cut = first
-    if cut and cut[0] is not None:
-        num, den = cut[0].exact(0)
-    else:
-        num, den = nums[0], dens[0]
-    out = [d.result() for d in sums]
-    for d, (_, info) in zip(sums, out):
-        # an Euler path that sums its head apart starts its stream past k0
-        info["first"] = None if k > spec.k0 else (
-            reduce(lambda acc, c: acc * k + c, d.weight, 0) * num,
-            d.wden * den)
-    return out
+    return [d.result() for d in sums]
 
 
 def eval_series(spec: TermSpec, digits: int = 40,
@@ -1125,9 +1096,8 @@ def eval_series(spec: TermSpec, digits: int = 40,
 
     When ``stats`` is given it receives ``terms`` (the number of terms
     summed), ``path`` (``direct`` or ``euler``), ``theta`` (the envelope
-    ratio), ``tail`` (the ball at 0 whose radius is the tail-bound part
-    of the radius) and ``first`` (the exact first term, as in
-    :func:`eval_weighted`).
+    ratio) and ``tail`` (the ball at 0 whose radius is the tail-bound
+    part of the radius).
     """
     (ball, info), = eval_weighted(spec, [spec.weight], digits)
     if stats is not None:
@@ -1304,13 +1274,14 @@ class _EulerSum:
 
     The weight-free certificate comes from the caller, built once for all
     the weights; the falling-factorial weights and mass / 2 are rounded
-    for this weight once.  The head terms k0 <= k < k_start are summed
-    exactly by :func:`term_value` and floored once; the stream starts at
-    k_start.  The transform
-    needs the N + 1 terms t'_i = term(k_start + i):
+    for this weight once.  Like :class:`_DirectSum` it reads the stream
+    from k0.  The transform needs the N + 1 terms t'_i = term(k_start + i):
     sum_{j<=N} c_j = sum_i A_i t'_i / 2^(N+1) with the weights A_i of
-    :func:`_euler_weights`, each product floored at 2^-s.  N, and with it
-    the rounding radius, is fixed before any term is read.
+    :func:`_euler_weights`, each product floored at 2^-s.  A head term
+    k0 <= k < k_start (at most one: each affine factor ak + b has b in
+    {-1, 0, 1} and no zero at k >= k0, so k_start <= max(k0, 1)) has the
+    weight 2^(N+1): its floor is the term's at 2^-s, as the direct sum
+    floors it.  N, and so the rounding radius, is fixed before any term.
     """
 
     #: the transform's weights are exact, so its stream is never cut
@@ -1318,41 +1289,30 @@ class _EulerSum:
 
     def __init__(self, spec: TermSpec, cert: _Cert, theta: Fraction,
                  digits: int):
-        self.k0, self.k_start, self.theta = spec.k0, cert.k_start, theta
+        self.k0, self.theta = spec.k0, theta
         self.weight, self.wden = _integer_weight(spec.weight)
-        floors = 1 if cert.k_start > spec.k0 else 0
+        head = cert.k_start - spec.k0
         mn, md = cert.mass.as_integer_ratio()
         self.N, tail = _euler_N(cert, _falling_weights(cert, self.weight),
                                 _dyadic_up(mn, 2 * md * self.wden), digits,
-                                floors)
+                                head)
         self.tail = _radius([tail])
-        #: one floor per transformed term, and one for the head
-        self.rounded = self.N + 1 + floors
-        self.s = _scale_bits(self.rounded, 10 ** (digits + 2))
-        self.A = _euler_weights(self.N)
-        head = sum(map(partial(term_value, spec),
-                       range(spec.k0, cert.k_start)), Fraction(0))
-        self.total = (head.numerator << self.s) // head.denominator
-
-    @property
-    def start(self) -> int:
-        """The first term this sum reads from the stream."""
-        return self.k_start
-
-    @property
-    def reach(self) -> int:
-        """The last term this sum reads from the stream."""
-        return self.k_start + self.N
+        #: the weight of each term k0, k0 + 1, ... read, one floor each
+        self.A = [1 << self.N + 1] * head + _euler_weights(self.N)
+        self.s = _scale_bits(len(self.A), 10 ** (digits + 2))
+        #: the last term this sum reads from the stream
+        self.reach = self.k0 + len(self.A) - 1
+        self.total = 0
 
     def add(self, k: int, nums: List[int], dens: List[int]) -> None:
-        """Take the block of unweighted terms k, k+1, ... (k >= k_start) of
-        the stream: floor(A_i w(k) num 2^s / (wden den 2^(N+1))) for each,
-        i = k - k_start, with only one side shifted."""
+        """Take the block of unweighted terms k, k+1, ... of the stream:
+        floor(A_i w(k) num 2^s / (wden den 2^(N+1))) for each,
+        i = k - k0, with only one side shifted."""
         n = min(len(nums), self.reach - k + 1)
         if n <= 0:
             return
         nums, dens = _weighted(self.weight, self.wden, k, nums, dens)
-        i = k - self.k_start
+        i = k - self.k0
         # map stops at its first iterator: the n weights A_i
         nums = map(mul, self.A[i:i + n], nums)
         shift = self.s - self.N - 1
@@ -1363,9 +1323,9 @@ class _EulerSum:
         self.total += sum(map(floordiv, nums, dens))
 
     def result(self) -> Tuple[Ball, dict]:
-        return (Ball(self.total, self.rounded, self.s) + self.tail,
-                {"path": "euler", "terms": self.k_start - self.k0 + self.N + 1,
-                 "theta": self.theta, "tail": self.tail})
+        return (Ball(self.total, len(self.A), self.s) + self.tail,
+                {"path": "euler", "terms": len(self.A), "theta": self.theta,
+                 "tail": self.tail})
 
 
 # --------------------------------------------------------------------------
@@ -1470,8 +1430,7 @@ def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesRep
     """
     probe = eval_rhs(entry.rhs, 15)
     # the number of decimal digits of floor(|probe|), 0 below 1
-    whole = abs(probe.mid) >> probe.exp
-    extra = len(str(whole)) if whole else 0
+    extra = _decimal_length(abs(probe.mid) >> probe.exp)
     work = digits + extra + 5
     stats: dict = {}
     gap = eval_series(entry.spec, digits, stats) - eval_rhs(entry.rhs, work)

@@ -1,7 +1,7 @@
 """Exact oracles of the finite checks: s_{n,k} from its defining sum of
 binomials, one summand and one closed-form value of a telescoping
 family, and the rows of an operator kind by one generic order-r stepper.
-The program reads s_{n,k} off integer rows (``seqkit.snk_scaled``),
+The program reads s_{n,k} off integer rows (``exactid.snk_scaled``),
 compares a family's partial sums with its closed form in one pass
 (``exactid.check_family``) and steps orders 1 and 2 in loops of their own
 with coefficients evaluated by Horner's rule written out
@@ -29,6 +29,22 @@ def snk(n: int, k: int) -> Fraction:
         total += (comb(n, 2 * i) * comb(n, 2 * (k - i))
                   * comb(2 * i, i) * comb(2 * (k - i), k - i))
     return Fraction(total, comb(n, k))
+
+
+def snk_row(n: int, k_max: int) -> List[Fraction]:
+    """s_{n,0}, ..., s_{n,k_max} as Fractions C(n,k) s_{n,k} / C(n,k),
+    as the row was read before it was read in integers."""
+    return [Fraction(t, comb(n, k))
+            for k, t in enumerate(ei.snk_scaled(n, k_max))]
+
+
+def tsmall_direct(n: int, s) -> Fraction:
+    """t_n = sum_{0<k<=n} C(n-1,k-1) (-1)^k 4^{n-k} s_{n+k,k} in Fraction
+    arithmetic, reading s_{n,k} from ``s``."""
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        total += comb(n - 1, k - 1) * (-1) ** k * 4 ** (n - k) * s(n + k, k)
+    return total
 
 
 def family_term(family: str, k: int, m: Optional[int] = None) -> Fraction:

@@ -504,7 +504,40 @@ class TestDiscover:
         code, out, err = _run(capsys, ["discover", "--seq", "CB2^3",
                                        "--m=-2^6000000"])
         assert (code, err) == (0, "")
-        assert out.startswith("NOT FOUND")
+        assert out == "NOT FOUND: no search ran: every moment sum equals" \
+            " its first term at the search precision\n"
+
+    @pytest.mark.parametrize("argv, reason", [
+        # Franel sums alone are not a rational multiple of 1/pi
+        (["--seq", "F", "--m", "-400", "--digits", "30", "--basis",
+          "1*INV_PI"], "no integer relation within the norm bound"),
+        # 20-digit balls are too wide for a norm bound of 10^18
+        (["--seq", "CB2^3", "--m", "-64", "--digits", "20", "--max-norm",
+          "1000000000000000000"],
+         "the search ran out of precision before it could exclude a"
+         " relation within the norm bound"),
+    ], ids=["none", "precision-exhausted"])
+    def test_not_found_says_why(self, capsys, argv, reason):
+        code, out, err = _run(capsys, ["discover", *argv])
+        assert (code, out, err) == (0, f"NOT FOUND: {reason}\n", "")
+
+    def test_not_found_after_a_failed_re_verification(self, capsys,
+                                                      monkeypatch):
+        # the search finds the relation of the abstract's series, and its
+        # re-verification (made to fail here) refuses it
+        seen = []
+
+        def refuse(ident, digits):
+            seen.append(digits)
+            return sereval.SeriesReport(False, Fraction(1), 0)
+
+        monkeypatch.setattr(sereval, "verify_series_identity", refuse)
+        code, out, err = _run(capsys, ["discover", "--seq", "S(1,25)", "--m",
+                                       "-100", "--digits", "40", "--basis",
+                                       "1*INV_PI"])
+        assert (code, err, seen) == (0, "", [60])
+        assert out == "NOT FOUND: a found relation failed re-verification" \
+            " at 60 digits\n"
 
     @pytest.mark.parametrize("weight,text", [
         ((-307, 22742), "22742*k-307"),

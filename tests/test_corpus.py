@@ -380,6 +380,86 @@ class TestLateFailures:
         assert exc.value.line == 5 and "non-zero" in str(exc.value)
 
 
+#: more decimal digits than Python converts between int and str
+_LONG = "7" * 5000
+
+
+class TestLongIntegers:
+    """Integers past Python's 4300-digit limit on int/str conversions:
+    each one the reader reads from a run of digits is a registry error at
+    its line, and a row whose numbers are that long prints, as nothing
+    takes the str() of a whole one."""
+
+    @pytest.mark.parametrize("text, line", [
+        (_SERIES.format(weight="1", m="-64").replace(
+            "rhs: none", f"rhs: {_LONG}*sqrt(2)*INV_PI"), 5),
+        (_SERIES.format(weight="1", m="-64").replace(
+            "rhs: none", f"rhs: 1/{_LONG}"), 5),
+        (_SERIES.format(weight="1", m="-64").replace(
+            "rhs: none", f"rhs: 1*sqrt({_LONG})"), 5),
+        (_SERIES.format(weight="1", m="-64").replace("CB2^3", f"CB2^{_LONG}"),
+         4),
+        (_SERIES.format(weight="1", m="-64").replace(
+            "; - ;", f"; (2k+1)^{_LONG} ;"), 4),
+        (_CONGRUENCE.format(upper="p-1").replace("L(-1)", f"L({_LONG})"), 6),
+        (_CONGRUENCE.format(upper="p-1").replace("1*p*L(-1)",
+                                                 f"1*p^{_LONG}"), 6),
+        (_CONGRUENCE.format(upper="p-1").replace("1*p*L(-1)",
+                                                 f"1*Q({_LONG})"), 6),
+        (_QUADFORM.format(template="4*x*y").replace(
+            "mod(8)=1 ;", f"mod({_LONG})=1 ;"), 5),
+        (_QUADFORM.format(template="4*x*y").replace(
+            "mod(8)=1 ;", f"mod(8)=1,{_LONG} ;"), 5),
+        (_QUADFORM.format(template="4*x*y").replace(
+            "p=x^2+4*y^2 ; Y_HALF", f"p=x^2+{_LONG}*y^2 ; Y_HALF"), 5),
+        (_INTEGRALITY.format(weight="1", idiv=f"div={_LONG}"), 5),
+    ], ids=["rhs", "rhs-den", "sqrt", "seq-exp", "den-exp", "symbol",
+            "p-power", "fermat", "modulus", "residue", "representation",
+            "idiv"])
+    def test_reader_refuses(self, text, line):
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == line
+        assert "integer of 5000 digits is too long" in str(exc.value)
+
+    @pytest.mark.parametrize("old, new, why", [
+        ("mod(8)=1 ;", "mod(8)=1,,5 ;", "bad guard condition"),
+        ("mod(8)=1 ;", "mod(8)=1, ;", "bad guard condition"),
+    ])
+    def test_empty_residue(self, old, new, why):
+        text = _QUADFORM.format(template="4*x*y").replace(old, new)
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and why in str(exc.value)
+
+    @pytest.mark.parametrize("rhs", ["3/0*PI", "3/00"])
+    def test_rhs_divided_by_zero(self, rhs):
+        text = _SERIES.format(weight="1", m="-64").replace("rhs: none",
+                                                           f"rhs: {rhs}")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == 5 and "bad rhs addend" in str(exc.value)
+
+    @pytest.mark.parametrize("rhs", ["none", "1"])
+    def test_rows_of_a_long_sum(self, rhs):
+        # sum 2^15000 / 2^(20k), of 4516 digits
+        text = _SERIES.format(weight="2^15000", m="2^20").replace(
+            "; CB2^3 ;", "; - ;").replace("rhs: none", f"rhs: {rhs}")
+        (entry,) = corpus.parse_registry(text)
+        (row,) = corpus.run([entry], digits=12).rows
+        if rhs == "none":
+            ball = sereval.eval_series(entry.raw["_spec"], 12)
+            mid = Fraction(ball.mid, 1 << ball.exp)
+            assert (row.outcome, row.detail) == (
+                "EVALUATED", f"value ~ {_nstr_oracle(mid, 12)}")
+            assert row.detail == "value ~ 2.81796356705e+4515"
+        else:
+            # the gap is the sum less 1, below 10^4516; 753 terms leave a
+            # tail below 10^-14
+            assert (row.outcome, row.detail) == ("FAIL",
+                                                 "gap<1e4516 terms=753")
+
+
 class TestMalformed:
     @pytest.mark.parametrize("weight, m", [
         ("1", "1/0"), ("k/k", "1"), ("2^k", "1"), ("k^-1", "1"),
@@ -1020,6 +1100,16 @@ class TestDecimalText:
             assert corpus._nstr(x.numerator, x.denominator, digits) \
                 == _nstr_oracle(x, digits), x
 
+    @pytest.mark.parametrize("digits", [1, 2, 12, 40])
+    def test_past_the_int_string_limit(self, digits):
+        # values whose integer part str() refuses, past 4300 digits
+        for x in (Fraction(10 ** 5000), Fraction(-3 * 10 ** 5000, 7),
+                  Fraction(2 ** 15000 * 2 ** 20, 2 ** 20 - 1),
+                  Fraction(10 ** 6000 - 1, 10 ** 1000),
+                  Fraction(1, 10 ** 5000) * 3):
+            assert corpus._nstr(x.numerator, x.denominator, digits) \
+                == _nstr_oracle(x, digits), x
+
     @pytest.mark.parametrize("ident", ["open-a", "open-b"])
     @pytest.mark.parametrize("digits", [12, 20, 40, 80])
     def test_evaluated_rows(self, entries, ident, digits):
@@ -1067,3 +1157,12 @@ class TestGapText:
             for x in (Fraction(10) ** e, Fraction(10) ** e * Fraction(999, 1000),
                       Fraction(10) ** e * Fraction(1001, 1000)):
                 assert corpus._sci(x) == _sci_oracle(x), x
+
+    @pytest.mark.parametrize("gap, text", [
+        # numerators and denominators past str()'s 4300 digits
+        (Fraction(10 ** 5000), "1e5001"), (Fraction(10 ** 5000 - 1), "1e5000"),
+        (Fraction(10 ** 5000 + 1, 10 ** 4990), "1e11"),
+        (Fraction(7, 10 ** 5000), "1e-4999"),
+        (Fraction(2 ** 15000 * 3, 10 ** 5000 + 1), "1e-484")])
+    def test_past_the_int_string_limit(self, gap, text):
+        assert corpus._sci(gap) == text

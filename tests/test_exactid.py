@@ -331,6 +331,51 @@ class TestTelescopingFamilies:
         assert partial != ox.family_rhs("L21_2", 2, -64)
 
 
+class TestIntegerSnk:
+    """s_{n,k} and t_n in integers, against their Fraction oracles."""
+
+    def test_rows_equal_the_fraction_rows(self):
+        # every s_{n,k} the finite checks read: n <= 2 * 150 + 2
+        for n in range(303):
+            row = ei.snk_row(n, n // 2)
+            assert all(type(s) is int for s in row)
+            assert row == ox.snk_row(n, n // 2), n
+
+    def test_t_equals_the_fraction_sum(self):
+        s = [ei.snk_row(m, m // 2) for m in range(63)]
+        f = [ox.snk_row(m, m // 2) for m in range(63)]
+        for n in range(31):
+            t = ei.tsmall_direct(n, lambda m, k: s[m][k])
+            assert type(t) is int
+            assert t == ox.tsmall_direct(n, lambda m, k: f[m][k]), n
+
+    def test_inexact_division_raises(self, monkeypatch):
+        real = ei.snk_scaled
+
+        def bumped(n, k_max):
+            return [t + (k == 3) for k, t in enumerate(real(n, k_max))]
+
+        monkeypatch.setattr(ei, "snk_scaled", bumped)
+        with pytest.raises(ArithmeticError,
+                           match=r"s_\(9,3\) is not an integer"):
+            ei.snk_row(9, 4)
+        with pytest.raises(ArithmeticError, match="is not an integer"):
+            ei.check_franel_transform(5)
+
+    def test_checks_see_a_changed_s(self, monkeypatch):
+        # s_{n,1} one too large from n = 4 on: both checks fail at n = 4
+        real = ei.snk_row
+
+        def bumped(n, k_max):
+            return [s + (k == 1 and n >= 4) for k, s in
+                    enumerate(real(n, k_max))]
+
+        monkeypatch.setattr(ei, "snk_row", bumped)
+        rep = ei.check_sn_expansion(-2, 2, 8)
+        assert (rep.family, rep.first_failure) == ("SN4C", 4)
+        assert ei.check_franel_transform(8).first_failure is not None
+
+
 class TestFranelTransform:
     def test_small_values(self):
         rep = ei.check_franel_transform(30)
@@ -341,11 +386,10 @@ class TestFranelTransform:
 
         def s(n, k):
             calls.append((n, k))
-            return ei.seqkit.snk_row(n, k)[k]
+            return ei.snk_row(n, k)[k]
 
         for n in range(12):
-            assert ei.seqkit.tsmall_direct(n, s) == \
-                ei.seqkit.tsmall_direct(n, ox.snk)
+            assert ei.tsmall_direct(n, s) == ox.tsmall_direct(n, ox.snk)
         assert len(calls) == 66   # every s_{n+k,k}, 0 < k <= n < 12
 
     def test_report_text(self):
@@ -400,7 +444,7 @@ class TestSklBound:
     def test_integer_totals_match_snk(self):
         # C(n,k) s_{n,k} for the 1640 pairs of the registry's (40, 40)
         for n in range(1, 81):
-            row = ei.seqkit.snk_scaled(n, min(n - 1, 40))
+            row = ei.snk_scaled(n, min(n - 1, 40))
             for k in range(max(0, n - 40), min(n - 1, 40) + 1):
                 assert row[k] == ox.snk(n, k) * comb(n, k), (n, k)
 
@@ -417,7 +461,7 @@ class TestSklBound:
     def test_first_failure_in_k_then_l_order(self, monkeypatch):
         # inflate s_{8,3} (k=3, l=5) and s_{11,2} (k=2, l=9): the first
         # failure is the smaller k, though its n is the larger
-        real_scaled, real_snk = ei.seqkit.snk_scaled, ox.snk
+        real_scaled, real_snk = ei.snk_scaled, ox.snk
         bumped = {(8, 3), (11, 2)}
 
         def scaled(n, k_max):
@@ -428,7 +472,7 @@ class TestSklBound:
             return real_snk(n, k) + Fraction(10 ** 40 * ((n, k) in bumped),
                                              comb(n, k))
 
-        monkeypatch.setattr(ei.seqkit, "snk_scaled", scaled)
+        monkeypatch.setattr(ei, "snk_scaled", scaled)
         monkeypatch.setattr(ox, "snk", snk)
         rep = ei.check_skl_bound(10, 10)
         assert rep == self.rational_oracle(10, 10)

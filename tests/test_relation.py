@@ -322,14 +322,18 @@ class TestRediscover:
 
     @staticmethod
     def _spy_passes(monkeypatch, seq):
-        """Record the digits of each eval_weighted call and each walk over
-        the unweighted terms of ``seq``."""
-        walks, precisions = [], []
+        """Record the digits of each eval_weighted call, each walk over
+        the unweighted terms of ``seq`` and each read of one of its terms
+        alone, (weight, k)."""
+        walks, reads, precisions = [], [], []
         columns, weighted = se._term_columns, se.eval_weighted
 
         def spy_columns(s, lo, hi, bits=None):
             if s.seq == seq:
-                walks.append(s.weight)
+                if lo == hi:
+                    reads.append((s.weight, lo))
+                else:
+                    walks.append(s.weight)
             return columns(s, lo, hi, bits)
 
         def spy_weighted(s, weights, digits):
@@ -338,7 +342,7 @@ class TestRediscover:
 
         monkeypatch.setattr(se, "_term_columns", spy_columns)
         monkeypatch.setattr(se, "eval_weighted", spy_weighted)
-        return walks, precisions
+        return walks, reads, precisions
 
     def test_moments_share_one_pass(self, monkeypatch):
         # the k and 1 moments come from one walk over the unweighted terms
@@ -346,18 +350,21 @@ class TestRediscover:
         # in verify_series_identity at 1.5 x 80 = 120 digits
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24), k0=0)
-        walks, precisions = self._spy_passes(monkeypatch, spec.seq)
+        walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
         cand = rl.rediscover(spec, [(2, "INV_PI")], digits=80,
                              max_norm=10 ** 3)
         assert cand.confirmed and cand.coeffs == (14, 6, -15)
         assert precisions == [80, 120] and walks == [(1,), (1,)]
+        # and term(k0) once, alone, for the blind check
+        assert reads == [((1,), 0)]
 
     def test_search_without_relation_sums_once(self, monkeypatch):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.FRANEL, 1),),
                         m=Fraction(-9), k0=0)
-        walks, precisions = self._spy_passes(monkeypatch, spec.seq)
+        walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
         assert rl.rediscover(spec, [(1, "INV_PI")], digits=80) is None
         assert precisions == [80] and walks == [(1,)]
+        assert reads == [((1,), 0)]
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_terms_below_the_precision_search_nothing(self, monkeypatch,
@@ -371,12 +378,16 @@ class TestRediscover:
         def unexpected(*args):
             raise AssertionError("searched")
 
-        walks, precisions = self._spy_passes(monkeypatch, spec.seq)
+        walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
         monkeypatch.setattr(rl, "pslq", unexpected)
         bases = [[(1, "INV_PI")], [(2, "INV_PI"), (1, "ONE")]]
         assert list(rl.rediscover_each(spec, bases, digits=80,
-                                       degree=degree)) == [None, None]
+                                       degree=degree)) == \
+            [rl.NOT_SEARCHED, rl.NOT_SEARCHED]
         assert precisions == [80] and walks == [(1,)]
+        assert reads == [((1,), 0)]
+        assert rl.rediscover(spec, bases[0], digits=80,
+                             degree=degree) is None
 
     def test_each_basis_shares_the_search_moments(self, monkeypatch):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
@@ -384,15 +395,17 @@ class TestRediscover:
         bases = [[(d, "INV_PI")] for d in (1, 3, 2)]
         alone = [rl.rediscover(spec, b, digits=80, max_norm=10 ** 3)
                  for b in bases]
-        walks, precisions = self._spy_passes(monkeypatch, spec.seq)
+        walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
         each = list(rl.rediscover_each(spec, bases, digits=80,
                                        max_norm=10 ** 3))
-        assert [None if c is None else (c.coeffs, c.confirmed)
-                for c in each] == \
-            [None if c is None else (c.coeffs, c.confirmed) for c in alone]
-        assert each[2].confirmed and each[2].coeffs == (14, 6, -15)
+        # a basis without a candidate says why; rediscover says None
+        assert each[:2] == [rl.NONE, rl.NONE] and alone[:2] == [None, None]
+        assert (each[2].coeffs, each[2].confirmed) == \
+            (alone[2].coeffs, alone[2].confirmed) == ((14, 6, -15), True)
         # one search pass for all three bases, one verification pass
         assert precisions == [80, 120] and walks == [(1,), (1,)]
+        # and term(k0) once, alone, for the blind check
+        assert reads == [((1,), 0)]
 
     @pytest.mark.parametrize("digits", [60, 64])
     def test_matches_two_passes(self, discover_pool, digits):

@@ -9,6 +9,7 @@ from typing import Sequence
 
 import pytest
 
+from piseries import exactid as ei
 from piseries import seqkit as sk
 
 from oracle_exact import operator_rows, snk
@@ -203,12 +204,12 @@ class TestSnk:
         with pytest.raises(ValueError):
             snk(2, 3)
         with pytest.raises(ValueError):
-            sk.snk_row(2, 3)
+            ei.snk_row(2, 3)
 
     def test_row_matches_snk(self):
         for n in range(41):
-            assert sk.snk_row(n, n) == [snk(n, k) for k in range(n + 1)]
-        assert sk.snk_row(9, 4) == sk.snk_row(9, 9)[:5]
+            assert ei.snk_row(n, n) == [snk(n, k) for k in range(n + 1)]
+        assert ei.snk_row(9, 4) == ei.snk_row(9, 9)[:5]
 
 
 class TestLegendre:

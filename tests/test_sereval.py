@@ -621,6 +621,24 @@ class TestWorkingDigits:
         assert seen_rhs == [15, self.old_work(series.rhs, 20)] \
             == [15, 20 + extra + 5]
 
+    def test_closed_form_past_the_int_string_limit(self, monkeypatch):
+        # sum 10^5000 / (10^100)^k = q with floor(q) of 5001 digits, which
+        # str() refuses; the closed form is read 5001 digits deeper
+        c, m = 10 ** 5000, 10 ** 100
+        series = SeriesIdentity(
+            TermSpec(weight=(c,), den=(), seq=(), m=Fraction(m)),
+            RHSForm(addends=((Fraction(c * m, m - 1), 1, "ONE"),)))
+        seen = []
+        real = se.eval_rhs
+
+        def spy(rhs, digits):
+            seen.append(digits)
+            return real(rhs, digits)
+
+        monkeypatch.setattr(se, "eval_rhs", spy)
+        rep = se.verify_series_identity(series, 20)
+        assert rep.passed and seen == [15, 20 + 5001 + 5]
+
     def test_gap_bound_is_exact_gap_rounded_up(self):
         series = _registry_series()["1.71"]
         rep = se.verify_series_identity(series, 30)
@@ -1087,8 +1105,8 @@ class TestWeighted:
         assert walks == [((1,), 0, max(terms) - 1)]
 
     def test_euler_weights_share_one_pass(self, monkeypatch):
-        # S12's head term k = 0 comes from term_value; the stream starts at
-        # k_start = 1 and reaches the larger of the two N
+        # S12's head term k = 0 comes from the stream too: it starts at
+        # k0 = 0, not at k_start = 1, and reaches the larger of the two N
         walks = []
         real = se._term_columns
 
@@ -1099,27 +1117,25 @@ class TestWeighted:
         monkeypatch.setattr(se, "_term_columns", spy)
         got = se.eval_weighted(S12, [(0, 1), (-1, 4)], 30)
         terms = [info["terms"] for _, info in got]
-        assert walks[-1] == ((1,), 1, max(terms) - 1)
-        assert [w for w in walks if w[0] == (1,)] == [walks[-1]]
+        assert walks == [((1,), 0, max(terms) - 1)]
 
-    # the first block is cut in the last spec (k0 = 300)
-    @pytest.mark.parametrize("spec", [
-        CHUDNOVSKY, AUX5,
-        TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
-                 m=Fraction(-512), k0=300)], ids=["direct", "aux-5", "cut"])
-    def test_first_is_the_exact_first_term(self, spec, monkeypatch):
-        monkeypatch.setattr(se, "_cut_from", lambda bits: bits + 1)
-        weights = [(1,), (1, 0), (Fraction(-2, 3), 0, 5)]
-        k = spec.k0
-        for w, (_, info) in zip(weights, se.eval_weighted(spec, weights, 40)):
-            num, den = info["first"]
-            assert den > 0
-            assert Fraction(num, den) == se.term_value(
-                replace(spec, weight=w), k)
-
-    def test_first_is_none_past_an_euler_head(self):
-        assert [info["first"] for _, info in
-                se.eval_weighted(S12, [(0, 1), (1, 0)], 30)] == [None, None]
+    @pytest.mark.parametrize("ident", ["1.1", "1.2"])
+    def test_euler_head_is_floored_from_the_stream(self, ident,
+                                                   monkeypatch):
+        # each Euler ball with a head term equals the one of the sum that
+        # floored its Fraction head apart, and no term is read but the
+        # stream's
+        spec = _registry_series()[ident].spec
+        assert certificate(spec).k_start == spec.k0 + 1
+        weights = [(0, 1), (1,), spec.weight]
+        for digits in (12, 20, 40):
+            with monkeypatch.context() as mp:
+                mp.setattr(se, "term_value", None)
+                mp.setattr(se, "_term_pairs", None)
+                got = se.eval_weighted(spec, weights, digits)
+            for w, (ball, info) in zip(weights, got):
+                assert (ball, info["terms"]) == \
+                    fraction_head_euler(replace(spec, weight=w), digits)
 
     @pytest.mark.parametrize("spec", [CHUDNOVSKY, S12],
                              ids=["direct", "euler"])
@@ -1158,23 +1174,23 @@ class TestCutColumns:
     @staticmethod
     def _spy(monkeypatch, guard):
         """Cut every block with a column longer than 2p bits; count the
-        cut blocks and the exact fallbacks."""
+        cut blocks and the exact fallbacks, each a re-read of one term."""
         seen = {"cut": 0, "exact": 0}
-        cut, exact = se._cut_block, se._exact_pair
+        cut, pairs = se._cut_block, se._term_pairs
 
         def spy_cut(num_f, den_f, bits):
             out = cut(num_f, den_f, bits)
             seen["cut"] += out is not None and out[3] > 0
             return out
 
-        def spy_exact(*args):
-            seen["exact"] += 1
-            return exact(*args)
+        def spy_pairs(spec, lo, hi):
+            seen["exact"] += lo == hi
+            return pairs(spec, lo, hi)
 
         monkeypatch.setattr(se, "_cut_from", lambda bits: bits + 1)
         monkeypatch.setattr(se, "_GUARD", guard)
         monkeypatch.setattr(se, "_cut_block", spy_cut)
-        monkeypatch.setattr(se, "_exact_pair", spy_exact)
+        monkeypatch.setattr(se, "_term_pairs", spy_pairs)
         return seen
 
     @pytest.mark.parametrize("guard", [32, 2])
@@ -1239,7 +1255,7 @@ class TestCutColumns:
             cut_blocks += 1
             rel = cut.cols * Fraction(4, 2 ** cut.bits)
             for i, (num, den) in enumerate(want):
-                assert cut.exact(i) == (num, den) and dens[i] > 0
+                assert dens[i] > 0
                 term, approx = Fraction(num, den), Fraction(nums[i], dens[i])
                 approx *= Fraction(2) ** cut.shift
                 assert (term > 0) == (approx > 0) and (term < 0) == (approx < 0)
@@ -1338,6 +1354,25 @@ def euler_oracle(spec: TermSpec, digits: int):
         total += ((a * num) << s) // (den << (N + 1))
     return (FBall(Fraction(total, 1 << s), tail + err),
             cert.k_start - spec.k0 + N + 1, err)
+
+
+def fraction_head_euler(spec: TermSpec, digits: int):
+    """The Euler-path ball and term count of ``spec`` as the sum gave them
+    when it summed its head k0 <= k < k_start apart: the head's exact
+    Fraction sum floored once at 2^-s, then A_i term(k_start + i) / 2^(N+1)
+    floored one term at a time, N and the dyadic tail as sereval's."""
+    cert, wfall, scale, _ = euler_parts(spec)
+    head = range(spec.k0, cert.k_start)
+    floors = 1 if head else 0
+    N, tail = se._euler_N(cert, wfall, scale, digits, floors)
+    s, _ = fixed_point(N + 1 + floors, digits)
+    exact = sum((se.term_value(spec, k) for k in head), Fraction(0))
+    total = (exact.numerator << s) // exact.denominator
+    for i, a in enumerate(pascal_weights(N)):
+        t = se.term_value(spec, cert.k_start + i) * a * 2 ** s / 2 ** (N + 1)
+        total += t.numerator // t.denominator
+    return (Ball(total, N + 1 + floors, s) + se._radius([tail]),
+            len(head) + N + 1)
 
 
 def direct_oracle(spec: TermSpec, digits: int, terms: int) -> FBall:
