@@ -259,15 +259,15 @@ def _cmd_discover(args) -> int:
     except ValueError as exc:   # e.g. too few digits for a search
         raise CliError(str(exc)) from exc
     ident = found.identity
-    # m as given: str() refuses an int of more than 4300 digits
+    # the sequences and m as given: str() refuses an int of more than 4300
+    # digits, as a kind's parameter or m may be
     block = "\n".join([
         f"entry discovered-{int(time.time())}",
         "kind: SERIES",
         "status: conjectural",
         "covers: discovered",
-        f"term: {_fmt_weight(ident.spec.weight)} ; - ;"
-        f" {corpus._render_seq(ident.spec.seq)} ; m={args.m} ;"
-        f" k0={ident.spec.k0}",
+        f"term: {_fmt_weight(ident.spec.weight)} ; - ; {args.seq} ;"
+        f" m={args.m} ; k0={ident.spec.k0}",
         f"rhs: {_fmt_rhs(ident.rhs)}",
         f'anchor: "found by integer-relation search at {args.digits} digits,'
         f' re-verified at {args.digits + args.digits // 2} digits"',

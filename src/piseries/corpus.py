@@ -1035,20 +1035,7 @@ def _check_series(entry: RegistryEntry, digits: int, p_max: int,
                   n_max: int) -> tuple:
     rep = sereval.verify_series_identity(entry.series, digits)
     return rep, rep.passed, \
-        f"gap<{_sci(rep.gap_upper)} terms={rep.terms_used}"
-
-
-def _sci(x: Fraction) -> str:
-    """``1e<e>`` for the least integer e with x < 10^e, x >= 0, found in
-    integers; "0" for 0.  With a and b the decimal lengths of the
-    numerator and the denominator, 10^(a-b-1) < x < 10^(a-b+1), so e is
-    a - b or a - b + 1."""
-    if x == 0:
-        return "0"
-    n, d = x.numerator, x.denominator
-    e = sereval._decimal_length(n) - sereval._decimal_length(d)
-    below = n < d * 10 ** e if e >= 0 else n * 10 ** -e < d
-    return f"1e{e if below else e + 1}"
+        f"gap<{sereval._sci(rep.gap_upper)} terms={rep.terms_used}"
 
 
 def _check_quadform(entry: RegistryEntry, digits: int, p_max: int,

@@ -26,8 +26,9 @@ store's rows, ranges and ``accumulate`` powers, multiplied in chained
 the floor of each term at 2^-s, below its true value by less than one
 unit in the last place, so ``terms`` units of 2^-s added to the radius
 cover every rounding.  A rigorous geometric tail bound derived from
-per-sequence growth inequalities (never from sampled ratios) covers the
-rest, so a reported enclosure is a proof-grade statement about the sum.
+per-sequence growth and decay inequalities (never from sampled ratios)
+covers the rest, so a reported enclosure is a proof-grade statement about
+the sum.
 Both sums read the terms from k0 and keep no exact term.  :func:`term_value`
 is the exact value of one term, from the same builder, and so are the
 partial sums of :mod:`~piseries.congruence` and :mod:`~piseries.exactid`.
@@ -50,23 +51,26 @@ itself, and then every column longer than 2p bits is; the Euler path and
 The number of terms N is chosen once per evaluation, and every tail bound
 is an upward-rounded dyadic m 2^-e with a mantissa of 80 bits
 (:func:`_dyadic_up`, :func:`_mul_up`, :func:`_pow_up`).  On the direct
-path the envelope |term(k)| <= P(k) theta^k and its crossover K0 (past
-which the envelope falls geometrically with ratio rho = (1+theta)/2) are
-computed once, the part that does not depend on the weight once for all
-the weights of :func:`eval_weighted`; N is estimated in floating-point
-logs from the closed form P(N+1) theta^(N+1) / (1-rho), which
-:class:`_Tail` bounds by such a dyadic.  N starts at K0 or past it, is
-checked against the target minus the rounding radius in one comparison of
-integers, and if the check fails N steps up until it passes, so no float
-ever decides a verdict.  One pass over the terms then gives the sum, and
-the moment sums of :func:`eval_weighted` share it.  A boundary-ratio
-series, theta = 1, takes the Euler transform (:class:`_EulerSum`) from the
-same pass: its weights are suffix sums of one binomial row, its
-weight-free moment certificate is built once per :func:`eval_weighted`
-call, and its N is the first candidate whose dyadic tail bound passes.
-Both paths read one table of term factors (:class:`_Factor`): a factor's
-growth bound enters the envelope, its moment box the certificate, and the
-certificate takes its polynomial cofactor from the envelope.
+path the envelope |term(k)| <= P(k) theta^k, where the factors' decays
+leave a net k^(-alpha) with alpha > 0 also the decayed envelope
+|term(k)| <= D(k) k^(-alpha) theta^k, and their crossover K0 (past which
+both fall geometrically with ratio rho = (1+theta)/2) are computed once,
+the part that does not depend on the weight once for all the weights of
+:func:`eval_weighted`; N is estimated in floating-point logs from the
+closed form, the smaller of P(N+1) and D(N+1) (N+1)^(-alpha) times
+theta^(N+1) / (1-rho), which :class:`_Tail` bounds by such a dyadic.  N
+starts at K0 or past it, is checked against the target minus the rounding
+radius in one comparison of integers, and if the check fails N steps up
+until it passes, so no float ever decides a verdict.  One pass over the
+terms then gives the sum, and the moment sums of :func:`eval_weighted`
+share it.  A boundary-ratio series, theta = 1, takes the Euler transform
+(:class:`_EulerSum`) from the same pass: its weights are suffix sums of
+one binomial row, its weight-free moment certificate is built once per
+:func:`eval_weighted` call, and its N is the smallest whose dyadic tail
+bound passes, bisected after jumps.  Both paths read one table of term
+factors (:class:`_Factor`): a factor's growth bound and decay enter the
+envelopes, its moment box the certificate, and the certificate takes its
+polynomial cofactor from the envelope.
 
 Closed forms are evaluated in fixed point as well.  :func:`eval_rhs` keeps
 each addend q sqrt(d) basis as an integer interval lo <= value * 2^s <= hi:
@@ -101,7 +105,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from math import ceil, comb, inf, isqrt, lcm, log, log1p, log2, log10
+from math import ceil, comb, exp, inf, isqrt, lcm, log, log1p, log2, log10
 from operator import add, floordiv, lshift, mul, rshift
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -567,14 +571,19 @@ def term_value(spec: TermSpec, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-# ---- term factors: growth bounds and moment boxes -------------------------
+# ---- term factors: growth bounds, decays and moment boxes -----------------
 #
 # Every factor f(k) of a term but the weight and m^-k (a sequence of
 # ``spec.seq``, or the reciprocal of a factor of ``spec.den``) is described
 # once, by a :class:`_Factor`: a growth bound
 #     |f(k)| <= poly(k) g^k / den                   for k >= 1,
-# which the direct path's envelope multiplies out (:func:`_base_envelope`),
-# and, for the factors that have one, a moment representation
+# which the direct path's envelope multiplies out (:func:`_base_envelope`);
+# for the factors that have one, a decay with the same g,
+#     |f(k)| <= C k^(-alpha) g^k,  alpha = a2/2,    for k >= 1,
+# with C = cn/cd and a2 held as integers per kind, proved below the tables,
+# which the decayed envelope multiplies out in place of poly / den (it
+# keeps the polynomial decay that the growth bound throws away); and, for
+# the factors that have one, a moment representation
 #     f(k) = poly(k) E[eta^k],   eta in ``box()``,  |eta| <= g,
 # where E integrates against a positive measure of mass at most 1 and eta
 # lies in a rectangle of the complex plane with rational corners:
@@ -644,6 +653,8 @@ def _cbox(re_lo, re_hi, im_sq) -> _CBox:
 
 
 def _poly_mul(a: Sequence, b: Sequence) -> list:
+    if len(b) == 1:
+        return [x * b[0] for x in a]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -654,13 +665,16 @@ def _poly_mul(a: Sequence, b: Sequence) -> list:
 class _Factor(NamedTuple):
     """A term factor's growth g, the function that builds its moment box
     (None when it has no moment representation; only the Euler path reads
-    a box, so none is built for the direct path) and its integer
-    polynomial poly / den, low -> high; den is 1 when there is a box."""
+    a box, so none is built for the direct path), its integer polynomial
+    poly / den, low -> high (den is 1 when there is a box), and its decay
+    (cn, cd, a2): |f(k)| <= (cn/cd) k^(-a2/2) g^k for k >= 1, or None
+    when only the growth bound is known."""
 
     g: Fraction
     box: Optional[Callable[[], _CBox]] = None
     poly: Tuple[int, ...] = (1,)
     den: int = 1
+    decay: Optional[Tuple[int, int, int]] = None
 
 
 def _wzag() -> _Factor:
@@ -676,30 +690,106 @@ def _wzag() -> _Factor:
                    c.denominator)
 
 
+# The decays, |f(k)| <= C k^(-alpha) g^k for k >= 1 with alpha = a2/2,
+# follow from Robbins' Stirling bounds (1955): n! = sqrt(2 pi n) (n/e)^n
+# e^(r_n) with 1/(12n+1) < r_n < 1/(12n).
+#   C(2k,k) = 4^k e^(r_2k - 2 r_k) / sqrt(pi k) < 4^k / sqrt(pi k), as
+#     r_2k - 2 r_k < 1/(24k) - 2/(12k+1) < 0, and 1/sqrt(pi) < 4/7;
+#     C(2k,k+1) = C(2k,k) k/(k+1) and the Catalan C(2k,k)/(k+1) < C(2k,k)/k
+#     follow.  The same way, C(3k,k) < sqrt(3/(4 pi k)) (27/4)^k,
+#     C(4k,2k) < 16^k / sqrt(2 pi k) and C(6k,3k) < 64^k / sqrt(3 pi k),
+#     below 1/2, 2/5 and 1/3 times k^(-1/2) times the growth.
+#   Franel: sum_j C(k,j)^3 <= C(k,[k/2]) sum_j C(k,j)^2 = C(k,[k/2]) C(2k,k),
+#     and C(k,[k/2]) <= 2^k sqrt(2/(pi k)) (by the C(2n,n) bound, through
+#     C(2n+1,n) = C(2n+2,n+1)/2 for odd k), so it is below
+#     (sqrt 2/pi) k^-1 8^k, sqrt 2/pi < 23/50; sum_j C(k,j)^4 <=
+#     C(k,[k/2])^2 C(2k,k) < 2 pi^(-3/2) k^(-3/2) 16^k, 2 pi^(-3/2) < 2/5.
+#   1/C(2k,k) < sqrt(pi k) e^(1/(6k) - 1/(24k+1)) / 4^k <= 2 sqrt(k) / 4^k
+#     (the factor is below 1.89 for k >= 2, and k = 1 is equality);
+#     1/C(3k,k) < sqrt(4 pi k/3) e^(1/(8k) - 1/(36k+1)) (4/27)^k, the factor
+#     below 2.26 < 7/3, and 1/C(4k,2k) < sqrt(2 pi k) e^(1/(12k) -
+#     1/(48k+1)) / 16^k, the factor below 2.67 < 11/4.
+#   1/(ak+b) <= 1/((a + min(b,0)) k) for k >= 1, as b >= -1.
+# The constants of T_k(b,c) and its kin are in :func:`_gct_decay`.
+
 #: sequence tag -> the factor of a kind without parameters
 _SEQ = {
-    "CB2": _Factor(Fraction(4), partial(_rbox, 0, 4)),
-    "CATALAN": _Factor(Fraction(4), partial(_rbox, 0, 4)),
-    "CB2SHIFT": _Factor(Fraction(4)), "CB3": _Factor(Fraction(27, 4)),
-    "CB4": _Factor(Fraction(16)), "CB63": _Factor(Fraction(64)),
-    "DOMB": _Factor(Fraction(16)), "FRANEL": _Factor(Fraction(8)),
-    "FRANEL4": _Factor(Fraction(16)), "GSEQ": _Factor(Fraction(9)),
-    "ZAGIER": _Factor(Fraction(8)), "BETA": _Factor(Fraction(16)),
-    "WZAG": _wzag(),
+    "CB2": _Factor(Fraction(4), partial(_rbox, 0, 4), decay=(4, 7, 1)),
+    "CATALAN": _Factor(Fraction(4), partial(_rbox, 0, 4), decay=(4, 7, 3)),
+    "CB2SHIFT": _Factor(Fraction(4), decay=(4, 7, 1)),
+    "CB3": _Factor(Fraction(27, 4), decay=(1, 2, 1)),
+    "CB4": _Factor(Fraction(16), decay=(2, 5, 1)),
+    "CB63": _Factor(Fraction(64), decay=(1, 3, 1)),
+    "DOMB": _Factor(Fraction(16)),
+    "FRANEL": _Factor(Fraction(8), decay=(23, 50, 2)),
+    "FRANEL4": _Factor(Fraction(16), decay=(2, 5, 3)),
+    "GSEQ": _Factor(Fraction(9)), "ZAGIER": _Factor(Fraction(8)),
+    "BETA": _Factor(Fraction(16)), "WZAG": _wzag(),
 }
 
-#: denominator factor tag -> the factor of its reciprocal: an affine factor
-#: (``_AFFINE``) is >= 1 in modulus wherever it is nonzero, and
+
+def _affine_factor(a: int, b: int) -> _Factor:
+    """The factor of 1/(ak+b): at most 1 in modulus wherever ak + b is a
+    nonzero integer, and 1/((a + min(b,0)) k) for k >= 1 where that
+    coefficient is at least 1."""
+    s = a + min(b, 0)
+    return _Factor(Fraction(1), partial(_rbox, 0, 1),
+                   decay=(1, s, 2) if s >= 1 else None)
+
+
+#: denominator factor tag -> the factor of its reciprocal; the polys
 #: 1/C(2k,k) <= (2k+1)/4^k, 1/C(3k,k) <= (3k+1)(4/27)^k and
-#: 1/C(4k,2k) <= (4k+1)/16^k
+#: 1/C(4k,2k) <= (4k+1)/16^k are the cofactors of their moment boxes
 _DEN = {
-    **dict.fromkeys(_AFFINE, _Factor(Fraction(1), partial(_rbox, 0, 1))),
-    "CB2": _Factor(Fraction(1, 4), partial(_rbox, 0, Fraction(1, 4)), (1, 2)),
+    **{tag: _affine_factor(a, b) for tag, (a, b) in _AFFINE.items()},
+    "CB2": _Factor(Fraction(1, 4), partial(_rbox, 0, Fraction(1, 4)), (1, 2),
+                   decay=(2, 1, -1)),
     "CB3": _Factor(Fraction(4, 27), partial(_rbox, 0, Fraction(4, 27)),
-                   (1, 3)),
+                   (1, 3), decay=(7, 3, -1)),
     "CB4": _Factor(Fraction(1, 16), partial(_rbox, 0, Fraction(1, 16)),
-                   (1, 4)),
+                   (1, 4), decay=(11, 4, -1)),
 }
+
+#: bits of the denominator 2^_ROOT_BITS of a rounded-up decay constant
+_ROOT_BITS = 16
+
+
+def _root_up(num: int, den: int, n: int) -> Tuple[int, int]:
+    """(r, 2^_ROOT_BITS) with (num/den)^(1/n) <= r / 2^_ROOT_BITS, for
+    num >= 0, den > 0 and n = 2 or 4: isqrt of isqrt is the floor of the
+    fourth root."""
+    y = -(-num << _ROOT_BITS * n) // den
+    for _ in range(n // 2):
+        y = isqrt(y)
+    return y + 1, 1 << _ROOT_BITS
+
+
+def _gct_decay(b: int, c: int, g: Fraction, stride: int
+               ) -> Optional[Tuple[int, int, int]]:
+    """The decay (cn, cd, 1) of T_{stride k}(b,c), stride 1 or 2, over its
+    growth g^stride (g >= |b| + 2 sqrt(c) for c > 0, g >= sqrt(b^2 - 4c)
+    for c < 0); None for c = 0, where T_k = b^k.
+
+    For c < 0, T_k = D^(k/2) P_k(x) with D = b^2 - 4c and x = b/sqrt(D),
+    and Bernstein's inequality |P_k(x)| < sqrt(2/(pi k)) (1-x^2)^(-1/4)
+    (Szego, Orthogonal polynomials, Thm 7.3.3) with 1 - x^2 = 4|c|/D gives
+    C = sqrt(2/pi) (D/(4|c|))^(1/4), so C^4 = D / (pi^2 |c|).
+    For c > 0, |T_k| <= (1/pi) int_0^pi (|b| + 2 sqrt(c) |cos t|)^k dt =
+    (2/pi) int_0^(pi/2) (g - 2 sqrt(c) (1 - cos t))^k dt, and with
+    1 - cos t >= 2 t^2/pi^2 there and (1-u)^k <= e^(-ku) it is at most
+    (2/pi) g^k int_0^oo exp(-4 sqrt(c) k t^2 / (pi^2 g)) dt, so
+    C^2 = pi g / (4 sqrt c).  T_{2k} has (2k)^(-1/2) = k^(-1/2)/sqrt(2), so
+    stride 2 divides C^4 by 4 and C^2 by 2.  Both are rounded up, with
+    333/106 < pi < 355/113 and sqrt(c) >= isqrt(c 4^t) / 2^t."""
+    if c < 0:
+        return (*_root_up((b * b - 4 * c) * 106 ** 2,
+                          333 ** 2 * -c * stride ** 2, 4), 1)
+    if c > 0:
+        t = _ROOT_BITS
+        return (*_root_up(355 * g.numerator << t,
+                          113 * g.denominator * 4 * isqrt(c << 2 * t)
+                          * stride, 2), 1)
+    return None
 
 
 @lru_cache(maxsize=1024)
@@ -712,16 +802,22 @@ def _kind_factor(kind: SequenceKind) -> _Factor:
         b, c = kind.params
         if c < 0:
             # |T_k(b,c)| = |D^(k/2) P_k(b/sqrt D)| <= sqrt(D)^k, D = b^2-4c
-            return _Factor(_sqrt_frac_up(Fraction(b * b - 4 * c)),
-                           partial(_cbox, b, b, -4 * c))
+            g = _sqrt_frac_up(Fraction(b * b - 4 * c))
+            return _Factor(g, partial(_cbox, b, b, -4 * c),
+                           decay=_gct_decay(b, c, g, 1))
         s = 2 * _sqrt_frac_up(Fraction(c))
-        return _Factor(abs(b) + s, lambda: _rbox(b - s, b + s))
+        g = abs(b) + s
+        return _Factor(g, lambda: _rbox(b - s, b + s),
+                       decay=_gct_decay(b, c, g, 1))
     if tag == "GCT2":
         g, box = _kind_factor(SequenceKind("GCT", kind.params))[:2]
-        return _Factor(g ** 2, lambda: _box_pow(box(), 2))
+        return _Factor(g ** 2, lambda: _box_pow(box(), 2),
+                       decay=_gct_decay(*kind.params, g, 2))
     if tag == "SBC":
-        # S_k(b,c) <= C(2k,k) g^k <= (4g)^k
-        return _Factor(4 * _kind_factor(SequenceKind("GCT", kind.params)).g)
+        # |S_k(b,c)| <= sum_j C(k,j)^2 g^j g^(k-j) = C(2k,k) g^k, with the
+        # decay of C(2k,k)
+        return _Factor(4 * _kind_factor(SequenceKind("GCT", kind.params)).g,
+                       decay=_SEQ["CB2"].decay)
     if tag == "GPOLY":
         (x,) = kind.params
         if x < 0:
@@ -739,22 +835,47 @@ def _factors(spec: TermSpec) -> Iterator[Tuple[_Factor, int]]:
                  ((_DEN[tag], e) for tag, e in spec.den))
 
 
-def _base_envelope(spec: TermSpec) -> Tuple[List[int], int, Fraction]:
-    """(q, den, theta) with |term(k)| <= |w|(k) q(k) theta^k / den for
-    k >= max(k0, 1), where |w| is the weight with nonnegative coefficients
-    and q has nonnegative integer coefficients, low -> high: the products
-    of the factors' polys, dens and growths, theta over |m|.  Nothing here
-    reads the weight, so :func:`eval_weighted` builds it once for all its
-    weights."""
+class _Envelope(NamedTuple):
+    """The two envelopes of a term for k >= max(k0, 1), both with the
+    weight's absolute value |w| (its coefficients made nonnegative):
+        |term(k)| <= |w|(k) q(k) theta^k / den,
+    from the factors' polys, dens and growths, and, when ``decay`` =
+    (dq, dden, a2) is not None, the decayed one
+        |term(k)| <= |w|(k) dq(k) k^(-a2/2) theta^k / dden,  a2 > 0,
+    where each factor with a decay gives its C k^(-alpha) in place of its
+    poly / den.  q and dq have nonnegative integer coefficients, low ->
+    high."""
+
+    q: List[int]
+    den: int
+    theta: Fraction
+    decay: Optional[Tuple[List[int], int, int]]
+
+
+def _base_envelope(spec: TermSpec) -> _Envelope:
+    """The :class:`_Envelope` of ``spec``: theta is the product of the
+    factors' growths over |m|; the decayed envelope is kept only where the
+    net a2, the sum of the factors' a2 times their exponents, is above 0.
+    Nothing here reads the weight, so :func:`eval_weighted` builds it once
+    for all its weights."""
     num, tden = spec.m.denominator, abs(spec.m.numerator)
     q, den = [1], 1
+    dq, dden, cn, a2 = [1], 1, 1, 0
     for f, e in _factors(spec):
         num, tden = num * f.g.numerator ** e, tden * f.g.denominator ** e
         den *= f.den ** e
+        if f.decay is not None:
+            cn, dden = cn * f.decay[0] ** e, dden * f.decay[1] ** e
+            a2 += f.decay[2] * e
+        else:
+            dden *= f.den ** e
         if f.poly != (1,):
             for _ in range(e):
                 q = _poly_mul(q, f.poly)
-    return q, den, Fraction(num, tden)
+                if f.decay is None:
+                    dq = _poly_mul(dq, f.poly)
+    decay = ([cn * c for c in dq], dden, a2) if a2 > 0 else None
+    return _Envelope(q, den, Fraction(num, tden), decay)
 
 
 def _envelope_poly(weight: Sequence[int], wden: int, q: Sequence[int],
@@ -814,37 +935,72 @@ def _pow_up(m: int, e: int, n: int) -> Tuple[int, int]:
     return out, oe
 
 
-class _Tail:
-    """The closed-form tail bound of an envelope P(k) theta^k, theta < 1,
-    past its crossover K0 (:func:`_crossover`), as an upward-rounded dyadic.
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    """p(x) for the integer coefficients of p, low -> high."""
+    p = 0
+    for c in reversed(coeffs):
+        p = p * x + c
+    return p
 
-    Past N >= K0 the tail is at most P(N+1) theta^(N+1) / (1 - rho) =
-    2 P(N+1) theta^(N+1) / (1 - theta).  :meth:`closed` bounds it by
-    m 2^-e with m of at most ``_TAIL_BITS`` bits: theta and
-    2 / ((1 - theta) den) are rounded up once, theta^(N+1) is taken by
-    binary powering rounded up after every product, and P(N+1) den is an
-    exact integer.  Every factor is positive and nothing is rounded down,
-    so m 2^-e is an upper bound, like every radius of this module.  Each
-    rounding adds less than 2^(1-_TAIL_BITS) relative; counted with the
-    powers they are raised to there are fewer than 3 (N+1) + 2 log2(N+1)
-    + 3, so below N = 10^8 the bound exceeds the exact closed form by a
-    factor below 1 + 2^-50, and no gcd runs on the thousands-of-bits parts
-    of the exact power (theta's denominator carries ``_SQRT_GUARD``).
+
+class _Tail:
+    """The closed-form tail bound of a weight's envelopes past their
+    crossover K0 (:func:`_crossover`), as an upward-rounded dyadic.
+
+    The envelope P(k) theta^k, theta < 1, is |w| q theta^k / den of
+    :class:`_Envelope`, with P the integer ``coeffs`` over ``den``; the
+    decayed one, where there is one, is D(k) k^(-a2/2) theta^k with D the
+    integer ``decay[0]`` over ``decay[1]`` and a2 = ``decay[2]`` > 0.  D
+    has no higher degree than P, and k^(-a2/2) only falls, so past K0 the
+    ratio of either envelope from one k to the next is at most
+    rho = (1+theta)/2, and the tail past N >= K0 is at most its term at
+    N+1 over 1 - rho: 2 P(N+1) theta^(N+1) / (1 - theta), or
+    2 D(N+1) (N+1)^(-a2/2) theta^(N+1) / (1 - theta).  :meth:`closed`
+    takes the smaller of the two at each N, so a decay constant above 1
+    never costs a term.
+
+    Each is bounded by m 2^-e with m of at most ``_TAIL_BITS`` bits:
+    theta and 2 / ((1 - theta) den) (or 2 / (1 - theta)) are rounded up
+    once, theta^(N+1) is taken by binary powering rounded up after every
+    product, P(N+1) den and D(N+1) decay[1] are exact integers, and
+    (N+1)^(-a2/2) is rounded up through ``isqrt``.  Every factor is
+    positive and nothing is rounded down, so m 2^-e is an upper bound,
+    like every radius of this module.  Each rounding adds less than
+    2^(1-_TAIL_BITS) relative; counted with the powers they are raised to
+    there are fewer than 3 (N+1) + 2 log2(N+1) + 5, so below N = 10^8 the
+    bound exceeds the exact closed form by a factor below 1 + 2^-50, and
+    no gcd runs on the thousands-of-bits parts of the exact power (theta's
+    denominator carries ``_SQRT_GUARD``).
     """
 
-    def __init__(self, coeffs: List[int], den: int, theta: Fraction, k0: int):
-        self.coeffs = coeffs
-        self.K0 = _crossover(coeffs, theta, max(k0, 1))
-        a, b = theta.as_integer_ratio()
+    def __init__(self, env: _Envelope, weight: Sequence[int], wden: int,
+                 k0: int):
+        self.theta = env.theta
+        self.coeffs, self.den = _envelope_poly(weight, wden, env.q, env.den)
+        self.decay = None
+        if env.decay is not None:
+            dq, dden, a2 = env.decay
+            self.decay = (*_envelope_poly(weight, wden, dq, dden), a2)
+        self.K0 = _crossover(self.coeffs, env.theta, max(k0, 1))
+        a, b = env.theta.as_integer_ratio()
         self._theta = _dyadic_up(a, b)
-        self._scale = _dyadic_up(2 * b, (b - a) * den)
+        self._scale = _dyadic_up(2 * b, (b - a) * self.den)
+        self._ratio = _dyadic_up(2 * b, b - a)
 
     def closed(self, N: int) -> Tuple[int, int]:
-        """(m, e) with P(N+1) theta^(N+1) / (1 - rho) <= m 2^-e, N >= K0."""
-        p = 0
-        for c in reversed(self.coeffs):
-            p = p * (N + 1) + c
-        m, e = _pow_up(*self._theta, N + 1)
+        """(m, e) with min(P(N+1), D(N+1) (N+1)^(-a2/2)) theta^(N+1) /
+        (1 - rho) <= m 2^-e, N >= K0."""
+        n = N + 1
+        p = _horner(self.coeffs, n)
+        m, e = _pow_up(*self._theta, n)
+        if self.decay is not None:
+            dcoeffs, dden, a2 = self.decay
+            # r <= n^(a2/2) 2^_TAIL_BITS, so D(n) n^(-a2/2) <= d / (dden r)
+            r = isqrt(n ** a2 << 2 * _TAIL_BITS)
+            d = _horner(dcoeffs, n) << _TAIL_BITS
+            if d * self.den < p * dden * r:
+                m, e = _mul_up(m, e, *_dyadic_up(d, dden * r))
+                return _mul_up(m, e, *self._ratio)
         return _mul_up(m, e, p * self._scale[0], self._scale[1])
 
 
@@ -852,20 +1008,22 @@ def tail_bound(spec: TermSpec, N: int) -> Ball:
     """A ball at 0 that holds sum_{k>N} term(k): its radius is a rigorous
     upper bound on the tail, a sum of upward-rounded dyadics.
 
-    Uses |term(k)| <= P(k) theta^k with P of nonnegative coefficients; past
-    the crossover index K0 the bound ratio P(k+1)/P(k)*theta stays below a
-    fixed rho < 1, giving a geometric tail whose closed form is rounded up
-    to a dyadic (:class:`_Tail`).  Before the crossover each exact |term|
-    N+1..K0 is rounded up to a dyadic by :func:`_dyadic_up`, and these are
-    added to the closed form at K0 at one exponent; so the bound exceeds
-    the exact one by a factor below 1 + 2^-50 there too.
-    :func:`eval_series` uses this very bound; it only picks N differently.
+    Uses the envelopes of :class:`_Envelope`: |term(k)| <= P(k) theta^k
+    with P of nonnegative coefficients and, where the factors' decays
+    leave a net k^(-alpha), alpha > 0, also |term(k)| <= D(k) k^(-alpha)
+    theta^k.  Past the crossover index K0 the ratio of either from one k
+    to the next stays below a fixed rho < 1, giving a geometric tail whose
+    closed form, the smaller of the two, is rounded up to a dyadic
+    (:class:`_Tail`).  Before the crossover each exact |term| N+1..K0 is
+    rounded up to a dyadic by :func:`_dyadic_up`, and these are added to
+    the closed form at K0 at one exponent; so the bound exceeds the exact
+    one by a factor below 1 + 2^-50 there too.  :func:`eval_series` uses
+    this very bound; it only picks N differently.
     """
-    q, den, theta = _base_envelope(spec)
-    if theta >= 1:
-        raise DivergentError(f"term envelope ratio {theta} >= 1")
-    tail = _Tail(*_envelope_poly(*_integer_weight(spec.weight), q, den),
-                 theta, spec.k0)
+    env = _base_envelope(spec)
+    if env.theta >= 1:
+        raise DivergentError(f"term envelope ratio {env.theta} >= 1")
+    tail = _Tail(env, *_integer_weight(spec.weight), spec.k0)
     if N >= tail.K0:
         return _radius([tail.closed(N)])
     return _radius([tail.closed(tail.K0),
@@ -893,44 +1051,56 @@ def _fits(m: int, e: int, rounded: int, T: int) -> bool:
     return lhs < rhs
 
 
-def _estimate_N(coeffs: Sequence[int], den: int, theta: Fraction, k0: int,
-                K0: int, digits: int) -> int:
-    """First guess at the smallest N >= K0 (K0 >= k0, the crossover)
-    whose closed-form tail P(N+1) theta^(N+1) / (1-rho) is below
-    10^-(digits+2) minus the rounding radius of N - k0 + 1 terms, in
-    floating-point logs only.  P is the integer ``coeffs`` (low -> high)
-    over ``den``; P(N+1) is evaluated in integers, so only its log is a
-    float, however long its parts.
+def _estimate_N(tail: _Tail, k0: int, digits: int) -> int:
+    """First guess at the smallest N >= K0 (K0 >= k0, the crossover of
+    ``tail``) whose closed-form tail, the smaller of P(N+1) and
+    D(N+1) (N+1)^(-alpha), alpha = a2/2, times theta^(N+1) / (1-rho), is
+    below 10^-(digits+2) minus the rounding radius of N - k0 + 1 terms, in
+    floating-point logs only.  P(N+1) and D(N+1) are evaluated in
+    integers, so only their logs are floats, however long their parts.
 
-    From K0 the guess moves up by the log gap over -log(theta).  Each
-    step lowers the gap by -log(theta) less the growth of log P, so by at
-    most -log(theta), and no move passes the smallest such N.  Only a
-    guess: rounding may move the answer by one, and the caller checks the
-    N it settles on in integers.
+    From K0 the guess moves up by s steps with f(s) <= gap, where
+    f(s) = s L + alpha log(1 + s/(N+1)), L = -log(theta), bounds the fall
+    of the log gap over s steps from N: log theta^(N+1) falls by s L,
+    log (N+1)^(-alpha) by the rest, and the growth of log P (or log D) and
+    of the rounding radius only slow the fall; so no move passes the
+    smallest such N.  f is concave, so Newton's iteration for f(s) = gap
+    from below stays below the root, and with alpha = 0 the first step is
+    the root gap / L.  Only a guess: rounding may move the answer by one,
+    and the caller checks the N it settles on in integers.
     """
-    log_den = log(den)
-    a, b = theta.as_integer_ratio()
-    log_theta = log(a) - log(b)
-    log_scale = log(2 * b) - log(b - a)
+    a, b = tail.theta.as_integer_ratio()
+    L = log(b) - log(a)
     T = 10 ** (digits + 2)
-    log_target = -(digits + 2) * log(10)
+    # log(2 / (1 - theta)) - log(10^-(digits+2))
+    base = log(2 * b) - log(b - a) + (digits + 2) * log(10)
+    coeffs, log_den, alpha = tail.coeffs, log(tail.den), 0.0
+    if tail.decay is not None:
+        dcoeffs, dden, a2 = tail.decay
+        log_dden, alpha = log(dden), a2 / 2
 
     def gap(N: int) -> float:
         """log(closed-form tail) - log(budget) at N; negative passes."""
-        p = 0
-        for c in reversed(coeffs):
-            p = p * (N + 1) + c
+        p = _horner(coeffs, N + 1)
         if p <= 0:
             return -inf
+        env = log(p) - log_den
+        if alpha:
+            env = min(env, log(_horner(dcoeffs, N + 1)) - log_dden
+                      - alpha * log(N + 1))
         rounded = N - k0 + 1
         # the rounding radius over the target, rounded T / 2^s <= 1/32
         ratio = rounded * T / (1 << _scale_bits(rounded, T))
-        return (log(p) - log_den + (N + 1) * log_theta + log_scale
-                - log_target - log1p(-ratio))
+        return env - (N + 1) * L + base - log1p(-ratio)
 
-    N, g = K0, gap(K0)
+    N, g = tail.K0, gap(tail.K0)
     while g >= 0:
-        N += max(1, ceil(g / -log_theta))
+        step = g / (L + alpha / (N + 1))
+        if alpha:
+            for _ in range(2):
+                step -= (step * L + alpha * log1p(step / (N + 1)) - g) \
+                    / (L + alpha / (N + 1 + step))
+        N += max(1, ceil(step))
         g = gap(N)
     return N
 
@@ -961,16 +1131,13 @@ class _DirectSum:
     Every floor, and so the ball, is the one the exact columns give.
     """
 
-    def __init__(self, spec: TermSpec, q: List[int], qden: int,
-                 theta: Fraction, digits: int):
-        self.spec, self.k0, self.theta = spec, spec.k0, theta
+    def __init__(self, spec: TermSpec, env: _Envelope, digits: int):
+        self.spec, self.k0, self.theta = spec, spec.k0, env.theta
         self.T = 10 ** (digits + 2)
         self.weight, self.wden = _integer_weight(spec.weight)
-        coeffs, den = _envelope_poly(self.weight, self.wden, q, qden)
-        self.env = _Tail(coeffs, den, theta, spec.k0)
+        self.env = _Tail(env, self.weight, self.wden, spec.k0)
         # the closed form bounds the tail only from K0 on
-        N = max(_estimate_N(coeffs, den, theta, spec.k0, self.env.K0, digits),
-                self.env.K0)
+        N = max(_estimate_N(self.env, spec.k0, digits), self.env.K0)
         while (bound := self._closed_bound(N)) is None:
             N += 1
         # N is also the reach, the last term this sum reads from the stream
@@ -1055,15 +1222,15 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
         return []
     specs = [spec if tuple(w) == spec.weight
              else replace(spec, weight=tuple(w)) for w in weights]
-    q, qden, theta = _base_envelope(spec)
-    if theta >= 1:
-        cert = _certificate(spec, q) if theta == 1 else None
+    env = _base_envelope(spec)
+    if env.theta >= 1:
+        cert = _certificate(spec, env.q) if env.theta == 1 else None
         if cert is None:
             raise DivergentError(
                 "no moment certificate available; cannot evaluate this series")
-        sums = [_EulerSum(s, cert, theta, digits) for s in specs]
+        sums = [_EulerSum(s, cert, env.theta, digits) for s in specs]
     else:
-        sums = [_DirectSum(s, q, qden, theta, digits) for s in specs]
+        sums = [_DirectSum(s, env, digits) for s in specs]
     base = spec if spec.weight == (1,) else replace(spec, weight=(1,))
     bits = [d.bits for d in sums]
     for block in _term_columns(base, spec.k0, max(d.reach for d in sums),
@@ -1087,12 +1254,17 @@ def eval_series(spec: TermSpec, digits: int = 40,
     one unit 2^-s per rounded term.
 
     On the direct path N is the float estimate of the smallest N >= K0
-    with P(N+1) theta^(N+1) / (1-rho) below the budget, stepped up until
-    the check bound < target - err passes in integers; no float decides.
-    From K0 on the tail bound is that closed form rounded up to a dyadic
-    (:class:`_Tail`), an upper bound above the exact one by a factor below
-    1 + 2^-50.  The ball is the rounded sum plus ``tail_bound(spec, N)``.
-    This is the one-weight case of :func:`eval_weighted`.
+    whose closed form is below the budget, stepped up until the check
+    bound < target - err passes in integers; no float decides.  The closed
+    form is the smaller of the envelope's P(N+1) theta^(N+1) / (1-rho) and,
+    where the factors' decays leave a net k^(-alpha) with alpha > 0, the
+    decayed envelope's D(N+1) (N+1)^(-alpha) theta^(N+1) / (1-rho), taken
+    at each N.  From K0 on the tail bound is that closed form rounded up to
+    a dyadic (:class:`_Tail`), an upper bound above the exact one by a
+    factor below 1 + 2^-50.  The ball is the rounded sum plus
+    ``tail_bound(spec, N)``.  On the Euler path N is the smallest whose
+    tail bound fits (:func:`_euler_N`).  This is the one-weight case of
+    :func:`eval_weighted`.
 
     When ``stats`` is given it receives ``terms`` (the number of terms
     summed), ``path`` (``direct`` or ``euler``), ``theta`` (the envelope
@@ -1242,16 +1414,66 @@ def _euler_tail(cert: _Cert, wfall: Sequence[int], scale: Tuple[int, int],
 
 def _euler_N(cert: _Cert, wfall: Sequence[int], scale: Tuple[int, int],
              digits: int, floors: int) -> Tuple[int, Tuple[int, int]]:
-    """(N, tail): the first N of 16 + 8 len(wfall), then
-    N += max(16, N // 4), whose :func:`_euler_tail` leaves room for the
-    rounding radius of N + 1 + ``floors`` floors (:func:`_fits`)."""
+    """(N, tail): the smallest N whose :func:`_euler_tail` leaves room for
+    the rounding radius of N + 1 + ``floors`` floors (:func:`_fits`).
+
+    The bound's log, less the budget's, is taken in floats, and the secant
+    method from 16 + 8 len(wfall) and 16 more finds the N where it turns
+    negative; it is nearly linear in N, with slope about log(q).  That is
+    only a guess: the exact fit then moves N up while it fails and down
+    while N - 1 fits, so the integers decide.  The fit only turns from
+    fail to pass as N grows: the tail falls geometrically once it is
+    defined, and the budget, 10^-(digits + 2) less a rounding radius of at
+    most 1/32 of it, hardly moves; the search relies on that, and the tests
+    check it.
+    """
     T = 10 ** (digits + 2)
-    N = 16 + 8 * len(wfall)
-    while True:
+    mq, eq = cert.q_up
+    q = mq / (1 << eq)
+    log_q, top = log(mq) - eq * log(2), len(wfall) - 1
+    # log(w_s 2^-s) of each nonzero addend, and of mass / 2 over the target
+    parts = [(s, log(w) - s * log(2)) for s, w in enumerate(wfall) if w]
+    base = log(scale[0]) - scale[1] * log(2) + (digits + 2) * log(10)
+
+    def gap(N: int) -> float:
+        """log(tail bound) - log(budget) at N, in floats; inf where the
+        bound is undefined."""
+        if N + 1 < top or N + 2 - top <= q * (N + 2):
+            return inf
+        if not parts:
+            return -inf
+        logs = [lw + sum(map(log, range(N + 2 - s, N + 2)))
+                + (N + 1 - s) * log_q + log(N + 2 - s)
+                - log(N + 2 - s - q * (N + 2)) for s, lw in parts]
+        big = max(logs)
+        rounded = N + 1 + floors
+        ratio = rounded * T / (1 << _scale_bits(rounded, T))
+        return (big + log(sum(exp(x - big) for x in logs)) + base
+                - log1p(-ratio))
+
+    def fit(N: int) -> Optional[Tuple[int, int]]:
         tail = _euler_tail(cert, wfall, scale, N)
-        if tail is not None and _fits(*tail, N + 1 + floors, T):
-            return N, tail
-        N += max(16, N // 4)
+        return tail if tail is not None and _fits(*tail, N + 1 + floors, T) \
+            else None
+
+    a = 16 + 8 * len(wfall)
+    while (fa := gap(a)) == inf:
+        a += max(16, a // 4)
+    # the bound is defined from a on, as (1 - q)(N + 2) grows with N
+    start, b, fb = a, a + 16, gap(a + 16)
+    for _ in range(8):
+        if fb == fa or -inf in (fa, fb):
+            break
+        c = max(start, ceil(b - fb * (b - a) / (fb - fa)))
+        if c == b:
+            break
+        a, fa, b, fb = b, fb, c, gap(c)
+    N = b
+    while (tail := fit(N)) is None:
+        N += 1
+    while N > 0 and (below := fit(N - 1)) is not None:
+        N, tail = N - 1, below
+    return N, tail
 
 
 def _euler_weights(N: int) -> List[int]:
@@ -1407,11 +1629,31 @@ def eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
     return Ball(lo + hi, hi - lo, s + 1)
 
 
+def _sci(x: Fraction) -> str:
+    """``1e<e>`` for the least integer e with x < 10^e, x >= 0, found in
+    integers; "0" for 0.  With a and b the decimal lengths of the
+    numerator and the denominator, 10^(a-b-1) < x < 10^(a-b+1), so e is
+    a - b or a - b + 1."""
+    if x == 0:
+        return "0"
+    n, d = x.numerator, x.denominator
+    e = _decimal_length(n) - _decimal_length(d)
+    below = n < d * 10 ** e if e >= 0 else n * 10 ** -e < d
+    return f"1e{e if below else e + 1}"
+
+
 @dataclass
 class SeriesReport:
     passed: bool
     gap_upper: Fraction
     terms_used: int       # terms summed for the series enclosure
+
+    def __repr__(self) -> str:
+        # the gap as its bound 1eN: the repr of a Fraction with more than
+        # 4300 digits raises
+        return (f"SeriesReport(passed={self.passed!r},"
+                f" gap_upper<{_sci(self.gap_upper)},"
+                f" terms_used={self.terms_used!r})")
 
 
 def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesReport:

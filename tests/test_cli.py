@@ -12,6 +12,7 @@ import pytest
 
 from piseries import corpus
 from piseries import sereval
+from piseries import seqkit as sk
 from piseries.cli import _fmt_weight, main
 
 
@@ -109,10 +110,10 @@ class TestVerifySeries:
     """``verify series`` prints the SERIES rows of ``run``."""
 
     @pytest.mark.parametrize("ident, digits, row", [
-        ("1.79", 12, "PASS <t>  gap<1e-14 terms=73"),
+        ("1.79", 12, "PASS <t>  gap<1e-14 terms=72"),
         # conjectural failures: a FAIL row with its gap, and exit 0
-        ("1.72-alt", 20, "FAIL <t>  gap<1e20 terms=4"),
-        ("1.24-verbatim", 20, "FAIL <t>  gap<1e-3 terms=9"),
+        ("1.72-alt", 20, "FAIL <t>  gap<1e20 terms=3"),
+        ("1.24-verbatim", 20, "FAIL <t>  gap<1e-3 terms=8"),
         ("7.1", 20, "FAIL <t>  error: DivergentError('no moment certificate"
                     " available; cannot evaluate this series')"),
     ])
@@ -147,7 +148,7 @@ class TestVerifySeries:
     # a proven series that fails, or whose evaluation raises, sets exit 1
     @pytest.mark.parametrize("term, rhs, detail", [
         ("4*k+1 ; - ; CB2^3 ; m=-64 ; k0=0", "3*INV_PI",
-         "gap<1e0 terms=65"),
+         "gap<1e0 terms=55"),
         ("1 ; - ; D ; m=16 ; k0=0", "1",
          "error: DivergentError('no moment certificate available; cannot"
          " evaluate this series')"),
@@ -506,6 +507,17 @@ class TestDiscover:
         assert (code, err) == (0, "")
         assert out == "NOT FOUND: no search ran: every moment sum equals" \
             " its first term at the search precision\n"
+
+    def test_huge_parameter_is_written_as_given(self, capsys):
+        # b = 2^15000 has 4516 digits, which str() refuses: the sequence is
+        # written as it was given, like m, and the block reads back
+        code, out, err = _run(capsys, ["discover", "--seq", "T(2^15000,1)",
+                                       "--m", "2^15002", "--digits", "20"])
+        assert (code, err) == (0, "")
+        assert " ; - ; T(2^15000,1) ; m=2^15002 ; k0=0\n" in out
+        (entry,) = corpus.parse_registry(out)
+        assert entry.series.spec.seq == ((sk.GCT(2 ** 15000, 1), 1),)
+        assert entry.series.spec.m == 2 ** 15002
 
     @pytest.mark.parametrize("argv, reason", [
         # Franel sums alone are not a rational multiple of 1/pi

@@ -8,8 +8,8 @@ import sys
 import textwrap
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm
+from functools import lru_cache, partial
+from math import comb, lcm, log2
 from pathlib import Path
 
 import mpmath
@@ -38,16 +38,30 @@ def fixed_point(rounded: int, digits: int):
 def spec_envelope(spec: TermSpec):
     """(P, theta) with |term(k)| <= P(k) theta^k for k >= max(k0, 1), P a
     list of nonnegative Fractions, low -> high, from sereval's envelope."""
-    q, den, theta = se._base_envelope(spec)
-    coeffs, den = se._envelope_poly(*se._integer_weight(spec.weight), q, den)
-    return [Fraction(c, den) for c in coeffs], theta
+    env = se._base_envelope(spec)
+    coeffs, den = se._envelope_poly(*se._integer_weight(spec.weight), env.q,
+                                    env.den)
+    return [Fraction(c, den) for c in coeffs], env.theta
+
+
+def spec_decay(spec: TermSpec):
+    """(D, a2) with |term(k)| <= D(k) k^(-a2/2) theta^k for k >= max(k0, 1),
+    D a list of nonnegative Fractions, low -> high, from sereval's decayed
+    envelope; None where the spec has none."""
+    env = se._base_envelope(spec)
+    if env.decay is None:
+        return None
+    dq, dden, a2 = env.decay
+    coeffs, den = se._envelope_poly(*se._integer_weight(spec.weight), dq,
+                                    dden)
+    return [Fraction(c, den) for c in coeffs], a2
 
 
 def certificate(spec: TermSpec):
     """sereval's Euler certificate of ``spec``, built from its envelope as
     eval_weighted builds it: only at theta = 1."""
-    q, _, theta = se._base_envelope(spec)
-    return se._certificate(spec, q) if theta == 1 else None
+    env = se._base_envelope(spec)
+    return se._certificate(spec, env.q) if env.theta == 1 else None
 
 
 def term_oracle(spec: TermSpec, hi: int) -> list:
@@ -639,6 +653,15 @@ class TestWorkingDigits:
         rep = se.verify_series_identity(series, 20)
         assert rep.passed and seen == [15, 20 + 5001 + 5]
 
+    def test_report_repr_past_the_int_string_limit(self):
+        # the gap of a 4600-digit closed form that fails: its repr writes
+        # the gap as its bound 1eN and converts no whole integer
+        rep = se.SeriesReport(False, Fraction(10 ** 4600 + 1, 3), 5)
+        assert repr(rep) == \
+            "SeriesReport(passed=False, gap_upper<1e4600, terms_used=5)"
+        assert repr(se.SeriesReport(True, Fraction(0), 7)) == \
+            "SeriesReport(passed=True, gap_upper<0, terms_used=7)"
+
     def test_gap_bound_is_exact_gap_rounded_up(self):
         series = _registry_series()["1.71"]
         rep = se.verify_series_identity(series, 30)
@@ -857,10 +880,12 @@ def poly_at(p, k: int) -> Fraction:
     return sum(c * k ** i for i, c in enumerate(p))
 
 
-def old_tail_bound(spec: TermSpec, N: int) -> Fraction:
+def old_tail_bound(spec: TermSpec, N: int):
     """tail_bound as it was before the crossover and the closed form were
     split out: the crossover found from max(N, k0, 1) on in Fractions, and
-    the exact terms summed through term_value."""
+    the exact terms summed through term_value; the closed form is
+    :func:`exact_closed_tail`'s, so the bound is r + sqrt(sq) for the
+    returned (r, sq)."""
     poly, theta = spec_envelope(spec)
     deg = len(poly) - 1
     rho = (1 + theta) / 2
@@ -869,35 +894,52 @@ def old_tail_bound(spec: TermSpec, N: int) -> Fraction:
         K += 1
     total = sum((abs(se.term_value(spec, k)) for k in range(N + 1, K + 1)),
                 Fraction(0))
-    first = poly_at(poly, K + 1) * theta ** (K + 1)
-    return total + first / (1 - rho)
+    r, sq = exact_closed_tail(spec, K)
+    return total + r, sq
 
 
-def exact_closed_tail(poly, theta: Fraction, K: int) -> Fraction:
-    """P(K+1) theta^(K+1) / (1 - rho) in exact rationals: the closed-form
-    tail that se._Tail rounds up to a dyadic, as sereval computed it
-    before, kept as its oracle."""
-    return 2 * poly_at(poly, K + 1) * theta ** (K + 1) / (1 - theta)
+def exact_closed_tail(spec: TermSpec, K: int):
+    """The closed-form tail that se._Tail rounds up to a dyadic, in exact
+    rationals, as (r, sq) for the value r + sqrt(sq): the smaller of
+    P(K+1) theta^(K+1) / (1 - rho), as sereval computed it before, kept
+    as its oracle, and D(K+1) (K+1)^(-a2/2) theta^(K+1) / (1 - rho), whose
+    square is rational where its root is not."""
+    poly, theta = spec_envelope(spec)
+    n = K + 1
+    old = 2 * poly_at(poly, n) * theta ** n / (1 - theta)
+    decay = spec_decay(spec)
+    if decay is not None:
+        dpoly, a2 = decay
+        dec = 2 * poly_at(dpoly, n) * theta ** n / (1 - theta)
+        if dec * dec < old * old * n ** a2:
+            return Fraction(0), dec * dec / n ** a2
+    return old, Fraction(0)
 
 
 def exact_closed_bound(spec: TermSpec, digits: int, N: int):
-    """The exact closed-form bound at N >= K0 if it is below the target
-    less the rounding radius of N - k0 + 1 terms, else None: the check of
-    _DirectSum._closed_bound before the tail was rounded to a dyadic."""
-    poly, theta = spec_envelope(spec)
+    """The exact closed-form bound (r, sq) of :func:`exact_closed_tail` at
+    N >= K0 if r + sqrt(sq) is below the target less the rounding radius
+    of N - k0 + 1 terms, else None: the check of _DirectSum._closed_bound
+    before the tail was rounded to a dyadic."""
     _, err = fixed_point(N - spec.k0 + 1, digits)
-    bound = exact_closed_tail(poly, theta, N)
-    return bound if bound < Fraction(1, 10 ** (digits + 2)) - err else None
+    r, sq = exact_closed_tail(spec, N)
+    room = Fraction(1, 10 ** (digits + 2)) - err - r
+    return (r, sq) if room > 0 and sq < room * room else None
 
 
 #: how far above the exact tail the dyadic tail bound may lie, relative
 TAIL_SLACK = Fraction(1, 2 ** 50)
 
 
-def assert_rounded_up(got: Fraction, exact: Fraction) -> None:
-    """exact <= got <= exact (1 + TAIL_SLACK): the dyadic tail is an upper
-    bound, and a tight one."""
-    assert exact <= got <= exact * (1 + TAIL_SLACK)
+def assert_rounded_up(got: Fraction, exact: Fraction,
+                      sq: Fraction = Fraction(0)) -> None:
+    """x <= got <= x (1 + TAIL_SLACK) for x = exact + sqrt(sq): the dyadic
+    tail is an upper bound, and a tight one; compared in rationals by
+    squaring."""
+    low = got - exact
+    assert low >= 0 and low * low >= sq
+    high = got / (1 + TAIL_SLACK) - exact
+    assert high <= 0 or high * high <= sq
 
 
 WZAG16 = TermSpec(weight=(1, 5), den=(), seq=((sk.WZAG, 1),),
@@ -952,7 +994,7 @@ class TestOneShotN:
         K0 = se._crossover(poly, theta, max(spec.k0, 1))
         for N in [*range(spec.k0, K0 + 3), 2 * K0 + 5, 60]:
             assert_rounded_up(fb(se.tail_bound(spec, N)).rad,
-                              old_tail_bound(spec, N))
+                              *old_tail_bound(spec, N))
 
     # a fast series (crossover 1), aux-5 (k0 = 1, denominators) and a WZAG
     # series (degree-10 envelope, crossover 13)
@@ -968,8 +1010,8 @@ class TestOneShotN:
         N = _checked_N(spec, digits, ball, stats["terms"])
         real = se._estimate_N
 
-        def under(coeffs, den, theta, k0, K0, d):
-            est = real(coeffs, den, theta, k0, K0, d)
+        def under(tail, k0, d):
+            est = real(tail, k0, d)
             assert est == N
             return k0 if guess == "k0" else (k0 + est) // 2
 
@@ -1026,9 +1068,8 @@ class TestOneShotN:
         stats: dict = {}
         se.eval_series(CHUDNOVSKY, 60, stats)
         assert calls == [stats["terms"] - 1]
-        poly, theta = spec_envelope(CHUDNOVSKY)
         assert_rounded_up(fb(stats["tail"]).rad,
-                          exact_closed_tail(poly, theta, calls[0]))
+                          *exact_closed_tail(CHUDNOVSKY, calls[0]))
 
 
 class TestStats:
@@ -1062,14 +1103,13 @@ class TestPrintedResults:
     pinned: a tail bound that is rounded up must not move them."""
 
     @pytest.mark.parametrize("ident, digits, terms, gap", [
-        ("5.13", 12, 311, "1e-14"),    # theta with the 10^8-guard parts
-        ("II3p", 15, 706, "1e-17"),
-        ("aux-5", 40, 84, "1e-42"),
+        ("5.13", 12, 308, "1e-13"),    # theta with the 10^8-guard parts
+        ("II3p", 15, 596, "1e-16"),
+        ("aux-5", 40, 70, "1e-42"),
     ])
     def test_pinned(self, ident, digits, terms, gap):
-        from piseries import corpus
         rep = se.verify_series_identity(_registry_series()[ident], digits)
-        assert (rep.terms_used, corpus._sci(rep.gap_upper)) == (terms, gap)
+        assert (rep.terms_used, se._sci(rep.gap_upper)) == (terms, gap)
 
 
 class TestWeighted:
@@ -1325,17 +1365,20 @@ def fraction_euler_tail(cert, wfall, N: int, q=None, half_mass=None):
     return half_mass * total
 
 
-def exact_euler_N(cert, wfall, digits: int, floors: int):
-    """The N loop of the Euler path with the exact tail bound at every
-    candidate, as it was before the tail was rounded to a dyadic."""
+def exact_euler_N(cert, wfall, digits: int, floors: int, start: int = 0):
+    """The smallest N >= ``start`` whose exact tail bound leaves room for
+    the rounding radius, found by trying every N from ``start`` on: the
+    Euler path's N as it would be before the tail was rounded to a dyadic.
+    A ``start`` at the answer for fewer digits gives the same N, as more
+    digits only lower the budget."""
     target = Fraction(1, 10 ** (digits + 2))
-    N = 16 + 8 * len(wfall)
+    N = start
     while True:
         s, err = fixed_point(N + 1 + floors, digits)
         tail = fraction_euler_tail(cert, wfall, N)
         if tail is not None and tail < target - err:
             return N, s, err, tail
-        N += max(16, N // 4)
+        N += 1
 
 
 def euler_oracle(spec: TermSpec, digits: int):
@@ -1500,25 +1543,44 @@ class TestColumnOracles:
         cert, wfall, scale, _ = euler_parts(spec)
         floors = 1 if cert.k_start > spec.k0 else 0
         exact_wfall = fraction_wfall(cert, spec.weight)
+        want = 0
         for digits in (*range(1, 81), 100, 150):
             N, tail = se._euler_N(cert, wfall, scale, digits, floors)
             want, _, _, exact = exact_euler_N(cert, exact_wfall, digits,
-                                              floors)
+                                              floors, want)
             assert N == want, digits
             assert_rounded_up(dy(*tail), exact)
+
+    @pytest.mark.parametrize("spec", EULER_SPECS)
+    def test_euler_fit_turns_once(self, spec):
+        """_euler_N settles N where the fit turns, which is the smallest
+        N only if the fit turns once: the dyadic tail fails to fit below
+        its N and fits from it up to 2 N + 16, at every digits from 12 to
+        40."""
+        cert, wfall, scale, _ = euler_parts(spec)
+        floors = 1 if cert.k_start > spec.k0 else 0
+        for digits in range(12, 41):
+            N, _ = se._euler_N(cert, wfall, scale, digits, floors)
+            T = 10 ** (digits + 2)
+            fits = []
+            for n in range(2 * N + 17):
+                tail = se._euler_tail(cert, wfall, scale, n)
+                fits.append(tail is not None
+                            and se._fits(*tail, n + 1 + floors, T))
+            assert fits == [False] * N + [True] * (N + 17), digits
 
     @pytest.mark.parametrize("spec", [CHUDNOVSKY, AUX5, WZAG16],
                              ids=["chudnovsky", "aux-5", "wzag"])
     def test_closed_bound_in_integers(self, spec):
-        q, qden, theta = se._base_envelope(spec)
+        env = se._base_envelope(spec)
         for digits in (12, 40):
-            d = se._DirectSum(spec, q, qden, theta, digits)
+            d = se._DirectSum(spec, env, digits)
             for N in range(d.env.K0, d.N + 40):
                 want = exact_closed_bound(spec, digits, N)
                 got = d._closed_bound(N)
                 assert (got is None) == (want is None)
                 if want is not None:
-                    assert_rounded_up(dy(*got), want)
+                    assert_rounded_up(dy(*got), *want)
 
     def test_dyadic_rounding_is_upward_and_tight(self):
         # values from 2^-300 to 2^160, so that the exponents e of m 2^-e
@@ -1550,17 +1612,19 @@ class TestColumnOracles:
         K0 = se._crossover(poly, theta, max(spec.k0, 1))
         # below[N] = the exact bound at N < K0: the closed form at K0 plus
         # |term(k)| for N < k <= K0
-        below = {K0: exact_closed_tail(poly, theta, K0)}
+        closed = exact_closed_tail(spec, K0)
+        below = {K0: closed[0]}
         for k, (num, den) in reversed(list(enumerate(
                 column_pairs(spec, spec.k0 + 1, K0), spec.k0 + 1))):
             below[k - 1] = below[k] + Fraction(abs(num), den)
         lower = range(spec.k0, K0) if K0 - spec.k0 <= 64 \
             else (spec.k0, K0 // 2, K0 - 1)
         for N in [*lower, *range(K0, K0 + 4), 2 * K0 + 5, 60]:
-            exact = below[N] if N < K0 else exact_closed_tail(poly, theta, N)
+            exact = (below[N], closed[1]) if N < K0 \
+                else exact_closed_tail(spec, N)
             bound = se.tail_bound(spec, N)
             assert bound.mid == 0
-            assert_rounded_up(fb(bound).rad, exact)
+            assert_rounded_up(fb(bound).rad, *exact)
 
 
 def test_soundness_checks_survive_python_O():
@@ -1621,7 +1685,7 @@ class TestFactorTable:
 
     @pytest.mark.parametrize("spec", _registry_specs())
     def test_envelope_equals_old(self, spec):
-        assert se._base_envelope(spec) == oe.base_envelope(spec)
+        assert se._base_envelope(spec)[:3] == oe.base_envelope(spec)
         for kind, _ in spec.seq:
             if kind.tag != "WZAG":     # its old g was never read
                 assert se._kind_factor(kind).g == oe.kind_growth(kind)
@@ -1666,7 +1730,7 @@ class TestFactorTable:
         envelope polynomial (over 1) and its R at most theta."""
         old = oe.certificate(spec)
         if old is not None:
-            q, den, theta = se._base_envelope(spec)
+            q, den, theta = se._base_envelope(spec)[:3]
             assert (old["extra"], den) == (q, 1) and old["R"] <= theta
 
 
@@ -1721,9 +1785,50 @@ def _boxed_factors():
     return out
 
 
+#: the moments f(k)/poly(k) of each boxed factor checked against its box
+BOX_K = 40
+
+
+def _moments(name: str, params, factor) -> list:
+    """(k, f(k)/poly(k)) for 0 <= k <= BOX_K, f the factor of ``name``:
+    E[eta^k] times the measure's mass.  An affine factor's power measure
+    stands for it only where a k + b >= 1, so its k start there."""
+    if name.startswith("1/"):
+        tag = name[2:]
+        if tag in se._AFFINE:
+            a, b = se._AFFINE[tag]
+            values = [(k, Fraction(1, a * k + b)) for k in range(BOX_K + 1)
+                      if a * k + b >= 1]
+        else:
+            rows = sk.rows(sk.SequenceKind(tag), BOX_K)
+            values = [(k, Fraction(1, rows[k])) for k in range(BOX_K + 1)]
+    else:
+        rows = sk.rows(sk.SequenceKind(name, params), BOX_K)
+        values = [(k, Fraction(rows[k])) for k in range(BOX_K + 1)]
+    return [(k, v / poly_at(factor.poly, k)) for k, v in values]
+
+
 class TestMomentBoxes:
     """Every moment box sits inside its factor's growth bound, which makes
-    the theta of the envelope a sound radius R for the Euler certificate."""
+    the theta of the envelope a sound radius R for the Euler certificate,
+    and holds its factor's values."""
+
+    @pytest.mark.parametrize("name,params,factor", _boxed_factors())
+    def test_values_lie_in_the_box(self, name, params, factor):
+        """f(k)/poly(k) = mass E[eta^k], mass <= 1, so it lies in
+        [lo^k, hi^k] for a real box with lo >= 0, and within max|eta|^k
+        otherwise, max|eta| the modulus of the box's farthest corner."""
+        box = factor.box()
+        moments = _moments(name, params, factor)
+        assert len(moments) >= BOX_K - 1
+        if box.im_lo == box.im_hi == 0 and box.re_lo >= 0:
+            for k, mu in moments:
+                assert box.re_lo ** k <= mu <= box.re_hi ** k, k
+        else:
+            r2 = max(box.re_lo ** 2, box.re_hi ** 2) \
+                + max(box.im_lo ** 2, box.im_hi ** 2)
+            for k, mu in moments:
+                assert mu * mu <= r2 ** k, k
 
     @pytest.mark.parametrize("name,params,factor", _boxed_factors())
     def test_box_within_growth(self, name, params, factor):
@@ -1794,3 +1899,128 @@ class TestGrowthConstants:
         for name in ("PI", "CATALAN_G", "LOG3"):
             se.constant(name, 30)
         assert calls == []
+
+
+#: the rows each factor's decay is checked against, k = 1..DECAY_K
+DECAY_K = 2000
+#: the float margin, in bits, inside which a bound is decided in integers
+_LOG_SLACK = 1e-6
+
+
+def _lg(n: int) -> float:
+    """log2 of the integer n > 0, from its leading 64 bits."""
+    s = max(n.bit_length() - 64, 0)
+    return s + log2(n >> s)
+
+
+def bound_holds(x: int, y: int, cn: int, cd: int, a2: int, gn: int, gd: int,
+                k: int) -> bool:
+    """Whether x / y <= (cn/cd) k^(-a2/2) (gn/gd)^k for x >= 0, y > 0 and
+    k >= 1: in float logs where they decide by more than _LOG_SLACK bits,
+    else in integers, squared when a2 is odd."""
+    if x == 0:
+        return True
+    margin = (_lg(cn) + _lg(y) + k * (_lg(gn) - _lg(gd))
+              - _lg(x) - _lg(cd) - a2 / 2 * log2(k))
+    if abs(margin) > _LOG_SLACK:
+        return margin > 0
+    lhs, rhs = x * cd * gd ** k, cn * gn ** k * y
+    lk, rk = (k ** a2, 1) if a2 >= 0 else (1, k ** -a2)
+    return lhs * lhs * lk <= rhs * rhs * rk
+
+
+#: sequence kinds with a decay that no registry SERIES reads
+_EXTRA_DECAY_KINDS = [sk.CB4, sk.GCT(3, -2), sk.GCT(-7, 5), sk.GCT2(2, -3),
+                      sk.GCT2(-5, 4), sk.GCT(0, 6), sk.SBC(-3, 2)]
+
+
+def _decay_factors():
+    """(factor, values) for every factor with a decay: each registry
+    sequence kind and a few more, and each denominator factor; values()
+    gives (|f(k)| numerator, denominator) for k = 1..DECAY_K."""
+    out = []
+    for kind in [*_series_kinds(), *_EXTRA_DECAY_KINDS]:
+        if se._kind_factor(kind).decay is not None:
+            out.append(pytest.param(
+                se._kind_factor(kind),
+                lambda kind=kind: [(abs(x), 1) for x in sk.SequenceStore()
+                                   .rows(kind, DECAY_K)[1:DECAY_K + 1]],
+                id=str(kind)))
+    for tag, f in se._DEN.items():
+        if f.decay is None:
+            continue
+        if tag in se._AFFINE:
+            a, b = se._AFFINE[tag]
+            values = partial(lambda a, b: [(1, a * k + b)
+                                           for k in range(1, DECAY_K + 1)],
+                             a, b)
+        else:
+            values = partial(lambda tag: [
+                (1, v) for v in sk.SequenceStore().rows(
+                    sk.SequenceKind(tag), DECAY_K)[1:DECAY_K + 1]], tag)
+        out.append(pytest.param(f, values, id="1/" + tag))
+    return out
+
+
+def _failures(values, g: Fraction, decay) -> list:
+    """The k where |f(k)| <= C k^(-a2/2) g^k fails."""
+    cn, cd, a2 = decay
+    gn, gd = g.numerator, g.denominator
+    return [k for k, (x, y) in enumerate(values, 1)
+            if not bound_holds(x, y, cn, cd, a2, gn, gd, k)]
+
+
+class TestDecay:
+    """Each factor's decay |f(k)| <= C k^(-alpha) g^k, alpha = a2/2, holds
+    on its exact rows for 1 <= k <= DECAY_K, and alpha + 1/2 fails there;
+    the decayed envelope of every direct-path registry series holds on
+    its exact terms."""
+
+    def test_every_decayed_tag_is_checked(self):
+        tags = {f.values[0] is se._DEN.get(f.id[2:]) and f.id
+                or f.id.split("(")[0] for f in _decay_factors()}
+        assert {"CB2", "CB2SHIFT", "CATALAN", "CB3", "CB4", "CB63", "FRANEL",
+                "FRANEL4", "GCT", "GCT2", "SBC", "1/CB2", "1/CB3",
+                "1/CB4", "1/k", "1/k+1", "1/2k-1", "1/6k-1"} <= tags
+        # the kinds whose bounds item 7 of the ROADMAP is to derive
+        for kind in (sk.GPOLY(-1), sk.ZAGIER, sk.GSEQ, sk.DOMB, sk.BETA,
+                     sk.WZAG, sk.GCT(3, 0)):
+            assert se._kind_factor(kind).decay is None
+        assert se._DEN["k-1"].decay is None
+
+    @pytest.mark.parametrize("factor, values", _decay_factors())
+    def test_decay_bounds_the_rows(self, request, factor, values):
+        rows = values()
+        cn, cd, a2 = factor.decay
+        assert _failures(rows, factor.g, factor.decay) == []
+        if not request.node.callspec.id.startswith("SBC("):
+            # half a power more decay fails within the rows
+            assert _failures(rows, factor.g, (cn, cd, a2 + 1)) != []
+            return
+        # S_k(b,c) is about C(2k,k) g^k / k, so no k^(-1/2) more fails on
+        # its rows; its decay is C(2k,k)'s, through |S_k| <= C(2k,k) g^k
+        assert factor.decay == se._SEQ["CB2"].decay
+        g = factor.g / 4
+        cb2 = sk.SequenceStore().rows(sk.CB2, DECAY_K)
+        assert _failures([(x, cb2[k]) for k, (x, _) in enumerate(rows, 1)],
+                         g, (1, 1, 0)) == []
+
+    @pytest.mark.parametrize("spec", [
+        p for p in _registry_specs() if spec_envelope(p.values[0])[1] < 1])
+    def test_envelopes_bound_the_terms(self, spec):
+        """|term(k)| is below both envelopes for max(k0, 1) <= k <=
+        k0 + 800."""
+        env = se._base_envelope(spec)
+        weight, wden = se._integer_weight(spec.weight)
+        tn, td = env.theta.numerator, env.theta.denominator
+        parts = [(*se._envelope_poly(weight, wden, env.q, env.den), 0)]
+        if env.decay is not None:
+            dq, dden, a2 = env.decay
+            parts.append((*se._envelope_poly(weight, wden, dq, dden), a2))
+        lo = max(spec.k0, 1)
+        for k, (num, den) in enumerate(column_pairs(spec, lo, spec.k0 + 800),
+                                       lo):
+            for coeffs, pden, a2 in parts:
+                # |num| / den <= P(k) k^(-a2/2) theta^k, P = coeffs / pden
+                assert bound_holds(abs(num), den, se._horner(coeffs, k), pden,
+                                   a2, tn, td, k), (k, a2)
