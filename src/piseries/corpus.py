@@ -251,15 +251,14 @@ def _weight(text: str, line: int) -> Tuple[Union[int, Fraction], ...]:
 _DEN_FACTOR = re.compile(
     r"^\(?(?P<tag>[1-9]?k[+-]1|k|CB2|CB3|CB4)\)?(?:\^(?P<exp>\d+))?$")
 
-#: sequence kind tag of each registry name: the one table that reading
-#: (``_seq``) and writing (``_render_seq``) a ``term:`` line both use
+#: sequence kind tag of each registry name, as ``_seq`` reads a ``term:``
+#: line
 _SEQ_NAMES = {
     "CB2": "CB2", "CB3": "CB3", "CB4": "CB4", "CB63": "CB63",
     "CB2S": "CB2SHIFT", "CAT": "CATALAN", "D": "DOMB", "F": "FRANEL",
     "F4": "FRANEL4", "G": "GSEQ", "Z": "ZAGIER", "B": "BETA", "W": "WZAG",
     "T": "GCT", "T2": "GCT2", "S": "SBC", "P": "GPOLY",
 }
-_SEQ_TAGS = {tag: name for name, tag in _SEQ_NAMES.items()}
 #: the number of integer arguments of each tag that takes any
 _SEQ_ARITY = {"GCT": 2, "GCT2": 2, "SBC": 2, "GPOLY": 1}
 _SEQ_FACTOR = re.compile(
@@ -315,17 +314,6 @@ def _seq(text: str, line: int) -> Tuple[Tuple[seqkit.SequenceKind, int], ...]:
         kind = seqkit.SequenceKind(tag, tuple(map(int, args)))
         out.append((kind, _int(m.group("exp") or "1", line)))
     return tuple(out)
-
-
-def _render_seq(seq: Tuple[Tuple[seqkit.SequenceKind, int], ...]) -> str:
-    """The ``term:`` sequence field that ``_seq`` reads back as ``seq``."""
-    parts = []
-    for kind, e in seq:
-        name = _SEQ_TAGS[kind.tag]
-        if kind.params:
-            name += "(" + ",".join(str(p) for p in kind.params) + ")"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) or "-"
 
 
 def _term_spec(text: str, line: int) -> TermSpec:
@@ -1035,7 +1023,8 @@ def _check_series(entry: RegistryEntry, digits: int, p_max: int,
                   n_max: int) -> tuple:
     rep = sereval.verify_series_identity(entry.series, digits)
     return rep, rep.passed, \
-        f"gap<{sereval._sci(rep.gap_upper)} terms={rep.terms_used}"
+        f"gap<{sereval._sci(rep.gap_units, rep.gap_scale)}" \
+        f" terms={rep.terms_used}"
 
 
 def _check_quadform(entry: RegistryEntry, digits: int, p_max: int,

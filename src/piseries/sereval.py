@@ -12,9 +12,10 @@ rounded outward, so no operation loses an enclosure.
 ``Fraction`` stays only for exact rationals that no ball holds: the
 weights, m and the closed forms' coefficients, the factor table's growths
 and moment boxes, the envelope ratio theta, the Euler certificate's box,
-mass and q (q and mass/2 are rounded up to dyadics once per certificate),
-:func:`term_value` (which no sum calls) and the printed gap bound of
-:func:`verify_series_identity`.
+mass and q (q and mass/2 are rounded up to dyadics once per certificate)
+and :func:`term_value` (which no sum calls).  The gap bound of
+:func:`verify_series_identity` is an integer count of units 10^-scale,
+made a ``Fraction`` only when read.
 
 A series is summed in fixed point, as integers scaled by 2^s.  One
 builder, :func:`_term_columns`, gives the terms k = lo..hi as two columns
@@ -54,14 +55,18 @@ is an upward-rounded dyadic m 2^-e with a mantissa of 80 bits
 path the envelope |term(k)| <= P(k) theta^k, where the factors' decays
 leave a net k^(-alpha) with alpha > 0 also the decayed envelope
 |term(k)| <= D(k) k^(-alpha) theta^k, and their crossover K0 (past which
-both fall geometrically with ratio rho = (1+theta)/2) are computed once,
-the part that does not depend on the weight once for all the weights of
-:func:`eval_weighted`; N is estimated in floating-point logs from the
+both fall geometrically with ratio rho = (1+theta)/2) are computed once
+per weight, the part that does not depend on the weight once for all the
+weights of :func:`eval_weighted`, and the part that reads neither the
+weight nor m once per factor shape for the whole process
+(:func:`_shape_envelope`); N is estimated in floating-point logs from the
 closed form, the smaller of P(N+1) and D(N+1) (N+1)^(-alpha) times
 theta^(N+1) / (1-rho), which :class:`_Tail` bounds by such a dyadic.  N
 starts at K0 or past it, is checked against the target minus the rounding
 radius in one comparison of integers, and if the check fails N steps up
-until it passes, so no float ever decides a verdict.  One pass over the
+until it passes, so no float ever decides a verdict; the exact values
+P(N+1) and D(N+1) that the estimate took at the N it settles on serve the
+check too.  One pass over the
 terms then gives the sum, and the moment sums of :func:`eval_weighted`
 share it.  A boundary-ratio series, theta = 1, takes the Euler transform
 (:class:`_EulerSum`) from the same pass: its weights are suffix sums of
@@ -94,9 +99,13 @@ The two sides of an identity are evaluated to different precisions.  The
 verdict reads an absolute gap below 10^(1-digits), and the radius of
 :func:`eval_series` is absolute, so the series is summed at ``digits``
 (radius below 10^-(digits+2)).  The radius of :func:`eval_rhs` is relative
-to the size of the closed form, so the closed form alone is evaluated
-``extra`` more digits deep, ``extra`` being the number of decimal digits of
-its integer part.
+to A, the sum of the addends' magnitudes |q| sqrt(d) basis, so the closed
+form alone is evaluated once, ``extra`` more digits deep, ``extra`` being
+the number of decimal digits of an integer upper bound of A
+(:func:`_work_digits`) that needs no constant.  A bounds the value, so
+``extra`` is never below the number of digits of the value's integer
+part, which set it when a 15-digit evaluation of the closed form came
+first; only where addends cancel is the closed form read deeper.
 """
 
 from __future__ import annotations
@@ -105,7 +114,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from math import ceil, comb, exp, inf, isqrt, lcm, log, log1p, log2, log10
+from math import (ceil, comb, exp, expm1, inf, isqrt, lcm, log, log1p,
+                  log2, log10)
 from operator import add, floordiv, lshift, mul, rshift
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -153,7 +163,10 @@ class Ball:
         return Ball(-self.mid, self.rad, self.exp)
 
     def __sub__(self, other: "Ball") -> "Ball":
-        return self + -other
+        e = max(self.exp, other.exp)
+        a, b = e - self.exp, e - other.exp
+        return Ball((self.mid << a) - (other.mid << b),
+                    (self.rad << a) + (other.rad << b), e)
 
     def interval(self, t: int) -> Tuple[int, int]:
         """Integers lo <= x 2^t <= hi for every x in the ball: its ends at
@@ -376,6 +389,9 @@ class TermSpec:
                 raise ValueError(f"exponent {e} of {kind} is below 1")
 
 
+#: the sequence kind of each binomial denominator tag
+_DEN_KIND = {tag: SequenceKind(tag) for tag in ("CB2", "CB3", "CB4")}
+
 #: terms per block of :func:`_term_columns`: a bound on the columns held
 #: at once, whatever the number of terms
 _BLOCK = 32
@@ -479,7 +495,21 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
                   ) -> Iterator[tuple]:
     """Terms lo..hi of ``spec`` as columns of unreduced integers: blocks
     (k, nums, dens) of at most ``_BLOCK`` terms, the first at k = lo, with
-    term(k + i) = nums[i] / dens[i] and dens[i] > 0.
+    term(k + i) = nums[i] / dens[i] and dens[i] > 0.  See
+    :func:`_columns`."""
+    return _columns(spec, _integer_weight(spec.weight), lo, hi, bits)
+
+
+#: the integer weight of :func:`_integer_weight` that multiplies nothing:
+#: the stream of the unweighted term
+_UNWEIGHTED = ([1], 1)
+
+
+def _columns(spec: TermSpec, weight: Tuple[List[int], int], lo: int, hi: int,
+             bits: Optional[int] = None) -> Iterator[tuple]:
+    """The blocks of :func:`_term_columns` for ``spec``'s term with its
+    weight replaced by ``weight``, coefficients and denominator as
+    :func:`_integer_weight` gives them (``_UNWEIGHTED`` for none).
 
     Each column is the entrywise product of factor columns: the weight
     polynomial (its coefficients share one denominator), slices of the
@@ -500,15 +530,14 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
     """
     if lo < spec.k0:
         raise ValueError(f"term starts at k0={spec.k0}")
-    weight, wden = _integer_weight(spec.weight)
+    weight, wden = weight
     seq = [(seqkit.rows(kind, hi), e) for kind, e in spec.seq]
-    binom = [(seqkit.rows(SequenceKind(tag), hi), e)
+    binom = [(seqkit.rows(_DEN_KIND[tag], hi), e)
              for tag, e in spec.den if tag not in _AFFINE]
     affine = [(*_AFFINE[tag], e) for tag, e in spec.den if tag in _AFFINE]
     # from this k on every affine factor is positive; before it den may not be
     positive = max((-((c0 - 1) // c1) for c1, c0, _ in affine), default=0)
-    m = Fraction(spec.m)
-    a, b = m.numerator, m.denominator
+    a, b = spec.m.as_integer_ratio()
     if a < 0:
         a, b = -a, -b
     apow = accumulate(repeat(a), mul, initial=a ** lo)
@@ -561,8 +590,9 @@ def _term_columns(spec: TermSpec, lo: int, hi: int, bits: Optional[int] = None
 def _term_pairs(spec: TermSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
     """The (num, den) pairs of :func:`_term_columns` one after another, for
     the exact partial sums that walk the terms in order."""
-    return chain.from_iterable(zip(nums, dens)
-                               for _, nums, dens in _term_columns(spec, lo, hi))
+    return chain.from_iterable(
+        zip(nums, dens) for _, nums, dens in
+        _columns(spec, _integer_weight(spec.weight), lo, hi))
 
 
 def term_value(spec: TermSpec, k: int) -> Fraction:
@@ -805,9 +835,12 @@ def _kind_factor(kind: SequenceKind) -> _Factor:
             g = _sqrt_frac_up(Fraction(b * b - 4 * c))
             return _Factor(g, partial(_cbox, b, b, -4 * c),
                            decay=_gct_decay(b, c, g, 1))
-        s = 2 * _sqrt_frac_up(Fraction(c))
-        g = abs(b) + s
-        return _Factor(g, lambda: _rbox(b - s, b + s),
+        # g = |b| + s with s = 2 sqrt(c) rounded up as _sqrt_frac_up rounds
+        # it, one Fraction built from integers
+        s = 2 * isqrt(c * _SQRT_GUARD ** 2) + 2
+        g = Fraction(abs(b) * _SQRT_GUARD + s, _SQRT_GUARD)
+        return _Factor(g, lambda: _rbox(b - Fraction(s, _SQRT_GUARD),
+                                        b + Fraction(s, _SQRT_GUARD)),
                        decay=_gct_decay(b, c, g, 1))
     if tag == "GCT2":
         g, box = _kind_factor(SequenceKind("GCT", kind.params))[:2]
@@ -828,11 +861,13 @@ def _kind_factor(kind: SequenceKind) -> _Factor:
     raise DivergentError(f"no growth bound for sequence kind {kind}")
 
 
-def _factors(spec: TermSpec) -> Iterator[Tuple[_Factor, int]]:
-    """(factor, exponent) for each sequence of a term, then for each
-    reciprocal denominator factor."""
-    return chain(((_kind_factor(kind), e) for kind, e in spec.seq),
-                 ((_DEN[tag], e) for tag, e in spec.den))
+def _factors(seq: Tuple[Tuple[SequenceKind, int], ...],
+             den: Tuple[Tuple[str, int], ...]
+             ) -> Iterator[Tuple[_Factor, int]]:
+    """(factor, exponent) for each sequence ``seq`` of a term, then for
+    each reciprocal denominator factor ``den``."""
+    return chain(((_kind_factor(kind), e) for kind, e in seq),
+                 ((_DEN[tag], e) for tag, e in den))
 
 
 class _Envelope(NamedTuple):
@@ -857,13 +892,26 @@ def _base_envelope(spec: TermSpec) -> _Envelope:
     factors' growths over |m|; the decayed envelope is kept only where the
     net a2, the sum of the factors' a2 times their exponents, is above 0.
     Nothing here reads the weight, so :func:`eval_weighted` builds it once
-    for all its weights."""
-    num, tden = spec.m.denominator, abs(spec.m.numerator)
-    q, den = [1], 1
+    for all its weights, and only theta reads m: the rest is built once
+    per factor shape (:func:`_shape_envelope`)."""
+    gn, gd, q, den, decay = _shape_envelope(spec.seq, spec.den)
+    mn, md = spec.m.as_integer_ratio()
+    return _Envelope(q, den, Fraction(md * gn, abs(mn) * gd), decay)
+
+
+@lru_cache(maxsize=1024)
+def _shape_envelope(seq: Tuple[Tuple[SequenceKind, int], ...],
+                    den: Tuple[Tuple[str, int], ...]) -> tuple:
+    """(gn, gd, q, den, decay) of the factors ``seq`` and ``den`` of a
+    term, memoised per shape: the product gn / gd of their growths, and
+    the q, den and decay of :class:`_Envelope`.  The lists are shared by
+    every caller, which only reads them."""
+    gn = gd = 1
+    q, pden = [1], 1
     dq, dden, cn, a2 = [1], 1, 1, 0
-    for f, e in _factors(spec):
-        num, tden = num * f.g.numerator ** e, tden * f.g.denominator ** e
-        den *= f.den ** e
+    for f, e in _factors(seq, den):
+        gn, gd = gn * f.g.numerator ** e, gd * f.g.denominator ** e
+        pden *= f.den ** e
         if f.decay is not None:
             cn, dden = cn * f.decay[0] ** e, dden * f.decay[1] ** e
             a2 += f.decay[2] * e
@@ -875,7 +923,7 @@ def _base_envelope(spec: TermSpec) -> _Envelope:
                 if f.decay is None:
                     dq = _poly_mul(dq, f.poly)
     decay = ([cn * c for c in dq], dden, a2) if a2 > 0 else None
-    return _Envelope(q, den, Fraction(num, tden), decay)
+    return gn, gd, q, pden, decay
 
 
 def _envelope_poly(weight: Sequence[int], wden: int, q: Sequence[int],
@@ -889,13 +937,27 @@ def _envelope_poly(weight: Sequence[int], wden: int, q: Sequence[int],
 
 def _crossover(poly: Sequence, theta: Fraction, lo: int) -> int:
     """Smallest K >= lo with ((K+2)/(K+1))^deg * theta <= rho = (1+theta)/2,
-    deg = len(poly) - 1: from K on, the envelope ratio
-    P(k+1)/P(k) * theta stays at most rho < 1."""
+    deg = len(poly) - 1, theta < 1: from K on, the envelope ratio
+    P(k+1)/P(k) * theta stays at most rho < 1.
+
+    As (K+2)/(K+1) falls, the test fails below some K and passes from it
+    on.  Where it fails at lo, the float root of (1 + 1/(K+1))^deg =
+    (1+theta)/(2 theta) is a first guess, moved down while K - 1 passes
+    and up while K fails, so the integers decide."""
     deg = len(poly) - 1
-    a, b = theta.numerator, theta.denominator
+    a, b = theta.as_integer_ratio()
+
+    def fails(K: int) -> bool:
+        return 2 * a * (K + 2) ** deg > (a + b) * (K + 1) ** deg
+
     K = lo
-    while 2 * a * (K + 2) ** deg > (a + b) * (K + 1) ** deg:
-        K += 1
+    if deg and fails(lo):
+        x = expm1((log(a + b) - log(2 * a)) / deg)
+        K = max(lo + 1, ceil(1 / x) - 1) if x > 0 else lo + 1
+        while K > lo + 1 and not fails(K - 1):
+            K -= 1
+        while fails(K):
+            K += 1
     return K
 
 
@@ -924,14 +986,21 @@ def _mul_up(m1: int, e1: int, m2: int, e2: int) -> Tuple[int, int]:
 
 
 def _pow_up(m: int, e: int, n: int) -> Tuple[int, int]:
-    """(m 2^-e)^n by binary powering, every product by :func:`_mul_up`."""
+    """(m 2^-e)^n by binary powering, every product rounded as
+    :func:`_mul_up` rounds it."""
     out, oe = 1, 0
     while n:
         if n & 1:
-            out, oe = _mul_up(out, oe, m, e)
+            out, oe = out * m, oe + e
+            cut = out.bit_length() - _TAIL_BITS
+            if cut > 0:
+                out, oe = -(-out >> cut), oe - cut
         n >>= 1
         if n:
-            m, e = _mul_up(m, e, m, e)
+            m, e = m * m, 2 * e
+            cut = m.bit_length() - _TAIL_BITS
+            if cut > 0:
+                m, e = -(-m >> cut), e - cut
     return out, oe
 
 
@@ -986,18 +1055,29 @@ class _Tail:
         self._theta = _dyadic_up(a, b)
         self._scale = _dyadic_up(2 * b, (b - a) * self.den)
         self._ratio = _dyadic_up(2 * b, b - a)
+        self._last = (0, 0, 0)
+
+    def values(self, n: int) -> Tuple[int, int]:
+        """(P(n) den, D(n) decay[1]), the second 0 without a decay, exact;
+        the last n asked for is held, so the float estimate of N and the
+        integer check at the same N evaluate each polynomial once."""
+        if self._last[0] != n:
+            self._last = (n, _horner(self.coeffs, n),
+                          0 if self.decay is None
+                          else _horner(self.decay[0], n))
+        return self._last[1:]
 
     def closed(self, N: int) -> Tuple[int, int]:
         """(m, e) with min(P(N+1), D(N+1) (N+1)^(-a2/2)) theta^(N+1) /
         (1 - rho) <= m 2^-e, N >= K0."""
         n = N + 1
-        p = _horner(self.coeffs, n)
+        p, d = self.values(n)
         m, e = _pow_up(*self._theta, n)
         if self.decay is not None:
-            dcoeffs, dden, a2 = self.decay
+            _, dden, a2 = self.decay
             # r <= n^(a2/2) 2^_TAIL_BITS, so D(n) n^(-a2/2) <= d / (dden r)
             r = isqrt(n ** a2 << 2 * _TAIL_BITS)
-            d = _horner(dcoeffs, n) << _TAIL_BITS
+            d <<= _TAIL_BITS
             if d * self.den < p * dden * r:
                 m, e = _mul_up(m, e, *_dyadic_up(d, dden * r))
                 return _mul_up(m, e, *self._ratio)
@@ -1051,12 +1131,12 @@ def _fits(m: int, e: int, rounded: int, T: int) -> bool:
     return lhs < rhs
 
 
-def _estimate_N(tail: _Tail, k0: int, digits: int) -> int:
+def _estimate_N(tail: _Tail, k0: int, T: int) -> int:
     """First guess at the smallest N >= K0 (K0 >= k0, the crossover of
     ``tail``) whose closed-form tail, the smaller of P(N+1) and
     D(N+1) (N+1)^(-alpha), alpha = a2/2, times theta^(N+1) / (1-rho), is
-    below 10^-(digits+2) minus the rounding radius of N - k0 + 1 terms, in
-    floating-point logs only.  P(N+1) and D(N+1) are evaluated in
+    below 1/T, T = 10^(digits+2), minus the rounding radius of N - k0 + 1
+    terms, in floating-point logs only.  P(N+1) and D(N+1) are evaluated in
     integers, so only their logs are floats, however long their parts.
 
     From K0 the guess moves up by s steps with f(s) <= gap, where
@@ -1071,26 +1151,24 @@ def _estimate_N(tail: _Tail, k0: int, digits: int) -> int:
     """
     a, b = tail.theta.as_integer_ratio()
     L = log(b) - log(a)
-    T = 10 ** (digits + 2)
-    # log(2 / (1 - theta)) - log(10^-(digits+2))
-    base = log(2 * b) - log(b - a) + (digits + 2) * log(10)
-    coeffs, log_den, alpha = tail.coeffs, log(tail.den), 0.0
+    # log(2 / (1 - theta)) - log(1/T)
+    base = log(2 * b) - log(b - a) + log(T)
+    log_den, alpha = log(tail.den), 0.0
     if tail.decay is not None:
-        dcoeffs, dden, a2 = tail.decay
-        log_dden, alpha = log(dden), a2 / 2
+        log_dden, alpha = log(tail.decay[1]), tail.decay[2] / 2
 
     def gap(N: int) -> float:
         """log(closed-form tail) - log(budget) at N; negative passes."""
-        p = _horner(coeffs, N + 1)
+        p, d = tail.values(N + 1)
         if p <= 0:
             return -inf
         env = log(p) - log_den
         if alpha:
-            env = min(env, log(_horner(dcoeffs, N + 1)) - log_dden
-                      - alpha * log(N + 1))
-        rounded = N - k0 + 1
-        # the rounding radius over the target, rounded T / 2^s <= 1/32
-        ratio = rounded * T / (1 << _scale_bits(rounded, T))
+            env = min(env, log(d) - log_dden - alpha * log(N + 1))
+        # the rounding radius over the target, rounded T / 2^s <= 1/32 for
+        # s = _scale_bits(rounded, T): x / 2^(s+5) with x = 32 rounded T
+        x = 32 * (N - k0 + 1) * T
+        ratio = x / (32 << (x - 1).bit_length())
         return env - (N + 1) * L + base - log1p(-ratio)
 
     N, g = tail.K0, gap(tail.K0)
@@ -1137,11 +1215,14 @@ class _DirectSum:
         self.weight, self.wden = _integer_weight(spec.weight)
         self.env = _Tail(env, self.weight, self.wden, spec.k0)
         # the closed form bounds the tail only from K0 on
-        N = max(_estimate_N(self.env, spec.k0, digits), self.env.K0)
+        N = max(_estimate_N(self.env, spec.k0, self.T), self.env.K0)
         while (bound := self._closed_bound(N)) is None:
             N += 1
         # N is also the reach, the last term this sum reads from the stream
-        self.N, self.reach, self.tail = N, N, _radius([bound])
+        self.N = self.reach = N
+        m, e = bound
+        # the ball of _radius([bound])
+        self.tail = Ball(0, m, e) if e >= 0 else Ball(0, m << -e)
         self.s = _scale_bits(N - self.k0 + 1, self.T)
         #: the leading bits a cut column must keep for this sum
         self.bits = self.s + 2 * _GUARD
@@ -1208,7 +1289,8 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     ``stats`` dict of :func:`eval_series`.  No weights give no enclosures.
 
     All weights read one stream of column blocks of the unweighted term
-    (:func:`_term_columns`), so the sequence rows and the big products
+    (:func:`_columns` with ``_UNWEIGHTED``, no second ``TermSpec`` built
+    for it), so the sequence rows and the big products
     behind each term are made once, on the direct path
     (:class:`_DirectSum`) and on the Euler path (:class:`_EulerSum`)
     alike; each ball equals :func:`eval_series` of the spec with that
@@ -1231,10 +1313,10 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
         sums = [_EulerSum(s, cert, env.theta, digits) for s in specs]
     else:
         sums = [_DirectSum(s, env, digits) for s in specs]
-    base = spec if spec.weight == (1,) else replace(spec, weight=(1,))
     bits = [d.bits for d in sums]
-    for block in _term_columns(base, spec.k0, max(d.reach for d in sums),
-                               None if None in bits else max(bits)):
+    for block in _columns(spec, _UNWEIGHTED, spec.k0,
+                          max(d.reach for d in sums),
+                          None if None in bits else max(bits)):
         for d in sums:
             d.add(*block)
     return [d.result() for d in sums]
@@ -1337,7 +1419,7 @@ def _certificate(spec: TermSpec, extra: List[int]) -> Optional[_Cert]:
     :func:`_base_envelope`, which the caller has built; this builds the
     box, k_start and the mass."""
     box = _CBox(Fraction(1), Fraction(1))
-    for f, e in _factors(spec):
+    for f, e in _factors(spec.seq, spec.den):
         if f.box is None:
             return None
         box = _box_mul(box, _box_pow(f.box(), e))
@@ -1595,6 +1677,47 @@ def _basis_fixed(basis: str, s: int) -> Tuple[int, int]:
     return (1 << 2 * s) // hi, -((-1 << 2 * s) // lo)
 
 
+#: basis -> an integer above basis * 2^64, ceil(basis 2^64) + 1 for the
+#: irrational ones (the tests check each against :func:`constant`)
+_BASIS_UP = {
+    "ONE": 1 << 64, "PI": 57952155664616982741,
+    "PI2": 182062066495652834599, "INV_PI": 5871781006564002454,
+    "CATALAN_G": 16896582896110463047, "K3": 14412485654873231750,
+    "LOG3": 20265819725292939640,
+}
+
+
+def _magnitude_up(rhs: RHSForm) -> int:
+    """An integer U with floor(A (1 + 2^-64) + 2^-64) <= U, for the sum A
+    of the addends' magnitudes |q| sqrt(d) basis, the quantity that the
+    radius of :func:`eval_rhs` is relative to.
+
+    Each addend is rounded up at the scale 2^-128: sqrt(d) 2^64 by
+    ``isqrt`` and one upward step unless d is a perfect square, the basis
+    by ``_BASIS_UP``, and their product with |q| by a ceiling; no
+    constant is computed.  The margin 2^-64 (1 + A) is above the radius
+    10^-20 max(1, A) of :func:`eval_rhs` at 15 digits, so U is at least
+    the integer part of |mid| of that ball, whose midpoint lies within
+    its radius of the value, and |value| <= A."""
+    total = 0
+    for q, d, basis in rhs.addends:
+        r = 1 << 64
+        if d != 1:
+            r = isqrt(d << 128)
+            if r * r != d << 128:
+                r += 1
+        a, b = q.as_integer_ratio()
+        total += -(-abs(a) * r * _BASIS_UP[basis] // b)
+    return (total + (total >> 64) + (1 << 64)) >> 128
+
+
+def _work_digits(rhs: RHSForm, digits: int) -> int:
+    """The digits at which :func:`verify_series_identity` evaluates the
+    closed form: digits + extra + 5, extra the number of decimal digits
+    of :func:`_magnitude_up`."""
+    return digits + _decimal_length(_magnitude_up(rhs)) + 5
+
+
 def eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
     """Certified enclosure of the closed form sum q * sqrt(d) * basis.
 
@@ -1615,7 +1738,7 @@ def eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
             if r * r != d << 2 * s:
                 r += 1
             bhi = -((-r * bhi) >> s)
-        a, b = q.numerator, q.denominator
+        a, b = q.as_integer_ratio()
         if a < 0:
             blo, bhi = bhi, blo
         lo += (a * blo) // b
@@ -1629,30 +1752,37 @@ def eval_rhs(rhs: RHSForm, digits: int = 40) -> Ball:
     return Ball(lo + hi, hi - lo, s + 1)
 
 
-def _sci(x: Fraction) -> str:
-    """``1e<e>`` for the least integer e with x < 10^e, x >= 0, found in
-    integers; "0" for 0.  With a and b the decimal lengths of the
-    numerator and the denominator, 10^(a-b-1) < x < 10^(a-b+1), so e is
-    a - b or a - b + 1."""
-    if x == 0:
+def _sci(units: int, scale: int) -> str:
+    """``1e<e>`` for the least integer e with units 10^-scale < 10^e, for
+    units >= 0; "0" for 0.  That e is the number of decimal digits of
+    units less scale, found in integers: no Fraction is reduced and no
+    ``str()`` of a long integer is taken."""
+    if units == 0:
         return "0"
-    n, d = x.numerator, x.denominator
-    e = _decimal_length(n) - _decimal_length(d)
-    below = n < d * 10 ** e if e >= 0 else n * 10 ** -e < d
-    return f"1e{e if below else e + 1}"
+    return f"1e{_decimal_length(units) - scale}"
 
 
 @dataclass
 class SeriesReport:
+    """The verdict of :func:`verify_series_identity`, its exact gap bound
+    rounded up to ``gap_units`` 10^-``gap_scale``, and the number of terms
+    summed for the series enclosure."""
+
     passed: bool
-    gap_upper: Fraction
-    terms_used: int       # terms summed for the series enclosure
+    gap_units: int
+    gap_scale: int
+    terms_used: int
+
+    @property
+    def gap_upper(self) -> Fraction:
+        """The rounded-up gap bound as a Fraction, reduced only when read."""
+        return Fraction(self.gap_units, 10 ** self.gap_scale)
 
     def __repr__(self) -> str:
-        # the gap as its bound 1eN: the repr of a Fraction with more than
+        # the gap as its bound 1eN: the repr of an integer with more than
         # 4300 digits raises
         return (f"SeriesReport(passed={self.passed!r},"
-                f" gap_upper<{_sci(self.gap_upper)},"
+                f" gap_upper<{_sci(self.gap_units, self.gap_scale)},"
                 f" terms_used={self.terms_used!r})")
 
 
@@ -1664,22 +1794,23 @@ def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesRep
     series side is summed at ``digits``: :func:`eval_series`'s radius is
     absolute, below 10^-(digits+2), a thousandth of the threshold, and
     more terms would only add digits that no verdict reads.  The closed
-    form is evaluated at ``digits + extra + 5``, where ``extra`` is the
-    number of decimal digits of its integer part, because
-    :func:`eval_rhs`'s radius is relative to the size of the closed form;
-    without ``extra`` an identity with a large constant could never
-    certify the gap.
+    form is evaluated once, at :func:`_work_digits`: ``digits + extra +
+    5``, where ``extra`` is the number of decimal digits of an integer
+    upper bound of the sum A of the addends' magnitudes.  The radius of
+    :func:`eval_rhs` is below 10^-(work+5) max(1, A), relative to A and
+    not to the value, so with A < 10^extra it is below 10^-(digits+10)
+    however the addends cancel; without ``extra`` an identity with a large
+    constant could never certify the gap.  As |value| <= A, these working
+    digits are never below those that a probe of the value itself gives.
+    The gap bound is rounded up to units of 10^-(work+10) in integers.
     """
-    probe = eval_rhs(entry.rhs, 15)
-    # the number of decimal digits of floor(|probe|), 0 below 1
-    extra = _decimal_length(abs(probe.mid) >> probe.exp)
-    work = digits + extra + 5
+    work = _work_digits(entry.rhs, digits)
     stats: dict = {}
     gap = eval_series(entry.spec, digits, stats) - eval_rhs(entry.rhs, work)
     ok = gap.below(10 ** (digits - 1))
-    # Round the exact gap bound |mid| + rad up to a small fraction so the
-    # report stays printable; the pass/fail decision above already used
-    # the exact value.
-    scale = 10 ** (work + 10)
-    upper = Fraction(-(-(abs(gap.mid) + gap.rad) * scale >> gap.exp), scale)
-    return SeriesReport(ok, upper, stats["terms"])
+    # Round the exact gap bound |mid| + rad up to a small integer count of
+    # units so the report stays printable; the pass/fail decision above
+    # already used the exact value.
+    scale = work + 10
+    units = -(-(abs(gap.mid) + gap.rad) * 10 ** scale >> gap.exp)
+    return SeriesReport(ok, units, scale, stats["terms"])

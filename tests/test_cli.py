@@ -541,7 +541,7 @@ class TestDiscover:
 
         def refuse(ident, digits):
             seen.append(digits)
-            return sereval.SeriesReport(False, Fraction(1), 0)
+            return sereval.SeriesReport(False, 1, 0, 0)
 
         monkeypatch.setattr(sereval, "verify_series_identity", refuse)
         code, out, err = _run(capsys, ["discover", "--seq", "S(1,25)", "--m",

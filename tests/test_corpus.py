@@ -176,6 +176,19 @@ class TestCounterparts:
         assert gap * 10 ** 30 < b << e
 
 
+def _render_seq(seq) -> str:
+    """The ``term:`` sequence field that ``corpus._seq`` reads back as
+    ``seq``."""
+    tags = {tag: name for name, tag in corpus._SEQ_NAMES.items()}
+    parts = []
+    for kind, e in seq:
+        name = tags[kind.tag]
+        if kind.params:
+            name += "(" + ",".join(str(p) for p in kind.params) + ")"
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts) or "-"
+
+
 class TestSequenceNames:
     # one sample factor per registry name, written as _render_seq writes it
     @pytest.mark.parametrize("text", [
@@ -184,14 +197,14 @@ class TestSequenceNames:
         for name in sorted(corpus._SEQ_NAMES)])
     def test_round_trip(self, text):
         seq = corpus._seq(text, 1)
-        assert corpus._render_seq(seq) == text
+        assert _render_seq(seq) == text
 
     def test_every_registry_seq(self, entries):
         for e in entries:
             if "term" in e.raw:
                 field = e.raw["term"].split(";")[2].strip()
                 seq = corpus._seq(field, 1)
-                assert corpus._seq(corpus._render_seq(seq), 1) == seq, e.ident
+                assert corpus._seq(_render_seq(seq), 1) == seq, e.ident
 
     @pytest.mark.parametrize("text", ["SBC(1,25)", "GCT(1,2)", "DOMB",
                                       "T(1)", "S(1/2,3)", "CB2(1)", "P",
@@ -1137,35 +1150,38 @@ def _sci_oracle(x: Fraction) -> str:
 
 
 class TestGapText:
-    """The printed gap bound is the least power of ten above the gap,
-    whatever the reduced form of the rounded gap."""
+    """The printed gap bound, of gap = (units, scale) standing for
+    units 10^-scale, is the least power of ten above it, whatever the
+    reduced form of that rational."""
 
     @pytest.mark.parametrize("gap, text", [
         # 1.79 and 5.13 at 12 digits; 1e-13 before
-        (Fraction(446, 10 ** 17), "1e-14"), (Fraction(959, 10 ** 17), "1e-14"),
-        (Fraction(1, 10 ** 14), "1e-13"), (Fraction(10 ** 14 - 1, 10 ** 28),
-                                            "1e-14"),
-        (Fraction(0), "0"), (Fraction(7), "1e1"), (Fraction(10), "1e2"),
-        (Fraction(1, 3), "1e0"), (Fraction(1), "1e1")])
+        ((446, 17), "1e-14"), ((959, 17), "1e-14"),
+        ((1, 14), "1e-13"), ((10 ** 14 - 1, 28), "1e-14"),
+        ((0, 40), "0"), ((7, 0), "1e1"), ((10, 0), "1e2"),
+        ((333, 3), "1e0"), ((1000, 3), "1e1")])
     def test_examples(self, gap, text):
-        assert sereval._sci(gap) == text
+        assert sereval._sci(*gap) == text
 
     def test_against_stepping(self):
         rng = random.Random(5)
         for _ in range(3000):
-            x = Fraction(rng.randrange(1, 10 ** rng.randint(1, 30)),
-                         rng.randrange(1, 10 ** rng.randint(1, 30)))
-            assert sereval._sci(x) == _sci_oracle(x), x
+            units = rng.randrange(1, 10 ** rng.randint(1, 30))
+            scale = rng.randint(0, 30)
+            assert sereval._sci(units, scale) == \
+                _sci_oracle(Fraction(units, 10 ** scale)), (units, scale)
         for e in range(-30, 31):
-            for x in (Fraction(10) ** e, Fraction(10) ** e * Fraction(999, 1000),
-                      Fraction(10) ** e * Fraction(1001, 1000)):
-                assert sereval._sci(x) == _sci_oracle(x), x
+            # 10^e, 0.999 10^e and 1.001 10^e
+            for units in (1000, 999, 1001):
+                units *= 10 ** (e + 30)
+                x = Fraction(units, 10 ** 33)
+                assert sereval._sci(units, 33) == _sci_oracle(x), x
 
     @pytest.mark.parametrize("gap, text", [
-        # numerators and denominators past str()'s 4300 digits
-        (Fraction(10 ** 5000), "1e5001"), (Fraction(10 ** 5000 - 1), "1e5000"),
-        (Fraction(10 ** 5000 + 1, 10 ** 4990), "1e11"),
-        (Fraction(7, 10 ** 5000), "1e-4999"),
-        (Fraction(2 ** 15000 * 3, 10 ** 5000 + 1), "1e-484")])
+        # units past str()'s 4300 digits
+        ((10 ** 5000, 0), "1e5001"), ((10 ** 5000 - 1, 0), "1e5000"),
+        ((10 ** 5000 + 1, 4990), "1e11"),
+        ((7, 5000), "1e-4999"),
+        ((2 ** 15000 * 3, 5000), "1e-484")])
     def test_past_the_int_string_limit(self, gap, text):
-        assert sereval._sci(gap) == text
+        assert sereval._sci(*gap) == text

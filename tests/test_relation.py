@@ -323,24 +323,25 @@ class TestRediscover:
     @staticmethod
     def _spy_passes(monkeypatch, seq):
         """Record the digits of each eval_weighted call, each walk over
-        the unweighted terms of ``seq`` and each read of one of its terms
-        alone, (weight, k)."""
+        the terms of ``seq`` and each read of one of its terms alone,
+        (weight, k), the weight as the integer weight the column builder
+        multiplies in (``([1], 1)`` for none)."""
         walks, reads, precisions = [], [], []
-        columns, weighted = se._term_columns, se.eval_weighted
+        columns, weighted = se._columns, se.eval_weighted
 
-        def spy_columns(s, lo, hi, bits=None):
+        def spy_columns(s, weight, lo, hi, bits=None):
             if s.seq == seq:
                 if lo == hi:
-                    reads.append((s.weight, lo))
+                    reads.append((weight, lo))
                 else:
-                    walks.append(s.weight)
-            return columns(s, lo, hi, bits)
+                    walks.append(weight)
+            return columns(s, weight, lo, hi, bits)
 
         def spy_weighted(s, weights, digits):
             precisions.append(digits)
             return weighted(s, weights, digits)
 
-        monkeypatch.setattr(se, "_term_columns", spy_columns)
+        monkeypatch.setattr(se, "_columns", spy_columns)
         monkeypatch.setattr(se, "eval_weighted", spy_weighted)
         return walks, reads, precisions
 
@@ -354,17 +355,17 @@ class TestRediscover:
         cand = rl.rediscover(spec, [(2, "INV_PI")], digits=80,
                              max_norm=10 ** 3)
         assert cand.confirmed and cand.coeffs == (14, 6, -15)
-        assert precisions == [80, 120] and walks == [(1,), (1,)]
+        assert precisions == [80, 120] and walks == [([1], 1), ([1], 1)]
         # and term(k0) once, alone, for the blind check
-        assert reads == [((1,), 0)]
+        assert reads == [(([1], 1), 0)]
 
     def test_search_without_relation_sums_once(self, monkeypatch):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.FRANEL, 1),),
                         m=Fraction(-9), k0=0)
         walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
         assert rl.rediscover(spec, [(1, "INV_PI")], digits=80) is None
-        assert precisions == [80] and walks == [(1,)]
-        assert reads == [((1,), 0)]
+        assert precisions == [80] and walks == [([1], 1)]
+        assert reads == [(([1], 1), 0)]
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_terms_below_the_precision_search_nothing(self, monkeypatch,
@@ -384,8 +385,8 @@ class TestRediscover:
         assert list(rl.rediscover_each(spec, bases, digits=80,
                                        degree=degree)) == \
             [rl.NOT_SEARCHED, rl.NOT_SEARCHED]
-        assert precisions == [80] and walks == [(1,)]
-        assert reads == [((1,), 0)]
+        assert precisions == [80] and walks == [([1], 1)]
+        assert reads == [(([1], 1), 0)]
         assert rl.rediscover(spec, bases[0], digits=80,
                              degree=degree) is None
 
@@ -403,9 +404,9 @@ class TestRediscover:
         assert (each[2].coeffs, each[2].confirmed) == \
             (alone[2].coeffs, alone[2].confirmed) == ((14, 6, -15), True)
         # one search pass for all three bases, one verification pass
-        assert precisions == [80, 120] and walks == [(1,), (1,)]
+        assert precisions == [80, 120] and walks == [([1], 1), ([1], 1)]
         # and term(k0) once, alone, for the blind check
-        assert reads == [((1,), 0)]
+        assert reads == [(([1], 1), 0)]
 
     @pytest.mark.parametrize("digits", [60, 64])
     def test_matches_two_passes(self, discover_pool, digits):

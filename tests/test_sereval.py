@@ -594,9 +594,10 @@ class TestConstFixed:
 
 class TestWorkingDigits:
     """verify_series_identity sums the series side at the requested digits
-    and raises only the closed form's working digits by the number of
-    decimal digits of its integer part, as it did when the probe was a
-    Fraction ball."""
+    and evaluates the closed form once, at digits + extra + 5, extra the
+    number of decimal digits of an integer upper bound of the addends'
+    magnitudes.  The oracle is the 15-digit probe of the value that set
+    extra before: the working digits are never below the probe's."""
 
     @staticmethod
     def old_work(rhs: RHSForm, digits: int) -> int:
@@ -605,6 +606,14 @@ class TestWorkingDigits:
             mag /= 10
             extra += 1
         return digits + extra + 5
+
+    @staticmethod
+    def probe_work(rhs: RHSForm, digits: int) -> int:
+        """digits + extra + 5, extra the number of decimal digits of the
+        integer part of |mid| of eval_rhs at 15 digits, as the probe read
+        it."""
+        probe = se.eval_rhs(rhs, 15)
+        return digits + se._decimal_length(abs(probe.mid) >> probe.exp) + 5
 
     @pytest.mark.parametrize("ident, extra", [
         ("1.72", 20),    # 18 * 557403^3 sqrt(10005) / (5 pi), near 2e19
@@ -631,9 +640,9 @@ class TestWorkingDigits:
         rep = se.verify_series_identity(series, 20)
         assert rep.passed
         assert seen == [20]
-        # the probe at 15 digits, then the closed form at the old work
-        assert seen_rhs == [15, self.old_work(series.rhs, 20)] \
-            == [15, 20 + extra + 5]
+        # one evaluation of the closed form, at the probe's work
+        assert seen_rhs == [self.old_work(series.rhs, 20)] \
+            == [self.probe_work(series.rhs, 20)] == [20 + extra + 5]
 
     def test_closed_form_past_the_int_string_limit(self, monkeypatch):
         # sum 10^5000 / (10^100)^k = q with floor(q) of 5001 digits, which
@@ -651,15 +660,67 @@ class TestWorkingDigits:
 
         monkeypatch.setattr(se, "eval_rhs", spy)
         rep = se.verify_series_identity(series, 20)
-        assert rep.passed and seen == [15, 20 + 5001 + 5]
+        assert rep.passed and seen == [20 + 5001 + 5]
+
+    @pytest.mark.parametrize("ident", sorted(_registry_series()))
+    def test_never_below_the_probe(self, ident):
+        rhs = _registry_series()[ident].rhs
+        deeper = se._work_digits(rhs, 12) - self.probe_work(rhs, 12)
+        for digits in range(12, 41):
+            assert se._work_digits(rhs, digits) \
+                - self.probe_work(rhs, digits) == deeper
+        # deeper only where addends of both signs cancel, by 1 to 3 digits
+        signs = {q > 0 for q, _, _ in rhs.addends}
+        assert deeper == 0 or (len(signs) == 2 and 1 <= deeper <= 3)
+
+    def test_deeper_closed_forms(self):
+        # the 21 registry closed forms whose addends cancel enough to be
+        # read deeper than the probe of their value, such as 1.73's
+        # (pi^2 - 8) / 2, near 0.93 against a magnitude near 8.9
+        deeper = sorted(
+            ident for ident, s in _registry_series().items()
+            if se._work_digits(s.rhs, 12) > self.probe_work(s.rhs, 12))
+        assert len(deeper) == 21 and "1.73" in deeper
+        assert len(_registry_series()) == 238
+
+    @pytest.mark.parametrize("addends", [
+        (),                                                   # no addends
+        ((Fraction(5), 4, "ONE"),),                           # 10, exact
+        ((Fraction(9, 2), 4, "ONE"),),                        # 9, exact
+        ((Fraction(10 ** 12 - 1, 10 ** 11), 1, "ONE"),),      # 9.99..9
+        ((Fraction(10 ** 14 - 1, 10 ** 13), 9, "INV_PI"),),   # 9.549..
+        # pi q just below 10: 10 - 1.9e-15 and 100 - 3e-14
+        ((Fraction(3183098861837906, 10 ** 15), 1, "PI"),),
+        ((Fraction(31830988618379067, 10 ** 15), 1, "PI"),),
+        ((Fraction(8), 2, "ONE"),),                           # 11.3
+        ((Fraction(-7), 10 ** 6 + 1, "ONE"),),                # -7000.0035
+        *(((Fraction(7), 2, basis),) for basis in sorted(se._BASES)),
+        *(((Fraction(-3, 7), 11, basis), (Fraction(2), 1, "ONE"))
+          for basis in sorted(se._BASES)),
+    ])
+    def test_edge_cases(self, addends):
+        rhs = RHSForm(addends=addends)
+        work = se._work_digits(rhs, 20)
+        assert work >= self.probe_work(rhs, 20) == self.old_work(rhs, 20)
+        if len({q > 0 for q, _, _ in addends}) < 2:
+            # nothing cancels: the same work as the probe
+            assert work == self.probe_work(rhs, 20)
+
+    def test_basis_bounds(self):
+        # each bound is above the basis, checked against a certified
+        # enclosure 2^-128 fine, and within 2^-63 of it
+        for basis, up in se._BASIS_UP.items():
+            lo, hi = se._basis_fixed(basis, 128)
+            assert hi <= up << 64 and (up - 2) << 64 < lo, basis
+        assert set(se._BASIS_UP) == se._BASES
 
     def test_report_repr_past_the_int_string_limit(self):
         # the gap of a 4600-digit closed form that fails: its repr writes
         # the gap as its bound 1eN and converts no whole integer
-        rep = se.SeriesReport(False, Fraction(10 ** 4600 + 1, 3), 5)
+        rep = se.SeriesReport(False, (10 ** 4610 + 10 ** 10) // 3, 10, 5)
         assert repr(rep) == \
             "SeriesReport(passed=False, gap_upper<1e4600, terms_used=5)"
-        assert repr(se.SeriesReport(True, Fraction(0), 7)) == \
+        assert repr(se.SeriesReport(True, 0, 45, 7)) == \
             "SeriesReport(passed=True, gap_upper<0, terms_used=7)"
 
     def test_gap_bound_is_exact_gap_rounded_up(self):
@@ -669,7 +730,7 @@ class TestWorkingDigits:
         gap = fb(se.eval_series(series.spec, 30)
                  - se.eval_rhs(series.rhs, work))
         scale = 10 ** (work + 10)
-        assert rep.gap_upper.denominator * scale % scale == 0
+        assert rep.gap_scale == work + 10
         assert 0 <= rep.gap_upper - gap.abs_upper() < Fraction(1, scale)
 
 
@@ -1098,6 +1159,37 @@ class TestStats:
             + fixed_point(stats["terms"], 20)[1]
 
 
+class TestSeriesBallDigest:
+    """Every registry SERIES ball, its N and its scale, pinned: a change to
+    the set-up of an evaluation (its envelope, crossover, estimate of N,
+    closed-form tail or scale) must leave each ball bit-identical."""
+
+    #: sha256 of repr((ident, digits, mid, rad, exp, terms)) of every
+    #: registry SERIES spec (the two open ones included) at 12, 15, 20, 30
+    #: and 40 digits, repr((ident, digits, text)) for a DivergentError
+    #: (7.1), recorded before the closed form was evaluated only once
+    DIGEST = "71427c608170762c2570444014203788c9e5c9a57dc8af2993a7255c3cc5812d"
+
+    def test_digest(self):
+        from piseries import corpus
+        specs = [(e.ident, e.series.spec if e.series is not None
+                  else e.raw["_spec"])
+                 for e in corpus.load_default() if e.kind == "SERIES"]
+        assert len(specs) == 240
+        h = hashlib.sha256()
+        for digits in (12, 15, 20, 30, 40):
+            for ident, spec in specs:
+                stats: dict = {}
+                try:
+                    b = se.eval_series(spec, digits, stats)
+                    row = (ident, digits, b.mid, b.rad, b.exp,
+                           stats["terms"])
+                except DivergentError as exc:
+                    row = (ident, digits, str(exc))
+                h.update(repr(row).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestPrintedResults:
     """The terms summed and the printed gap bound of three certifications,
     pinned: a tail bound that is rounded up must not move them."""
@@ -1109,7 +1201,8 @@ class TestPrintedResults:
     ])
     def test_pinned(self, ident, digits, terms, gap):
         rep = se.verify_series_identity(_registry_series()[ident], digits)
-        assert (rep.terms_used, se._sci(rep.gap_upper)) == (terms, gap)
+        assert (rep.terms_used, se._sci(rep.gap_units, rep.gap_scale)) \
+            == (terms, gap)
 
 
 class TestWeighted:
@@ -1133,31 +1226,31 @@ class TestWeighted:
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24))
         walks = []
-        real = se._term_columns
+        real = se._columns
 
-        def spy(s, lo, hi, bits=None):
-            walks.append((s.weight, lo, hi))
-            return real(s, lo, hi, bits)
+        def spy(s, weight, lo, hi, bits=None):
+            walks.append((weight, lo, hi))
+            return real(s, weight, lo, hi, bits)
 
-        monkeypatch.setattr(se, "_term_columns", spy)
+        monkeypatch.setattr(se, "_columns", spy)
         got = se.eval_weighted(spec, [(0, 1), (1, 0)], 60)
         terms = [info["terms"] for _, info in got]
-        assert walks == [((1,), 0, max(terms) - 1)]
+        assert walks == [(([1], 1), 0, max(terms) - 1)]
 
     def test_euler_weights_share_one_pass(self, monkeypatch):
         # S12's head term k = 0 comes from the stream too: it starts at
         # k0 = 0, not at k_start = 1, and reaches the larger of the two N
         walks = []
-        real = se._term_columns
+        real = se._columns
 
-        def spy(s, lo, hi, bits=None):
-            walks.append((s.weight, lo, hi))
-            return real(s, lo, hi, bits)
+        def spy(s, weight, lo, hi, bits=None):
+            walks.append((weight, lo, hi))
+            return real(s, weight, lo, hi, bits)
 
-        monkeypatch.setattr(se, "_term_columns", spy)
+        monkeypatch.setattr(se, "_columns", spy)
         got = se.eval_weighted(S12, [(0, 1), (-1, 4)], 30)
         terms = [info["terms"] for _, info in got]
-        assert walks == [((1,), 0, max(terms) - 1)]
+        assert walks == [(([1], 1), 0, max(terms) - 1)]
 
     @pytest.mark.parametrize("ident", ["1.1", "1.2"])
     def test_euler_head_is_floored_from_the_stream(self, ident,
