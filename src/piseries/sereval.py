@@ -66,9 +66,8 @@ starts at K0 or past it, is checked against the target minus the rounding
 radius in one comparison of integers, and if the check fails N steps up
 until it passes, so no float ever decides a verdict; the exact values
 P(N+1) and D(N+1) that the estimate took at the N it settles on serve the
-check too.  One pass over the
-terms then gives the sum, and the moment sums of :func:`eval_weighted`
-share it.  A boundary-ratio series, theta = 1, takes the Euler transform
+check too.  One pass over the terms then gives the sum, and the moment
+sums of :func:`eval_weighted` share it.  A boundary-ratio series, theta = 1, takes the Euler transform
 (:class:`_EulerSum`) from the same pass: its weights are suffix sums of
 one binomial row, its weight-free moment certificate is built once per
 :func:`eval_weighted` call, and its N is the smallest whose dyadic tail
@@ -103,9 +102,8 @@ to A, the sum of the addends' magnitudes |q| sqrt(d) basis, so the closed
 form alone is evaluated once, ``extra`` more digits deep, ``extra`` being
 the number of decimal digits of an integer upper bound of A
 (:func:`_work_digits`) that needs no constant.  A bounds the value, so
-``extra`` is never below the number of digits of the value's integer
-part, which set it when a 15-digit evaluation of the closed form came
-first; only where addends cancel is the closed form read deeper.
+``extra`` is never below the number of decimal digits of the value's
+integer part, and exceeds it only where addends cancel.
 """
 
 from __future__ import annotations
@@ -986,21 +984,14 @@ def _mul_up(m1: int, e1: int, m2: int, e2: int) -> Tuple[int, int]:
 
 
 def _pow_up(m: int, e: int, n: int) -> Tuple[int, int]:
-    """(m 2^-e)^n by binary powering, every product rounded as
-    :func:`_mul_up` rounds it."""
+    """(m 2^-e)^n by binary powering, every product by :func:`_mul_up`."""
     out, oe = 1, 0
     while n:
         if n & 1:
-            out, oe = out * m, oe + e
-            cut = out.bit_length() - _TAIL_BITS
-            if cut > 0:
-                out, oe = -(-out >> cut), oe - cut
+            out, oe = _mul_up(out, oe, m, e)
         n >>= 1
         if n:
-            m, e = m * m, 2 * e
-            cut = m.bit_length() - _TAIL_BITS
-            if cut > 0:
-                m, e = -(-m >> cut), e - cut
+            m, e = _mul_up(m, e, m, e)
     return out, oe
 
 

@@ -1098,6 +1098,31 @@ class TestOneShotN:
         assert fb(ball).contains(sum(se.term_value(spec, k)
                                      for k in range(spec.k0, N + 1)))
 
+    def test_crossover_equals_stepping(self):
+        # the float guess moved by the integer test lands where stepping
+        # from lo does: every direct-path registry envelope, from k0 and
+        # from 1, and ratios near 1 with degrees up to 12
+        def stepped(poly, theta, lo):
+            # the loop that the guess replaced
+            deg, (a, b), K = len(poly) - 1, theta.as_integer_ratio(), lo
+            while 2 * a * (K + 2) ** deg > (a + b) * (K + 1) ** deg:
+                K += 1
+            return K
+
+        cases = []
+        for p in _registry_specs():
+            poly, theta = spec_envelope(p.values[0])
+            if theta < 1:
+                cases += [(poly, theta, max(p.values[0].k0, 1)),
+                          (poly, theta, 1)]
+        cases += [([1] * (deg + 1), 1 - Fraction(1, q), lo)
+                  for deg in (1, 2, 5, 12) for q in (2, 7, 100, 1000)
+                  for lo in (1, 3, 40)]
+        assert len(cases) > 400
+        for poly, theta, lo in cases:
+            assert se._crossover(poly, theta, lo) == \
+                stepped(poly, theta, lo), (poly, theta, lo)
+
     def test_below_crossover(self):
         # 1/((k+1) 10^(20k)): theta = 10^-20, crossover K0 = 1.  At 10
         # digits N = 0 would do, but N starts at K0, where the closed form
