@@ -1156,10 +1156,9 @@ def _estimate_N(tail: _Tail, k0: int, T: int) -> int:
         env = log(p) - log_den
         if alpha:
             env = min(env, log(d) - log_dden - alpha * log(N + 1))
-        # the rounding radius over the target, rounded T / 2^s <= 1/32 for
-        # s = _scale_bits(rounded, T): x / 2^(s+5) with x = 32 rounded T
-        x = 32 * (N - k0 + 1) * T
-        ratio = x / (32 << (x - 1).bit_length())
+        rounded = N - k0 + 1
+        # the rounding radius over the target, rounded T / 2^s <= 1/32
+        ratio = rounded * T / (1 << _scale_bits(rounded, T))
         return env - (N + 1) * L + base - log1p(-ratio)
 
     N, g = tail.K0, gap(tail.K0)
@@ -1210,10 +1209,7 @@ class _DirectSum:
         while (bound := self._closed_bound(N)) is None:
             N += 1
         # N is also the reach, the last term this sum reads from the stream
-        self.N = self.reach = N
-        m, e = bound
-        # the ball of _radius([bound])
-        self.tail = Ball(0, m, e) if e >= 0 else Ball(0, m << -e)
+        self.N, self.reach, self.tail = N, N, _radius([bound])
         self.s = _scale_bits(N - self.k0 + 1, self.T)
         #: the leading bits a cut column must keep for this sum
         self.bits = self.s + 2 * _GUARD
