@@ -1150,9 +1150,9 @@ def _sci_oracle(x: Fraction) -> str:
 
 
 class TestGapText:
-    """The printed gap bound, of gap = (units, scale) standing for
-    units 10^-scale, is the least power of ten above it, whatever the
-    reduced form of that rational."""
+    """The printed gap bound of gap = (units, scale), standing for
+    units 10^-scale, is the least power of ten above it, found in
+    integers."""
 
     @pytest.mark.parametrize("gap, text", [
         # 1.79 and 5.13 at 12 digits; 1e-13 before

@@ -596,8 +596,9 @@ class TestWorkingDigits:
     """verify_series_identity sums the series side at the requested digits
     and evaluates the closed form once, at digits + extra + 5, extra the
     number of decimal digits of an integer upper bound of the addends'
-    magnitudes.  The oracle is the 15-digit probe of the value that set
-    extra before: the working digits are never below the probe's."""
+    magnitudes.  The oracle is a 15-digit evaluation of the value, the
+    probe: the working digits are never below digits + 5 plus the number
+    of decimal digits of its integer part."""
 
     @staticmethod
     def old_work(rhs: RHSForm, digits: int) -> int:
@@ -1103,7 +1104,7 @@ class TestOneShotN:
         # from lo does: every direct-path registry envelope, from k0 and
         # from 1, and ratios near 1 with degrees up to 12
         def stepped(poly, theta, lo):
-            # the loop that the guess replaced
+            # the plain stepping loop, the oracle
             deg, (a, b), K = len(poly) - 1, theta.as_integer_ratio(), lo
             while 2 * a * (K + 2) ** deg > (a + b) * (K + 1) ** deg:
                 K += 1
