@@ -67,14 +67,15 @@ radius in one comparison of integers, and if the check fails N steps up
 until it passes, so no float ever decides a verdict; the exact values
 P(N+1) and D(N+1) that the estimate took at the N it settles on serve the
 check too.  One pass over the terms then gives the sum, and the moment
-sums of :func:`eval_weighted` share it.  A boundary-ratio series, theta = 1, takes the Euler transform
-(:class:`_EulerSum`) from the same pass: its weights are suffix sums of
-one binomial row, its weight-free moment certificate is built once per
-:func:`eval_weighted` call, and its N is the smallest whose dyadic tail
-bound passes, bisected after jumps.  Both paths read one table of term
-factors (:class:`_Factor`): a factor's growth bound and decay enter the
-envelopes, its moment box the certificate, and the certificate takes its
-polynomial cofactor from the envelope.
+sums of :func:`eval_weighted` share it.  A boundary-ratio series,
+theta = 1, takes the Euler transform (:class:`_EulerSum`) from the same
+pass: its weights are suffix sums of one binomial row, its weight-free
+moment certificate is built once per :func:`eval_weighted` call, and its
+N is the smallest whose dyadic tail bound passes, bisected after jumps.
+Both paths read one table of term factors (:class:`_Factor`): a factor's
+growth bound and decay enter the envelopes, its moment box the
+certificate, and the certificate takes its polynomial cofactor from the
+envelope.
 
 Closed forms are evaluated in fixed point as well.  :func:`eval_rhs` keeps
 each addend q sqrt(d) basis as an integer interval lo <= value * 2^s <= hi:
