@@ -29,7 +29,12 @@ midpoints and radii are aligned at the finest binary exponent by shifts
 and summed as integers.
 
 :func:`rediscover` searches on moment sums evaluated at ``digits`` and
-re-verifies only a FOUND relation, at 1.5x the digits;
+re-verifies only a FOUND relation, at 1.5x the digits.  On the direct path
+(envelope ratio theta < 1) the moments are summed in one pass to one N and
+floored at the verification's finer scale (:class:`sereval.Moments`),
+so the verification continues that pass: it reads the terms past N only.
+On the Euler path (theta = 1) the transform's weights depend on N, so the
+relation's series is summed again by :func:`sereval.verify_series_identity`.
 :func:`rediscover_each` runs it over several bases on one set of moments
 and says why a basis gave no candidate.
 The module needs nothing outside the standard library.
@@ -256,11 +261,14 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
 
     ``spec`` fixes the unweighted term (its weight field is ignored); the
     search runs over the moment sums with weights k^degree, ..., k, 1,
-    all summed from one pass over the terms (:func:`sereval.eval_weighted`)
+    all summed from one pass over the terms (:class:`sereval.Moments`)
     at ``digits``, together with the basis values sqrt(d) * <named
     constant>.  Only a FOUND relation costs more: it is turned into a
-    weighted identity and re-verified by
-    :func:`sereval.verify_series_identity` at 1.5x the search precision.
+    weighted identity and re-verified at 1.5x the search precision, by the
+    gap test of :func:`sereval.verify_series_identity`.  On the direct
+    path its series side continues the moments' pass, from the term after
+    the last one the moments read; on the Euler path it is summed again by
+    :func:`sereval.verify_series_identity`.
     Raises ``ValueError`` below ``MIN_DIGITS`` digits, for
     ``max_norm < 1``, for a degree outside 0..``sereval.MAX_DEGREE`` or
     for a dependent basis (see :func:`rediscover_each`), before any
@@ -277,7 +285,10 @@ def rediscover_each(spec: TermSpec,
     """:func:`rediscover` for each basis in turn, lazily: a FOUND
     relation's Candidate, confirmed or not, or else the search's NONE or
     PRECISION_EXHAUSTED.  The moments do not depend on the basis, so one
-    pass over the terms serves the searches of every basis.  Raises as
+    pass over the terms serves the searches of every basis, and is sized
+    for the verification of any relation of max norm up to ``max_norm``
+    between them: every FOUND relation's verification continues it (on
+    the direct path; see :func:`rediscover`).  Raises as
     :func:`rediscover` does, at the first step; a basis is dependent when
     two of its entries have one name and radicands d, d' with d d' a
     square: the two values are then rational multiples of each other, and
@@ -286,7 +297,8 @@ def rediscover_each(spec: TermSpec,
     When every moment ball contains its own first term, k0^j term(k0) for
     the weight k^j (term(k0) from :func:`sereval.term_value`), the terms
     past the first are below the search precision, and each basis yields
-    NOT_SEARCHED without a search.
+    NOT_SEARCHED without a search.  The balls keep the search's radius for
+    this, though their midpoints are floored finer.
     """
     _threshold(digits)
     if max_norm < 1:
@@ -304,13 +316,13 @@ def rediscover_each(spec: TermSpec,
                     raise ValueError(
                         f"basis entries {e}*{name} and {d}*{name} are"
                         " rational multiples of each other")
-    weights = [tuple(1 if i == j else 0 for i in range(degree + 1))
-               for j in range(degree, -1, -1)]
-    moments: Optional[List[Ball]] = None
+    verify_digits = digits + digits // 2
+    sums: Optional[sereval.Moments] = None
     for basis in bases:
-        if moments is None:
-            moments = [ball for ball, _ in
-                       sereval.eval_weighted(spec, weights, digits)]
+        if sums is None:
+            sums = sereval.Moments(spec, degree, digits, verify_digits,
+                                   max_norm)
+            moments = sums.balls
             # every term past the first is below the search precision: any
             # relation found would hold only numerically
             first = sereval.term_value(replace(spec, weight=(1,)), spec.k0)
@@ -338,6 +350,4 @@ def rediscover_each(spec: TermSpec,
             spec=TermSpec(weight=weight, den=spec.den, seq=spec.seq,
                           m=spec.m, k0=spec.k0),
             rhs=RHSForm(addends=addends))
-        verify_digits = digits + digits // 2
-        report = sereval.verify_series_identity(ident, verify_digits)
-        yield Candidate(ident, coeffs, result, report)
+        yield Candidate(ident, coeffs, result, sums.verify(ident))

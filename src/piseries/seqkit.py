@@ -105,6 +105,14 @@ class SequenceKind:
     tag: str
     params: Tuple[int, ...] = ()
 
+    def __post_init__(self):
+        # every store and envelope lookup hashes its kind: the hash of
+        # (tag, params) is taken once, here, and not built anew each time
+        object.__setattr__(self, "_hash", hash((self.tag, self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         if not self.params:
             return self.tag

@@ -85,8 +85,9 @@ lo, ceil for hi, the ends swapped for q < 0).  Each named constant c (pi,
 G, K and log 3) is one such interval lo <= c 2^top <= hi, held per name in
 ``_CONST_FIXED`` for the whole process at the finest scale asked for so
 far: a coarser request is cut from it by a shift, and only a finer one
-calls :func:`constant`, once, at a scale rounded up to a multiple of 64
-bits.  :func:`constant` builds a directed-rounded interval from its
+calls :func:`constant`, once, 128 bits finer than asked and rounded up to
+a multiple of 64 bits, so that the next finer requests of the run are cut
+from it too.  :func:`constant` builds a directed-rounded interval from its
 series, each summed by :func:`eval_weighted` with its certified tail
 bound: pi = 426880 sqrt(10005) / (Chudnovsky's sum), G from two series and
 pi, K = 2 (3A - 10C) / (3 sqrt(3) pi) from the central-binomial sums
@@ -94,6 +95,16 @@ A = sum_{k>=1} 1/(k^3 C(2k,k)) and C = sum_{k>=1} (-1)^k/(k^3 C(2k,k))
 (Zucker 1985 for A, Apery's zeta(3) = -(5/2) C) and pi, and log 3 from one
 series.  :func:`verify_series_identity` compares the two dyadic balls in
 integers too.
+
+The moment sums sum k^j term(k) of a rediscovery are a :class:`Moments`.
+On the direct path they are summed from one walk to one N, each floored
+at the scale that verifying any relation between them at 1.5x the digits
+needs, one divmod per term serving every weight, so that a found
+relation's weighted sum continues that walk from N + 1 rather than
+summing its series again; its verdict is the gap test of
+:func:`verify_series_identity` (:func:`_gap_report`).  On the Euler path
+the transform's weights depend on N, so there the relation is verified by
+:func:`verify_series_identity` itself.
 
 The two sides of an identity are evaluated to different precisions.  The
 verdict reads an absolute gap below 10^(1-digits), and the radius of
@@ -125,7 +136,7 @@ from .seqkit import SequenceKind
 __all__ = [
     "Ball", "DivergentError", "MAX_DEGREE", "TermSpec", "RHSForm",
     "SeriesIdentity", "constant", "eval_series", "eval_weighted", "eval_rhs",
-    "tail_bound", "verify_series_identity", "term_value",
+    "tail_bound", "verify_series_identity", "term_value", "Moments",
 ]
 
 
@@ -315,6 +326,12 @@ def constant(name: str, digits: int = 50) -> Ball:
 _CONST_FIXED: Dict[str, Tuple[int, int, int]] = {}
 #: a new enclosure's scale is rounded up to a multiple of this many bits
 _CONST_STEP = 64
+#: bits a new enclosure is computed beyond the scale asked for, about 38
+#: digits: the registry's closed forms, checked at 12 to 40 digits, ask
+#: for scales from 92 to 336 bits, less than two headrooms apart, so such
+#: a run computes each constant at most twice, whatever the order of its
+#: checks
+_CONST_HEADROOM = 128
 
 
 def _const_fixed(name: str, s: int) -> Tuple[int, int]:
@@ -322,13 +339,13 @@ def _const_fixed(name: str, s: int) -> Tuple[int, int]:
 
     A scale at or below the held one is cut from the held enclosure by
     shifts (floor for lo, ceil for hi) and computes nothing; a finer one
-    calls :func:`constant` once, at s rounded up to ``_CONST_STEP`` bits,
-    and is held from then on.  The ends are at most two units apart, at
-    the held scale and at every coarser one.
+    calls :func:`constant` once, at s + ``_CONST_HEADROOM`` rounded up to
+    ``_CONST_STEP`` bits, and is held from then on.  The ends are at most
+    two units apart, at the held scale and at every coarser one.
     """
     held = _CONST_FIXED.get(name)
     if held is None or held[0] < s:
-        top = -(-s // _CONST_STEP) * _CONST_STEP
+        top = -(-(s + _CONST_HEADROOM) // _CONST_STEP) * _CONST_STEP
         # radius < 10^-digits <= 2^-top / 10
         held = _CONST_FIXED[name] = (
             top, *constant(name, _digits(top)).interval(top))
@@ -1112,15 +1129,40 @@ def _scale_bits(rounded: int, T: int) -> int:
 
 def _fits(m: int, e: int, rounded: int, T: int) -> bool:
     """Whether the tail bound m 2^-e is below 1/T less the rounding radius
-    r 2^-s of r = ``rounded`` floors at s = ``_scale_bits(r, T)``, in one
-    comparison of integers: m T 2^s < (2^s - r T) 2^e."""
-    s = _scale_bits(rounded, T)
+    r 2^-s of r = ``rounded`` floors at s = ``_scale_bits(r, T)``
+    (:func:`_fits_at`)."""
+    return _fits_at(m, e, rounded, _scale_bits(rounded, T), T)
+
+
+def _fits_at(m: int, e: int, rounded: int, s: int, T: int) -> bool:
+    """Whether the tail bound m 2^-e is below 1/T less the rounding radius
+    r 2^-s of r = ``rounded`` units, in one comparison of integers:
+    m T 2^s < (2^s - r T) 2^e."""
     lhs, rhs = (m * T) << s, (1 << s) - rounded * T
     if e >= 0:
         rhs <<= e
     else:
         lhs <<= -e
     return lhs < rhs
+
+
+def _fall_root(g: float, L: float, n: int, beta: float) -> float:
+    """An s >= 0 at or below the root of f(s) = s L + beta log(1 + s/n) =
+    g > 0, for L > 0 and f increasing.  For beta >= 0 f is concave, and
+    Newton's iteration from the root of its tangent at 0 stays below the
+    root; for beta < 0 the iteration s = (g - beta log(1 + s/n)) / L from
+    g / L rises towards the root and stays below it, as its right side
+    grows with s."""
+    if beta < 0:
+        s = g / L
+        for _ in range(2):
+            s = (g - beta * log1p(s / n)) / L
+        return s
+    s = g / (L + beta / n)
+    if beta:
+        for _ in range(2):
+            s -= (s * L + beta * log1p(s / n) - g) / (L + beta / (n + s))
+    return s
 
 
 def _estimate_N(tail: _Tail, k0: int, T: int) -> int:
@@ -1132,14 +1174,20 @@ def _estimate_N(tail: _Tail, k0: int, T: int) -> int:
     integers, so only their logs are floats, however long their parts.
 
     From K0 the guess moves up by s steps with f(s) <= gap, where
-    f(s) = s L + alpha log(1 + s/(N+1)), L = -log(theta), bounds the fall
-    of the log gap over s steps from N: log theta^(N+1) falls by s L,
-    log (N+1)^(-alpha) by the rest, and the growth of log P (or log D) and
-    of the rounding radius only slow the fall; so no move passes the
-    smallest such N.  f is concave, so Newton's iteration for f(s) = gap
-    from below stays below the root, and with alpha = 0 the first step is
-    the root gap / L.  Only a guess: rounding may move the answer by one,
-    and the caller checks the N it settles on in integers.
+    f(s) = s L + beta log(1 + s/n), n = N+1, L = -log(theta), bounds the
+    fall of the log gap over s steps from N: log theta^n falls by s L, and
+    log P by at most -mu_P log(1 + s/n), mu_P = n P'(n) / P(n), as
+    P(n+s) / P(n) >= (1 + s/n)^mu_P by Jensen's inequality (log P is
+    convex in log n, its coefficients being nonnegative);
+    log D(n) n^(-alpha) falls by at most (alpha - mu_D) log(1 + s/n) the
+    same way.  The log of the smaller envelope falls by at most the larger
+    of the two, so beta = -mu_P, or the larger of -mu_P and alpha - mu_D.
+    The rounding radius only slows the fall.  So no move passes the
+    smallest such N.  The first step takes beta at K0; the later ones,
+    short, take beta = alpha, dropping the growth, which only shortens
+    them; each step stays below the root of f(s) = gap
+    (:func:`_fall_root`).  Only a guess: rounding may move the answer by
+    one, and the caller checks the N it settles on in integers.
     """
     a, b = tail.theta.as_integer_ratio()
     L = log(b) - log(a)
@@ -1163,13 +1211,19 @@ def _estimate_N(tail: _Tail, k0: int, T: int) -> int:
         return env - (N + 1) * L + base - log1p(-ratio)
 
     N, g = tail.K0, gap(tail.K0)
-    while g >= 0:
-        step = g / (L + alpha / (N + 1))
+    if g >= 0:
+        # the first step takes the envelopes' growth mu = n p'(n) / p(n)
+        n = N + 1
+        p, d = tail.values(n)
+        beta = -n * _horner([i * c for i, c in enumerate(tail.coeffs)][1:],
+                            n) / p
         if alpha:
-            for _ in range(2):
-                step -= (step * L + alpha * log1p(step / (N + 1)) - g) \
-                    / (L + alpha / (N + 1 + step))
-        N += max(1, ceil(step))
+            beta = max(beta, alpha - n * _horner(
+                [i * c for i, c in enumerate(tail.decay[0])][1:], n) / d)
+        N += max(1, ceil(_fall_root(g, L, n, beta)))
+        g = gap(N)
+    while g >= 0:
+        N += max(1, ceil(_fall_root(g, L, N + 1, alpha)))
         g = gap(N)
     return N
 
@@ -1209,11 +1263,18 @@ class _DirectSum:
         N = max(_estimate_N(self.env, spec.k0, self.T), self.env.K0)
         while (bound := self._closed_bound(N)) is None:
             N += 1
+        self.tail = _radius([bound])
+        self.rescale(N, _scale_bits(N - self.k0 + 1, self.T))
+
+    def rescale(self, N: int, s: int) -> None:
+        """Sum the terms up to N, floored at 2^-s, from an empty total.
+        The tail stays the one of the N chosen at construction, so it
+        bounds the terms past any N at or above that."""
         # N is also the reach, the last term this sum reads from the stream
-        self.N, self.reach, self.tail = N, N, _radius([bound])
-        self.s = _scale_bits(N - self.k0 + 1, self.T)
+        self.N = self.reach = N
+        self.s = s
         #: the leading bits a cut column must keep for this sum
-        self.bits = self.s + 2 * _GUARD
+        self.bits = s + 2 * _GUARD
         self.total = 0
 
     def _closed_bound(self, N: int) -> Optional[Tuple[int, int]]:
@@ -1287,6 +1348,13 @@ def eval_weighted(spec: TermSpec, weights: Sequence[Sequence],
     weights.  Every N is fixed before the stream starts, so one walk from
     k0 serves every sum; a direct-path stream is cut to the most bits any
     of its sums needs.  No sum keeps an exact term.
+
+    Each sum stops at its own N, at its own scale, so none can be carried
+    further.  The moment sums of a rediscovery come from :class:`Moments`
+    instead, which on the direct path sums them to one N at the
+    verification's scale so that a found relation continues their pass;
+    on the Euler path, whose transform weights depend on N, it reads them
+    from here.
     """
     if not weights:
         return []
@@ -1790,15 +1858,186 @@ def verify_series_identity(entry: SeriesIdentity, digits: int = 40) -> SeriesRep
     however the addends cancel; without ``extra`` an identity with a large
     constant could never certify the gap.  As |value| <= A, these working
     digits are never below those that a probe of the value itself gives.
-    The gap bound is rounded up to units of 10^-(work+10) in integers.
+    The gap bound is rounded up to units of 10^-(work+10) in integers
+    (:func:`_gap_report`).
     """
-    work = _work_digits(entry.rhs, digits)
     stats: dict = {}
-    gap = eval_series(entry.spec, digits, stats) - eval_rhs(entry.rhs, work)
+    series = eval_series(entry.spec, digits, stats)
+    return _gap_report(series, stats["terms"], entry.rhs, digits)
+
+
+def _gap_report(series: Ball, terms: int, rhs: RHSForm,
+                digits: int) -> SeriesReport:
+    """The verdict of an identity whose series side is the ball
+    ``series`` of ``terms`` terms, radius below 10^-(digits+2), and whose
+    closed form is ``rhs``: the one gap test of
+    :func:`verify_series_identity`, which also verifies the relations of
+    :meth:`Moments.verify`."""
+    work = _work_digits(rhs, digits)
+    gap = series - eval_rhs(rhs, work)
     ok = gap.below(10 ** (digits - 1))
     # Round the exact gap bound |mid| + rad up to a small integer count of
     # units so the report stays printable; the pass/fail decision above
     # already used the exact value.
     scale = work + 10
     units = -(-(abs(gap.mid) + gap.rad) * 10 ** scale >> gap.exp)
-    return SeriesReport(ok, units, scale, stats["terms"])
+    return SeriesReport(ok, units, scale, terms)
+
+# --------------------------------------------------------------------------
+# Moment sums of a rediscovery, and their continuation
+# --------------------------------------------------------------------------
+
+def _verify_scale(N: int, k0: int, theta: Fraction, digits: int,
+                  verify_digits: int, per_term: int) -> Tuple[int, int]:
+    """(N', s) for the verification at ``verify_digits`` of any relation
+    between the moments k^j, j <= degree, of a term of envelope ratio
+    theta < 1, whose closed-form tails all fit the budget at ``digits``
+    from N on, with at most ``per_term`` = (degree + 1) max_norm units per
+    term: N' bounds the terms its weighted sum needs, and at the scale
+    2^-s the rounding radius of ``per_term`` units per term up to N' is at
+    most 10^-(verify_digits+2) / 32.
+
+    N' is generous, and needs no tail bound of its own.  For such a weight
+    w = sum c_j k^j, |c_j| <= max_norm, |w|(k) <= per_term k^degree for
+    k >= 1, so its closed form (:class:`_Tail`) is at most ``per_term``
+    times that of k^degree, which is below 10^-(digits+2) at N; past the
+    crossover each closed form falls at least by rho = (1+theta)/2 per
+    term.  So it is below 31/32 of 10^-(verify_digits+2) once
+    rho^t <= 31 / (32 per_term 10^(verify_digits-digits)), and N' = N + t,
+    one more for the float logs.
+    """
+    a, b = theta.as_integer_ratio()
+    t = ceil((log(32 * per_term / 31) + (verify_digits - digits) * log(10))
+             / (log(2 * b) - log(a + b)))
+    N += t + 1
+    return N, _scale_bits(per_term * (N - k0 + 1), 10 ** (verify_digits + 2))
+
+
+class Moments:
+    """The moment sums M_j = sum_{k>=k0} k^j term(k), j = degree, ..., 1,
+    0, of the search of :func:`piseries.relation.rediscover`, certified at
+    ``digits``, and the verification at ``verify_digits`` of any relation
+    of max norm at most ``max_norm`` between them.
+
+    On the direct path the moments come from one walk over the terms:
+    each M_j keeps the N_j and the tail that :func:`eval_weighted` gives it
+    at the search's digits, but all of them are summed to one N, the
+    largest N_j, and floored at the verification's finer scale s
+    (:func:`_verify_scale`).  A block that is not cut takes one divmod per
+    term for all the weights, q, r = divmod(num 2^s, den), and then
+    floor(k^j num 2^s / den) = k^j q + floor(k^j r / den) exactly, so each
+    floor is the one the weight's own division gives; a cut block is
+    floored weight by weight (:class:`_DirectSum`).  So a relation's
+    weighted sum continues this pass (:meth:`continued`) instead of
+    summing its series again.  Each ball of :attr:`balls` still carries
+    the rounding radius of N_j floors at the search's own scale on top of
+    its own: the search, and the check that the terms past the first are
+    below its precision, read the moments at the search's precision, and
+    only the midpoints are finer.
+
+    On the Euler path the transform's weights A_i depend on N, so its
+    sums cannot be continued: the moments are :func:`eval_weighted`'s,
+    and :meth:`verify` is :func:`verify_series_identity`.
+    """
+
+    def __init__(self, spec: TermSpec, degree: int, digits: int,
+                 verify_digits: int, max_norm: int):
+        self.spec, self.verify_digits = spec, verify_digits
+        weights = [tuple(int(i == j) for i in range(degree + 1))
+                   for j in range(degree, -1, -1)]
+        self.env = env = _base_envelope(spec)
+        if env.theta >= 1:
+            self.sums = None
+            self.balls = [ball for ball, _ in
+                          eval_weighted(spec, weights, digits)]
+            return
+        self.sums = [_DirectSum(replace(spec, weight=w), env, digits)
+                     for w in weights]
+        self.N = max(d.N for d in self.sums)
+        self.s = _verify_scale(self.N, spec.k0, env.theta, digits,
+                               verify_digits, (degree + 1) * max_norm)[1]
+        # the rounding radius each sum would have at the search's digits
+        coarse = [Ball(0, d.N - spec.k0 + 1, d.s) + d.tail
+                  for d in self.sums]
+        for d in self.sums:
+            d.rescale(self.N, self.s)
+        for block in _columns(spec, _UNWEIGHTED, spec.k0, self.N,
+                              self.s + 2 * _GUARD):
+            self._add(*block)
+        terms = self.N - spec.k0 + 1
+        #: the ball of each M_j, j = degree, ..., 0
+        self.balls = [Ball(d.total, terms, self.s) + c
+                      for d, c in zip(self.sums, coarse)]
+
+    def _add(self, k: int, nums: List[int], dens: List[int],
+             cut: Optional[_Cut]) -> None:
+        """Take the block of unweighted terms k, k+1, ... of the walk to
+        N: one divmod per term for all the weights, or each weight's own
+        floors when the block is cut."""
+        if cut is not None:
+            for d in self.sums:
+                d.add(k, nums, dens, cut)
+            return
+        qr = list(map(divmod, map(lshift, nums, repeat(self.s)), dens))
+        qs, rs = [q for q, _ in qr], [r for _, r in qr]
+        ks = range(k, k + len(nums))
+        sums = reversed(self.sums)
+        next(sums).total += sum(qs)
+        for d in sums:
+            qs, rs = list(map(mul, qs, ks)), list(map(mul, rs, ks))
+            d.total += sum(qs) + sum(map(floordiv, rs, dens))
+
+    def continued(self, weight: Sequence[int]) -> Tuple[Ball, int]:
+        """The ball of sum_{k>=k0} w(k) term(k), radius below
+        10^-(verify_digits+2), and its number of terms, for the integer
+        weight w = sum c_j k^j (``weight`` low -> high) on the direct path.
+
+        It is the sum of three parts: sum c_j times the partial sum of
+        M_j, its radius sum |c_j| (N - k0 + 1) units of 2^-s; w's floors
+        at 2^-s over k = N+1..N_V, from one more walk from N + 1; and w's
+        own tail bound at N_V, where N_V >= N is the smallest N whose
+        closed-form tail fits the budget that the rounding radius of both
+        parts leaves (:func:`_fits_at`).  ``ArithmeticError`` if no N can,
+        the rounding radius alone exceeding the budget.
+        """
+        cs = list(weight) + [0] * (len(self.sums) - len(weight))
+        cs.reverse()
+        head = sum(map(abs, cs)) * (self.N - self.spec.k0 + 1)
+        # its N at the verification's digits is the first guess
+        d = _DirectSum(replace(self.spec, weight=tuple(weight)), self.env,
+                       self.verify_digits)
+        tail, lo = d.env, max(self.N, d.env.K0)
+
+        def fit(N: int) -> Optional[Tuple[int, int]]:
+            bound = tail.closed(N)
+            return bound if _fits_at(*bound, head + N - self.N, self.s,
+                                     d.T) else None
+
+        N = max(d.N, lo)
+        while (bound := fit(N)) is None:
+            N += 1
+            # the rounding radius only grows with N: past the budget no N
+            # fits (_verify_scale sizes s so that this never happens)
+            if (head + N - self.N) * d.T >= 1 << self.s:
+                raise ArithmeticError("verification scale too coarse for"
+                                      f" the weight {tuple(weight)}")
+        while N > lo and (below := fit(N - 1)) is not None:
+            N, bound = N - 1, below
+        d.rescale(N, self.s)
+        if N > self.N:
+            for block in _columns(self.spec, _UNWEIGHTED, self.N + 1, N,
+                                  d.bits):
+                d.add(*block)
+        mid = sum(c * m.total for c, m in zip(cs, self.sums)) + d.total
+        return (Ball(mid, head + N - self.N, self.s) + _radius([bound]),
+                N - self.spec.k0 + 1)
+
+    def verify(self, ident: SeriesIdentity) -> SeriesReport:
+        """The verdict of :func:`verify_series_identity` at
+        ``verify_digits`` for the identity of a relation between the
+        moments: its series side continued from this pass on the direct
+        path, summed again on the Euler path."""
+        if self.sums is None:
+            return verify_series_identity(ident, self.verify_digits)
+        ball, terms = self.continued(ident.spec.weight)
+        return _gap_report(ball, terms, ident.rhs, self.verify_digits)

@@ -536,14 +536,15 @@ class TestDiscover:
     def test_not_found_after_a_failed_re_verification(self, capsys,
                                                       monkeypatch):
         # the search finds the relation of the abstract's series, and its
-        # re-verification (made to fail here) refuses it
+        # re-verification (made to fail here, in the gap test that every
+        # verification ends in) refuses it
         seen = []
 
-        def refuse(ident, digits):
+        def refuse(series, terms, rhs, digits):
             seen.append(digits)
-            return sereval.SeriesReport(False, 1, 0, 0)
+            return sereval.SeriesReport(False, 1, 0, terms)
 
-        monkeypatch.setattr(sereval, "verify_series_identity", refuse)
+        monkeypatch.setattr(sereval, "_gap_report", refuse)
         code, out, err = _run(capsys, ["discover", "--seq", "S(1,25)", "--m",
                                        "-100", "--digits", "40", "--basis",
                                        "1*INV_PI"])
@@ -569,13 +570,13 @@ class TestDiscover:
         # a bare basis name tries 15 multipliers sqrt(d); the moments do
         # not depend on d, so the search sums them once for all of them
         calls = []
-        real = sereval.eval_weighted
+        real = sereval.Moments
 
-        def spy(spec, weights, digits):
+        def spy(spec, degree, digits, *args):
             calls.append(digits)
-            return real(spec, weights, digits)
+            return real(spec, degree, digits, *args)
 
-        monkeypatch.setattr(sereval, "eval_weighted", spy)
+        monkeypatch.setattr(sereval, "Moments", spy)
         code, out, err = _run(capsys, ["discover", "--seq", "F", "--m",
                                        "-400", "--digits", "30"])
         assert (code, err) == (0, "")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -234,12 +235,18 @@ class TestResidual:
                                   for c, v in zip(coeffs, values))
 
 
+def _forbid_sums(monkeypatch):
+    """Make every way of summing the moments raise."""
+    def unexpected(*args):
+        raise AssertionError("summed a series")
+
+    monkeypatch.setattr(se, "Moments", unexpected)
+    monkeypatch.setattr(se, "eval_weighted", unexpected)
+
+
 class TestRediscover:
     def test_too_few_digits_sums_nothing(self, monkeypatch):
-        def unexpected(*args):
-            raise AssertionError("summed a series")
-
-        monkeypatch.setattr(se, "eval_weighted", unexpected)
+        _forbid_sums(monkeypatch)
         spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
                         m=Fraction(-64), k0=0)
         with pytest.raises(ValueError, match="digits must be >= 16"):
@@ -254,10 +261,7 @@ class TestRediscover:
     ])
     def test_bad_search_bounds_sum_nothing(self, monkeypatch, kwargs,
                                            message):
-        def unexpected(*args):
-            raise AssertionError("summed a series")
-
-        monkeypatch.setattr(se, "eval_weighted", unexpected)
+        _forbid_sums(monkeypatch)
         spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
                         m=Fraction(-64), k0=0)
         with pytest.raises(ValueError, match=message):
@@ -267,10 +271,7 @@ class TestRediscover:
         [(1, "PI"), (1, "PI")], [(2, "INV_PI"), (8, "INV_PI")],
         [(3, "K3"), (5, "K3"), (27, "K3")]])
     def test_dependent_basis_sums_nothing(self, monkeypatch, basis):
-        def unexpected(*args):
-            raise AssertionError("summed a series")
-
-        monkeypatch.setattr(se, "eval_weighted", unexpected)
+        _forbid_sums(monkeypatch)
         spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
                         m=Fraction(-64), k0=0)
         # a dependent basis anywhere in the list fails the first step
@@ -322,40 +323,50 @@ class TestRediscover:
 
     @staticmethod
     def _spy_passes(monkeypatch, seq):
-        """Record the digits of each eval_weighted call, each walk over
-        the terms of ``seq`` and each read of one of its terms alone,
-        (weight, k), the weight as the integer weight the column builder
-        multiplies in (``([1], 1)`` for none)."""
+        """Record the digits of each moment pass over ``seq``, each walk
+        over its terms as (weight, first k) and each read of one of its
+        terms alone as (weight, k), the weight as the integer weight the
+        column builder multiplies in (``([1], 1)`` for none)."""
         walks, reads, precisions = [], [], []
-        columns, weighted = se._columns, se.eval_weighted
+        columns, moments = se._columns, se.Moments
 
         def spy_columns(s, weight, lo, hi, bits=None):
             if s.seq == seq:
-                if lo == hi:
-                    reads.append((weight, lo))
-                else:
-                    walks.append(weight)
+                (reads if lo == hi else walks).append((weight, lo))
             return columns(s, weight, lo, hi, bits)
 
-        def spy_weighted(s, weights, digits):
-            precisions.append(digits)
-            return weighted(s, weights, digits)
+        def spy_moments(s, degree, digits, *args):
+            if s.seq == seq:
+                precisions.append(digits)
+            return moments(s, degree, digits, *args)
 
         monkeypatch.setattr(se, "_columns", spy_columns)
-        monkeypatch.setattr(se, "eval_weighted", spy_weighted)
+        monkeypatch.setattr(se, "Moments", spy_moments)
         return walks, reads, precisions
+
+    @staticmethod
+    def _search_N(spec, digits, degree=1):
+        """N_D: the last term of the search's moment pass, the largest N
+        that one of its moments needs at ``digits``."""
+        weights = [tuple(int(i == j) for i in range(degree + 1))
+                   for j in range(degree + 1)]
+        return max(info["terms"] for _, info in
+                   se.eval_weighted(spec, weights, digits)) + spec.k0 - 1
 
     def test_moments_share_one_pass(self, monkeypatch):
         # the k and 1 moments come from one walk over the unweighted terms
-        # at the search digits; only the found relation walks once more,
-        # in verify_series_identity at 1.5 x 80 = 120 digits
+        # to N_D; the found relation's verification at 1.5 x 80 = 120
+        # digits continues it with one more walk, from N_D + 1
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24), k0=0)
+        N = self._search_N(spec, 80)
         walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
         cand = rl.rediscover(spec, [(2, "INV_PI")], digits=80,
                              max_norm=10 ** 3)
         assert cand.confirmed and cand.coeffs == (14, 6, -15)
-        assert precisions == [80, 120] and walks == [([1], 1), ([1], 1)]
+        assert cand.verification.terms_used > N + 1
+        assert precisions == [80]
+        assert walks == [(([1], 1), 0), (([1], 1), N + 1)]
         # and term(k0) once, alone, for the blind check
         assert reads == [(([1], 1), 0)]
 
@@ -364,7 +375,7 @@ class TestRediscover:
                         m=Fraction(-9), k0=0)
         walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
         assert rl.rediscover(spec, [(1, "INV_PI")], digits=80) is None
-        assert precisions == [80] and walks == [([1], 1)]
+        assert precisions == [80] and walks == [(([1], 1), 0)]
         assert reads == [(([1], 1), 0)]
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
@@ -385,10 +396,22 @@ class TestRediscover:
         assert list(rl.rediscover_each(spec, bases, digits=80,
                                        degree=degree)) == \
             [rl.NOT_SEARCHED, rl.NOT_SEARCHED]
-        assert precisions == [80] and walks == [([1], 1)]
+        assert precisions == [80] and walks == [(([1], 1), 0)]
         assert reads == [(([1], 1), 0)]
         assert rl.rediscover(spec, bases[0], digits=80,
                              degree=degree) is None
+
+    def test_terms_below_the_search_precision_search_nothing(self):
+        # term(1) = 8 / 2^320, about 4e-96, is below the search precision
+        # at 60 digits, but above the finer scale the moments are floored
+        # at and below the verification's threshold 1e-89: a search would
+        # find and confirm sum k term(k) = 0, which holds only numerically
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),),
+                        m=Fraction(-2 ** 320), k0=0)
+        moments = se.Moments(spec, 1, 60, 90, 10 ** 6)
+        assert Fraction(8, 2 ** 320) > Fraction(1, 1 << moments.s)
+        assert list(rl.rediscover_each(spec, [[(1, "INV_PI")]],
+                                       digits=60)) == [rl.NOT_SEARCHED]
 
     def test_each_basis_shares_the_search_moments(self, monkeypatch):
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
@@ -396,6 +419,7 @@ class TestRediscover:
         bases = [[(d, "INV_PI")] for d in (1, 3, 2)]
         alone = [rl.rediscover(spec, b, digits=80, max_norm=10 ** 3)
                  for b in bases]
+        N = self._search_N(spec, 80)
         walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
         each = list(rl.rediscover_each(spec, bases, digits=80,
                                        max_norm=10 ** 3))
@@ -403,12 +427,14 @@ class TestRediscover:
         assert each[:2] == [rl.NONE, rl.NONE] and alone[:2] == [None, None]
         assert (each[2].coeffs, each[2].confirmed) == \
             (alone[2].coeffs, alone[2].confirmed) == ((14, 6, -15), True)
-        # one search pass for all three bases, one verification pass
-        assert precisions == [80, 120] and walks == [([1], 1), ([1], 1)]
+        # one search pass for all three bases, and the verification of
+        # the relation continues it from N_D + 1
+        assert precisions == [80]
+        assert walks == [(([1], 1), 0), (([1], 1), N + 1)]
         # and term(k0) once, alone, for the blind check
         assert reads == [(([1], 1), 0)]
 
-    @pytest.mark.parametrize("digits", [60, 64])
+    @pytest.mark.parametrize("digits", [60, 62, 64])
     def test_matches_two_passes(self, discover_pool, digits):
         for ident, spec, d in discover_pool:
             cand = rl.rediscover(spec, [(d, "INV_PI")], digits=digits,
@@ -425,3 +451,132 @@ class TestRediscover:
         cand = rl.rediscover(spec, [(1, "INV_PI")], digits=60,
                              max_norm=50)
         assert cand is None
+
+
+def _overlap(a, b):
+    """Whether the balls a and b share a point."""
+    e = max(a.exp, b.exp)
+    return abs((a.mid << e - a.exp) - (b.mid << e - b.exp)) <= \
+        (a.rad << e - a.exp) + (b.rad << e - b.exp)
+
+
+def _registry_search(ident):
+    """(spec, [(d, "INV_PI")]) of a registry series q sqrt(d) / pi."""
+    series = next(e for e in corpus.load_default() if e.ident == ident).series
+    (_, d, name), = series.rhs.addends
+    return series.spec, [(d, name)]
+
+
+#: (spec, basis, degree) searches that find a relation: sum C(2k,k)/8^k =
+#: sqrt 2, the abstract's S_k(1,-6)/24^k against sqrt(2)/pi, and Sun's
+#: series 1.7 and 1.16, whose weights have degree 2
+FOUND_SEARCHES = [
+    (TermSpec(weight=(1,), den=(), seq=((sk.CB2, 1),), m=Fraction(8)),
+     [(2, "ONE")], 0),
+    (TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
+              m=Fraction(24)), [(2, "INV_PI")], 1),
+    (*_registry_search("1.7"), 2),
+    (*_registry_search("1.16"), 2),
+]
+
+
+class TestContinuedVerification:
+    """A found relation's verification continues the search's pass."""
+
+    @pytest.mark.parametrize("spec, basis, degree", FOUND_SEARCHES,
+                             ids=["cb2-8", "sbc-24", "1.7", "1.16"])
+    def test_matches_a_fresh_sum(self, spec, basis, degree):
+        # the continued ball overlaps eval_series' at 1.5x the digits, and
+        # the verdict and terms are those of verify_series_identity
+        for digits in (40, 61):
+            verify = digits + digits // 2
+            cand = rl.rediscover(spec, basis, digits=digits, degree=degree)
+            assert cand.confirmed
+            ident = cand.identity
+            moments = se.Moments(spec, degree, digits, verify, 10 ** 6)
+            ball, terms = moments.continued(ident.spec.weight)
+            stats = {}
+            fresh = se.eval_series(ident.spec, verify, stats)
+            assert _overlap(ball, fresh)
+            assert ball.rad * 10 ** (verify + 2) < 1 << ball.exp
+            report = se.verify_series_identity(ident, verify)
+            assert cand.verification.passed == report.passed
+            assert cand.verification.terms_used == terms
+            # and weights that are no relation, with every coefficient
+            # nonzero: still one enclosure, and the same failed verdict
+            weight = (3, -2, 5)[:degree + 1]
+            other = replace(ident, spec=replace(ident.spec, weight=weight))
+            ball, _ = moments.continued(weight)
+            assert _overlap(ball, se.eval_series(other.spec, verify))
+            assert not moments.verify(other).passed
+            assert not se.verify_series_identity(other, verify).passed
+
+    def test_too_coarse_a_scale_raises(self):
+        # a weight far above the max norm the scale was sized for leaves
+        # the rounding radius no room: an error, not an endless search
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
+                        m=Fraction(24), k0=0)
+        moments = se.Moments(spec, 1, 40, 60, 10)
+        with pytest.raises(ArithmeticError, match="too coarse"):
+            moments.continued((10 ** 30, 10 ** 30))
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_coefficient_off_by_one_fails(self, monkeypatch, i):
+        spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
+                        m=Fraction(24), k0=0)
+        coeffs = [14, 6, -15]
+        coeffs[i] += 1
+        monkeypatch.setattr(rl, "pslq", lambda *args: rl.PSLQResult(
+            rl.FOUND, coeffs=tuple(coeffs)))
+        cand = rl.rediscover(spec, [(2, "INV_PI")], digits=60)
+        assert cand.coeffs == tuple(coeffs) and not cand.confirmed
+        assert not se.verify_series_identity(cand.identity, 90).passed
+
+    def test_euler_path_sums_again(self, monkeypatch):
+        # theta = 1: the transform's weights depend on N, so the relation
+        # is verified by verify_series_identity, at 1.5 x 40 digits
+        spec, basis = _registry_search("1.1")
+        assert se._base_envelope(spec).theta == 1
+        seen, real = [], se.verify_series_identity
+
+        def spy(ident, digits):
+            seen.append(digits)
+            return real(ident, digits)
+
+        monkeypatch.setattr(se, "verify_series_identity", spy)
+        cand = rl.rediscover(spec, basis, digits=40, degree=2)
+        assert cand.confirmed and cand.coeffs == (4, -1, 0, 1)
+        assert seen == [60]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("spec, basis, _", FOUND_SEARCHES[1:],
+                             ids=["sbc-24", "1.7", "1.16"])
+    def test_scale_bound_at_max_norm_1e18(self, spec, basis, _, degree):
+        # a weight of max norm 10^18 needs at most the N of _verify_scale,
+        # and its rounding radius stays below 1/32 of 10^-(verify+2)
+        max_norm, digits, verify = 10 ** 18, 40, 60
+        moments = se.Moments(spec, degree, digits, verify, max_norm)
+        N, s = se._verify_scale(moments.N, spec.k0, moments.env.theta,
+                                digits, verify, (degree + 1) * max_norm)
+        assert s == moments.s
+        for signs in ((1, 1, 1), (1, -1, 1), (-1, -1, 1)):
+            weight = tuple(max_norm * c for c in signs[:degree + 1])
+            ball, terms = moments.continued(weight)
+            N_V = terms + spec.k0 - 1
+            assert moments.N <= N_V <= N
+            head = (degree + 1) * max_norm * (moments.N - spec.k0 + 1)
+            assert 32 * (head + N_V - moments.N) * 10 ** (verify + 2) \
+                <= 1 << s
+            # N_V is the smallest N whose tail fits what both rounding
+            # radii leave of 10^-(verify+2)
+            tail = se._Tail(moments.env, weight[::-1], 1, spec.k0)
+
+            def fits(n):
+                return se._fits_at(*tail.closed(n), head + n - moments.N, s,
+                                   10 ** (verify + 2))
+
+            assert fits(N_V)
+            assert N_V == max(moments.N, tail.K0) or not fits(N_V - 1)
+            assert ball.rad * 10 ** (verify + 2) < 1 << ball.exp
+            fresh = se.eval_series(replace(spec, weight=weight), verify)
+            assert _overlap(ball, fresh)

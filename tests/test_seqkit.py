@@ -528,6 +528,49 @@ class TestStore:
         assert kind not in store._rows and kind not in store._gens
 
 
+class TestKind:
+    """A kind stays a frozen value: equality, hash and str by tag and
+    parameters, its hash taken once."""
+
+    def test_frozen(self):
+        import dataclasses
+        kind = sk.GCT(62, 9025)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kind.tag = "SBC"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kind.params = (1, 1)
+        assert kind == sk.GCT(62, 9025)
+
+    def test_equality(self):
+        assert sk.GCT(62, 9025) == sk.SequenceKind("GCT", (62, 9025))
+        assert sk.SequenceKind("CB2") == sk.CB2
+        assert sk.GCT(62, 9025) != sk.GCT(62, 9024)
+        assert sk.GCT(1, 2) != sk.SBC(1, 2) and sk.GCT(1, 2) != sk.GCT2(1, 2)
+        # a kind is not the tuple of its fields
+        assert sk.CB2 != ("CB2", ())
+
+    def test_hash_agrees_with_equality(self):
+        kinds = [sk.GCT(62, 9025), sk.SequenceKind("GCT", (62, 9025)),
+                 sk.SBC(1, -6), sk.SBC(1, -6), sk.CB2,
+                 sk.SequenceKind("CB2"), sk.GPOLY(-20)]
+        for a in kinds:
+            for b in kinds:
+                if a == b:
+                    assert hash(a) == hash(b)
+            # the hash of the fields, as the generated hash gave it
+            assert hash(a) == hash((a.tag, a.params))
+        table = {kind: i for i, kind in enumerate(kinds)}
+        assert len(table) == 4
+        assert table[sk.SequenceKind("SBC", (1, -6))] == 3
+
+    def test_str(self):
+        assert str(sk.CB2) == "CB2"
+        assert str(sk.GCT(62, 9025)) == "GCT(62,9025)"
+        assert str(sk.SBC(1, -6)) == "SBC(1,-6)"
+        assert str(sk.GPOLY(-20)) == "GPOLY(-20)"
+        assert repr(sk.GCT(1, 2)) == "SequenceKind(tag='GCT', params=(1, 2))"
+
+
 class TestSteppers:
     """The order-1 and order-2 loops and the written-out coefficients
     against the generic stepper of ``oracle_exact``."""

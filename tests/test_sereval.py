@@ -15,6 +15,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from piseries import corpus
 from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import Ball, DivergentError, RHSForm, SeriesIdentity, TermSpec
@@ -555,12 +556,13 @@ class TestConstFixed:
     @pytest.mark.parametrize("name,expr", _CONSTANT_REFERENCES)
     def test_large_small_larger_contain_reference(self, calls, name, expr):
         ref = mp_ref(expr, 160)
-        for s in (200, 80, 330):
+        for s in (200, 80, 400):
             lo, hi = se._const_fixed(name, s)
             assert Fraction(lo, 1 << s) <= ref <= Fraction(hi, 1 << s)
             assert 0 < hi - lo <= 2
-        # the held scale is rounded up to the step, never doubled
-        assert se._CONST_FIXED[name][0] == 384
+        # 200 is held at 200 + 128 rounded up to the step, 384, which
+        # serves 80; 400 at 576
+        assert se._CONST_FIXED[name][0] == 576
         assert calls.count(name) == 2
 
     @pytest.mark.parametrize("name", [n for n, _ in _CONSTANT_REFERENCES])
@@ -568,9 +570,9 @@ class TestConstFixed:
         se._const_fixed(name, 150)
         assert calls.count(name) == 1
         top, lo, hi = se._CONST_FIXED[name]
-        assert top == 192
+        assert top == 320
         del calls[:]
-        for s in (192, 150, 64, 1):
+        for s in (320, 192, 150, 64, 1):
             got = se._const_fixed(name, s)
             # floor shift for lo, ceil shift for hi
             assert got == (lo >> (top - s), -(-hi >> (top - s)))
@@ -579,10 +581,13 @@ class TestConstFixed:
     @pytest.mark.parametrize("name", [n for n, _ in _CONSTANT_REFERENCES])
     def test_more_bits_call_constant_once(self, calls, name):
         se._const_fixed(name, 100)
-        del calls[:]
-        se._const_fixed(name, 129)
+        # held at 256: the headroom serves the next finer scales
+        se._const_fixed(name, 256)
         assert calls.count(name) == 1
-        assert se._CONST_FIXED[name][0] == 192
+        del calls[:]
+        se._const_fixed(name, 257)
+        assert calls.count(name) == 1
+        assert se._CONST_FIXED[name][0] == 448
 
     def test_eval_rhs_reuses_the_enclosure(self, calls):
         rhs = RHSForm(addends=((Fraction(1), 2, "INV_PI"),
@@ -590,6 +595,25 @@ class TestConstFixed:
         for digits in (40, 30, 20, 40, 15):
             se.eval_rhs(rhs, digits)
         assert calls == ["PI"]
+
+    @pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+    def test_series_checks_compute_each_constant_at_most_twice(self, calls,
+                                                              order):
+        # the closed forms of every registry series, at the working digits
+        # that verify_series_identity reads them at, for 12 to 40 digits:
+        # what a run of series checks asks of the constants
+        jobs = [(series.rhs, digits)
+                for digits in (12, 15, 20, 30, 40)
+                for series in (e.series for e in corpus.load_default())
+                if series is not None]
+        if order == "falling":
+            jobs.reverse()
+        elif order == "shuffled":
+            random.Random(1).shuffle(jobs)
+        for rhs, digits in jobs:
+            se.eval_rhs(rhs, se._work_digits(rhs, digits))
+        assert {calls.count(n) for n in calls} <= {1, 2}
+        assert set(calls) == {"PI", "CATALAN_G", "K3", "LOG3"}
 
 
 class TestWorkingDigits:
@@ -1048,6 +1072,29 @@ class TestOneShotN:
             assert abs(fb(ball).mid - want.mid) <= fb(ball).rad + want.rad
             _checked_N(spec, digits, ball, stats["terms"])
             assert stats["terms"] <= want_terms
+
+    def test_estimate_never_passes_the_smallest_N(self):
+        """On every direct registry evaluation at 12 to 60 digits, the
+        slow series too, as nothing is summed, the float estimate with its
+        Jensen first step lands at or below the smallest N whose closed
+        form fits, so the integer check settles that N: K0, or an N whose
+        N - 1 fails the check."""
+        from piseries import corpus
+        settled = 0
+        for e in corpus.load_default():
+            if e.series is None:
+                continue
+            env = se._base_envelope(e.series.spec)
+            if env.theta >= 1:
+                continue
+            for digits in (12, 15, 20, 30, 40, 60):
+                d = se._DirectSum(e.series.spec, env, digits)
+                est = se._estimate_N(d.env, e.series.spec.k0, d.T)
+                assert est <= d.N, (e.ident, digits)
+                assert d.N == d.env.K0 or d._closed_bound(d.N - 1) is None, \
+                    (e.ident, digits)
+                settled += 1
+        assert settled > 1300
 
     @pytest.mark.parametrize("spec", [CHUDNOVSKY, AUX5, WZAG16],
                              ids=["chudnovsky", "aux-5", "wzag"])
