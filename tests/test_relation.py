@@ -495,9 +495,7 @@ class TestContinuedVerification:
             ident = cand.identity
             moments = se.Moments(spec, degree, digits, verify, 10 ** 6)
             ball, terms = moments.continued(ident.spec.weight)
-            stats = {}
-            fresh = se.eval_series(ident.spec, verify, stats)
-            assert _overlap(ball, fresh)
+            assert _overlap(ball, se.eval_series(ident.spec, verify))
             assert ball.rad * 10 ** (verify + 2) < 1 << ball.exp
             report = se.verify_series_identity(ident, verify)
             assert cand.verification.passed == report.passed

@@ -1079,7 +1079,6 @@ class TestOneShotN:
         Jensen first step lands at or below the smallest N whose closed
         form fits, so the integer check settles that N: K0, or an N whose
         N - 1 fails the check."""
-        from piseries import corpus
         settled = 0
         for e in corpus.load_default():
             if e.series is None:
