@@ -113,6 +113,11 @@ class SequenceKind:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # a copy or an unpickled kind takes its hash anew: a string's hash
+        # differs between interpreters
+        return SequenceKind, (self.tag, self.params)
+
     def __str__(self) -> str:
         if not self.params:
             return self.tag

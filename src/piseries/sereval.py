@@ -1264,12 +1264,20 @@ class _DirectSum:
         while (bound := self._closed_bound(N)) is None:
             N += 1
         self.tail = _radius([bound])
-        self.rescale(N, _scale_bits(N - self.k0 + 1, self.T))
+        self._reach(N, _scale_bits(N - self.k0 + 1, self.T))
 
-    def rescale(self, N: int, s: int) -> None:
-        """Sum the terms up to N, floored at 2^-s, from an empty total.
-        The tail stays the one of the N chosen at construction, so it
-        bounds the terms past any N at or above that."""
+    @classmethod
+    def floors(cls, spec: TermSpec, N: int, s: int) -> "_DirectSum":
+        """The floors alone of the weighted terms k0..N at 2^-s, for an N
+        and a scale the caller has settled: no tail, no :meth:`result`
+        (:class:`Moments`)."""
+        d = cls.__new__(cls)
+        d.spec, d.k0 = spec, spec.k0
+        d.weight, d.wden = _integer_weight(spec.weight)
+        d._reach(N, s)
+        return d
+
+    def _reach(self, N: int, s: int) -> None:
         # N is also the reach, the last term this sum reads from the stream
         self.N = self.reach = N
         self.s = s
@@ -1919,18 +1927,21 @@ class Moments:
     ``digits``, and the verification at ``verify_digits`` of any relation
     of max norm at most ``max_norm`` between them.
 
-    On the direct path the moments come from one walk over the terms:
-    each M_j keeps the N_j and the tail that :func:`eval_weighted` gives it
-    at the search's digits, but all of them are summed to one N, the
-    largest N_j, and floored at the verification's finer scale s
-    (:func:`_verify_scale`).  A block that is not cut takes one divmod per
-    term for all the weights, q, r = divmod(num 2^s, den), and then
+    On the direct path the moments come from one walk over the terms to
+    one N, the N that :func:`eval_weighted` gives the top moment k^degree
+    at the search's digits, floored at the verification's finer scale s
+    (:func:`_verify_scale`).  That N is the largest any moment needs, and
+    the top moment's tail bound at N bounds every moment's tail: for
+    k >= 1, k^j <= k^degree, so each envelope of :class:`_Tail` is at most
+    the top one, whose crossover K0 is the latest, as it only rises with
+    the degree.  A block that is not cut takes one divmod per term for
+    all the weights, q, r = divmod(num 2^s, den), and then
     floor(k^j num 2^s / den) = k^j q + floor(k^j r / den) exactly, so each
     floor is the one the weight's own division gives; a cut block is
     floored weight by weight (:class:`_DirectSum`).  So a relation's
     weighted sum continues this pass (:meth:`continued`) instead of
     summing its series again.  Each ball of :attr:`balls` still carries
-    the rounding radius of N_j floors at the search's own scale on top of
+    the top moment's rounding radius at the search's own scale on top of
     its own: the search, and the check that the terms past the first are
     below its precision, read the moments at the search's precision, and
     only the midpoints are finer.
@@ -1951,23 +1962,22 @@ class Moments:
             self.balls = [ball for ball, _ in
                           eval_weighted(spec, weights, digits)]
             return
-        self.sums = [_DirectSum(replace(spec, weight=w), env, digits)
-                     for w in weights]
-        self.N = max(d.N for d in self.sums)
+        top = _DirectSum(replace(spec, weight=weights[0]), env, digits)
+        self.N = top.N
         self.s = _verify_scale(self.N, spec.k0, env.theta, digits,
                                verify_digits, (degree + 1) * max_norm)[1]
-        # the rounding radius each sum would have at the search's digits
-        coarse = [Ball(0, d.N - spec.k0 + 1, d.s) + d.tail
-                  for d in self.sums]
-        for d in self.sums:
-            d.rescale(self.N, self.s)
+        self.sums = [_DirectSum.floors(replace(spec, weight=w), self.N,
+                                       self.s) for w in weights]
         for block in _columns(spec, _UNWEIGHTED, spec.k0, self.N,
                               self.s + 2 * _GUARD):
             self._add(*block)
         terms = self.N - spec.k0 + 1
+        # the top moment's rounding radius at the search's digits, and its
+        # tail, which bounds every moment's tail past N
+        coarse = Ball(0, terms, top.s) + top.tail
         #: the ball of each M_j, j = degree, ..., 0
-        self.balls = [Ball(d.total, terms, self.s) + c
-                      for d, c in zip(self.sums, coarse)]
+        self.balls = [Ball(d.total, terms, self.s) + coarse
+                      for d in self.sums]
 
     def _add(self, k: int, nums: List[int], dens: List[int],
              cut: Optional[_Cut]) -> None:
@@ -1997,33 +2007,36 @@ class Moments:
         at 2^-s over k = N+1..N_V, from one more walk from N + 1; and w's
         own tail bound at N_V, where N_V >= N is the smallest N whose
         closed-form tail fits the budget that the rounding radius of both
-        parts leaves (:func:`_fits_at`).  ``ArithmeticError`` if no N can,
-        the rounding radius alone exceeding the budget.
+        parts leaves (:func:`_fits_at`), searched from the float estimate
+        of :func:`_estimate_N` at ``verify_digits``.  ``ArithmeticError``
+        if no N can, the rounding radius alone exceeding the budget.
         """
-        cs = list(weight) + [0] * (len(self.sums) - len(weight))
+        k0, w = self.spec.k0, tuple(weight)
+        cs = list(w) + [0] * (len(self.sums) - len(w))
         cs.reverse()
-        head = sum(map(abs, cs)) * (self.N - self.spec.k0 + 1)
-        # its N at the verification's digits is the first guess
-        d = _DirectSum(replace(self.spec, weight=tuple(weight)), self.env,
-                       self.verify_digits)
-        tail, lo = d.env, max(self.N, d.env.K0)
+        head = sum(map(abs, cs)) * (self.N - k0 + 1)
+        tail, T = _Tail(self.env, *_integer_weight(w), k0), \
+            10 ** (self.verify_digits + 2)
+        lo = max(self.N, tail.K0)
 
         def fit(N: int) -> Optional[Tuple[int, int]]:
             bound = tail.closed(N)
             return bound if _fits_at(*bound, head + N - self.N, self.s,
-                                     d.T) else None
+                                     T) else None
 
-        N = max(d.N, lo)
+        # the float estimate at the verification's digits is the first
+        # guess
+        N = max(_estimate_N(tail, k0, T), lo)
         while (bound := fit(N)) is None:
             N += 1
             # the rounding radius only grows with N: past the budget no N
             # fits (_verify_scale sizes s so that this never happens)
-            if (head + N - self.N) * d.T >= 1 << self.s:
+            if (head + N - self.N) * T >= 1 << self.s:
                 raise ArithmeticError("verification scale too coarse for"
-                                      f" the weight {tuple(weight)}")
+                                      f" the weight {w}")
         while N > lo and (below := fit(N - 1)) is not None:
             N, bound = N - 1, below
-        d.rescale(N, self.s)
+        d = _DirectSum.floors(replace(self.spec, weight=w), N, self.s)
         if N > self.N:
             for block in _columns(self.spec, _UNWEIGHTED, self.N + 1, N,
                                   d.bits):

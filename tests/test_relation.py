@@ -460,6 +460,13 @@ def _overlap(a, b):
         (a.rad << e - a.exp) + (b.rad << e - b.exp)
 
 
+def _inside(a, b):
+    """Whether the ball a lies inside the ball b."""
+    e = max(a.exp, b.exp)
+    return abs((a.mid << e - a.exp) - (b.mid << e - b.exp)) + \
+        (a.rad << e - a.exp) <= b.rad << e - b.exp
+
+
 def _registry_search(ident):
     """(spec, [(d, "INV_PI")]) of a registry series q sqrt(d) / pi."""
     series = next(e for e in corpus.load_default() if e.ident == ident).series
@@ -482,6 +489,45 @@ FOUND_SEARCHES = [
 
 class TestContinuedVerification:
     """A found relation's verification continues the search's pass."""
+
+    def test_top_moment_bounds_every_tail(self):
+        # for k >= 1, k^j <= k^degree: every lower moment's crossover is
+        # at or before the top moment's, and at the top moment's N its
+        # closed-form tail is at most the top one's
+        degree, checked = se.MAX_DEGREE, 0
+        for e in corpus.load_default():
+            if e.kind != "SERIES" or e.series is None:
+                continue
+            spec = e.series.spec
+            env = se._base_envelope(spec)
+            if env.theta >= 1:
+                continue
+            top = replace(spec, weight=(0,) * degree + (1,))
+            N = se._DirectSum(top, env, 30).N
+            tails = [se._Tail(env, [1] + [0] * j, 1, spec.k0)
+                     for j in range(degree + 1)]
+            m, ex = tails[-1].closed(N)
+            for tail in tails:
+                assert tail.K0 <= tails[-1].K0, e.ident
+                mj, ej = tail.closed(N)
+                assert mj << max(ex - ej, 0) <= m << max(ej - ex, 0), \
+                    e.ident
+            checked += 1
+        assert checked == 230
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_moment_balls_enclose_the_moments(self, discover_pool, degree):
+        # each moment ball holds the ball eval_weighted gives its moment
+        # 20 digits deeper, its tail past N bounded by the top moment's,
+        # and keeps the search's precision
+        weights = [tuple(int(i == j) for i in range(degree + 1))
+                   for j in range(degree, -1, -1)]
+        for ident, spec, _ in discover_pool:
+            moments = se.Moments(spec, degree, 40, 60, 10 ** 6)
+            fine = se.eval_weighted(spec, weights, 60)
+            for ball, (ref, _) in zip(moments.balls, fine):
+                assert _inside(ref, ball), ident
+                assert ball.rad * 10 ** 41 < 1 << ball.exp, ident
 
     @pytest.mark.parametrize("spec, basis, degree", FOUND_SEARCHES,
                              ids=["cb2-8", "sbc-24", "1.7", "1.16"])

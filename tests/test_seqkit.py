@@ -563,6 +563,18 @@ class TestKind:
         assert len(table) == 4
         assert table[sk.SequenceKind("SBC", (1, -6))] == 3
 
+    def test_copies_hash_their_fields_anew(self):
+        import copy
+        import pickle
+        kind = sk.GCT(62, 9025)
+        data = pickle.dumps(kind)
+        # the pickle holds the fields alone, as a string's hash differs
+        # between interpreters
+        assert b"_hash" not in data
+        for other in (pickle.loads(data), copy.copy(kind),
+                      copy.deepcopy(kind)):
+            assert other == kind and hash(other) == hash(kind)
+
     def test_str(self):
         assert str(sk.CB2) == "CB2"
         assert str(sk.GCT(62, 9025)) == "GCT(62,9025)"
