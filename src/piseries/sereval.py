@@ -2015,17 +2015,14 @@ class Moments:
         cs = list(w) + [0] * (len(self.sums) - len(w))
         cs.reverse()
         head = sum(map(abs, cs)) * (self.N - k0 + 1)
-        tail, T = _Tail(self.env, *_integer_weight(w), k0), \
-            10 ** (self.verify_digits + 2)
-        lo = max(self.N, tail.K0)
+        tail = _Tail(self.env, *_integer_weight(w), k0)
+        T, lo = 10 ** (self.verify_digits + 2), max(self.N, tail.K0)
 
         def fit(N: int) -> Optional[Tuple[int, int]]:
             bound = tail.closed(N)
             return bound if _fits_at(*bound, head + N - self.N, self.s,
                                      T) else None
 
-        # the float estimate at the verification's digits is the first
-        # guess
         N = max(_estimate_N(tail, k0, T), lo)
         while (bound := fit(N)) is None:
             N += 1
@@ -2043,7 +2040,7 @@ class Moments:
                 d.add(*block)
         mid = sum(c * m.total for c, m in zip(cs, self.sums)) + d.total
         return (Ball(mid, head + N - self.N, self.s) + _radius([bound]),
-                N - self.spec.k0 + 1)
+                N - k0 + 1)
 
     def verify(self, ident: SeriesIdentity) -> SeriesReport:
         """The verdict of :func:`verify_series_identity` at
