@@ -11,8 +11,13 @@ gives, so a right-hand side is a p-adic integer wherever it is read.
 Every truncated sum comes from one place, ``_prefix_sums``: one pass over
 the terms yields the exact partial sums S(c) at each requested count c as
 unreduced integer pairs P/Q, and ``_residue`` reads a residue modulo p^s
-off such a pair.  A check sums each series once for all its primes (or all
-its n), so a reported residue is exact and never subject to rounding.
+off such a pair.  For a den-free term w(k) a_k / m^k, m = a/b, the pass
+is one running integer: it reads only the numerator column (the term with
+m replaced by 1/b) and steps P <- a P + num(k), so Q = wden a^(c-1), wden
+the weight's common denominator; no a^k column is built and no term is
+divided.  A term with denominator factors is divided against Q.  A check
+sums each series once for all its primes (or all its n), so a reported
+residue is exact and never subject to rounding.
 ``rhs_residue`` works in integers modulo p^s: coefficients by their
 inverse, Fermat quotients from ``pow(a, p-1, p^(s+1))``, E_{p-3} reduced.
 
@@ -32,16 +37,17 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt, prod
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from . import seqkit
 # term_value is not called here: perfbench/tracer.py wraps this binding
-from .sereval import TermSpec, _term_pairs, term_value
+from .sereval import (TermSpec, _columns, _integer_weight, _term_pairs,
+                      term_value)
 
 __all__ = [
     "symbol",
@@ -233,14 +239,27 @@ def _prefix_sums(spec: TermSpec,
                  counts: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
     """(c, P, Q) for each c in ``counts``, in increasing order, where
     S(c) = P/Q, Q > 0, is the sum of the terms k0 <= k < c; one pass over
-    the terms.  The pair is not reduced: a term num/den whose den is a
-    multiple of Q (every term of a den-free spec with integral m) extends
-    it with no gcd, and any other term is added as a Fraction."""
+    the terms.  The pair is not reduced, and Q = 1 for every c <= k0.
+
+    A den-free spec (no ``spec.den``) with m = a/b, a > 0 and the sign of
+    m moved to b, has term(k) = num(k) / (wden a^k), where num(k) is the
+    numerator column of the term with m replaced by 1/b and wden is the
+    weight's common denominator.  Its sum is one running integer: P starts
+    at num(k0) and Q at wden a^k0, and each further term steps
+    P <- a P + num(k), Q <- a Q, so Q = wden a^(c-1) for every c > k0.
+    No a^k column is built and no term is divided.  A term of any other
+    spec, num/den, extends the pair with no gcd when den is a multiple of
+    Q, and is added as a Fraction otherwise."""
     pending = sorted(set(counts), reverse=True)
-    P, Q = 0, 1
-    if pending and pending[0] > spec.k0:
-        terms = _term_pairs(spec, spec.k0, pending[0] - 1)
-        for k, (num, den) in enumerate(terms, spec.k0):
+    k0 = spec.k0
+    while pending and pending[-1] <= k0:
+        yield pending.pop(), 0, 1
+    if not pending:
+        return
+    hi = pending[0] - 1
+    if spec.den:
+        P, Q = 0, 1
+        for k, (num, den) in enumerate(_term_pairs(spec, k0, hi), k0):
             while pending[-1] <= k:
                 yield pending.pop(), P, Q
             q, r = divmod(den, Q)
@@ -249,6 +268,19 @@ def _prefix_sums(spec: TermSpec,
                 P, Q = total.numerator, total.denominator
             else:
                 P, Q = P * q + num, den
+    else:
+        a, b = spec.m.as_integer_ratio()
+        if a < 0:
+            a, b = -a, -b
+        coeffs, wden = _integer_weight(spec.weight)
+        nums = chain.from_iterable(
+            nums for _, nums, _ in _columns(
+                replace(spec, m=Fraction(1, b)), (coeffs, wden), k0, hi))
+        P, Q = next(nums), wden * a ** k0
+        for k, num in enumerate(nums, k0 + 1):
+            while pending[-1] <= k:
+                yield pending.pop(), P, Q
+            P, Q = a * P + num, a * Q
     while pending:
         yield pending.pop(), P, Q
 
@@ -540,15 +572,23 @@ class IntegralityReport:
 def check_integrality(claim: IntegralityClaim, n_max: int = 128) -> IntegralityReport:
     """Check the claim for n_min <= n <= n_max.  The value at n is
     mul M^(n-1) S(n) / (div n div_base^e(n)), where S(n) is the sum over
-    k < n of w(k) a_k / (+-M)^k; one ``_prefix_sums`` pass gives every S(n)."""
+    k < n of w(k) a_k / (+-M)^k; one ``_prefix_sums`` pass gives every S(n).
+
+    The spec is den-free with the integral base m = +-M, so the pass's
+    S(n) = P / (wden |M|^(n-1)) (wden the weight's common denominator) and
+    M^(n-1) S(n) = sign(M)^(n-1) P / wden.  The value is read as
+    mul sign(M)^(n-1) P / (wden div n div_base^e(n)): no power of M and no
+    division by Q, only small divisors."""
     report = IntegralityReport(claim.ident, [], [])
     M = claim.base
     spec = TermSpec(claim.weight, (), claim.seq,
                     Fraction(-M if claim.alt else M))
-    for n, P, Q in _prefix_sums(spec, range(max(1, claim.n_min), n_max + 1)):
+    wden = _integer_weight(spec.weight)[1]
+    for n, P, _ in _prefix_sums(spec, range(max(1, claim.n_min), n_max + 1)):
         report.tested.append(n)
-        num = claim.mul * M ** (n - 1) * P
-        den = Q * claim.div * n * claim.div_base ** DIV_EXPS[claim.div_exp](n)
+        num = claim.mul * (-P if M < 0 and n % 2 == 0 else P)
+        den = wden * claim.div * n \
+            * claim.div_base ** DIV_EXPS[claim.div_exp](n)
         if num % den:
             report.failures.append((n, "not an integer"))
             continue

@@ -5,7 +5,11 @@ The program reads s_{n,k} off integer rows (``exactid.snk_scaled``),
 compares a family's partial sums with its closed form in one pass
 (``exactid.check_family``) and steps orders 1 and 2 in loops of their own
 with coefficients evaluated by Horner's rule written out
-(``seqkit._operator_rows``); the tests compare the two."""
+(``seqkit._operator_rows``); the tests compare the two.
+
+The exact partial sums of a term spec by the loop of
+``congruence._prefix_sums`` as it ran for every spec before a den-free
+spec's sum became one running integer: the tests compare the pairs."""
 
 from __future__ import annotations
 
@@ -13,11 +17,11 @@ from fractions import Fraction
 from itertools import count, islice
 from math import comb
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from piseries import exactid as ei
 from piseries import seqkit as sk
-from piseries.sereval import term_value
+from piseries.sereval import TermSpec, _term_pairs, term_value
 
 
 def snk(n: int, k: int) -> Fraction:
@@ -61,6 +65,33 @@ def family_rhs(family: str, n: int, m: Optional[int] = None) -> Fraction:
     if n < ident.summand.k0:
         raise ValueError(f"{family} closed form starts at n={ident.summand.k0}")
     return ident.scale * term_value(ident.closed, n) + ident.const
+
+
+# --------------------------------------------------------------------------
+# Exact partial sums, every term divided against the running denominator
+# --------------------------------------------------------------------------
+
+def prefix_sums(spec: TermSpec,
+                counts: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
+    """(c, P, Q) for each c in ``counts``, in increasing order, with
+    S(c) = P/Q the sum of the terms k0 <= k < c: each term num/den of
+    ``sereval._term_pairs`` extends the unreduced pair with no gcd when den
+    is a multiple of Q, and is added as a Fraction otherwise."""
+    pending = sorted(set(counts), reverse=True)
+    P, Q = 0, 1
+    if pending and pending[0] > spec.k0:
+        terms = _term_pairs(spec, spec.k0, pending[0] - 1)
+        for k, (num, den) in enumerate(terms, spec.k0):
+            while pending[-1] <= k:
+                yield pending.pop(), P, Q
+            q, r = divmod(den, Q)
+            if r:
+                total = Fraction(P, Q) + Fraction(num, den)
+                P, Q = total.numerator, total.denominator
+            else:
+                P, Q = P * q + num, den
+    while pending:
+        yield pending.pop(), P, Q
 
 
 # --------------------------------------------------------------------------

@@ -12,11 +12,13 @@ import pytest
 
 from piseries import congruence as cg
 from piseries import corpus
+from piseries import exactid as ei
 from piseries import quadform as qf
 from piseries import seqkit as sk
 from piseries import sereval as se
 from piseries.sereval import TermSpec
 
+from oracle_exact import prefix_sums
 from oracle_symbols import (claim_admissible, fraction_mod, jacobi,
                             legendre, primes_upto, rhs_value)
 
@@ -705,17 +707,30 @@ class TestRefinementOracle:
         rep = _same_report(claim, 30, 3)
         assert rep.checked and rep.min_margin is None and not rep.failures
 
-    @pytest.mark.parametrize("s", [BAUER, AUX5,
-                                   spec((1, 5), ((sk.DOMB, 1),), 64, k0=2)],
-                             ids=["integral-m", "aux-5", "k0=2"])
+    @pytest.mark.parametrize("s", [
+        BAUER, AUX5, spec((1, 5), ((sk.DOMB, 1),), 64, k0=2),
+        spec((3, -2), ((sk.FRANEL, 1), (sk.CB2, 1)), -8),
+        spec((Fraction(1, 3), Fraction(5, 9)), ((sk.CB2, 2),),
+             Fraction(-27, 4)),
+        spec((Fraction(2, 27), Fraction(1, 3)), ((sk.CB3, 1),),
+             Fraction(-27, 4), k0=2),
+    ], ids=["integral-m", "aux-5", "k0=2", "negative-m", "m=-27/4",
+            "k0=2-wden=27"])
     def test_prefix_sums(self, s):
         counts = [0, 1, 2, 3, 5, 8, 13, 40, 41, 97]
         sums = list(cg._prefix_sums(s, reversed(counts)))
         assert [c for c, _, _ in sums] == counts
+        assert sums == list(prefix_sums(s, counts))
         for c, P, Q in sums:
             assert Q > 0
             assert Fraction(P, Q) == _sum_oracle(s, c - 1), c
             assert cg.truncated_sum_exact(s, c - 1) == Fraction(P, Q)
+            if c <= s.k0:
+                assert (P, Q) == (0, 1), c
+            elif not s.den:
+                # the den-free running integer: Q = wden a^(c-1)
+                wden = se._integer_weight(s.weight)[1]
+                assert Q == wden * abs(s.m.numerator) ** (c - 1), c
 
 
 # --------------------------------------------------------------------------
@@ -730,6 +745,42 @@ DUALS = [e.duality for e in ENTRIES if e.duality is not None]
 INTEGRALITIES = [e.integrality for e in ENTRIES if e.integrality is not None]
 
 
+def _integrality_spec(claim):
+    """The term spec that ``check_integrality`` sums for the claim."""
+    return TermSpec(claim.weight, (), claim.seq,
+                    Fraction(-claim.base if claim.alt else claim.base))
+
+
+#: every term spec the registry sums, by where it comes from
+REGISTRY_SPECS = {
+    "claims": [e.claim.spec for e in ENTRIES if e.claim is not None],
+    "quadform": [c.spec for c in QUADFORMS],
+    "series": [e.series.spec for e in ENTRIES if e.series is not None],
+    "duality": [TermSpec((1,), (), c.seq, Fraction(m)) for c in DUALS
+                for m in (c.m, Fraction(c.D, c.m))],
+    "integrality": [_integrality_spec(c) for c in INTEGRALITIES],
+    "families": [ei._identity(name, (params or (None,))[0])[0].summand
+                 for name, params in (e.family for e in ENTRIES
+                                      if e.family is not None)
+                 if ei.FAMILIES[name].telescoping is not None],
+}
+
+
+#: the integrality claims read to n = 128: every divisor exponent rule
+#: (none, n-1, half, half-up), negative bases (S9-n, beta1-n), alt (S2-n),
+#: mul = 3 (beta2-n, 8-2-d-n), div_base 2, 5 and 10 (beta2-n, beta3-n,
+#: 8-3-n, 8-2-n, 8-2-d-n), and S8-n with its weight halved and mul = 2,
+#: whose weight denominator 2 divides every value; without mul it is not
+#: an integer at n = 1
+S8N = next(c for c in INTEGRALITIES if c.ident == "S8-n")
+INTEGRALITY_128 = [c for c in INTEGRALITIES if c.ident in {
+    "S2-n", "S9-n", "beta1-n", "beta2-n", "beta3-n", "8-2-n", "8-2-d-n",
+    "8-3-n"}] + [
+    dataclasses.replace(S8N, ident=f"S8-n-half-mul{mul}", mul=mul,
+                        weight=tuple(Fraction(c, 2) for c in S8N.weight))
+    for mul in (1, 2)]
+
+
 class TestRegistryOracles:
     def test_registry_counts(self):
         assert (len(SUM_CLAIMS), len(QUADFORMS), len(DUALS),
@@ -738,6 +789,17 @@ class TestRegistryOracles:
         assert {"p-1", "p-2", "(p+1)/2"} <= uppers
         assert any(c.lhs_ppow for c in SUM_CLAIMS)
         assert any(c.spec.den for c in SUM_CLAIMS)
+
+    @pytest.mark.parametrize("group", REGISTRY_SPECS)
+    def test_prefix_sums(self, group):
+        # the den-free running integer against the loop that divided every
+        # term's den by Q: the same unreduced pairs, not only their values
+        specs = REGISTRY_SPECS[group]
+        assert specs
+        counts = range(61)
+        for s in specs:
+            assert list(cg._prefix_sums(s, counts)) == \
+                list(prefix_sums(s, counts)), s
 
     @pytest.mark.parametrize("claim", SUM_CLAIMS, ids=lambda c: c.ident)
     def test_claim_rows(self, claim):
@@ -775,6 +837,17 @@ class TestRegistryOracles:
                                       div=2 * claim.div)
         assert cg.check_integrality(flipped, 64).failures == \
             _integrality_oracle(flipped, 64)
+
+    @pytest.mark.parametrize("claim", INTEGRALITY_128, ids=lambda c: c.ident)
+    def test_integrality_128(self, claim):
+        # the value read with only small divisors against its defining sum
+        rep = cg.check_integrality(claim, 128)
+        assert rep.failures == _integrality_oracle(claim, 128)
+        assert rep.ok == (claim.ident != "S8-n-half-mul1")
+        flipped = dataclasses.replace(claim, alt=not claim.alt,
+                                      div=2 * claim.div)
+        failures = cg.check_integrality(flipped, 128).failures
+        assert failures and failures == _integrality_oracle(flipped, 128)
 
 
 # --------------------------------------------------------------------------
