@@ -28,9 +28,9 @@ when stdout's reader closed before the output was written, as in
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
-import time
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -261,14 +261,20 @@ def _cmd_discover(args) -> int:
     ident = found.identity
     # the sequences and m as given: str() refuses an int of more than 4300
     # digits, as a kind's parameter or m may be
-    block = "\n".join([
-        f"entry discovered-{int(time.time())}",
-        "kind: SERIES",
-        "status: conjectural",
-        "covers: discovered",
+    relation_lines = [
         f"term: {_fmt_weight(ident.spec.weight)} ; - ; {args.seq} ;"
         f" m={args.m} ; k0={ident.spec.k0}",
         f"rhs: {_fmt_rhs(ident.rhs)}",
+    ]
+    # the id names the relation: one search prints the same block each
+    # time, and blocks of different relations concatenate into a registry
+    digest = hashlib.sha256("\n".join(relation_lines).encode()).hexdigest()
+    block = "\n".join([
+        f"entry discovered-{digest[:12]}",
+        "kind: SERIES",
+        "status: conjectural",
+        "covers: discovered",
+        *relation_lines,
         f'anchor: "found by integer-relation search at {args.digits} digits,'
         f' re-verified at {args.digits + args.digits // 2} digits"',
         "end",

@@ -33,6 +33,12 @@ re-verifies only a FOUND relation, at 1.5x the digits.  On the direct path
 (envelope ratio theta < 1) the moments are summed in one pass to one N and
 floored at the verification's finer scale (:class:`sereval.Moments`),
 so the verification continues that pass: it reads the terms past N only.
+For a term without denominator factors, num(k) / a^k with a the
+numerator of |m|, neither pass divides a term before its columns are
+cut: each moment is one exact running integer P_j <- a P_j + k^j num(k),
+the relation's sum continues sum c_j P_j the same way, and each is
+floored once; the terms of cut blocks, and every term with denominator
+factors, are floored one by one.
 On the Euler path (theta = 1) the transform's weights depend on N, so the
 relation's series is summed again by :func:`sereval.verify_series_identity`.
 :func:`rediscover_each` runs it over several bases on one set of moments
@@ -267,7 +273,9 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
     weighted identity and re-verified at 1.5x the search precision, by the
     gap test of :func:`sereval.verify_series_identity`.  On the direct
     path its series side continues the moments' pass, from the term after
-    the last one the moments read; on the Euler path it is summed again by
+    the last one the moments read: for a den-free term it carries the
+    moments' fold, sum c_j P_j, on through the blocks that are not cut
+    and floors it once; on the Euler path it is summed again by
     :func:`sereval.verify_series_identity`.
     Raises ``ValueError`` below ``MIN_DIGITS`` digits, for
     ``max_norm < 1``, for a degree outside 0..``sereval.MAX_DEGREE`` or
@@ -288,7 +296,9 @@ def rediscover_each(spec: TermSpec,
     pass over the terms serves the searches of every basis, and is sized
     for the verification of any relation of max norm up to ``max_norm``
     between them: every FOUND relation's verification continues it (on
-    the direct path; see :func:`rediscover`).  Raises as
+    the direct path; see :func:`rediscover`), from the one running integer
+    per moment that a den-free term folds into, and each relation's
+    continuation starts from the same integers.  Raises as
     :func:`rediscover` does, at the first step; a basis is dependent when
     two of its entries have one name and radicands d, d' with d d' a
     square: the two values are then rational multiples of each other, and

@@ -99,12 +99,15 @@ integers too.
 The moment sums sum k^j term(k) of a rediscovery are a :class:`Moments`.
 On the direct path they are summed from one walk to one N, each floored
 at the scale that verifying any relation between them at 1.5x the digits
-needs, one divmod per term serving every weight, so that a found
-relation's weighted sum continues that walk from N + 1 rather than
-summing its series again; its verdict is the gap test of
-:func:`verify_series_identity` (:func:`_gap_report`).  On the Euler path
-the transform's weights depend on N, so there the relation is verified by
-:func:`verify_series_identity` itself.
+needs, so that a found relation's weighted sum continues that walk from
+N + 1 rather than summing its series again; its verdict is the gap test
+of :func:`verify_series_identity` (:func:`_gap_report`).  For a term
+without denominator factors, num(k) / a^k, the walk divides no term
+until the cut: each moment is one running integer
+P_j <- a P_j + k^j num(k), floored once; past the cut, and for a term
+with denominator factors, the terms are floored one by one.  On the
+Euler path the transform's weights depend on N, so there the relation is
+verified by :func:`verify_series_identity` itself.
 
 The two sides of an identity are evaluated to different precisions.  The
 verdict reads an absolute gap below 10^(1-digits), and the radius of
@@ -1903,7 +1906,9 @@ def _verify_scale(N: int, k0: int, theta: Fraction, digits: int,
     from N on, with at most ``per_term`` = (degree + 1) max_norm units per
     term: N' bounds the terms its weighted sum needs, and at the scale
     2^-s the rounding radius of ``per_term`` units per term up to N' is at
-    most 10^-(verify_digits+2) / 32.
+    most 10^-(verify_digits+2) / 32.  That counts every term as floored
+    alone; the terms that :class:`Moments` folds share one unit, so their
+    radius is smaller still.
 
     N' is generous, and needs no tail bound of its own.  For such a weight
     w = sum c_j k^j, |c_j| <= max_norm, |w|(k) <= per_term k^degree for
@@ -1921,6 +1926,19 @@ def _verify_scale(N: int, k0: int, theta: Fraction, digits: int,
     return N, _scale_bits(per_term * (N - k0 + 1), 10 ** (verify_digits + 2))
 
 
+def _fold(P: int, K: int, a: int, k: int, xs: Iterable[int]) -> int:
+    """The running integer P, whose value is P / a^K after the term K < k,
+    carried over the terms k, k+1, ... whose numerators over a^k are
+    ``xs``: P <- a P + x for each, after P <- a^(k-1-K) P for the terms
+    between K and k, which add nothing.  Its value is then over a^k' for
+    the last term k'."""
+    if k - 1 > K:
+        P *= a ** (k - 1 - K)
+    for x in xs:
+        P = P * a + x
+    return P
+
+
 class Moments:
     """The moment sums M_j = sum_{k>=k0} k^j term(k), j = degree, ..., 1,
     0, of the search of :func:`piseries.relation.rediscover`, certified at
@@ -1934,17 +1952,28 @@ class Moments:
     the top moment's tail bound at N bounds every moment's tail: for
     k >= 1, k^j <= k^degree, so each envelope of :class:`_Tail` is at most
     the top one, whose crossover K0 is the latest, as it only rises with
-    the degree.  A block that is not cut takes one divmod per term for
-    all the weights, q, r = divmod(num 2^s, den), and then
-    floor(k^j num 2^s / den) = k^j q + floor(k^j r / den) exactly, so each
-    floor is the one the weight's own division gives; a cut block is
-    floored weight by weight (:class:`_DirectSum`).  So a relation's
-    weighted sum continues this pass (:meth:`continued`) instead of
-    summing its series again.  Each ball of :attr:`balls` still carries
-    the top moment's rounding radius at the search's own scale on top of
-    its own: the search, and the check that the terms past the first are
-    below its precision, read the moments at the search's precision, and
-    only the midpoints are finer.
+    the degree.
+
+    A spec without denominator factors has term(k) = num(k) / a^k, with a
+    the numerator of |m| and num the stream's numerator column (the sign
+    of m is in it).  So every block that the walk does not cut folds into
+    one exact integer per moment, the common-denominator summation of
+    Haible and Papanikolaou (1998) that :mod:`~piseries.congruence` also
+    uses: P_j <- a P_j + k^j num(k) (:func:`_fold`), no term divided.
+    After the last folded term K, P_j / a^K is the exact sum of
+    k^j term(k) over the folded terms, whatever k0 is; it is floored once,
+    at 2^-s, so all of them take one unit of rounding.  A cut block is
+    floored term by term and weight by weight (:class:`_DirectSum`), so no
+    term past the cut becomes an exact product.  A spec with denominator
+    factors takes one divmod per term of an uncut block for all the
+    weights, q, r = divmod(num 2^s, den), and then
+    floor(k^j num 2^s / den) = k^j q + floor(k^j r / den) exactly.
+    So a relation's weighted sum continues this pass (:meth:`continued`)
+    instead of summing its series again.  Each ball of :attr:`balls`
+    still carries the top moment's rounding radius at the search's own
+    scale on top of its own: the search, and the check that the terms past
+    the first are below its precision, read the moments at the search's
+    precision, and only the midpoints are finer.
 
     On the Euler path the transform's weights A_i depend on N, so its
     sums cannot be continued: the moments are :func:`eval_weighted`'s,
@@ -1966,8 +1995,15 @@ class Moments:
         self.N = top.N
         self.s = _verify_scale(self.N, spec.k0, env.theta, digits,
                                verify_digits, (degree + 1) * max_norm)[1]
+        #: the floors of the terms not folded, per moment
         self.sums = [_DirectSum.floors(replace(spec, weight=w), self.N,
                                        self.s) for w in weights]
+        #: the fold P_j, j = degree, ..., 0, over a^K, K the last folded
+        #: term (k0 - 1 before any); None for a spec with a denominator
+        self.P = None if spec.den else [0] * (degree + 1)
+        self.a, self.K = abs(spec.m.numerator), spec.k0 - 1
+        #: the number of terms floored one by one
+        self.floored = 0
         for block in _columns(spec, _UNWEIGHTED, spec.k0, self.N,
                               self.s + 2 * _GUARD):
             self._add(*block)
@@ -1975,27 +2011,49 @@ class Moments:
         # the top moment's rounding radius at the search's digits, and its
         # tail, which bounds every moment's tail past N
         coarse = Ball(0, terms, top.s) + top.tail
+        rounded = self._rounded([1])
         #: the ball of each M_j, j = degree, ..., 0
-        self.balls = [Ball(d.total, terms, self.s) + coarse
-                      for d in self.sums]
+        self.balls = [Ball(self._floor(P, self.K) + d.total, rounded, self.s)
+                      + coarse
+                      for P, d in zip(self.P or repeat(0), self.sums)]
 
     def _add(self, k: int, nums: List[int], dens: List[int],
              cut: Optional[_Cut]) -> None:
         """Take the block of unweighted terms k, k+1, ... of the walk to
-        N: one divmod per term for all the weights, or each weight's own
-        floors when the block is cut."""
+        N: fold it into every P_j, each weight's own floors when the block
+        is cut, or one divmod per term for all the weights when the spec
+        has a denominator."""
+        ks = range(k, k + len(nums))
+        if cut is None and self.P is not None:
+            P, xs = self.P, nums
+            for j in range(len(P) - 1, -1, -1):
+                P[j] = _fold(P[j], self.K, self.a, k, xs)
+                if j:
+                    xs = list(map(mul, xs, ks))
+            self.K = ks[-1]
+            return
+        self.floored += len(nums)
         if cut is not None:
             for d in self.sums:
                 d.add(k, nums, dens, cut)
             return
         qr = list(map(divmod, map(lshift, nums, repeat(self.s)), dens))
         qs, rs = [q for q, _ in qr], [r for _, r in qr]
-        ks = range(k, k + len(nums))
         sums = reversed(self.sums)
         next(sums).total += sum(qs)
         for d in sums:
             qs, rs = list(map(mul, qs, ks)), list(map(mul, rs, ks))
             d.total += sum(qs) + sum(map(floordiv, rs, dens))
+
+    def _floor(self, P: int, K: int) -> int:
+        """floor(P 2^s / a^K), 0 when no term is folded (K < k0)."""
+        return (P << self.s) // self.a ** K if K >= self.spec.k0 else 0
+
+    def _rounded(self, cs: Sequence[int]) -> int:
+        """The units of 2^-s that bound the rounding of sum c_j M_j over
+        the search's terms: one for the fold, if any term is folded, and
+        sum |c_j| for each term floored one by one."""
+        return (self.K >= self.spec.k0) + sum(map(abs, cs)) * self.floored
 
     def continued(self, weight: Sequence[int]) -> Tuple[Ball, int]:
         """The ball of sum_{k>=k0} w(k) term(k), radius below
@@ -2003,19 +2061,26 @@ class Moments:
         weight w = sum c_j k^j (``weight`` low -> high) on the direct path.
 
         It is the sum of three parts: sum c_j times the partial sum of
-        M_j, its radius sum |c_j| (N - k0 + 1) units of 2^-s; w's floors
-        at 2^-s over k = N+1..N_V, from one more walk from N + 1; and w's
-        own tail bound at N_V, where N_V >= N is the smallest N whose
-        closed-form tail fits the budget that the rounding radius of both
-        parts leaves (:func:`_fits_at`), searched from the float estimate
-        of :func:`_estimate_N` at ``verify_digits``.  ``ArithmeticError``
-        if no N can, the rounding radius alone exceeding the budget.
+        M_j, that is the fold sum c_j P_j and the floors of the terms
+        not folded; w's terms k = N+1..N_V, from one more walk from N + 1,
+        each block folded on into sum c_j P_j (w(k) num(k) for
+        k^j num(k)) unless it is cut, and then floored term by term; and
+        w's own tail bound at N_V.  The fold is floored once, so the
+        rounding radius is one unit of 2^-s for it (if any term is
+        folded), sum |c_j| units per term the search floored
+        (:meth:`_rounded`) and at most one unit per term past N.
+        N_V >= N is the smallest N whose closed-form tail fits the budget
+        that this radius leaves (:func:`_fits_at`), searched from the
+        float estimate of :func:`_estimate_N` at ``verify_digits``.
+        ``ArithmeticError`` if no N can, the rounding radius alone
+        exceeding the budget.
         """
         k0, w = self.spec.k0, tuple(weight)
         cs = list(w) + [0] * (len(self.sums) - len(w))
         cs.reverse()
-        head = sum(map(abs, cs)) * (self.N - k0 + 1)
-        tail = _Tail(self.env, *_integer_weight(w), k0)
+        head = self._rounded(cs)
+        coeffs, wden = _integer_weight(w)
+        tail = _Tail(self.env, coeffs, wden, k0)
         T, lo = 10 ** (self.verify_digits + 2), max(self.N, tail.K0)
 
         def fit(N: int) -> Optional[Tuple[int, int]]:
@@ -2034,11 +2099,21 @@ class Moments:
         while N > lo and (below := fit(N - 1)) is not None:
             N, bound = N - 1, below
         d = _DirectSum.floors(replace(self.spec, weight=w), N, self.s)
+        K = self.K
+        P = None if self.P is None else sum(map(mul, cs, self.P))
         if N > self.N:
-            for block in _columns(self.spec, _UNWEIGHTED, self.N + 1, N,
-                                  d.bits):
-                d.add(*block)
+            for k, nums, dens, cut in _columns(self.spec, _UNWEIGHTED,
+                                               self.N + 1, N, d.bits):
+                if P is None or cut is not None:
+                    d.add(k, nums, dens, cut)
+                    continue
+                ws = _poly_column(coeffs, range(k, k + len(nums)))
+                P = _fold(P, K, self.a, k,
+                          nums if ws is None else map(mul, ws, nums))
+                K = k + len(nums) - 1
         mid = sum(c * m.total for c, m in zip(cs, self.sums)) + d.total
+        if P is not None:
+            mid += self._floor(P, K)
         return (Ball(mid, head + N - self.N, self.s) + _radius([bound]),
                 N - k0 + 1)
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -498,6 +500,26 @@ class TestDiscover:
         (entry,) = corpus.parse_registry(out)
         assert entry.series.rhs.addends == ()
         assert sereval.verify_series_identity(entry.series, 30).passed
+
+    def test_discovered_id_names_the_relation(self, capsys, monkeypatch):
+        # one search prints the same block each time, however far apart
+        # its runs are; two relations get two ids, so their blocks read
+        # back as one registry
+        clock = itertools.count(1.7e9, 1000.0)
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        abstract = ["discover", "--seq", "S(1,25)", "--m", "-100",
+                    "--digits", "40"]
+        vanishing = ["discover", "--seq", "T(62,9025)", "--m", "2^6*3^4",
+                     "--digits", "30"]
+        outs = [_run(capsys, argv)[1]
+                for argv in (abstract, vanishing, abstract)]
+        assert outs[0] == outs[2]
+        ids = [out.splitlines()[0] for out in outs[:2]]
+        assert all(re.fullmatch(r"entry discovered-[0-9a-f]{12}", i)
+                   for i in ids)
+        assert ids[0] != ids[1]
+        entries = corpus.parse_registry(outs[0] + outs[1])
+        assert [e.ident for e in entries] == [i[6:] for i in ids]
 
     def test_huge_m_is_not_found(self, capsys):
         # m has 1.8 million digits: every term past k = 0 is below the

@@ -557,12 +557,27 @@ class TestContinuedVerification:
 
     def test_too_coarse_a_scale_raises(self):
         # a weight far above the max norm the scale was sized for leaves
-        # the rounding radius no room: an error, not an endless search
+        # the rounding radius of the terms floored one by one, past the
+        # search's cut, no room: an error, not an endless search
+        spec, _ = _registry_search("VIII2")
+        moments = se.Moments(spec, 1, 40, 60, 10)
+        assert moments.floored > 0
+        with pytest.raises(ArithmeticError, match="too coarse"):
+            moments.continued((10 ** 30, 10 ** 30))
+
+    def test_a_folded_pass_rounds_once(self):
+        # with no term floored one by one, the search's part of any weight
+        # rounds once: the weight that is too coarse above still fits, and
+        # its ball encloses the sum
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24), k0=0)
         moments = se.Moments(spec, 1, 40, 60, 10)
-        with pytest.raises(ArithmeticError, match="too coarse"):
-            moments.continued((10 ** 30, 10 ** 30))
+        assert moments.floored == 0 and moments.K == moments.N
+        weight = (10 ** 30, 10 ** 30)
+        ball, _ = moments.continued(weight)
+        assert ball.rad * 10 ** 62 < 1 << ball.exp
+        assert _overlap(ball, se.eval_series(replace(spec, weight=weight),
+                                             60))
 
     @pytest.mark.parametrize("i", [0, 1, 2])
     def test_coefficient_off_by_one_fails(self, monkeypatch, i):
@@ -608,7 +623,11 @@ class TestContinuedVerification:
             ball, terms = moments.continued(weight)
             N_V = terms + spec.k0 - 1
             assert moments.N <= N_V <= N
-            head = (degree + 1) * max_norm * (moments.N - spec.k0 + 1)
+            # one unit for the fold, if any (a den-free spec), and
+            # sum |c_j| per term floored alone
+            head = moments._rounded(weight)
+            assert head == (moments.P is not None) + \
+                (degree + 1) * max_norm * moments.floored
             assert 32 * (head + N_V - moments.N) * 10 ** (verify + 2) \
                 <= 1 << s
             # N_V is the smallest N whose tail fits what both rounding
@@ -624,3 +643,87 @@ class TestContinuedVerification:
             assert ball.rad * 10 ** (verify + 2) < 1 << ball.exp
             fresh = se.eval_series(replace(spec, weight=weight), verify)
             assert _overlap(ball, fresh)
+
+
+def _exact_moment(spec, j, lo, hi):
+    """sum_{k=lo..hi} k^j term(k) of spec's unweighted term, exactly."""
+    pairs = se._term_pairs(replace(spec, weight=(1,)), lo, hi)
+    return sum((Fraction(k ** j * num, den)
+                for k, (num, den) in enumerate(pairs, lo)), Fraction(0))
+
+
+def _floors(spec, j, lo, hi, s):
+    """The sum of floor(k^j term(k) 2^s) over k = lo..hi."""
+    pairs = se._term_pairs(replace(spec, weight=(1,)), lo, hi)
+    return sum((k ** j * num << s) // den
+               for k, (num, den) in enumerate(pairs, lo))
+
+
+#: den-free searches whose walk cuts no block at 30 digits: an integral
+#: m, a negative m, m = a/b with |b| > 1 (negative too) and k0 = 2
+FOLDED_SPECS = [
+    TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),), m=Fraction(24)),
+    TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),), m=Fraction(-512)),
+    TermSpec(weight=(1,), den=(), seq=((sk.CB2, 1),), m=Fraction(9, 2)),
+    TermSpec(weight=(1,), den=(), seq=((sk.CB2, 1),), m=Fraction(-9, 2)),
+    TermSpec(weight=(1,), den=(), seq=((sk.CB2, 3),), m=Fraction(-512),
+             k0=2),
+]
+
+
+class TestMomentFold:
+    """The den-free moments fold their uncut blocks into one integer."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("spec", FOLDED_SPECS,
+                             ids=["m=24", "m=-512", "m=9/2", "m=-9/2", "k0=2"])
+    def test_fold_is_the_exact_moment(self, spec, degree):
+        # P_j / a^K is sum k^j term(k) over k0..K, over a^K and not
+        # a^(K-k0), and each midpoint is that sum floored once at 2^-s
+        moments = se.Moments(spec, degree, 30, 45, 10 ** 6)
+        a = abs(spec.m.numerator)
+        assert moments.floored == 0 and moments.K == moments.N
+        for j, P, ball in zip(range(degree, -1, -1), moments.P,
+                              moments.balls):
+            exact = _exact_moment(spec, j, spec.k0, moments.K)
+            assert Fraction(P, a ** moments.K) == exact
+            assert (ball.mid >> ball.exp - moments.s) == \
+                math.floor(exact * 2 ** moments.s)
+
+    def test_cut_blocks_floor_per_term(self):
+        # VIII2 at 64 digits: the walk folds up to K and floors each term
+        # of the cut blocks past it, moment by moment
+        spec, _ = _registry_search("VIII2")
+        moments = se.Moments(spec, 1, 64, 96, 10 ** 6)
+        s, K, N = moments.s, moments.K, moments.N
+        assert spec.k0 < K < N and moments.floored == N - K
+        for j, P, d in zip((1, 0), moments.P, moments.sums):
+            assert Fraction(P, 3240 ** K) == _exact_moment(spec, j, 0, K)
+            assert d.total == _floors(spec, j, K + 1, N, s)
+
+    def test_a_den_row_floors_per_term(self):
+        # 1.14 has denominator factors: no fold, one floor per term
+        spec, _ = _registry_search("1.14")
+        assert spec.den
+        moments = se.Moments(spec, 1, 60, 90, 10 ** 6)
+        assert moments.P is None
+        assert moments.floored == moments.N - spec.k0 + 1
+        for j, d in zip((1, 0), moments.sums):
+            assert d.total == _floors(spec, j, spec.k0, moments.N, moments.s)
+
+    def test_search_across_the_cut(self):
+        # VIII2 at 64 digits: the longest walk of the pool, 0..778, cut
+        # from k = 352 on; the relation and its verdict are those of the
+        # two-pass search, and the continued ball overlaps a fresh sum
+        spec, basis = _registry_search("VIII2")
+        cand = rl.rediscover(spec, basis, digits=64)
+        (d, _), = basis
+        assert (cand.coeffs, cand.confirmed) == \
+            _old_rediscover(spec, d, 64, 10 ** 6 - 1) == \
+            ((1435, 113, -1452), True)
+        assert cand.verification.terms_used == 779
+        moments = se.Moments(spec, 1, 64, 96, 10 ** 6)
+        assert moments.floored > 0
+        ball, terms = moments.continued(cand.identity.spec.weight)
+        assert terms == 779
+        assert _overlap(ball, se.eval_series(cand.identity.spec, 96))
