@@ -12,8 +12,9 @@ Every truncated sum comes from one place, ``_prefix_sums``: one pass over
 the terms yields the exact partial sums S(c) at each requested count c as
 unreduced integer pairs P/Q, and ``_residue`` reads a residue modulo p^s
 off such a pair.  For a den-free term w(k) a_k / m^k, m = a/b, the pass
-is one running integer: it reads only the numerator column (the term with
-m replaced by 1/b) and steps P <- a P + num(k), so Q = wden a^(c-1), wden
+is one running integer: it reads the term's numerator stream, the one
+``sereval._numerators`` gives ``sereval.Moments`` too (the term with m
+replaced by 1/b), and steps P <- a P + num(k), so Q = wden a^(c-1), wden
 the weight's common denominator; no a^k column is built and no term is
 divided.  A term with denominator factors is divided against Q.  A check
 sums each series once for all its primes (or all its n), so a reported
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
 from math import isqrt, prod
@@ -46,7 +47,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from . import seqkit
 # term_value is not called here: perfbench/tracer.py wraps this binding
-from .sereval import (TermSpec, _columns, _integer_weight, _term_pairs,
+from .sereval import (TermSpec, _integer_weight, _numerators, _term_pairs,
                       term_value)
 
 __all__ = [
@@ -242,11 +243,12 @@ def _prefix_sums(spec: TermSpec,
     the terms.  The pair is not reduced, and Q = 1 for every c <= k0.
 
     A den-free spec (no ``spec.den``) with m = a/b, a > 0 and the sign of
-    m moved to b, has term(k) = num(k) / (wden a^k), where num(k) is the
-    numerator column of the term with m replaced by 1/b and wden is the
-    weight's common denominator.  Its sum is one running integer: P starts
-    at num(k0) and Q at wden a^k0, and each further term steps
-    P <- a P + num(k), Q <- a Q, so Q = wden a^(c-1) for every c > k0.
+    m moved to b, has term(k) = num(k) / (wden a^k), where num(k) is its
+    numerator stream (``sereval._numerators``: the term with m replaced by
+    1/b) and wden is the weight's common denominator.  Its sum is one
+    running integer: P starts at num(k0) and Q at wden a^k0, and each
+    further term steps P <- a P + num(k), Q <- a Q, so Q = wden a^(c-1)
+    for every c > k0.
     No a^k column is built and no term is divided.  A term of any other
     spec, num/den, extends the pair with no gcd when den is a multiple of
     Q, and is added as a Fraction otherwise."""
@@ -269,14 +271,10 @@ def _prefix_sums(spec: TermSpec,
             else:
                 P, Q = P * q + num, den
     else:
-        a, b = spec.m.as_integer_ratio()
-        if a < 0:
-            a, b = -a, -b
-        coeffs, wden = _integer_weight(spec.weight)
-        nums = chain.from_iterable(
-            nums for _, nums, _ in _columns(
-                replace(spec, m=Fraction(1, b)), (coeffs, wden), k0, hi))
-        P, Q = next(nums), wden * a ** k0
+        weight = _integer_weight(spec.weight)
+        a, blocks = _numerators(spec, weight, k0, hi)
+        nums = chain.from_iterable(nums for _, nums, _ in blocks)
+        P, Q = next(nums), weight[1] * a ** k0
         for k, num in enumerate(nums, k0 + 1):
             while pending[-1] <= k:
                 yield pending.pop(), P, Q

@@ -510,13 +510,14 @@ def _integer(text: str, line: int) -> int:
 
 
 def _options(parts: List[str], keys: Tuple[str, ...], line: int,
-             what: str) -> Dict[str, str]:
+             what: str, flags: Tuple[str, ...] = ()) -> Dict[str, str]:
     """{key: value} of ``key=value`` parts, each key one of ``keys`` and
-    given at most once."""
+    given at most once; a key of ``flags`` takes no value (``key`` alone,
+    read as ''), and is given at most once too."""
     out: Dict[str, str] = {}
     for part in parts:
         key, sep, value = (x.strip() for x in part.partition("="))
-        if not sep or key not in keys or key in out:
+        if key in out or key not in (keys if sep else flags):
             raise CorpusError(f"bad {what} option {part.strip()!r}", line)
         out[key] = value
     return out
@@ -703,20 +704,21 @@ def _read_integrality(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
         raise b.error("integrality weight needs integer coefficients", "term")
     opts = {"div": 1, "mul": 1, "div-base": 1, "nmin": 1, "div-exp": "none",
             "odd": "pow2", "alt": False, "any-sign": False}
-    for part in [p.strip() for p in b.get("idiv", "-").split(";")]:
-        if part in ("-", ""):
-            continue
-        k, _, v = (x.strip() for x in part.partition("="))
-        if part in ("alt", "any-sign"):
-            opts[part] = True
+    line = b.line("idiv")
+    given = _options([p for p in b.get("idiv", "-").split(";")
+                      if p.strip() not in ("-", "")],
+                     ("div", "mul", "div-base", "nmin", "div-exp", "odd"),
+                     line, "idiv", flags=("alt", "any-sign"))
+    for k, v in given.items():
+        if k in ("alt", "any-sign"):
+            v = True
         elif k in ("div", "mul", "div-base", "nmin") \
                 and re.fullmatch(r"-?\d+", v):
-            opts[k] = _int(v, b.line("idiv"))
-        elif (k == "div-exp" and v in cg.DIV_EXPS) \
-                or (k == "odd" and (v in cg.ODD_SETS or v == "none")):
-            opts[k] = v
-        else:
-            raise b.error(f"bad idiv option {part!r}", "idiv")
+            v = _int(v, line)
+        elif not ((k == "div-exp" and v in cg.DIV_EXPS)
+                  or (k == "odd" and (v in cg.ODD_SETS or v == "none"))):
+            raise b.error(f"bad idiv option {k + '=' + v!r}", "idiv")
+        opts[k] = v
     if not opts["div"] or not opts["div-base"]:
         raise b.error("bad idiv option: a divisor is 0", "idiv")
     entry.integrality = cg.IntegralityClaim(

@@ -34,11 +34,12 @@ re-verifies only a FOUND relation, at 1.5x the digits.  On the direct path
 floored at the verification's finer scale (:class:`sereval.Moments`),
 so the verification continues that pass: it reads the terms past N only.
 For a term without denominator factors, num(k) / a^k with a the
-numerator of |m|, neither pass divides a term before its columns are
-cut: each moment is one exact running integer P_j <- a P_j + k^j num(k),
-the relation's sum continues sum c_j P_j the same way, and each is
-floored once; the terms of cut blocks, and every term with denominator
-factors, are floored one by one.
+numerator of |m|, each moment first folds the term's numerator stream
+into one exact running integer P_j <- a P_j + k^j num(k), dividing no
+term, up to the stream's first cut block; the relation's sum carries
+sum c_j P_j on the same way when the moments' fold reached N, and each
+is floored once.  Every other term, past the first cut block or with
+denominator factors, is floored one by one.
 On the Euler path (theta = 1) the transform's weights depend on N, so the
 relation's series is summed again by :func:`sereval.verify_series_identity`.
 :func:`rediscover_each` runs it over several bases on one set of moments
@@ -273,9 +274,10 @@ def rediscover(spec: TermSpec, basis: Sequence[Tuple[int, str]],
     weighted identity and re-verified at 1.5x the search precision, by the
     gap test of :func:`sereval.verify_series_identity`.  On the direct
     path its series side continues the moments' pass, from the term after
-    the last one the moments read: for a den-free term it carries the
-    moments' fold, sum c_j P_j, on through the blocks that are not cut
-    and floors it once; on the Euler path it is summed again by
+    the last one the moments read: for a den-free term whose moments
+    folded every term to N it carries the fold, sum c_j P_j, on up to the
+    first cut block and floors it once, and it floors every later term
+    one by one; on the Euler path it is summed again by
     :func:`sereval.verify_series_identity`.
     Raises ``ValueError`` below ``MIN_DIGITS`` digits, for
     ``max_norm < 1``, for a degree outside 0..``sereval.MAX_DEGREE`` or

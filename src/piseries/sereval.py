@@ -102,10 +102,12 @@ at the scale that verifying any relation between them at 1.5x the digits
 needs, so that a found relation's weighted sum continues that walk from
 N + 1 rather than summing its series again; its verdict is the gap test
 of :func:`verify_series_identity` (:func:`_gap_report`).  For a term
-without denominator factors, num(k) / a^k, the walk divides no term
-until the cut: each moment is one running integer
-P_j <- a P_j + k^j num(k), floored once; past the cut, and for a term
-with denominator factors, the terms are floored one by one.  On the
+without denominator factors, num(k) / a^k, the walk first reads its
+numerator stream (:func:`_numerators`, no a^k column built) and divides
+no term: each moment is one running integer P_j <- a P_j + k^j num(k),
+floored once.  That fold is a prefix, ending at the stream's first cut
+block; one more walk floors the terms from there to N one by one, as it
+floors every term of a term with denominator factors.  On the
 Euler path the transform's weights depend on N, so there the relation is
 verified by :func:`verify_series_identity` itself.
 
@@ -606,6 +608,21 @@ def _columns(spec: TermSpec, weight: Tuple[List[int], int], lo: int, hi: int,
         yield (k, nums, dens) if bits is None else (k, nums, dens, cut)
 
 
+def _numerators(spec: TermSpec, weight: Tuple[List[int], int], lo: int,
+                hi: int, bits: Optional[int] = None
+                ) -> Tuple[int, Iterator[tuple]]:
+    """The numerator stream of a spec without denominator factors: a, the
+    numerator of |m| = a/b, and the blocks of :func:`_columns` of its term
+    with m replaced by 1/b, the sign of m on b.  Every dens entry of a
+    block not cut is wden, the common denominator of ``weight``, so
+    w(k) term(k) = nums[i] / (wden a^k) for k = lo + i; no a^k column is
+    built."""
+    a, b = spec.m.as_integer_ratio()
+    if a < 0:
+        a, b = -a, -b
+    return a, _columns(replace(spec, m=Fraction(1, b)), weight, lo, hi, bits)
+
+
 def _term_pairs(spec: TermSpec, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
     """The (num, den) pairs of :func:`_term_columns` one after another, for
     the exact partial sums that walk the terms in order."""
@@ -954,6 +971,20 @@ def _envelope_poly(weight: Sequence[int], wden: int, q: Sequence[int],
     return _poly_mul([abs(c) for c in reversed(weight)], q), wden * den
 
 
+def _least(N: int, lo: int, fit: Callable[[int], object]
+           ) -> Tuple[int, object]:
+    """(n, fit(n)) for the least n >= lo whose integer check fit(n) is
+    truthy, searched from a guess N >= lo: N moves up while fit(N) fails,
+    then down while N > lo and fit(N - 1) holds, so the integers decide
+    wherever the guess came from.  fit must turn from failing to holding
+    once as n grows; a guess of lo only ever moves up."""
+    while not (value := fit(N)):
+        N += 1
+    while N > lo and (below := fit(N - 1)):
+        N, value = N - 1, below
+    return N, value
+
+
 def _crossover(poly: Sequence, theta: Fraction, lo: int) -> int:
     """Smallest K >= lo with ((K+2)/(K+1))^deg * theta <= rho = (1+theta)/2,
     deg = len(poly) - 1, theta < 1: from K on, the envelope ratio
@@ -961,23 +992,19 @@ def _crossover(poly: Sequence, theta: Fraction, lo: int) -> int:
 
     As (K+2)/(K+1) falls, the test fails below some K and passes from it
     on.  Where it fails at lo, the float root of (1 + 1/(K+1))^deg =
-    (1+theta)/(2 theta) is a first guess, moved down while K - 1 passes
-    and up while K fails, so the integers decide."""
+    (1+theta)/(2 theta) is a first guess that :func:`_least` moves to the
+    least K > lo that passes, so the integers decide."""
     deg = len(poly) - 1
     a, b = theta.as_integer_ratio()
 
-    def fails(K: int) -> bool:
-        return 2 * a * (K + 2) ** deg > (a + b) * (K + 1) ** deg
+    def passes(K: int) -> bool:
+        return 2 * a * (K + 2) ** deg <= (a + b) * (K + 1) ** deg
 
-    K = lo
-    if deg and fails(lo):
-        x = expm1((log(a + b) - log(2 * a)) / deg)
-        K = max(lo + 1, ceil(1 / x) - 1) if x > 0 else lo + 1
-        while K > lo + 1 and not fails(K - 1):
-            K -= 1
-        while fails(K):
-            K += 1
-    return K
+    if not deg or passes(lo):
+        return lo
+    x = expm1((log(a + b) - log(2 * a)) / deg)
+    return _least(max(lo + 1, ceil(1 / x) - 1) if x > 0 else lo + 1, lo + 1,
+                  passes)[0]
 
 
 #: mantissa bits of an upward-rounded dyadic in a tail bound
@@ -1241,7 +1268,8 @@ class _DirectSum:
     where the bound is the closed form of :class:`_Tail`, an upward-rounded
     dyadic; so N is settled before any term is summed: it steps up by one
     until ``bound < target - err`` holds, one comparison of integers
-    (:func:`_fits`).  The radius is that bound plus
+    (:func:`_fits`), and never below the estimate (:func:`_least` with the
+    estimate as its floor).  The radius is that bound plus
     one unit of 2^-s per floor.
 
     The sum asks the stream for cut blocks (:attr:`bits`).  For a term of
@@ -1264,8 +1292,7 @@ class _DirectSum:
         self.env = _Tail(env, self.weight, self.wden, spec.k0)
         # the closed form bounds the tail only from K0 on
         N = max(_estimate_N(self.env, spec.k0, self.T), self.env.K0)
-        while (bound := self._closed_bound(N)) is None:
-            N += 1
+        N, bound = _least(N, N, self._closed_bound)
         self.tail = _radius([bound])
         self._reach(N, _scale_bits(N - self.k0 + 1, self.T))
 
@@ -1569,12 +1596,12 @@ def _euler_N(cert: _Cert, wfall: Sequence[int], scale: Tuple[int, int],
     The bound's log, less the budget's, is taken in floats, and the secant
     method from 16 + 8 len(wfall) and 16 more finds the N where it turns
     negative; it is nearly linear in N, with slope about log(q).  That is
-    only a guess: the exact fit then moves N up while it fails and down
-    while N - 1 fits, so the integers decide.  The fit only turns from
-    fail to pass as N grows: the tail falls geometrically once it is
+    only a guess: :func:`_least` then moves N up while the exact fit fails
+    and down while N - 1 fits, so the integers decide.  The fit only turns
+    from fail to pass as N grows: the tail falls geometrically once it is
     defined, and the budget, 10^-(digits + 2) less a rounding radius of at
-    most 1/32 of it, hardly moves; the search relies on that, and the tests
-    check it.
+    most 1/32 of it, hardly moves; the search relies on that, and the
+    tests check it.
     """
     T = 10 ** (digits + 2)
     mq, eq = cert.q_up
@@ -1617,12 +1644,7 @@ def _euler_N(cert: _Cert, wfall: Sequence[int], scale: Tuple[int, int],
         if c == b:
             break
         a, fa, b, fb = b, fb, c, gap(c)
-    N = b
-    while (tail := fit(N)) is None:
-        N += 1
-    while N > 0 and (below := fit(N - 1)) is not None:
-        N, tail = N - 1, below
-    return N, tail
+    return _least(b, 0, fit)
 
 
 def _euler_weights(N: int) -> List[int]:
@@ -1926,17 +1948,28 @@ def _verify_scale(N: int, k0: int, theta: Fraction, digits: int,
     return N, _scale_bits(per_term * (N - k0 + 1), 10 ** (verify_digits + 2))
 
 
-def _fold(P: int, K: int, a: int, k: int, xs: Iterable[int]) -> int:
-    """The running integer P, whose value is P / a^K after the term K < k,
-    carried over the terms k, k+1, ... whose numerators over a^k are
-    ``xs``: P <- a P + x for each, after P <- a^(k-1-K) P for the terms
-    between K and k, which add nothing.  Its value is then over a^k' for
-    the last term k'."""
-    if k - 1 > K:
-        P *= a ** (k - 1 - K)
-    for x in xs:
-        P = P * a + x
-    return P
+def _fold(P: List[int], a: int, blocks: Iterable[tuple], K: int) -> int:
+    """Carry the running integers P over the blocks (k, nums, dens, cut)
+    of a numerator stream (:func:`_numerators`) up to its first cut block,
+    and return K', the last term folded (K itself when the first block is
+    cut).  For each term k and j = 0, 1, ..., len(P) - 1:
+    P[-1-j] <- a P[-1-j] + k^j num(k).  If P[-1-j] / a^K is a sum over the
+    terms up to K and the blocks start at K + 1, P[-1-j] / a^K' is that
+    sum carried to K'.  The terms of a cut block are floored, not folded,
+    so the fold ends there."""
+    for k, nums, _, cut in blocks:
+        if cut is not None:
+            break
+        ks = range(k, k + len(nums))
+        for j in range(len(P) - 1, -1, -1):
+            x = P[j]
+            for num in nums:
+                x = x * a + num
+            P[j] = x
+            if j:
+                nums = list(map(mul, nums, ks))
+        K = ks[-1]
+    return K
 
 
 class Moments:
@@ -1945,9 +1978,9 @@ class Moments:
     ``digits``, and the verification at ``verify_digits`` of any relation
     of max norm at most ``max_norm`` between them.
 
-    On the direct path the moments come from one walk over the terms to
-    one N, the N that :func:`eval_weighted` gives the top moment k^degree
-    at the search's digits, floored at the verification's finer scale s
+    On the direct path the moments come from the terms k0..N, N the one
+    :func:`eval_weighted` gives the top moment k^degree at the search's
+    digits, floored at the verification's finer scale s
     (:func:`_verify_scale`).  That N is the largest any moment needs, and
     the top moment's tail bound at N bounds every moment's tail: for
     k >= 1, k^j <= k^degree, so each envelope of :class:`_Tail` is at most
@@ -1955,19 +1988,22 @@ class Moments:
     the degree.
 
     A spec without denominator factors has term(k) = num(k) / a^k, with a
-    the numerator of |m| and num the stream's numerator column (the sign
-    of m is in it).  So every block that the walk does not cut folds into
-    one exact integer per moment, the common-denominator summation of
-    Haible and Papanikolaou (1998) that :mod:`~piseries.congruence` also
-    uses: P_j <- a P_j + k^j num(k) (:func:`_fold`), no term divided.
-    After the last folded term K, P_j / a^K is the exact sum of
-    k^j term(k) over the folded terms, whatever k0 is; it is floored once,
-    at 2^-s, so all of them take one unit of rounding.  A cut block is
-    floored term by term and weight by weight (:class:`_DirectSum`), so no
-    term past the cut becomes an exact product.  A spec with denominator
-    factors takes one divmod per term of an uncut block for all the
+    the numerator of |m| and num its numerator stream
+    (:func:`_numerators`, the sign of m in it).  Its moments first fold
+    that stream, block by block from k0, into one exact integer per
+    moment, the common-denominator summation of Haible and Papanikolaou
+    (1998) that :mod:`~piseries.congruence` also reads it for:
+    P_j <- a P_j + k^j num(k) (:func:`_fold`), no term divided.  The fold
+    is a prefix: it ends at K, before the stream's first cut block (or at
+    N), and P_j / a^K, the exact sum of k^j term(k) over k0..K whatever k0
+    is, is floored once, at 2^-s, so all of those terms take one unit of
+    rounding.  One walk of :func:`_columns` from K + 1 to N then floors
+    every other term (:meth:`_add`): a cut block weight by weight
+    (:class:`_DirectSum`), so no term past the cut becomes an exact
+    product, and a block not cut with one divmod per term for all the
     weights, q, r = divmod(num 2^s, den), and then
-    floor(k^j num 2^s / den) = k^j q + floor(k^j r / den) exactly.
+    floor(k^j num 2^s / den) = k^j q + floor(k^j r / den) exactly.  A spec
+    with denominator factors folds nothing: that walk starts at k0.
     So a relation's weighted sum continues this pass (:meth:`continued`)
     instead of summing its series again.  Each ball of :attr:`balls`
     still carries the top moment's rounding radius at the search's own
@@ -1995,18 +2031,24 @@ class Moments:
         self.N = top.N
         self.s = _verify_scale(self.N, spec.k0, env.theta, digits,
                                verify_digits, (degree + 1) * max_norm)[1]
+        bits = self.s + 2 * _GUARD
         #: the floors of the terms not folded, per moment
         self.sums = [_DirectSum.floors(replace(spec, weight=w), self.N,
                                        self.s) for w in weights]
         #: the fold P_j, j = degree, ..., 0, over a^K, K the last folded
         #: term (k0 - 1 before any); None for a spec with a denominator
-        self.P = None if spec.den else [0] * (degree + 1)
-        self.a, self.K = abs(spec.m.numerator), spec.k0 - 1
+        self.P, self.K = None, spec.k0 - 1
+        if not spec.den:
+            self.P = [0] * (degree + 1)
+            self.a, blocks = _numerators(spec, _UNWEIGHTED, spec.k0, self.N,
+                                         bits)
+            self.K = _fold(self.P, self.a, blocks, self.K)
         #: the number of terms floored one by one
-        self.floored = 0
-        for block in _columns(spec, _UNWEIGHTED, spec.k0, self.N,
-                              self.s + 2 * _GUARD):
-            self._add(*block)
+        self.floored = self.N - self.K
+        if self.floored:
+            for block in _columns(spec, _UNWEIGHTED, self.K + 1, self.N,
+                                  bits):
+                self._add(*block)
         terms = self.N - spec.k0 + 1
         # the top moment's rounding radius at the search's digits, and its
         # tail, which bounds every moment's tail past N
@@ -2019,24 +2061,14 @@ class Moments:
 
     def _add(self, k: int, nums: List[int], dens: List[int],
              cut: Optional[_Cut]) -> None:
-        """Take the block of unweighted terms k, k+1, ... of the walk to
-        N: fold it into every P_j, each weight's own floors when the block
-        is cut, or one divmod per term for all the weights when the spec
-        has a denominator."""
-        ks = range(k, k + len(nums))
-        if cut is None and self.P is not None:
-            P, xs = self.P, nums
-            for j in range(len(P) - 1, -1, -1):
-                P[j] = _fold(P[j], self.K, self.a, k, xs)
-                if j:
-                    xs = list(map(mul, xs, ks))
-            self.K = ks[-1]
-            return
-        self.floored += len(nums)
+        """Take a block of the unweighted terms k, k+1, ... past the fold:
+        each weight's own floors when the block is cut, else one divmod per
+        term for all the weights."""
         if cut is not None:
             for d in self.sums:
                 d.add(k, nums, dens, cut)
             return
+        ks = range(k, k + len(nums))
         qr = list(map(divmod, map(lshift, nums, repeat(self.s)), dens))
         qs, rs = [q for q, _ in qr], [r for _, r in qr]
         sums = reversed(self.sums)
@@ -2062,18 +2094,20 @@ class Moments:
 
         It is the sum of three parts: sum c_j times the partial sum of
         M_j, that is the fold sum c_j P_j and the floors of the terms
-        not folded; w's terms k = N+1..N_V, from one more walk from N + 1,
-        each block folded on into sum c_j P_j (w(k) num(k) for
-        k^j num(k)) unless it is cut, and then floored term by term; and
-        w's own tail bound at N_V.  The fold is floored once, so the
-        rounding radius is one unit of 2^-s for it (if any term is
-        folded), sum |c_j| units per term the search floored
+        not folded; w's terms k = N+1..N_V; and w's own tail bound at N_V.
+        The terms past N are read as the search read its own: when the
+        search's fold reached N, the fold sum c_j P_j is carried on over
+        the numerator stream of w(k) num(k) up to that stream's first cut
+        block (:func:`_fold`); then one walk of :func:`_columns` floors
+        the terms that are left, each at most once.  The fold is floored
+        once, so the rounding radius is one unit of 2^-s for it (if any
+        term is folded), sum |c_j| units per term the search floored
         (:meth:`_rounded`) and at most one unit per term past N.
         N_V >= N is the smallest N whose closed-form tail fits the budget
-        that this radius leaves (:func:`_fits_at`), searched from the
-        float estimate of :func:`_estimate_N` at ``verify_digits``.
-        ``ArithmeticError`` if no N can, the rounding radius alone
-        exceeding the budget.
+        that this radius leaves (:func:`_fits_at`), searched by
+        :func:`_least` from the float estimate of :func:`_estimate_N` at
+        ``verify_digits``.  ``ArithmeticError`` if no N can, the rounding
+        radius alone exceeding the budget.
         """
         k0, w = self.spec.k0, tuple(weight)
         cs = list(w) + [0] * (len(self.sums) - len(w))
@@ -2085,37 +2119,29 @@ class Moments:
 
         def fit(N: int) -> Optional[Tuple[int, int]]:
             bound = tail.closed(N)
-            return bound if _fits_at(*bound, head + N - self.N, self.s,
-                                     T) else None
-
-        N = max(_estimate_N(tail, k0, T), lo)
-        while (bound := fit(N)) is None:
-            N += 1
+            if _fits_at(*bound, head + N - self.N, self.s, T):
+                return bound
             # the rounding radius only grows with N: past the budget no N
             # fits (_verify_scale sizes s so that this never happens)
             if (head + N - self.N) * T >= 1 << self.s:
                 raise ArithmeticError("verification scale too coarse for"
                                       f" the weight {w}")
-        while N > lo and (below := fit(N - 1)) is not None:
-            N, bound = N - 1, below
+            return None
+
+        N, bound = _least(max(_estimate_N(tail, k0, T), lo), lo, fit)
         d = _DirectSum.floors(replace(self.spec, weight=w), N, self.s)
-        K = self.K
-        P = None if self.P is None else sum(map(mul, cs, self.P))
-        if N > self.N:
-            for k, nums, dens, cut in _columns(self.spec, _UNWEIGHTED,
-                                               self.N + 1, N, d.bits):
-                if P is None or cut is not None:
-                    d.add(k, nums, dens, cut)
-                    continue
-                ws = _poly_column(coeffs, range(k, k + len(nums)))
-                P = _fold(P, K, self.a, k,
-                          nums if ws is None else map(mul, ws, nums))
-                K = k + len(nums) - 1
+        K, P = self.K, [sum(map(mul, cs, self.P or ()))]
+        start = self.N + 1
+        if self.P is not None and K == self.N and N > K:
+            K = _fold(P, self.a, _numerators(self.spec, (coeffs, wden), start,
+                                             N, d.bits)[1], K)
+            start = K + 1
+        if start <= N:
+            for block in _columns(self.spec, _UNWEIGHTED, start, N, d.bits):
+                d.add(*block)
         mid = sum(c * m.total for c, m in zip(cs, self.sums)) + d.total
-        if P is not None:
-            mid += self._floor(P, K)
-        return (Ball(mid, head + N - self.N, self.s) + _radius([bound]),
-                N - k0 + 1)
+        return (Ball(mid + self._floor(P[0], K), head + N - self.N, self.s)
+                + _radius([bound]), N - k0 + 1)
 
     def verify(self, ident: SeriesIdentity) -> SeriesReport:
         """The verdict of :func:`verify_series_identity` at

@@ -586,6 +586,29 @@ class TestMalformed:
             corpus.parse_registry(_INTEGRALITY.format(weight="1", idiv=idiv))
         assert exc.value.line == 5 and "idiv" in str(exc.value)
 
+    @pytest.mark.parametrize("idiv, repeated", [
+        ("div=2 ; div=3 ; alt ; alt", "div=3"), ("alt ; alt", "alt"),
+        ("any-sign ; div=2 ; any-sign", "any-sign"),
+        ("odd=none ; odd=pow2", "odd=pow2"),
+        ("div-exp=half ; div-exp=half", "div-exp=half"),
+        ("nmin=2 ; mul=3 ; nmin=2", "nmin=2"),
+    ])
+    def test_integrality_repeated_idiv_option(self, idiv, repeated):
+        # as for family and dual options, a key given twice is an error
+        # at its line, not the last value silently kept
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(_INTEGRALITY.format(weight="1", idiv=idiv))
+        assert exc.value.line == 5
+        assert f"bad idiv option {repeated!r}" in str(exc.value)
+
+    def test_integrality_flag_takes_no_value(self):
+        for idiv in ("alt=1", "any-sign=", "div=2 ; alt=true"):
+            with pytest.raises(corpus.CorpusError) as exc:
+                corpus.parse_registry(_INTEGRALITY.format(weight="1",
+                                                          idiv=idiv))
+            assert exc.value.line == 5
+            assert "bad idiv option 'a" in str(exc.value)
+
     @pytest.mark.parametrize("weight", ["(k+1)/2", "k/3", "1/2"])
     def test_integrality_rational_weight(self, weight):
         with pytest.raises(corpus.CorpusError) as exc:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +13,7 @@ from piseries import quadform as qf
 from piseries import seqkit as sk
 from piseries.sereval import TermSpec
 
-from oracle_symbols import fraction_mod, guard_holds, primes_upto
+from oracle_symbols import fraction_mod, guard_holds, is_prime, primes_upto
 
 F = Fraction
 
@@ -260,6 +262,117 @@ class TestPartitionOracle:
         for claim in claims:
             assert qf.check_partition(claim.table, 1000).tested
             assert qf.verify_quadform_claim(claim, 1000).tested
+
+
+# --------------------------------------------------------------------------
+# the partition at every prime, one prime per residue class
+# --------------------------------------------------------------------------
+
+def _guard_modulus(table) -> int:
+    """L = lcm(4, 4|d| for each symbol (d|p), N for each residue guard
+    mod N): at a prime p not dividing L, (d|p) depends only on p mod 4|d|
+    by quadratic reciprocity, so every guard of the table depends only on
+    p mod L."""
+    guards = [c.guard for c in table.cases]
+    return lcm(4, *(4 * abs(d) for g in guards for d, _ in g.syms),
+               *(n for g in guards for n, _ in g.mods))
+
+
+def _odd_primes(n: int) -> list:
+    """The odd primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return [p for p in range(3, n, 2) if sieve[p]]
+
+
+#: a bound past every class representative of the bundled tables (the
+#: largest is 20 963)
+_CLASS_BOUND = 100_000
+
+
+def _class_primes(table, primes) -> tuple:
+    """(L, representatives): one admissible prime (at least ``min_p``, not
+    excluded) in each class mod L prime to L, and every admissible prime
+    that divides L.  By Dirichlet's theorem every such class holds
+    primes; an AssertionError names a class with none below the bound."""
+    L = _guard_modulus(table)
+    open_classes = {r for r in range(L) if gcd(r, L) == 1}
+    reps = [p for p in range(3, L + 1, 2) if L % p == 0 and is_prime(p)]
+    for p in primes:
+        if not open_classes:
+            break
+        if p % L in open_classes and p >= table.min_p \
+                and p not in table.exclude:
+            open_classes.discard(p % L)
+            reps.append(p)
+    assert not open_classes, (table.ident, L, min(open_classes))
+    return L, [p for p in reps if p >= table.min_p
+               and p not in table.exclude]
+
+
+def _class_failures(table, reps) -> list:
+    """(p, n) at each representative where n != 1 guards hold."""
+    out = []
+    for p in reps:
+        n = sum(guard_holds(c.guard, p) for c in table.cases)
+        if n != 1:
+            out.append((p, n))
+    return out
+
+
+def _flip_one_symbol(table):
+    """The table with the first nonzero symbol value of its first guard
+    that has one negated, or None for a table of residue guards only."""
+    for i, case in enumerate(table.cases):
+        syms = case.guard.syms
+        for j, (d, v) in enumerate(syms):
+            if v:
+                guard = qf.Guard(syms[:j] + ((d, -v),) + syms[j + 1:],
+                                 case.guard.mods)
+                cases = list(table.cases)
+                cases[i] = replace(case, guard=guard)
+                return qf.QuadFormTable(table.ident, tuple(cases),
+                                        table.min_p, table.exclude,
+                                        table.sym_factor)
+    return None
+
+
+class TestPartitionEveryPrime:
+    """Exactly one guard holds at every admissible prime, not only at
+    p <= 1000 as ``check_partition`` tests: at a prime p not dividing L
+    the guards depend only on p mod L (``_guard_modulus``), so one prime
+    of each class prime to L, and the primes that divide L, stand for
+    all of them."""
+
+    @pytest.fixture(scope="class")
+    def primes(self):
+        return _odd_primes(_CLASS_BOUND)
+
+    def test_every_class_of_every_table(self, registry_tables, primes):
+        classes, moduli = 0, []
+        for table in registry_tables:
+            L, reps = _class_primes(table, primes)
+            assert _class_failures(table, reps) == [], table.ident
+            classes += sum(L % p != 0 for p in reps)
+            moduli.append(L)
+        assert len(moduli) == 47
+        assert classes == 4052 and max(moduli) == 1848
+
+    def test_a_flipped_symbol_is_caught(self, registry_tables, primes):
+        # negating one symbol value of one guard breaks the partition in
+        # some class, in every table that has a symbol guard
+        flipped = 0
+        for table in registry_tables:
+            variant = _flip_one_symbol(table)
+            if variant is None:
+                continue
+            _, reps = _class_primes(variant, primes)
+            assert _class_failures(variant, reps), table.ident
+            flipped += 1
+        assert flipped == 37
 
 
 class TestIntegerTemplates:

@@ -322,21 +322,27 @@ class TestRediscover:
         assert ok
 
     @staticmethod
-    def _spy_passes(monkeypatch, seq):
-        """Record the digits of each moment pass over ``seq``, each walk
-        over its terms as (weight, first k) and each read of one of its
-        terms alone as (weight, k), the weight as the integer weight the
-        column builder multiplies in (``([1], 1)`` for none)."""
+    def _spy_passes(monkeypatch, spec):
+        """Record the digits of each moment pass over ``spec``'s terms,
+        each walk over them as (stream, weight, first k, last k) and each
+        read of one of its terms alone as (weight, k), the weight as the
+        integer weight the column builder multiplies in (``([1], 1)`` for
+        none).  The stream is "num" for the numerator stream of
+        ``se._numerators`` (m replaced by 1/b) and "term" for the term."""
         walks, reads, precisions = [], [], []
         columns, moments = se._columns, se.Moments
 
         def spy_columns(s, weight, lo, hi, bits=None):
-            if s.seq == seq:
-                (reads if lo == hi else walks).append((weight, lo))
+            if s.seq == spec.seq:
+                if lo == hi:
+                    reads.append((weight, lo))
+                else:
+                    walks.append(("term" if s.m == spec.m else "num",
+                                  weight, lo, hi))
             return columns(s, weight, lo, hi, bits)
 
         def spy_moments(s, degree, digits, *args):
-            if s.seq == seq:
+            if s.seq == spec.seq:
                 precisions.append(digits)
             return moments(s, degree, digits, *args)
 
@@ -354,28 +360,40 @@ class TestRediscover:
                    se.eval_weighted(spec, weights, digits)) + spec.k0 - 1
 
     def test_moments_share_one_pass(self, monkeypatch):
-        # the k and 1 moments come from one walk over the unweighted terms
-        # to N_D; the found relation's verification at 1.5 x 80 = 120
-        # digits continues it with one more walk, from N_D + 1
+        # the k and 1 moments fold the numerator stream from k0 to K, its
+        # first cut block being K + 1, and one walk over the unweighted
+        # terms floors K + 1..N_D; the found relation's verification at
+        # 1.5 x 80 = 120 digits continues them with one more walk, from
+        # N_D + 1 to N_V: no term is read twice
         spec = TermSpec(weight=(1,), den=(), seq=((sk.SBC(1, -6), 1),),
                         m=Fraction(24), k0=0)
         N = self._search_N(spec, 80)
-        walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
+        K = se.Moments(spec, 1, 80, 120, 10 ** 3).K
+        assert spec.k0 < K < N
+        walks, reads, precisions = self._spy_passes(monkeypatch, spec)
         cand = rl.rediscover(spec, [(2, "INV_PI")], digits=80,
                              max_norm=10 ** 3)
         assert cand.confirmed and cand.coeffs == (14, 6, -15)
-        assert cand.verification.terms_used > N + 1
+        N_V = cand.verification.terms_used - 1
+        assert N_V > N
         assert precisions == [80]
-        assert walks == [(([1], 1), 0), (([1], 1), N + 1)]
+        assert walks == [("num", ([1], 1), 0, N), ("term", ([1], 1), K + 1, N),
+                         ("term", ([1], 1), N + 1, N_V)]
         # and term(k0) once, alone, for the blind check
         assert reads == [(([1], 1), 0)]
 
     def test_search_without_relation_sums_once(self, monkeypatch):
+        # the fold from k0 stops at the numerator stream's first cut block,
+        # K + 1, and one walk floors the terms from there to N_D
         spec = TermSpec(weight=(1,), den=(), seq=((sk.FRANEL, 1),),
                         m=Fraction(-9), k0=0)
-        walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
+        N = self._search_N(spec, 80)
+        K = se.Moments(spec, 1, 80, 120, 10 ** 6).K
+        assert spec.k0 < K < N
+        walks, reads, precisions = self._spy_passes(monkeypatch, spec)
         assert rl.rediscover(spec, [(1, "INV_PI")], digits=80) is None
-        assert precisions == [80] and walks == [(([1], 1), 0)]
+        assert precisions == [80]
+        assert walks == [("num", ([1], 1), 0, N), ("term", ([1], 1), K + 1, N)]
         assert reads == [(([1], 1), 0)]
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
@@ -390,13 +408,14 @@ class TestRediscover:
         def unexpected(*args):
             raise AssertionError("searched")
 
-        walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
+        N = self._search_N(spec, 80, degree)
+        walks, reads, precisions = self._spy_passes(monkeypatch, spec)
         monkeypatch.setattr(rl, "pslq", unexpected)
         bases = [[(1, "INV_PI")], [(2, "INV_PI"), (1, "ONE")]]
         assert list(rl.rediscover_each(spec, bases, digits=80,
                                        degree=degree)) == \
             [rl.NOT_SEARCHED, rl.NOT_SEARCHED]
-        assert precisions == [80] and walks == [(([1], 1), 0)]
+        assert precisions == [80] and walks == [("num", ([1], 1), 0, N)]
         assert reads == [(([1], 1), 0)]
         assert rl.rediscover(spec, bases[0], digits=80,
                              degree=degree) is None
@@ -420,17 +439,21 @@ class TestRediscover:
         alone = [rl.rediscover(spec, b, digits=80, max_norm=10 ** 3)
                  for b in bases]
         N = self._search_N(spec, 80)
-        walks, reads, precisions = self._spy_passes(monkeypatch, spec.seq)
+        K = se.Moments(spec, 1, 80, 120, 10 ** 3).K
+        walks, reads, precisions = self._spy_passes(monkeypatch, spec)
         each = list(rl.rediscover_each(spec, bases, digits=80,
                                        max_norm=10 ** 3))
         # a basis without a candidate says why; rediscover says None
         assert each[:2] == [rl.NONE, rl.NONE] and alone[:2] == [None, None]
         assert (each[2].coeffs, each[2].confirmed) == \
             (alone[2].coeffs, alone[2].confirmed) == ((14, 6, -15), True)
-        # one search pass for all three bases, and the verification of
-        # the relation continues it from N_D + 1
+        # one search pass for all three bases, the fold to K and the
+        # floors from K + 1 to N_D, and the verification of the relation
+        # continues it from N_D + 1
+        N_V = each[2].verification.terms_used - 1
         assert precisions == [80]
-        assert walks == [(([1], 1), 0), (([1], 1), N + 1)]
+        assert walks == [("num", ([1], 1), 0, N), ("term", ([1], 1), K + 1, N),
+                         ("term", ([1], 1), N + 1, N_V)]
         # and term(k0) once, alone, for the blind check
         assert reads == [(([1], 1), 0)]
 
@@ -558,9 +581,10 @@ class TestContinuedVerification:
     def test_too_coarse_a_scale_raises(self):
         # a weight far above the max norm the scale was sized for leaves
         # the rounding radius of the terms floored one by one, past the
-        # search's cut, no room: an error, not an endless search
+        # first cut block of the numerator stream, no room: an error, not
+        # an endless search (at 40 digits the fold of VIII2 reaches N)
         spec, _ = _registry_search("VIII2")
-        moments = se.Moments(spec, 1, 40, 60, 10)
+        moments = se.Moments(spec, 1, 64, 96, 10)
         assert moments.floored > 0
         with pytest.raises(ArithmeticError, match="too coarse"):
             moments.continued((10 ** 30, 10 ** 30))
@@ -712,9 +736,10 @@ class TestMomentFold:
             assert d.total == _floors(spec, j, spec.k0, moments.N, moments.s)
 
     def test_search_across_the_cut(self):
-        # VIII2 at 64 digits: the longest walk of the pool, 0..778, cut
-        # from k = 352 on; the relation and its verdict are those of the
-        # two-pass search, and the continued ball overlaps a fresh sum
+        # VIII2 at 64 digits: the longest walk of the pool, 0..778, its
+        # numerator stream cut from k = 480 on; the relation and its
+        # verdict are those of the two-pass search, and the continued ball
+        # overlaps a fresh sum
         spec, basis = _registry_search("VIII2")
         cand = rl.rediscover(spec, basis, digits=64)
         (d, _), = basis
