@@ -63,7 +63,7 @@ def _int_from(text: str, least: int, what: str) -> int:
 
 def _positive_int(text: str) -> int:
     """argparse type of every --digits, --pmax, --nmax and --max-norm, and
-    of quadform's --mu, --a and --d."""
+    of quadform's --mu, --a, --d and --p."""
     return _int_from(text, 1, "positive")
 
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--pmax", type=_positive_int, default=300,
                     help="largest prime tested; dual stops at 200,"
                          " dual-term at 97, refinement at 50, and a case"
-                         " table's partition runs to max(1000, PMAX)")
+                         " table's partition is proved for every prime")
     vc.add_argument("--pn", action="store_true",
                     help="restrict to prime-power refinement checks")
     vc.add_argument("--integrality", action="store_true",
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     qr.add_argument("--mu", type=_positive_int, default=1)
     qr.add_argument("--a", type=_positive_int, default=1)
     qr.add_argument("--d", type=_positive_int, required=True)
-    qr.add_argument("--p", type=int, required=True)
+    qr.add_argument("--p", type=_positive_int, required=True)
     qr.set_defaults(func=_cmd_quadform)
 
     return parser

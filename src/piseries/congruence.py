@@ -25,21 +25,15 @@ inverse, Fermat quotients from ``pow(a, p-1, p^(s+1))``, E_{p-3} reduced.
 Elementary number theory: every quadratic character read at one prime,
 here and in ``quadform``, is ``symbol``: the product of the (d|p) over
 a tuple of d, each by Euler's criterion d^((p-1)/2) mod p.  The primes
-come from one process-wide ``Characters`` table (``characters(bound)``),
-which grows by doubling to the largest bound asked for so far and sieves
-its own primes: bit i of an int stands for the i-th odd prime.  The same
-table holds characters p -> (d|p) as pairs of such bitsets (where it is
--1, where it is 0), for the one bulk reader, the guard masks of
-``quadform``'s case tables; a mask is the (-1|p) and (2|p) residue
-classes times one Euler's-criterion pass per odd prime factor of d.
+come from ``sieve``, the sieve of Eratosthenes, run to the bound a check
+asks for.
 """
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress
 from math import isqrt, prod
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
@@ -52,8 +46,7 @@ from .sereval import (TermSpec, _integer_weight, _numerators, _term_pairs,
 
 __all__ = [
     "symbol",
-    "Characters",
-    "characters",
+    "sieve",
     "tested_primes",
     "truncated_sum_exact",
     "truncated_sum_mod",
@@ -93,113 +86,15 @@ def symbol(sym: Tuple[int, ...], p: int) -> int:
     return value
 
 
-#: A quadratic character over a ``Characters`` index: the bitsets (neg,
-#: zero) of the primes where it is -1 and where it is 0, neg & zero == 0.
-Char = Tuple[int, int]
-
-
-class Characters:
-    """Quadratic characters of the odd primes up to ``bound``, as bitsets.
-
-    Bit i of a mask stands for ``primes[i]``, the i-th odd prime (3 is bit
-    0).  The character (d|p) multiplies (-1|p) = -1 at p = 3 mod 4,
-    (2|p) = -1 at p = 3, 5 mod 8, and one Euler's-criterion pass per odd
-    prime factor of odd exponent; each odd prime factor's zero bit is read
-    from the index.  The table sieves its own primes up to ``bound``;
-    masks are memoised per table, and the table for a larger bound is a
-    new one.  Only guard masks read the characters in bulk; a character
-    at one prime is ``symbol``.
-    """
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        flags = bytearray([1]) * (bound + 1)
-        for i in range(2, isqrt(bound) + 1):
-            if flags[i]:
-                flags[i * i::i] = bytes(len(range(i * i, bound + 1, i)))
-        self.primes = list(compress(range(3, bound + 1), flags[3:]))
-        self.bit = {p: i for i, p in enumerate(self.primes)}
-        self.full = (1 << len(self.primes)) - 1
-        self._memo: Dict[tuple, object] = {}
-
-    def where(self, pred) -> int:
-        """The mask of the indexed primes p with pred(p)."""
-        return int("0" + "".join("1" if pred(p) else "0"
-                                 for p in reversed(self.primes)), 2)
-
-    def residues(self, n: int, rs: Tuple[int, ...]) -> int:
-        """The mask of the indexed primes p with p mod n in ``rs``."""
-        key = ("mod", n, rs)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = self.where(lambda p: p % n in rs)
-        return got
-
-    def _euler(self, q: int) -> int:
-        """The mask of the indexed primes p with (q|p) = -1, by Euler's
-        criterion q^((p-1)/2) mod p."""
-        key = ("E", q)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = self.where(
-                lambda p: pow(q, p >> 1, p) == p - 1)
-        return got
-
-    def legendre(self, d: int) -> Char:
-        """The character p -> (d|p)."""
-        key = ("L", d)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        if d == 0:
-            char = (0, self.full)
-        else:
-            e2 = (abs(d) & -abs(d)).bit_length() - 1
-            rest = abs(d) >> e2
-            neg = self.residues(4, (3,)) if d < 0 else 0
-            if e2 % 2:
-                neg ^= self.residues(8, (3, 5))
-            zero = 0
-            for q in self.primes:
-                if q * q > rest:
-                    break
-                e = 0
-                while rest % q == 0:
-                    rest //= q
-                    e += 1
-                if e:
-                    neg ^= self._euler(q) if e % 2 else 0
-                    zero |= 1 << self.bit[q]
-            if rest > 1:   # a prime, or a product of primes above the index
-                neg ^= self._euler(rest)
-                zero |= 1 << self.bit[rest] if rest in self.bit else 0
-            char = (neg & ~zero, zero)
-        self._memo[key] = char
-        return char
-
-    def holds(self, char: Char, v: int) -> int:
-        """The mask of the indexed primes p where char(p) == v."""
-        neg, zero = char
-        if v == 1:
-            return self.full & ~(neg | zero)
-        return neg if v == -1 else zero if v == 0 else 0
-
-
-_CHARS = Characters(2)
-_CHARS_LOCK = threading.Lock()
-
-
-def characters(bound: int) -> Characters:
-    """The process-wide character table, grown to cover ``bound``: to at
-    least twice its bound."""
-    global _CHARS
-    chars = _CHARS
-    if bound <= chars.bound:
-        return chars
-    with _CHARS_LOCK:
-        if bound > _CHARS.bound:
-            _CHARS = Characters(max(bound, 2 * _CHARS.bound))
-        return _CHARS
+@lru_cache(maxsize=16)   # the few bounds the checks of one run ask for
+def sieve(bound: int) -> bytes:
+    """Flags over 0 <= n <= bound, 1 exactly at the primes: the sieve of
+    Eratosthenes."""
+    flags = bytearray(2) + bytearray([1]) * (bound - 1)
+    for i in range(2, isqrt(max(bound, 0)) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, bound + 1, i)))
+    return bytes(flags)
 
 
 def tested_primes(p_max: int, min_p: int = 5, exclude: Tuple[int, ...] = (),
@@ -209,13 +104,10 @@ def tested_primes(p_max: int, min_p: int = 5, exclude: Tuple[int, ...] = (),
     p not in ``exclude``, p dividing no integer of ``coprime``, and
     (d|p) == v for each (d, v) of ``require``.  A ``require`` at a p = 2
     that min_p and ``exclude`` admit is a ValueError: (d|2) has no value."""
-    chars = characters(p_max)   # grown once here, not prime by prime
-    odd = chars.primes          # the odd primes up to chars.bound >= p_max
-    primes = odd[bisect_left(odd, min_p):bisect_right(odd, p_max)]
-    if min_p <= 2 <= p_max:
-        primes = [2] + primes
+    lo = max(min_p, 0)
     product = prod(coprime)
-    primes = [p for p in primes if p not in exclude and product % p]
+    primes = [p for p in compress(range(lo, p_max + 1), sieve(p_max)[lo:])
+              if p not in exclude and product % p]
     for d, v in require:
         primes = [p for p in primes if symbol((d,), p) == v]
     return primes

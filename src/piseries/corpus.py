@@ -62,7 +62,7 @@ at the ``entry`` line.
   ``pn-delta``, ``minp``, ``exclude``, ``require``; at p <= min(p_max, 50).
 * ``quadform`` (selector ``case`` lines): ``term``, ``case``, ``minp``,
   ``exclude``, ``sym-factor``; mod p^2 at p <= p_max, and the cases'
-  partition of the primes at p <= max(1000, p_max).
+  partition of the primes proved for every prime.
 * ``dual`` (selector ``dual: d=<int> ; D=<int>``, d and D non-zero, an
   integer base m that divides D): ``term``, ``dual``; at
   p <= min(p_max, 200).
@@ -455,7 +455,10 @@ def _guard(text: str, line: int) -> qf.Guard:
                                    for r in m.group("rs").split(","))))
             else:
                 syms.append(_condition(cond, line, "guard"))
-    return qf.Guard(syms=tuple(syms), mods=tuple(mods))
+    try:
+        return qf.Guard(syms=tuple(syms), mods=tuple(mods))
+    except ValueError as exc:      # d = 0, a residue not below N
+        raise CorpusError(str(exc), line) from None
 
 
 _REP = re.compile(r"^(?P<mu>[124])?p=(?:(?P<a>\d+)\*)?x\^2\+(?:(?P<d>\d+)\*)?y\^2$")
@@ -672,10 +675,12 @@ def _read_refinement(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
 
 def _read_quadform(entry: RegistryEntry, b: _Block, spec: TermSpec) -> None:
     min_p, exclude = _admitted(b, True)
-    table = qf.QuadFormTable(
-        b.ident, tuple(_case(v, ln) for ln, v in b.get("case")),
-        min_p=min_p, exclude=exclude,
-        sym_factor=b.read("sym-factor", _symbols, ()))
+    cases = tuple(_case(v, ln) for ln, v in b.get("case"))
+    sym_factor = b.read("sym-factor", _symbols, ())
+    try:
+        table = qf.QuadFormTable(b.ident, cases, min_p, exclude, sym_factor)
+    except ValueError as exc:      # the guards' modulus above its bound
+        raise CorpusError(str(exc), b.line("case")) from None
     entry.quadform = qf.QuadFormClaim(b.ident, spec, table)
 
 
@@ -1032,7 +1037,7 @@ def _check_series(entry: RegistryEntry, digits: int, p_max: int,
 def _check_quadform(entry: RegistryEntry, digits: int, p_max: int,
                     n_max: int) -> tuple:
     rep = qf.verify_quadform_claim(entry.quadform, p_max)
-    part = qf.check_partition(entry.quadform.table, max(1000, p_max))
+    part = qf.check_partition(entry.quadform.table)
     if rep.ok and not part.ok:
         return rep, False, f"partition gaps {part.failures[:3]}"
     return _verdict(rep, f"p<=..{p_max}: {len(rep.tested)} primes",
@@ -1061,8 +1066,8 @@ def _check_finite(entry: RegistryEntry, digits: int, p_max: int,
 
 #: check path -> its check, (entry, digits, p_max, n_max) -> (report, ok,
 #: detail), with ok None on the two paths that verify nothing.  Each row
-#: caps p_max itself: the partition of a case table runs to
-#: max(1000, p_max), dual to 200, dual-term to 97 and refinement to 50.
+#: caps p_max itself: dual at 200, dual-term at 97 and refinement at 50;
+#: the partition of a case table is proved for every prime.
 _CHECKS = {
     "series": _check_series,
     "evaluate": lambda e, digits, p_max, n_max:

@@ -3,12 +3,13 @@ Legendre symbol by Euler's criterion, a Jacobi symbol by reciprocity with
 the Euclidean algorithm, a rational modulo p^s, the exact value of a
 congruence's right-hand side term at p, a quadratic-form guard at one
 prime, and whether a claim is tested at p.  The program reads the same
-quantities from a sieve, ``congruence.symbol`` at one prime, integer
-residues and, for the case-table guards alone, character bitsets
-(``congruence.Characters``, ``congruence.rhs_residue``,
-``congruence._residue``, ``quadform.Guard.mask``) and from one rule for
-the tested primes (``congruence.tested_primes``); the tests compare the
-two.  ``jacobi`` shares no step with the program's Euler's criterion."""
+quantities from a sieve (``congruence.sieve``), ``congruence.symbol`` at
+one prime, integer residues (``congruence.rhs_residue``,
+``congruence._residue``) and, for the case-table guards alone, masks
+over the residue classes mod L (``quadform.QuadFormTable.residue_masks``)
+and from one rule for the tested primes (``congruence.tested_primes``);
+the tests compare the two.  ``jacobi`` shares no step with the program's
+Euler's criterion."""
 
 from __future__ import annotations
 

@@ -683,6 +683,9 @@ class TestNumericArguments:
         ["quadform", "represent", "--p", "5", "--d", "-3"],
         ["quadform", "represent", "--d", "1", "--p", "5", "--a", "0"],
         ["quadform", "represent", "--d", "1", "--p", "5", "--mu", "0"],
+        # p = 0 once printed 1*0 = 1*0^2 + 1*0^2, p = -5 "no solution"
+        ["quadform", "represent", "--d", "1", "--p", "0"],
+        ["quadform", "represent", "--d", "1", "--p", "-5"],
     ])
     def test_out_of_range_is_a_usage_error(self, capsys, argv):
         code, out, err = _run(capsys, argv)

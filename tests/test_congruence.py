@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import re
-import sys
-import threading
 from fractions import Fraction
 from math import comb
 from typing import Dict
@@ -153,8 +151,10 @@ def _prime_factors(n: int):
 
 class TestSieve:
     def test_matches_trial_division(self):
-        for b in (2, 3, 4, 5, 10, 1000, 10 ** 5):
-            assert cg.Characters(b).primes == primes_upto(b)[1:], b
+        for b in (0, 1, 2, 3, 4, 5, 10, 1000, 10 ** 5):
+            flags = cg.sieve(b)
+            assert len(flags) >= b + 1, b
+            assert [n for n in range(b + 1) if flags[n]] == primes_upto(b), b
 
     def test_legendre_is_euler_criterion(self):
         for p in primes_upto(400)[1:]:
@@ -185,7 +185,8 @@ class TestSieve:
 
 
 # --------------------------------------------------------------------------
-# the character table against the symbols computed one at a time
+# the characters of the case tables against the symbols computed one at a
+# time
 # --------------------------------------------------------------------------
 
 def _registry_symbols():
@@ -213,26 +214,27 @@ def _registry_symbols():
 
 
 REGISTRY_DS, REGISTRY_NS = _registry_symbols()
+GUARD_DS = sorted({d for e in corpus.load_default() if e.quadform is not None
+                   for c in e.quadform.table.cases for d, _ in c.guard.syms})
 
 
-def _primes_in(chars, mask):
-    """The indexed primes whose bits are set in ``mask``, in order."""
-    return [p for i, p in enumerate(chars.primes) if mask >> i & 1]
+def _holding(guard, p_max):
+    """The odd primes p <= p_max where the one-case table of ``guard``
+    holds its case: read off its residue masks, or by ``symbol`` at a p
+    dividing L."""
+    table = qf.QuadFormTable("one", (qf.QuadFormCase(guard, zero=True),),
+                             min_p=3)
+    return [p for p in primes_upto(p_max)[1:] if table.holding(p)]
 
 
-def _value(chars, char, p):
-    """The value at the indexed prime p of a character's bitsets."""
-    i = chars.bit[p]
-    return 0 if char[1] >> i & 1 else -1 if char[0] >> i & 1 else 1
-
-
-def _check_char(chars, char, want, p_max):
-    neg, zero = char
-    assert neg & zero == 0 and (neg | zero) <= chars.full
-    for p in chars.primes:
-        if p > p_max:
-            break
-        assert _value(chars, char, p) == want(p), p
+def _check_char(d, want, p_max):
+    """(d|p) read off the residue masks against ``want`` at each odd prime
+    p <= p_max: case v + 1 of a table holds where (d|p) == v."""
+    table = qf.QuadFormTable("one", tuple(
+        qf.QuadFormCase(qf.Guard(((d, v),)), zero=True) for v in (-1, 0, 1)),
+        min_p=3)
+    for p in primes_upto(p_max)[1:]:
+        assert table.holding(p) == [want(p) + 1], (d, p)
 
 
 class TestCharacters:
@@ -241,67 +243,59 @@ class TestCharacters:
         assert {3, 5, 7, 59} <= set(REGISTRY_NS)
 
     def test_legendre_masks(self):
-        chars = cg.characters(3000)
-        assert chars.primes[0] == 3 and chars.bound >= 3000
-        for d in sorted(set(REGISTRY_DS) | set(range(-300, 301)) - {0}):
-            _check_char(chars, chars.legendre(d),
-                        lambda p: legendre(d, p), 3000)
+        assert -462 in GUARD_DS and max(map(abs, GUARD_DS)) == 462
+        for d in sorted(set(GUARD_DS) | set(range(-300, 301)) - {0}):
+            _check_char(d, lambda p: legendre(d, p), 3000)
 
     def test_registry_symbols_at_every_prime(self):
-        # the masks and symbol against both oracles: Euler's criterion
-        # and the Jacobi symbol by reciprocity
-        chars = cg.characters(3000)
+        # symbol against both oracles: Euler's criterion and the Jacobi
+        # symbol by reciprocity
         primes = primes_upto(3000)[1:]
         for d in REGISTRY_DS:
-            char = chars.legendre(d)
             for p in primes:
                 want = legendre(d, p)
                 assert jacobi(d, p) == want, (d, p)
-                assert _value(chars, char, p) == want, (d, p)
                 assert cg.symbol((d,), p) == want, (d, p)
 
     def test_jacobi_masks(self):
         # (n*|p) = (p|n) for n* = (-1)^((n-1)/2) n: the masks of n* against
         # the Jacobi symbol by reciprocity
-        chars = cg.characters(3000)
         for n in sorted(set(REGISTRY_NS) | set(range(1, 301, 2))):
             star = -n if n % 4 == 3 else n
-            _check_char(chars, chars.legendre(star),
-                        lambda p: jacobi(p, n), 3000)
+            _check_char(star, lambda p: jacobi(p, n), 3000)
 
     def test_lp_is_the_jacobi_symbol(self):
         # the registry reads Lp(n) as (n*|p), n* = (-1)^((n-1)/2) n, which
         # is (p|n) at every odd prime p
-        chars = cg.characters(3000)
         for n in REGISTRY_NS:
             d = corpus._symbol(f"Lp({n})", 1)
-            _check_char(chars, chars.legendre(d),
-                        lambda p: jacobi(p, n), 3000)
+            _check_char(d, lambda p: jacobi(p, n), 3000)
             for p in primes_upto(3000)[1:]:
                 assert legendre(d, p) == jacobi(p, n), (n, p)
                 assert cg.symbol((d,), p) == jacobi(p, n), (n, p)
 
     @pytest.mark.parametrize("bound", [2, 3, 5, 10, 50])
     def test_factors_above_the_index(self, bound):
-        # a small table: prime factors of d above every indexed prime,
-        # as a lone prime, squared and times indexed primes
-        chars = cg.Characters(bound)
+        # prime factors of d above the sieve that tested_primes runs, as a
+        # lone prime, squared and times small primes: each (d|p) is read
+        # by symbol at the primes the sieve gives
         for d in (0, 1, -1, 2, -2, 53, 2809, -3 * 53, 45 * 59 * 61,
                   10 ** 12 + 39, -(2 ** 5) * (10 ** 12 + 39), 3001 * 3011):
-            _check_char(chars, chars.legendre(d),
-                        lambda p: legendre(d, p), bound)
+            for v in (-1, 0, 1):
+                assert cg.tested_primes(bound, 3, require=((d, v),)) == \
+                    [p for p in primes_upto(bound)[1:]
+                     if legendre(d, p) == v], (d, v)
 
     def test_products_and_values(self):
         sym = (-1, 5, 0x3F, -15, -7)
         want = lambda p: legendre(-1, p) * legendre(5, p) \
             * legendre(0x3F, p) * jacobi(p, 15) * jacobi(p, 7)
-        chars = cg.characters(1000)
-        for p in primes_upto(1000)[1:]:
+        primes = primes_upto(1000)[1:]
+        for p in primes:
             assert cg.symbol(sym, p) == want(p), p
-        char = chars.legendre(-15)
         for v in (-1, 0, 1, 2):
-            assert _primes_in(chars, chars.holds(char, v)) == \
-                [p for p in chars.primes if legendre(-15, p) == v]
+            assert _holding(qf.Guard(((-15, v),)), 1000) == \
+                [p for p in primes if legendre(-15, p) == v]
 
     def test_empty_symbol_is_one(self):
         for p in primes_upto(3000):
@@ -313,46 +307,11 @@ class TestCharacters:
                 cg.symbol(sym, 2)
 
     def test_residues_and_ranges(self):
-        chars = cg.characters(500)
-        assert _primes_in(chars, chars.residues(12, (1, 11))) == \
-            [p for p in chars.primes if p % 12 in (1, 11)]
-
-    def test_growth(self, monkeypatch):
-        monkeypatch.setattr(cg, "_CHARS", cg.Characters(2))
-        first = cg.characters(50)
-        assert first.bound == 50 and cg.characters(40) is first
-        assert cg.characters(51).bound == 100
-        assert cg.characters(1000).bound == 1000
-        assert cg.characters(7).primes[-1] == 997
-
-    def test_concurrent_growth(self, monkeypatch):
-        monkeypatch.setattr(cg, "_CHARS", cg.Characters(2))
-        got, errors = [], []
-
-        def work(bounds):
-            try:
-                for b in bounds:
-                    chars = cg.characters(b)
-                    got.append((b, chars))
-                    assert _value(chars, chars.legendre(-7), 3) == -1
-            except Exception as exc:  # pragma: no cover - reported below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=([50 * t, 900, 77],))
-                   for t in range(1, 6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors and len(got) == 15
-        assert all(b <= chars.bound for b, chars in got)
-        assert cg.characters(900).bound >= 900
+        assert _holding(qf.Guard(mods=((12, (1, 11)),)), 500) == \
+            [p for p in primes_upto(500)[1:] if p % 12 in (1, 11)]
+        # a residue list that is a whole period, or that repeats
+        assert _holding(qf.Guard(mods=((4, (1, 3, 3)),)), 500) == \
+            primes_upto(500)[1:]
 
 
 class TestRhsResidue:
@@ -885,8 +844,11 @@ class TestTestedPrimes:
         m, table = claim.spec.m, claim.table
         in_range = lambda p: p >= table.min_p and p not in table.exclude
         want = _old_primes(300, lambda p: p > 2 and in_range(p))
-        assert qf.check_partition(table, 300).tested == want
         assert cg.tested_primes(300, table.min_p, table.exclude) == want
+        # the partition proof tests the admissible primes dividing L
+        L = table.modulus
+        assert qf.check_partition(table).primes == _old_primes(
+            L, lambda p: p > 2 and in_range(p) and L % p == 0)
         want = _old_primes(
             300, lambda p: in_range(p) and m.numerator % p
             and m.denominator % p and all(d % p for d in table.sym_factor))

@@ -99,6 +99,18 @@ anchor: "x"
 end
 """
 
+_SPLIT_1009 = """\
+entry split-1009
+kind: CONGRUENCE
+status: conjectural
+term: 1 ; - ; CB2^3 ; m=64 ; k0=0
+case: mod(4)=1 L(1009)=1 ; p=x^2+y^2 ; Y_HALF_PARITY ; 4*x^2-2*p
+case: mod(4)=1 L(1009)=-1 ; p=x^2+y^2 ; Y_HALF_PARITY ; 4*x^2-2*p
+case: mod(4)=3 ; zero
+anchor: "x"
+end
+"""
+
 _CONGRUENCE = """\
 entry bad
 kind: CONGRUENCE
@@ -241,6 +253,21 @@ class TestRunner:
         expected = "PASS" if status == "proven" else \
             "CONSISTENT" if e.kind == "SERIES" else "SUPPORTED"
         assert (row.outcome, row.status) == (expected, status), row.detail
+
+    # the two-square table with its split case cut in two by (1009|p): no
+    # guard holds at p = 1009, which divides L = 4036.  The proof names
+    # the gap at every p_max, where a partition check of p <= 1000 once
+    # read SUPPORTED; from 1009 on the claim's own NO_CASE row shows it.
+    @pytest.mark.parametrize("p_max, detail", [
+        (100, "partition gaps [(1009, 0, 1)]"),
+        (300, "partition gaps [(1009, 0, 1)]"),
+        (1008, "partition gaps [(1009, 0, 1)]"),
+        (1100, "failures [(1009, 'NO_CASE', None)]"),
+    ])
+    def test_partition_gap_past_1000(self, p_max, detail):
+        (entry,) = corpus.parse_registry(_SPLIT_1009)
+        (row,) = corpus.run([entry], p_max=p_max).rows
+        assert (row.outcome, row.detail) == ("FAIL", detail)
 
     def test_runs_in_calling_thread(self, entries, monkeypatch):
         seen = []
@@ -514,6 +541,29 @@ class TestMalformed:
     def test_template_outside_span(self, template):
         with pytest.raises(corpus.CorpusError) as exc:
             corpus.parse_registry(_QUADFORM.format(template=template))
+        assert exc.value.line == 6
+
+    # guards that can never hold, once read as SUPPORTED or as NO_CASE
+    # rows, and a guard modulus L past its bound: registry errors at the
+    # case line
+    @pytest.mark.parametrize("guard, line, why", [
+        ("mod(8)=1,9", 5, "guard mod(8) has a residue not below 8"),
+        ("mod(8)=1 L(0)=1", 5, "guard symbol (0|p) is 0 at every prime"),
+        ("mod(8)=1 L(2503)=1", 5,
+         "guard modulus L = 20024 is above 10000"),
+    ])
+    def test_degenerate_guard(self, guard, line, why):
+        text = _QUADFORM.format(template="4*x*y").replace(
+            "case: mod(8)=1 ;", f"case: {guard} ;")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
+        assert exc.value.line == line and why in str(exc.value)
+
+    def test_degenerate_guard_on_a_later_case_line(self):
+        text = _QUADFORM.format(template="4*x*y").replace(
+            "case: mod(8)=5 ;", "case: mod(8)=5 L(0)=-1 ;")
+        with pytest.raises(corpus.CorpusError) as exc:
+            corpus.parse_registry(text)
         assert exc.value.line == 6
 
     # once a ValueError traceback from QuadFormCase, exit 1

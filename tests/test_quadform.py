@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -128,14 +130,16 @@ class TestClaims:
         assert not rep.ok
 
     def test_partition(self):
-        rep = qf.check_partition(two_square_table(), 1000)
-        assert rep.ok and len(rep.tested) > 160
+        rep = qf.check_partition(two_square_table())
+        assert rep.ok and (rep.modulus, rep.primes) == (4, [])
 
     def test_partition_gap_detected(self):
+        # the class 3 mod 4 is covered by no guard: its least admissible
+        # prime names it
         table = qf.QuadFormTable(
             "gap", (qf.QuadFormCase(qf.Guard(mods=((4, (1,)),)), zero=True),))
-        rep = qf.check_partition(table, 100)
-        assert not rep.ok
+        rep = qf.check_partition(table)
+        assert not rep.ok and rep.failures == [(7, 0, 1)]
 
 
 # --------------------------------------------------------------------------
@@ -207,21 +211,33 @@ class TestPartitionOracle:
 
     @pytest.mark.parametrize("p_max", [100, 1000, 3000])
     def test_matches_oracle(self, registry_tables, p_max):
+        # every gap or overlap the per-prime loop finds at p <= p_max is a
+        # failing prime dividing L or lies in a failing class, named by a
+        # prime no larger; every failure named at p <= p_max is one it finds
         failing = 0
         for table in registry_tables:
             for variant in _variants(table):
-                rep = qf.check_partition(variant, p_max)
-                assert (rep.tested, rep.failures) == \
-                    _partition_oracle(variant, p_max), table.ident
+                rep = qf.check_partition(variant)
+                L = rep.modulus
+                _, want = _partition_oracle(variant, p_max)
+                named = {p % L: (p, n) for p, n, _ in rep.failures if L % p}
+                for p, n, _ in want:
+                    if L % p == 0:
+                        assert (p, n, 1) in rep.failures, (table.ident, p)
+                    else:
+                        q, m = named[p % L]
+                        assert q <= p and m == n, (table.ident, p)
+                assert {f for f in rep.failures if f[0] <= p_max} <= \
+                    set(want), table.ident
                 failing += bool(rep.failures)
-        # from p = 1000 on, every dropped or repeated case shows up
-        if p_max >= 1000:
-            assert failing == 2 * len(registry_tables)
+        # every dropped or repeated case shows up, whatever p_max
+        assert failing == 2 * len(registry_tables)
 
     def test_dispatch_matches_guard_oracle(self, registry_tables):
-        primes = primes_upto(1000)[1:]
+        primes = primes_upto(3000)[1:]
         for table in registry_tables:
-            for variant in _variants(table):
+            variants = list(_variants(table)) + [_flip_one_symbol(table)]
+            for variant in filter(None, variants):
                 for p in primes:
                     got = qf.dispatch(variant, p)
                     assert (got.p, _value(got), got.error, got.case_index) \
@@ -229,8 +245,8 @@ class TestPartitionOracle:
 
     @pytest.mark.parametrize("p", [2, 1, 9, 15, 0])
     def test_dispatch_outside_the_index(self, registry_tables, p):
-        # p = 2 or a p that is not prime is a ValueError: the masks do not
-        # index it, even for a table of mods-only guards
+        # p = 2 or a p that is not prime is a ValueError, even for a table
+        # of mods-only guards, where p mod L has a case
         for table in registry_tables + [two_square_table()]:
             with pytest.raises(ValueError, match="not an odd prime"):
                 qf.dispatch(table, p)
@@ -243,25 +259,56 @@ class TestPartitionOracle:
             with pytest.raises(ValueError, match="admits p = 2"):
                 qf.QuadFormTable("low", cases, min_p=min_p)
             low = qf.QuadFormTable("low", cases, min_p=min_p, exclude=(2,))
-            rep = qf.check_partition(low, 100)
-            assert rep.tested[:2] == [3, 5]
-            assert (rep.tested, rep.failures) == _partition_oracle(low, 100)
+            rep = qf.check_partition(low)
+            assert rep.ok and rep.primes == []
+            assert _partition_oracle(low, 100)[0][:2] == [3, 5]
+            assert qf.dispatch(low, 3).case_index == 1
 
     def test_no_symbol_call_once_the_masks_exist(self, monkeypatch):
+        # once a table holds its masks, no check builds them again, and the
+        # proof reads a symbol only at the admissible primes dividing L
         claims = [e.quadform for e in corpus.load_default()
                   if e.quadform is not None]
-        for claim in claims:
-            qf.check_partition(claim.table, 1000)
-
-        def refuse(*args):
-            raise AssertionError(f"mask built at {args[1:]}")
-
-        # every mask a guard reads, Euler's-criterion passes and residue
-        # classes alike, is built by Characters.where
-        monkeypatch.setattr(cg.Characters, "where", refuse)
-        for claim in claims:
-            assert qf.check_partition(claim.table, 1000).tested
+        built = [claim.table.residue_masks for claim in claims]
+        read = []
+        symbol = cg.symbol
+        monkeypatch.setattr(cg, "symbol",
+                            lambda sym, p: read.append(p) or symbol(sym, p))
+        for claim, masks in zip(claims, built):
+            read.clear()
+            rep = qf.check_partition(claim.table)
+            assert rep.ok and set(read) <= set(rep.primes), claim.ident
             assert qf.verify_quadform_claim(claim, 1000).tested
+            assert claim.table.residue_masks is masks
+
+    def test_concurrent_first_use(self, registry_tables):
+        # threads that share fresh tables race to build their masks on
+        # first use, and every thread reads the same cases
+        tables = [replace(t) for t in registry_tables]
+        primes = primes_upto(400)[1:]
+        want = [[qf.dispatch(t, p).case_index for p in primes]
+                for t in registry_tables]
+        got, errors = [], []
+
+        def work():
+            try:
+                got.append([[qf.dispatch(t, p).case_index for p in primes]
+                            for t in tables])
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and got == [want] * len(threads)
 
 
 # --------------------------------------------------------------------------
@@ -341,11 +388,11 @@ def _flip_one_symbol(table):
 
 
 class TestPartitionEveryPrime:
-    """Exactly one guard holds at every admissible prime, not only at
-    p <= 1000 as ``check_partition`` tests: at a prime p not dividing L
-    the guards depend only on p mod L (``_guard_modulus``), so one prime
-    of each class prime to L, and the primes that divide L, stand for
-    all of them."""
+    """Exactly one guard holds at every admissible prime: at a prime p not
+    dividing L the guards depend only on p mod L (``_guard_modulus``), so
+    one prime of each class prime to L, and the primes that divide L,
+    stand for all of them.  ``check_partition`` proves it from residue
+    masks; here each guard is read at one prime of each class."""
 
     @pytest.fixture(scope="class")
     def primes(self):
@@ -373,6 +420,65 @@ class TestPartitionEveryPrime:
             assert _class_failures(variant, reps), table.ident
             flipped += 1
         assert flipped == 37
+
+    def test_check_partition_agrees(self, registry_tables, primes):
+        # the proof against one prime per class: on every table, every
+        # flipped symbol and every dropped or repeated case
+        failing = 0
+        for table in registry_tables:
+            variants = list(_variants(table)) + [_flip_one_symbol(table)]
+            for variant in filter(None, variants):
+                L, reps = _class_primes(variant, primes)
+                rep = qf.check_partition(variant)
+                assert (rep.modulus, rep.primes) == \
+                    (L, [p for p in reps if L % p == 0]), table.ident
+                assert rep.failures == sorted(
+                    (p, n, 1) for p, n in _class_failures(variant, reps))
+                failing += bool(rep.failures)
+        assert failing == 37 + 2 * 47
+
+    def test_least_primes(self):
+        # the least prime of each class at or past lo and outside skip; a
+        # class not prime to the modulus holds none, and is refused rather
+        # than searched by a sieve doubled without end
+        assert qf._least_primes([1, 3, 1], 4, 5, (7,)) == [5, 11, 5]
+        assert qf._least_primes([1], 1012) == [1013]
+        with pytest.raises(ValueError, match="not prime to 4"):
+            qf._least_primes([1, 2], 4)
+
+    @pytest.mark.parametrize("table, gap", [
+        (lambda: split_1009_table(), (1009, 0, 1)),
+        (lambda: gap_1012_table(), (1013, 0, 1)),
+    ], ids=["1009-divides-L", "class-1-mod-1012"])
+    def test_a_gap_past_1000(self, table, gap):
+        # a gap at a prime above 1000, which no test of p <= 1000 sees;
+        # some class mod 4036 holds no prime below _CLASS_BOUND
+        table = table()
+        L, reps = _class_primes(table, _odd_primes(10 * _CLASS_BOUND))
+        assert _partition_oracle(table, 1000)[1] == []
+        assert qf.check_partition(table).failures == [gap] \
+            == [(p, n, 1) for p, n in _class_failures(table, reps)]
+
+
+def split_1009_table():
+    """The two-square table with its split case cut in two by (1009|p):
+    L = 4036, and no guard holds at p = 1009, which divides it."""
+    split, inert = two_square_table().cases
+    halves = tuple(replace(split, guard=qf.Guard(((1009, v),),
+                                                 split.guard.mods))
+                   for v in (1, -1))
+    return qf.QuadFormTable("split-1009", halves + (inert,))
+
+
+def gap_1012_table():
+    """Residue guards only, L = 1012 = 4 * 11 * 23, covering every class
+    prime to L but 1; the least prime in that class is 1013."""
+    guard = lambda *mods: qf.Guard(mods=mods)
+    return qf.QuadFormTable("gap-1012", tuple(
+        qf.QuadFormCase(g, zero=True) for g in (
+            guard((4, (3,))),
+            guard((4, (1,)), (11, tuple(range(2, 11)))),
+            guard((4, (1,)), (11, (1,)), (23, tuple(range(2, 23)))))))
 
 
 class TestIntegerTemplates:
